@@ -24,7 +24,7 @@ def main():
         slope = "n/a" if table.slope is None else f"{table.slope:+.3f}"
         print(f"{name}: flag={table.flag} log2-slope={slope}")
         for n, m, norm in table.rows:
-            print(f"    ({n},{m})  norm_sq={norm.value:.6e}  refine={norm.refine}  {norm.method}")
+            print(f"    ({n},{m})  norm_sq={norm.value:.6e}  refine={norm.refine}")
 
 
 if __name__ == "__main__":

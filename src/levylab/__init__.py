@@ -25,7 +25,6 @@ from .levy_kernel import (
     CauchyTable,
     ChaosNorm,
     DyadicApprox,
-    SplitIncrement,
     approx_eval,
     cauchy_table,
     existence_check,
@@ -33,7 +32,6 @@ from .levy_kernel import (
     kernel_eval,
     norm_approx,
     norm_diff,
-    split_increment,
 )
 from .pvariation import (
     ControlEstimate,
@@ -57,7 +55,6 @@ from .spectral import (
     classical_spectrum,
     cosh_factorization_check,
     discretize_classical_operator,
-    discretize_general_operator,
     eigen_solve,
     general_spectrum,
     symmetry_check,

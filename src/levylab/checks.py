@@ -143,8 +143,8 @@ def check_norm_diff_basics():
     br = cov.brownian()
     fbm = cov.fractional_brownian(0.75)
     assert lk.norm_diff(3, 3, br, br).value == 0.0
-    a = lk.norm_diff(2, 4, fbm, fbm, refine=6).value
-    b = lk.norm_diff(4, 2, fbm, fbm, refine=6).value
+    a = lk.norm_diff(2, 4, fbm, fbm).value
+    b = lk.norm_diff(4, 2, fbm, fbm).value
     assert abs(a - b) <= 1e-12, (a, b)
     return "zero at equal levels, symmetric in the pair"
 
@@ -232,6 +232,18 @@ def check_classical_operator_structure():
     return "mirror pairs with multiplicity 2, top near 1/pi"
 
 
+def check_step_operator_identity():
+    fbm = cov.fractional_brownian(0.35)
+    spec = sp.general_spectrum(fbm, fbm, 6)
+    total = sum(m * a**2 for a, m in spec.entries)
+    norm = lk.norm_approx(6, fbm, fbm).value
+    rel = abs(total - norm) / norm
+    assert rel <= 1e-12, f"sum mult*alpha^2 {total!r} vs norm_approx(6) {norm!r}"
+    report = sp.symmetry_check(spec)
+    assert report.ok, report.violations
+    return f"sum mult*alpha^2 matches norm_approx(6) to {rel:.1e}, mirror-symmetric"
+
+
 ALL_CHECKS = [
     ("covariance.rect-additivity", check_rect_additivity),
     ("covariance.gram-telescoping", check_gram_telescoping),
@@ -252,6 +264,7 @@ ALL_CHECKS = [
     ("spectral.cf-tail-bound", check_cf_tail_bound),
     ("spectral.cosh-residual", check_cosh_residual),
     ("spectral.classical-structure", check_classical_operator_structure),
+    ("spectral.step-operator-identity", check_step_operator_identity),
 ]
 
 

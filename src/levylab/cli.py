@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt(x: float) -> str:
@@ -77,7 +77,7 @@ def _read_config_file(path):
 
 _FILE_KEYS = {
     "kernel", "kernel1", "kernel2", "hurst", "seed", "samples", "level",
-    "levels", "t", "p", "refine", "pairs", "grid", "format", "prefix",
+    "levels", "t", "p", "pairs", "grid", "format", "prefix",
     "emit_samples", "threads",
 }
 
@@ -95,7 +95,7 @@ def _merge_config(args):
             continue
         if not hasattr(args, key):
             continue
-        if key in ("seed", "samples", "level", "refine", "pairs", "grid", "threads"):
+        if key in ("seed", "samples", "level", "pairs", "grid", "threads"):
             setattr(args, key, int(raw))
         elif key == "hurst":
             setattr(args, key, float(raw))
@@ -304,13 +304,12 @@ def cmd_cauchy(args) -> int:
     k1 = _resolve_kernel(args.kernel1 or args.kernel, None)
     k2 = _resolve_kernel(args.kernel2 or args.kernel, None)
     levels = [int(v) for v in (args.levels or parse_range("1:6"))]
-    table = lk.cauchy_table(levels, k1, k2, refine=args.refine)
+    table = lk.cauchy_table(levels, k1, k2)
     echo = _echo(
         "cauchy",
         kernel1=cov.kernel_spec_string(k1),
         kernel2=cov.kernel_spec_string(k2),
         levels=levels,
-        refine=args.refine,
     )
     rows = [
         f"{n},{m},{_fmt(norm.value)},{norm.refine},{table.flag}"
@@ -320,7 +319,7 @@ def cmd_cauchy(args) -> int:
         "slope": table.slope,
         "flag": table.flag,
         "rows": [
-            {"n": n, "m": m, "norm_sq": norm.value, "refine": norm.refine, "method": norm.method}
+            {"n": n, "m": m, "norm_sq": norm.value, "refine": norm.refine}
             for n, m, norm in table.rows
         ],
     }
@@ -405,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel1")
     p.add_argument("--kernel2")
     p.add_argument("--levels", type=parse_range, help="level ladder a:b")
-    p.add_argument("--refine", type=int)
     p.set_defaults(fn=cmd_cauchy)
 
     p = sub.add_parser("check", help="run the full invariant suite")

@@ -267,15 +267,6 @@ def cholesky_factor(gram: GridGram, jitter: float = 0.0) -> np.ndarray:
     )
 
 
-def has_independent_increments(kernel: CovKernel) -> bool:
-    """True when disjoint-interval increments are uncorrelated.
-
-    For these kernels the increment measure is concentrated on the diagonal,
-    which makes several dyadic quadratures downstream exact.
-    """
-    return kernel.kind in (BROWNIAN, WEIGHTED)
-
-
 def variation_index(kernel: CovKernel) -> float | None:
     """Smallest p with finite grid p-variation, where known.
 

@@ -8,14 +8,12 @@ zeroes out the band of diagonal cells of width 2^-n.
 
 Inner products in the tensor Hilbert space attached to covariance kernels
 R_1, R_2 reduce, for step functions, to quadruple sums of cell values against
-the two increment Gram matrices; this gives the exact squared norm of any
-dyadic approximation. Squared distances between levels are instead computed
-by the four-corner reduction: the inner double integral of the sign field
-over a product cell collapses to a four-term rectangular increment around
-the evaluation point, which is then integrated against the second covariance
-as an anchored Riemann-Stieltjes sum on a refinement subgrid. For covariance
-kernels with independent increments the anchored sum is exact once the
-subgrid is at least as fine as both levels.
+the two increment Gram matrices. A step function D on the level-r cell grid
+therefore has the exact squared norm 2 tr(G_1 D G_2 D^T), G_i the level-r
+increment Grams. The level-n approximation and the difference of the level-n
+and level-m approximations are both step functions on the level-max(n, m)
+grid, so one contraction there gives norms and inter-level distances exactly,
+for every covariance pair and without any factorization.
 """
 from __future__ import annotations
 
@@ -25,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import DomainError, NumericalError, ParameterError
-
-EXACT_SUM = "ExactSum"
-REFINED_QUADRATURE = "RefinedQuadrature"
-
-#: entry budget per quadrature sweep block, keeps peak memory ~ tens of MB
-_BLOCK = 1 << 20
+from .errors import NumericalError, ParameterError
 
 
 def kernel_eval(s: float, i: int, t: float, j: int) -> float:
@@ -84,109 +76,13 @@ class DyadicApprox:
         return approx_eval(self.level, s, i, t, j)
 
 
-def split_increment(
-    kernel: cov.CovKernel,
-    k: int,
-    l: int,
-    n: int,
-    m: int,
-    u: float,
-    v: float,
-) -> float:
-    """Four-term covariance increment around (u,v) inside cell I_k^n x I_l^m.
-
-    Splitting the cell at (u,v) into four quadrants, this is the increment
-    over the upper-right minus upper-left minus lower-right plus lower-left.
-    At the cell's lower-left corner it equals the increment over the whole
-    cell; at interior points it interpolates the quadrant cancellations.
-    """
-    x0, x1 = k * 2.0**-n, (k + 1) * 2.0**-n
-    y0, y1 = l * 2.0**-m, (l + 1) * 2.0**-m
-    if not (x0 <= u <= x1 and y0 <= v <= y1):
-        raise DomainError(
-            f"evaluation point ({u}, {v}) outside cell [{x0},{x1}]x[{y0},{y1}]"
-        )
-    a1 = cov.rect_increment(kernel, cov.Rectangle(u, x1, v, y1))
-    a2 = cov.rect_increment(kernel, cov.Rectangle(x0, u, v, y1))
-    a3 = cov.rect_increment(kernel, cov.Rectangle(u, x1, y0, v))
-    a4 = cov.rect_increment(kernel, cov.Rectangle(x0, u, y0, v))
-    return a1 - a2 - a3 + a4
-
-
-@dataclass(frozen=True)
-class SplitIncrement:
-    """Evaluator of split_increment bound to one cell of one covariance."""
-
-    kernel: cov.CovKernel
-    k: int
-    l: int
-    n: int
-    m: int
-
-    def __call__(self, u: float, v: float) -> float:
-        return split_increment(self.kernel, self.k, self.l, self.n, self.m, u, v)
-
-
 @dataclass(frozen=True)
 class ChaosNorm:
-    """A squared tensor-space norm with its evaluation metadata."""
+    """A squared tensor-space norm and the dyadic grid level it was contracted on."""
 
     value: float
     level_pair: tuple
     refine: int
-    method: str
-
-
-def _default_refine(n: int, m: int, r1, r2) -> int:
-    base = max(n, m)
-    if cov.has_independent_increments(r1) and cov.has_independent_increments(r2):
-        return base + 1
-    return base + 2
-
-
-def _axis_bounds(r: int, level: int):
-    """Anchors and enclosing level-cell bounds for every level-r subcell."""
-    idx = np.arange(2**r)
-    anchors = idx / 2.0**r
-    coarse = idx >> (r - level)
-    lo = coarse / 2.0**level
-    hi = lo + 2.0**-level
-    return anchors, lo, hi
-
-
-def _star_term(r1: cov.CovKernel, r2: cov.CovKernel, n: int, m: int, refine: int) -> float:
-    """Anchored quadrature of the four-corner field against the paired Gram.
-
-    One term per off-diagonal block ordering: the field of the first
-    covariance on the level-(n,m) cell geometry integrated dR of the second,
-    plus the mirrored term. The anchored sum runs on the level-refine subgrid.
-    """
-    u, t0, t1 = _axis_bounds(refine, n)
-    v, s0, s1 = _axis_bounds(refine, m)
-    total = 0.0
-    for P, Q in ((r1, r2), (r2, r1)):
-        gram_q = cov.gram_matrix(Q, cov.dyadic_partition(refine)).matrix
-        size = len(u)
-        block = max(1, _BLOCK // size)
-        acc = []
-        for start in range(0, size, block):
-            sl = slice(start, start + block)
-            field = (
-                cov.eval_grid(P, t1[sl], s1)
-                + cov.eval_grid(P, t1[sl], s0)
-                + cov.eval_grid(P, t0[sl], s1)
-                + cov.eval_grid(P, t0[sl], s0)
-                - 2.0 * (
-                    cov.eval_grid(P, t1[sl], v)
-                    + cov.eval_grid(P, t0[sl], v)
-                    + cov.eval_grid(P, u[sl], s1)
-                    + cov.eval_grid(P, u[sl], s0)
-                )
-                + 4.0 * cov.eval_grid(P, u[sl], v)
-            )
-            acc.append(np.sum(field * gram_q[sl]))
-        total += float(np.sum(acc))
-    return 0.25 * total
 
 
 def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
@@ -197,73 +93,42 @@ def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
     return 0.5 * np.sign(coarse[None, :] - coarse[:, None])
 
 
-def norm_approx(
-    n: int,
-    r1: cov.CovKernel,
-    r2: cov.CovKernel,
-    refine: int | None = None,
-) -> ChaosNorm:
-    """Exact squared tensor norm of the level-n approximation.
+def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> float:
+    """Exact squared norm 2 tr(G_1 D G_2 D^T) of the step function D on the level grid.
 
-    The approximation is a step function on any subgrid at least as fine as
-    its own level, so its norm is the exact quadruple sum of cell values
-    against the two increment Gram matrices, contracted as
-    2 * tr(G_1 A G_2 A^T). Exact for every kernel at every admissible refine.
+    A result negative beyond rounding means an indefinite Gram (a covariance
+    table that is not positive semidefinite) and raises NumericalError.
     """
+    part = cov.dyadic_partition(level)
+    g1 = cov.gram_matrix(r1, part).matrix
+    g2 = cov.gram_matrix(r2, part).matrix
+    terms = (g1 @ D) * (D @ g2)
+    total = float(np.sum(terms))
+    if total < 0.0:
+        if total < -1e-10 * float(np.sum(np.abs(terms))):
+            raise NumericalError(
+                f"squared norm came out negative ({2.0 * total:.3e}) on the level-{level} grid"
+            )
+        total = 0.0
+    return 2.0 * total
+
+
+def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
+    """Exact squared tensor norm of the level-n approximation."""
     if n < 1:
         raise ParameterError(f"approximation level must be >= 1, got {n}")
-    refine = _resolve_refine(n, 0, r1, r2, refine)
-    A = cell_sign_matrix(n, refine)
-    g1 = cov.gram_matrix(r1, cov.dyadic_partition(refine)).matrix
-    g2 = cov.gram_matrix(r2, cov.dyadic_partition(refine)).matrix
-    value = 2.0 * float(np.sum((g1 @ A) * (A @ g2)))
-    return ChaosNorm(value=value, level_pair=(n, n), refine=refine, method=EXACT_SUM)
+    value = _step_norm(cell_sign_matrix(n, n), r1, r2, n)
+    return ChaosNorm(value=value, level_pair=(n, n), refine=n)
 
 
-def norm_diff(
-    n: int,
-    m: int,
-    r1: cov.CovKernel,
-    r2: cov.CovKernel,
-    refine: int | None = None,
-) -> ChaosNorm:
-    """Squared tensor distance between the level-n and level-m approximations.
-
-    Assembled from four corner-field quadratures via the bilinear expansion
-    of the difference; exact for independent-increment covariances once
-    refine > max(n, m), quadrature-converged otherwise.
-    """
+def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
+    """Exact squared tensor distance between the level-n and level-m approximations."""
     if n < 1 or m < 1:
         raise ParameterError(f"approximation levels must be >= 1, got ({n}, {m})")
-    refine = _resolve_refine(n, m, r1, r2, refine)
-    stars = {}
-    for pair in dict.fromkeys([(n, n), (m, m), (n, m), (m, n)]):
-        stars[pair] = _star_term(r1, r2, pair[0], pair[1], refine)
-    value = stars[(n, n)] + stars[(m, m)] - stars[(n, m)] - stars[(m, n)]
-    scale = abs(stars[(n, n)]) + abs(stars[(m, m)]) + 1e-300
-    if value < 0.0:
-        if value < -1e-10 * scale:
-            raise NumericalError(
-                f"squared distance came out negative ({value:.3e}) at refine {refine}"
-            )
-        value = 0.0
-    exact = cov.has_independent_increments(r1) and cov.has_independent_increments(r2)
-    return ChaosNorm(
-        value=value,
-        level_pair=(n, m),
-        refine=refine,
-        method=EXACT_SUM if exact else REFINED_QUADRATURE,
-    )
-
-
-def _resolve_refine(n, m, r1, r2, refine):
-    if refine is None:
-        return _default_refine(n, m, r1, r2)
-    if refine < max(n, m):
-        raise ParameterError(
-            f"refine level {refine} is below the approximation levels ({n}, {m})"
-        )
-    return refine
+    level = max(n, m)
+    D = cell_sign_matrix(n, level) - cell_sign_matrix(m, level)
+    value = _step_norm(D, r1, r2, level)
+    return ChaosNorm(value=value, level_pair=(n, m), refine=level)
 
 
 def existence_check(p: float, q: float) -> bool:
@@ -309,12 +174,7 @@ class CauchyTable:
         return "\n".join(lines) + "\n"
 
 
-def cauchy_table(
-    levels,
-    r1: cov.CovKernel,
-    r2: cov.CovKernel,
-    refine: int | None = None,
-) -> CauchyTable:
+def cauchy_table(levels, r1: cov.CovKernel, r2: cov.CovKernel) -> CauchyTable:
     """Distances across consecutive levels with a fitted dyadic decay rate.
 
     The slope is the least-squares fit of log2(norm_sq) against n over the
@@ -325,7 +185,7 @@ def cauchy_table(
         raise ParameterError("levels must be an increasing list with at least two entries")
     rows = []
     for a, b in zip(levels, levels[1:]):
-        rows.append((a, b, norm_diff(a, b, r1, r2, refine=refine)))
+        rows.append((a, b, norm_diff(a, b, r1, r2)))
     xs = [a for a, _, norm in rows if norm.value > 0]
     ys = [math.log2(norm.value) for _, _, norm in rows if norm.value > 0]
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None

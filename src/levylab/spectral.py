@@ -14,9 +14,13 @@ product to 1/cosh. Equivalently cosh factors as
 
 Two discretizations are provided: midpoint collocation of the classical
 block integral operator (h(1) + h(0) = 0 boundary behaviour emerges in the
-eigenvectors), and the generalized symmetric eigenproblem K g = a G g on
-dyadic step functions for arbitrary covariance pairs, with K the cross-Gram
-of the step kernel and G the block-diagonal increment Gram.
+eigenvectors), and the level-n step-kernel operator for arbitrary covariance
+pairs. On dyadic step functions, in the coordinates whitened by the Cholesky
+factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
+is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
+sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
+spectrum comes from one n x n SVD, and mirror symmetry and even multiplicity
+hold by construction.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import covariance as cov
 from . import levy_kernel as lk
-from .errors import NumericalError, ParameterError, ResourceError, ShapeError
+from .errors import ParameterError, ResourceError, ShapeError
 
 #: relative gap below which eigenvalues are merged into one multiplicity cluster
 CLUSTER_TOL = 1e-6
@@ -176,7 +180,11 @@ def eigen_solve(matrix: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectru
     scale = float(np.max(np.abs(m))) or 1.0
     if asym > 1e-10 * max(scale, 1.0):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    w = np.linalg.eigvalsh((m + m.T) / 2.0)
+    return _clustered(np.linalg.eigvalsh((m + m.T) / 2.0), cluster_tol)
+
+
+def _clustered(w: np.ndarray, cluster_tol: float) -> Spectrum:
+    """Spectrum of the ascending eigenvalues w, merging gaps below cluster_tol * radius."""
     sigma = float(np.max(np.abs(w))) if w.size else 0.0
     gap = cluster_tol * (sigma or 1.0)
     entries = []
@@ -244,15 +252,14 @@ def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryRe
 MAX_OPERATOR_LEVEL = 10
 
 
-def discretize_general_operator(
-    r1: cov.CovKernel, r2: cov.CovKernel, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized symmetric eigenproblem K g = alpha G g on dyadic steps.
+def general_spectrum(
+    r1: cov.CovKernel, r2: cov.CovKernel, level: int, cluster_tol: float = CLUSTER_TOL
+) -> Spectrum:
+    """Spectrum of the level-n step-kernel operator for a covariance pair.
 
-    K is the cross-Gram of the level-n step kernel: its (1,2) block is
-    G_1 A G_2 with A the cell sign matrix, and the (2,1) block its transpose;
-    G is the block-diagonal increment Gram of the two covariances. Returns
-    the pair (K, G); solve through `whiten_operator` + `eigen_solve`.
+    The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
+    clustered as in eigen_solve. Both Grams go through cholesky_factor, so an
+    indefinite Gram raises NumericalError once the jitter ladder is spent.
     """
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
@@ -261,42 +268,11 @@ def discretize_general_operator(
             f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}"
         )
     part = cov.dyadic_partition(level)
-    g1 = cov.gram_matrix(r1, part).matrix
-    g2 = cov.gram_matrix(r2, part).matrix
-    n = g1.shape[0]
-    A = lk.cell_sign_matrix(level, level)
-    X = g1 @ A @ g2
-    K = np.zeros((2 * n, 2 * n))
-    K[:n, n:] = X
-    K[n:, :n] = X.T
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, :n] = g1
-    G[n:, n:] = g2
-    return K, G
-
-
-def whiten_operator(K: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """G^{-1/2} K G^{-1/2} with the Gram regularized by the jitter ladder."""
-    w, V = np.linalg.eigh((G + G.T) / 2.0)
-    scale = float(np.max(np.abs(w))) or 1.0
-    for jitter in cov.JITTER_LADDER:
-        shifted = w + jitter * scale
-        if np.min(shifted) > 0:
-            inv_half = V @ np.diag(shifted**-0.5) @ V.T
-            M = inv_half @ K @ inv_half
-            return (M + M.T) / 2.0
-    raise NumericalError(
-        f"increment Gram is singular beyond the jitter ladder "
-        f"(smallest eigenvalue {float(np.min(w)):.3e})"
-    )
-
-
-def general_spectrum(
-    r1: cov.CovKernel, r2: cov.CovKernel, level: int, cluster_tol: float = CLUSTER_TOL
-) -> Spectrum:
-    """Spectrum of the step-kernel operator for a covariance pair."""
-    K, G = discretize_general_operator(r1, r2, level)
-    return eigen_solve(whiten_operator(K, G), cluster_tol=cluster_tol)
+    l1 = cov.cholesky_factor(cov.gram_matrix(r1, part))
+    l2 = cov.cholesky_factor(cov.gram_matrix(r2, part))
+    M = l1.T @ lk.cell_sign_matrix(level, level) @ l2
+    s = np.linalg.svd(M, compute_uv=False)
+    return _clustered(np.concatenate([-s, s[::-1]]), cluster_tol)
 
 
 def cf_curve(spectrum: Spectrum, t_grid, n_entries: int | None = None):

@@ -118,7 +118,7 @@ def test_criterion_4_cauchy_decay():
     worst = 0.0
     for n in range(1, 7):
         refine = n + 2
-        got = lk.norm_diff(n, n + 1, br, br, refine=refine).value
+        got = lk.norm_diff(n, n + 1, br, br).value
         law = 2.0 ** (-n - 2)
         A = lk.cell_sign_matrix(n, refine) - lk.cell_sign_matrix(n + 1, refine)
         part = cov.dyadic_partition(refine)

@@ -112,6 +112,17 @@ def test_cauchy_brownian_slope(tmp_path):
     assert header == ["n", "m", "norm_sq", "refine", "flag"]
     assert len(rows) == 5
     assert float(rows[0][2]) == pytest.approx(0.125, abs=1e-12)
+    # the refine column reports the grid each distance was contracted on
+    assert [int(r[3]) for r in rows] == [2, 3, 4, 5, 6]
+
+
+def test_cauchy_rejects_refine(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["cauchy", "--kernel", "brownian", "--refine", 9, "--out", tmp_path])
+    assert exc.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("kernel=brownian\nrefine=9\n")
+    assert run_cli(["cauchy", "--config", config, "--out", tmp_path]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +162,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
-from levylab.errors import DomainError, ParameterError
+from levylab.errors import NumericalError, ParameterError
 
 
 def gram_contraction_norm(A, g1, g2):
@@ -103,62 +103,6 @@ def test_dyadic_approx_wrapper():
 
 
 # ---------------------------------------------------------------------------
-# split_increment
-# ---------------------------------------------------------------------------
-
-def test_split_increment_corner_identity():
-    # at the lower-left corner the four-term field is the full-cell increment
-    for kernel in (cov.brownian(), cov.fractional_brownian(0.35)):
-        for (k, l, n, m) in ((0, 0, 1, 1), (1, 2, 2, 2), (3, 1, 2, 3)):
-            if k >= 2**n or l >= 2**m:
-                continue
-            x0, y0 = k * 2.0**-n, l * 2.0**-m
-            full = cov.rect_increment(
-                kernel, cov.Rectangle(x0, x0 + 2.0**-n, y0, y0 + 2.0**-m)
-            )
-            assert lk.split_increment(kernel, k, l, n, m, x0, y0) == pytest.approx(
-                full, abs=1e-14
-            )
-
-
-def test_split_increment_column_difference_identity():
-    # F(x0, v) - F(x0, v') = 2 R([x0,x1] x [v,v']) for v < v'
-    kernel = cov.fractional_brownian(0.4)
-    k, l, n, m = 1, 2, 2, 2
-    x0 = k * 2.0**-n
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        v, vp = np.sort(l * 2.0**-m + rng.uniform(0, 2.0**-m, 2))
-        lhs = lk.split_increment(kernel, k, l, n, m, x0, v) - lk.split_increment(
-            kernel, k, l, n, m, x0, vp
-        )
-        rhs = 2.0 * cov.rect_increment(kernel, cov.Rectangle(x0, x0 + 2.0**-n, v, vp))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_split_increment_brownian_cases():
-    br = cov.brownian()
-    # off-diagonal cells carry no increment mass anywhere
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        u = 0.0 + rng.uniform(0, 0.25)
-        v = 0.5 + rng.uniform(0, 0.25)
-        assert lk.split_increment(br, 0, 2, 2, 2, u, v) == pytest.approx(0.0, abs=1e-14)
-    # interior of a diagonal cell: quadrant overlaps add up to the cell width
-    assert lk.split_increment(br, 0, 0, 1, 1, 0.25, 0.25) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_split_increment_domain_error():
-    with pytest.raises(DomainError):
-        lk.split_increment(cov.brownian(), 0, 0, 1, 1, 0.75, 0.25)
-
-
-def test_split_increment_callable_wrapper():
-    f = lk.SplitIncrement(cov.brownian(), 0, 0, 1, 1)
-    assert f(0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
-
-
-# ---------------------------------------------------------------------------
 # norm_diff / norm_approx
 # ---------------------------------------------------------------------------
 
@@ -172,8 +116,7 @@ def test_norm_diff_brownian_12():
     br = cov.brownian()
     result = lk.norm_diff(1, 2, br, br)
     assert result.value == pytest.approx(0.125, abs=1e-12)
-    assert result.method == lk.EXACT_SUM
-    # independent oracle at the same refinement level
+    # independent oracle on the grid the contraction ran on
     refine = result.refine
     A = lk.cell_sign_matrix(1, refine) - lk.cell_sign_matrix(2, refine)
     g1, g2 = grams(br, br, refine)
@@ -190,30 +133,49 @@ def test_norm_diff_brownian_dyadic_decay():
 
 def test_norm_diff_matches_oracle_nontrivial_kernels():
     fbm = cov.fractional_brownian(0.75)
+    rough = cov.fractional_brownian(0.1)
     wk = cov.weighted_poly(1)
-    for r1, r2, n, m, refine in (
-        (fbm, fbm, 1, 2, 5),
-        (fbm, cov.brownian(), 2, 3, 5),
-        (wk, fbm, 1, 3, 5),
+    tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
+    for r1, r2, n, m in (
+        (fbm, fbm, 1, 2),
+        (fbm, cov.brownian(), 2, 3),
+        (wk, fbm, 1, 3),
+        (rough, rough, 2, 4),
+        (tab, cov.fractional_brownian(0.35), 1, 3),
     ):
-        got = lk.norm_diff(n, m, r1, r2, refine=refine).value
+        got = lk.norm_diff(n, m, r1, r2).value
+        # the oracle runs on a finer grid: the step-function norm is grid-independent
+        refine = max(n, m) + 2
         A = lk.cell_sign_matrix(n, refine) - lk.cell_sign_matrix(m, refine)
         g1, g2 = grams(r1, r2, refine)
         want = gram_contraction_norm(A, g1, g2)
-        # quadrature route converges to the exact step-function norm
-        assert got == pytest.approx(want, rel=2e-3, abs=1e-6)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_diff_symmetry():
     fbm = cov.fractional_brownian(0.75)
-    a = lk.norm_diff(2, 4, fbm, fbm, refine=6).value
-    b = lk.norm_diff(4, 2, fbm, fbm, refine=6).value
+    a = lk.norm_diff(2, 4, fbm, fbm).value
+    b = lk.norm_diff(4, 2, fbm, fbm).value
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_norm_diff_refine_validation():
+    # the grid is always max(n, m): no refine knob, and levels below 1 are rejected
+    br = cov.brownian()
+    assert lk.norm_diff(2, 4, br, br).refine == 4
+    with pytest.raises(TypeError):
+        lk.norm_diff(2, 4, br, br, refine=3)
     with pytest.raises(ParameterError):
-        lk.norm_diff(2, 4, cov.brownian(), cov.brownian(), refine=3)
+        lk.norm_diff(0, 4, br, br)
+
+
+def test_norm_of_indefinite_table_raises():
+    # R = -s t paired with Brownian makes the contraction strictly negative
+    neg = cov.tabulated_from_fn(lambda S, T: -S * T, 4)
+    with pytest.raises(NumericalError, match="negative"):
+        lk.norm_approx(2, cov.brownian(), neg)
+    with pytest.raises(NumericalError, match="negative"):
+        lk.norm_diff(1, 2, cov.brownian(), neg)
 
 
 def test_norm_approx_brownian_formula():
@@ -227,17 +189,20 @@ def test_norm_approx_brownian_formula():
 def test_norm_approx_matches_quadruple_loop():
     fbm = cov.fractional_brownian(0.75)
     refine = 3
-    got = lk.norm_approx(2, fbm, fbm, refine=refine).value
+    got = lk.norm_approx(2, fbm, fbm).value
     A = lk.cell_sign_matrix(2, refine)
     g1, g2 = grams(fbm, fbm, refine)
     assert got == pytest.approx(quadruple_loop_norm(A, g1, g2), abs=1e-12)
 
 
 def test_norm_approx_refine_stability_fbm():
+    # the level-4 norm is the same contraction on every finer grid
     fbm = cov.fractional_brownian(0.75)
-    a = lk.norm_approx(4, fbm, fbm, refine=8).value
-    b = lk.norm_approx(4, fbm, fbm, refine=9).value
-    assert abs(a - b) <= 1e-4 * abs(a)
+    got = lk.norm_approx(4, fbm, fbm).value
+    for refine in (8, 9):
+        g1, g2 = grams(fbm, fbm, refine)
+        want = gram_contraction_norm(lk.cell_sign_matrix(4, refine), g1, g2)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_variance_identity_brownian():
@@ -287,14 +252,14 @@ def test_cauchy_table_fbm_monotone():
 
 def test_cauchy_table_flags_uncovered_pair():
     rough = cov.fractional_brownian(0.2)
-    table = lk.cauchy_table([1, 2, 3], rough, rough, refine=5)
+    table = lk.cauchy_table([1, 2, 3], rough, rough)
     assert table.flag == lk.NOT_COVERED
     assert all(norm.value >= 0 for _, _, norm in table.rows)
 
 
 def test_cauchy_table_unknown_for_tabulated():
     k = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
-    table = lk.cauchy_table([1, 2], k, k, refine=4)
+    table = lk.cauchy_table([1, 2], k, k)
     assert table.flag == lk.UNKNOWN
 
 

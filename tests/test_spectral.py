@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import levylab.covariance as cov
+import levylab.levy_kernel as lk
 import levylab.spectral as sp
 from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeError
 
@@ -246,18 +247,18 @@ def test_general_operator_brownian_recovers_classical():
 
 
 def test_general_operator_block_structure():
+    # equal covariances make M = L^T A L antisymmetric, so its singular values
+    # pair up and every +-s of the spectrum has even multiplicity
     for kernel in (cov.brownian(), cov.fractional_brownian(0.4)):
-        K, G = sp.discretize_general_operator(kernel, kernel, 5)
-        n = K.shape[0] // 2
-        k12 = K[:n, n:]
-        k21 = K[n:, :n]
-        # the assembled operator is symmetric: K21 = K12^T exactly
-        assert np.array_equal(k21, k12.T)
-        # equal covariances make the cross block itself antisymmetric
-        scale = np.max(np.abs(k12)) or 1.0
-        assert np.max(np.abs(k12 + k12.T)) <= 1e-10 * scale
-        # G is the block-diagonal increment Gram
-        assert np.array_equal(G[:n, n:], np.zeros((n, n)))
+        L = cov.cholesky_factor(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
+        M = L.T @ lk.cell_sign_matrix(5, 5) @ L
+        scale = np.max(np.abs(M))
+        assert np.max(np.abs(M + M.T)) <= 1e-12 * scale
+        s = np.linalg.svd(M, compute_uv=False)
+        assert np.max(np.abs(s[0::2] - s[1::2])) <= 1e-12 * s[0]
+        positive = np.sort([a for a in sp.general_spectrum(kernel, kernel, 5, cluster_tol=0.0)
+                            .eigenvalues() if a > 0])[::-1]
+        assert np.max(np.abs(positive - s)) <= 1e-12 * s[0]
 
 
 def test_general_operator_multiplicities_are_even():
@@ -268,13 +269,73 @@ def test_general_operator_multiplicities_are_even():
 
 def test_general_operator_level_cap():
     with pytest.raises(ResourceError):
-        sp.discretize_general_operator(cov.brownian(), cov.brownian(), 11)
+        sp.general_spectrum(cov.brownian(), cov.brownian(), 11)
     with pytest.raises(ParameterError):
-        sp.discretize_general_operator(cov.brownian(), cov.brownian(), 0)
+        sp.general_spectrum(cov.brownian(), cov.brownian(), 0)
 
 
-def test_whiten_operator_singular_gram():
-    K = np.zeros((2, 2))
-    G = np.array([[1.0, 0.0], [0.0, -0.5]])
-    with pytest.raises(NumericalError, match="singular"):
-        sp.whiten_operator(K, G)
+def test_general_spectrum_indefinite_gram():
+    # R = -s t is negative semidefinite: no jitter rung makes it factorizable
+    table = cov.tabulated_from_fn(lambda S, T: -S * T, 4)
+    with pytest.raises(NumericalError):
+        sp.general_spectrum(table, table, 3)
+
+
+def whitened_reference(r1, r2, level):
+    """The 2n x 2n whitened operator G^{-1/2} K G^{-1/2} built densely.
+
+    K has the off-diagonal blocks G_1 A G_2 and its transpose, G is the
+    block-diagonal increment Gram; the inverse square root comes from eigh.
+    """
+    part = cov.dyadic_partition(level)
+    g1 = cov.gram_matrix(r1, part).matrix
+    g2 = cov.gram_matrix(r2, part).matrix
+    n = g1.shape[0]
+    X = g1 @ lk.cell_sign_matrix(level, level) @ g2
+    K = np.zeros((2 * n, 2 * n))
+    K[:n, n:] = X
+    K[n:, :n] = X.T
+    G = np.zeros((2 * n, 2 * n))
+    G[:n, :n] = g1
+    G[n:, n:] = g2
+    w, V = np.linalg.eigh(G)
+    assert np.min(w) > 0.0
+    inv_half = (V / np.sqrt(w)) @ V.T
+    M = inv_half @ K @ inv_half
+    return (M + M.T) / 2.0
+
+
+def _kernel_pairs():
+    fbm = {h: cov.fractional_brownian(h) for h in (0.1, 0.35, 0.75)}
+    tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
+    pairs = [pytest.param(k, k, id=f"fbm-{h}") for h, k in fbm.items()]
+    pairs.append(pytest.param(cov.brownian(), cov.brownian(), id="brownian"))
+    pairs.append(pytest.param(fbm[0.35], cov.brownian(), id="fbm-0.35/brownian"))
+    pairs.append(pytest.param(tab, tab, id="tabulated-min"))
+    return pairs
+
+
+@pytest.mark.parametrize("r1,r2", _kernel_pairs())
+def test_general_spectrum_matches_whitened_eigh(r1, r2):
+    # above level 4 the 16-node table's Grams need jitter, which the reference omits
+    top = 4 if r1.kind == cov.TABULATED else 6
+    for level in range(3, top + 1):
+        reference = whitened_reference(r1, r2, level)
+        want = np.linalg.eigvalsh(reference)
+        got = np.sort(sp.general_spectrum(r1, r2, level, cluster_tol=0.0).eigenvalues())
+        radius = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * radius, level
+        clustered = sorted(sp.general_spectrum(r1, r2, level).entries)
+        expected = sorted(sp.eigen_solve(reference).entries)
+        assert [m for _, m in clustered] == [m for _, m in expected], level
+        assert [a for a, _ in clustered] == pytest.approx(
+            [a for a, _ in expected], rel=0, abs=1e-12 * radius
+        )
+
+
+@pytest.mark.parametrize("r1,r2", _kernel_pairs())
+def test_general_spectrum_squares_sum_to_norm_approx(r1, r2):
+    for level in range(1, 8):
+        spec = sp.general_spectrum(r1, r2, level)
+        total = sum(m * a**2 for a, m in spec.entries)
+        assert total == pytest.approx(lk.norm_approx(level, r1, r2).value, rel=1e-12), level
