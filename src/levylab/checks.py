@@ -195,6 +195,16 @@ def check_mc_determinism():
     return "bit-identical samples across thread counts"
 
 
+def check_sampler_covariance():
+    fbm = cov.fractional_brownian(0.35)
+    sampler = sim.increment_sampler(fbm, 6)
+    rows = sampler.apply(np.eye(sampler.width))  # T^T
+    gram = cov.gram_matrix(fbm, cov.dyadic_partition(6)).matrix
+    rel = float(np.max(np.abs(rows.T @ rows - gram))) / float(np.max(np.abs(gram)))
+    assert rel <= 1e-12, f"T T^T vs gram_matrix off by {rel:.3e} relative"
+    return f"T T^T matches gram_matrix at level 6 to {rel:.1e}"
+
+
 def check_cf_real_and_bounded():
     spec = sp.classical_spectrum(200)
     prev = 1.1
@@ -260,6 +270,7 @@ ALL_CHECKS = [
     ("levy.triangle-consistency", check_triangle_consistency),
     ("simulate.area-identities", check_area_identities),
     ("simulate.determinism", check_mc_determinism),
+    ("simulate.sampler-covariance", check_sampler_covariance),
     ("spectral.cf-real-bounded", check_cf_real_and_bounded),
     ("spectral.cf-tail-bound", check_cf_tail_bound),
     ("spectral.cosh-residual", check_cosh_residual),

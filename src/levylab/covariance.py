@@ -147,9 +147,12 @@ def load_table_csv(path) -> CovKernel:
     return tabulated(values)
 
 
-def _check_unit_square(x, y):
-    if np.any((np.asarray(x) < 0) | (np.asarray(x) > 1) | (np.asarray(y) < 0) | (np.asarray(y) > 1)):
-        raise DomainError("covariance arguments must lie in [0,1]")
+def _check_unit_square(*axes):
+    # each axis separately: x and y may have different lengths
+    for axis in axes:
+        axis = np.asarray(axis)
+        if np.any((axis < 0) | (axis > 1)):
+            raise DomainError("covariance arguments must lie in [0,1]")
 
 
 def eval_grid(kernel: CovKernel, x, y) -> np.ndarray:
@@ -246,6 +249,49 @@ def gram_matrix(kernel: CovKernel, partition) -> GridGram:
     return GridGram(partition=part, matrix=matrix)
 
 
+def increment_autocovariance(kernel: CovKernel, level: int) -> np.ndarray:
+    """Lags 0..N of the level-n increment autocovariance of an fBm kernel.
+
+    Increments of fBm over the N = 2^level equal cells are stationary
+    (fractional Gaussian noise), so the increment Gram is the Toeplitz matrix
+    G[k,l] = gamma(|k - l|) with, for h = 1/N,
+
+        gamma(k) = h^{2H} (|k+1|^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2.
+
+    For k >= 2 the bracket is evaluated as
+    k^{2H} (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))), which avoids the
+    cancellation between the three large powers: relative to gamma(0) the
+    error stays near 1e-14 up to level 14 for H <= 0.75, where the direct
+    form loses about k^{2H} ulps.
+    """
+    if kernel.kind != FBM:
+        raise ParameterError(f"increment autocovariance needs an fbm kernel, got {kernel.kind!r}")
+    if level < 0:
+        raise ParameterError(f"dyadic level must be >= 0, got {level}")
+    h2 = 2.0 * kernel.hurst
+    k = np.arange(2.0, 2**level + 1)
+    gamma = np.empty(2**level + 1)
+    gamma[0] = 2.0
+    gamma[1] = 2.0**h2 - 2.0
+    gamma[2:] = k**h2 * (np.expm1(h2 * np.log1p(1.0 / k)) + np.expm1(h2 * np.log1p(-1.0 / k)))
+    return (0.5 * 2.0 ** (-level * h2)) * gamma
+
+
+def cell_variances(kernel: CovKernel, partition) -> np.ndarray:
+    """Diagonal of the increment Gram of an independent-increment kernel, in O(N).
+
+    Brownian and weighted kernels have R(s,t) = F(min(s,t)), so the cell
+    increments are independent with variances F(t_{k+1}) - F(t_k); this is
+    bit-identical to the diagonal of gram_matrix.
+    """
+    part = np.asarray(partition, dtype=float)
+    if kernel.kind == BROWNIAN:
+        return np.diff(part)
+    if kernel.kind == WEIGHTED:
+        return np.diff(kernel.weight.antiderivative_sq(part))
+    raise ParameterError(f"{kernel.kind!r} kernels do not have independent increments")
+
+
 def cholesky_factor(gram: GridGram, jitter: float = 0.0) -> np.ndarray:
     """Lower-triangular L with L L^T = matrix + jitter I.
 
@@ -256,8 +302,12 @@ def cholesky_factor(gram: GridGram, jitter: float = 0.0) -> np.ndarray:
     scale = float(np.max(np.abs(m))) or 1.0
     ladder = [jitter] + [j for j in JITTER_LADDER if j > jitter]
     for j in ladder:
+        shifted = m
+        if j:
+            shifted = m.copy()
+            shifted.flat[:: m.shape[0] + 1] += j * scale
         try:
-            return np.linalg.cholesky(m + (j * scale) * np.eye(m.shape[0]))
+            return np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
     smallest = float(np.linalg.eigvalsh(m)[0])

@@ -1,10 +1,20 @@
 """Monte Carlo sampling of discrete Levy areas and empirical characteristic
 functions.
 
-Path increments over the dyadic cells are drawn as L z with L the (dense)
-Cholesky factor of the increment Gram matrix, one independent standard
-normal vector z per process per sample. Randomness comes from the Philox
-counter-based generator; the stream for a draw is keyed by
+Path increments over the N = 2^level dyadic cells are d = T z, one
+independent standard normal vector z per process per sample, where the
+linear map T (T T^T = increment Gram) comes from a sampler chosen by the
+kernel kind:
+
+    brownian, weighted  independent increments: T = diag(sqrt(cell variance))
+    fbm                 stationary increments: the Gram is Toeplitz, and its
+                        minimal circulant embedding of size 2N (Davies & Harte
+                        1987; Dietrich & Newsam 1997) gives d in O(N log N)
+                        from 2N normals
+    tabulated           dense Cholesky factor of the Gram
+
+Randomness comes from the Philox counter-based generator; the stream for a
+draw is keyed by
 
     key = (seed, 2 * sample_index + process_index)
 
@@ -15,9 +25,7 @@ The discrete area of one sample is
 
     sum_{k<l} (d1_k d2_l - d2_k d1_l)
 
-evaluated in O(N) with prefix sums; the reduction over l uses compensated
-(Kahan) accumulation over pairwise-summed column chunks, so results are
-bit-reproducible and safe for the million-term sums at high levels.
+evaluated in O(N) with prefix sums and a pairwise-summed row reduction.
 """
 from __future__ import annotations
 
@@ -27,10 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
+
+#: normals per process held at once by one worker (8 MiB of float64)
+CHUNK_ELEMENTS = 2**20
 
 MAX_LEVEL = 14
 
@@ -94,29 +105,89 @@ class _StreamSource:
         self._gen.standard_normal(out.shape[0], out=out)
 
 
-def _increment_factors(config: MCConfig):
-    part = cov.dyadic_partition(config.level)
-    factors = []
-    for kernel in (config.kernel1, config.kernel2):
-        L = cov.cholesky_factor(cov.gram_matrix(kernel, part))
-        diag_only = np.count_nonzero(L - np.diag(np.diagonal(L))) == 0
-        factors.append((L, diag_only))
-    return factors
+class _Diagonal:
+    """d = sqrt(v) * z for independent increments with variances v."""
+
+    def __init__(self, variances):
+        self.scale = np.sqrt(variances)
+        self.width = len(variances)
+
+    def apply(self, Z):
+        return Z * self.scale
 
 
-def _batch_increments(seed, start, count, n, factors):
+class _Circulant:
+    """Exact stationary Gaussian increments by minimal circulant embedding.
+
+    The autocovariance gamma(0..N) is the first row of a symmetric circulant C
+    of size M = 2N with eigenvalues lam = DFT(first row). The Hartley matrix
+    H[j,k] = cos(2 pi jk/M) + sin(2 pi jk/M) diagonalizes C as
+    C = H diag(lam) H / M, so d = H (sqrt(lam / M) z) has covariance C, whose
+    leading N x N block is the Toeplitz Gram. For real y, H y = Re(F y) - Im(F y)
+    with F the forward DFT, and only the first N of the M outputs are needed,
+    which rfft provides.
+    """
+
+    def __init__(self, gamma):
+        self.n = len(gamma) - 1
+        lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+        if lam.min() < 0.0:
+            raise NumericalError(
+                f"circulant embedding of the increment autocovariance is indefinite: "
+                f"smallest eigenvalue {lam.min():.3e}"
+            )
+        self.width = 2 * self.n
+        self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.width)
+
+    def apply(self, Z):
+        f = np.fft.rfft(Z * self.scale, axis=1)[:, : self.n]
+        return f.real - f.imag
+
+
+class _Cholesky:
+    """d = L z with L the dense Cholesky factor of the increment Gram."""
+
+    def __init__(self, L):
+        self.L = L
+        self.width = L.shape[0]
+
+    def apply(self, Z):
+        return Z @ self.L.T
+
+
+def increment_sampler(kernel: cov.CovKernel, level: int):
+    """Linear map from `width` standard normals to the 2^level cell increments.
+
+    The result has `width` and `apply(Z)`, which maps rows of Z, shape
+    (rows, width), to increment rows, shape (rows, 2^level); each output row
+    depends on its own input row only.
+    """
+    if kernel.kind == cov.FBM:
+        return _Circulant(cov.increment_autocovariance(kernel, level))
+    part = cov.dyadic_partition(level)
+    if kernel.kind in (cov.BROWNIAN, cov.WEIGHTED):
+        return _Diagonal(cov.cell_variances(kernel, part))
+    return _Cholesky(cov.cholesky_factor(cov.gram_matrix(kernel, part)))
+
+
+def _samplers(config: MCConfig):
+    return [increment_sampler(k, config.level) for k in (config.kernel1, config.kernel2)]
+
+
+def _chunk_rows(samplers) -> int:
+    """Rows per work chunk; a power of two dividing BATCH, fixed per config."""
+    width = max(s.width for s in samplers)
+    return max(1, min(BATCH, CHUNK_ELEMENTS // width))
+
+
+def _chunk_increments(seed, start, count, samplers):
     source = _StreamSource(seed)
     out = []
-    for proc, (L, diag_only) in enumerate(factors):
-        Z = np.empty((count, n))
+    for proc, sampler in enumerate(samplers):
+        Z = np.empty((count, sampler.width))
         for i in range(count):
             source.fill(2 * (start + i) + proc, Z[i])
-        if diag_only:
-            # L z for diagonal L is an elementwise scale, bit-identical to
-            # the dense product but without the O(N^2) work per sample
-            out.append(Z * np.diagonal(L)[None, :])
-        else:
-            out.append(Z @ L.T)
+        out.append(sampler.apply(Z))
     return out
 
 
@@ -124,30 +195,17 @@ def sample_paths(config: MCConfig):
     """Increment arrays (n_samples, 2^level) for the two processes.
 
     Materializes everything; intended for moderate n_samples. run_mc streams
-    batches instead and never holds more than one batch of increments.
+    chunks instead and never holds more than one chunk of increments per worker.
     """
-    factors = _increment_factors(config)
-    n = 2**config.level
+    samplers = _samplers(config)
+    rows = _chunk_rows(samplers)
     parts1, parts2 = [], []
-    for start in range(0, config.n_samples, BATCH):
-        count = min(BATCH, config.n_samples - start)
-        inc1, inc2 = _batch_increments(config.seed, start, count, n, factors)
+    for start in range(0, config.n_samples, rows):
+        count = min(rows, config.n_samples - start)
+        inc1, inc2 = _chunk_increments(config.seed, start, count, samplers)
         parts1.append(inc1)
         parts2.append(inc2)
     return np.concatenate(parts1), np.concatenate(parts2)
-
-
-def _compensated_rowsum(terms: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Kahan accumulation over pairwise-summed column chunks, per row."""
-    rows = terms.shape[0]
-    total = np.zeros(rows)
-    carry = np.zeros(rows)
-    for start in range(0, terms.shape[1], chunk):
-        y = terms[:, start : start + chunk].sum(axis=1) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
 
 
 def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray) -> np.ndarray:
@@ -158,7 +216,7 @@ def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray) -> np.ndarray:
     np.cumsum(inc1[:, :-1], axis=1, out=p1[:, 1:])
     np.cumsum(inc2[:, :-1], axis=1, out=p2[:, 1:])
     terms = inc2 * p1 - inc1 * p2
-    return _compensated_rowsum(terms)
+    return terms.sum(axis=1)
 
 
 def discrete_levy_area(increments1, increments2) -> float:
@@ -177,22 +235,26 @@ def discrete_levy_area(increments1, increments2) -> float:
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     """Independent discrete-area draws with summary moments.
 
-    Work is split into fixed-size batches; the thread count changes only the
-    scheduling, never the per-sample streams or the reduction order, so the
-    samples array is bit-identical for any `threads`.
+    Work is split into fixed-size batches, one per task, processed in
+    fixed-size row chunks; the thread count (clamped to the number of
+    batches) changes only the scheduling, never the per-sample streams or the
+    reduction order, so the samples array is bit-identical for any `threads`.
     """
-    factors = _increment_factors(config)
-    n = 2**config.level
+    samplers = _samplers(config)
+    rows = _chunk_rows(samplers)
     areas = np.empty(config.n_samples)
     starts = list(range(0, config.n_samples, BATCH))
 
-    def work(start):
-        count = min(BATCH, config.n_samples - start)
-        inc1, inc2 = _batch_increments(config.seed, start, count, n, factors)
-        areas[start : start + count] = _areas_from_increments(inc1, inc2)
+    def work(batch_start):
+        stop = min(batch_start + BATCH, config.n_samples)
+        for start in range(batch_start, stop, rows):
+            count = min(rows, stop - start)
+            inc1, inc2 = _chunk_increments(config.seed, start, count, samplers)
+            areas[start : start + count] = _areas_from_increments(inc1, inc2)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, starts))
     else:
         for start in starts:

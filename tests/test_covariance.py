@@ -60,6 +60,20 @@ def test_eval_domain_error():
         cov.eval(cov.brownian(), 0.5, -0.1)
 
 
+def test_eval_grid_rectangular_axes():
+    k = cov.brownian()
+    x, y = [0.0, 0.5], [0.0, 0.25, 0.5]
+    grid = cov.eval_grid(k, x, y)
+    assert grid.shape == (2, 3)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            assert grid[i, j] == cov.eval(k, s, t)
+    with pytest.raises(DomainError):
+        cov.eval_grid(k, [0.0, 1.5], y)
+    with pytest.raises(DomainError):
+        cov.eval_grid(k, x, [0.0, 0.25, -0.5])
+
+
 def test_hurst_validation():
     with pytest.raises(ParameterError):
         cov.fractional_brownian(0.0)
@@ -210,10 +224,55 @@ def test_cholesky_fbm_reconstruction():
     assert np.max(np.abs(L @ L.T - gram.matrix)) <= 1e-10
 
 
+def test_cholesky_bit_identical_to_shifted_gram():
+    gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
+    assert np.array_equal(cov.cholesky_factor(gram), np.linalg.cholesky(gram.matrix))
+    # a rank-4 Gram (bilinear table on a mesh of 4) needs a jittered rung
+    singular = cov.gram_matrix(cov.tabulated_from_fn(np.minimum, 4), cov.dyadic_partition(4))
+    m = singular.matrix
+    scale = float(np.max(np.abs(m)))
+    for j in cov.JITTER_LADDER:
+        try:
+            expected = np.linalg.cholesky(m + (j * scale) * np.eye(m.shape[0]))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    assert j > 0.0
+    assert np.array_equal(cov.cholesky_factor(singular), expected)
+
+
 def test_cholesky_failure_names_eigenvalue():
     bad = cov.GridGram(partition=np.array([0.0, 1.0]), matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NumericalError, match="eigenvalue"):
         cov.cholesky_factor(bad)
+
+
+# ---------------------------------------------------------------------------
+# increment_autocovariance / cell_variances
+# ---------------------------------------------------------------------------
+
+def test_increment_autocovariance_is_the_gram_row():
+    for h in (0.1, 0.35, 0.5, 0.75):
+        k = cov.fractional_brownian(h)
+        for level in (0, 1, 3, 6):
+            gamma = cov.increment_autocovariance(k, level)
+            assert gamma.shape == (2**level + 1,)
+            row = cov.gram_matrix(k, cov.dyadic_partition(level)).matrix[0]
+            assert np.allclose(gamma[:-1], row, rtol=0, atol=1e-13 * row[0])
+    # Brownian is H = 1/2: white noise
+    white = cov.increment_autocovariance(cov.fractional_brownian(0.5), 3)
+    assert np.allclose(white, [0.125] + [0.0] * 8, rtol=0, atol=1e-15 * 0.125)
+    with pytest.raises(ParameterError):
+        cov.increment_autocovariance(cov.brownian(), 3)
+
+
+def test_cell_variances_are_the_gram_diagonal():
+    for k in (cov.brownian(), cov.weighted_poly(1), cov.weighted_poly(3, 1.7)):
+        part = cov.dyadic_partition(6)
+        diag = np.diagonal(cov.gram_matrix(k, part).matrix)
+        assert np.array_equal(cov.cell_variances(k, part), diag)
+    with pytest.raises(ParameterError):
+        cov.cell_variances(cov.fractional_brownian(0.3), cov.dyadic_partition(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.simulate as sim
-from levylab.errors import ParameterError, ShapeError
+from levylab.errors import NumericalError, ParameterError, ShapeError
 
 
 def brownian_config(seed=11, n_samples=100, level=5):
@@ -85,6 +88,88 @@ def test_area_prefix_sum_matches_quadratic_oracle():
         assert fast == pytest.approx(slow, abs=1e-10)
 
 
+def test_area_row_sum_matches_fsum_oracle():
+    rng = np.random.default_rng(21)
+    for n in (2**10, 2**14):
+        a = rng.normal(size=n)
+        b = rng.normal(size=n)
+        pa = np.concatenate(([0.0], np.cumsum(a[:-1])))
+        pb = np.concatenate(([0.0], np.cumsum(b[:-1])))
+        terms = b * pa - a * pb
+        exact = math.fsum(terms)
+        assert abs(sim.discrete_levy_area(a, b) - exact) <= 1e-13 * np.sum(np.abs(terms))
+
+
+# ---------------------------------------------------------------------------
+# increment samplers
+# ---------------------------------------------------------------------------
+
+def _fgn_toeplitz(hurst, level):
+    """fGn Gram from 40-digit decimal powers, independent of levylab."""
+    n = 2**level
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h2 = Decimal(2 * hurst)
+        scale = (Decimal(2) ** -level) ** h2 / 2
+        gamma = [
+            float(scale * (Decimal(k + 1) ** h2 - 2 * Decimal(k) ** h2 + Decimal(abs(k - 1)) ** h2))
+            for k in range(n)
+        ]
+    lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return np.array(gamma)[lags]
+
+
+def _sampler_covariance(kernel, level):
+    sampler = sim.increment_sampler(kernel, level)
+    rows = sampler.apply(np.eye(sampler.width))  # T^T
+    assert rows.shape == (sampler.width, 2**level)
+    return rows.T @ rows
+
+
+def test_sampler_map_reproduces_gram():
+    # fBm is compared with the exact Toeplitz Gram: gram_matrix differences
+    # R values of size up to 1, so at H = 0.75 and level 8 its own entries
+    # sit about 1.5e-12 (relative to max |G|) off the exact ones
+    table = cov.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
+    others = [cov.brownian(), cov.weighted_poly(1), cov.tabulated(table)]
+    for level in range(1, 9):
+        cases = [(k, cov.gram_matrix(k, cov.dyadic_partition(level)).matrix) for k in others]
+        cases += [
+            (cov.fractional_brownian(h), _fgn_toeplitz(h, level)) for h in (0.1, 0.35, 0.75)
+        ]
+        for kernel, gram in cases:
+            err = np.max(np.abs(_sampler_covariance(kernel, level) - gram))
+            assert err <= 1e-12 * np.max(np.abs(gram)), (kernel, level, err)
+
+
+def test_circulant_embedding_eigenvalues_nonnegative():
+    for h in (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.99):
+        kernel = cov.fractional_brownian(h)
+        for level in range(1, 15):
+            gamma = cov.increment_autocovariance(kernel, level)
+            lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+            assert lam.min() > 0.0, (h, level, lam.min())
+            assert sim.increment_sampler(kernel, level).width == 2 ** (level + 1)
+
+
+def test_indefinite_circulant_embedding_raises():
+    # first row (1, 2, 0, 2) has eigenvalue 1 - 2 + 0 - 2 = -3
+    with pytest.raises(NumericalError, match="indefinite"):
+        sim._Circulant(np.array([1.0, 2.0, 0.0]))
+
+
+def test_independent_increments_skip_the_gram(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Gram route taken")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
+        config = sim.MCConfig(seed=4, n_samples=5, level=6, kernel1=kernel, kernel2=kernel)
+        inc1, _ = sim.sample_paths(config)
+        assert inc1.shape == (5, 64)
+
+
 # ---------------------------------------------------------------------------
 # sample_paths
 # ---------------------------------------------------------------------------
@@ -146,6 +231,20 @@ def test_fbm_lag1_increment_correlation():
     assert abs(z_est - z_target) <= 3.0 * se
 
 
+def fbm_config(seed=9, n_samples=100, level=6, hurst=0.35):
+    k = cov.fractional_brownian(hurst)
+    return sim.MCConfig(seed=seed, n_samples=n_samples, level=level, kernel1=k, kernel2=k)
+
+
+def test_fbm_rows_do_not_depend_on_batching():
+    small, large = fbm_config(seed=31, n_samples=3, level=9), fbm_config(
+        seed=31, n_samples=sim.BATCH + 7, level=9
+    )
+    for a, b in zip(sim.sample_paths(small), sim.sample_paths(large)):
+        assert np.array_equal(a, b[:3])
+    assert np.array_equal(sim.run_mc(small).samples, sim.run_mc(large).samples[:3])
+
+
 # ---------------------------------------------------------------------------
 # run_mc / empirical_cf
 # ---------------------------------------------------------------------------
@@ -156,6 +255,50 @@ def test_run_mc_thread_count_is_bit_invariant():
     r2 = sim.run_mc(config, threads=4)
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.mean == r2.mean and r1.variance == r2.variance
+
+
+def test_run_mc_fbm_thread_count_is_bit_invariant():
+    config = fbm_config(seed=12, n_samples=sim.BATCH + 100, level=5)
+    r1 = sim.run_mc(config, threads=1)
+    r2 = sim.run_mc(config, threads=2)
+    assert np.array_equal(r1.samples, r2.samples)
+
+
+def test_run_mc_clamps_workers_to_batches(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+    config = brownian_config(seed=3, n_samples=2 * sim.BATCH + 1, level=3)
+    reference = sim.run_mc(config, threads=1).samples
+    assert seen == []
+    assert np.array_equal(sim.run_mc(config, threads=8).samples, reference)
+    assert seen == [3]
+    # a single batch runs inline, whatever the requested thread count
+    sim.run_mc(brownian_config(seed=3, n_samples=10, level=3), threads=8)
+    assert seen == [3]
+
+
+def test_run_mc_fbm_variance_matches_exact_norm():
+    config = fbm_config(seed=23, n_samples=20_000, level=8)
+    result = sim.run_mc(config)
+    target = 2.0 * lk.norm_approx(8, config.kernel1, config.kernel2).value
+    n = result.samples.size
+    m4 = float(np.mean((result.samples - result.mean) ** 4))
+    se_var = np.sqrt((m4 - result.variance**2) / n)
+    assert abs(result.variance - target) <= 5.0 * se_var
 
 
 def test_run_mc_moments_match_exact_norms():
