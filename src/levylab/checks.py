@@ -186,8 +186,13 @@ def check_area_identities():
 
 
 def check_mc_determinism():
+    # three batches, so the threads=3 run really shares them out over a pool
     config = sim.MCConfig(
-        seed=99, n_samples=64, level=5, kernel1=cov.brownian(), kernel2=cov.brownian()
+        seed=99,
+        n_samples=2 * sim.BATCH + 1,
+        level=3,
+        kernel1=cov.brownian(),
+        kernel2=cov.brownian(),
     )
     r1 = sim.run_mc(config, threads=1)
     r2 = sim.run_mc(config, threads=3)

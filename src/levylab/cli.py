@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _fmt(x: float) -> str:

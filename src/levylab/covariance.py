@@ -292,16 +292,15 @@ def cell_variances(kernel: CovKernel, partition) -> np.ndarray:
     raise ParameterError(f"{kernel.kind!r} kernels do not have independent increments")
 
 
-def cholesky_factor(gram: GridGram, jitter: float = 0.0) -> np.ndarray:
-    """Lower-triangular L with L L^T = matrix + jitter I.
+def cholesky_factor(gram: GridGram) -> np.ndarray:
+    """Lower-triangular L with L L^T = matrix + j max|matrix| I.
 
-    Escalates through JITTER_LADDER on failure; small-Hurst Gram matrices
+    j is the first rung of JITTER_LADDER that factors; small-Hurst Gram matrices
     are ill-conditioned and routinely need the ladder.
     """
     m = gram.matrix
     scale = float(np.max(np.abs(m))) or 1.0
-    ladder = [jitter] + [j for j in JITTER_LADDER if j > jitter]
-    for j in ladder:
+    for j in JITTER_LADDER:
         shifted = m
         if j:
             shifted = m.copy()
@@ -312,7 +311,7 @@ def cholesky_factor(gram: GridGram, jitter: float = 0.0) -> np.ndarray:
             continue
     smallest = float(np.linalg.eigvalsh(m)[0])
     raise NumericalError(
-        f"Cholesky factorization failed after jitter ladder {tuple(ladder)}; "
+        f"Cholesky factorization failed after jitter ladder {JITTER_LADDER}; "
         f"smallest Gram eigenvalue {smallest:.3e}"
     )
 

@@ -37,7 +37,7 @@ PROFILE_TOL = 1e-3
 GROWTH_FACTOR = 1.2
 #: numerical slack allowed in superadditivity audits
 SLACK_TOL = 1e-9
-#: default cap on dyadic grid levels (4096^2 cells)
+#: cap on dyadic grid levels (4096^2 cells)
 MAX_LEVEL = 12
 
 STABILIZING = "Stabilizing"
@@ -89,7 +89,7 @@ def v1p_exhaustive(samples, p: float) -> float:
     return sup ** (1.0 / p)
 
 
-def v2p_grid(kernel, p: float, level: int, max_level: int = MAX_LEVEL) -> float:
+def v2p_grid(kernel, p: float, level: int) -> float:
     """(sum over level-n product-grid cells |rect increment|^p)^{1/p}.
 
     A lower bound of the true 2D p-variation (the supremum is restricted to
@@ -97,8 +97,8 @@ def v2p_grid(kernel, p: float, level: int, max_level: int = MAX_LEVEL) -> float:
     """
     if p < 1.0:
         raise ParameterError(f"variation exponent must satisfy p >= 1, got {p}")
-    if level > max_level:
-        raise ResourceError(f"grid level {level} exceeds cap {max_level}")
+    if level > MAX_LEVEL:
+        raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
     inc = cov.gram_matrix(kernel, cov.dyadic_partition(level)).matrix
     return float(np.sum(np.abs(inc) ** p) ** (1.0 / p))
 
@@ -126,8 +126,9 @@ def variation_profile(
     Growing: each of the last three refinement steps multiplies the estimate
     by at least growth_factor. Otherwise inconclusive.
     """
-    ests = [(n, v2p_grid(kernel, p, n, max_level=max(max_level, MAX_LEVEL)))
-            for n in range(1, max_level + 1)]
+    if max_level > MAX_LEVEL:
+        raise ResourceError(f"grid level {max_level} exceeds cap {MAX_LEVEL}")
+    ests = [(n, v2p_grid(kernel, p, n)) for n in range(1, max_level + 1)]
     vals = [e for _, e in ests]
     verdict = INCONCLUSIVE
     if len(vals) >= 2:

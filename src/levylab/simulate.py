@@ -13,13 +13,17 @@ kernel kind:
                         from 2N normals
     tabulated           dense Cholesky factor of the Gram
 
-Randomness comes from the Philox counter-based generator; the stream for a
-draw is keyed by
+Randomness comes from the Philox counter-based generator (Salmon et al.,
+SC'11), whose every key gives an independent stream. Samples are split into
+batches of the fixed size BATCH; process p of batch b draws from the stream
+keyed by
 
-    key = (seed, 2 * sample_index + process_index)
+    key = (seed, 2 * b + p)
 
-so sample i always sees the same bits no matter how work is batched or how
-many worker threads run, and the two processes never share a stream.
+row by row, so sample i takes its normals from a fixed position of a fixed
+stream. Its bits depend only on (seed, i): not on n_samples, on the row chunks
+work is done in, or on how many worker threads share out the batches, and the
+two processes never share a stream.
 
 The discrete area of one sample is
 
@@ -76,33 +80,6 @@ class EmpiricalCF:
     t_grid: np.ndarray
     estimates: np.ndarray
     std_errors: np.ndarray
-
-
-class _StreamSource:
-    """Philox generator reused across streams of one worker.
-
-    Re-keying through the state dict is bit-identical to constructing a fresh
-    Philox(key=(seed, stream)) and avoids per-stream object churn.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = np.uint64(seed & (2**64 - 1))
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
-        self._template = self._bitgen.state
-
-    def fill(self, stream: int, out: np.ndarray):
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([self._seed, np.uint64(stream)], dtype=np.uint64),
-        }
-        state["buffer"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        self._gen.standard_normal(out.shape[0], out=out)
 
 
 class _Diagonal:
@@ -180,15 +157,26 @@ def _chunk_rows(samplers) -> int:
     return max(1, min(BATCH, CHUNK_ELEMENTS // width))
 
 
-def _chunk_increments(seed, start, count, samplers):
-    source = _StreamSource(seed)
-    out = []
-    for proc, sampler in enumerate(samplers):
-        Z = np.empty((count, sampler.width))
-        for i in range(count):
-            source.fill(2 * (start + i) + proc, Z[i])
-        out.append(sampler.apply(Z))
-    return out
+def _batch_chunks(config: MCConfig, samplers, batch_start: int, rows: int):
+    """Yield (start, inc1, inc2) for each row chunk of the batch at batch_start.
+
+    Each process draws its normals row-major from its own batch stream, so
+    chunk boundaries only split the stream and never change a sample's bits.
+    """
+    b = batch_start // BATCH
+    seed = config.seed & (2**64 - 1)
+    # an explicit uint64 key: a list holding a seed >= 2^63 would go through float64
+    gens = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, 2 * b + p], dtype=np.uint64)))
+        for p in (0, 1)
+    ]
+    stop = min(batch_start + BATCH, config.n_samples)
+    for start in range(batch_start, stop, rows):
+        count = min(rows, stop - start)
+        inc1, inc2 = (
+            s.apply(g.standard_normal((count, s.width))) for s, g in zip(samplers, gens)
+        )
+        yield start, inc1, inc2
 
 
 def sample_paths(config: MCConfig):
@@ -200,11 +188,10 @@ def sample_paths(config: MCConfig):
     samplers = _samplers(config)
     rows = _chunk_rows(samplers)
     parts1, parts2 = [], []
-    for start in range(0, config.n_samples, rows):
-        count = min(rows, config.n_samples - start)
-        inc1, inc2 = _chunk_increments(config.seed, start, count, samplers)
-        parts1.append(inc1)
-        parts2.append(inc2)
+    for batch_start in range(0, config.n_samples, BATCH):
+        for _, inc1, inc2 in _batch_chunks(config, samplers, batch_start, rows):
+            parts1.append(inc1)
+            parts2.append(inc2)
     return np.concatenate(parts1), np.concatenate(parts2)
 
 
@@ -237,7 +224,7 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
 
     Work is split into fixed-size batches, one per task, processed in
     fixed-size row chunks; the thread count (clamped to the number of
-    batches) changes only the scheduling, never the per-sample streams or the
+    batches) changes only the scheduling, never the batch streams or the
     reduction order, so the samples array is bit-identical for any `threads`.
     """
     samplers = _samplers(config)
@@ -246,11 +233,8 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     starts = list(range(0, config.n_samples, BATCH))
 
     def work(batch_start):
-        stop = min(batch_start + BATCH, config.n_samples)
-        for start in range(batch_start, stop, rows):
-            count = min(rows, stop - start)
-            inc1, inc2 = _chunk_increments(config.seed, start, count, samplers)
-            areas[start : start + count] = _areas_from_increments(inc1, inc2)
+        for start, inc1, inc2 in _batch_chunks(config, samplers, batch_start, rows):
+            areas[start : start + len(inc1)] = _areas_from_increments(inc1, inc2)
 
     workers = min(threads, len(starts))
     if workers > 1:

@@ -275,6 +275,6 @@ def general_spectrum(
     return _clustered(np.concatenate([-s, s[::-1]]), cluster_tol)
 
 
-def cf_curve(spectrum: Spectrum, t_grid, n_entries: int | None = None):
+def cf_curve(spectrum: Spectrum, t_grid):
     """CFProduct at z = i t for every t in the grid."""
-    return [cf_from_spectrum(spectrum, 1j * float(t), n_entries) for t in np.asarray(t_grid)]
+    return [cf_from_spectrum(spectrum, 1j * float(t)) for t in np.asarray(t_grid)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levylab import cli
+from levylab import covariance as cov
 
 
 def run_cli(args):
@@ -88,6 +89,14 @@ def test_pvar_auto_exponent(tmp_path):
     assert rows[-1][0] == "10" and rows[-1][2] == "Stabilizing"
 
 
+def test_pvar_level_above_cap_exits_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built before the level cap was checked")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    assert run_cli(["pvar", "--kernel", "brownian", "--level", 13, "--out", tmp_path]) == 2
+
+
 def test_pvar_growing_at_p1(tmp_path):
     assert run_cli([
         "pvar", "--kernel", "kind=fbm hurst=0.35", "--p", "1", "--out", tmp_path,
@@ -162,7 +171,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 3
+    assert summary["schema_version"] == 4
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

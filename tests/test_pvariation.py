@@ -123,6 +123,15 @@ def test_profile_fbm_subcritical_grows():
     assert prof.verdict == pv.GROWING
 
 
+def test_profile_level_cap_fires_before_any_gram(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built before the level cap was checked")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    with pytest.raises(ResourceError):
+        pv.variation_profile(cov.brownian(), 1.0, pv.MAX_LEVEL + 1)
+
+
 def test_profile_brownian_constant():
     prof = pv.variation_profile(cov.brownian(), 1.0, 10)
     assert prof.verdict == pv.STABILIZING

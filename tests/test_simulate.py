@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.simulate as sim
@@ -237,12 +238,39 @@ def fbm_config(seed=9, n_samples=100, level=6, hurst=0.35):
 
 
 def test_fbm_rows_do_not_depend_on_batching():
-    small, large = fbm_config(seed=31, n_samples=3, level=9), fbm_config(
-        seed=31, n_samples=sim.BATCH + 7, level=9
-    )
-    for a, b in zip(sim.sample_paths(small), sim.sample_paths(large)):
-        assert np.array_equal(a, b[:3])
-    assert np.array_equal(sim.run_mc(small).samples, sim.run_mc(large).samples[:3])
+    for n_small, n_large in ((3, sim.BATCH + 7), (sim.BATCH + 3, 2 * sim.BATCH + 5)):
+        small = fbm_config(seed=31, n_samples=n_small, level=9)
+        large = fbm_config(seed=31, n_samples=n_large, level=9)
+        for a, b in zip(sim.sample_paths(small), sim.sample_paths(large)):
+            assert np.array_equal(a, b[:n_small])
+        assert np.array_equal(
+            sim.run_mc(small).samples, sim.run_mc(large).samples[:n_small]
+        )
+
+
+def test_batch_stream_key_pin():
+    # process p of batch b draws row-major from Philox key (seed, 2 b + p)
+    for seed in (11, 2**63 + 3):
+        config = brownian_config(seed=seed, n_samples=sim.BATCH + 2, level=4)
+        for p, inc in enumerate(sim.sample_paths(config)):
+            key = np.array([seed, 2 + p], dtype=np.uint64)
+            normals = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, 16))
+            assert np.array_equal(inc[sim.BATCH + 1], np.sqrt(2.0**-4) * normals[1])
+
+
+def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
+    configs = [
+        brownian_config(seed=5, n_samples=sim.BATCH + 9, level=4),
+        fbm_config(seed=5, n_samples=sim.BATCH + 9, level=4),
+    ]
+    reference = [(sim.sample_paths(c), sim.run_mc(c).samples) for c in configs]
+    for config, (paths, areas) in zip(configs, reference):
+        width = max(s.width for s in sim._samplers(config))
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 4 * width)
+        assert sim._chunk_rows(sim._samplers(config)) == 4
+        for a, b in zip(sim.sample_paths(config), paths):
+            assert np.array_equal(a, b)
+        assert np.array_equal(sim.run_mc(config).samples, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +292,8 @@ def test_run_mc_fbm_thread_count_is_bit_invariant():
     assert np.array_equal(r1.samples, r2.samples)
 
 
-def test_run_mc_clamps_workers_to_batches(monkeypatch):
+def _record_pool_sizes(monkeypatch):
+    """Replace run_mc's thread pool by an inline one; returns its max_workers log."""
     seen = []
 
     class RecordingPool:
@@ -281,6 +310,11 @@ def test_run_mc_clamps_workers_to_batches(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+    return seen
+
+
+def test_run_mc_clamps_workers_to_batches(monkeypatch):
+    seen = _record_pool_sizes(monkeypatch)
     config = brownian_config(seed=3, n_samples=2 * sim.BATCH + 1, level=3)
     reference = sim.run_mc(config, threads=1).samples
     assert seen == []
@@ -288,6 +322,12 @@ def test_run_mc_clamps_workers_to_batches(monkeypatch):
     assert seen == [3]
     # a single batch runs inline, whatever the requested thread count
     sim.run_mc(brownian_config(seed=3, n_samples=10, level=3), threads=8)
+    assert seen == [3]
+
+
+def test_determinism_check_runs_a_thread_pool(monkeypatch):
+    seen = _record_pool_sizes(monkeypatch)
+    checks.check_mc_determinism()
     assert seen == [3]
 
 
