@@ -7,6 +7,7 @@ functions, plus a CLI (`levylab`) that wires them together.
 from .covariance import (
     CovKernel,
     GridGram,
+    LevelGram,
     Rectangle,
     brownian,
     cholesky_factor,
@@ -14,6 +15,7 @@ from .covariance import (
     eval_grid,
     fractional_brownian,
     gram_matrix,
+    level_gram,
     load_table_csv,
     parse_kernel_spec,
     rect_increment,

@@ -67,6 +67,23 @@ def check_gram_psd():
     return f"min eigenvalue ratio {worst:.2e}"
 
 
+def check_level_gram_structure():
+    worst = 0.0
+    for name, kernel in _kernels().items():
+        gram = cov.level_gram(kernel, 6)
+        ref = cov.gram_matrix(kernel, cov.dyadic_partition(6)).matrix
+        scale = float(np.max(np.abs(ref)))
+        rel = float(np.max(np.abs(gram.dense().matrix - ref))) / scale
+        assert rel <= 1e-12, f"{name}: {gram.kind} Gram off gram_matrix by {rel:.3e} of max|G|"
+        worst = max(worst, rel)
+        for p in (1.0, 1.5, 2.0):
+            total = float(np.sum(np.abs(ref) ** p))
+            err = abs(gram.abs_power_sum(p) - total) / total
+            assert err <= 1e-12, f"{name}: abs_power_sum({p}) off the dense sum by {err:.3e}"
+            worst = max(worst, err)
+    return f"diagonal, Toeplitz and dense Grams match gram_matrix at level 6 to {worst:.1e}"
+
+
 def check_symmetry_zero_edge():
     pts = np.linspace(0, 1, 9)
     for name, kernel in _kernels().items():
@@ -264,6 +281,7 @@ ALL_CHECKS = [
     ("covariance.gram-telescoping", check_gram_telescoping),
     ("covariance.brownian-diagonal", check_brownian_diagonal),
     ("covariance.gram-psd", check_gram_psd),
+    ("covariance.level-gram-structure", check_level_gram_structure),
     ("covariance.symmetry-zero-edge", check_symmetry_zero_edge),
     ("pvariation.holder-ordering", check_holder_ordering),
     ("pvariation.level-monotonicity", check_level_monotonicity),

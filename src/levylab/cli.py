@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _fmt(x: float) -> str:
@@ -75,36 +75,45 @@ def _read_config_file(path):
     return values
 
 
-_FILE_KEYS = {
-    "kernel", "kernel1", "kernel2", "hurst", "seed", "samples", "level",
-    "levels", "t", "p", "pairs", "grid", "format", "prefix",
-    "emit_samples", "threads",
-}
+def _config_value(action, key, raw):
+    """Convert and check a config-file value as argparse would the flag's."""
+    if action.nargs == 0:  # an on/off flag such as --emit-samples
+        if raw.lower() in ("1", "true", "yes"):
+            return action.const
+        if raw.lower() in ("0", "false", "no"):
+            return action.default
+        raise argparse.ArgumentTypeError(
+            f"config key {key}: expected true or false, got {raw!r}"
+        )
+    try:
+        value = action.type(raw) if action.type else raw
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"config key {key}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentTypeError(
+            f"config key {key}: {raw!r} is not one of {', '.join(map(str, action.choices))}"
+        )
+    return value
 
 
 def _merge_config(args):
-    """Fill argparse gaps from the config file; flags always win."""
+    """Fill argparse gaps from the config file; flags always win.
+
+    Keys are the subcommand's own option names, and every value goes through
+    that option's argparse type and choices.
+    """
     if not getattr(args, "config", None):
         return args
     fields = _read_config_file(args.config)
-    unknown = set(fields) - _FILE_KEYS
+    actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
+    unknown = set(fields) - set(actions)
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown config keys {sorted(unknown)}")
+        raise argparse.ArgumentTypeError(
+            f"unknown config keys {sorted(unknown)} for {args.command}"
+        )
     for key, raw in fields.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if not hasattr(args, key):
-            continue
-        if key in ("seed", "samples", "level", "pairs", "grid", "threads"):
-            setattr(args, key, int(raw))
-        elif key == "hurst":
-            setattr(args, key, float(raw))
-        elif key in ("t", "levels"):
-            setattr(args, key, parse_range(raw))
-        elif key == "emit_samples":
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, key, raw)
+        if getattr(args, key) is None:
+            setattr(args, key, _config_value(actions[key], key, raw))
     return args
 
 
@@ -141,10 +150,16 @@ def _echo_line(echo: dict) -> str:
     return "# " + " ".join(parts)
 
 
-def _write_csv(path: Path, echo: dict, header: str, rows):
-    lines = [_echo_line(echo), header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _csv_body(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _write_csv(path: Path, echo: dict, body: str):
+    """The echo line followed by a CSV body (header and rows)."""
+    # two writes: joining them would hold a second copy of a large body
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(_echo_line(echo) + "\n")
+        fh.write(body)
 
 
 def _write_summary(path: Path, echo: dict, payload: dict):
@@ -197,10 +212,11 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         _write_summary(_out_path(args, "summary.json"), echo, payload)
     else:
-        _write_csv(_out_path(args, "cf.csv"), echo, "t,re,im,stderr", cf_rows)
+        _write_csv(_out_path(args, "cf.csv"), echo, _csv_body("t,re,im,stderr", cf_rows))
         if args.emit_samples:
             sample_rows = [f"{i},{_fmt(a)}" for i, a in enumerate(result.samples)]
-            _write_csv(_out_path(args, "samples.csv"), echo, "sample,area", sample_rows)
+            body = _csv_body("sample,area", sample_rows)
+            _write_csv(_out_path(args, "samples.csv"), echo, body)
         _write_summary(
             _out_path(args, "summary.json"), echo, {"mean": result.mean, "variance": result.variance}
         )
@@ -237,7 +253,7 @@ def cmd_cf(args) -> int:
     if args.format == "json":
         _write_summary(_out_path(args, "summary.json"), echo, {"cf": table})
     else:
-        _write_csv(_out_path(args, "cf.csv"), echo, "t,re,im,tail_bound", csv_rows)
+        _write_csv(_out_path(args, "cf.csv"), echo, _csv_body("t,re,im,tail_bound", csv_rows))
         _write_summary(_out_path(args, "summary.json"), echo, {"n_points": len(rows)})
     return 0
 
@@ -255,7 +271,6 @@ def cmd_spectrum(args) -> int:
         route = {"route": "step-kernel", "level": level}
     report = sp.symmetry_check(spectrum)
     echo = _echo("spectrum", kernel=cov.kernel_spec_string(kernel), **route)
-    rows = [f"{_fmt(a)},{m}" for a, m in spectrum.entries]
     payload = {
         "spectral_radius": spectrum.spectral_radius,
         "symmetry_ok": report.ok,
@@ -265,7 +280,7 @@ def cmd_spectrum(args) -> int:
         payload["spectrum"] = [{"alpha": a, "multiplicity": m} for a, m in spectrum.entries]
         _write_summary(_out_path(args, "summary.json"), echo, payload)
     else:
-        _write_csv(_out_path(args, "spectrum.csv"), echo, "alpha,multiplicity", rows)
+        _write_csv(_out_path(args, "spectrum.csv"), echo, spectrum.csv())
         _write_summary(_out_path(args, "summary.json"), echo, payload)
     return 0
 
@@ -284,7 +299,6 @@ def cmd_pvar(args) -> int:
     max_level = args.level if args.level is not None else 10
     profile = pv.variation_profile(kernel, p, max_level)
     echo = _echo("pvar", kernel=cov.kernel_spec_string(kernel), p=float(p), max_level=max_level)
-    rows = [f"{n},{_fmt(est)},{profile.verdict}" for n, est in profile.levels]
     payload = {
         "p": float(p),
         "verdict": profile.verdict,
@@ -293,7 +307,7 @@ def cmd_pvar(args) -> int:
     if args.format == "json":
         _write_summary(_out_path(args, "summary.json"), echo, payload)
     else:
-        _write_csv(_out_path(args, "pvar.csv"), echo, "level,estimate,verdict", rows)
+        _write_csv(_out_path(args, "pvar.csv"), echo, pv.profile_csv(profile))
         _write_summary(
             _out_path(args, "summary.json"), echo, {"p": float(p), "verdict": profile.verdict}
         )
@@ -311,10 +325,6 @@ def cmd_cauchy(args) -> int:
         kernel2=cov.kernel_spec_string(k2),
         levels=levels,
     )
-    rows = [
-        f"{n},{m},{_fmt(norm.value)},{norm.refine},{table.flag}"
-        for n, m, norm in table.rows
-    ]
     payload = {
         "slope": table.slope,
         "flag": table.flag,
@@ -326,7 +336,7 @@ def cmd_cauchy(args) -> int:
     if args.format == "json":
         _write_summary(_out_path(args, "summary.json"), echo, payload)
     else:
-        _write_csv(_out_path(args, "cauchy.csv"), echo, "n,m,norm_sq,refine,flag", rows)
+        _write_csv(_out_path(args, "cauchy.csv"), echo, table.csv())
         _write_summary(
             _out_path(args, "summary.json"), echo, {"slope": table.slope, "flag": table.flag}
         )
@@ -371,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=parse_range, help="CF argument grid a:b:step or list")
     p.add_argument("--emit-samples", action="store_const", const=True,
                    dest="emit_samples", default=None)
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, parser=p)
 
     p = sub.add_parser("cf", help="analytic / spectral characteristic function curves")
     common(p)
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=parse_range)
     p.add_argument("--pairs", type=int, help="classical spectrum truncation (pairs)")
     p.add_argument("--level", type=int, help="step-kernel level for non-classical kernels")
-    p.set_defaults(fn=cmd_cf)
+    p.set_defaults(fn=cmd_cf, parser=p)
 
     p = sub.add_parser("spectrum", help="discretized operator spectrum + symmetry audit")
     common(p)
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", type=float)
     p.add_argument("--grid", type=int, help="classical midpoint grid size")
     p.add_argument("--level", type=int, help="step-kernel dyadic level")
-    p.set_defaults(fn=cmd_spectrum)
+    p.set_defaults(fn=cmd_spectrum, parser=p)
 
     p = sub.add_parser("pvar", help="grid p-variation profile of a kernel")
     common(p)
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", type=float)
     p.add_argument("--p", help="variation exponent or 'auto'")
     p.add_argument("--level", type=int, help="maximum grid level (default 10)")
-    p.set_defaults(fn=cmd_pvar)
+    p.set_defaults(fn=cmd_pvar, parser=p)
 
     p = sub.add_parser("cauchy", help="inter-level chaos distances with decay fit")
     common(p)
@@ -404,11 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel1")
     p.add_argument("--kernel2")
     p.add_argument("--levels", type=parse_range, help="level ladder a:b")
-    p.set_defaults(fn=cmd_cauchy)
+    p.set_defaults(fn=cmd_cauchy, parser=p)
 
     p = sub.add_parser("check", help="run the full invariant suite")
     common(p)
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_check, parser=p)
 
     return parser
 

@@ -249,12 +249,77 @@ def gram_matrix(kernel: CovKernel, partition) -> GridGram:
     return GridGram(partition=part, matrix=matrix)
 
 
-def increment_autocovariance(kernel: CovKernel, level: int) -> np.ndarray:
-    """Lags 0..N of the level-n increment autocovariance of an fBm kernel.
+#: structures of the level-n increment Gram, see level_gram
+DIAGONAL = "diagonal"
+TOEPLITZ = "toeplitz"
+DENSE = "dense"
 
-    Increments of fBm over the N = 2^level equal cells are stationary
-    (fractional Gaussian noise), so the increment Gram is the Toeplitz matrix
-    G[k,l] = gamma(|k - l|) with, for h = 1/N,
+
+@dataclass(frozen=True, eq=False)
+class LevelGram:
+    """Increment Gram of the N = 2^level equal dyadic cells, stored by structure.
+
+        diagonal  values[k] = G[k,k], the N cell variances
+        toeplitz  values[k] = gamma(k) for lags k = 0..N, G[k,l] = gamma(|k-l|)
+        dense     values = G, the N x N matrix
+    """
+
+    kind: str
+    level: int
+    values: np.ndarray
+
+    def dense(self) -> GridGram:
+        """The N x N matrix as a GridGram on the dyadic partition."""
+        n = 2**self.level
+        if self.kind == DIAGONAL:
+            matrix = np.diag(self.values)
+        elif self.kind == TOEPLITZ:
+            # window N-1-k of (gamma(N-1), ..., gamma(1), gamma(0), ..., gamma(N-1))
+            # is row k, gamma(|k - l|) for l = 0..N-1
+            lags = np.concatenate((self.values[n - 1 : 0 : -1], self.values[:n]))
+            matrix = np.lib.stride_tricks.sliding_window_view(lags, n)[::-1].copy()
+        else:
+            matrix = self.values
+        return GridGram(partition=dyadic_partition(self.level), matrix=matrix)
+
+    def abs_power_sum(self, p: float) -> float:
+        """sum over all N^2 entries of |G[k,l]|^p, in O(N) unless dense.
+
+        Lag k of a Toeplitz Gram occurs N times on the diagonal (k = 0) and
+        2 (N - k) times off it; the zero off-diagonal of a diagonal Gram adds
+        nothing.
+        """
+        if self.kind == TOEPLITZ:
+            n = 2**self.level
+            counts = 2.0 * (n - np.arange(n))
+            counts[0] = n
+            return float(np.sum(counts * np.abs(self.values[:n]) ** p))
+        return float(np.sum(np.abs(self.values) ** p))
+
+
+def level_gram(kernel: CovKernel, level: int) -> LevelGram:
+    """The level-n increment Gram in its exact structure.
+
+    Brownian and weighted kernels have R(s,t) = F(min(s,t)), so the cell
+    increments are independent and the Gram is diagonal, with variances
+    F(t_{k+1}) - F(t_k) bit-identical to the diagonal of gram_matrix. fBm
+    increments over equal cells are stationary (fractional Gaussian noise),
+    so the Gram is Toeplitz. Tabulated kernels get the dense gram_matrix.
+    """
+    part = dyadic_partition(level)
+    if kernel.kind == FBM:
+        return LevelGram(TOEPLITZ, level, _fgn_autocovariance(kernel.hurst, level))
+    if kernel.kind == BROWNIAN:
+        return LevelGram(DIAGONAL, level, np.diff(part))
+    if kernel.kind == WEIGHTED:
+        return LevelGram(DIAGONAL, level, np.diff(kernel.weight.antiderivative_sq(part)))
+    return LevelGram(DENSE, level, gram_matrix(kernel, part).matrix)
+
+
+def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
+    """Lags 0..N of the autocovariance of fBm increments over N = 2^level cells.
+
+    For h = 1/N,
 
         gamma(k) = h^{2H} (|k+1|^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2.
 
@@ -262,34 +327,15 @@ def increment_autocovariance(kernel: CovKernel, level: int) -> np.ndarray:
     k^{2H} (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))), which avoids the
     cancellation between the three large powers: relative to gamma(0) the
     error stays near 1e-14 up to level 14 for H <= 0.75, where the direct
-    form loses about k^{2H} ulps.
+    form (and gram_matrix's double difference) loses about k^{2H} ulps.
     """
-    if kernel.kind != FBM:
-        raise ParameterError(f"increment autocovariance needs an fbm kernel, got {kernel.kind!r}")
-    if level < 0:
-        raise ParameterError(f"dyadic level must be >= 0, got {level}")
-    h2 = 2.0 * kernel.hurst
+    h2 = 2.0 * hurst
     k = np.arange(2.0, 2**level + 1)
     gamma = np.empty(2**level + 1)
     gamma[0] = 2.0
     gamma[1] = 2.0**h2 - 2.0
     gamma[2:] = k**h2 * (np.expm1(h2 * np.log1p(1.0 / k)) + np.expm1(h2 * np.log1p(-1.0 / k)))
     return (0.5 * 2.0 ** (-level * h2)) * gamma
-
-
-def cell_variances(kernel: CovKernel, partition) -> np.ndarray:
-    """Diagonal of the increment Gram of an independent-increment kernel, in O(N).
-
-    Brownian and weighted kernels have R(s,t) = F(min(s,t)), so the cell
-    increments are independent with variances F(t_{k+1}) - F(t_k); this is
-    bit-identical to the diagonal of gram_matrix.
-    """
-    part = np.asarray(partition, dtype=float)
-    if kernel.kind == BROWNIAN:
-        return np.diff(part)
-    if kernel.kind == WEIGHTED:
-        return np.diff(kernel.weight.antiderivative_sq(part))
-    raise ParameterError(f"{kernel.kind!r} kernels do not have independent increments")
 
 
 def cholesky_factor(gram: GridGram) -> np.ndarray:
@@ -401,6 +447,3 @@ def min_eigenvalue_ratio(gram: GridGram) -> float:
     top = float(np.max(np.abs(w))) or 1.0
     return float(w[0]) / top
 
-
-def is_psd(gram: GridGram, tol: float = PSD_TOL) -> bool:
-    return min_eigenvalue_ratio(gram) >= -tol

@@ -99,9 +99,8 @@ def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) 
     A result negative beyond rounding means an indefinite Gram (a covariance
     table that is not positive semidefinite) and raises NumericalError.
     """
-    part = cov.dyadic_partition(level)
-    g1 = cov.gram_matrix(r1, part).matrix
-    g2 = cov.gram_matrix(r2, part).matrix
+    g1 = cov.level_gram(r1, level).dense().matrix
+    g2 = cov.level_gram(r2, level).dense().matrix
     terms = (g1 @ D) * (D @ g2)
     total = float(np.sum(terms))
     if total < 0.0:
@@ -136,15 +135,11 @@ def existence_check(p: float, q: float) -> bool:
     return 1.0 / p + 1.0 / q > 1.0
 
 
-def fbm_variation_index(hurst: float) -> float:
-    """1/(2H) for rough fractional kernels, 1 for bounded variation."""
-    if not 0.0 < hurst < 1.0:
-        raise ParameterError(f"Hurst parameter must lie in (0,1), got {hurst}")
-    return 1.0 / (2.0 * hurst) if hurst <= 0.5 else 1.0
-
-
 def fbm_existence_check(h1: float, h2: float) -> bool:
-    return existence_check(fbm_variation_index(h1), fbm_variation_index(h2))
+    return existence_check(
+        cov.variation_index(cov.fractional_brownian(h1)),
+        cov.variation_index(cov.fractional_brownian(h2)),
+    )
 
 
 COVERED = "covered"

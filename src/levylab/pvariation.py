@@ -93,14 +93,15 @@ def v2p_grid(kernel, p: float, level: int) -> float:
     """(sum over level-n product-grid cells |rect increment|^p)^{1/p}.
 
     A lower bound of the true 2D p-variation (the supremum is restricted to
-    the full dyadic product partition of the given level).
+    the full dyadic product partition of the given level). The cell
+    increments are the entries of the level Gram, so the sum takes O(N) time
+    and memory for diagonal and Toeplitz Grams.
     """
     if p < 1.0:
         raise ParameterError(f"variation exponent must satisfy p >= 1, got {p}")
     if level > MAX_LEVEL:
         raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
-    inc = cov.gram_matrix(kernel, cov.dyadic_partition(level)).matrix
-    return float(np.sum(np.abs(inc) ** p) ** (1.0 / p))
+    return cov.level_gram(kernel, level).abs_power_sum(p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,8 @@ def variation_profile(
     Growing: each of the last three refinement steps multiplies the estimate
     by at least growth_factor. Otherwise inconclusive.
     """
+    if max_level < 1:
+        raise ParameterError(f"maximum grid level must be >= 1, got {max_level}")
     if max_level > MAX_LEVEL:
         raise ResourceError(f"grid level {max_level} exceeds cap {MAX_LEVEL}")
     ests = [(n, v2p_grid(kernel, p, n)) for n in range(1, max_level + 1)]
@@ -324,7 +327,6 @@ def _eval_on_nodes(f, nodes):
 
 
 def _anchored_sum(f, g, level):
-    nodes = cov.dyadic_partition(level)
-    fvals = _eval_on_nodes(f, nodes)
-    inc = cov.gram_matrix(g, nodes).matrix
+    fvals = _eval_on_nodes(f, cov.dyadic_partition(level))
+    inc = cov.level_gram(g, level).dense().matrix
     return float(np.sum(fvals[:-1, :-1] * inc))

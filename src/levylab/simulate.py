@@ -4,14 +4,14 @@ functions.
 Path increments over the N = 2^level dyadic cells are d = T z, one
 independent standard normal vector z per process per sample, where the
 linear map T (T T^T = increment Gram) comes from a sampler chosen by the
-kernel kind:
+structure of the Gram that covariance.level_gram returns:
 
-    brownian, weighted  independent increments: T = diag(sqrt(cell variance))
-    fbm                 stationary increments: the Gram is Toeplitz, and its
-                        minimal circulant embedding of size 2N (Davies & Harte
-                        1987; Dietrich & Newsam 1997) gives d in O(N log N)
-                        from 2N normals
-    tabulated           dense Cholesky factor of the Gram
+    diagonal   independent increments (Brownian, weighted):
+               T = diag(sqrt(cell variance))
+    toeplitz   stationary increments (fBm): the minimal circulant embedding
+               of size 2N (Davies & Harte 1987; Dietrich & Newsam 1997)
+               gives d in O(N log N) from 2N normals
+    dense      dense Cholesky factor of the Gram (tabulated kernels)
 
 Randomness comes from the Philox counter-based generator (Salmon et al.,
 SC'11), whose every key gives an independent stream. Samples are split into
@@ -137,14 +137,15 @@ def increment_sampler(kernel: cov.CovKernel, level: int):
 
     The result has `width` and `apply(Z)`, which maps rows of Z, shape
     (rows, width), to increment rows, shape (rows, 2^level); each output row
-    depends on its own input row only.
+    depends on its own input row only. The map is chosen by the structure of
+    the level Gram: diagonal, Toeplitz (circulant embedding) or dense (Cholesky).
     """
-    if kernel.kind == cov.FBM:
-        return _Circulant(cov.increment_autocovariance(kernel, level))
-    part = cov.dyadic_partition(level)
-    if kernel.kind in (cov.BROWNIAN, cov.WEIGHTED):
-        return _Diagonal(cov.cell_variances(kernel, part))
-    return _Cholesky(cov.cholesky_factor(cov.gram_matrix(kernel, part)))
+    gram = cov.level_gram(kernel, level)
+    if gram.kind == cov.TOEPLITZ:
+        return _Circulant(gram.values)
+    if gram.kind == cov.DIAGONAL:
+        return _Diagonal(gram.values)
+    return _Cholesky(cov.cholesky_factor(gram.dense()))
 
 
 def _samplers(config: MCConfig):

@@ -267,9 +267,8 @@ def general_spectrum(
         raise ResourceError(
             f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}"
         )
-    part = cov.dyadic_partition(level)
-    l1 = cov.cholesky_factor(cov.gram_matrix(r1, part))
-    l2 = cov.cholesky_factor(cov.gram_matrix(r2, part))
+    l1 = cov.cholesky_factor(cov.level_gram(r1, level).dense())
+    l2 = cov.cholesky_factor(cov.level_gram(r2, level).dense())
     M = l1.T @ lk.cell_sign_matrix(level, level) @ l2
     s = np.linalg.svd(M, compute_uv=False)
     return _clustered(np.concatenate([-s, s[::-1]]), cluster_tol)

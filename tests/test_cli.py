@@ -5,6 +5,9 @@ import pytest
 
 from levylab import cli
 from levylab import covariance as cov
+from levylab import levy_kernel as lk
+from levylab import pvariation as pv
+from levylab import spectral as sp
 
 
 def run_cli(args):
@@ -94,7 +97,20 @@ def test_pvar_level_above_cap_exits_2(tmp_path, monkeypatch):
         raise AssertionError("Gram built before the level cap was checked")
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
     assert run_cli(["pvar", "--kernel", "brownian", "--level", 13, "--out", tmp_path]) == 2
+
+
+def test_pvar_level_below_one_exits_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built for a level below one")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden, raising=False)
+    for level in (0, -3):
+        out = tmp_path / f"level{level}"
+        assert run_cli(["pvar", "--kernel", "brownian", "--level", level, "--out", out]) == 2
+        assert not (out / "pvar.csv").exists()
 
 
 def test_pvar_growing_at_p1(tmp_path):
@@ -171,7 +187,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 4
+    assert summary["schema_version"] == 5
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -206,6 +222,54 @@ def test_config_file_with_flag_override(tmp_path):
     assert run_cli(["simulate", "--config", config, "--seed", 2, "--out", out2]) == 0
     s2 = json.loads((out2 / "summary.json").read_text())
     assert s2["seed"] == 2
+
+
+def test_config_values_are_validated_like_flags(tmp_path):
+    base = "kernel=brownian\nseed=1\nsamples=50\nlevel=3\nt=0,1\n"
+    for extra in ("format=xml", "emit_samples=maybe", "samples=many", "t=3:1:0.5"):
+        config = tmp_path / "bad.cfg"
+        config.write_text(base + extra + "\n")
+        out = tmp_path / "bad"
+        assert run_cli(["simulate", "--config", config, "--out", out]) == 2, extra
+        assert not (out / "cf.csv").exists(), extra
+    # keys belong to the subcommand: simulate takes no --hurst
+    config.write_text(base + "hurst=0.3\n")
+    assert run_cli(["simulate", "--config", config, "--out", tmp_path / "h"]) == 2
+
+
+def test_config_values_take_effect(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "kernel=brownian\nseed=1\nsamples=50\nlevel=3\nt=0,1\nformat=json\nemit_samples=true\n"
+    )
+    out = tmp_path / "json"
+    assert run_cli(["simulate", "--config", config, "--out", out]) == 0
+    assert json.loads((out / "summary.json").read_text())["cf"][0]["re"] == 1.0
+    assert not (out / "cf.csv").exists()
+    config.write_text("kernel=brownian\nseed=1\nsamples=50\nlevel=3\nemit_samples=yes\n")
+    out = tmp_path / "samples"
+    assert run_cli(["simulate", "--config", config, "--out", out]) == 0
+    assert len(read_csv(out / "samples.csv")[2]) == 50
+
+
+def test_tables_are_the_library_csv(tmp_path):
+    fbm = cov.fractional_brownian(0.35)
+    cases = [
+        (["spectrum", "--kernel", "fbm hurst=0.35", "--level", 4], "spectrum.csv",
+         sp.general_spectrum(fbm, fbm, 4).csv()),
+        (["spectrum", "--kernel", "brownian", "--grid", 16], "spectrum.csv",
+         sp.eigen_solve(sp.discretize_classical_operator(16)).csv()),
+        (["cauchy", "--kernel", "fbm hurst=0.35", "--levels", "1:4"], "cauchy.csv",
+         lk.cauchy_table([1, 2, 3, 4], fbm, fbm).csv()),
+        (["pvar", "--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 5], "pvar.csv",
+         pv.profile_csv(pv.variation_profile(fbm, 1.0 / 0.7, 5))),
+    ]
+    for i, (argv, name, body) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run_cli(argv + ["--out", out]) == 0
+        echo, rest = (out / name).read_text().split("\n", 1)
+        assert echo.startswith(f"# schema_version={cli.SCHEMA_VERSION} command={argv[0]} ")
+        assert rest == body, argv
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -248,31 +248,51 @@ def test_cholesky_failure_names_eigenvalue():
 
 
 # ---------------------------------------------------------------------------
-# increment_autocovariance / cell_variances
+# level_gram
 # ---------------------------------------------------------------------------
 
 def test_increment_autocovariance_is_the_gram_row():
     for h in (0.1, 0.35, 0.5, 0.75):
         k = cov.fractional_brownian(h)
         for level in (0, 1, 3, 6):
-            gamma = cov.increment_autocovariance(k, level)
+            gram = cov.level_gram(k, level)
+            assert gram.kind == cov.TOEPLITZ
+            gamma = gram.values
             assert gamma.shape == (2**level + 1,)
             row = cov.gram_matrix(k, cov.dyadic_partition(level)).matrix[0]
             assert np.allclose(gamma[:-1], row, rtol=0, atol=1e-13 * row[0])
     # Brownian is H = 1/2: white noise
-    white = cov.increment_autocovariance(cov.fractional_brownian(0.5), 3)
+    white = cov.level_gram(cov.fractional_brownian(0.5), 3).values
     assert np.allclose(white, [0.125] + [0.0] * 8, rtol=0, atol=1e-15 * 0.125)
-    with pytest.raises(ParameterError):
-        cov.increment_autocovariance(cov.brownian(), 3)
+    # only fBm kernels get the Toeplitz structure
+    assert cov.level_gram(cov.brownian(), 3).kind == cov.DIAGONAL
 
 
 def test_cell_variances_are_the_gram_diagonal():
     for k in (cov.brownian(), cov.weighted_poly(1), cov.weighted_poly(3, 1.7)):
         part = cov.dyadic_partition(6)
         diag = np.diagonal(cov.gram_matrix(k, part).matrix)
-        assert np.array_equal(cov.cell_variances(k, part), diag)
-    with pytest.raises(ParameterError):
-        cov.cell_variances(cov.fractional_brownian(0.3), cov.dyadic_partition(3))
+        gram = cov.level_gram(k, 6)
+        assert gram.kind == cov.DIAGONAL
+        assert np.array_equal(gram.values, diag)
+    # independent increments are the Brownian and weighted kernels only
+    assert cov.level_gram(cov.fractional_brownian(0.3), 3).kind == cov.TOEPLITZ
+
+
+def test_level_gram_dense_and_power_sum_match_gram_matrix():
+    for kernel in kernels_under_test():
+        for level in range(0, 7):
+            gram = cov.level_gram(kernel, level)
+            ref = cov.gram_matrix(kernel, cov.dyadic_partition(level))
+            dense = gram.dense()
+            assert np.array_equal(dense.partition, ref.partition)
+            assert np.max(np.abs(dense.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
+            if gram.kind != cov.TOEPLITZ:
+                assert np.array_equal(dense.matrix, ref.matrix)
+            for p in (1.0, 1.5, 2.0, 5.0):
+                total = np.sum(np.abs(ref.matrix) ** p)
+                assert gram.abs_power_sum(p) == pytest.approx(total, rel=1e-12, abs=0)
+    assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.DENSE
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 from levylab.errors import NumericalError, ParameterError
+from test_simulate import _fgn_toeplitz
 
 
 def gram_contraction_norm(A, g1, g2):
@@ -203,6 +204,18 @@ def test_norm_approx_refine_stability_fbm():
         g1, g2 = grams(fbm, fbm, refine)
         want = gram_contraction_norm(lk.cell_sign_matrix(4, refine), g1, g2)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_norm_approx_matches_exact_fgn_gram():
+    for h in (0.1, 0.35, 0.75):
+        fbm = cov.fractional_brownian(h)
+        for n in range(1, 8):
+            g = _fgn_toeplitz(h, n)
+            idx = np.arange(2**n)
+            D = 0.5 * np.sign(idx[None, :] - idx[:, None])
+            want = 2.0 * np.sum((g @ D) * (D @ g))
+            got = lk.norm_approx(n, fbm, fbm).value
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (h, n)
 
 
 def test_variance_identity_brownian():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import levylab.covariance as cov
 import levylab.pvariation as pv
 from levylab.errors import ParameterError, ResourceError
+from test_simulate import _fgn_toeplitz
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,36 @@ def test_v2p_resource_cap():
         pv.v2p_grid(cov.brownian(), 0.9, 3)
 
 
+def test_v2p_matches_exact_fgn_gram():
+    # p = 1/(2H) is below 1 at H = 0.75, outside the p-variation range; the
+    # variation index (1 there) is the critical exponent that stands in for it
+    for h in (0.1, 0.35, 0.75):
+        kernel = cov.fractional_brownian(h)
+        for level in range(1, 11):
+            exact = _fgn_toeplitz(h, level)
+            for p in (1.0, cov.variation_index(kernel), 2.0):
+                want = np.sum(np.abs(exact) ** p) ** (1.0 / p)
+                got = pv.v2p_grid(kernel, p, level)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (h, level, p)
+
+
+def _forbid_dense_grams(monkeypatch, *extra):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Gram route taken")
+
+    for name in ("gram_matrix", "eval_grid", *extra):
+        monkeypatch.setattr(cov, name, forbidden)
+    monkeypatch.setattr(cov.LevelGram, "dense", forbidden)
+
+
+def test_v2p_structured_kernels_skip_the_dense_gram(monkeypatch):
+    _forbid_dense_grams(monkeypatch)
+    for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
+        assert pv.v2p_grid(kernel, 1.5, pv.MAX_LEVEL) > 0.0
+        prof = pv.variation_profile(kernel, 1.0, 6)
+        assert len(prof.levels) == 6
+
+
 def test_v2p_holder_ordering_on_fixed_grid():
     for kernel in (cov.brownian(), cov.fractional_brownian(0.35)):
         for level in (3, 5):
@@ -128,8 +159,16 @@ def test_profile_level_cap_fires_before_any_gram(monkeypatch):
         raise AssertionError("Gram built before the level cap was checked")
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
     with pytest.raises(ResourceError):
         pv.variation_profile(cov.brownian(), 1.0, pv.MAX_LEVEL + 1)
+
+
+def test_profile_rejects_levels_below_one(monkeypatch):
+    _forbid_dense_grams(monkeypatch, "level_gram")
+    for max_level in (0, -3):
+        with pytest.raises(ParameterError):
+            pv.variation_profile(cov.brownian(), 1.0, max_level)
 
 
 def test_profile_brownian_constant():

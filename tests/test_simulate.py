@@ -147,7 +147,7 @@ def test_circulant_embedding_eigenvalues_nonnegative():
     for h in (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.99):
         kernel = cov.fractional_brownian(h)
         for level in range(1, 15):
-            gamma = cov.increment_autocovariance(kernel, level)
+            gamma = cov.level_gram(kernel, level).values
             lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
             assert lam.min() > 0.0, (h, level, lam.min())
             assert sim.increment_sampler(kernel, level).width == 2 ** (level + 1)
@@ -165,6 +165,7 @@ def test_independent_increments_skip_the_gram(monkeypatch):
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    monkeypatch.setattr(cov.LevelGram, "dense", forbidden)
     for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
         config = sim.MCConfig(seed=4, n_samples=5, level=6, kernel1=kernel, kernel2=kernel)
         inc1, _ = sim.sample_paths(config)
