@@ -276,6 +276,23 @@ def check_step_operator_identity():
     return f"sum mult*alpha^2 matches norm_approx(6) to {rel:.1e}, mirror-symmetric"
 
 
+def check_mirror_split():
+    fbm = cov.fractional_brownian(0.35)
+    worst = 0.0
+    for name, r2 in (("fbm-0.35", fbm), ("fbm-0.35/brownian", cov.brownian())):
+        for kernel in (fbm, r2):
+            assert cov.level_gram(kernel, 6).mirror_halves() is not None, name
+        l1 = cov.cholesky_factor(cov.level_gram(fbm, 6).dense())
+        l2 = cov.cholesky_factor(cov.level_gram(r2, 6).dense())
+        s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(6, 6) @ l2, compute_uv=False)
+        got = np.sort(sp.general_spectrum(fbm, r2, 6, cluster_tol=0.0).eigenvalues())
+        err = float(np.max(np.abs(got - np.sort(np.concatenate([-s, s]))))) / s[0]
+        assert err <= 1e-12, f"{name}: split spectrum off the full SVD by {err:.3e} of the radius"
+        worst = max(worst, err)
+    assert cov.level_gram(cov.weighted_poly(1), 6).mirror_halves() is None
+    return f"half-size blocks match the full SVD at level 6 to {worst:.1e}; weighted Gram unsplit"
+
+
 ALL_CHECKS = [
     ("covariance.rect-additivity", check_rect_additivity),
     ("covariance.gram-telescoping", check_gram_telescoping),
@@ -299,6 +316,7 @@ ALL_CHECKS = [
     ("spectral.cosh-residual", check_cosh_residual),
     ("spectral.classical-structure", check_classical_operator_structure),
     ("spectral.step-operator-identity", check_step_operator_identity),
+    ("spectral.mirror-split", check_mirror_split),
 ]
 
 

@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _fmt(x: float) -> str:
@@ -39,27 +39,34 @@ def _fmt(x: float) -> str:
 
 
 def parse_range(text: str):
-    """a:b:step range, a:b integer range, or a comma list."""
+    """a:b:step range, a:b integer range, or a comma list of finite numbers."""
     text = text.strip()
     if "," in text:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [_finite(tok) for tok in text.split(",") if tok.strip()]
     if ":" in text:
         parts = text.split(":")
         if len(parts) == 2:
-            a, b = float(parts[0]), float(parts[1])
+            a, b = _finite(parts[0]), _finite(parts[1])
             if not (a.is_integer() and b.is_integer() and b >= a):
                 raise argparse.ArgumentTypeError(
                     f"two-part ranges must be increasing integers a:b, got {text!r}"
                 )
             return [float(v) for v in range(int(a), int(b) + 1)]
         if len(parts) == 3:
-            a, b, step = (float(p) for p in parts)
+            a, b, step = (_finite(p) for p in parts)
             if step <= 0 or b < a:
                 raise argparse.ArgumentTypeError(f"bad range {text!r}")
             count = int(math.floor((b - a) / step + 1e-9)) + 1
             return [a + i * step for i in range(count)]
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    return [float(text)]
+    return [_finite(text)]
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {token.strip()!r} in a range")
+    return value
 
 
 def _read_config_file(path):

@@ -270,17 +270,39 @@ class LevelGram:
 
     def dense(self) -> GridGram:
         """The N x N matrix as a GridGram on the dyadic partition."""
-        n = 2**self.level
         if self.kind == DIAGONAL:
             matrix = np.diag(self.values)
         elif self.kind == TOEPLITZ:
-            # window N-1-k of (gamma(N-1), ..., gamma(1), gamma(0), ..., gamma(N-1))
-            # is row k, gamma(|k - l|) for l = 0..N-1
-            lags = np.concatenate((self.values[n - 1 : 0 : -1], self.values[:n]))
-            matrix = np.lib.stride_tricks.sliding_window_view(lags, n)[::-1].copy()
+            matrix = _toeplitz(self.values, 2**self.level)
         else:
             matrix = self.values
         return GridGram(partition=dyadic_partition(self.level), matrix=matrix)
+
+    def mirror_halves(self):
+        """The N/2 x N/2 blocks (G+, G-) = G11 +- G12 K, or None.
+
+        With J the flip k -> N-1-k and K the flip of N/2 cells, a Gram with
+        J G J = G is block-diagonal in the even/odd basis [I; +-K]/sqrt(2),
+        with blocks G+ and G-. The symmetry is read off the values: a
+        Toeplitz Gram always has it (G+- is Toeplitz +- Hankel in the lags),
+        a diagonal or dense Gram when its values read the same flipped.
+        """
+        if self.level < 1:
+            return None
+        n = 2 ** (self.level - 1)
+        if self.kind == TOEPLITZ:
+            g11 = _toeplitz(self.values, n)
+            # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
+            g12k = np.lib.stride_tricks.sliding_window_view(self.values[2 * n - 1 : 0 : -1], n)
+        elif self.kind == DIAGONAL:
+            if not np.array_equal(self.values, self.values[::-1]):
+                return None
+            g11, g12k = np.diag(self.values[:n]), 0.0
+        else:
+            if not np.array_equal(self.values, self.values[::-1, ::-1]):
+                return None
+            g11, g12k = self.values[:n, :n], self.values[:n, : n - 1 : -1]
+        return g11 + g12k, g11 - g12k
 
     def abs_power_sum(self, p: float) -> float:
         """sum over all N^2 entries of |G[k,l]|^p, in O(N) unless dense.
@@ -295,6 +317,13 @@ class LevelGram:
             counts[0] = n
             return float(np.sum(counts * np.abs(self.values[:n]) ** p))
         return float(np.sum(np.abs(self.values) ** p))
+
+
+def _toeplitz(gamma: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix gamma(|k - l|) from the lags gamma(0..n-1)."""
+    # window n-1-k of (gamma(n-1), ..., gamma(1), gamma(0), ..., gamma(n-1)) is row k
+    lags = np.concatenate((gamma[n - 1 : 0 : -1], gamma[:n]))
+    return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1].copy()
 
 
 def level_gram(kernel: CovKernel, level: int) -> LevelGram:
@@ -345,21 +374,46 @@ def cholesky_factor(gram: GridGram) -> np.ndarray:
     are ill-conditioned and routinely need the ladder.
     """
     m = gram.matrix
-    scale = float(np.max(np.abs(m))) or 1.0
+    return _factor_at_one_rung((m,), float(np.max(np.abs(m))))[0]
+
+
+def mirror_factors(gram: LevelGram):
+    """Cholesky factors (L+, L-) of gram.mirror_halves(), or None without halves.
+
+    The jitter is that of the full Gram: both halves take the first rung j of
+    JITTER_LADDER at which G+ + j max|G| I and G- + j max|G| I both factor,
+    which is the rung at which G + j max|G| I factors.
+    """
+    halves = gram.mirror_halves()
+    if halves is None:
+        return None
+    # lags 0..N-1 of a Toeplitz Gram, the whole of a diagonal or dense one
+    scale = float(np.max(np.abs(gram.values[: 2**gram.level])))
+    return _factor_at_one_rung(halves, scale)
+
+
+def _factor_at_one_rung(matrices, scale: float) -> tuple:
+    """Cholesky factors of every m + j scale I at the first rung j where all factor."""
+    scale = scale or 1.0
     for j in JITTER_LADDER:
-        shifted = m
-        if j:
-            shifted = m.copy()
-            shifted.flat[:: m.shape[0] + 1] += j * scale
         try:
-            return np.linalg.cholesky(shifted)
+            return tuple(np.linalg.cholesky(_shifted(m, j * scale)) for m in matrices)
         except np.linalg.LinAlgError:
             continue
-    smallest = float(np.linalg.eigvalsh(m)[0])
+    smallest = min(float(np.linalg.eigvalsh(m)[0]) for m in matrices)
     raise NumericalError(
         f"Cholesky factorization failed after jitter ladder {JITTER_LADDER}; "
         f"smallest Gram eigenvalue {smallest:.3e}"
     )
+
+
+def _shifted(m: np.ndarray, shift: float) -> np.ndarray:
+    """m + shift I, as m itself when shift is zero."""
+    if not shift:
+        return m
+    out = m.copy()
+    out.flat[:: m.shape[0] + 1] += shift
+    return out
 
 
 def variation_index(kernel: CovKernel) -> float | None:

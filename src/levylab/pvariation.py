@@ -23,6 +23,7 @@ reported for inspection rather than asserted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -45,13 +46,18 @@ GROWING = "Growing"
 INCONCLUSIVE = "Inconclusive"
 
 
+def _require_exponent(p: float) -> None:
+    """Raise ParameterError unless p is a finite variation exponent p >= 1."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ParameterError(f"variation exponent must be finite and >= 1, got {p}")
+
+
 def v1p(samples, p: float) -> float:
     """Exact 1D p-variation over all sub-partitions of the sample points.
 
     samples: sequence of (point, value) pairs with strictly increasing points.
     """
-    if p < 1.0:
-        raise ParameterError(f"variation exponent must satisfy p >= 1, got {p}")
+    _require_exponent(p)
     pts = np.asarray([s[0] for s in samples], dtype=float)
     vals = np.asarray([s[1] for s in samples], dtype=float)
     if len(pts) and np.any(np.diff(pts) <= 0):
@@ -71,8 +77,7 @@ def v1p_exhaustive(samples, p: float) -> float:
 
     Exponential in the sample count; intended for grids with <= 6 points.
     """
-    if p < 1.0:
-        raise ParameterError(f"variation exponent must satisfy p >= 1, got {p}")
+    _require_exponent(p)
     vals = [float(s[1]) for s in samples]
     n = len(vals)
     if n < 2:
@@ -97,8 +102,7 @@ def v2p_grid(kernel, p: float, level: int) -> float:
     increments are the entries of the level Gram, so the sum takes O(N) time
     and memory for diagonal and Toeplitz Grams.
     """
-    if p < 1.0:
-        raise ParameterError(f"variation exponent must satisfy p >= 1, got {p}")
+    _require_exponent(p)
     if level > MAX_LEVEL:
         raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
     return cov.level_gram(kernel, level).abs_power_sum(p) ** (1.0 / p)
@@ -163,8 +167,7 @@ def grid_control(kernel, p: float, level: int = 6):
     The p-th power of the grid p-variation of the kernel restricted to the
     rectangle, evaluated on a uniform 2^level subdivision of the rectangle.
     """
-    if p < 1.0:
-        raise ParameterError(f"variation exponent must satisfy p >= 1, got {p}")
+    _require_exponent(p)
     n = 2**level
 
     def omega(rect):
@@ -217,7 +220,8 @@ def control_product_check(
     Requires 1/p + 1/q >= 1; splits random rectangles along both axes and
     reports the worst violation of omega(left) + omega(right) <= omega(whole).
     """
-    if p <= 0 or q <= 0 or 1.0 / p + 1.0 / q < 1.0:
+    # written so that a NaN exponent fails the test
+    if not (p > 0 and q > 0 and 1.0 / p + 1.0 / q >= 1.0):
         raise ParameterError(
             f"control product requires 1/p + 1/q >= 1, got p={p}, q={q}"
         )
@@ -286,8 +290,8 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
     q-variation of g, their product ratio against |value|, and the change
     from the next-coarser level as a refinement estimate.
     """
-    if p < 1.0 or q < 1.0:
-        raise ParameterError(f"variation exponents must satisfy p,q >= 1, got p={p}, q={q}")
+    _require_exponent(p)
+    _require_exponent(q)
     if 1.0 / p + 1.0 / q <= 1.0:
         raise ParameterError(
             f"Young pairing requires 1/p + 1/q > 1, got p={p}, q={q}"

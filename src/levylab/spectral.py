@@ -19,8 +19,9 @@ pairs. On dyadic step functions, in the coordinates whitened by the Cholesky
 factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
 is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
 sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
-spectrum comes from one n x n SVD, and mirror symmetry and even multiplicity
-hold by construction.
+spectrum comes from an SVD (two half-size ones, or one for equal kernels,
+when both Grams are mirror-symmetric), and mirror symmetry and even
+multiplicity hold by construction.
 """
 from __future__ import annotations
 
@@ -185,17 +186,21 @@ def eigen_solve(matrix: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectru
 
 def _clustered(w: np.ndarray, cluster_tol: float) -> Spectrum:
     """Spectrum of the ascending eigenvalues w, merging gaps below cluster_tol * radius."""
-    sigma = float(np.max(np.abs(w))) if w.size else 0.0
-    gap = cluster_tol * (sigma or 1.0)
-    entries = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            members = w[start:i]
-            entries.append((float(np.mean(members)), int(len(members))))
-            start = i
-    entries.sort(key=lambda e: (-abs(e[0]), -e[0]))
-    return Spectrum(entries=tuple(entries))
+    if not w.size:
+        return Spectrum(entries=())
+    gap = cluster_tol * (float(np.max(np.abs(w))) or 1.0)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1))
+    sizes = np.diff(np.append(starts, len(w)))
+    # one row per cluster of size k: the row sums of a (count, k) array add in
+    # np.mean's order, so means keep their bits (np.add.reduceat adds the first
+    # member last and moves some means in the last digit)
+    sums = np.empty(len(starts))
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        sums[rows] = np.sum(w[starts[rows, None] + np.arange(k)], axis=1)
+    means = sums / sizes
+    order = np.lexsort((-means, -np.abs(means)))
+    return Spectrum(entries=tuple(zip(means[order].tolist(), sizes[order].tolist())))
 
 
 @dataclass(frozen=True)
@@ -258,8 +263,16 @@ def general_spectrum(
     """Spectrum of the level-n step-kernel operator for a covariance pair.
 
     The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
-    clustered as in eigen_solve. Both Grams go through cholesky_factor, so an
-    indefinite Gram raises NumericalError once the jitter ladder is spent.
+    clustered as in eigen_solve. With J the flip of the N = 2^level cells,
+    J A J = -A always; when both Grams also have J G J = G (every fBm and
+    Brownian Gram, and mirror-symmetric tables; see LevelGram.mirror_halves),
+    the even/odd basis turns M into the off-diagonal blocks
+    B1 = L_1+^T A_+- L_2- and B2 = L_1-^T A_+-^T L_2+ of size N/2, where
+    L_i+- factor the Gram halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2.
+    The s are the singular values of B1 and B2; for r1 is r2, B2 = -B1^T, so
+    one N/2 SVD gives every value twice. Other pairs take one N x N SVD of M.
+    Every Gram goes through the jitter ladder, so an indefinite Gram raises
+    NumericalError once the ladder is spent.
     """
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
@@ -267,10 +280,23 @@ def general_spectrum(
         raise ResourceError(
             f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}"
         )
-    l1 = cov.cholesky_factor(cov.level_gram(r1, level).dense())
-    l2 = cov.cholesky_factor(cov.level_gram(r2, level).dense())
-    M = l1.T @ lk.cell_sign_matrix(level, level) @ l2
-    s = np.linalg.svd(M, compute_uv=False)
+    g1 = cov.level_gram(r1, level)
+    g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
+    h1 = cov.mirror_factors(g1)
+    h2 = h1 if g2 is g1 or h1 is None else cov.mirror_factors(g2)
+    if h1 is None or h2 is None:
+        l1 = cov.cholesky_factor(g1.dense())
+        l2 = l1 if g2 is g1 else cov.cholesky_factor(g2.dense())
+        s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
+    else:
+        (p1, m1), (p2, m2) = h1, h2
+        a = lk.cell_sign_matrix(level - 1, level - 1) - 0.5
+        s = np.linalg.svd(p1.T @ a @ m2, compute_uv=False)
+        if g2 is g1:
+            s = np.repeat(s, 2)
+        else:
+            s = np.concatenate((s, np.linalg.svd(m1.T @ a.T @ p2, compute_uv=False)))
+            s = np.sort(s)[::-1]
     return _clustered(np.concatenate([-s, s[::-1]]), cluster_tol)
 
 

@@ -44,6 +44,38 @@ def test_parse_range_errors():
         cli.parse_range("3:1:0.5")
 
 
+def test_parse_range_rejects_non_finite_values():
+    import argparse
+
+    for text in ("nan", "1e400", "-inf", "nan,inf", "0.5,1e400", "0:inf", "0:nan:0.5", "0:3:inf"):
+        with pytest.raises(argparse.ArgumentTypeError, match="non-finite"):
+            cli.parse_range(text)
+
+
+def flag_exit_code(args):
+    """Exit code of a command line whose flags argparse may reject itself."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_non_finite_cf_arguments_exit_2(tmp_path):
+    cases = [
+        ["cf", "--kernel", "fbm hurst=0.35", "--level", 3],
+        ["simulate", "--kernel", "brownian", "--level", 3, "--samples", 50],
+    ]
+    for i, (argv, t) in enumerate(zip(cases, ("nan,inf", "1e400"))):
+        out = tmp_path / f"flag{i}"
+        assert flag_exit_code(argv + ["--t", t, "--out", out]) == 2, argv
+        assert not (out / "cf.csv").exists(), argv
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(f"t={t}\n")
+        out = tmp_path / f"config{i}"
+        assert run_cli(argv + ["--config", config, "--out", out]) == 2, argv
+        assert not (out / "cf.csv").exists(), argv
+
+
 # ---------------------------------------------------------------------------
 # cf
 # ---------------------------------------------------------------------------
@@ -111,6 +143,15 @@ def test_pvar_level_below_one_exits_2(tmp_path, monkeypatch):
         out = tmp_path / f"level{level}"
         assert run_cli(["pvar", "--kernel", "brownian", "--level", level, "--out", out]) == 2
         assert not (out / "pvar.csv").exists()
+
+
+def test_pvar_non_finite_exponent_exits_2(tmp_path):
+    for p in ("nan", "inf"):
+        out = tmp_path / p
+        assert run_cli([
+            "pvar", "--kernel", "fbm hurst=0.35", "--p", p, "--level", 3, "--out", out,
+        ]) == 2, p
+        assert not (out / "pvar.csv").exists() and not (out / "summary.json").exists(), p
 
 
 def test_pvar_growing_at_p1(tmp_path):
@@ -187,7 +228,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 5
+    assert summary["schema_version"] == 6
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

@@ -218,6 +218,21 @@ def test_norm_approx_matches_exact_fgn_gram():
             assert got == pytest.approx(want, rel=1e-12, abs=0), (h, n)
 
 
+def kernels():
+    return st.one_of(
+        st.builds(cov.brownian),
+        st.floats(min_value=0.05, max_value=0.95).map(cov.fractional_brownian),
+        st.integers(min_value=0, max_value=3).map(cov.weighted_poly),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(r1=kernels(), r2=kernels(), n=st.integers(1, 6), m=st.integers(1, 6))
+def test_contractions_are_nonnegative(r1, r2, n, m):
+    assert lk.norm_approx(n, r1, r2).value >= 0.0
+    assert lk.norm_diff(n, m, r1, r2).value >= 0.0
+
+
 def test_variance_identity_brownian():
     br = cov.brownian()
     for n in (1, 5, 10):

@@ -171,6 +171,23 @@ def test_profile_rejects_levels_below_one(monkeypatch):
             pv.variation_profile(cov.brownian(), 1.0, max_level)
 
 
+def test_non_finite_exponents_are_rejected():
+    samples = [(0.0, 0.0), (0.5, 1.0), (1.0, -1.0)]
+    one = lambda S, T: 1.0 + 0.0 * S  # noqa: E731
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for call in (
+            lambda: pv.v1p(samples, bad),
+            lambda: pv.v1p_exhaustive(samples, bad),
+            lambda: pv.v2p_grid(cov.brownian(), bad, 3),
+            lambda: pv.variation_profile(cov.fractional_brownian(0.35), bad, 3),
+            lambda: pv.grid_control(cov.brownian(), bad),
+            lambda: pv.young_integral_2d(one, cov.brownian(), bad, 1.0, 3),
+            lambda: pv.young_integral_2d(one, cov.brownian(), 2.0, bad, 3),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                call()
+
+
 def test_profile_brownian_constant():
     prof = pv.variation_profile(cov.brownian(), 1.0, 10)
     assert prof.verdict == pv.STABILIZING
@@ -204,6 +221,9 @@ def test_control_product_brownian_grid():
 def test_control_product_exponent_error():
     with pytest.raises(ParameterError):
         pv.control_product_check(pv.area_control(), pv.area_control(), 3.0, 3.0)
+    for p, q in ((float("nan"), 2.0), (2.0, float("nan"))):
+        with pytest.raises(ParameterError):
+            pv.control_product_check(pv.area_control(), pv.area_control(), p, q, trials=5)
 
 
 def test_control_report_worst_case_records_split():

@@ -68,6 +68,27 @@ def test_area_antisymmetry_and_dyadic_scaling(vals, scale_pow):
     assert sim.discrete_levy_area(c * a, b) == c * area
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    vals=st.lists(
+        st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)), min_size=2, max_size=24
+    ),
+    a=st.floats(min_value=0.1, max_value=10.0),
+    b=st.floats(min_value=0.1, max_value=10.0),
+    signs=st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))),
+)
+def test_area_antisymmetry_and_bilinear_scaling(vals, a, b, signs):
+    # entries are 0 or at least 1e-3 in size, so no product underflows
+    x = np.array([v[0] for v in vals]) / 1000.0
+    y = np.array([v[1] for v in vals]) / 1000.0
+    a, b = signs[0] * a, signs[1] * b
+    area = sim.discrete_levy_area(x, y)
+    assert sim.discrete_levy_area(y, x) == -area
+    scaled = sim.discrete_levy_area(a * x, b * y)
+    bound = 1e-12 * abs(a * b) * np.sum(np.abs(x)) * np.sum(np.abs(y))
+    assert abs(scaled - a * b * area) <= bound
+
+
 def test_area_general_scaling_close():
     rng = np.random.default_rng(1)
     a = rng.normal(size=40)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
@@ -339,3 +341,144 @@ def test_general_spectrum_squares_sum_to_norm_approx(r1, r2):
         spec = sp.general_spectrum(r1, r2, level)
         total = sum(m * a**2 for a, m in spec.entries)
         assert total == pytest.approx(lk.norm_approx(level, r1, r2).value, rel=1e-12), level
+
+
+# ---------------------------------------------------------------------------
+# mirror split of the step-kernel operator
+# ---------------------------------------------------------------------------
+
+def full_route(r1, r2, level):
+    """Singular values of L_1^T A L_2 from the full N x N Grams, descending."""
+    l1 = cov.cholesky_factor(cov.level_gram(r1, level).dense())
+    l2 = cov.cholesky_factor(cov.level_gram(r2, level).dense())
+    return np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
+
+
+def loop_clustered(w, cluster_tol):
+    """Entries of the ascending eigenvalues w merged one gap at a time."""
+    gap = cluster_tol * (float(np.max(np.abs(w))) or 1.0)
+    entries = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap:
+            entries.append((float(np.mean(w[start:i])), i - start))
+            start = i
+    entries.sort(key=lambda e: (-abs(e[0]), -e[0]))
+    return tuple(entries)
+
+
+def assert_matches_full_route(r1, r2, level):
+    s = full_route(r1, r2, level)
+    radius = s[0]
+    want = np.concatenate([-s, s[::-1]])
+    got = np.sort(sp.general_spectrum(r1, r2, level, cluster_tol=0.0).eigenvalues())
+    assert np.max(np.abs(got - want)) <= 1e-12 * radius, level
+    clustered = sorted(sp.general_spectrum(r1, r2, level).entries)
+    expected = sorted(loop_clustered(want, sp.CLUSTER_TOL))
+    assert [m for _, m in clustered] == [m for _, m in expected], level
+    assert [a for a, _ in clustered] == pytest.approx(
+        [a for a, _ in expected], rel=0, abs=1e-12 * radius
+    )
+
+
+def _mirror_pairs():
+    fbm = {h: cov.fractional_brownian(h) for h in (0.1, 0.35, 0.75)}
+    pairs = [pytest.param(k, k, id=f"fbm-{h}") for h, k in fbm.items()]
+    pairs.append(pytest.param(cov.brownian(), cov.brownian(), id="brownian"))
+    pairs.append(pytest.param(fbm[0.35], cov.brownian(), id="fbm-0.35/brownian"))
+    return pairs
+
+
+@pytest.mark.parametrize("r1,r2", _mirror_pairs())
+def test_mirror_split_matches_full_route(r1, r2):
+    for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
+        assert cov.level_gram(r1, level).mirror_halves() is not None
+        assert cov.level_gram(r2, level).mirror_halves() is not None
+        assert_matches_full_route(r1, r2, level)
+
+
+def test_mirror_halves_are_the_even_odd_blocks():
+    # Q^T G Q = diag(G+, G-) for the orthogonal even/odd basis Q = [[I, I], [K, -K]] / sqrt(2)
+    tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
+    for kernel in (cov.fractional_brownian(0.35), cov.brownian(), tab):
+        for level in (1, 2, 5):
+            gram = cov.level_gram(kernel, level)
+            n = 2 ** (level - 1)
+            eye, flip = np.eye(n), np.eye(n)[::-1]
+            Q = np.block([[eye, eye], [flip, -flip]]) / np.sqrt(2.0)
+            G = gram.dense().matrix
+            plus, minus = gram.mirror_halves()
+            blocks = np.block([[plus, np.zeros((n, n))], [np.zeros((n, n)), minus]])
+            assert np.max(np.abs(Q.T @ G @ Q - blocks)) <= 1e-15 * np.max(np.abs(G))
+
+
+def test_mirror_split_shares_the_full_gram_jitter_rung():
+    # singular mirror-symmetric Grams factor only at rung 1, and both halves
+    # take that rung's shift j max|G| of the full Gram: the 16-node min table
+    # at levels 5-6, and the rank-one R = s t, whose halves are 2 G11 and 0
+    tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
+    rank_one = cov.tabulated_from_fn(lambda S, T: S * T, 8)
+    for kernel, level in ((tab, 5), (tab, 6), (rank_one, 3)):
+        gram = cov.level_gram(kernel, level)
+        G = gram.dense().matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(G)
+        scale = np.max(np.abs(G))
+        shift = cov.JITTER_LADDER[1] * scale * np.eye(G.shape[0] // 2)
+        for L, half in zip(cov.mirror_factors(gram), gram.mirror_halves()):
+            assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale, level
+    for level in (5, 6):
+        assert_matches_full_route(tab, tab, level)
+
+
+def test_equal_kernel_split_pairs_every_value_exactly():
+    for kernel in (cov.fractional_brownian(0.1), cov.fractional_brownian(0.75), cov.brownian()):
+        for level in (1, 4, 8):
+            spec = sp.general_spectrum(kernel, kernel, level, cluster_tol=0.0)
+            assert len(spec.entries) == 2**level, level
+            assert all(m == 2 for _, m in spec.entries), level
+
+
+def test_weighted_kernel_keeps_the_full_route():
+    weighted = cov.weighted_poly(1)
+    for level in (1, 4, 7):
+        assert cov.level_gram(weighted, level).mirror_halves() is None
+        s = full_route(weighted, weighted, level)
+        expected = sp.Spectrum(entries=loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
+        assert sp.general_spectrum(weighted, weighted, level).csv() == expected.csv(), level
+    assert cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_halves() is None
+
+
+def test_clustered_matches_the_loop_reference():
+    rng = np.random.default_rng(17)
+    spectra = [np.array([0.0]), np.array([-1.0, 1.0]), np.array([2.0, 2.0, 2.0])]
+    for _ in range(30):
+        # repeated values spread by ~1e-8: the tolerances below merge or split them
+        w = np.repeat(rng.normal(size=rng.integers(1, 40)), rng.integers(1, 4))
+        spectra.append(np.sort(w + rng.normal(scale=1e-8, size=len(w))))
+    for kernel in (cov.fractional_brownian(0.35), cov.weighted_poly(2)):
+        s = full_route(kernel, kernel, 6)
+        spectra.append(np.concatenate([-s, s[::-1]]))
+    spectra.append(np.linalg.eigvalsh(sp.discretize_classical_operator(64)))
+    for w in spectra:
+        for tol in (0.0, 1e-9, sp.CLUSTER_TOL, 1e-2):
+            got = sp._clustered(w, tol).entries
+            want = loop_clustered(w, tol)
+            assert got == want
+    assert sp._clustered(np.array([]), sp.CLUSTER_TOL).entries == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h1=st.floats(min_value=0.05, max_value=0.95),
+    h2=st.floats(min_value=0.05, max_value=0.95),
+    level=st.integers(min_value=1, max_value=6),
+    t=st.floats(min_value=0.0, max_value=50.0),
+    brownian_second=st.booleans(),
+)
+def test_general_spectrum_cf_is_bounded_by_one(h1, h2, level, t, brownian_second):
+    r1 = cov.fractional_brownian(h1)
+    r2 = cov.brownian() if brownian_second else cov.fractional_brownian(h2)
+    for pair in ((r1, r1), (r1, r2)):
+        res = sp.cf_from_spectrum(sp.general_spectrum(*pair, level), 1j * t)
+        assert abs(res.value) <= 1.0 + 1e-12
