@@ -256,12 +256,10 @@ def check_cosh_residual():
 
 def check_classical_operator_structure():
     spec = sp.eigen_solve(sp.discretize_classical_operator(128))
-    report = sp.symmetry_check(spec)
-    assert report.ok, report.violations
     assert spec.entries[0][1] == 2, spec.entries[:2]
     top = abs(spec.entries[0][0])
     assert abs(top - 1.0 / np.pi) <= 0.01 / np.pi
-    return "mirror pairs with multiplicity 2, top near 1/pi"
+    return "top pair has multiplicity 2, near 1/pi"
 
 
 def check_step_operator_identity():
@@ -271,9 +269,7 @@ def check_step_operator_identity():
     norm = lk.norm_approx(6, fbm, fbm).value
     rel = abs(total - norm) / norm
     assert rel <= 1e-12, f"sum mult*alpha^2 {total!r} vs norm_approx(6) {norm!r}"
-    report = sp.symmetry_check(spec)
-    assert report.ok, report.violations
-    return f"sum mult*alpha^2 matches norm_approx(6) to {rel:.1e}, mirror-symmetric"
+    return f"sum mult*alpha^2 matches norm_approx(6) to {rel:.1e}"
 
 
 def check_mirror_split():
@@ -291,6 +287,24 @@ def check_mirror_split():
         worst = max(worst, err)
     assert cov.level_gram(cov.weighted_poly(1), 6).mirror_halves() is None
     return f"half-size blocks match the full SVD at level 6 to {worst:.1e}; weighted Gram unsplit"
+
+
+def check_symmetry_audit():
+    # negative controls on a classical spectrum: the mirror rule and the parity rule must fire
+    spec = sp.classical_spectrum(8)
+    shifted = spec.alphas + 2.0 * sp.PAIR_TOL * spec.spectral_radius * (np.arange(16) == 5)
+    broken = {
+        "a dropped multiplicity": sp.Spectrum(spec.alphas, spec.mults - (np.arange(16) == 3)),
+        "a partner shifted by 2 tol": sp.Spectrum(shifted, spec.mults),
+        "an odd count": sp.Spectrum(np.append(spec.alphas, 0.0), np.append(spec.mults, 1)),
+    }
+    for name, bad in broken.items():
+        assert not sp.symmetry_check(bad).ok, f"{name} passed the audit"
+    passing = [sp.classical_spectrum(100), sp.eigen_solve(sp.discretize_classical_operator(128))]
+    passing += [sp.general_spectrum(k, k, 6) for k in _kernels().values()]
+    for spec in passing:
+        assert sp.symmetry_check(spec).ok, sp.symmetry_check(spec).violations
+    return f"{len(broken)} broken spectra flagged; classical, midpoint and level-6 spectra pass"
 
 
 ALL_CHECKS = [
@@ -317,6 +331,7 @@ ALL_CHECKS = [
     ("spectral.classical-structure", check_classical_operator_structure),
     ("spectral.step-operator-identity", check_step_operator_identity),
     ("spectral.mirror-split", check_mirror_split),
+    ("spectral.symmetry-audit", check_symmetry_audit),
 ]
 
 

@@ -38,28 +38,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: most points a range may expand to; the count is checked before any list is built
+MAX_RANGE_POINTS = 10**6
+
+
 def parse_range(text: str):
-    """a:b:step range, a:b integer range, or a comma list of finite numbers."""
+    """a:b:step range, a:b integer range (step 1), or a comma list of finite numbers."""
     text = text.strip()
     if "," in text:
         return [_finite(tok) for tok in text.split(",") if tok.strip()]
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 2:
-            a, b = _finite(parts[0]), _finite(parts[1])
-            if not (a.is_integer() and b.is_integer() and b >= a):
-                raise argparse.ArgumentTypeError(
-                    f"two-part ranges must be increasing integers a:b, got {text!r}"
-                )
-            return [float(v) for v in range(int(a), int(b) + 1)]
-        if len(parts) == 3:
-            a, b, step = (_finite(p) for p in parts)
-            if step <= 0 or b < a:
-                raise argparse.ArgumentTypeError(f"bad range {text!r}")
-            count = int(math.floor((b - a) / step + 1e-9)) + 1
-            return [a + i * step for i in range(count)]
+    if ":" not in text:
+        return [_finite(text)]
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    return [_finite(text)]
+    a, b, *rest = (_finite(p) for p in parts)
+    step = rest[0] if rest else 1.0
+    if len(parts) == 2 and not (a.is_integer() and b.is_integer() and b >= a):
+        raise argparse.ArgumentTypeError(
+            f"two-part ranges must be increasing integers a:b, got {text!r}"
+        )
+    if step <= 0 or b < a:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    # inf when the quotient overflows, which the cap rejects
+    count = np.floor((b - a) / step + 1e-9) + 1
+    if count > MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {count:.0f} points, above the cap of {MAX_RANGE_POINTS}"
+        )
+    return [a + i * step for i in range(int(count))]
 
 
 def _finite(token: str) -> float:
@@ -127,7 +134,11 @@ def _merge_config(args):
 def _resolve_kernel(spec, hurst):
     if spec is None:
         raise argparse.ArgumentTypeError("a kernel spec is required (--kernel)")
-    if hurst is not None and "hurst" not in spec:
+    if hurst is not None:
+        if "hurst=" in spec:
+            raise argparse.ArgumentTypeError(
+                f"--hurst {hurst} conflicts with the hurst= of kernel spec {spec!r}"
+            )
         spec = f"{spec} hurst={hurst}"
     kernel = cov.parse_kernel_spec(spec)
     if hurst is not None and kernel.kind != cov.FBM:
@@ -175,6 +186,15 @@ def _write_summary(path: Path, echo: dict, payload: dict):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _write_outputs(args, echo: dict, name: str, body: str, summary: dict, json_only: dict):
+    """CSV: table `name` (echo line, body) and summary.json; JSON: summary.json plus json_only."""
+    if args.format == "json":
+        summary = {**summary, **json_only}
+    else:
+        _write_csv(_out_path(args, name), echo, body)
+    _write_summary(_out_path(args, "summary.json"), echo, summary)
+
+
 def _out_path(args, name: str) -> Path:
     prefix = getattr(args, "prefix", None) or ""
     out_dir = Path(getattr(args, "out", None) or ".")
@@ -208,25 +228,15 @@ def cmd_simulate(args) -> int:
         f"{_fmt(t)},{_fmt(e.real)},{_fmt(e.imag)},{_fmt(se)}"
         for t, e, se in zip(ecf.t_grid, ecf.estimates, ecf.std_errors)
     ]
-    payload = {
-        "mean": result.mean,
-        "variance": result.variance,
-        "cf": [
-            {"t": float(t), "re": e.real, "im": e.imag, "stderr": float(se)}
-            for t, e, se in zip(ecf.t_grid, ecf.estimates, ecf.std_errors)
-        ],
-    }
-    if args.format == "json":
-        _write_summary(_out_path(args, "summary.json"), echo, payload)
-    else:
-        _write_csv(_out_path(args, "cf.csv"), echo, _csv_body("t,re,im,stderr", cf_rows))
-        if args.emit_samples:
-            sample_rows = [f"{i},{_fmt(a)}" for i, a in enumerate(result.samples)]
-            body = _csv_body("sample,area", sample_rows)
-            _write_csv(_out_path(args, "samples.csv"), echo, body)
-        _write_summary(
-            _out_path(args, "summary.json"), echo, {"mean": result.mean, "variance": result.variance}
-        )
+    cf_table = [
+        {"t": float(t), "re": e.real, "im": e.imag, "stderr": float(se)}
+        for t, e, se in zip(ecf.t_grid, ecf.estimates, ecf.std_errors)
+    ]
+    _write_outputs(args, echo, "cf.csv", _csv_body("t,re,im,stderr", cf_rows),
+                   {"mean": result.mean, "variance": result.variance}, {"cf": cf_table})
+    if args.format == "csv" and args.emit_samples:
+        sample_rows = [f"{i},{_fmt(a)}" for i, a in enumerate(result.samples)]
+        _write_csv(_out_path(args, "samples.csv"), echo, _csv_body("sample,area", sample_rows))
     return 0
 
 
@@ -241,20 +251,17 @@ def cmd_cf(args) -> int:
         pairs=pairs if kernel.kind == cov.BROWNIAN else None,
         level=args.level if kernel.kind in (cov.FBM, cov.TABULATED) else None,
     )
-    rows = []
-    if kernel.kind == cov.BROWNIAN:
-        spectrum = sp.classical_spectrum(pairs)
-        for res in sp.cf_curve(spectrum, t_grid):
-            rows.append((res.z.imag, res.value.real, res.value.imag, res.tail_bound))
-    elif kernel.kind == cov.WEIGHTED:
+    if kernel.kind == cov.WEIGHTED:
         norm_sq = kernel.weight.norm_sq
-        for t in t_grid:
-            rows.append((float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0))
+        rows = [(float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0) for t in t_grid]
     else:
-        level = args.level if args.level is not None else 7
-        spectrum = sp.general_spectrum(kernel, kernel, level)
-        for res in sp.cf_curve(spectrum, t_grid):
-            rows.append((res.z.imag, res.value.real, res.value.imag, res.tail_bound))
+        if kernel.kind == cov.BROWNIAN:
+            spectrum = sp.classical_spectrum(pairs)
+        else:
+            level = args.level if args.level is not None else 7
+            spectrum = sp.general_spectrum(kernel, kernel, level)
+        rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
+                for r in sp.cf_curve(spectrum, t_grid)]
     csv_rows = [f"{_fmt(t)},{_fmt(re)},{_fmt(im)},{_fmt(tb)}" for t, re, im, tb in rows]
     table = [{"t": t, "re": re, "im": im, "tail_bound": tb} for t, re, im, tb in rows]
     if args.format == "json":
@@ -278,17 +285,13 @@ def cmd_spectrum(args) -> int:
         route = {"route": "step-kernel", "level": level}
     report = sp.symmetry_check(spectrum)
     echo = _echo("spectrum", kernel=cov.kernel_spec_string(kernel), **route)
-    payload = {
+    summary = {
         "spectral_radius": spectrum.spectral_radius,
         "symmetry_ok": report.ok,
         "symmetry_violations": list(report.violations),
     }
-    if args.format == "json":
-        payload["spectrum"] = [{"alpha": a, "multiplicity": m} for a, m in spectrum.entries]
-        _write_summary(_out_path(args, "summary.json"), echo, payload)
-    else:
-        _write_csv(_out_path(args, "spectrum.csv"), echo, spectrum.csv())
-        _write_summary(_out_path(args, "summary.json"), echo, payload)
+    listing = [{"alpha": a, "multiplicity": m} for a, m in spectrum.entries]
+    _write_outputs(args, echo, "spectrum.csv", spectrum.csv(), summary, {"spectrum": listing})
     return 0
 
 
@@ -306,18 +309,9 @@ def cmd_pvar(args) -> int:
     max_level = args.level if args.level is not None else 10
     profile = pv.variation_profile(kernel, p, max_level)
     echo = _echo("pvar", kernel=cov.kernel_spec_string(kernel), p=float(p), max_level=max_level)
-    payload = {
-        "p": float(p),
-        "verdict": profile.verdict,
-        "levels": [{"level": n, "estimate": est} for n, est in profile.levels],
-    }
-    if args.format == "json":
-        _write_summary(_out_path(args, "summary.json"), echo, payload)
-    else:
-        _write_csv(_out_path(args, "pvar.csv"), echo, pv.profile_csv(profile))
-        _write_summary(
-            _out_path(args, "summary.json"), echo, {"p": float(p), "verdict": profile.verdict}
-        )
+    levels = [{"level": n, "estimate": est} for n, est in profile.levels]
+    _write_outputs(args, echo, "pvar.csv", pv.profile_csv(profile),
+                   {"p": float(p), "verdict": profile.verdict}, {"levels": levels})
     return 0
 
 
@@ -332,21 +326,12 @@ def cmd_cauchy(args) -> int:
         kernel2=cov.kernel_spec_string(k2),
         levels=levels,
     )
-    payload = {
-        "slope": table.slope,
-        "flag": table.flag,
-        "rows": [
-            {"n": n, "m": m, "norm_sq": norm.value, "refine": norm.refine}
-            for n, m, norm in table.rows
-        ],
-    }
-    if args.format == "json":
-        _write_summary(_out_path(args, "summary.json"), echo, payload)
-    else:
-        _write_csv(_out_path(args, "cauchy.csv"), echo, table.csv())
-        _write_summary(
-            _out_path(args, "summary.json"), echo, {"slope": table.slope, "flag": table.flag}
-        )
+    rows = [
+        {"n": n, "m": m, "norm_sq": norm.value, "refine": norm.refine}
+        for n, m, norm in table.rows
+    ]
+    _write_outputs(args, echo, "cauchy.csv", table.csv(),
+                   {"slope": table.slope, "flag": table.flag}, {"rows": rows})
     return 0
 
 

@@ -278,16 +278,25 @@ class LevelGram:
             matrix = self.values
         return GridGram(partition=dyadic_partition(self.level), matrix=matrix)
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """Whether J G J = G for the cell flip J: k -> N-1-k; never at level 0.
+
+        Always for a Toeplitz Gram, otherwise when the values read the same flipped.
+        """
+        if self.level < 1:
+            return False
+        return self.kind == TOEPLITZ or bool(np.array_equal(self.values, np.flip(self.values)))
+
     def mirror_halves(self):
         """The N/2 x N/2 blocks (G+, G-) = G11 +- G12 K, or None.
 
-        With J the flip k -> N-1-k and K the flip of N/2 cells, a Gram with
-        J G J = G is block-diagonal in the even/odd basis [I; +-K]/sqrt(2),
-        with blocks G+ and G-. The symmetry is read off the values: a
-        Toeplitz Gram always has it (G+- is Toeplitz +- Hankel in the lags),
-        a diagonal or dense Gram when its values read the same flipped.
+        With K the flip of N/2 cells, a mirror-symmetric Gram is block-diagonal
+        in the even/odd basis [I; +-K]/sqrt(2), with blocks G+ and G-; for a
+        Toeplitz Gram G+- is Toeplitz +- Hankel in the lags. None unless
+        mirror_symmetric.
         """
-        if self.level < 1:
+        if not self.mirror_symmetric:
             return None
         n = 2 ** (self.level - 1)
         if self.kind == TOEPLITZ:
@@ -295,12 +304,8 @@ class LevelGram:
             # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
             g12k = np.lib.stride_tricks.sliding_window_view(self.values[2 * n - 1 : 0 : -1], n)
         elif self.kind == DIAGONAL:
-            if not np.array_equal(self.values, self.values[::-1]):
-                return None
             g11, g12k = np.diag(self.values[:n]), 0.0
         else:
-            if not np.array_equal(self.values, self.values[::-1, ::-1]):
-                return None
             g11, g12k = self.values[:n, :n], self.values[:n, : n - 1 : -1]
         return g11 + g12k, g11 - g12k
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import NumericalError, ParameterError
+from . import pvariation as pv
+from .errors import NumericalError, ParameterError, ResourceError
 
 
 def kernel_eval(s: float, i: int, t: float, j: int) -> float:
@@ -112,10 +113,17 @@ def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) 
     return 2.0 * total
 
 
+def _require_contraction_level(level: int) -> None:
+    """Raise ResourceError above pv.MAX_LEVEL, before any step matrix or Gram is built."""
+    if level > pv.MAX_LEVEL:
+        raise ResourceError(f"contraction level {level} exceeds cap {pv.MAX_LEVEL}")
+
+
 def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
     """Exact squared tensor norm of the level-n approximation."""
     if n < 1:
         raise ParameterError(f"approximation level must be >= 1, got {n}")
+    _require_contraction_level(n)
     value = _step_norm(cell_sign_matrix(n, n), r1, r2, n)
     return ChaosNorm(value=value, level_pair=(n, n), refine=n)
 
@@ -125,6 +133,7 @@ def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm
     if n < 1 or m < 1:
         raise ParameterError(f"approximation levels must be >= 1, got ({n}, {m})")
     level = max(n, m)
+    _require_contraction_level(level)
     D = cell_sign_matrix(n, level) - cell_sign_matrix(m, level)
     value = _step_norm(D, r1, r2, level)
     return ChaosNorm(value=value, level_pair=(n, m), refine=level)
@@ -178,6 +187,7 @@ def cauchy_table(levels, r1: cov.CovKernel, r2: cov.CovKernel) -> CauchyTable:
     levels = [int(x) for x in levels]
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ParameterError("levels must be an increasing list with at least two entries")
+    _require_contraction_level(levels[-1])
     rows = []
     for a, b in zip(levels, levels[1:]):
         rows.append((a, b, norm_diff(a, b, r1, r2)))

@@ -36,36 +36,42 @@ from .errors import ParameterError, ResourceError, ShapeError
 
 #: relative gap below which eigenvalues are merged into one multiplicity cluster
 CLUSTER_TOL = 1e-6
-#: relative tolerance for matching mirrored eigenvalue clusters
+#: relative tolerance for matching each sorted eigenvalue with its mirror partner
 PAIR_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues with multiplicities, sorted by |alpha| descending.
+    """Eigenvalues alphas (|alpha| descending, + before -) with integer multiplicities mults.
 
     tail_sq carries the sum of squared eigenvalues *not* listed (zero for
     finite spectra); truncation bounds downstream rely on it.
     """
 
-    entries: tuple  # ((alpha, multiplicity), ...)
+    alphas: np.ndarray
+    mults: np.ndarray
     tail_sq: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
+        object.__setattr__(self, "mults", np.asarray(self.mults, dtype=int))
+
+    @property
+    def entries(self) -> tuple:
+        """((alpha, multiplicity), ...) as Python numbers."""
+        return tuple(zip(self.alphas.tolist(), self.mults.tolist()))
 
     @property
     def spectral_radius(self) -> float:
-        return max((abs(a) for a, _ in self.entries), default=0.0)
+        return float(np.max(np.abs(self.alphas), initial=0.0))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues repeated according to multiplicity."""
-        return np.repeat(
-            [a for a, _ in self.entries], [m for _, m in self.entries]
-        )
+        return np.repeat(self.alphas, self.mults)
 
     def csv(self) -> str:
-        lines = ["alpha,multiplicity"]
-        for a, m in self.entries:
-            lines.append(f"{a:.17g},{m}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{a:.17g},{m}" for a, m in self.entries)
+        return "\n".join(["alpha,multiplicity", *rows]) + "\n"
 
 
 def classical_spectrum(count: int) -> Spectrum:
@@ -79,13 +85,10 @@ def classical_spectrum(count: int) -> Spectrum:
         raise ParameterError(f"count must be >= 1, got {count}")
     ns = np.arange(count)
     alphas = 1.0 / (np.pi * (2 * ns + 1))
-    entries = []
-    for a in alphas:
-        entries.append((float(a), 2))
-        entries.append((float(-a), 2))
     listed_sq = float(np.sum(4.0 * alphas**2))
     tail_sq = max(0.5 - listed_sq, 0.0)
-    return Spectrum(entries=tuple(entries), tail_sq=tail_sq)
+    paired = np.column_stack((alphas, -alphas)).ravel()
+    return Spectrum(paired, np.full(2 * count, 2), tail_sq=tail_sq)
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,9 @@ def discretize_classical_operator(grid_size: int) -> np.ndarray:
     if grid_size < 4:
         raise ParameterError(f"grid_size must be >= 4, got {grid_size}")
     idx = np.arange(grid_size)
-    signs = np.sign(idx[:, None] - idx[None, :]).astype(float)
-    block = 0.5 * signs / grid_size
-    g = grid_size
-    matrix = np.zeros((2 * g, 2 * g))
-    matrix[:g, g:] = -block
-    matrix[g:, :g] = block
-    return matrix
+    block = 0.5 * np.sign(idx[:, None] - idx[None, :]) / grid_size
+    zero = np.zeros_like(block)
+    return np.block([[zero, -block], [block, zero]])
 
 
 def eigen_solve(matrix: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
@@ -187,7 +186,7 @@ def eigen_solve(matrix: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectru
 def _clustered(w: np.ndarray, cluster_tol: float) -> Spectrum:
     """Spectrum of the ascending eigenvalues w, merging gaps below cluster_tol * radius."""
     if not w.size:
-        return Spectrum(entries=())
+        return Spectrum(np.empty(0), np.empty(0, dtype=int))
     gap = cluster_tol * (float(np.max(np.abs(w))) or 1.0)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1))
     sizes = np.diff(np.append(starts, len(w)))
@@ -200,13 +199,12 @@ def _clustered(w: np.ndarray, cluster_tol: float) -> Spectrum:
         sums[rows] = np.sum(w[starts[rows, None] + np.arange(k)], axis=1)
     means = sums / sizes
     order = np.lexsort((-means, -np.abs(means)))
-    return Spectrum(entries=tuple(zip(means[order].tolist(), sizes[order].tolist())))
+    return Spectrum(means[order], sizes[order])
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
     violations: tuple
-    n_clusters: int
     max_pair_gap: float
 
     @property
@@ -217,40 +215,26 @@ class SymmetryReport:
 def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryReport:
     """Audit mirror symmetry and even multiplicity of a spectrum.
 
-    Groups entries into |alpha| clusters at pair_tol * spectral_radius and
-    requires, per nonzero cluster, equal positive and negative multiplicity
-    (hence even total).
+    The eigenvalues e_0 <= ... <= e_{n-1}, each repeated by its multiplicity,
+    must equal their own negatives reversed: |e_k + e_{n-1-k}| <= pair_tol *
+    spectral_radius for every k, and n must be even. max_pair_gap is the
+    largest |e_k + e_{n-1-k}|.
     """
-    sigma = spectrum.spectral_radius
-    tol = pair_tol * (sigma or 1.0)
-    order = sorted(spectrum.entries, key=lambda e: abs(e[0]))
-    clusters = []
-    for alpha, mult in order:
-        if clusters and abs(alpha) - clusters[-1]["ref"] <= tol:
-            clusters[-1]["members"].append((alpha, mult))
-        else:
-            clusters.append({"ref": abs(alpha), "members": [(alpha, mult)]})
+    e = np.sort(spectrum.eigenvalues())
+    gaps = np.abs(e + e[::-1])
+    tol = pair_tol * (spectrum.spectral_radius or 1.0)
     violations = []
-    max_gap = 0.0
-    for c in clusters:
-        members = c["members"]
-        plus = sum(m for a, m in members if a > tol)
-        minus = sum(m for a, m in members if a < -tol)
-        zero = sum(m for a, m in members if abs(a) <= tol)
-        total = plus + minus + zero
-        ref = c["ref"]
-        if plus != minus:
-            violations.append(
-                f"cluster |alpha|~{ref:.6g}: multiplicity {plus} (+) vs {minus} (-)"
-            )
-        if total % 2 != 0:
-            violations.append(f"cluster |alpha|~{ref:.6g}: odd total multiplicity {total}")
-        pos_vals = [abs(a) for a, _ in members if a > tol]
-        neg_vals = [abs(a) for a, _ in members if a < -tol]
-        if pos_vals and neg_vals:
-            max_gap = max(max_gap, abs(np.mean(pos_vals) - np.mean(neg_vals)))
+    bad = np.flatnonzero(gaps > tol)
+    if bad.size:
+        k = int(bad[-1])
+        violations.append(
+            f"mirror multiplicity broken at {bad.size} of {e.size} sorted eigenvalues: "
+            f"{e[k]:.6g} vs {-e[-1 - k]:.6g} (gap {gaps[k]:.3g} > {tol:.3g})"
+        )
+    if e.size % 2:
+        violations.append(f"odd total multiplicity {e.size}")
     return SymmetryReport(
-        violations=tuple(violations), n_clusters=len(clusters), max_pair_gap=float(max_gap)
+        violations=tuple(violations), max_pair_gap=float(np.max(gaps, initial=0.0))
     )
 
 
@@ -265,7 +249,7 @@ def general_spectrum(
     The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
     clustered as in eigen_solve. With J the flip of the N = 2^level cells,
     J A J = -A always; when both Grams also have J G J = G (every fBm and
-    Brownian Gram, and mirror-symmetric tables; see LevelGram.mirror_halves),
+    Brownian Gram, and mirror-symmetric tables; see LevelGram.mirror_symmetric),
     the even/odd basis turns M into the off-diagonal blocks
     B1 = L_1+^T A_+- L_2- and B2 = L_1-^T A_+-^T L_2+ of size N/2, where
     L_i+- factor the Gram halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2.
@@ -282,14 +266,13 @@ def general_spectrum(
         )
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
-    h1 = cov.mirror_factors(g1)
-    h2 = h1 if g2 is g1 or h1 is None else cov.mirror_factors(g2)
-    if h1 is None or h2 is None:
+    if not (g1.mirror_symmetric and g2.mirror_symmetric):
         l1 = cov.cholesky_factor(g1.dense())
         l2 = l1 if g2 is g1 else cov.cholesky_factor(g2.dense())
         s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
     else:
-        (p1, m1), (p2, m2) = h1, h2
+        p1, m1 = cov.mirror_factors(g1)
+        p2, m2 = (p1, m1) if g2 is g1 else cov.mirror_factors(g2)
         a = lk.cell_sign_matrix(level - 1, level - 1) - 0.5
         s = np.linalg.svd(p1.T @ a @ m2, compute_uv=False)
         if g2 is g1:

@@ -76,6 +76,50 @@ def test_non_finite_cf_arguments_exit_2(tmp_path):
         assert not (out / "cf.csv").exists(), argv
 
 
+def test_parse_range_caps_the_point_count():
+    import argparse
+
+    for text in ("0:2e6:1", "1:3e6"):
+        with pytest.raises(argparse.ArgumentTypeError, match="cap"):
+            cli.parse_range(text)
+    # the cap itself is allowed in both forms
+    assert len(cli.parse_range("1:1000000")) == cli.MAX_RANGE_POINTS
+    assert len(cli.parse_range("0:999999:1")) == cli.MAX_RANGE_POINTS
+
+
+def test_oversized_ranges_exit_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("CF computed on an oversized grid")
+
+    monkeypatch.setattr(sp, "cf_curve", forbidden)
+    argv = ["cf", "--kernel", "brownian", "--pairs", 10]
+    for i, t in enumerate(("0:2e6:1", "1:3e6")):
+        out = tmp_path / f"flag{i}"
+        assert flag_exit_code(argv + ["--t", t, "--out", out]) == 2, t
+        assert not (out / "cf.csv").exists(), t
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(f"t={t}\n")
+        out = tmp_path / f"config{i}"
+        assert run_cli(argv + ["--config", config, "--out", out]) == 2, t
+        assert not (out / "cf.csv").exists(), t
+
+
+def test_hurst_flag_conflicting_with_the_spec_exits_2(tmp_path):
+    for command in ("cf", "spectrum", "pvar"):
+        out = tmp_path / command
+        argv = [command, "--kernel", "fbm hurst=0.3", "--hurst", 0.4, "--level", 3]
+        assert run_cli(argv + ["--out", out]) == 2, command
+        assert not (out / "summary.json").exists(), command
+        config = tmp_path / f"{command}.cfg"
+        config.write_text("hurst=0.4\n")
+        argv = [command, "--kernel", "kind=fbm hurst=0.3", "--level", 3, "--config", config]
+        assert run_cli(argv + ["--out", out]) == 2, command
+        # the flag alone still supplies the Hurst index
+        assert run_cli([command, "--kernel", "fbm", "--hurst", 0.4, "--level", 3,
+                        "--out", out]) == 0, command
+        assert json.loads((out / "summary.json").read_text())["kernel"] == "kind=fbm hurst=0.4"
+
+
 # ---------------------------------------------------------------------------
 # cf
 # ---------------------------------------------------------------------------
@@ -189,6 +233,16 @@ def test_cauchy_rejects_refine(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("kernel=brownian\nrefine=9\n")
     assert run_cli(["cauchy", "--config", config, "--out", tmp_path]) == 2
+
+
+def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("step matrix or Gram built before the level cap was checked")
+
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    assert run_cli(["cauchy", "--kernel", "brownian", "--levels", "12:13", "--out", tmp_path]) == 2
+    assert not (tmp_path / "cauchy.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
-from levylab.errors import NumericalError, ParameterError
+import levylab.pvariation as pv
+from levylab.errors import NumericalError, ParameterError, ResourceError
 from test_simulate import _fgn_toeplitz
 
 
@@ -168,6 +169,25 @@ def test_norm_diff_refine_validation():
         lk.norm_diff(2, 4, br, br, refine=3)
     with pytest.raises(ParameterError):
         lk.norm_diff(0, 4, br, br)
+
+
+def test_contraction_level_cap_fires_before_any_allocation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("step matrix or Gram built before the level cap was checked")
+
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    br = cov.brownian()
+    top = pv.MAX_LEVEL + 1
+    with pytest.raises(ResourceError):
+        lk.norm_diff(12, 13, br, br)
+    with pytest.raises(ResourceError):
+        lk.norm_diff(top, 1, br, br)
+    with pytest.raises(ResourceError):
+        lk.norm_approx(top, br, br)
+    # the table checks its top level before it contracts its first row
+    with pytest.raises(ResourceError):
+        lk.cauchy_table([1, 2, top], br, br)
 
 
 def test_norm_of_indefinite_table_raises():

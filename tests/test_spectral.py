@@ -57,7 +57,7 @@ def test_cf_at_zero_is_exactly_one():
 def test_cf_paired_spectrum_closed_form():
     # {+a x2, -a x2}: paired factors collapse, exponentials cancel
     for a in (0.05, 0.2):
-        spec = sp.Spectrum(entries=((a, 2), (-a, 2)))
+        spec = sp.Spectrum(alphas=[a, -a], mults=[2, 2])
         for t in (0.3, 1.0, 2.5):
             res = sp.cf_from_spectrum(spec, 1j * t)
             assert res.value.real == pytest.approx(1.0 / (1.0 + 4 * a**2 * t**2), abs=1e-12)
@@ -232,10 +232,113 @@ def test_symmetry_check_discretized_fbm():
 
 
 def test_symmetry_check_negative_control():
-    broken = sp.Spectrum(entries=((0.3, 2), (-0.3, 1)))
+    broken = sp.Spectrum(alphas=[0.3, -0.3], mults=[2, 1])
     report = sp.symmetry_check(broken)
     assert not report.ok
     assert any("multiplicity" in v for v in report.violations)
+
+
+def cluster_symmetry_ok(spectrum, pair_tol=sp.PAIR_TOL):
+    """Verdict of the anchored |alpha|-cluster audit that the sorted comparison replaced.
+
+    Entries join the current cluster while |alpha| is within pair_tol * radius
+    of its first member; each cluster needs equal + and - multiplicity and an
+    even total.
+    """
+    tol = pair_tol * (spectrum.spectral_radius or 1.0)
+    clusters = []
+    for alpha, mult in sorted(spectrum.entries, key=lambda e: abs(e[0])):
+        if clusters and abs(alpha) - clusters[-1]["ref"] <= tol:
+            clusters[-1]["members"].append((alpha, mult))
+        else:
+            clusters.append({"ref": abs(alpha), "members": [(alpha, mult)]})
+    for c in clusters:
+        plus = sum(m for a, m in c["members"] if a > tol)
+        minus = sum(m for a, m in c["members"] if a < -tol)
+        zero = sum(m for a, m in c["members"] if abs(a) <= tol)
+        if plus != minus or (plus + minus + zero) % 2:
+            return False
+    return True
+
+
+def _audited_spectra():
+    fbm = {h: cov.fractional_brownian(h) for h in (0.1, 0.35, 0.75)}
+    weighted = [cov.weighted_poly(1), cov.weighted_poly(2)]
+    tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
+    pairs = [(k, k) for k in (*fbm.values(), cov.brownian(), *weighted, tab)]
+    pairs += [(fbm[0.35], cov.brownian()), (fbm[0.35], weighted[0])]
+    for r1, r2 in pairs:
+        for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
+            yield sp.general_spectrum(r1, r2, level)
+    for count in (1, 10, 100, 1000, 10_000):
+        yield sp.classical_spectrum(count)
+    for grid in (4, 8, 16, 32, 64, 128, 256):
+        yield sp.eigen_solve(sp.discretize_classical_operator(grid))
+
+
+def test_symmetry_audit_matches_the_cluster_reference():
+    count = 0
+    for spec in _audited_spectra():
+        report = sp.symmetry_check(spec)
+        assert report.ok and cluster_symmetry_ok(spec)
+        assert report.max_pair_gap <= sp.PAIR_TOL * spec.spectral_radius
+        # one multiplicity dropped from the top entry: both audits object
+        mults = spec.mults.copy()
+        mults[0] -= 1
+        dropped = sp.Spectrum(spec.alphas, mults)
+        assert not sp.symmetry_check(dropped).ok and not cluster_symmetry_ok(dropped)
+        count += 1
+    assert count == 9 * sp.MAX_OPERATOR_LEVEL + 12
+
+
+def test_symmetry_audit_flags_each_broken_case():
+    spec = sp.classical_spectrum(8)
+    tol = sp.PAIR_TOL * spec.spectral_radius
+    shifted = spec.alphas.copy()
+    shifted[5] += 2 * tol
+    cases = {
+        "dropped": sp.Spectrum(spec.alphas, spec.mults - (np.arange(16) == 3)),
+        "shifted": sp.Spectrum(shifted, spec.mults),
+        "odd": sp.Spectrum(np.append(spec.alphas, 0.0), np.append(spec.mults, 1)),
+    }
+    reports = {name: sp.symmetry_check(s) for name, s in cases.items()}
+    assert [v.split()[0] for v in reports["dropped"].violations] == ["mirror", "odd"]
+    assert reports["shifted"].violations[0].startswith("mirror multiplicity")
+    assert len(reports["shifted"].violations) == 1
+    assert reports["shifted"].max_pair_gap == pytest.approx(2 * tol, rel=1e-6)
+    # a lone zero eigenvalue is its own mirror partner: only the parity rule sees it
+    assert reports["odd"].violations == ("odd total multiplicity 33",)
+    assert not hasattr(reports["odd"], "n_clusters")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # distinct magnitudes at least 1e-4 (100 tol) apart: in a denser chain a moved
+    # value can pass its sorted slot on to its neighbours, and a sorted comparison
+    # cannot tell that chain from a mirror-symmetric one
+    ticks=st.lists(st.integers(min_value=1, max_value=9000), min_size=1, max_size=12, unique=True),
+    mults=st.lists(st.integers(min_value=1, max_value=3), min_size=12, max_size=12),
+    noise=st.lists(st.floats(min_value=-0.25, max_value=0.25), min_size=24, max_size=24),
+    moved=st.integers(min_value=0, max_value=23),
+    shift=st.floats(min_value=2.0, max_value=5e4),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_symmetry_audit_tolerance_property(ticks, mults, noise, moved, shift, sign):
+    # an exact +-1 pair pins the radius at 1, so tol = PAIR_TOL; every other
+    # |alpha| stays at most 0.9 + 0.05
+    tol = sp.PAIR_TOL
+    k = len(ticks)
+    mags = 1e-4 * np.array(ticks, dtype=float)
+    alphas = np.concatenate(([1.0, -1.0], mags, -mags))
+    alphas[2:] += tol * np.array(noise[: 2 * k])
+    ms = np.concatenate(([2, 2], mults[:k], mults[:k]))
+    report = sp.symmetry_check(sp.Spectrum(alphas, ms))
+    assert report.ok, report.violations
+    assert report.max_pair_gap <= tol / 2
+    alphas[2 + moved % (2 * k)] += sign * shift * tol
+    broken = sp.symmetry_check(sp.Spectrum(alphas, ms))
+    assert not broken.ok
+    assert any("multiplicity" in v for v in broken.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +542,46 @@ def test_equal_kernel_split_pairs_every_value_exactly():
             assert all(m == 2 for _, m in spec.entries), level
 
 
+def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
+    # the route is read off both Grams before anything is factored, so a
+    # mirror/non-mirror pair takes exactly the two full factorizations
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(m):
+        calls.append(m.shape)
+        return cholesky(m)
+
+    fbm, weighted = cov.fractional_brownian(0.35), cov.weighted_poly(1)
+    s = full_route(fbm, weighted, 8)
+    alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
+    expected = sp.Spectrum(alphas=alphas, mults=mults).csv()
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for pair in ((fbm, weighted), (weighted, fbm)):
+        calls.clear()
+        sp.general_spectrum(*pair, 8)
+        assert calls == [(256, 256), (256, 256)], calls
+    assert sp.general_spectrum(fbm, weighted, 8).csv() == expected
+
+
+def test_spectrum_stores_arrays():
+    spec = sp.classical_spectrum(3)
+    assert spec.alphas.dtype == float and spec.mults.dtype == int
+    assert np.array_equal(spec.alphas[::2], -spec.alphas[1::2])
+    assert spec.entries == tuple(zip(spec.alphas.tolist(), spec.mults.tolist()))
+    assert all(type(a) is float and type(m) is int for a, m in spec.entries)
+    empty = sp._clustered(np.array([]), sp.CLUSTER_TOL)
+    assert empty.spectral_radius == 0.0 and empty.eigenvalues().size == 0
+    assert sp.symmetry_check(empty).ok and sp.symmetry_check(empty).max_pair_gap == 0.0
+
+
 def test_weighted_kernel_keeps_the_full_route():
     weighted = cov.weighted_poly(1)
     for level in (1, 4, 7):
         assert cov.level_gram(weighted, level).mirror_halves() is None
         s = full_route(weighted, weighted, level)
-        expected = sp.Spectrum(entries=loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
+        alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
+        expected = sp.Spectrum(alphas=alphas, mults=mults)
         assert sp.general_spectrum(weighted, weighted, level).csv() == expected.csv(), level
     assert cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_halves() is None
 
