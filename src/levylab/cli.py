@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _fmt(x: float) -> str:
@@ -172,12 +172,21 @@ def _csv_body(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _write_csv(path: Path, echo: dict, body: str):
-    """The echo line followed by a CSV body (header and rows)."""
-    # two writes: joining them would hold a second copy of a large body
+def _write_csv(path: Path, echo: dict, blocks):
+    """The echo line followed by a CSV body (header and rows) given as text blocks."""
+    # block by block: joining them would hold a second copy of a large body
     with path.open("w", encoding="utf-8") as fh:
         fh.write(_echo_line(echo) + "\n")
-        fh.write(body)
+        for block in blocks:
+            fh.write(block)
+
+
+def _sample_blocks(samples):
+    """samples.csv body: the header, then one text block per BATCH samples."""
+    yield "sample,area\n"
+    for start in range(0, len(samples), sim.BATCH):
+        block = samples[start : start + sim.BATCH]
+        yield "".join(f"{i},{_fmt(a)}\n" for i, a in enumerate(block, start))
 
 
 def _write_summary(path: Path, echo: dict, payload: dict):
@@ -191,7 +200,7 @@ def _write_outputs(args, echo: dict, name: str, body: str, summary: dict, json_o
     if args.format == "json":
         summary = {**summary, **json_only}
     else:
-        _write_csv(_out_path(args, name), echo, body)
+        _write_csv(_out_path(args, name), echo, (body,))
     _write_summary(_out_path(args, "summary.json"), echo, summary)
 
 
@@ -235,21 +244,29 @@ def cmd_simulate(args) -> int:
     _write_outputs(args, echo, "cf.csv", _csv_body("t,re,im,stderr", cf_rows),
                    {"mean": result.mean, "variance": result.variance}, {"cf": cf_table})
     if args.format == "csv" and args.emit_samples:
-        sample_rows = [f"{i},{_fmt(a)}" for i, a in enumerate(result.samples)]
-        _write_csv(_out_path(args, "samples.csv"), echo, _csv_body("sample,area", sample_rows))
+        _write_csv(_out_path(args, "samples.csv"), echo, _sample_blocks(result.samples))
     return 0
 
 
 def cmd_cf(args) -> int:
     kernel = _resolve_kernel(args.kernel, args.hurst)
+    stepped = kernel.kind in (cov.FBM, cov.TABULATED)
+    if args.level is not None and not stepped:
+        raise argparse.ArgumentTypeError(
+            f"--level only applies to fbm and tabulated kernels; the {kernel.kind} cf "
+            "is not computed on a dyadic level"
+        )
+    if args.pairs is not None and kernel.kind != cov.BROWNIAN:
+        raise argparse.ArgumentTypeError("--pairs only applies to brownian kernels")
     t_grid = args.t if args.t is not None else parse_range("0:3:0.1")
     pairs = args.pairs if args.pairs is not None else 10_000
+    level = args.level if args.level is not None else 7
     echo = _echo(
         "cf",
         kernel=cov.kernel_spec_string(kernel),
         t=[float(t) for t in t_grid],
         pairs=pairs if kernel.kind == cov.BROWNIAN else None,
-        level=args.level if kernel.kind in (cov.FBM, cov.TABULATED) else None,
+        level=level if stepped else None,
     )
     if kernel.kind == cov.WEIGHTED:
         norm_sq = kernel.weight.norm_sq
@@ -258,7 +275,6 @@ def cmd_cf(args) -> int:
         if kernel.kind == cov.BROWNIAN:
             spectrum = sp.classical_spectrum(pairs)
         else:
-            level = args.level if args.level is not None else 7
             spectrum = sp.general_spectrum(kernel, kernel, level)
         rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
                 for r in sp.cf_curve(spectrum, t_grid)]
@@ -267,7 +283,7 @@ def cmd_cf(args) -> int:
     if args.format == "json":
         _write_summary(_out_path(args, "summary.json"), echo, {"cf": table})
     else:
-        _write_csv(_out_path(args, "cf.csv"), echo, _csv_body("t,re,im,tail_bound", csv_rows))
+        _write_csv(_out_path(args, "cf.csv"), echo, (_csv_body("t,re,im,tail_bound", csv_rows),))
         _write_summary(_out_path(args, "summary.json"), echo, {"n_points": len(rows)})
     return 0
 

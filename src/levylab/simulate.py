@@ -30,6 +30,13 @@ The discrete area of one sample is
     sum_{k<l} (d1_k d2_l - d2_k d1_l)
 
 evaluated in O(N) with prefix sums and a pairwise-summed row reduction.
+
+Work runs in row chunks of at most CHUNK_ELEMENTS normals per process. Each
+worker draws a batch's normals into one reused buffer per process, the
+samplers map them to increments in place, and the area reduction reuses its
+two prefix arrays for its products, so the scratch memory of one worker is a
+small fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample
+count; run_mc adds 8 bytes per sample for the areas.
 """
 from __future__ import annotations
 
@@ -39,13 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import NumericalError, ParameterError, ShapeError
+from . import pvariation as pv
+from .errors import NumericalError, ParameterError, ResourceError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
 
-#: normals per process held at once by one worker (8 MiB of float64)
-CHUNK_ELEMENTS = 2**20
+#: normals per process held at once by one worker (512 KiB of float64), so
+#: that a worker's few chunk arrays stay within a 4 MiB L2 cache
+CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14
 
@@ -90,7 +99,8 @@ class _Diagonal:
         self.width = len(variances)
 
     def apply(self, Z):
-        return Z * self.scale
+        Z *= self.scale
+        return Z
 
 
 class _Circulant:
@@ -117,8 +127,11 @@ class _Circulant:
         self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.width)
 
     def apply(self, Z):
-        f = np.fft.rfft(Z * self.scale, axis=1)[:, : self.n]
-        return f.real - f.imag
+        Z *= self.scale
+        f = np.fft.rfft(Z, axis=1)[:, : self.n]
+        out = Z[:, : self.n]
+        np.subtract(f.real, f.imag, out=out)
+        return out
 
 
 class _Cholesky:
@@ -137,9 +150,16 @@ def increment_sampler(kernel: cov.CovKernel, level: int):
 
     The result has `width` and `apply(Z)`, which maps rows of Z, shape
     (rows, width), to increment rows, shape (rows, 2^level); each output row
-    depends on its own input row only. The map is chosen by the structure of
-    the level Gram: diagonal, Toeplitz (circulant embedding) or dense (Cholesky).
+    depends on its own input row only. `apply` may overwrite Z and may return
+    a view of it, so it needs no array larger than Z beyond one FFT of its
+    rows. The map is chosen by the structure of the level Gram: diagonal,
+    Toeplitz (circulant embedding) or dense (Cholesky). A dense Gram is
+    refused above pv.MAX_LEVEL with ResourceError before it is built.
     """
+    if kernel.kind == cov.TABULATED and level > pv.MAX_LEVEL:
+        raise ResourceError(
+            f"dense increment Gram at level {level} exceeds cap {pv.MAX_LEVEL}"
+        )
     gram = cov.level_gram(kernel, level)
     if gram.kind == cov.TOEPLITZ:
         return _Circulant(gram.values)
@@ -163,6 +183,7 @@ def _batch_chunks(config: MCConfig, samplers, batch_start: int, rows: int):
 
     Each process draws its normals row-major from its own batch stream, so
     chunk boundaries only split the stream and never change a sample's bits.
+    The increments are views of buffers that the next chunk overwrites.
     """
     b = batch_start // BATCH
     seed = config.seed & (2**64 - 1)
@@ -171,11 +192,13 @@ def _batch_chunks(config: MCConfig, samplers, batch_start: int, rows: int):
         np.random.Generator(np.random.Philox(key=np.array([seed, 2 * b + p], dtype=np.uint64)))
         for p in (0, 1)
     ]
+    bufs = [np.empty((rows, s.width)) for s in samplers]
     stop = min(batch_start + BATCH, config.n_samples)
     for start in range(batch_start, stop, rows):
         count = min(rows, stop - start)
         inc1, inc2 = (
-            s.apply(g.standard_normal((count, s.width))) for s, g in zip(samplers, gens)
+            s.apply(g.standard_normal(out=buf[:count]))
+            for s, g, buf in zip(samplers, gens, bufs)
         )
         yield start, inc1, inc2
 
@@ -188,12 +211,13 @@ def sample_paths(config: MCConfig):
     """
     samplers = _samplers(config)
     rows = _chunk_rows(samplers)
-    parts1, parts2 = [], []
+    shape = (config.n_samples, 2**config.level)
+    out1, out2 = np.empty(shape), np.empty(shape)
     for batch_start in range(0, config.n_samples, BATCH):
-        for _, inc1, inc2 in _batch_chunks(config, samplers, batch_start, rows):
-            parts1.append(inc1)
-            parts2.append(inc2)
-    return np.concatenate(parts1), np.concatenate(parts2)
+        for start, inc1, inc2 in _batch_chunks(config, samplers, batch_start, rows):
+            out1[start : start + len(inc1)] = inc1
+            out2[start : start + len(inc2)] = inc2
+    return out1, out2
 
 
 def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray) -> np.ndarray:
@@ -203,8 +227,11 @@ def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray) -> np.ndarray:
     p2[:, 0] = 0.0
     np.cumsum(inc1[:, :-1], axis=1, out=p1[:, 1:])
     np.cumsum(inc2[:, :-1], axis=1, out=p2[:, 1:])
-    terms = inc2 * p1 - inc1 * p2
-    return terms.sum(axis=1)
+    # the terms inc2 * p1 - inc1 * p2, formed in the prefix arrays
+    np.multiply(inc2, p1, out=p1)
+    np.multiply(inc1, p2, out=p2)
+    np.subtract(p1, p2, out=p1)
+    return p1.sum(axis=1)
 
 
 def discrete_levy_area(increments1, increments2) -> float:

@@ -7,6 +7,7 @@ from levylab import cli
 from levylab import covariance as cov
 from levylab import levy_kernel as lk
 from levylab import pvariation as pv
+from levylab import simulate as sim
 from levylab import spectral as sp
 
 
@@ -143,6 +144,31 @@ def test_cf_weighted_kernel(tmp_path):
     assert float(rows[0][1]) == pytest.approx(1.0 / np.cosh(1.0), abs=1e-12)
 
 
+def test_cf_rejects_flags_its_route_does_not_read(tmp_path):
+    cases = [
+        (["--kernel", "brownian", "--level", 3], "level=3"),
+        (["--kernel", "kind=weighted,degree=1", "--level", 4, "--pairs", 5], "level=4"),
+        (["--kernel", "kind=weighted,degree=1", "--pairs", 5], "pairs=5"),
+        (["--kernel", "fbm hurst=0.35", "--level", 3, "--pairs", 5], "pairs=5"),
+    ]
+    for i, (argv, key) in enumerate(cases):
+        out = tmp_path / f"flag{i}"
+        assert run_cli(["cf", *argv, "--out", out]) == 2, argv
+        assert not (out / "cf.csv").exists(), argv
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(f"{key}\n")
+        out = tmp_path / f"config{i}"
+        assert run_cli(["cf", *argv[:2], "--config", config, "--out", out]) == 2, argv
+        assert not (out / "cf.csv").exists(), argv
+
+
+def test_cf_echoes_the_level_it_uses(tmp_path):
+    assert run_cli(["cf", "--kernel", "fbm hurst=0.35", "--t", "0,1", "--out", tmp_path]) == 0
+    echo, _, _ = read_csv(tmp_path / "cf.csv")
+    assert echo.endswith(" level=7")
+    assert json.loads((tmp_path / "summary.json").read_text())["level"] == 7
+
+
 def test_cf_fbm_spectrum_route(tmp_path):
     assert run_cli([
         "cf", "--kernel", "fbm", "--hurst", 0.4, "--t", "0,1", "--level", 5, "--out", tmp_path,
@@ -175,6 +201,24 @@ def test_pvar_level_above_cap_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
     assert run_cli(["pvar", "--kernel", "brownian", "--level", 13, "--out", tmp_path]) == 2
+
+
+def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
+    table = tmp_path / "min.csv"
+    nodes = np.linspace(0, 1, 5)
+    lines = ["s,t,value"] + [f"{s},{t},{min(s, t)}" for s in nodes for t in nodes]
+    table.write_text("\n".join(lines) + "\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built before the level cap was checked")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--kernel", f"kind=tabulated path={table}", "--level",
+                    pv.MAX_LEVEL + 1, "--samples", 5, "--out", out]) == 2
+    assert not (out / "cf.csv").exists()
 
 
 def test_pvar_level_below_one_exits_2(tmp_path, monkeypatch):
@@ -282,7 +326,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 6
+    assert summary["schema_version"] == 7
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -303,6 +347,12 @@ def test_simulate_threads_bit_identical(tmp_path):
     assert run_cli(base + ["--threads", 4, "--out", b_dir]) == 0
     for name in ("cf.csv", "samples.csv", "summary.json"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+    # samples.csv, written in blocks of BATCH rows, is the one joined table
+    config = sim.MCConfig(seed=5, n_samples=9000, level=4, kernel1=cov.brownian(),
+                          kernel2=cov.brownian())
+    rows = [f"{i},{cli._fmt(a)}" for i, a in enumerate(sim.run_mc(config).samples)]
+    body = (a_dir / "samples.csv").read_text().split("\n", 1)[1]
+    assert body == "\n".join(["sample,area", *rows]) + "\n"
 
 
 def test_config_file_with_flag_override(tmp_path):

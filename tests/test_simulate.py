@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
+import levylab.pvariation as pv
 import levylab.simulate as sim
-from levylab.errors import NumericalError, ParameterError, ShapeError
+from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeError
 
 
 def brownian_config(seed=11, n_samples=100, level=5):
@@ -193,6 +195,24 @@ def test_independent_increments_skip_the_gram(monkeypatch):
         assert inc1.shape == (5, 64)
 
 
+def test_tabulated_level_cap_fires_before_any_gram(monkeypatch):
+    tab = cov.tabulated(cov.eval_grid(cov.brownian(), *2 * [np.linspace(0, 1, 17)]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built before the level cap was checked")
+
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    for level in (pv.MAX_LEVEL + 1, sim.MAX_LEVEL):
+        for k2 in (tab, cov.brownian()):
+            config = sim.MCConfig(seed=1, n_samples=3, level=level, kernel1=tab, kernel2=k2)
+            with pytest.raises(ResourceError):
+                sim.run_mc(config)
+            with pytest.raises(ResourceError):
+                sim.sample_paths(config)
+
+
 # ---------------------------------------------------------------------------
 # sample_paths
 # ---------------------------------------------------------------------------
@@ -295,9 +315,41 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
         assert np.array_equal(sim.run_mc(config).samples, areas)
 
 
+def test_sample_paths_rows_give_the_run_mc_areas():
+    # at level 10 and the default chunk size a batch takes many chunks, whose
+    # buffers are reused; sample_paths must copy them out, not return views
+    config = brownian_config(seed=19, n_samples=sim.BATCH + 5, level=10)
+    assert sim._chunk_rows(sim._samplers(config)) < sim.BATCH // 8
+    inc1, inc2 = sim.sample_paths(config)
+    areas = [sim.discrete_levy_area(a, b) for a, b in zip(inc1, inc2)]
+    assert np.array_equal(areas, sim.run_mc(config).samples)
+    again = sim.sample_paths(config)
+    pairs = [(inc1, inc2)] + [(x, y) for x in (inc1, inc2) for y in again]
+    assert not any(np.shares_memory(x, y) for x, y in pairs)
+
+
 # ---------------------------------------------------------------------------
 # run_mc / empirical_cf
 # ---------------------------------------------------------------------------
+
+def test_run_mc_scratch_is_bounded():
+    # one worker holds at most four chunk arrays of CHUNK_ELEMENTS floats at
+    # once (two normal buffers and two prefix arrays, or the two buffers and
+    # one FFT of a buffer's rows); one more chunk covers the samplers and
+    # small temporaries, and run_mc adds the areas
+    n = 2 * sim.BATCH + 7
+    bound = 5 * sim.CHUNK_ELEMENTS * 8 + 8 * n
+    sim.run_mc(brownian_config(n_samples=1, level=1))  # lazy numpy imports are not scratch
+    for config in (brownian_config(seed=3, n_samples=n, level=10),
+                   fbm_config(seed=3, n_samples=n, level=12)):
+        tracemalloc.start()
+        try:
+            sim.run_mc(config, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (config.level, peak, bound)
+
 
 def test_run_mc_thread_count_is_bit_invariant():
     config = brownian_config(seed=3, n_samples=sim.BATCH + 100, level=4)
