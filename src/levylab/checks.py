@@ -263,13 +263,24 @@ def check_classical_operator_structure():
 
 
 def check_step_operator_identity():
-    fbm = cov.fractional_brownian(0.35)
-    spec = sp.general_spectrum(fbm, fbm, 6)
-    total = sum(m * a**2 for a, m in spec.entries)
-    norm = lk.norm_approx(6, fbm, fbm).value
-    rel = abs(total - norm) / norm
-    assert rel <= 1e-12, f"sum mult*alpha^2 {total!r} vs norm_approx(6) {norm!r}"
-    return f"sum mult*alpha^2 matches norm_approx(6) to {rel:.1e}"
+    # fBm 0.75 and weighted u^2 at level 10 have many eigenvalues near zero that
+    # lie within 1e-6 of the radius of each other: the sum is exact there only
+    # if every value keeps its own entry and the multiplicity of the construction
+    worst = 0.0
+    for name, kernel, level in (
+        ("fbm-0.35", cov.fractional_brownian(0.35), 6),
+        ("fbm-0.75", cov.fractional_brownian(0.75), 10),
+        ("weighted-u^2", cov.weighted_poly(2), 10),
+    ):
+        spec = sp.general_spectrum(kernel, kernel, level)
+        total = float(np.sum(spec.mults * spec.alphas**2))
+        norm = lk.norm_approx(level, kernel, kernel).value
+        rel = abs(total - norm) / norm
+        assert rel <= 1e-12, (
+            f"{name}: sum mult*alpha^2 {total!r} vs norm_approx({level}) {norm!r}"
+        )
+        worst = max(worst, rel)
+    return f"sum mult*alpha^2 matches norm_approx to {worst:.1e} (fBm 0.35, 0.75, weighted u^2)"
 
 
 def check_mirror_split():
@@ -281,7 +292,7 @@ def check_mirror_split():
         l1 = cov.cholesky_factor(cov.level_gram(fbm, 6).dense())
         l2 = cov.cholesky_factor(cov.level_gram(r2, 6).dense())
         s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(6, 6) @ l2, compute_uv=False)
-        got = np.sort(sp.general_spectrum(fbm, r2, 6, cluster_tol=0.0).eigenvalues())
+        got = np.sort(sp.general_spectrum(fbm, r2, 6).eigenvalues())
         err = float(np.max(np.abs(got - np.sort(np.concatenate([-s, s]))))) / s[0]
         assert err <= 1e-12, f"{name}: split spectrum off the full SVD by {err:.3e} of the radius"
         worst = max(worst, err)

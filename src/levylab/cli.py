@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def _fmt(x: float) -> str:
@@ -442,12 +442,13 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    # before ValueError, which LinAlgError subclasses
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

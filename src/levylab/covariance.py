@@ -18,6 +18,7 @@ of a quadrature rule, so increments stay exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class PolyWeight:
     def __post_init__(self):
         if self.degree < 0:
             raise ParameterError(f"polynomial weight degree must be >= 0, got {self.degree}")
+        # a product, not coeff**2, which raises OverflowError for a large float
+        if not math.isfinite(self.coeff * self.coeff):
+            raise ParameterError(
+                f"polynomial weight coefficient must have a finite square, got {self.coeff}"
+            )
 
     def antiderivative_sq(self, x):
         """int_0^x f(u)^2 du = coeff^2 x^{2d+1} / (2d+1)."""
@@ -83,6 +89,10 @@ class CovKernel:
             t = self.table
             if t is None or t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
                 raise ShapeError("tabulated kernel requires a square table with >= 2 nodes")
+            if not np.all(np.isfinite(t)):
+                raise ParameterError(
+                    f"tabulated kernel has {int(np.sum(~np.isfinite(t)))} non-finite values"
+                )
 
     def __repr__(self):
         return f"CovKernel({kernel_spec_string(self)!r})"
@@ -136,13 +146,15 @@ def load_table_csv(path) -> CovKernel:
         raise ShapeError("table mesh is not a uniform subdivision of [0,1]")
     if len(rows) != n * n:
         raise ShapeError(f"incomplete table: expected {n * n} rows, got {len(rows)}")
-    values = np.full((n, n), np.nan)
+    values = np.zeros((n, n))
+    covered = np.zeros((n, n), dtype=bool)
     step = 1.0 / (n - 1)
     for s, t, v in rows:
         i = int(round(s / step))
         j = int(round(t / step))
         values[i, j] = v
-    if np.isnan(values).any():
+        covered[i, j] = True
+    if not covered.all():
         raise ShapeError("table does not cover the full mesh")
     return tabulated(values)
 

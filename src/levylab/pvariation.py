@@ -118,18 +118,12 @@ class VariationProfile:
         return [e for _, e in self.levels]
 
 
-def variation_profile(
-    kernel,
-    p: float,
-    max_level: int,
-    profile_tol: float = PROFILE_TOL,
-    growth_factor: float = GROWTH_FACTOR,
-) -> VariationProfile:
+def variation_profile(kernel, p: float, max_level: int) -> VariationProfile:
     """Ladder of v2p_grid estimates for levels 1..max_level with a verdict.
 
-    Stabilizing: the last two estimates agree to profile_tol relatively.
+    Stabilizing: the last two estimates agree to PROFILE_TOL relatively.
     Growing: each of the last three refinement steps multiplies the estimate
-    by at least growth_factor. Otherwise inconclusive.
+    by at least GROWTH_FACTOR. Otherwise inconclusive.
     """
     if max_level < 1:
         raise ParameterError(f"maximum grid level must be >= 1, got {max_level}")
@@ -140,10 +134,10 @@ def variation_profile(
     verdict = INCONCLUSIVE
     if len(vals) >= 2:
         a, b = vals[-2], vals[-1]
-        if abs(b - a) <= profile_tol * max(abs(a), 1e-300):
+        if abs(b - a) <= PROFILE_TOL * max(abs(a), 1e-300):
             verdict = STABILIZING
         elif len(vals) >= 4 and all(
-            vals[i + 1] >= growth_factor * vals[i] for i in range(len(vals) - 4, len(vals) - 1)
+            vals[i + 1] >= GROWTH_FACTOR * vals[i] for i in range(len(vals) - 4, len(vals) - 1)
         ):
             verdict = GROWING
     return VariationProfile(p=p, levels=tuple(ests), verdict=verdict)
@@ -288,7 +282,8 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
     f is evaluated at the lower-left corner of each dyadic cell of the given
     level; the attached report carries the four-part norm of f, the grid
     q-variation of g, their product ratio against |value|, and the change
-    from the next-coarser level as a refinement estimate.
+    from the next-coarser level as a refinement estimate. Levels above
+    MAX_LEVEL raise ResourceError before f is evaluated.
     """
     _require_exponent(p)
     _require_exponent(q)
@@ -298,6 +293,8 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
         )
     if level < 1:
         raise ParameterError("level must be >= 1")
+    if level > MAX_LEVEL:
+        raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
     value = _anchored_sum(f, g, level)
     coarse = _anchored_sum(f, g, level - 1)
 

@@ -19,9 +19,12 @@ pairs. On dyadic step functions, in the coordinates whitened by the Cholesky
 factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
 is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
 sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
-spectrum comes from an SVD (two half-size ones, or one for equal kernels,
-when both Grams are mirror-symmetric), and mirror symmetry and even
-multiplicity hold by construction.
+spectrum comes from an SVD (two half-size ones, or one for equal Grams,
+when both Grams are mirror-symmetric), and mirror symmetry holds by
+construction. So do the multiplicities: every value is listed twice when
+the two Grams are equal (M is then antisymmetric) and once otherwise. Only
+eigen_solve, the generic eigensolver of the midpoint operator, merges
+eigenvalues into multiplicity clusters by a tolerance.
 """
 from __future__ import annotations
 
@@ -34,10 +37,12 @@ from . import covariance as cov
 from . import levy_kernel as lk
 from .errors import ParameterError, ResourceError, ShapeError
 
-#: relative gap below which eigenvalues are merged into one multiplicity cluster
+#: relative gap below which eigen_solve merges eigenvalues into one multiplicity cluster
 CLUSTER_TOL = 1e-6
 #: relative tolerance for matching each sorted eigenvalue with its mirror partner
 PAIR_TOL = 1e-6
+#: cap on the step-kernel level, and on the midpoint grid at 2 ** MAX_OPERATOR_LEVEL
+MAX_OPERATOR_LEVEL = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +91,12 @@ def classical_spectrum(count: int) -> Spectrum:
     ns = np.arange(count)
     alphas = 1.0 / (np.pi * (2 * ns + 1))
     listed_sq = float(np.sum(4.0 * alphas**2))
-    tail_sq = max(0.5 - listed_sq, 0.0)
-    paired = np.column_stack((alphas, -alphas)).ravel()
-    return Spectrum(paired, np.full(2 * count, 2), tail_sq=tail_sq)
+    return _plus_minus(alphas, 2, tail_sq=max(0.5 - listed_sq, 0.0))
+
+
+def _plus_minus(s: np.ndarray, mult: int, tail_sq: float = 0.0) -> Spectrum:
+    """The spectrum s_0, -s_0, s_1, -s_1, ... for descending s >= 0, every value mult times."""
+    return Spectrum(np.column_stack((s, -s)).ravel(), np.full(2 * len(s), mult), tail_sq=tail_sq)
 
 
 @dataclass(frozen=True)
@@ -160,18 +168,23 @@ def discretize_classical_operator(grid_size: int) -> np.ndarray:
     """
     if grid_size < 4:
         raise ParameterError(f"grid_size must be >= 4, got {grid_size}")
+    if grid_size > 2**MAX_OPERATOR_LEVEL:
+        raise ResourceError(
+            f"midpoint grid {grid_size} exceeds cap {2**MAX_OPERATOR_LEVEL} = 2^MAX_OPERATOR_LEVEL"
+        )
     idx = np.arange(grid_size)
     block = 0.5 * np.sign(idx[:, None] - idx[None, :]) / grid_size
     zero = np.zeros_like(block)
     return np.block([[zero, -block], [block, zero]])
 
 
-def eigen_solve(matrix: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
+def eigen_solve(matrix: np.ndarray) -> Spectrum:
     """Symmetric eigensolve with multiplicity clustering.
 
-    Eigenvalues closer than cluster_tol * spectral_radius are merged into a
+    Eigenvalues closer than CLUSTER_TOL * spectral_radius are merged into a
     single entry whose value is the cluster mean; discretization splits exact
-    multiplicities by O(1/g^2), which this tolerance absorbs.
+    multiplicities by O(1/g^2), which this tolerance absorbs. This is the one
+    route whose multiplicities are not known from its construction.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -180,7 +193,7 @@ def eigen_solve(matrix: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectru
     scale = float(np.max(np.abs(m))) or 1.0
     if asym > 1e-10 * max(scale, 1.0):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return _clustered(np.linalg.eigvalsh((m + m.T) / 2.0), cluster_tol)
+    return _clustered(np.linalg.eigvalsh((m + m.T) / 2.0), CLUSTER_TOL)
 
 
 def _clustered(w: np.ndarray, cluster_tol: float) -> Spectrum:
@@ -238,23 +251,23 @@ def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryRe
     )
 
 
-MAX_OPERATOR_LEVEL = 10
-
-
-def general_spectrum(
-    r1: cov.CovKernel, r2: cov.CovKernel, level: int, cluster_tol: float = CLUSTER_TOL
-) -> Spectrum:
+def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectrum:
     """Spectrum of the level-n step-kernel operator for a covariance pair.
 
-    The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
-    clustered as in eigen_solve. With J the flip of the N = 2^level cells,
-    J A J = -A always; when both Grams also have J G J = G (every fBm and
-    Brownian Gram, and mirror-symmetric tables; see LevelGram.mirror_symmetric),
-    the even/odd basis turns M into the off-diagonal blocks
+    The eigenvalues are +-s for the singular values s of M = L_1^T A L_2.
+    The multiplicities come from the construction, not from a tolerance:
+    when the two level Grams are equal (r2 is r1, or the same kind and
+    values), M is antisymmetric, its singular values come in pairs, and each
+    pair is listed once with multiplicity 2; otherwise every s has
+    multiplicity 1. With J the flip of the N = 2^level cells, J A J = -A
+    always; when both Grams also have J G J = G (every fBm and Brownian
+    Gram, and mirror-symmetric tables; see LevelGram.mirror_symmetric), the
+    even/odd basis turns M into the off-diagonal blocks
     B1 = L_1+^T A_+- L_2- and B2 = L_1-^T A_+-^T L_2+ of size N/2, where
     L_i+- factor the Gram halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2.
-    The s are the singular values of B1 and B2; for r1 is r2, B2 = -B1^T, so
-    one N/2 SVD gives every value twice. Other pairs take one N x N SVD of M.
+    The s are the singular values of B1 and B2; for equal Grams, B2 = -B1^T,
+    so one N/2 SVD gives every pair. Other pairs take one N x N SVD of M,
+    and for equal Grams the mean of each pair of its sorted singular values.
     Every Gram goes through the jitter ladder, so an indefinite Gram raises
     NumericalError once the ladder is spent.
     """
@@ -266,21 +279,22 @@ def general_spectrum(
         )
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
+    equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
     if not (g1.mirror_symmetric and g2.mirror_symmetric):
         l1 = cov.cholesky_factor(g1.dense())
-        l2 = l1 if g2 is g1 else cov.cholesky_factor(g2.dense())
+        l2 = l1 if equal else cov.cholesky_factor(g2.dense())
         s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
+        if equal:
+            s = (s[0::2] + s[1::2]) / 2.0
     else:
         p1, m1 = cov.mirror_factors(g1)
-        p2, m2 = (p1, m1) if g2 is g1 else cov.mirror_factors(g2)
+        p2, m2 = (p1, m1) if equal else cov.mirror_factors(g2)
         a = lk.cell_sign_matrix(level - 1, level - 1) - 0.5
         s = np.linalg.svd(p1.T @ a @ m2, compute_uv=False)
-        if g2 is g1:
-            s = np.repeat(s, 2)
-        else:
+        if not equal:
             s = np.concatenate((s, np.linalg.svd(m1.T @ a.T @ p2, compute_uv=False)))
             s = np.sort(s)[::-1]
-    return _clustered(np.concatenate([-s, s[::-1]]), cluster_tol)
+    return _plus_minus(s, 2 if equal else 1)
 
 
 def cf_curve(spectrum: Spectrum, t_grid):

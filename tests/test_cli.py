@@ -9,6 +9,7 @@ from levylab import levy_kernel as lk
 from levylab import pvariation as pv
 from levylab import simulate as sim
 from levylab import spectral as sp
+from levylab.errors import ResourceError
 
 
 def run_cli(args):
@@ -314,6 +315,66 @@ def test_spectrum_numerical_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_spectrum_grid_above_cap_exits_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("midpoint operator solved above the grid cap")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    grid = 2**sp.MAX_OPERATOR_LEVEL + 1
+    with pytest.raises(ResourceError):
+        sp.discretize_classical_operator(grid)
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--kernel", "brownian", "--grid", grid, "--out", out]) == 2
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which would otherwise read as a usage error
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--kernel", "fbm hurst=0.35", "--level", 4, "--out", out]) == 3
+    assert "numerical error: SVD did not converge" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
+def _kernel_table(path, values):
+    nodes = np.linspace(0, 1, values.shape[0])
+    lines = ["s,t,value"] + [
+        f"{s},{t},{float(values[i, j])!r}" for i, s in enumerate(nodes) for j, t in enumerate(nodes)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return f"kind=tabulated path={path}"
+
+
+def test_non_finite_kernel_inputs_exit_2(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built for a kernel with non-finite inputs")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    nodes = np.linspace(0, 1, 5)
+    specs = [f"kind=weighted degree=1 coeff={c}" for c in ("nan", "inf", "1e200")]
+    for k, bad in enumerate((float("nan"), float("inf"))):
+        values = np.minimum.outer(nodes, nodes)
+        values[3, 1] = bad
+        specs.append(_kernel_table(tmp_path / f"table{k}.csv", values))
+    commands = (
+        ["simulate", "--level", 3, "--samples", 5],
+        ["cf", "--t", "0,1"],
+        ["spectrum", "--level", 3],
+        ["pvar", "--p", 1, "--level", 3],
+    )
+    for i, spec in enumerate(specs):
+        for j, command in enumerate(commands):
+            out = tmp_path / f"out{i}-{j}"
+            assert run_cli([*command, "--kernel", spec, "--out", out]) == 2, (spec, command)
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # simulate + determinism
 # ---------------------------------------------------------------------------
@@ -326,7 +387,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 7
+    assert summary["schema_version"] == 8
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

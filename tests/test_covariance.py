@@ -344,6 +344,43 @@ def test_table_csv_errors(tmp_path):
         cov.load_table_csv(path)
 
 
+def _forbid_grams(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built for a kernel with non-finite inputs")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+
+
+def test_weight_coefficient_must_have_a_finite_square(monkeypatch):
+    _forbid_grams(monkeypatch)
+    # 1e200 ** 2 raises OverflowError on a Python float; the check must not
+    for coeff in (float("nan"), float("inf"), -float("inf"), 1e200, -1e155):
+        with pytest.raises(ParameterError, match="finite square"):
+            cov.weighted_poly(1, coeff)
+        with pytest.raises(ParameterError, match="finite square"):
+            cov.parse_kernel_spec(f"kind=weighted degree=1 coeff={coeff!r}")
+    assert cov.weighted_poly(1, 1e150).weight.norm_sq == pytest.approx(1e300 / 3)
+
+
+def test_tables_with_non_finite_values_are_rejected(tmp_path, monkeypatch):
+    _forbid_grams(monkeypatch)
+    nodes = np.linspace(0, 1, 5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        values = np.minimum.outer(nodes, nodes)
+        values[2, 3] = bad
+        with pytest.raises(ParameterError, match="1 non-finite"):
+            cov.tabulated(values)
+        # in a CSV file the same value is reported as non-finite, not as a gap in the mesh
+        lines = ["s,t,value"] + [
+            f"{s},{t},{float(values[i, j])!r}" for i, s in enumerate(nodes) for j, t in enumerate(nodes)
+        ]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match="1 non-finite"):
+            cov.load_table_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # kernel specs
 # ---------------------------------------------------------------------------

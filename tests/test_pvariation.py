@@ -289,6 +289,15 @@ def test_young_norm_parts():
     assert norm.total == pytest.approx(2.0, abs=1e-12)
 
 
+def test_young_level_cap_fires_before_f_is_evaluated(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrand or Gram evaluated before the level cap was checked")
+
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    with pytest.raises(ResourceError):
+        pv.young_integral_2d(forbidden, cov.brownian(), 2.0, 1.0, pv.MAX_LEVEL + 1)
+
+
 def test_young_exponent_error():
     with pytest.raises(ParameterError):
         pv.young_integral_2d(lambda S, T: S, cov.brownian(), 2.0, 2.0, 3)

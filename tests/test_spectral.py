@@ -361,7 +361,7 @@ def test_general_operator_block_structure():
         assert np.max(np.abs(M + M.T)) <= 1e-12 * scale
         s = np.linalg.svd(M, compute_uv=False)
         assert np.max(np.abs(s[0::2] - s[1::2])) <= 1e-12 * s[0]
-        positive = np.sort([a for a in sp.general_spectrum(kernel, kernel, 5, cluster_tol=0.0)
+        positive = np.sort([a for a in sp.general_spectrum(kernel, kernel, 5)
                             .eigenvalues() if a > 0])[::-1]
         assert np.max(np.abs(positive - s)) <= 1e-12 * s[0]
 
@@ -427,10 +427,11 @@ def test_general_spectrum_matches_whitened_eigh(r1, r2):
     for level in range(3, top + 1):
         reference = whitened_reference(r1, r2, level)
         want = np.linalg.eigvalsh(reference)
-        got = np.sort(sp.general_spectrum(r1, r2, level, cluster_tol=0.0).eigenvalues())
+        spec = sp.general_spectrum(r1, r2, level)
+        got = np.sort(spec.eigenvalues())
         radius = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * radius, level
-        clustered = sorted(sp.general_spectrum(r1, r2, level).entries)
+        clustered = sorted(spec.entries)
         expected = sorted(sp.eigen_solve(reference).entries)
         assert [m for _, m in clustered] == [m for _, m in expected], level
         assert [a for a, _ in clustered] == pytest.approx(
@@ -438,12 +439,28 @@ def test_general_spectrum_matches_whitened_eigh(r1, r2):
         )
 
 
-@pytest.mark.parametrize("r1,r2", _kernel_pairs())
+def structural_multiplicity(r1, r2, level):
+    """2 when the two level Grams are equal, so that L^T A L is antisymmetric; else 1."""
+    g1, g2 = cov.level_gram(r1, level), cov.level_gram(r2, level)
+    return 2 if g1.kind == g2.kind and np.array_equal(g1.values, g2.values) else 1
+
+
+def _weighted_pairs():
+    weighted = {d: cov.weighted_poly(d) for d in (1, 2)}
+    pairs = [pytest.param(k, k, id=f"weighted-{d}") for d, k in weighted.items()]
+    pairs.append(pytest.param(cov.fractional_brownian(0.35), weighted[1], id="fbm-0.35/weighted-1"))
+    return pairs
+
+
+@pytest.mark.parametrize("r1,r2", _kernel_pairs() + _weighted_pairs())
 def test_general_spectrum_squares_sum_to_norm_approx(r1, r2):
-    for level in range(1, 8):
+    # the 16-node table needs jitter above level 7, which norm_approx does not carry
+    top = 7 if r1.kind == cov.TABULATED else sp.MAX_OPERATOR_LEVEL
+    for level in range(1, top + 1):
         spec = sp.general_spectrum(r1, r2, level)
         total = sum(m * a**2 for a, m in spec.entries)
         assert total == pytest.approx(lk.norm_approx(level, r1, r2).value, rel=1e-12), level
+        assert set(spec.mults.tolist()) == {structural_multiplicity(r1, r2, level)}, level
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +488,17 @@ def loop_clustered(w, cluster_tol):
 
 
 def assert_matches_full_route(r1, r2, level):
+    # multiplicities by construction: 2 for equal Grams, 1 otherwise; each
+    # listed value, repeated by its multiplicity, against the full-route s
     s = full_route(r1, r2, level)
     radius = s[0]
-    want = np.concatenate([-s, s[::-1]])
-    got = np.sort(sp.general_spectrum(r1, r2, level, cluster_tol=0.0).eigenvalues())
-    assert np.max(np.abs(got - want)) <= 1e-12 * radius, level
-    clustered = sorted(sp.general_spectrum(r1, r2, level).entries)
-    expected = sorted(loop_clustered(want, sp.CLUSTER_TOL))
-    assert [m for _, m in clustered] == [m for _, m in expected], level
-    assert [a for a, _ in clustered] == pytest.approx(
-        [a for a, _ in expected], rel=0, abs=1e-12 * radius
-    )
+    mult = structural_multiplicity(r1, r2, level)
+    spec = sp.general_spectrum(r1, r2, level)
+    assert np.all(spec.mults == mult), level
+    assert np.array_equal(spec.alphas[1::2], -spec.alphas[0::2]), level
+    listed = np.repeat(spec.alphas[0::2], mult)
+    assert listed.shape == s.shape, level
+    assert np.max(np.abs(listed - s)) <= 1e-12 * radius, level
 
 
 def _mirror_pairs():
@@ -537,7 +554,7 @@ def test_mirror_split_shares_the_full_gram_jitter_rung():
 def test_equal_kernel_split_pairs_every_value_exactly():
     for kernel in (cov.fractional_brownian(0.1), cov.fractional_brownian(0.75), cov.brownian()):
         for level in (1, 4, 8):
-            spec = sp.general_spectrum(kernel, kernel, level, cluster_tol=0.0)
+            spec = sp.general_spectrum(kernel, kernel, level)
             assert len(spec.entries) == 2**level, level
             assert all(m == 2 for _, m in spec.entries), level
 
@@ -562,6 +579,30 @@ def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
         sp.general_spectrum(*pair, 8)
         assert calls == [(256, 256), (256, 256)], calls
     assert sp.general_spectrum(fbm, weighted, 8).csv() == expected
+
+
+def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
+    # equal Grams are read off the Gram values, not off kernel identity: two
+    # separately built Brownian kernels take one factorization per half and one SVD
+    calls = []
+    cholesky, svd = np.linalg.cholesky, np.linalg.svd
+
+    def counting_cholesky(m):
+        calls.append(("cholesky", m.shape))
+        return cholesky(m)
+
+    def counting_svd(m, *args, **kwargs):
+        calls.append(("svd", m.shape))
+        return svd(m, *args, **kwargs)
+
+    brownian = cov.brownian()
+    expected = sp.general_spectrum(brownian, brownian, 8).csv()
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    spec = sp.general_spectrum(cov.brownian(), cov.brownian(), 8)
+    assert calls == [("cholesky", (128, 128)), ("cholesky", (128, 128)), ("svd", (128, 128))]
+    assert spec.csv() == expected
+    assert np.all(spec.mults == 2) and len(spec.alphas) == 2**8
 
 
 def test_spectrum_stores_arrays():
