@@ -290,6 +290,8 @@ def cmd_cf(args) -> int:
 
 def cmd_spectrum(args) -> int:
     kernel = _resolve_kernel(args.kernel, args.hurst)
+    if args.grid is not None and (kernel.kind != cov.BROWNIAN or args.level is not None):
+        raise argparse.ArgumentTypeError("--grid only applies to brownian kernels without --level")
     if kernel.kind == cov.BROWNIAN and args.level is None:
         grid = args.grid if args.grid is not None else 256
         matrix = sp.discretize_classical_operator(grid)

@@ -93,6 +93,11 @@ class CovKernel:
                 raise ParameterError(
                     f"tabulated kernel has {int(np.sum(~np.isfinite(t)))} non-finite values"
                 )
+            asym = float(np.max(np.abs(t - t.T)))  # Cholesky would read one triangle only
+            if asym > 1e-12 * float(np.max(np.abs(t))):
+                raise ParameterError(
+                    f"tabulated kernel is not symmetric: max|R(s,t) - R(t,s)| = {asym:.3e}"
+                )
 
     def __repr__(self):
         return f"CovKernel({kernel_spec_string(self)!r})"
@@ -395,15 +400,13 @@ def cholesky_factor(gram: GridGram) -> np.ndarray:
 
 
 def mirror_factors(gram: LevelGram):
-    """Cholesky factors (L+, L-) of gram.mirror_halves(), or None without halves.
+    """Cholesky factors (L+, L-) of gram.mirror_halves() for a mirror-symmetric Gram.
 
     The jitter is that of the full Gram: both halves take the first rung j of
     JITTER_LADDER at which G+ + j max|G| I and G- + j max|G| I both factor,
     which is the rung at which G + j max|G| I factors.
     """
     halves = gram.mirror_halves()
-    if halves is None:
-        return None
     # lags 0..N-1 of a Toeplitz Gram, the whole of a diagonal or dense one
     scale = float(np.max(np.abs(gram.values[: 2**gram.level])))
     return _factor_at_one_rung(halves, scale)

@@ -279,11 +279,13 @@ class YoungBound:
 def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, YoungBound]:
     """Anchored Riemann-Stieltjes sum of f against the kernel g.
 
-    f is evaluated at the lower-left corner of each dyadic cell of the given
-    level; the attached report carries the four-part norm of f, the grid
-    q-variation of g, their product ratio against |value|, and the change
-    from the next-coarser level as a refinement estimate. Levels above
-    MAX_LEVEL raise ResourceError before f is evaluated.
+    f is evaluated once, at the level-n nodes, and read at the lower-left
+    corner of each cell, against the entries of the one level Gram of g; the
+    attached report carries the four-part norm of f, the grid q-variation of
+    g, their product ratio against |value|, and the change from the level-
+    (n-1) sum, which reads f at the even nodes against the 2x2 block sums of
+    the level-n increments (rectangular increments are additive). Levels
+    above MAX_LEVEL raise ResourceError before f is evaluated.
     """
     _require_exponent(p)
     _require_exponent(q)
@@ -295,11 +297,16 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
         raise ParameterError("level must be >= 1")
     if level > MAX_LEVEL:
         raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
-    value = _anchored_sum(f, g, level)
-    coarse = _anchored_sum(f, g, level - 1)
-
     nodes = cov.dyadic_partition(level)
     fvals = _eval_on_nodes(f, nodes)
+    gram = cov.level_gram(g, level)
+    inc = gram.dense().matrix
+    value = float(np.sum(fvals[:-1, :-1] * inc))
+    n = len(inc) // 2
+    coarse = float(np.sum(fvals[:-1:2, :-1:2] * inc.reshape(n, 2, n, 2).sum(axis=(1, 3))))
+    # free the dense copy of a Toeplitz or diagonal Gram before the norm of f
+    del inc
+
     finc = np.diff(np.diff(fvals, axis=0), axis=1)
     f_v2p = float(np.sum(np.abs(finc) ** p) ** (1.0 / p))
     bottom = v1p(list(zip(nodes, fvals[:, 0])), p)
@@ -310,7 +317,7 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
         v1p_left_edge=left,
         corner_abs=float(abs(fvals[0, 0])),
     )
-    vq = v2p_grid(g, q, level)
+    vq = gram.abs_power_sum(q) ** (1.0 / q)
     denom = norm.total * vq
     ratio = abs(value) / denom if denom > 0 else float("nan")
     return value, YoungBound(
@@ -325,9 +332,3 @@ def _eval_on_nodes(f, nodes):
     S, T = np.meshgrid(nodes, nodes, indexing="ij")
     vals = np.asarray(f(S, T), dtype=float)
     return np.broadcast_to(vals, S.shape).copy()
-
-
-def _anchored_sum(f, g, level):
-    fvals = _eval_on_nodes(f, cov.dyadic_partition(level))
-    inc = cov.level_gram(g, level).dense().matrix
-    return float(np.sum(fvals[:-1, :-1] * inc))

@@ -19,12 +19,12 @@ pairs. On dyadic step functions, in the coordinates whitened by the Cholesky
 factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
 is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
 sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
-spectrum comes from an SVD (two half-size ones, or one for equal Grams,
-when both Grams are mirror-symmetric), and mirror symmetry holds by
-construction. So do the multiplicities: every value is listed twice when
-the two Grams are equal (M is then antisymmetric) and once otherwise. Only
-eigen_solve, the generic eigensolver of the midpoint operator, merges
-eigenvalues into multiplicity clusters by a tolerance.
+spectrum comes from one SVD (half-size when the two Grams are equal and
+mirror-symmetric), and mirror symmetry holds by construction. So do the
+multiplicities: every value is listed twice when the two Grams are equal (M
+is then antisymmetric) and once otherwise. Only eigen_solve, the generic
+eigensolver of the midpoint operator, merges eigenvalues into multiplicity
+clusters by a tolerance.
 """
 from __future__ import annotations
 
@@ -103,18 +103,17 @@ def _plus_minus(s: np.ndarray, mult: int, tail_sq: float = 0.0) -> Spectrum:
 class CFProduct:
     z: complex
     value: complex
-    truncation: int
     tail_bound: float
 
 
-def cf_from_spectrum(spectrum: Spectrum, z: complex, n_entries: int | None = None) -> CFProduct:
-    """Truncated regularized determinant evaluated at z.
+def cf_from_spectrum(spectrum: Spectrum, z: complex) -> CFProduct:
+    """Regularized determinant of the listed eigenvalues evaluated at z.
 
-    Uses the first n_entries eigenvalues (repeated by multiplicity; default
-    all). Factors are combined through per-factor principal logarithms so the
-    square-root branch stays unambiguous and long products cannot underflow.
-    The tail bound |z|^2 * (sum of squared eigenvalues beyond the truncation)
-    bounds the error against the untruncated product for purely imaginary z.
+    Every listed eigenvalue enters, repeated by its multiplicity. Factors are
+    combined through per-factor principal logarithms so the square-root
+    branch stays unambiguous and long products cannot underflow. The tail
+    bound |z|^2 * spectrum.tail_sq bounds the error against the product over
+    the untruncated spectrum for purely imaginary z.
     """
     z = complex(z)
     sigma = spectrum.spectral_radius
@@ -123,23 +122,9 @@ def cf_from_spectrum(spectrum: Spectrum, z: complex, n_entries: int | None = Non
             f"argument outside the determinant domain: 2|Re z| sigma = "
             f"{2.0 * abs(z.real) * sigma:.6g} >= 1"
         )
-    eigs = spectrum.eigenvalues()
-    if n_entries is None:
-        n_entries = len(eigs)
-    if n_entries < 0:
-        raise ParameterError(f"n_entries must be >= 0, got {n_entries}")
-    used = eigs[:n_entries]
-    skipped = eigs[n_entries:]
-    w = 2.0 * z * used
-    log_sum = complex(np.sum(np.log1p(-w) + w))
-    value = np.exp(-0.5 * log_sum)
-    tail_sq = spectrum.tail_sq + float(np.sum(skipped**2))
-    return CFProduct(
-        z=z,
-        value=complex(value),
-        truncation=int(len(used)),
-        tail_bound=abs(z) ** 2 * tail_sq,
-    )
+    w = 2.0 * z * spectrum.eigenvalues()
+    value = complex(np.exp(-0.5 * complex(np.sum(np.log1p(-w) + w))))
+    return CFProduct(z=z, value=value, tail_bound=abs(z) ** 2 * spectrum.tail_sq)
 
 
 def cosh_factorization_check(z: complex, n_factors: int) -> float:
@@ -153,10 +138,19 @@ def cosh_factorization_check(z: complex, n_factors: int) -> float:
 
 
 def weighted_cf(weight_norm_sq: float, t: float) -> float:
-    """Characteristic function sech(t * ||f||^2) of the weighted-process area."""
+    """Characteristic function sech(t * ||f||^2) of the weighted-process area.
+
+    Where cosh(x) overflows (|x| above about 710), sech(x) =
+    2 e^{-|x|} / (1 + e^{-2|x|}) is 2 e^{-|x|} to double precision, so large
+    arguments give values near 0, not an error.
+    """
     if weight_norm_sq <= 0:
         raise ParameterError(f"weight norm squared must be positive, got {weight_norm_sq}")
-    return 1.0 / math.cosh(t * weight_norm_sq)
+    x = t * weight_norm_sq
+    try:
+        return 1.0 / math.cosh(x)
+    except OverflowError:
+        return 2.0 * math.exp(-abs(x))
 
 
 def discretize_classical_operator(grid_size: int) -> np.ndarray:
@@ -254,46 +248,36 @@ def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryRe
 def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectrum:
     """Spectrum of the level-n step-kernel operator for a covariance pair.
 
-    The eigenvalues are +-s for the singular values s of M = L_1^T A L_2.
-    The multiplicities come from the construction, not from a tolerance:
-    when the two level Grams are equal (r2 is r1, or the same kind and
-    values), M is antisymmetric, its singular values come in pairs, and each
-    pair is listed once with multiplicity 2; otherwise every s has
-    multiplicity 1. With J the flip of the N = 2^level cells, J A J = -A
-    always; when both Grams also have J G J = G (every fBm and Brownian
-    Gram, and mirror-symmetric tables; see LevelGram.mirror_symmetric), the
-    even/odd basis turns M into the off-diagonal blocks
-    B1 = L_1+^T A_+- L_2- and B2 = L_1-^T A_+-^T L_2+ of size N/2, where
-    L_i+- factor the Gram halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2.
-    The s are the singular values of B1 and B2; for equal Grams, B2 = -B1^T,
-    so one N/2 SVD gives every pair. Other pairs take one N x N SVD of M,
-    and for equal Grams the mean of each pair of its sorted singular values.
-    Every Gram goes through the jitter ladder, so an indefinite Gram raises
-    NumericalError once the ladder is spent.
+    The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
+    with multiplicities from the construction, not from a tolerance: when the
+    two level Grams are equal (r2 is r1, or the same kind and values), M is
+    antisymmetric and each pair of equal s is listed once with multiplicity
+    2; otherwise every s has multiplicity 1. With J the flip of the
+    N = 2^level cells, J A J = -A; when the equal Grams also have J G J = G
+    (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
+    B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
+    halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2, so one N/2 SVD gives
+    every pair. Every other pair takes one N x N SVD of M (for equal Grams,
+    the mean of each pair of its sorted singular values). An indefinite Gram
+    raises NumericalError once the jitter ladder is spent.
     """
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
     if level > MAX_OPERATOR_LEVEL:
-        raise ResourceError(
-            f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}"
-        )
+        raise ResourceError(f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}")
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
-    if not (g1.mirror_symmetric and g2.mirror_symmetric):
+    if equal and g1.mirror_symmetric:
+        plus, minus = cov.mirror_factors(g1)
+        a = lk.cell_sign_matrix(level - 1, level - 1) - 0.5
+        s = np.linalg.svd(plus.T @ a @ minus, compute_uv=False)
+    else:
         l1 = cov.cholesky_factor(g1.dense())
         l2 = l1 if equal else cov.cholesky_factor(g2.dense())
         s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
         if equal:
             s = (s[0::2] + s[1::2]) / 2.0
-    else:
-        p1, m1 = cov.mirror_factors(g1)
-        p2, m2 = (p1, m1) if equal else cov.mirror_factors(g2)
-        a = lk.cell_sign_matrix(level - 1, level - 1) - 0.5
-        s = np.linalg.svd(p1.T @ a @ m2, compute_uv=False)
-        if not equal:
-            s = np.concatenate((s, np.linalg.svd(m1.T @ a.T @ p2, compute_uv=False)))
-            s = np.sort(s)[::-1]
     return _plus_minus(s, 2 if equal else 1)
 
 

@@ -179,6 +179,16 @@ def test_cf_fbm_spectrum_route(tmp_path):
     assert 0.0 < float(rows[1][1]) < 1.0
 
 
+def test_cf_weighted_kernel_with_a_large_norm(tmp_path):
+    # ||f||^2 = 1e4, so t ||f||^2 reaches 3e4 on the default grid, far past cosh's overflow
+    out = tmp_path / "out"
+    assert run_cli(["cf", "--kernel", "kind=weighted degree=0 coeff=100", "--out", out]) == 0
+    _, _, rows = read_csv(out / "cf.csv")
+    values = np.array([float(row[1]) for row in rows])
+    assert len(values) == 31 and values[0] == 1.0
+    assert np.all(np.isfinite(values)) and np.all((values >= 0.0) & (values <= 1.0))
+
+
 # ---------------------------------------------------------------------------
 # pvar
 # ---------------------------------------------------------------------------
@@ -328,6 +338,24 @@ def test_spectrum_grid_above_cap_exits_2(tmp_path, monkeypatch):
     assert not (out / "spectrum.csv").exists()
 
 
+def test_spectrum_rejects_grid_where_it_is_not_read(tmp_path, capsys):
+    # --grid sizes only the Brownian midpoint operator, which --level replaces
+    cases = [
+        ["--kernel", "fbm hurst=0.35", "--grid", 64],
+        ["--kernel", "brownian", "--grid", 64, "--level", 3],
+    ]
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"flag{i}"
+        assert run_cli(["spectrum", *argv, "--out", out]) == 2, argv
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir()), argv
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text("grid=64\n")
+        out = tmp_path / f"config{i}"
+        assert run_cli(["spectrum", *argv[:2], *argv[4:], "--config", config, "--out", out]) == 2
+        assert not out.exists() or not any(out.iterdir()), argv
+
+
 def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError, which would otherwise read as a usage error
     def failing(*args, **kwargs):
@@ -373,6 +401,26 @@ def test_non_finite_kernel_inputs_exit_2(tmp_path, monkeypatch, capsys):
             assert run_cli([*command, "--kernel", spec, "--out", out]) == 2, (spec, command)
             assert "finite" in capsys.readouterr().err
             assert not out.exists() or not any(out.iterdir())
+
+
+def test_asymmetric_table_exits_2_before_any_gram(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram built for an asymmetric table")
+
+    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    nodes = np.linspace(0, 1, 9)
+    S, T = np.meshgrid(nodes, nodes, indexing="ij")
+    spec = _kernel_table(tmp_path / "asym.csv", np.minimum(S, T) + 0.3 * S * (T - S))
+    for i, command in enumerate((
+        ["spectrum", "--level", 3],
+        ["simulate", "--level", 3, "--samples", 5],
+    )):
+        out = tmp_path / f"out{i}"
+        assert run_cli([*command, "--kernel", spec, "--out", out]) == 2, command
+        assert "not symmetric" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -346,7 +346,7 @@ def test_table_csv_errors(tmp_path):
 
 def _forbid_grams(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("Gram built for a kernel with non-finite inputs")
+        raise AssertionError("Gram built for a kernel that must be rejected")
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
@@ -379,6 +379,29 @@ def test_tables_with_non_finite_values_are_rejected(tmp_path, monkeypatch):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParameterError, match="1 non-finite"):
             cov.load_table_csv(path)
+
+
+def test_asymmetric_tables_are_rejected(tmp_path, monkeypatch):
+    # Cholesky reads one triangle of the Gram, so this table would otherwise
+    # yield a spectrum and a Monte Carlo variance from its lower triangle alone
+    _forbid_grams(monkeypatch)
+    nodes = np.linspace(0, 1, 9)
+    S, T = np.meshgrid(nodes, nodes, indexing="ij")
+    values = np.minimum(S, T) + 0.3 * S * (T - S)
+    assert np.max(np.abs(values - values.T)) == pytest.approx(0.3)
+    with pytest.raises(ParameterError, match="not symmetric"):
+        cov.tabulated(values)
+    lines = ["s,t,value"] + [
+        f"{s},{t},{float(values[i, j])!r}" for i, s in enumerate(nodes) for j, t in enumerate(nodes)
+    ]
+    path = tmp_path / "asym.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match="not symmetric"):
+        cov.load_table_csv(path)
+    # rounding-level asymmetry, below 1e-12 of max|R|, is accepted
+    nearly = np.minimum(S, T)
+    nearly[1, 2] += 1e-14
+    assert cov.tabulated(nearly).kind == cov.TABULATED
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,40 @@ def test_young_level_cap_fires_before_f_is_evaluated(monkeypatch):
         pv.young_integral_2d(forbidden, cov.brownian(), 2.0, 1.0, pv.MAX_LEVEL + 1)
 
 
+def test_young_evaluates_f_once_on_one_gram(monkeypatch):
+    # the level-(n-1) sum reads the level-n f grid and 2x2 block sums of the
+    # level-n increments; oracle: anchored sums on gram_matrix at both levels
+    def f(S, T):
+        return np.sin(3.0 * S) * np.exp(T) + S * T
+
+    def anchored(kernel, level):
+        nodes = cov.dyadic_partition(level)
+        S, T = np.meshgrid(nodes[:-1], nodes[:-1], indexing="ij")
+        return float(np.sum(f(S, T) * cov.gram_matrix(kernel, nodes).matrix))
+
+    tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) + S * T, 16)
+    level_gram = cov.level_gram
+    for kernel in (cov.fractional_brownian(0.35), cov.weighted_poly(1), tab):
+        calls = []
+
+        def counting_f(S, T):
+            calls.append(("f", S.shape))
+            return f(S, T)
+
+        def counting_gram(k, level):
+            calls.append(("level_gram", level))
+            return level_gram(k, level)
+
+        monkeypatch.setattr(cov, "level_gram", counting_gram)
+        value, report = pv.young_integral_2d(counting_f, kernel, 2.0, 1.5, 6)
+        monkeypatch.setattr(cov, "level_gram", level_gram)
+        assert calls == [("f", (65, 65)), ("level_gram", 6)], calls
+        fine, coarse = anchored(kernel, 6), anchored(kernel, 5)
+        assert value == pytest.approx(fine, abs=1e-14)
+        assert report.refinement_delta == pytest.approx(abs(fine - coarse), abs=1e-14)
+        assert report.g_variation == pv.v2p_grid(kernel, 1.5, 6)
+
+
 def test_young_exponent_error():
     with pytest.raises(ParameterError):
         pv.young_integral_2d(lambda S, T: S, cov.brownian(), 2.0, 2.0, 3)

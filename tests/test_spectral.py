@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,14 +90,9 @@ def test_cf_tail_bound_is_self_validating():
             res = sp.cf_from_spectrum(spec, 1j * t)
             err = abs(res.value - 1.0 / np.cosh(t))
             assert err <= res.tail_bound
-
-
-def test_cf_truncation_argument():
-    spec = sp.classical_spectrum(100)
-    full = sp.cf_from_spectrum(spec, 1j)
-    trunc = sp.cf_from_spectrum(spec, 1j, n_entries=40)
-    assert trunc.truncation == 40
-    assert trunc.tail_bound > full.tail_bound
+    # a truncated CF is the CF of a shorter spectrum, whose tail carries the larger bound
+    short, longer = (sp.cf_from_spectrum(sp.classical_spectrum(c), 1j) for c in (20, 50))
+    assert short.tail_bound > longer.tail_bound > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +209,19 @@ def test_weighted_cf_values():
     assert sp.weighted_cf(0.5, 0.0) == 1.0
     with pytest.raises(ParameterError):
         sp.weighted_cf(0.0, 1.0)
+
+
+def test_weighted_cf_past_cosh_overflow():
+    # math.cosh overflows just above 710; sech is 2 e^{-|x|} to double precision there
+    for x in (711.0, 745.0, 800.0, 3e4, 1e300):
+        for t in (x, -x):
+            got = sp.weighted_cf(1.0, t)
+            assert math.isfinite(got) and 0.0 <= got <= 1.0
+            assert got == 2.0 * math.exp(-x)
+    for x in (700.0, 710.0):
+        assert sp.weighted_cf(1.0, x) == 1.0 / math.cosh(x)
+        assert sp.weighted_cf(1.0, x) == pytest.approx(2.0 * math.exp(-x), rel=1e-15)
+    assert sp.weighted_cf(1e4, 3.0) == sp.weighted_cf(1.0, 3e4)
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +570,34 @@ def test_equal_kernel_split_pairs_every_value_exactly():
 
 
 def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
-    # the route is read off both Grams before anything is factored, so a
-    # mirror/non-mirror pair takes exactly the two full factorizations
+    # the route is read off both Grams before anything is factored, and only
+    # equal mirror-symmetric Grams split: a mirror/non-mirror pair and a pair
+    # of two different mirror-symmetric Grams take exactly two full
+    # factorizations and one full SVD, and list every value once
     calls = []
-    cholesky = np.linalg.cholesky
+    cholesky, svd = np.linalg.cholesky, np.linalg.svd
 
-    def counting(m):
-        calls.append(m.shape)
+    def counting_cholesky(m):
+        calls.append(("cholesky", m.shape))
         return cholesky(m)
 
-    fbm, weighted = cov.fractional_brownian(0.35), cov.weighted_poly(1)
-    s = full_route(fbm, weighted, 8)
-    alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
-    expected = sp.Spectrum(alphas=alphas, mults=mults).csv()
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    for pair in ((fbm, weighted), (weighted, fbm)):
+    def counting_svd(m, *args, **kwargs):
+        calls.append(("svd", m.shape))
+        return svd(m, *args, **kwargs)
+
+    fbm, weighted, brownian = cov.fractional_brownian(0.35), cov.weighted_poly(1), cov.brownian()
+    pairs = [(fbm, weighted), (weighted, fbm), (fbm, brownian), (brownian, fbm)]
+    expected = []
+    for pair in pairs:
+        s = full_route(*pair, 8)
+        expected.append(sp.Spectrum(np.column_stack((s, -s)).ravel(), np.ones(2 * len(s), int)))
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for pair, want in zip(pairs, expected):
         calls.clear()
-        sp.general_spectrum(*pair, 8)
-        assert calls == [(256, 256), (256, 256)], calls
-    assert sp.general_spectrum(fbm, weighted, 8).csv() == expected
+        spec = sp.general_spectrum(*pair, 8)
+        assert calls == [("cholesky", (256, 256))] * 2 + [("svd", (256, 256))], calls
+        assert spec.csv() == want.csv()
 
 
 def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
