@@ -49,15 +49,17 @@ def test_area_shape_error():
         sim.discrete_levy_area([[1.0]], [[1.0]])
 
 
+# entries are 0 or at least 2^-200 in size: every prefix sum, product and
+# difference then stays a normal float, where scaling by 2^k is exact (a
+# subnormal one is rounded to a fixed absolute grid, and scaling it is not)
+_NORMAL_ENTRY = st.floats(min_value=-3, max_value=3).map(
+    lambda x: x if abs(x) >= 2.0**-200 else 0.0
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    vals=st.lists(
-        st.tuples(
-            st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3)
-        ),
-        min_size=2,
-        max_size=24,
-    ),
+    vals=st.lists(st.tuples(_NORMAL_ENTRY, _NORMAL_ENTRY), min_size=2, max_size=24),
     scale_pow=st.integers(min_value=-3, max_value=3),
 )
 def test_area_antisymmetry_and_dyadic_scaling(vals, scale_pow):
