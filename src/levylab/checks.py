@@ -300,14 +300,21 @@ def check_mirror_split():
         got = np.sort(sp.general_spectrum(kernel, kernel, 6).eigenvalues())
         err = float(np.max(np.abs(got - np.sort(np.concatenate([-s, s]))))) / s[0]
         assert err <= 1e-12, f"{name}: split spectrum off the full SVD by {err:.3e} of the radius"
+        # the split route's prefix-sum form of L+^T A_+- against the explicit product
+        plus = cov.mirror_factors(gram)[0]
+        explicit = plus.T @ (lk.cell_sign_matrix(5, 5) - 0.5)
+        gap = float(np.max(np.abs(sp._half_sign_product(plus.copy()) - explicit)))
+        assert gap <= 1e-13 * float(np.max(np.abs(plus))), (
+            f"{name}: prefix-sum L+^T A_+- off the explicit product by {gap:.3e}"
+        )
         worst, compared = max(worst, err), compared + [name]
     # different mirror-symmetric Grams take the full route, every value once
     s = full_svd(cov.fractional_brownian(0.35), cov.brownian())
     mixed = sp.general_spectrum(cov.fractional_brownian(0.35), cov.brownian(), 6)
     assert np.array_equal(mixed.eigenvalues(), np.column_stack((s, -s)).ravel())
     assert cov.level_gram(cov.weighted_poly(1), 6).mirror_halves() is None
-    return (f"split matches the full SVD at level 6 to {worst:.1e} ({', '.join(compared)}); "
-            "fBm 0.35/Brownian and weighted Grams unsplit")
+    return (f"split matches the full SVD at level 6 to {worst:.1e} ({', '.join(compared)}), "
+            "its prefix-sum product the explicit one; fBm 0.35/Brownian and weighted Grams unsplit")
 
 
 def check_symmetry_audit():

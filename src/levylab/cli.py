@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def _fmt(x: float) -> str:
@@ -268,6 +268,7 @@ def cmd_cf(args) -> int:
         pairs=pairs if kernel.kind == cov.BROWNIAN else None,
         level=level if stepped else None,
     )
+    diagnostics = {}
     if kernel.kind == cov.WEIGHTED:
         norm_sq = kernel.weight.norm_sq
         rows = [(float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0) for t in t_grid]
@@ -276,15 +277,17 @@ def cmd_cf(args) -> int:
             spectrum = sp.classical_spectrum(pairs)
         else:
             spectrum = sp.general_spectrum(kernel, kernel, level)
+            diagnostics = {"jitter_rung": spectrum.jitter_rung}
         rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
                 for r in sp.cf_curve(spectrum, t_grid)]
     csv_rows = [f"{_fmt(t)},{_fmt(re)},{_fmt(im)},{_fmt(tb)}" for t, re, im, tb in rows]
     table = [{"t": t, "re": re, "im": im, "tail_bound": tb} for t, re, im, tb in rows]
     if args.format == "json":
-        _write_summary(_out_path(args, "summary.json"), echo, {"cf": table})
+        _write_summary(_out_path(args, "summary.json"), echo, {"cf": table, **diagnostics})
     else:
         _write_csv(_out_path(args, "cf.csv"), echo, (_csv_body("t,re,im,tail_bound", csv_rows),))
-        _write_summary(_out_path(args, "summary.json"), echo, {"n_points": len(rows)})
+        _write_summary(_out_path(args, "summary.json"), echo,
+                       {"n_points": len(rows), **diagnostics})
     return 0
 
 
@@ -307,6 +310,7 @@ def cmd_spectrum(args) -> int:
         "spectral_radius": spectrum.spectral_radius,
         "symmetry_ok": report.ok,
         "symmetry_violations": list(report.violations),
+        "jitter_rung": spectrum.jitter_rung,
     }
     listing = [{"alpha": a, "multiplicity": m} for a, m in spectrum.entries]
     _write_outputs(args, echo, "spectrum.csv", spectrum.csv(), summary, {"spectrum": listing})

@@ -315,16 +315,24 @@ class LevelGram:
         """
         if not self.mirror_symmetric:
             return None
+        return self._mirror_half(1.0), self._mirror_half(-1.0)
+
+    def _mirror_half(self, sign: float) -> np.ndarray:
+        """G11 + sign G12 K as a fresh array: one copy of G11, then G12 K added in place."""
         n = 2 ** (self.level - 1)
+        if self.kind == DIAGONAL:
+            return np.diag(self.values[:n])
         if self.kind == TOEPLITZ:
-            g11 = _toeplitz(self.values, n)
+            half = _toeplitz(self.values, n)
             # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
             g12k = np.lib.stride_tricks.sliding_window_view(self.values[2 * n - 1 : 0 : -1], n)
-        elif self.kind == DIAGONAL:
-            g11, g12k = np.diag(self.values[:n]), 0.0
         else:
-            g11, g12k = self.values[:n, :n], self.values[:n, : n - 1 : -1]
-        return g11 + g12k, g11 - g12k
+            half, g12k = self.values[:n, :n].copy(), self.values[:n, : n - 1 : -1]
+        if sign > 0:
+            half += g12k
+        else:
+            half -= g12k
+        return half
 
     def abs_power_sum(self, p: float) -> float:
         """sum over all N^2 entries of |G[k,l]|^p, in O(N) unless dense.
@@ -395,8 +403,16 @@ def cholesky_factor(gram: GridGram) -> np.ndarray:
     j is the first rung of JITTER_LADDER that factors; small-Hurst Gram matrices
     are ill-conditioned and routinely need the ladder.
     """
+    return _jittered_cholesky(gram)[0]
+
+
+def _jittered_cholesky(gram: GridGram) -> tuple:
+    """(L, rung) of cholesky_factor, rung the index of j in JITTER_LADDER."""
     m = gram.matrix
-    return _factor_at_one_rung((m,), float(np.max(np.abs(m))))[0]
+    (factor,), rung = _factor_at_one_rung(
+        (lambda shift: _shifted(m, shift),), float(np.max(np.abs(m)))
+    )
+    return factor, rung
 
 
 def mirror_factors(gram: LevelGram):
@@ -404,34 +420,51 @@ def mirror_factors(gram: LevelGram):
 
     The jitter is that of the full Gram: both halves take the first rung j of
     JITTER_LADDER at which G+ + j max|G| I and G- + j max|G| I both factor,
-    which is the rung at which G + j max|G| I factors.
+    which is the rung at which G + j max|G| I factors. Each half is built
+    just before it is factored and dropped once it is, so at most three
+    N/2 x N/2 arrays are alive: L+, G- and L-.
     """
-    halves = gram.mirror_halves()
+    return _jittered_mirror_factors(gram)[:2]
+
+
+def _jittered_mirror_factors(gram: LevelGram) -> tuple:
+    """(L+, L-, rung) of mirror_factors, rung the index of j in JITTER_LADDER."""
     # lags 0..N-1 of a Toeplitz Gram, the whole of a diagonal or dense one
     scale = float(np.max(np.abs(gram.values[: 2**gram.level])))
-    return _factor_at_one_rung(halves, scale)
+    builds = [lambda shift, sign=sign: _shifted(gram._mirror_half(sign), shift, owned=True)
+              for sign in (1.0, -1.0)]
+    (plus, minus), rung = _factor_at_one_rung(builds, scale)
+    return plus, minus, rung
 
 
-def _factor_at_one_rung(matrices, scale: float) -> tuple:
-    """Cholesky factors of every m + j scale I at the first rung j where all factor."""
+def _factor_at_one_rung(builds, scale: float) -> tuple:
+    """Cholesky factors of every build(j scale) at the first rung j where all factor, and j's index.
+
+    build(shift) returns its matrix plus shift I. Each matrix is built just
+    before it is factored and released once it is; if one fails, every
+    matrix is built again at the next rung.
+    """
     scale = scale or 1.0
-    for j in JITTER_LADDER:
+    for rung, j in enumerate(JITTER_LADDER):
+        factors = []
         try:
-            return tuple(np.linalg.cholesky(_shifted(m, j * scale)) for m in matrices)
+            for build in builds:
+                factors.append(np.linalg.cholesky(build(j * scale)))
         except np.linalg.LinAlgError:
             continue
-    smallest = min(float(np.linalg.eigvalsh(m)[0]) for m in matrices)
+        return tuple(factors), rung
+    smallest = min(float(np.linalg.eigvalsh(build(0.0))[0]) for build in builds)
     raise NumericalError(
         f"Cholesky factorization failed after jitter ladder {JITTER_LADDER}; "
         f"smallest Gram eigenvalue {smallest:.3e}"
     )
 
 
-def _shifted(m: np.ndarray, shift: float) -> np.ndarray:
-    """m + shift I, as m itself when shift is zero."""
+def _shifted(m: np.ndarray, shift: float, owned: bool = False) -> np.ndarray:
+    """m + shift I: m itself when shift is zero, m changed in place when owned, else a copy."""
     if not shift:
         return m
-    out = m.copy()
+    out = m if owned else m.copy()
     out.flat[:: m.shape[0] + 1] += shift
     return out
 

@@ -90,8 +90,12 @@ def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
     """Step values of the level-n approximation on the level-refine cell grid."""
     if refine < level:
         raise ParameterError(f"refine level {refine} is below the approximation level {level}")
-    coarse = np.arange(2**refine) >> (refine - level)
-    return 0.5 * np.sign(coarse[None, :] - coarse[:, None])
+    coarse = (np.arange(2**refine) >> (refine - level)).astype(float)
+    # one float array: the differences of small integers, their signs and the halving are exact
+    out = coarse[None, :] - coarse[:, None]
+    np.sign(out, out=out)
+    out *= 0.5
+    return out
 
 
 def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> float:
@@ -101,8 +105,9 @@ def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) 
     table that is not positive semidefinite) and raises NumericalError.
     """
     g1 = cov.level_gram(r1, level).dense().matrix
-    g2 = cov.level_gram(r2, level).dense().matrix
-    terms = (g1 @ D) * (D @ g2)
+    g2 = g1 if r2 is r1 else cov.level_gram(r2, level).dense().matrix
+    terms = g1 @ D
+    terms *= D @ g2
     total = float(np.sum(terms))
     if total < 0.0:
         if total < -1e-10 * float(np.sum(np.abs(terms))):

@@ -53,7 +53,7 @@ from .errors import NumericalError, ParameterError, ResourceError, ShapeError
 BATCH = 4096
 
 #: normals per process held at once by one worker (512 KiB of float64), so
-#: that a worker's few chunk arrays stay within a 4 MiB L2 cache
+#: that a worker's few chunk arrays stay within a 2 MiB per-core L2 cache
 CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14

@@ -50,12 +50,16 @@ class Spectrum:
     """Eigenvalues alphas (|alpha| descending, + before -) with integer multiplicities mults.
 
     tail_sq carries the sum of squared eigenvalues *not* listed (zero for
-    finite spectra); truncation bounds downstream rely on it.
+    finite spectra); truncation bounds downstream rely on it. jitter_rung is
+    the index in cov.JITTER_LADDER of the shift the Gram factorizations
+    needed (the larger one when two Grams factor separately), 0 when none
+    did: values of the size of that shift are made of jitter.
     """
 
     alphas: np.ndarray
     mults: np.ndarray
     tail_sq: float = 0.0
+    jitter_rung: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
@@ -94,9 +98,9 @@ def classical_spectrum(count: int) -> Spectrum:
     return _plus_minus(alphas, 2, tail_sq=max(0.5 - listed_sq, 0.0))
 
 
-def _plus_minus(s: np.ndarray, mult: int, tail_sq: float = 0.0) -> Spectrum:
+def _plus_minus(s: np.ndarray, mult: int, **fields) -> Spectrum:
     """The spectrum s_0, -s_0, s_1, -s_1, ... for descending s >= 0, every value mult times."""
-    return Spectrum(np.column_stack((s, -s)).ravel(), np.full(2 * len(s), mult), tail_sq=tail_sq)
+    return Spectrum(np.column_stack((s, -s)).ravel(), np.full(2 * len(s), mult), **fields)
 
 
 @dataclass(frozen=True)
@@ -257,9 +261,13 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
     B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
     halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2, so one N/2 SVD gives
-    every pair. Every other pair takes one N x N SVD of M (for equal Grams,
-    the mean of each pair of its sorted singular values). An indefinite Gram
-    raises NumericalError once the jitter ladder is spent.
+    every pair. A_+- is never built: L+^T A_+- is a reverse prefix sum over
+    the rows of L+, formed in L+'s own memory (_half_sign_product), so the
+    split route holds at most three N/2 x N/2 arrays besides the SVD's own
+    copy. Every other pair takes one N x N SVD of M (for equal Grams, the
+    mean of each pair of its sorted singular values). The spectrum carries
+    the jitter rung of its factorizations; an indefinite Gram raises
+    NumericalError once the jitter ladder is spent.
     """
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
@@ -269,16 +277,36 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
     if equal and g1.mirror_symmetric:
-        plus, minus = cov.mirror_factors(g1)
-        a = lk.cell_sign_matrix(level - 1, level - 1) - 0.5
-        s = np.linalg.svd(plus.T @ a @ minus, compute_uv=False)
-    else:
-        l1 = cov.cholesky_factor(g1.dense())
-        l2 = l1 if equal else cov.cholesky_factor(g2.dense())
-        s = np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
-        if equal:
-            s = (s[0::2] + s[1::2]) / 2.0
-    return _plus_minus(s, 2 if equal else 1)
+        plus, minus, rung = cov._jittered_mirror_factors(g1)
+        b = _half_sign_product(plus) @ minus
+        del plus, minus
+        return _plus_minus(np.linalg.svd(b, compute_uv=False), 2, jitter_rung=rung)
+    l1, rung1 = cov._jittered_cholesky(g1.dense())
+    l2, rung2 = (l1, rung1) if equal else cov._jittered_cholesky(g2.dense())
+    x = l1.T @ lk.cell_sign_matrix(level, level)
+    del l1
+    m = x @ l2
+    del x, l2
+    s = np.linalg.svd(m, compute_uv=False)
+    if equal:
+        s = (s[0::2] + s[1::2]) / 2.0
+    return _plus_minus(s, 2 if equal else 1, jitter_rung=max(rung1, rung2))
+
+
+def _half_sign_product(plus: np.ndarray) -> np.ndarray:
+    """plus.T @ (lk.cell_sign_matrix(m, m) - 1/2) for 2^m rows, computed in plus's memory.
+
+    That sign matrix is lower triangular, -1/2 on the diagonal and -1 below,
+    so row k of the product's transpose is -(R[k] - plus[k] / 2) with
+    R[k] = sum_{j >= k} plus[j]. With H the reverse cumulative sum of
+    -plus / 2 that is H[k] + H[k+1], so a scaling, one cumsum and one add of
+    adjacent rows, all in place, give it without a temporary.
+    """
+    plus *= -0.5
+    rows = plus[::-1]
+    np.cumsum(rows, axis=0, out=rows)
+    np.add(plus[:-1], plus[1:], out=plus[:-1])
+    return plus.T
 
 
 def cf_curve(spectrum: Spectrum, t_grid):

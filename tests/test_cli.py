@@ -304,6 +304,27 @@ def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
 # spectrum
 # ---------------------------------------------------------------------------
 
+def test_spectrum_and_cf_write_the_jitter_rung(tmp_path):
+    # the rank-one S*T table needs rung 1 of the jitter ladder, fBm 0.35 none
+    table = tmp_path / "st.csv"
+    nodes = np.linspace(0.0, 1.0, 33).tolist()
+    table.write_text("s,t,value\n" + "".join(
+        f"{s!r},{t!r},{s * t!r}\n" for s in nodes for t in nodes))
+    cases = [
+        (f"kind=tabulated path={table}", 6, 1),
+        ("kind=fbm hurst=0.35", 10, 0),
+    ]
+    for spec, level, rung in cases:
+        for command, extra in (("spectrum", []), ("cf", ["--t", "0,1"])):
+            out = tmp_path / f"{command}-{rung}"
+            argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
+            assert run_cli(argv) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["jitter_rung"] == rung, (command, spec)
+    assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
+    assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
+
+
 def test_spectrum_classical(tmp_path):
     assert run_cli(["spectrum", "--kernel", "brownian", "--grid", 128, "--out", tmp_path]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -435,7 +456,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 8
+    assert summary["schema_version"] == 9
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

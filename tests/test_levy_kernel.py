@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,28 @@ def test_dyadic_approx_wrapper():
 # ---------------------------------------------------------------------------
 # norm_diff / norm_approx
 # ---------------------------------------------------------------------------
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_matrices_and_contractions_skip_full_size_transients():
+    # cell_sign_matrix builds one float N x N array (no int64 differences or
+    # signs), and norm_diff of one kernel with itself holds D, one Gram and
+    # two products: 4 arrays of N^2 floats, where two Grams and a third
+    # product made 5
+    square = 8 * 4**9
+    sign = lk.cell_sign_matrix(3, 9)
+    assert set(np.unique(sign).tolist()) == {-0.5, 0.0, 0.5}
+    assert traced_peak(lk.cell_sign_matrix, 3, 9) <= 1.1 * square
+    fbm = cov.fractional_brownian(0.35)
+    assert traced_peak(lk.norm_diff, 8, 9, fbm, fbm) <= 4.5 * square
+
 
 def test_norm_diff_equal_levels_is_exactly_zero():
     br = cov.brownian()

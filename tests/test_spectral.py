@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,69 @@ def test_mirror_split_shares_the_full_gram_jitter_rung():
             assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale, level
     for level in (5, 6):
         assert_matches_full_route(tab, tab, level)
+
+
+def test_mirror_factors_rebuild_both_halves_when_only_the_minus_half_fails():
+    # G = Q diag(G+, G-) Q^T with G+ = 2 I + 1 and G- = 1 (rank one): G+ factors
+    # at rung 0 but G- does not, so both halves must be built again and
+    # factored at rung 1, each with the full Gram's shift
+    n = 4
+    g_plus, g_minus = 2.0 * np.eye(n) + 1.0, np.ones((n, n))
+    a, b = (g_plus + g_minus) / 2.0, (g_plus - g_minus) / 2.0
+    flip = np.eye(n)[::-1]
+    G = np.block([[a, b @ flip], [flip @ b, flip @ a @ flip]])
+    gram = cov.LevelGram(cov.DENSE, 3, G)
+    assert gram.mirror_symmetric
+    plus, minus = gram.mirror_halves()
+    assert np.array_equal(plus, g_plus) and np.array_equal(minus, g_minus)
+    np.linalg.cholesky(plus)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(minus)
+    l_plus, l_minus, rung = cov._jittered_mirror_factors(gram)
+    assert rung == 1
+    scale = np.max(np.abs(G))
+    shift = cov.JITTER_LADDER[1] * scale * np.eye(n)
+    for L, half in ((l_plus, g_plus), (l_minus, g_minus)):
+        assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale
+    assert all(np.array_equal(x, y) for x, y in zip(cov.mirror_factors(gram), (l_plus, l_minus)))
+    assert cov._jittered_cholesky(gram.dense())[1] == 1
+
+
+def test_half_sign_product_matches_the_explicit_product():
+    # level 1 is the 1 x 1 case, where the product is -plus / 2
+    fbm = cov.fractional_brownian(0.35)
+    for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
+        plus = cov.mirror_factors(cov.level_gram(fbm, level))[0]
+        explicit = plus.T @ (lk.cell_sign_matrix(level - 1, level - 1) - 0.5)
+        got = sp._half_sign_product(plus.copy())
+        assert got.shape == explicit.shape, level
+        assert np.max(np.abs(got - explicit)) <= 1e-14 * np.max(np.abs(plus)), level
+
+
+@pytest.mark.parametrize("level", [9, 10])
+def test_split_route_holds_at_most_three_half_size_arrays(level):
+    # L+ (overwritten by L+^T A_+-), L- and B, or L+, G- and L-; never A_+-
+    fbm = cov.fractional_brownian(0.35)
+    half = 4 ** (level - 1) * 8
+    tracemalloc.start()
+    try:
+        sp.general_spectrum(fbm, fbm, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * half, f"{peak / half:.2f} half-size arrays"
+
+
+def test_spectrum_reports_the_jitter_rung():
+    # the rank-one S*T table has norm 0: its listed values are made of rung-1 jitter
+    product_st = cov.tabulated_from_fn(lambda S, T: S * T, 32)
+    assert sp.general_spectrum(product_st, product_st, 6).jitter_rung == 1
+    fbm = cov.fractional_brownian(0.35)
+    assert sp.general_spectrum(fbm, fbm, 10).jitter_rung == 0
+    # the full route reports the larger rung of its two factorizations
+    assert sp.general_spectrum(product_st, cov.brownian(), 4).jitter_rung == 1
+    assert sp.general_spectrum(cov.weighted_poly(1), cov.weighted_poly(1), 4).jitter_rung == 0
+    assert sp.classical_spectrum(3).jitter_rung == 0
 
 
 def test_equal_kernel_split_pairs_every_value_exactly():
