@@ -285,8 +285,8 @@ def check_step_operator_identity():
 
 def check_mirror_split():
     def full_svd(r1, r2):
-        l1 = cov.cholesky_factor(cov.level_gram(r1, 6).dense())
-        l2 = cov.cholesky_factor(cov.level_gram(r2, 6).dense())
+        l1 = cov.cholesky_factor(cov.level_gram(r1, 6).dense())[0]
+        l2 = cov.cholesky_factor(cov.level_gram(r2, 6).dense())[0]
         return np.linalg.svd(l1.T @ lk.cell_sign_matrix(6, 6) @ l2, compute_uv=False)
 
     # a Gram that needs jitter (the rank-one product-st, whose true spectrum is
@@ -312,7 +312,7 @@ def check_mirror_split():
     s = full_svd(cov.fractional_brownian(0.35), cov.brownian())
     mixed = sp.general_spectrum(cov.fractional_brownian(0.35), cov.brownian(), 6)
     assert np.array_equal(mixed.eigenvalues(), np.column_stack((s, -s)).ravel())
-    assert cov.level_gram(cov.weighted_poly(1), 6).mirror_halves() is None
+    assert not cov.level_gram(cov.weighted_poly(1), 6).mirror_symmetric
     return (f"split matches the full SVD at level 6 to {worst:.1e} ({', '.join(compared)}), "
             "its prefix-sum product the explicit one; fBm 0.35/Brownian and weighted Grams unsplit")
 

@@ -146,8 +146,16 @@ def _resolve_kernel(spec, hurst):
     return kernel
 
 
+def _resolve_pair(args):
+    """Kernels of the two processes: one object when both take the same spec."""
+    spec1 = args.kernel1 or args.kernel
+    spec2 = args.kernel2 or args.kernel
+    k1 = _resolve_kernel(spec1, None)
+    return k1, k1 if spec2 == spec1 else _resolve_kernel(spec2, None)
+
+
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("LEVY_LAB_THREADS")
     return max(1, int(env)) if env else 1
@@ -205,15 +213,14 @@ def _write_outputs(args, echo: dict, name: str, body: str, summary: dict, json_o
 
 
 def _out_path(args, name: str) -> Path:
-    prefix = getattr(args, "prefix", None) or ""
-    out_dir = Path(getattr(args, "out", None) or ".")
+    prefix = args.prefix or ""
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / f"{prefix}{name}"
 
 
 def cmd_simulate(args) -> int:
-    k1 = _resolve_kernel(args.kernel1 or args.kernel, None)
-    k2 = _resolve_kernel(args.kernel2 or args.kernel, None)
+    k1, k2 = _resolve_pair(args)
     config = sim.MCConfig(
         seed=args.seed if args.seed is not None else 0,
         n_samples=args.samples if args.samples is not None else 10_000,
@@ -338,9 +345,13 @@ def cmd_pvar(args) -> int:
 
 
 def cmd_cauchy(args) -> int:
-    k1 = _resolve_kernel(args.kernel1 or args.kernel, None)
-    k2 = _resolve_kernel(args.kernel2 or args.kernel, None)
-    levels = [int(v) for v in (args.levels or parse_range("1:6"))]
+    k1, k2 = _resolve_pair(args)
+    levels = args.levels or parse_range("1:6")
+    if not all(float(v).is_integer() for v in levels):
+        raise argparse.ArgumentTypeError(
+            f"levels must be integers, got {','.join(map(_fmt, levels))}"
+        )
+    levels = [int(v) for v in levels]
     table = lk.cauchy_table(levels, k1, k2)
     echo = _echo(
         "cauchy",
@@ -381,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default .)")
         p.add_argument("--prefix", help="artifact filename prefix")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (or LEVY_LAB_THREADS)")
 
     p = sub.add_parser("simulate", help="Monte Carlo areas and empirical CF")
     common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (or LEVY_LAB_THREADS)")
     p.add_argument("--kernel", help="kernel spec for both processes")
     p.add_argument("--kernel1")
     p.add_argument("--kernel2")
@@ -431,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cauchy, parser=p)
 
     p = sub.add_parser("check", help="run the full invariant suite")
-    common(p)
     p.set_defaults(fn=cmd_check, parser=p)
 
     return parser

@@ -305,20 +305,15 @@ class LevelGram:
             return False
         return self.kind == TOEPLITZ or bool(np.array_equal(self.values, np.flip(self.values)))
 
-    def mirror_halves(self):
-        """The N/2 x N/2 blocks (G+, G-) = G11 +- G12 K, or None.
+    def mirror_half(self, sign: float) -> np.ndarray:
+        """The N/2 x N/2 block G11 + sign G12 K of a mirror-symmetric Gram, as a fresh array.
 
         With K the flip of N/2 cells, a mirror-symmetric Gram is block-diagonal
-        in the even/odd basis [I; +-K]/sqrt(2), with blocks G+ and G-; for a
-        Toeplitz Gram G+- is Toeplitz +- Hankel in the lags. None unless
-        mirror_symmetric.
+        in the even/odd basis [I; +-K]/sqrt(2), with blocks G+ (sign +1) and
+        G- (sign -1); for a Toeplitz Gram G+- is Toeplitz +- Hankel in the
+        lags. Built as one copy of G11, then G12 K added in place. Meaningful
+        only when mirror_symmetric.
         """
-        if not self.mirror_symmetric:
-            return None
-        return self._mirror_half(1.0), self._mirror_half(-1.0)
-
-    def _mirror_half(self, sign: float) -> np.ndarray:
-        """G11 + sign G12 K as a fresh array: one copy of G11, then G12 K added in place."""
         n = 2 ** (self.level - 1)
         if self.kind == DIAGONAL:
             return np.diag(self.values[:n])
@@ -397,17 +392,13 @@ def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
     return (0.5 * 2.0 ** (-level * h2)) * gamma
 
 
-def cholesky_factor(gram: GridGram) -> np.ndarray:
-    """Lower-triangular L with L L^T = matrix + j max|matrix| I.
+def cholesky_factor(gram: GridGram) -> tuple:
+    """(L, rung): lower-triangular L with L L^T = matrix + j max|matrix| I.
 
-    j is the first rung of JITTER_LADDER that factors; small-Hurst Gram matrices
-    are ill-conditioned and routinely need the ladder.
+    j is the first rung of JITTER_LADDER that factors and rung its index, 0
+    when no shift was needed; small-Hurst Gram matrices are ill-conditioned
+    and routinely need the ladder.
     """
-    return _jittered_cholesky(gram)[0]
-
-
-def _jittered_cholesky(gram: GridGram) -> tuple:
-    """(L, rung) of cholesky_factor, rung the index of j in JITTER_LADDER."""
     m = gram.matrix
     (factor,), rung = _factor_at_one_rung(
         (lambda shift: _shifted(m, shift),), float(np.max(np.abs(m)))
@@ -415,23 +406,19 @@ def _jittered_cholesky(gram: GridGram) -> tuple:
     return factor, rung
 
 
-def mirror_factors(gram: LevelGram):
-    """Cholesky factors (L+, L-) of gram.mirror_halves() for a mirror-symmetric Gram.
+def mirror_factors(gram: LevelGram) -> tuple:
+    """(L+, L-, rung): Cholesky factors of gram.mirror_half(+-1) for a mirror-symmetric Gram.
 
     The jitter is that of the full Gram: both halves take the first rung j of
     JITTER_LADDER at which G+ + j max|G| I and G- + j max|G| I both factor,
-    which is the rung at which G + j max|G| I factors. Each half is built
-    just before it is factored and dropped once it is, so at most three
-    N/2 x N/2 arrays are alive: L+, G- and L-.
+    which is the rung at which G + j max|G| I factors; rung is j's index. If
+    either half fails at a rung, both are built again at the next one. Each
+    half is built just before it is factored and dropped once it is, so at
+    most three N/2 x N/2 arrays are alive: L+, G- and L-.
     """
-    return _jittered_mirror_factors(gram)[:2]
-
-
-def _jittered_mirror_factors(gram: LevelGram) -> tuple:
-    """(L+, L-, rung) of mirror_factors, rung the index of j in JITTER_LADDER."""
     # lags 0..N-1 of a Toeplitz Gram, the whole of a diagonal or dense one
     scale = float(np.max(np.abs(gram.values[: 2**gram.level])))
-    builds = [lambda shift, sign=sign: _shifted(gram._mirror_half(sign), shift, owned=True)
+    builds = [lambda shift, sign=sign: _shifted(gram.mirror_half(sign), shift, owned=True)
               for sign in (1.0, -1.0)]
     (plus, minus), rung = _factor_at_one_rung(builds, scale)
     return plus, minus, rung
@@ -505,13 +492,13 @@ def parse_kernel_spec(text: str) -> CovKernel:
         raise ParameterError(f"kernel spec {text!r} does not name a kind")
     kind = {"fractional": FBM, "fractionalbrownian": FBM}.get(kind, kind)
     if kind == BROWNIAN:
-        _reject_extras(fields, (), text)
+        _reject_extras(fields, text)
         return brownian()
     if kind == FBM:
         if "hurst" not in fields:
             raise ParameterError("fbm kernel spec requires hurst=")
         hurst = float(fields.pop("hurst"))
-        _reject_extras(fields, (), text)
+        _reject_extras(fields, text)
         return fractional_brownian(hurst)
     if kind == WEIGHTED:
         weight = fields.pop("weight", "poly")
@@ -519,21 +506,20 @@ def parse_kernel_spec(text: str) -> CovKernel:
             raise ParameterError(f"unsupported weight family {weight!r}")
         degree = int(fields.pop("degree", 1))
         coeff = float(fields.pop("coeff", 1.0))
-        _reject_extras(fields, (), text)
+        _reject_extras(fields, text)
         return weighted_poly(degree, coeff)
     if kind == TABULATED:
         if "path" not in fields:
             raise ParameterError("tabulated kernel spec requires path=")
         path = fields.pop("path")
-        _reject_extras(fields, (), text)
+        _reject_extras(fields, text)
         return load_table_csv(path)
     raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
-def _reject_extras(fields, allowed, text):
-    extras = set(fields) - set(allowed)
-    if extras:
-        raise ParameterError(f"unknown kernel spec keys {sorted(extras)} in {text!r}")
+def _reject_extras(fields, text):
+    if fields:
+        raise ParameterError(f"unknown kernel spec keys {sorted(fields)} in {text!r}")
 
 
 def kernel_spec_string(kernel: CovKernel) -> str:

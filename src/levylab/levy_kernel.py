@@ -82,7 +82,6 @@ class ChaosNorm:
     """A squared tensor-space norm and the dyadic grid level it was contracted on."""
 
     value: float
-    level_pair: tuple
     refine: int
 
 
@@ -130,7 +129,7 @@ def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
         raise ParameterError(f"approximation level must be >= 1, got {n}")
     _require_contraction_level(n)
     value = _step_norm(cell_sign_matrix(n, n), r1, r2, n)
-    return ChaosNorm(value=value, level_pair=(n, n), refine=n)
+    return ChaosNorm(value=value, refine=n)
 
 
 def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
@@ -141,7 +140,7 @@ def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm
     _require_contraction_level(level)
     D = cell_sign_matrix(n, level) - cell_sign_matrix(m, level)
     value = _step_norm(D, r1, r2, level)
-    return ChaosNorm(value=value, level_pair=(n, m), refine=level)
+    return ChaosNorm(value=value, refine=level)
 
 
 def existence_check(p: float, q: float) -> bool:

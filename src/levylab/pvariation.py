@@ -176,11 +176,10 @@ def grid_control(kernel, p: float, level: int = 6):
 
 @dataclass(frozen=True)
 class ControlEstimate:
-    """One control evaluation omega(rect)^{1/exponent} pinned to its rectangle."""
+    """One control evaluation omega1(rect)^{1/p} omega2(rect)^{1/q} pinned to its rectangle."""
 
     rectangle: cov.Rectangle
     value: float
-    exponent: float
 
     def __post_init__(self):
         if self.value < 0:
@@ -223,7 +222,7 @@ def control_product_check(
 
     def estimate(rect):
         value = omega1(rect) ** (1.0 / p) * omega2(rect) ** (1.0 / q)
-        return ControlEstimate(rectangle=rect, value=float(value), exponent=1.0)
+        return ControlEstimate(rectangle=rect, value=float(value))
 
     worst = -np.inf
     worst_case = None

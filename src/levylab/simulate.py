@@ -165,11 +165,15 @@ def increment_sampler(kernel: cov.CovKernel, level: int):
         return _Circulant(gram.values)
     if gram.kind == cov.DIAGONAL:
         return _Diagonal(gram.values)
-    return _Cholesky(cov.cholesky_factor(gram.dense()))
+    return _Cholesky(cov.cholesky_factor(gram.dense())[0])
 
 
 def _samplers(config: MCConfig):
-    return [increment_sampler(k, config.level) for k in (config.kernel1, config.kernel2)]
+    """Samplers of the two processes: one shared sampler when both use one kernel object."""
+    first = increment_sampler(config.kernel1, config.level)
+    if config.kernel2 is config.kernel1:
+        return [first, first]
+    return [first, increment_sampler(config.kernel2, config.level)]
 
 
 def _chunk_rows(samplers) -> int:

@@ -43,6 +43,8 @@ CLUSTER_TOL = 1e-6
 PAIR_TOL = 1e-6
 #: cap on the step-kernel level, and on the midpoint grid at 2 ** MAX_OPERATOR_LEVEL
 MAX_OPERATOR_LEVEL = 10
+#: cap on the +-alpha pairs classical_spectrum lists (cf --pairs)
+MAX_CLASSICAL_PAIRS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +90,13 @@ def classical_spectrum(count: int) -> Spectrum:
 
     Level n contributes +-(pi (2n+1))^{-1}, each with multiplicity 2. The
     remaining tail of squared eigenvalues is carried analytically: the full
-    sum over the spectrum is 1/2.
+    sum over the spectrum is 1/2. A count above MAX_CLASSICAL_PAIRS raises
+    ResourceError before anything is allocated.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if count > MAX_CLASSICAL_PAIRS:
+        raise ResourceError(f"classical pairs {count} exceed cap {MAX_CLASSICAL_PAIRS}")
     ns = np.arange(count)
     alphas = 1.0 / (np.pi * (2 * ns + 1))
     listed_sq = float(np.sum(4.0 * alphas**2))
@@ -260,14 +265,15 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     N = 2^level cells, J A J = -A; when the equal Grams also have J G J = G
     (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
     B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
-    halves and A_+- = cell_sign_matrix(n-1, n-1) - 1/2, so one N/2 SVD gives
-    every pair. A_+- is never built: L+^T A_+- is a reverse prefix sum over
-    the rows of L+, formed in L+'s own memory (_half_sign_product), so the
-    split route holds at most three N/2 x N/2 arrays besides the SVD's own
-    copy. Every other pair takes one N x N SVD of M (for equal Grams, the
-    mean of each pair of its sorted singular values). The spectrum carries
-    the jitter rung of its factorizations; an indefinite Gram raises
-    NumericalError once the jitter ladder is spent.
+    halves (cov.mirror_factors) and A_+- = cell_sign_matrix(n-1, n-1) - 1/2,
+    so one N/2 SVD gives every pair. A_+- is never built: L+^T A_+- is a
+    reverse prefix sum over the rows of L+, formed in L+'s own memory
+    (_half_sign_product), so the split route holds at most three N/2 x N/2
+    arrays besides the SVD's own copy. Every other pair takes one N x N SVD
+    of M, with L_i from cov.cholesky_factor (for equal Grams, the mean of
+    each pair of its sorted singular values). The spectrum carries the
+    jitter rung those calls return, the larger of two when two Grams factor;
+    an indefinite Gram raises NumericalError once the jitter ladder is spent.
     """
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
@@ -277,12 +283,12 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
     if equal and g1.mirror_symmetric:
-        plus, minus, rung = cov._jittered_mirror_factors(g1)
+        plus, minus, rung = cov.mirror_factors(g1)
         b = _half_sign_product(plus) @ minus
         del plus, minus
         return _plus_minus(np.linalg.svd(b, compute_uv=False), 2, jitter_rung=rung)
-    l1, rung1 = cov._jittered_cholesky(g1.dense())
-    l2, rung2 = (l1, rung1) if equal else cov._jittered_cholesky(g2.dense())
+    l1, rung1 = cov.cholesky_factor(g1.dense())
+    l2, rung2 = (l1, rung1) if equal else cov.cholesky_factor(g2.dense())
     x = l1.T @ lk.cell_sign_matrix(level, level)
     del l1
     m = x @ l2

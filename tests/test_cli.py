@@ -290,6 +290,77 @@ def test_cauchy_rejects_refine(tmp_path):
     assert run_cli(["cauchy", "--config", config, "--out", tmp_path]) == 2
 
 
+def test_cauchy_rejects_non_integer_levels(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("distance contracted for a non-integer level")
+
+    monkeypatch.setattr(lk, "norm_diff", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    for levels in ("1,2.5,3", "1,2.9"):
+        out = tmp_path / levels
+        assert run_cli(["cauchy", "--kernel", "brownian", "--levels", levels, "--out", out]) == 2
+        assert not (out / "cauchy.csv").exists()
+    config = tmp_path / "run.cfg"
+    config.write_text("kernel=brownian\nlevels=1,2.5,3\n")
+    assert run_cli(["cauchy", "--config", config, "--out", tmp_path]) == 2
+    assert not (tmp_path / "cauchy.csv").exists()
+
+
+def test_execution_flags_only_where_they_are_read(tmp_path):
+    # only simulate reads --threads; check reads no output or config option
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["pvar", "--kernel", "brownian", "--threads", 2, "--out", tmp_path])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["check", "--out", tmp_path])
+    assert exc.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("kernel=brownian\nthreads=2\n")
+    assert run_cli(["pvar", "--config", config, "--out", tmp_path]) == 2
+    assert not (tmp_path / "pvar.csv").exists()
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls; returns the list of their args."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kernel_flags", (
+    ["--kernel", "fbm hurst=0.35"],
+    ["--kernel1", "fbm hurst=0.35", "--kernel2", "fbm hurst=0.35"],
+))
+def test_cauchy_shares_one_kernel_between_the_processes(tmp_path, monkeypatch, kernel_flags):
+    # one Gram per row: norm_diff takes the one-Gram path when both kernels are one object
+    grams = _counting(monkeypatch, cov, "level_gram")
+    assert run_cli(["cauchy", *kernel_flags, "--levels", "1:8", "--out", tmp_path]) == 0
+    assert len(grams) == 7
+
+
+def test_tabulated_simulate_factors_one_gram(tmp_path, monkeypatch):
+    spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 9)] * 2))
+    grams = _counting(monkeypatch, cov, "level_gram")
+    factors = _counting(monkeypatch, cov, "cholesky_factor")
+    tables = _counting(monkeypatch, cov, "load_table_csv")
+    assert run_cli(["simulate", "--kernel", spec, "--level", 3, "--samples", 50,
+                    "--out", tmp_path / "out"]) == 0
+    assert (len(tables), len(grams), len(factors)) == (1, 1, 1)
+
+
+def test_cf_pairs_above_cap_exit_2(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["cf", "--kernel", "brownian", "--pairs", sp.MAX_CLASSICAL_PAIRS + 1,
+                    "--out", out]) == 2
+    assert not (out / "cf.csv").exists()
+
+
 def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("step matrix or Gram built before the level cap was checked")

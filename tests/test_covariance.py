@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levylab.checks as checks
 import levylab.covariance as cov
 from levylab.errors import (
     DomainError,
@@ -208,37 +209,49 @@ def test_gram_partition_errors():
 
 def test_cholesky_identity():
     gram = cov.GridGram(partition=np.array([0.0, 1.0]), matrix=np.eye(3))
-    assert np.allclose(cov.cholesky_factor(gram), np.eye(3), atol=1e-12)
+    L, rung = cov.cholesky_factor(gram)
+    assert np.allclose(L, np.eye(3), atol=1e-12) and rung == 0
 
 
 def test_cholesky_brownian_diagonal():
     for level in (2, 6):
         gram = cov.gram_matrix(cov.brownian(), cov.dyadic_partition(level))
-        L = cov.cholesky_factor(gram)
+        L, _ = cov.cholesky_factor(gram)
         assert np.allclose(L, np.eye(2**level) * 2.0 ** (-level / 2), atol=1e-14)
 
 
 def test_cholesky_fbm_reconstruction():
     gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
-    L = cov.cholesky_factor(gram)
+    L, _ = cov.cholesky_factor(gram)
     assert np.max(np.abs(L @ L.T - gram.matrix)) <= 1e-10
 
 
 def test_cholesky_bit_identical_to_shifted_gram():
     gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
-    assert np.array_equal(cov.cholesky_factor(gram), np.linalg.cholesky(gram.matrix))
+    assert np.array_equal(cov.cholesky_factor(gram)[0], np.linalg.cholesky(gram.matrix))
     # a rank-4 Gram (bilinear table on a mesh of 4) needs a jittered rung
     singular = cov.gram_matrix(cov.tabulated_from_fn(np.minimum, 4), cov.dyadic_partition(4))
     m = singular.matrix
     scale = float(np.max(np.abs(m)))
-    for j in cov.JITTER_LADDER:
+    for rung, j in enumerate(cov.JITTER_LADDER):
         try:
             expected = np.linalg.cholesky(m + (j * scale) * np.eye(m.shape[0]))
             break
         except np.linalg.LinAlgError:
             continue
     assert j > 0.0
-    assert np.array_equal(cov.cholesky_factor(singular), expected)
+    L, got_rung = cov.cholesky_factor(singular)
+    assert np.array_equal(L, expected) and got_rung == rung
+
+
+def test_cholesky_factor_returns_its_jitter_rung():
+    # the rank-one S*T table is singular at level 6 and factors only at rung 1;
+    # fBm 0.35 at level 8 factors unshifted
+    product_st = checks._kernels()["product-st"]
+    assert cov.cholesky_factor(cov.level_gram(product_st, 6).dense())[1] == 1
+    fbm = cov.level_gram(cov.fractional_brownian(0.35), 8).dense()
+    L, rung = cov.cholesky_factor(fbm)
+    assert rung == 0 and np.array_equal(L, np.linalg.cholesky(fbm.matrix))
 
 
 def test_cholesky_failure_names_eigenvalue():

@@ -232,7 +232,7 @@ def test_control_report_worst_case_records_split():
     assert isinstance(whole, pv.ControlEstimate)
     assert left.value >= 0 and right.value >= 0
     with pytest.raises(ParameterError):
-        pv.ControlEstimate(rectangle=None, value=-1.0, exponent=1.0)
+        pv.ControlEstimate(rectangle=None, value=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,17 @@ def test_classical_spectrum_radius_bound_and_tail():
         sp.classical_spectrum(0)
 
 
+def test_classical_spectrum_above_the_pair_cap_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            sp.classical_spectrum(sp.MAX_CLASSICAL_PAIRS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 # ---------------------------------------------------------------------------
 # cf_from_spectrum
 # ---------------------------------------------------------------------------
@@ -367,7 +378,7 @@ def test_general_operator_block_structure():
     # equal covariances make M = L^T A L antisymmetric, so its singular values
     # pair up and every +-s of the spectrum has even multiplicity
     for kernel in (cov.brownian(), cov.fractional_brownian(0.4)):
-        L = cov.cholesky_factor(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
+        L, _ = cov.cholesky_factor(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
         M = L.T @ lk.cell_sign_matrix(5, 5) @ L
         scale = np.max(np.abs(M))
         assert np.max(np.abs(M + M.T)) <= 1e-12 * scale
@@ -481,8 +492,8 @@ def test_general_spectrum_squares_sum_to_norm_approx(r1, r2):
 
 def full_route(r1, r2, level):
     """Singular values of L_1^T A L_2 from the full N x N Grams, descending."""
-    l1 = cov.cholesky_factor(cov.level_gram(r1, level).dense())
-    l2 = cov.cholesky_factor(cov.level_gram(r2, level).dense())
+    l1, _ = cov.cholesky_factor(cov.level_gram(r1, level).dense())
+    l2, _ = cov.cholesky_factor(cov.level_gram(r2, level).dense())
     return np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
 
 
@@ -524,8 +535,8 @@ def _mirror_pairs():
 @pytest.mark.parametrize("r1,r2", _mirror_pairs())
 def test_mirror_split_matches_full_route(r1, r2):
     for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
-        assert cov.level_gram(r1, level).mirror_halves() is not None
-        assert cov.level_gram(r2, level).mirror_halves() is not None
+        assert cov.level_gram(r1, level).mirror_symmetric
+        assert cov.level_gram(r2, level).mirror_symmetric
         assert_matches_full_route(r1, r2, level)
 
 
@@ -539,7 +550,7 @@ def test_mirror_halves_are_the_even_odd_blocks():
             eye, flip = np.eye(n), np.eye(n)[::-1]
             Q = np.block([[eye, eye], [flip, -flip]]) / np.sqrt(2.0)
             G = gram.dense().matrix
-            plus, minus = gram.mirror_halves()
+            plus, minus = gram.mirror_half(1.0), gram.mirror_half(-1.0)
             blocks = np.block([[plus, np.zeros((n, n))], [np.zeros((n, n)), minus]])
             assert np.max(np.abs(Q.T @ G @ Q - blocks)) <= 1e-15 * np.max(np.abs(G))
 
@@ -557,7 +568,10 @@ def test_mirror_split_shares_the_full_gram_jitter_rung():
             np.linalg.cholesky(G)
         scale = np.max(np.abs(G))
         shift = cov.JITTER_LADDER[1] * scale * np.eye(G.shape[0] // 2)
-        for L, half in zip(cov.mirror_factors(gram), gram.mirror_halves()):
+        l_plus, l_minus, rung = cov.mirror_factors(gram)
+        assert rung == 1, level
+        for L, sign in ((l_plus, 1.0), (l_minus, -1.0)):
+            half = gram.mirror_half(sign)
             assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale, level
     for level in (5, 6):
         assert_matches_full_route(tab, tab, level)
@@ -574,19 +588,18 @@ def test_mirror_factors_rebuild_both_halves_when_only_the_minus_half_fails():
     G = np.block([[a, b @ flip], [flip @ b, flip @ a @ flip]])
     gram = cov.LevelGram(cov.DENSE, 3, G)
     assert gram.mirror_symmetric
-    plus, minus = gram.mirror_halves()
+    plus, minus = gram.mirror_half(1.0), gram.mirror_half(-1.0)
     assert np.array_equal(plus, g_plus) and np.array_equal(minus, g_minus)
     np.linalg.cholesky(plus)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(minus)
-    l_plus, l_minus, rung = cov._jittered_mirror_factors(gram)
+    l_plus, l_minus, rung = cov.mirror_factors(gram)
     assert rung == 1
     scale = np.max(np.abs(G))
     shift = cov.JITTER_LADDER[1] * scale * np.eye(n)
     for L, half in ((l_plus, g_plus), (l_minus, g_minus)):
         assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale
-    assert all(np.array_equal(x, y) for x, y in zip(cov.mirror_factors(gram), (l_plus, l_minus)))
-    assert cov._jittered_cholesky(gram.dense())[1] == 1
+    assert cov.cholesky_factor(gram.dense())[1] == rung
 
 
 def test_half_sign_product_matches_the_explicit_product():
@@ -703,12 +716,12 @@ def test_spectrum_stores_arrays():
 def test_weighted_kernel_keeps_the_full_route():
     weighted = cov.weighted_poly(1)
     for level in (1, 4, 7):
-        assert cov.level_gram(weighted, level).mirror_halves() is None
+        assert not cov.level_gram(weighted, level).mirror_symmetric
         s = full_route(weighted, weighted, level)
         alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
         expected = sp.Spectrum(alphas=alphas, mults=mults)
         assert sp.general_spectrum(weighted, weighted, level).csv() == expected.csv(), level
-    assert cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_halves() is None
+    assert not cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_symmetric
 
 
 def test_clustered_matches_the_loop_reference():
