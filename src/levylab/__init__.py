@@ -53,6 +53,7 @@ from .simulate import EmpiricalCF, MCConfig, MCResult, discrete_levy_area, empir
 from .spectral import (
     CFProduct,
     Spectrum,
+    brownian_spectrum,
     cf_from_spectrum,
     classical_spectrum,
     cosh_factorization_check,

@@ -259,7 +259,17 @@ def check_classical_operator_structure():
     assert spec.entries[0][1] == 2, spec.entries[:2]
     top = abs(spec.entries[0][0])
     assert abs(top - 1.0 / np.pi) <= 0.01 / np.pi
-    return "top pair has multiplicity 2, near 1/pi"
+    # the closed form against the dense eigensolve and the level-7 step-kernel SVD
+    exact = sp.brownian_spectrum(128)
+    radius = exact.spectral_radius
+    dense = float(np.max(np.abs(np.sort(spec.eigenvalues()) - np.sort(exact.eigenvalues()))))
+    assert dense <= 1e-12 * radius, f"dense midpoint off the closed form by {dense:.3e}"
+    step = sp.general_spectrum(cov.brownian(), cov.brownian(), 7)
+    assert np.array_equal(step.mults, exact.mults)
+    svd = float(np.max(np.abs(step.alphas - exact.alphas)))
+    assert svd <= 1e-12 * radius, f"level-7 step kernel off the closed form by {svd:.3e}"
+    return (f"top pair has multiplicity 2, near 1/pi; closed form matches the dense solve "
+            f"to {dense / radius:.1e} and the level-7 SVD to {svd / radius:.1e} of the radius")
 
 
 def check_step_operator_identity():

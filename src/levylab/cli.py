@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def _fmt(x: float) -> str:
@@ -155,10 +155,14 @@ def _resolve_pair(args):
 
 
 def _threads(args) -> int:
+    """Worker count from --threads, else LEVY_LAB_THREADS, else 1; below 1 is a usage error."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LEVY_LAB_THREADS")
-    return max(1, int(env)) if env else 1
+        threads, source = args.threads, "--threads"
+    else:
+        threads, source = int(os.environ.get("LEVY_LAB_THREADS") or 1), "LEVY_LAB_THREADS"
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _echo(command: str, **fields) -> dict:
@@ -220,6 +224,7 @@ def _out_path(args, name: str) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    threads = _threads(args)
     k1, k2 = _resolve_pair(args)
     config = sim.MCConfig(
         seed=args.seed if args.seed is not None else 0,
@@ -238,7 +243,7 @@ def cmd_simulate(args) -> int:
         level=config.level,
         t=[float(t) for t in t_grid],
     )
-    result = sim.run_mc(config, threads=_threads(args))
+    result = sim.run_mc(config, threads=threads)
     ecf = sim.empirical_cf(result, t_grid)
     cf_rows = [
         f"{_fmt(t)},{_fmt(e.real)},{_fmt(e.imag)},{_fmt(se)}"
@@ -299,14 +304,25 @@ def cmd_cf(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    """Operator spectrum and its symmetry audit.
+
+    A Brownian kernel takes one route, the closed form sp.brownian_spectrum,
+    on the midpoint grid g (--grid, default 256) or on g = 2^n (--level n,
+    where it is the level-n step-kernel spectrum); no dense solve and no
+    clustering tolerance enter. Every other kernel takes the level-n
+    step-kernel SVD of sp.general_spectrum (--level, default 7).
+    """
     kernel = _resolve_kernel(args.kernel, args.hurst)
     if args.grid is not None and (kernel.kind != cov.BROWNIAN or args.level is not None):
         raise argparse.ArgumentTypeError("--grid only applies to brownian kernels without --level")
-    if kernel.kind == cov.BROWNIAN and args.level is None:
-        grid = args.grid if args.grid is not None else 256
-        matrix = sp.discretize_classical_operator(grid)
-        spectrum = sp.eigen_solve(matrix)
-        route = {"route": "classical-midpoint", "grid": grid}
+    if kernel.kind == cov.BROWNIAN:
+        if args.level is None:
+            grid = args.grid if args.grid is not None else 256
+            route = {"route": "classical-midpoint", "grid": grid}
+        else:
+            grid = 2 ** sp.check_operator_level(args.level)
+            route = {"route": "step-kernel", "level": args.level}
+        spectrum = sp.brownian_spectrum(grid)
     else:
         level = args.level if args.level is not None else 7
         spectrum = sp.general_spectrum(kernel, kernel, level)

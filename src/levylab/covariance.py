@@ -523,15 +523,25 @@ def _reject_extras(fields, text):
 
 
 def kernel_spec_string(kernel: CovKernel) -> str:
-    """Canonical key=value record for config echoes."""
+    """Canonical key=value record for config echoes.
+
+    Numbers are written as their shortest round-trip repr without a trailing
+    ".0", so parse_kernel_spec rebuilds the same hurst and coeff exactly; a
+    tabulated kernel is named by its mesh only.
+    """
     if kernel.kind == BROWNIAN:
         return "kind=brownian"
     if kernel.kind == FBM:
-        return f"kind=fbm hurst={kernel.hurst:g}"
+        return f"kind=fbm hurst={_spec_number(kernel.hurst)}"
     if kernel.kind == WEIGHTED:
         w = kernel.weight
-        return f"kind=weighted weight=poly degree={w.degree} coeff={w.coeff:g}"
+        return f"kind=weighted weight=poly degree={w.degree} coeff={_spec_number(w.coeff)}"
     return f"kind=tabulated mesh={kernel.table.shape[0] - 1}"
+
+
+def _spec_number(x: float) -> str:
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def min_eigenvalue_ratio(gram: GridGram) -> float:

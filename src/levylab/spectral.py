@@ -15,20 +15,25 @@ product to 1/cosh. Equivalently cosh factors as
 Two discretizations are provided: midpoint collocation of the classical
 block integral operator (h(1) + h(0) = 0 boundary behaviour emerges in the
 eigenvectors), and the level-n step-kernel operator for arbitrary covariance
-pairs. On dyadic step functions, in the coordinates whitened by the Cholesky
+pairs. The midpoint operator on g points has the closed-form spectrum
++-cot(pi (2k+1) / (2g)) / (2g), each value twice, which brownian_spectrum
+lists in O(g); at g = 2^n that is also the Brownian level-n step-kernel
+spectrum. discretize_classical_operator and eigen_solve, a dense generic
+eigensolver, remain as the references the closed form is checked against.
+On dyadic step functions, in the coordinates whitened by the Cholesky
 factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
 is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
 sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
 spectrum comes from one SVD (half-size when the two Grams are equal and
 mirror-symmetric), and mirror symmetry holds by construction. So do the
 multiplicities: every value is listed twice when the two Grams are equal (M
-is then antisymmetric) and once otherwise. Only eigen_solve, the generic
-eigensolver of the midpoint operator, merges eigenvalues into multiplicity
-clusters by a tolerance.
+is then antisymmetric) and once otherwise. Only the reference eigen_solve
+merges eigenvalues into multiplicity clusters by a tolerance.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,12 +167,40 @@ def weighted_cf(weight_norm_sq: float, t: float) -> float:
         return 2.0 * math.exp(-abs(x))
 
 
+def brownian_spectrum(grid: int) -> Spectrum:
+    """Exact spectrum of discretize_classical_operator(grid), in O(grid).
+
+    The operator is [[0, K^T], [K, 0]] with K = sign(i - j) / (2g)
+    antisymmetric, so its eigenvalues are +-|mu| for the eigenvalues
+    mu = i cot(pi (2k+1) / (2g)) / (2g), k = 0..g-1, of K: each cot value
+    twice. The g//2 positive values are listed +-, descending, with
+    multiplicity 2; an odd grid adds an exact zero (k = (g-1)/2) with
+    multiplicity 2, last. At grid = 2^n this is general_spectrum(brownian,
+    brownian, n), whose whitened step kernel is the same matrix. An integer
+    grid below 2 raises ParameterError, one above 2^MAX_OPERATOR_LEVEL
+    ResourceError, before anything is allocated.
+    """
+    if not isinstance(grid, numbers.Integral) or grid < 2:
+        raise ParameterError(f"grid must be an integer >= 2, got {grid!r}")
+    if grid > 2**MAX_OPERATOR_LEVEL:
+        raise ResourceError(
+            f"midpoint grid {grid} exceeds cap {2**MAX_OPERATOR_LEVEL} = 2^MAX_OPERATOR_LEVEL"
+        )
+    g = int(grid)
+    s = 1.0 / np.tan(np.pi * (2 * np.arange(g // 2) + 1) / (2 * g)) / (2 * g)
+    spectrum = _plus_minus(s, 2)
+    if g % 2 == 0:
+        return spectrum
+    return Spectrum(np.append(spectrum.alphas, 0.0), np.append(spectrum.mults, 2))
+
+
 def discretize_classical_operator(grid_size: int) -> np.ndarray:
     """Midpoint collocation of the classical block operator on 2g points.
 
     Off-diagonal blocks discretize h -> (int_0^t h - int_t^1 h)/2 with
     uniform weight 1/g at midpoints t_i = (i + 1/2)/g; the sign-kernel form
     keeps the matrix exactly symmetric, which the spectrum tests require.
+    A dense reference: brownian_spectrum gives its spectrum exactly.
     """
     if grid_size < 4:
         raise ParameterError(f"grid_size must be >= 4, got {grid_size}")
@@ -182,12 +215,13 @@ def discretize_classical_operator(grid_size: int) -> np.ndarray:
 
 
 def eigen_solve(matrix: np.ndarray) -> Spectrum:
-    """Symmetric eigensolve with multiplicity clustering.
+    """Symmetric eigensolve with multiplicity clustering, the dense reference.
 
     Eigenvalues closer than CLUSTER_TOL * spectral_radius are merged into a
-    single entry whose value is the cluster mean; discretization splits exact
-    multiplicities by O(1/g^2), which this tolerance absorbs. This is the one
-    route whose multiplicities are not known from its construction.
+    single entry whose value is the cluster mean; rounding splits exact
+    multiplicities, which this tolerance absorbs. This is the one route whose
+    multiplicities are not known from its construction; no CLI artifact
+    takes it (brownian_spectrum lists the midpoint spectrum exactly).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -275,10 +309,7 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     jitter rung those calls return, the larger of two when two Grams factor;
     an indefinite Gram raises NumericalError once the jitter ladder is spent.
     """
-    if level < 1:
-        raise ParameterError(f"level must be >= 1, got {level}")
-    if level > MAX_OPERATOR_LEVEL:
-        raise ResourceError(f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}")
+    check_operator_level(level)
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
@@ -297,6 +328,15 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     if equal:
         s = (s[0::2] + s[1::2]) / 2.0
     return _plus_minus(s, 2 if equal else 1, jitter_rung=max(rung1, rung2))
+
+
+def check_operator_level(level: int) -> int:
+    """level, if 1 <= level <= MAX_OPERATOR_LEVEL; ParameterError below, ResourceError above."""
+    if level < 1:
+        raise ParameterError(f"level must be >= 1, got {level}")
+    if level > MAX_OPERATOR_LEVEL:
+        raise ResourceError(f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}")
+    return level
 
 
 def _half_sign_product(plus: np.ndarray) -> np.ndarray:

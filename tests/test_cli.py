@@ -406,6 +406,38 @@ def test_spectrum_classical(tmp_path):
     assert all(int(m) == 2 for _, m in rows)
 
 
+def test_brownian_spectrum_takes_no_dense_solve(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense solve on the Brownian spectrum route")
+
+    for name in ("eigvalsh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    cases = [(["--grid", 16], 16, "route=classical-midpoint grid=16"),
+             (["--grid", 5], 5, "route=classical-midpoint grid=5"),
+             (["--grid", 2], 2, "route=classical-midpoint grid=2"),
+             (["--grid", 3], 3, "route=classical-midpoint grid=3"),
+             (["--level", 3], 8, "route=step-kernel level=3"),
+             ([], 256, "route=classical-midpoint grid=256")]
+    for i, (flags, grid, route) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run_cli(["spectrum", "--kernel", "brownian", *flags, "--out", out]) == 0, flags
+        echo, rest = (out / "spectrum.csv").read_text().split("\n", 1)
+        assert echo.endswith(f"kind=brownian {route}"), echo
+        assert rest == sp.brownian_spectrum(grid).csv(), flags
+        assert json.loads((out / "summary.json").read_text())["symmetry_ok"] is True
+
+
+def test_brownian_spectrum_level_outside_the_cap_exits_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum computed for a level outside the cap")
+
+    monkeypatch.setattr(sp, "brownian_spectrum", forbidden)
+    for level in (0, sp.MAX_OPERATOR_LEVEL + 1, 10**6):
+        out = tmp_path / str(level)
+        assert run_cli(["spectrum", "--kernel", "brownian", "--level", level, "--out", out]) == 2
+        assert not (out / "spectrum.csv").exists()
+
+
 def test_spectrum_numerical_error_exit_code(tmp_path):
     table = tmp_path / "neg.csv"
     nodes = np.linspace(0, 1, 5)
@@ -527,7 +559,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 9
+    assert summary["schema_version"] == 10
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -604,7 +636,7 @@ def test_tables_are_the_library_csv(tmp_path):
         (["spectrum", "--kernel", "fbm hurst=0.35", "--level", 4], "spectrum.csv",
          sp.general_spectrum(fbm, fbm, 4).csv()),
         (["spectrum", "--kernel", "brownian", "--grid", 16], "spectrum.csv",
-         sp.eigen_solve(sp.discretize_classical_operator(16)).csv()),
+         sp.brownian_spectrum(16).csv()),
         (["cauchy", "--kernel", "fbm hurst=0.35", "--levels", "1:4"], "cauchy.csv",
          lk.cauchy_table([1, 2, 3, 4], fbm, fbm).csv()),
         (["pvar", "--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 5], "pvar.csv",
@@ -630,6 +662,27 @@ def test_json_format(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["cf"][0]["re"] == 1.0
     assert not (tmp_path / "cf.csv").exists()
+
+
+def test_threads_below_one_are_a_usage_error(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampling started with a thread count below 1")
+
+    monkeypatch.setattr(sim, "run_mc", forbidden)
+    base = ["simulate", "--kernel", "brownian", "--level", 3, "--samples", 50]
+    for i, threads in enumerate((0, -5)):
+        out = tmp_path / f"flag{i}"
+        assert run_cli(base + ["--threads", threads, "--out", out]) == 2
+        assert not (out / "cf.csv").exists()
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(f"threads={threads}\n")
+        out = tmp_path / f"config{i}"
+        assert run_cli(base + ["--config", config, "--out", out]) == 2
+        assert not (out / "cf.csv").exists()
+    monkeypatch.setenv("LEVY_LAB_THREADS", "0")
+    out = tmp_path / "env"
+    assert run_cli(base + ["--out", out]) == 2
+    assert not (out / "cf.csv").exists()
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

@@ -450,6 +450,28 @@ def test_kernel_spec_string_roundtrip():
         assert cov.kernel_spec_string(again) == spec
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    hurst=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    degree=st.integers(min_value=0, max_value=30),
+    coeff=st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+)
+def test_kernel_spec_string_rebuilds_every_parameter_exactly(hurst, degree, coeff):
+    # the echo is the record a run is reproduced from: it must not round
+    fbm = cov.parse_kernel_spec(cov.kernel_spec_string(cov.fractional_brownian(hurst)))
+    assert fbm.hurst == hurst
+    weighted = cov.parse_kernel_spec(cov.kernel_spec_string(cov.weighted_poly(degree, coeff)))
+    assert (weighted.weight.degree, weighted.weight.coeff) == (degree, coeff)
+    assert np.signbit(weighted.weight.coeff) == np.signbit(coeff)
+
+
+def test_kernel_spec_string_keeps_short_numbers_short():
+    assert cov.kernel_spec_string(cov.fractional_brownian(0.35)) == "kind=fbm hurst=0.35"
+    assert cov.kernel_spec_string(cov.weighted_poly(1)) == "kind=weighted weight=poly degree=1 coeff=1"
+    assert cov.kernel_spec_string(cov.weighted_poly(2, 100.0)).endswith(" coeff=100")
+    assert cov.kernel_spec_string(cov.fractional_brownian(0.3512345)).endswith("hurst=0.3512345")
+
+
 def test_variation_index():
     assert cov.variation_index(cov.brownian()) == 1.0
     assert cov.variation_index(cov.fractional_brownian(0.35)) == pytest.approx(1 / 0.7)

@@ -181,6 +181,63 @@ def test_classical_operator_convergence_ratio():
 
 
 # ---------------------------------------------------------------------------
+# brownian_spectrum: the closed form of the midpoint operator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [*range(4, 41), 127, 128, 255, 256, 1024])
+def test_brownian_spectrum_is_the_dense_midpoint_spectrum(grid):
+    spec = sp.brownian_spectrum(grid)
+    dense = sp.eigen_solve(sp.discretize_classical_operator(grid)).eigenvalues()
+    err = float(np.max(np.abs(np.sort(spec.eigenvalues()) - np.sort(dense))))
+    assert err <= 1e-12 * spec.spectral_radius, err
+    # |alpha| descending, every +a directly followed by its -a, multiplicity 2
+    nonzero = spec.alphas[spec.alphas != 0.0]
+    assert np.array_equal(nonzero[1::2], -nonzero[0::2])
+    assert np.all(np.diff(nonzero[0::2]) < 0) and np.all(nonzero[0::2] > 0)
+    assert np.all(spec.mults == 2)
+    assert (spec.tail_sq, spec.jitter_rung) == (0.0, 0)
+    if grid % 2:
+        assert spec.entries[-1] == (0.0, 2)
+    assert sp.symmetry_check(spec).ok
+
+
+def test_brownian_spectrum_below_the_dense_builder_floor():
+    # 2g = 4 and 6 points: +-1/4, and +-sqrt(3)/6 with an exact zero
+    for grid, top in ((2, 0.25), (3, math.sqrt(3) / 6)):
+        spec = sp.brownian_spectrum(grid)
+        assert spec.alphas[:2] == pytest.approx([top, -top], rel=1e-15)
+        assert np.all(spec.mults == 2)
+    assert len(sp.brownian_spectrum(2).alphas) == 2
+    assert sp.brownian_spectrum(3).entries[2:] == ((0.0, 2),)
+
+
+@pytest.mark.parametrize("level", range(1, sp.MAX_OPERATOR_LEVEL + 1))
+def test_brownian_spectrum_is_the_level_n_step_kernel_spectrum(level):
+    spec = sp.brownian_spectrum(2**level)
+    ref = sp.general_spectrum(cov.brownian(), cov.brownian(), level)
+    assert np.array_equal(spec.mults, ref.mults)
+    err = float(np.max(np.abs(spec.alphas - ref.alphas)))
+    assert err <= 1e-12 * ref.spectral_radius, err
+    total = float(np.sum(spec.mults * spec.alphas**2))
+    assert total == pytest.approx((1.0 - 2.0**-level) / 2.0, rel=1e-12, abs=0)
+    norm = lk.norm_approx(level, cov.brownian(), cov.brownian()).value
+    assert total == pytest.approx(norm, rel=1e-12, abs=0)
+
+
+def test_brownian_spectrum_caps_allocate_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the grid was checked")
+
+    monkeypatch.setattr(np, "arange", forbidden)
+    for grid in (1, 0, -4, 2.5, 4.0):
+        with pytest.raises(ParameterError):
+            sp.brownian_spectrum(grid)
+    for grid in (2**sp.MAX_OPERATOR_LEVEL + 1, 10**18):
+        with pytest.raises(ResourceError):
+            sp.brownian_spectrum(grid)
+
+
+# ---------------------------------------------------------------------------
 # eigen_solve
 # ---------------------------------------------------------------------------
 
