@@ -30,7 +30,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 def _fmt(x: float) -> str:
@@ -46,7 +46,10 @@ def parse_range(text: str):
     """a:b:step range, a:b integer range (step 1), or a comma list of finite numbers."""
     text = text.strip()
     if "," in text:
-        return [_finite(tok) for tok in text.split(",") if tok.strip()]
+        values = [_finite(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"range {text!r} lists no numbers")
+        return values
     if ":" not in text:
         return [_finite(text)]
     parts = text.split(":")
@@ -294,12 +297,8 @@ def cmd_cf(args) -> int:
                 for r in sp.cf_curve(spectrum, t_grid)]
     csv_rows = [f"{_fmt(t)},{_fmt(re)},{_fmt(im)},{_fmt(tb)}" for t, re, im, tb in rows]
     table = [{"t": t, "re": re, "im": im, "tail_bound": tb} for t, re, im, tb in rows]
-    if args.format == "json":
-        _write_summary(_out_path(args, "summary.json"), echo, {"cf": table, **diagnostics})
-    else:
-        _write_csv(_out_path(args, "cf.csv"), echo, (_csv_body("t,re,im,tail_bound", csv_rows),))
-        _write_summary(_out_path(args, "summary.json"), echo,
-                       {"n_points": len(rows), **diagnostics})
+    _write_outputs(args, echo, "cf.csv", _csv_body("t,re,im,tail_bound", csv_rows),
+                   {"n_points": len(rows), **diagnostics}, {"cf": table})
     return 0
 
 

@@ -12,8 +12,11 @@ the two increment Gram matrices. A step function D on the level-r cell grid
 therefore has the exact squared norm 2 tr(G_1 D G_2 D^T), G_i the level-r
 increment Grams. The level-n approximation and the difference of the level-n
 and level-m approximations are both step functions on the level-max(n, m)
-grid, so one contraction there gives norms and inter-level distances exactly,
-for every covariance pair and without any factorization.
+grid, and both are +-(a sign matrix within 1 or 2^min(n, m) equal blocks of
+cells). Multiplying by such a matrix is a prefix sum (sign_product), so one
+prefix sum over each Gram and one elementwise contraction give norms and
+inter-level distances exactly, for every covariance pair and without any
+factorization, step matrix or matrix product.
 """
 from __future__ import annotations
 
@@ -97,17 +100,44 @@ def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
     return out
 
 
-def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> float:
-    """Exact squared norm 2 tr(G_1 D G_2 D^T) of the step function D on the level grid.
+def sign_product(x: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """x @ S, written into x's own memory and returned; x is overwritten.
 
-    A result negative beyond rounding means an indefinite Gram (a covariance
+    S[k, l] = sign(l - k) / 2 when cells k and l lie in the same one of
+    `blocks` equal runs of x's columns, and 0 otherwise. One block gives
+    cell_sign_matrix(n, n); 2^c blocks on level r give cell_sign_matrix(r, r)
+    - cell_sign_matrix(c, r), the difference of two approximations. Within a
+    run, column l of the product is (sum_{k<l} x_k - sum_{k>l} x_k) / 2. With
+    H the reverse cumulative sum of -x / 2 that is H[l] + H[l+1] - H[0]: one
+    scaling, one cumsum and one add of adjacent columns, in place on a
+    (rows, blocks, run) view of x (a view for C-ordered and transposed x).
+    Pass only arrays the caller owns.
+    """
+    rows, cols = x.shape
+    v = np.reshape(x, (rows, blocks, cols // blocks), copy=False)
+    v *= -0.5
+    reverse = v[..., ::-1]
+    np.cumsum(reverse, axis=-1, out=reverse)
+    first = v[..., :1].copy()
+    np.add(v[..., :-1], v[..., 1:], out=v[..., :-1])
+    v -= first
+    return x
+
+
+def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) -> float:
+    """Exact squared norm 2 tr(G_1 S G_2 S^T) of the step function S on the level grid.
+
+    S is sign_product's matrix with `blocks` runs. It is antisymmetric, so
+    tr(G_1 S G_2 S^T) = -sum (G_1 S) * (G_2 S)^T, whether or not G_2 is
+    symmetric, and both factors are prefix sums over fresh level Grams. A
+    result negative beyond rounding means an indefinite Gram (a covariance
     table that is not positive semidefinite) and raises NumericalError.
     """
-    g1 = cov.level_gram(r1, level).dense().matrix
-    g2 = g1 if r2 is r1 else cov.level_gram(r2, level).dense().matrix
-    terms = g1 @ D
-    terms *= D @ g2
-    total = float(np.sum(terms))
+    x1 = sign_product(cov.level_gram(r1, level).dense().matrix, blocks)
+    x2 = x1 if r2 is r1 else sign_product(cov.level_gram(r2, level).dense().matrix, blocks)
+    terms = x1 * x2.T
+    # 0.0 - sum: an exact zero is +0.0, never -0.0
+    total = 0.0 - float(np.sum(terms))
     if total < 0.0:
         if total < -1e-10 * float(np.sum(np.abs(terms))):
             raise NumericalError(
@@ -118,7 +148,7 @@ def _step_norm(D: np.ndarray, r1: cov.CovKernel, r2: cov.CovKernel, level: int) 
 
 
 def _require_contraction_level(level: int) -> None:
-    """Raise ResourceError above pv.MAX_LEVEL, before any step matrix or Gram is built."""
+    """Raise ResourceError above pv.MAX_LEVEL, before any Gram is built."""
     if level > pv.MAX_LEVEL:
         raise ResourceError(f"contraction level {level} exceeds cap {pv.MAX_LEVEL}")
 
@@ -128,19 +158,20 @@ def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
     if n < 1:
         raise ParameterError(f"approximation level must be >= 1, got {n}")
     _require_contraction_level(n)
-    value = _step_norm(cell_sign_matrix(n, n), r1, r2, n)
-    return ChaosNorm(value=value, refine=n)
+    return ChaosNorm(value=_step_norm(r1, r2, 1, n), refine=n)
 
 
 def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
-    """Exact squared tensor distance between the level-n and level-m approximations."""
+    """Exact squared tensor distance between the level-n and level-m approximations.
+
+    On the level-max(n, m) grid the difference is +-S with 2^min(n, m) blocks
+    (sign_product), which is zero at equal levels.
+    """
     if n < 1 or m < 1:
         raise ParameterError(f"approximation levels must be >= 1, got ({n}, {m})")
     level = max(n, m)
     _require_contraction_level(level)
-    D = cell_sign_matrix(n, level) - cell_sign_matrix(m, level)
-    value = _step_norm(D, r1, r2, level)
-    return ChaosNorm(value=value, refine=level)
+    return ChaosNorm(value=_step_norm(r1, r2, 2 ** min(n, m), level), refine=level)
 
 
 def existence_check(p: float, q: float) -> bool:

@@ -300,9 +300,9 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
     B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
     halves (cov.mirror_factors) and A_+- = cell_sign_matrix(n-1, n-1) - 1/2,
-    so one N/2 SVD gives every pair. A_+- is never built: L+^T A_+- is a
-    reverse prefix sum over the rows of L+, formed in L+'s own memory
-    (_half_sign_product), so the split route holds at most three N/2 x N/2
+    so one N/2 SVD gives every pair. A_+- is never built: L+^T A_+- is
+    lk.sign_product(L+^T), formed in L+'s own memory, less half of each
+    column sum of L+, so the split route holds at most three N/2 x N/2
     arrays besides the SVD's own copy. Every other pair takes one N x N SVD
     of M, with L_i from cov.cholesky_factor (for equal Grams, the mean of
     each pair of its sorted singular values). The spectrum carries the
@@ -315,8 +315,12 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
     if equal and g1.mirror_symmetric:
         plus, minus, rung = cov.mirror_factors(g1)
-        b = _half_sign_product(plus) @ minus
-        del plus, minus
+        # the column sums first: sign_product overwrites plus
+        half_sums = 0.5 * np.sum(plus, axis=0)
+        x = lk.sign_product(plus.T)
+        x -= half_sums[:, None]
+        b = x @ minus
+        del plus, minus, x
         return _plus_minus(np.linalg.svd(b, compute_uv=False), 2, jitter_rung=rung)
     l1, rung1 = cov.cholesky_factor(g1.dense())
     l2, rung2 = (l1, rung1) if equal else cov.cholesky_factor(g2.dense())
@@ -337,22 +341,6 @@ def check_operator_level(level: int) -> int:
     if level > MAX_OPERATOR_LEVEL:
         raise ResourceError(f"operator level {level} exceeds cap {MAX_OPERATOR_LEVEL}")
     return level
-
-
-def _half_sign_product(plus: np.ndarray) -> np.ndarray:
-    """plus.T @ (lk.cell_sign_matrix(m, m) - 1/2) for 2^m rows, computed in plus's memory.
-
-    That sign matrix is lower triangular, -1/2 on the diagonal and -1 below,
-    so row k of the product's transpose is -(R[k] - plus[k] / 2) with
-    R[k] = sum_{j >= k} plus[j]. With H the reverse cumulative sum of
-    -plus / 2 that is H[k] + H[k+1], so a scaling, one cumsum and one add of
-    adjacent rows, all in place, give it without a temporary.
-    """
-    plus *= -0.5
-    rows = plus[::-1]
-    np.cumsum(rows, axis=0, out=rows)
-    np.add(plus[:-1], plus[1:], out=plus[:-1])
-    return plus.T
 
 
 def cf_curve(spectrum: Spectrum, t_grid):

@@ -89,6 +89,35 @@ def test_parse_range_caps_the_point_count():
     assert len(cli.parse_range("0:999999:1")) == cli.MAX_RANGE_POINTS
 
 
+def test_empty_comma_lists_exit_2_before_any_work(tmp_path, monkeypatch):
+    import argparse
+
+    for text in (",", " , ", ",,"):
+        with pytest.raises(argparse.ArgumentTypeError, match="no numbers"):
+            cli.parse_range(text)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started on an empty range")
+
+    for module, name in ((sim, "run_mc"), (sp, "cf_curve"), (lk, "cauchy_table")):
+        monkeypatch.setattr(module, name, forbidden)
+    cases = [
+        (["cauchy", "--kernel", "brownian"], "--levels", "levels", "cauchy.csv"),
+        (["cf", "--kernel", "brownian"], "--t", "t", "cf.csv"),
+        (["simulate", "--kernel", "brownian", "--level", 3, "--samples", 50], "--t", "t",
+         "cf.csv"),
+    ]
+    for i, (argv, flag, key, name) in enumerate(cases):
+        out = tmp_path / f"flag{i}"
+        assert flag_exit_code(argv + [flag, ",", "--out", out]) == 2, argv
+        assert not (out / name).exists(), argv
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(f"{key}=,\n")
+        out = tmp_path / f"config{i}"
+        assert run_cli(argv + ["--config", config, "--out", out]) == 2, argv
+        assert not (out / name).exists(), argv
+
+
 def test_oversized_ranges_exit_2(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("CF computed on an oversized grid")
@@ -559,7 +588,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 10
+    assert summary["schema_version"] == 11
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -661,6 +690,7 @@ def test_json_format(tmp_path):
     ]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["cf"][0]["re"] == 1.0
+    assert summary["n_points"] == 2
     assert not (tmp_path / "cf.csv").exists()
 
 

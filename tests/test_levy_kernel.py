@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.pvariation as pv
@@ -121,15 +123,72 @@ def traced_peak(fn, *args):
 
 def test_step_matrices_and_contractions_skip_full_size_transients():
     # cell_sign_matrix builds one float N x N array (no int64 differences or
-    # signs), and norm_diff of one kernel with itself holds D, one Gram and
-    # two products: 4 arrays of N^2 floats, where two Grams and a third
-    # product made 5
+    # signs), and norm_diff of one kernel with itself holds one Gram, turned
+    # into G S in place, and the elementwise terms: 2 arrays of N^2 floats,
+    # where D, one Gram and two products made 4
     square = 8 * 4**9
     sign = lk.cell_sign_matrix(3, 9)
     assert set(np.unique(sign).tolist()) == {-0.5, 0.0, 0.5}
     assert traced_peak(lk.cell_sign_matrix, 3, 9) <= 1.1 * square
     fbm = cov.fractional_brownian(0.35)
-    assert traced_peak(lk.norm_diff, 8, 9, fbm, fbm) <= 4.5 * square
+    assert traced_peak(lk.norm_diff, 8, 9, fbm, fbm) <= 2.5 * square
+
+
+def test_sign_product_is_the_explicit_sign_matrix_product():
+    # S with 2^c blocks on level r is A_r - A_c; c = 0 is the one-block A_r
+    rng = np.random.default_rng(4)
+    for level in range(1, 9):
+        size = 2**level
+        for c in range(level + 1):
+            S = lk.cell_sign_matrix(level, level) - lk.cell_sign_matrix(c, level)
+            for x in (rng.normal(size=(size, size)), rng.normal(size=(size, size)).T):
+                want, scale = x @ S, np.max(np.abs(x))
+                got = lk.sign_product(x, 2**c)
+                assert got is x, (level, c)
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-13 * scale, (level, c, x.flags.c_contiguous)
+
+
+def test_norms_build_no_sign_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a norm built a step matrix")
+
+    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    br, fbm = cov.brownian(), cov.fractional_brownian(0.35)
+    for n in range(1, 9):
+        assert lk.norm_approx(n, fbm, br).value > 0.0
+        for m in range(1, 9):
+            value = lk.norm_diff(n, m, fbm, fbm).value
+            if n == m:  # an exact zero, and +0.0
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, n
+            else:
+                assert value > 0.0, (n, m)
+    table = lk.cauchy_table(range(1, 9), fbm, br)
+    assert [norm.refine for _, _, norm in table.rows] == list(range(2, 9))
+
+
+CHECK_KERNELS = checks._kernels()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name1=st.sampled_from(sorted(CHECK_KERNELS)),
+    name2=st.sampled_from(sorted(CHECK_KERNELS)),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+)
+def test_norms_match_the_einsum_oracle(name1, name2, n, m):
+    r1, r2 = CHECK_KERNELS[name1], CHECK_KERNELS[name2]
+    level = max(n, m)
+    g1, g2 = (cov.level_gram(r, level).dense().matrix for r in (r1, r2))
+    steps = (
+        (lk.norm_approx(level, r1, r2).value, lk.cell_sign_matrix(level, level)),
+        (lk.norm_diff(n, m, r1, r2).value,
+         lk.cell_sign_matrix(n, level) - lk.cell_sign_matrix(m, level)),
+    )
+    for got, A in steps:
+        want = gram_contraction_norm(A, g1, g2)
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
 
 def test_norm_diff_equal_levels_is_exactly_zero():
@@ -152,7 +211,7 @@ def test_norm_diff_brownian_12():
 
 def test_norm_diff_brownian_dyadic_decay():
     br = cov.brownian()
-    for n in range(1, 7):
+    for n in range(1, 11):
         value = lk.norm_diff(n, n + 1, br, br).value
         assert value == pytest.approx(2.0 ** (-n - 2), abs=1e-10)
 

@@ -660,12 +660,13 @@ def test_mirror_factors_rebuild_both_halves_when_only_the_minus_half_fails():
 
 
 def test_half_sign_product_matches_the_explicit_product():
-    # level 1 is the 1 x 1 case, where the product is -plus / 2
+    # the split route's L+^T A_+-: lk.sign_product(L+^T) less half of each
+    # column sum of L+; level 1 is the 1 x 1 case, where the product is -plus / 2
     fbm = cov.fractional_brownian(0.35)
     for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
         plus = cov.mirror_factors(cov.level_gram(fbm, level))[0]
         explicit = plus.T @ (lk.cell_sign_matrix(level - 1, level - 1) - 0.5)
-        got = sp._half_sign_product(plus.copy())
+        got = lk.sign_product(plus.copy().T) - 0.5 * np.sum(plus, axis=0)[:, None]
         assert got.shape == explicit.shape, level
         assert np.max(np.abs(got - explicit)) <= 1e-14 * np.max(np.abs(plus)), level
 
