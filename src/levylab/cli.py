@@ -445,7 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel")
     p.add_argument("--hurst", type=float)
     p.add_argument("--p", help="variation exponent or 'auto'")
-    p.add_argument("--level", type=int, help="maximum grid level (default 10)")
+    p.add_argument("--level", type=int,
+                   help="maximum grid level (default 10); the level Gram must fit "
+                        "covariance.MAX_GRAM_BYTES: at most 24 for brownian and "
+                        "weighted kernels, 23 for fbm, 12 for tabulated")
     p.set_defaults(fn=cmd_pvar, parser=p)
 
     p = sub.add_parser("cauchy", help="inter-level chaos distances with decay fit")

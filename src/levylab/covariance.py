@@ -28,6 +28,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     PartitionError,
+    ResourceError,
     ShapeError,
 )
 
@@ -41,6 +42,9 @@ JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 #: relative tolerance for positive semidefiniteness audits
 PSD_TOL = 1e-8
+
+#: largest array a level route may hold: the level-12 N x N float64 Gram (128 MiB)
+MAX_GRAM_BYTES = 8 * 4**12
 
 
 @dataclass(frozen=True)
@@ -271,6 +275,9 @@ DIAGONAL = "diagonal"
 TOEPLITZ = "toeplitz"
 DENSE = "dense"
 
+#: the structure of each kernel kind's level Gram
+_STRUCTURE = {BROWNIAN: DIAGONAL, WEIGHTED: DIAGONAL, FBM: TOEPLITZ, TABULATED: DENSE}
+
 
 @dataclass(frozen=True, eq=False)
 class LevelGram:
@@ -362,12 +369,39 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     """
     part = dyadic_partition(level)
     if kernel.kind == FBM:
-        return LevelGram(TOEPLITZ, level, _fgn_autocovariance(kernel.hurst, level))
-    if kernel.kind == BROWNIAN:
-        return LevelGram(DIAGONAL, level, np.diff(part))
-    if kernel.kind == WEIGHTED:
-        return LevelGram(DIAGONAL, level, np.diff(kernel.weight.antiderivative_sq(part)))
-    return LevelGram(DENSE, level, gram_matrix(kernel, part).matrix)
+        values = _fgn_autocovariance(kernel.hurst, level)
+    elif kernel.kind == BROWNIAN:
+        values = np.diff(part)
+    elif kernel.kind == WEIGHTED:
+        values = np.diff(kernel.weight.antiderivative_sq(part))
+    else:
+        values = gram_matrix(kernel, part).matrix
+    return LevelGram(_STRUCTURE[kernel.kind], level, values)
+
+
+def check_level(level: int, kernel: CovKernel | None = None) -> int:
+    """level, if the largest array of its level-n route fits MAX_GRAM_BYTES.
+
+    A route that holds the N x N matrix (N = 2^level) passes no kernel and
+    counts N^2 floats. A route that holds only the kernel's level_gram counts
+    that structure: N floats diagonal, N + 1 lags Toeplitz, N^2 floats dense.
+    So dense routes and tabulated kernels reach level 12, fBm level 23, and
+    Brownian and weighted kernels level 24. Raises ParameterError below 0 and
+    ResourceError above, before anything is built and without forming 2^level
+    for a huge level.
+    """
+    if level < 0:
+        raise ParameterError(f"dyadic level must be >= 0, got {level}")
+    structure = DENSE if kernel is None else _STRUCTURE[kernel.kind]
+    limit = MAX_GRAM_BYTES // 8
+    # every level Gram holds at least 2^level floats, so a huge level stops here
+    if level < limit.bit_length():
+        n = 2**level
+        if {DIAGONAL: n, TOEPLITZ: n + 1, DENSE: n * n}[structure] <= limit:
+            return level
+    raise ResourceError(
+        f"level-{level} {structure} Gram exceeds MAX_GRAM_BYTES = {MAX_GRAM_BYTES}"
+    )
 
 
 def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from . import pvariation as pv
-from .errors import NumericalError, ParameterError, ResourceError
+from .errors import NumericalError, ParameterError
 
 
 def kernel_eval(s: float, i: int, t: float, j: int) -> float:
@@ -100,6 +99,10 @@ def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
     return out
 
 
+#: rows per slab of sign_product's adjacent add
+_ADD_ROWS = 32
+
+
 def sign_product(x: np.ndarray, blocks: int = 1) -> np.ndarray:
     """x @ S, written into x's own memory and returned; x is overwritten.
 
@@ -119,7 +122,13 @@ def sign_product(x: np.ndarray, blocks: int = 1) -> np.ndarray:
     reverse = v[..., ::-1]
     np.cumsum(reverse, axis=-1, out=reverse)
     first = v[..., :1].copy()
-    np.add(v[..., :-1], v[..., 1:], out=v[..., :-1])
+    # the add reads columns it writes, so numpy buffers a copy of its input:
+    # row slabs bound that copy for C-ordered x; a transposed one-block x
+    # (the mirror split's) takes no copy, and slabs would only slow it
+    step = _ADD_ROWS if x.flags.c_contiguous else rows
+    for start in range(0, rows, step):
+        slab = v[start : start + step]
+        np.add(slab[..., :-1], slab[..., 1:], out=slab[..., :-1])
     v -= first
     return x
 
@@ -134,8 +143,11 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     table that is not positive semidefinite) and raises NumericalError.
     """
     x1 = sign_product(cov.level_gram(r1, level).dense().matrix, blocks)
-    x2 = x1 if r2 is r1 else sign_product(cov.level_gram(r2, level).dense().matrix, blocks)
-    terms = x1 * x2.T
+    if r2 is r1:
+        terms = x1 * x1.T
+    else:
+        x2 = sign_product(cov.level_gram(r2, level).dense().matrix, blocks)
+        terms = np.multiply(x1, x2.T, out=x1)
     # 0.0 - sum: an exact zero is +0.0, never -0.0
     total = 0.0 - float(np.sum(terms))
     if total < 0.0:
@@ -147,17 +159,15 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     return 2.0 * total
 
 
-def _require_contraction_level(level: int) -> None:
-    """Raise ResourceError above pv.MAX_LEVEL, before any Gram is built."""
-    if level > pv.MAX_LEVEL:
-        raise ResourceError(f"contraction level {level} exceeds cap {pv.MAX_LEVEL}")
-
-
 def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
-    """Exact squared tensor norm of the level-n approximation."""
+    """Exact squared tensor norm of the level-n approximation.
+
+    The contraction holds N x N arrays, N = 2^n, so n is checked by
+    cov.check_level (at most 12) before any Gram is built.
+    """
     if n < 1:
         raise ParameterError(f"approximation level must be >= 1, got {n}")
-    _require_contraction_level(n)
+    cov.check_level(n)
     return ChaosNorm(value=_step_norm(r1, r2, 1, n), refine=n)
 
 
@@ -165,12 +175,13 @@ def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm
     """Exact squared tensor distance between the level-n and level-m approximations.
 
     On the level-max(n, m) grid the difference is +-S with 2^min(n, m) blocks
-    (sign_product), which is zero at equal levels.
+    (sign_product), which is zero at equal levels. Like norm_approx it holds
+    N x N arrays, so max(n, m) is checked by cov.check_level (at most 12).
     """
     if n < 1 or m < 1:
         raise ParameterError(f"approximation levels must be >= 1, got ({n}, {m})")
     level = max(n, m)
-    _require_contraction_level(level)
+    cov.check_level(level)
     return ChaosNorm(value=_step_norm(r1, r2, 2 ** min(n, m), level), refine=level)
 
 
@@ -217,12 +228,13 @@ def cauchy_table(levels, r1: cov.CovKernel, r2: cov.CovKernel) -> CauchyTable:
     """Distances across consecutive levels with a fitted dyadic decay rate.
 
     The slope is the least-squares fit of log2(norm_sq) against n over the
-    consecutive pairs (n, n+1); -1 means norm_sq halves per level.
+    consecutive pairs (n, n+1); -1 means norm_sq halves per level. The top
+    level is checked by cov.check_level (at most 12) before the first row.
     """
     levels = [int(x) for x in levels]
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ParameterError("levels must be an increasing list with at least two entries")
-    _require_contraction_level(levels[-1])
+    cov.check_level(levels[-1])
     rows = []
     for a, b in zip(levels, levels[1:]):
         rows.append((a, b, norm_diff(a, b, r1, r2)))

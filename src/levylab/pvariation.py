@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from . import covariance as cov
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError
 
 #: relative tolerance deciding that a profile has stabilized
 PROFILE_TOL = 1e-3
@@ -38,8 +38,6 @@ PROFILE_TOL = 1e-3
 GROWTH_FACTOR = 1.2
 #: numerical slack allowed in superadditivity audits
 SLACK_TOL = 1e-9
-#: cap on dyadic grid levels (4096^2 cells)
-MAX_LEVEL = 12
 
 STABILIZING = "Stabilizing"
 GROWING = "Growing"
@@ -100,11 +98,12 @@ def v2p_grid(kernel, p: float, level: int) -> float:
     A lower bound of the true 2D p-variation (the supremum is restricted to
     the full dyadic product partition of the given level). The cell
     increments are the entries of the level Gram, so the sum takes O(N) time
-    and memory for diagonal and Toeplitz Grams.
+    and memory for diagonal and Toeplitz Grams. cov.check_level bounds the
+    level by the Gram's structure before it is built: 24 for Brownian and
+    weighted kernels, 23 for fBm, 12 for tabulated kernels.
     """
     _require_exponent(p)
-    if level > MAX_LEVEL:
-        raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
+    cov.check_level(level, kernel)
     return cov.level_gram(kernel, level).abs_power_sum(p) ** (1.0 / p)
 
 
@@ -123,12 +122,12 @@ def variation_profile(kernel, p: float, max_level: int) -> VariationProfile:
 
     Stabilizing: the last two estimates agree to PROFILE_TOL relatively.
     Growing: each of the last three refinement steps multiplies the estimate
-    by at least GROWTH_FACTOR. Otherwise inconclusive.
+    by at least GROWTH_FACTOR. Otherwise inconclusive. max_level is bounded
+    as in v2p_grid, by cov.check_level before the first Gram is built.
     """
     if max_level < 1:
         raise ParameterError(f"maximum grid level must be >= 1, got {max_level}")
-    if max_level > MAX_LEVEL:
-        raise ResourceError(f"grid level {max_level} exceeds cap {MAX_LEVEL}")
+    cov.check_level(max_level, kernel)
     ests = [(n, v2p_grid(kernel, p, n)) for n in range(1, max_level + 1)]
     vals = [e for _, e in ests]
     verdict = INCONCLUSIVE
@@ -160,9 +159,12 @@ def grid_control(kernel, p: float, level: int = 6):
 
     The p-th power of the grid p-variation of the kernel restricted to the
     rectangle, evaluated on a uniform 2^level subdivision of the rectangle.
+    Each call builds a (2^level + 1)^2 corner array, so the level is checked
+    here, as for a dense route, by cov.check_level: ParameterError below 0,
+    ResourceError above 12.
     """
     _require_exponent(p)
-    n = 2**level
+    n = 2 ** cov.check_level(level)
 
     def omega(rect):
         xs = np.linspace(rect.s0, rect.s1, n + 1)
@@ -283,8 +285,9 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
     attached report carries the four-part norm of f, the grid q-variation of
     g, their product ratio against |value|, and the change from the level-
     (n-1) sum, which reads f at the even nodes against the 2x2 block sums of
-    the level-n increments (rectangular increments are additive). Levels
-    above MAX_LEVEL raise ResourceError before f is evaluated.
+    the level-n increments (rectangular increments are additive). f and the
+    Gram are held as N x N arrays, so cov.check_level refuses levels above 12
+    with ResourceError before f is evaluated.
     """
     _require_exponent(p)
     _require_exponent(q)
@@ -294,8 +297,7 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
         )
     if level < 1:
         raise ParameterError("level must be >= 1")
-    if level > MAX_LEVEL:
-        raise ResourceError(f"grid level {level} exceeds cap {MAX_LEVEL}")
+    cov.check_level(level)
     nodes = cov.dyadic_partition(level)
     fvals = _eval_on_nodes(f, nodes)
     gram = cov.level_gram(g, level)

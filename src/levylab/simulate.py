@@ -46,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from . import pvariation as pv
-from .errors import NumericalError, ParameterError, ResourceError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
@@ -153,13 +152,11 @@ def increment_sampler(kernel: cov.CovKernel, level: int):
     depends on its own input row only. `apply` may overwrite Z and may return
     a view of it, so it needs no array larger than Z beyond one FFT of its
     rows. The map is chosen by the structure of the level Gram: diagonal,
-    Toeplitz (circulant embedding) or dense (Cholesky). A dense Gram is
-    refused above pv.MAX_LEVEL with ResourceError before it is built.
+    Toeplitz (circulant embedding) or dense (Cholesky). cov.check_level
+    bounds the level by that structure before the Gram is built, so a dense
+    Gram above level 12 raises ResourceError.
     """
-    if kernel.kind == cov.TABULATED and level > pv.MAX_LEVEL:
-        raise ResourceError(
-            f"dense increment Gram at level {level} exceeds cap {pv.MAX_LEVEL}"
-        )
+    cov.check_level(level, kernel)
     gram = cov.level_gram(kernel, level)
     if gram.kind == cov.TOEPLITZ:
         return _Circulant(gram.values)

@@ -10,6 +10,7 @@ from levylab import pvariation as pv
 from levylab import simulate as sim
 from levylab import spectral as sp
 from levylab.errors import ResourceError
+from test_simulate import DENSE_TOP
 
 
 def run_cli(args):
@@ -235,19 +236,30 @@ def test_pvar_auto_exponent(tmp_path):
 
 
 def test_pvar_level_above_cap_exits_2(tmp_path, monkeypatch):
+    spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 5)] * 2))
+
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built before the level cap was checked")
 
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
-    monkeypatch.setattr(cov, "level_gram", forbidden)
-    assert run_cli(["pvar", "--kernel", "brownian", "--level", 13, "--out", tmp_path]) == 2
+    for name in ("gram_matrix", "level_gram", "eval_grid"):
+        monkeypatch.setattr(cov, name, forbidden)
+    # one past the largest level of each Gram structure, and a level whose
+    # 2^level the check must never form
+    for kernel, level in (("brownian", 25), ("fbm hurst=0.35", 24), (spec, DENSE_TOP + 1),
+                          ("brownian", 1000000000)):
+        out = tmp_path / f"out-{level}"
+        assert run_cli(["pvar", "--kernel", kernel, "--level", level, "--out", out]) == 2
+        assert not (out / "pvar.csv").exists()
+
+
+def test_pvar_runs_fbm_above_the_dense_level(tmp_path):
+    assert run_cli(["pvar", "--kernel", "fbm hurst=0.35", "--level", 16, "--out", tmp_path]) == 0
+    _, _, rows = read_csv(tmp_path / "pvar.csv")
+    assert [int(row[0]) for row in rows] == list(range(1, 17))
 
 
 def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
-    table = tmp_path / "min.csv"
-    nodes = np.linspace(0, 1, 5)
-    lines = ["s,t,value"] + [f"{s},{t},{min(s, t)}" for s in nodes for t in nodes]
-    table.write_text("\n".join(lines) + "\n")
+    spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 5)] * 2))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built before the level cap was checked")
@@ -256,8 +268,8 @@ def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(cov, "level_gram", forbidden)
     monkeypatch.setattr(cov, "cholesky_factor", forbidden)
     out = tmp_path / "out"
-    assert run_cli(["simulate", "--kernel", f"kind=tabulated path={table}", "--level",
-                    pv.MAX_LEVEL + 1, "--samples", 5, "--out", out]) == 2
+    assert run_cli(["simulate", "--kernel", spec, "--level",
+                    DENSE_TOP + 1, "--samples", 5, "--out", out]) == 2
     assert not (out / "cf.csv").exists()
 
 

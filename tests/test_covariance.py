@@ -10,6 +10,7 @@ from levylab.errors import (
     NumericalError,
     ParameterError,
     PartitionError,
+    ResourceError,
     ShapeError,
 )
 
@@ -306,6 +307,22 @@ def test_level_gram_dense_and_power_sum_match_gram_matrix():
                 total = np.sum(np.abs(ref.matrix) ** p)
                 assert gram.abs_power_sum(p) == pytest.approx(total, rel=1e-12, abs=0)
     assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.DENSE
+
+
+def test_check_level_counts_the_largest_array_of_the_route():
+    # N^2 floats for a route holding the N x N matrix (no kernel) or a dense
+    # Gram, N + 1 lags for fBm, N variances for Brownian and weighted kernels
+    table = cov.tabulated_from_fn(np.minimum, 4)
+    tops = [(None, 12), (table, 12), (cov.fractional_brownian(0.35), 23),
+            (cov.brownian(), 24), (cov.weighted_poly(2), 24)]
+    for kernel, top in tops:
+        assert cov.check_level(top, kernel) == top
+        assert cov.check_level(0, kernel) == 0
+        for level in (top + 1, 10**18):
+            with pytest.raises(ResourceError):
+                cov.check_level(level, kernel)
+        with pytest.raises(ParameterError):
+            cov.check_level(-1, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
-import levylab.pvariation as pv
 from levylab.errors import NumericalError, ParameterError, ResourceError
-from test_simulate import _fgn_toeplitz
+from test_simulate import DENSE_TOP, _fgn_toeplitz
 
 
 def gram_contraction_norm(A, g1, g2):
@@ -132,6 +131,17 @@ def test_step_matrices_and_contractions_skip_full_size_transients():
     assert traced_peak(lk.cell_sign_matrix, 3, 9) <= 1.1 * square
     fbm = cov.fractional_brownian(0.35)
     assert traced_peak(lk.norm_diff, 8, 9, fbm, fbm) <= 2.5 * square
+
+
+def test_two_kernel_norms_hold_only_their_two_grams():
+    # the adjacent add of sign_product runs in row slabs of a C-ordered x,
+    # so numpy buffers one slab, not a copy of x; two different kernels then
+    # hold their two Grams, the terms formed in the first
+    square = 8 * 4**9
+    x = np.random.default_rng(7).normal(size=(2**9, 2**9))
+    assert traced_peak(lk.sign_product, x) <= 0.25 * square
+    br, fbm = cov.brownian(), cov.fractional_brownian(0.35)
+    assert traced_peak(lk.norm_approx, 9, fbm, br) <= 2.2 * square
 
 
 def test_sign_product_is_the_explicit_sign_matrix_product():
@@ -261,7 +271,7 @@ def test_contraction_level_cap_fires_before_any_allocation(monkeypatch):
     monkeypatch.setattr(cov, "level_gram", forbidden)
     monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
     br = cov.brownian()
-    top = pv.MAX_LEVEL + 1
+    top = DENSE_TOP + 1
     with pytest.raises(ResourceError):
         lk.norm_diff(12, 13, br, br)
     with pytest.raises(ResourceError):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import levylab.covariance as cov
 import levylab.pvariation as pv
 from levylab.errors import ParameterError, ResourceError
-from test_simulate import _fgn_toeplitz
+from test_simulate import DENSE_TOP, _fgn_toeplitz
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +62,14 @@ def test_v1p_matches_exhaustive(values, p):
 # ---------------------------------------------------------------------------
 
 def test_v2p_brownian_p1_is_one():
-    for level in range(1, 9):
+    for level in (*range(1, 9), 20):
         assert pv.v2p_grid(cov.brownian(), 1.0, level) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_v2p_weighted_p1_is_the_weight_norm():
+    # the cell variances of f(u) = u sum to int_0^1 u^2 du = 1/3 at every level
+    for level in (1, 5, 20):
+        assert pv.v2p_grid(cov.weighted_poly(1), 1.0, level) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_v2p_additive_kernel_zero():
@@ -79,9 +85,15 @@ def test_v2p_product_kernel_p1_is_one():
         assert pv.v2p_grid(k, 1.0, level) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_v2p_resource_cap():
-    with pytest.raises(ResourceError):
-        pv.v2p_grid(cov.brownian(), 1.0, 13)
+def test_v2p_resource_cap(monkeypatch):
+    table = cov.tabulated_from_fn(np.minimum, 4)
+    _forbid_dense_grams(monkeypatch, "level_gram")
+    # one past the largest level of each Gram structure, and a huge level
+    for kernel, level in ((cov.brownian(), 25), (cov.weighted_poly(1), 25),
+                          (cov.fractional_brownian(0.35), 24), (table, DENSE_TOP + 1),
+                          (cov.brownian(), 10**9)):
+        with pytest.raises(ResourceError):
+            pv.v2p_grid(kernel, 1.0, level)
     with pytest.raises(ParameterError):
         pv.v2p_grid(cov.brownian(), 0.9, 3)
 
@@ -111,7 +123,7 @@ def _forbid_dense_grams(monkeypatch, *extra):
 def test_v2p_structured_kernels_skip_the_dense_gram(monkeypatch):
     _forbid_dense_grams(monkeypatch)
     for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
-        assert pv.v2p_grid(kernel, 1.5, pv.MAX_LEVEL) > 0.0
+        assert pv.v2p_grid(kernel, 1.5, DENSE_TOP + 4) > 0.0
         prof = pv.variation_profile(kernel, 1.0, 6)
         assert len(prof.levels) == 6
 
@@ -155,13 +167,11 @@ def test_profile_fbm_subcritical_grows():
 
 
 def test_profile_level_cap_fires_before_any_gram(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Gram built before the level cap was checked")
-
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
-    monkeypatch.setattr(cov, "level_gram", forbidden)
-    with pytest.raises(ResourceError):
-        pv.variation_profile(cov.brownian(), 1.0, pv.MAX_LEVEL + 1)
+    table = cov.tabulated_from_fn(np.minimum, 4)
+    _forbid_dense_grams(monkeypatch, "level_gram")
+    for kernel, max_level in ((cov.brownian(), 25), (table, DENSE_TOP + 1)):
+        with pytest.raises(ResourceError):
+            pv.variation_profile(kernel, 1.0, max_level)
 
 
 def test_profile_rejects_levels_below_one(monkeypatch):
@@ -216,6 +226,15 @@ def test_control_product_brownian_grid():
     omega1 = pv.grid_control(cov.brownian(), 1.0, level=5)
     report = pv.control_product_check(omega1, pv.area_control(), 1.0, 5.0, trials=400)
     assert report.ok
+
+
+def test_grid_control_checks_its_level_at_construction(monkeypatch):
+    # each call of omega builds a (2^level + 1)^2 corner grid
+    _forbid_dense_grams(monkeypatch)
+    with pytest.raises(ParameterError):
+        pv.grid_control(cov.brownian(), 1.0, level=-1)
+    with pytest.raises(ResourceError):
+        pv.grid_control(cov.brownian(), 1.0, level=DENSE_TOP + 1)
 
 
 def test_control_product_exponent_error():
@@ -295,7 +314,7 @@ def test_young_level_cap_fires_before_f_is_evaluated(monkeypatch):
 
     monkeypatch.setattr(cov, "level_gram", forbidden)
     with pytest.raises(ResourceError):
-        pv.young_integral_2d(forbidden, cov.brownian(), 2.0, 1.0, pv.MAX_LEVEL + 1)
+        pv.young_integral_2d(forbidden, cov.brownian(), 2.0, 1.0, DENSE_TOP + 1)
 
 
 def test_young_evaluates_f_once_on_one_gram(monkeypatch):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
-import levylab.pvariation as pv
 import levylab.simulate as sim
 from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeError
+
+#: the largest level whose N x N float64 Gram fits covariance.MAX_GRAM_BYTES
+DENSE_TOP = max(n for n in range(32) if 8 * 4**n <= cov.MAX_GRAM_BYTES)
 
 
 def brownian_config(seed=11, n_samples=100, level=5):
@@ -206,7 +208,7 @@ def test_tabulated_level_cap_fires_before_any_gram(monkeypatch):
     monkeypatch.setattr(cov, "level_gram", forbidden)
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "cholesky_factor", forbidden)
-    for level in (pv.MAX_LEVEL + 1, sim.MAX_LEVEL):
+    for level in (DENSE_TOP + 1, sim.MAX_LEVEL):
         for k2 in (tab, cov.brownian()):
             config = sim.MCConfig(seed=1, n_samples=3, level=level, kernel1=tab, kernel2=k2)
             with pytest.raises(ResourceError):
