@@ -5,7 +5,9 @@ from flags or from a key=value config file (flags win). Grids use the range
 syntax a:b:step (inclusive of the endpoint up to rounding) or a comma list;
 integer level ranges accept a:b. Artifacts are CSV tables plus a JSON
 summary; every artifact embeds the semantic config echo (command, kernels,
-seed, sizes) so runs are reproducible from their outputs alone. Execution
+seed, sizes) so runs are reproducible from their outputs alone. One writer,
+_write_table, renders every table, and one value rule, _cell, formats every
+CSV cell and echo list. Execution
 knobs (thread count, output paths) are deliberately not part of the echo:
 outputs are bit-identical for the same config and seed at any --threads.
 
@@ -36,6 +38,11 @@ SCHEMA_VERSION = 11
 def _fmt(x: float) -> str:
     """Fixed shortest-roundtrip decimal; '.' separator, locale-free."""
     return format(float(x), ".17g")
+
+
+def _cell(value) -> str:
+    """The one value rule of the artifacts: floats by _fmt, anything else by str."""
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 #: most points a range may expand to; the count is checked before any list is built
@@ -178,17 +185,13 @@ def _echo_line(echo: dict) -> str:
     parts = []
     for key, val in echo.items():
         if isinstance(val, list):
-            val = ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in val)
+            val = ",".join(map(_cell, val))
         parts.append(f"{key}={val}")
     return "# " + " ".join(parts)
 
 
-def _csv_body(header: str, rows) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
 def _write_csv(path: Path, echo: dict, blocks):
-    """The echo line followed by a CSV body (header and rows) given as text blocks."""
+    """The echo line followed by the CSV header and rows, given as text blocks."""
     # block by block: joining them would hold a second copy of a large body
     with path.open("w", encoding="utf-8") as fh:
         fh.write(_echo_line(echo) + "\n")
@@ -204,19 +207,23 @@ def _sample_blocks(samples):
         yield "".join(f"{i},{_fmt(a)}\n" for i, a in enumerate(block, start))
 
 
-def _write_summary(path: Path, echo: dict, payload: dict):
-    doc = dict(echo)
-    doc.update(payload)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _write_table(args, echo: dict, name: str, key: str, columns, rows, summary: dict,
+                 repeat=()):
+    """Write a table (column names, rows of plain values) and summary.json.
 
-
-def _write_outputs(args, echo: dict, name: str, body: str, summary: dict, json_only: dict):
-    """CSV: table `name` (echo line, body) and summary.json; JSON: summary.json plus json_only."""
+    CSV: file `name` holds the echo line, the header and the rows, cells by
+    _cell, with the summary fields named in `repeat` as trailing constant
+    columns. JSON: summary.json holds the rows under `key`, one object each.
+    """
     if args.format == "json":
-        summary = {**summary, **json_only}
+        summary = {**summary, key: [dict(zip(columns, row)) for row in rows]}
     else:
-        _write_csv(_out_path(args, name), echo, (body,))
-    _write_summary(_out_path(args, "summary.json"), echo, summary)
+        tail = tuple(summary[field] for field in repeat)
+        lines = (",".join(map(_cell, (*row, *tail))) for row in rows)
+        _write_csv(_out_path(args, name), echo,
+                   (f"{line}\n" for line in (",".join((*columns, *repeat)), *lines)))
+    doc = json.dumps({**echo, **summary}, sort_keys=True, indent=2)
+    _out_path(args, "summary.json").write_text(doc + "\n", encoding="utf-8")
 
 
 def _out_path(args, name: str) -> Path:
@@ -248,16 +255,10 @@ def cmd_simulate(args) -> int:
     )
     result = sim.run_mc(config, threads=threads)
     ecf = sim.empirical_cf(result, t_grid)
-    cf_rows = [
-        f"{_fmt(t)},{_fmt(e.real)},{_fmt(e.imag)},{_fmt(se)}"
-        for t, e, se in zip(ecf.t_grid, ecf.estimates, ecf.std_errors)
-    ]
-    cf_table = [
-        {"t": float(t), "re": e.real, "im": e.imag, "stderr": float(se)}
-        for t, e, se in zip(ecf.t_grid, ecf.estimates, ecf.std_errors)
-    ]
-    _write_outputs(args, echo, "cf.csv", _csv_body("t,re,im,stderr", cf_rows),
-                   {"mean": result.mean, "variance": result.variance}, {"cf": cf_table})
+    rows = list(zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
+                    ecf.estimates.imag.tolist(), ecf.std_errors.tolist()))
+    _write_table(args, echo, "cf.csv", "cf", ("t", "re", "im", "stderr"), rows,
+                 {"mean": result.mean, "variance": result.variance})
     if args.format == "csv" and args.emit_samples:
         _write_csv(_out_path(args, "samples.csv"), echo, _sample_blocks(result.samples))
     return 0
@@ -295,10 +296,8 @@ def cmd_cf(args) -> int:
             diagnostics = {"jitter_rung": spectrum.jitter_rung}
         rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
                 for r in sp.cf_curve(spectrum, t_grid)]
-    csv_rows = [f"{_fmt(t)},{_fmt(re)},{_fmt(im)},{_fmt(tb)}" for t, re, im, tb in rows]
-    table = [{"t": t, "re": re, "im": im, "tail_bound": tb} for t, re, im, tb in rows]
-    _write_outputs(args, echo, "cf.csv", _csv_body("t,re,im,tail_bound", csv_rows),
-                   {"n_points": len(rows), **diagnostics}, {"cf": table})
+    _write_table(args, echo, "cf.csv", "cf", ("t", "re", "im", "tail_bound"), rows,
+                 {"n_points": len(rows), **diagnostics})
     return 0
 
 
@@ -334,8 +333,8 @@ def cmd_spectrum(args) -> int:
         "symmetry_violations": list(report.violations),
         "jitter_rung": spectrum.jitter_rung,
     }
-    listing = [{"alpha": a, "multiplicity": m} for a, m in spectrum.entries]
-    _write_outputs(args, echo, "spectrum.csv", spectrum.csv(), summary, {"spectrum": listing})
+    _write_table(args, echo, "spectrum.csv", "spectrum",
+                 ("alpha", "multiplicity"), spectrum.entries, summary)
     return 0
 
 
@@ -353,9 +352,8 @@ def cmd_pvar(args) -> int:
     max_level = args.level if args.level is not None else 10
     profile = pv.variation_profile(kernel, p, max_level)
     echo = _echo("pvar", kernel=cov.kernel_spec_string(kernel), p=float(p), max_level=max_level)
-    levels = [{"level": n, "estimate": est} for n, est in profile.levels]
-    _write_outputs(args, echo, "pvar.csv", pv.profile_csv(profile),
-                   {"p": float(p), "verdict": profile.verdict}, {"levels": levels})
+    _write_table(args, echo, "pvar.csv", "levels", ("level", "estimate"), profile.levels,
+                 {"p": float(p), "verdict": profile.verdict}, repeat=("verdict",))
     return 0
 
 
@@ -374,12 +372,9 @@ def cmd_cauchy(args) -> int:
         kernel2=cov.kernel_spec_string(k2),
         levels=levels,
     )
-    rows = [
-        {"n": n, "m": m, "norm_sq": norm.value, "refine": norm.refine}
-        for n, m, norm in table.rows
-    ]
-    _write_outputs(args, echo, "cauchy.csv", table.csv(),
-                   {"slope": table.slope, "flag": table.flag}, {"rows": rows})
+    rows = [(n, m, norm.value, norm.refine) for n, m, norm in table.rows]
+    _write_table(args, echo, "cauchy.csv", "rows", ("n", "m", "norm_sq", "refine"), rows,
+                 {"slope": table.slope, "flag": table.flag}, repeat=("flag",))
     return 0
 
 

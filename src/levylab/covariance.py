@@ -133,7 +133,8 @@ def tabulated_from_fn(fn, mesh: int) -> CovKernel:
 def load_table_csv(path) -> CovKernel:
     """Read a tabulated kernel from CSV with header ``s,t,value``.
 
-    The (s,t) points must fill a complete uniform mesh on [0,1]^2.
+    The (s,t) points must fill a complete uniform mesh on [0,1]^2: with n
+    distinct s values, every s and t lies within 1e-12 of a node k/(n-1).
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -148,23 +149,23 @@ def load_table_csv(path) -> CovKernel:
             rows.append((float(s), float(t), float(v)))
     if not rows:
         raise ShapeError("empty kernel table")
-    svals = np.array(sorted({r[0] for r in rows}))
-    n = len(svals)
-    expected = np.linspace(0.0, 1.0, n)
-    if not np.allclose(svals, expected, atol=1e-12):
-        raise ShapeError("table mesh is not a uniform subdivision of [0,1]")
-    if len(rows) != n * n:
-        raise ShapeError(f"incomplete table: expected {n * n} rows, got {len(rows)}")
-    values = np.zeros((n, n))
-    covered = np.zeros((n, n), dtype=bool)
-    step = 1.0 / (n - 1)
-    for s, t, v in rows:
-        i = int(round(s / step))
-        j = int(round(t / step))
-        values[i, j] = v
-        covered[i, j] = True
-    if not covered.all():
+    data = np.array(rows)
+    n = len(np.unique(data[:, 0]))
+    if n < 2 or len(rows) != n * n:
+        raise ShapeError(f"incomplete table: {len(rows)} rows for {n} distinct s values; "
+                         "a mesh of n >= 2 values needs n * n rows")
+    # in units of the mesh step 1/(n-1) the nodes are 0..n-1; a nan coordinate is off the mesh
+    scaled = data[:, :2] * (n - 1)
+    nodes = np.rint(scaled)
+    on = (np.abs(scaled - nodes) <= 1e-12 * (n - 1)) & (nodes >= 0) & (nodes <= n - 1)
+    if not on.all():
+        s, t = data[np.argmin(on.all(axis=1)), :2].tolist()
+        raise ShapeError(f"table point ({s!r}, {t!r}) is off the uniform {n - 1}-step mesh")
+    i, j = nodes.astype(int).T
+    if np.unique(i * n + j).size < n * n:
         raise ShapeError("table does not cover the full mesh")
+    values = np.zeros((n, n))
+    values[i, j] = data[:, 2]
     return tabulated(values)
 
 
@@ -343,12 +344,13 @@ class LevelGram:
         2 (N - k) times off it; the zero off-diagonal of a diagonal Gram adds
         nothing.
         """
+        terms = np.abs(self.values[: 2**self.level] if self.kind == TOEPLITZ else self.values)
+        terms **= p
         if self.kind == TOEPLITZ:
-            n = 2**self.level
-            counts = 2.0 * (n - np.arange(n))
-            counts[0] = n
-            return float(np.sum(counts * np.abs(self.values[:n]) ** p))
-        return float(np.sum(np.abs(self.values) ** p))
+            # times the counts, N at lag 0 and 2 (N - k) at lag k; the doubling is exact
+            terms[1:] *= 2.0
+            terms *= np.arange(len(terms), 0, -1.0)
+        return float(np.sum(terms))
 
 
 def _toeplitz(gamma: np.ndarray, n: int) -> np.ndarray:
@@ -367,15 +369,15 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     increments over equal cells are stationary (fractional Gaussian noise),
     so the Gram is Toeplitz. Tabulated kernels get the dense gram_matrix.
     """
-    part = dyadic_partition(level)
     if kernel.kind == FBM:
         values = _fgn_autocovariance(kernel.hurst, level)
     elif kernel.kind == BROWNIAN:
-        values = np.diff(part)
+        values = np.diff(dyadic_partition(level))
     elif kernel.kind == WEIGHTED:
-        values = np.diff(kernel.weight.antiderivative_sq(part))
+        # no name holds the partition, so it is freed before the differences are taken
+        values = np.diff(kernel.weight.antiderivative_sq(dyadic_partition(level)))
     else:
-        values = gram_matrix(kernel, part).matrix
+        values = gram_matrix(kernel, dyadic_partition(level)).matrix
     return LevelGram(_STRUCTURE[kernel.kind], level, values)
 
 
@@ -422,8 +424,17 @@ def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
     gamma = np.empty(2**level + 1)
     gamma[0] = 2.0
     gamma[1] = 2.0**h2 - 2.0
-    gamma[2:] = k**h2 * (np.expm1(h2 * np.log1p(1.0 / k)) + np.expm1(h2 * np.log1p(-1.0 / k)))
-    return (0.5 * 2.0 ** (-level * h2)) * gamma
+    # in place: expm1(h2 log1p(1/k)) in `up`, expm1(h2 log1p(-1/k)) in gamma[2:]
+    up, down = np.divide(1.0, k), np.divide(-1.0, k, out=gamma[2:])
+    for x in (up, down):
+        np.log1p(x, out=x)
+        x *= h2
+        np.expm1(x, out=x)
+    down += up
+    k **= h2
+    down *= k
+    gamma *= 0.5 * 2.0 ** (-level * h2)
+    return gamma
 
 
 def cholesky_factor(gram: GridGram) -> tuple:

@@ -217,12 +217,6 @@ class CauchyTable:
     slope: float | None
     flag: str
 
-    def csv(self) -> str:
-        lines = ["n,m,norm_sq,refine,flag"]
-        for n, m, norm in self.rows:
-            lines.append(f"{n},{m},{norm.value:.17g},{norm.refine},{self.flag}")
-        return "\n".join(lines) + "\n"
-
 
 def cauchy_table(levels, r1: cov.CovKernel, r2: cov.CovKernel) -> CauchyTable:
     """Distances across consecutive levels with a fitted dyadic decay rate.

@@ -142,13 +142,6 @@ def variation_profile(kernel, p: float, max_level: int) -> VariationProfile:
     return VariationProfile(p=p, levels=tuple(ests), verdict=verdict)
 
 
-def profile_csv(profile: VariationProfile) -> str:
-    lines = ["level,estimate,verdict"]
-    for level, est in profile.levels:
-        lines.append(f"{level},{est:.17g},{profile.verdict}")
-    return "\n".join(lines) + "\n"
-
-
 def area_control():
     """The area measure, the canonical 2D control."""
     return lambda rect: (rect.s1 - rect.s0) * (rect.u1 - rect.u0)

@@ -85,10 +85,6 @@ class Spectrum:
         """Eigenvalues repeated according to multiplicity."""
         return np.repeat(self.alphas, self.mults)
 
-    def csv(self) -> str:
-        rows = (f"{a:.17g},{m}" for a, m in self.entries)
-        return "\n".join(["alpha,multiplicity", *rows]) + "\n"
-
 
 def classical_spectrum(count: int) -> Spectrum:
     """First `count` levels of the classical area spectrum.
@@ -125,9 +121,11 @@ def cf_from_spectrum(spectrum: Spectrum, z: complex) -> CFProduct:
 
     Every listed eigenvalue enters, repeated by its multiplicity. Factors are
     combined through per-factor principal logarithms so the square-root
-    branch stays unambiguous and long products cannot underflow. The tail
-    bound |z|^2 * spectrum.tail_sq bounds the error against the product over
-    the untruncated spectrum for purely imaginary z.
+    branch stays unambiguous and long products cannot underflow; where the
+    summed phase overflows (|z| near the largest float) only the modulus is
+    kept. The tail bound |z|^2 * spectrum.tail_sq (0 for a zero tail, inf
+    where |z|^2 overflows) bounds the error against the product over the
+    untruncated spectrum for purely imaginary z.
     """
     z = complex(z)
     sigma = spectrum.spectral_radius
@@ -136,9 +134,18 @@ def cf_from_spectrum(spectrum: Spectrum, z: complex) -> CFProduct:
             f"argument outside the determinant domain: 2|Re z| sigma = "
             f"{2.0 * abs(z.real) * sigma:.6g} >= 1"
         )
-    w = 2.0 * z * spectrum.eigenvalues()
-    value = complex(np.exp(-0.5 * complex(np.sum(np.log1p(-w) + w))))
-    return CFProduct(z=z, value=value, tail_bound=abs(z) ** 2 * spectrum.tail_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # z times 2 alpha, not 2 z times alpha: 2 z overflows for |z| above half the float range
+        w = z * (2.0 * spectrum.eigenvalues())
+        log_sum = complex(np.sum(np.log1p(-w) + w))
+    if not math.isfinite(log_sum.imag):
+        log_sum = complex(log_sum.real, 0.0)
+    value = complex(np.exp(-0.5 * log_sum))
+    try:
+        tail_bound = abs(z) ** 2 * spectrum.tail_sq
+    except OverflowError:
+        tail_bound = math.inf if spectrum.tail_sq else 0.0
+    return CFProduct(z=z, value=value, tail_bound=tail_bound)
 
 
 def cosh_factorization_check(z: complex, n_factors: int) -> float:

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ from levylab import pvariation as pv
 from levylab import simulate as sim
 from levylab import spectral as sp
 from levylab.errors import ResourceError
+from test_covariance import off_mesh_table_lines
 from test_simulate import DENSE_TOP
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -23,6 +28,13 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return lines[0], header, rows
+
+
+def csv_body(header, rows):
+    """The expected CSV after the echo line: floats at 17 significant digits, the rest by str."""
+    cells = (",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+             for row in rows)
+    return "".join(f"{line}\n" for line in (header, *cells))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,22 @@ def test_cf_weighted_kernel_with_a_large_norm(tmp_path):
     assert np.all(np.isfinite(values)) and np.all((values >= 0.0) & (values <= 1.0))
 
 
+def test_cf_at_the_largest_arguments_is_finite(tmp_path):
+    big = "1e155,1e300,1.7976931348623157e308"
+    cases = [(["--kernel", "brownian"], "inf"), (["--kernel", "brownian", "--pairs", 10], "inf"),
+             (["--kernel", "fbm hurst=0.35"], "0"), (["--kernel", "fbm hurst=0.35", "--level", 3], "0")]
+    for i, (argv, tail) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run_cli(["cf", *argv, "--t", big, "--out", out]) == 0, argv
+        _, _, rows = read_csv(out / "cf.csv")
+        assert [row[0] for row in rows] == ["1e+155", "1.0000000000000001e+300",
+                                            "1.7976931348623157e+308"]
+        for _, re_s, im_s, tb_s in rows:
+            value = complex(float(re_s), float(im_s))
+            assert math.isfinite(value.real) and math.isfinite(value.imag), argv
+            assert abs(value) <= 1.0 and tb_s == tail, argv
+
+
 # ---------------------------------------------------------------------------
 # pvar
 # ---------------------------------------------------------------------------
@@ -294,6 +322,14 @@ def test_pvar_non_finite_exponent_exits_2(tmp_path):
         assert not (out / "pvar.csv").exists() and not (out / "summary.json").exists(), p
 
 
+def test_pvar_csv_format(tmp_path):
+    assert run_cli(["pvar", "--kernel", "brownian", "--p", 1, "--level", 3, "--out", tmp_path]) == 0
+    lines = (tmp_path / "pvar.csv").read_text().strip().splitlines()[1:]
+    assert lines[0] == "level,estimate,verdict"
+    assert lines[1].startswith("1,") and lines[1].endswith(",Stabilizing")
+    assert len(lines) == 4
+
+
 def test_pvar_growing_at_p1(tmp_path):
     assert run_cli([
         "pvar", "--kernel", "kind=fbm hurst=0.35", "--p", "1", "--out", tmp_path,
@@ -320,6 +356,14 @@ def test_cauchy_brownian_slope(tmp_path):
     assert float(rows[0][2]) == pytest.approx(0.125, abs=1e-12)
     # the refine column reports the grid each distance was contracted on
     assert [int(r[3]) for r in rows] == [2, 3, 4, 5, 6]
+
+
+def test_cauchy_csv_format(tmp_path):
+    assert run_cli(["cauchy", "--kernel", "brownian", "--levels", "1:3", "--out", tmp_path]) == 0
+    lines = (tmp_path / "cauchy.csv").read_text().strip().splitlines()[1:]
+    assert lines[0] == "n,m,norm_sq,refine,flag"
+    assert lines[1].startswith("1,2,0.125")
+    assert lines[1].endswith(",covered")
 
 
 def test_cauchy_rejects_refine(tmp_path):
@@ -464,7 +508,7 @@ def test_brownian_spectrum_takes_no_dense_solve(tmp_path, monkeypatch):
         assert run_cli(["spectrum", "--kernel", "brownian", *flags, "--out", out]) == 0, flags
         echo, rest = (out / "spectrum.csv").read_text().split("\n", 1)
         assert echo.endswith(f"kind=brownian {route}"), echo
-        assert rest == sp.brownian_spectrum(grid).csv(), flags
+        assert rest == csv_body("alpha,multiplicity", sp.brownian_spectrum(grid).entries), flags
         assert json.loads((out / "summary.json").read_text())["symmetry_ok"] is True
 
 
@@ -531,6 +575,16 @@ def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert run_cli(["spectrum", "--kernel", "fbm hurst=0.35", "--level", 4, "--out", out]) == 3
     assert "numerical error: SVD did not converge" in capsys.readouterr().err
     assert not (out / "spectrum.csv").exists()
+
+
+def test_table_off_the_mesh_exits_2(tmp_path, capsys):
+    path = tmp_path / "off.csv"
+    path.write_text("\n".join(off_mesh_table_lines()) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["pvar", "--kernel", f"kind=tabulated path={path}", "--p", 1, "--level", 2,
+                    "--out", out]) == 2
+    assert "(0.0, 0.3) is off the uniform 4-step mesh" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def _kernel_table(path, values):
@@ -673,15 +727,19 @@ def test_config_values_take_effect(tmp_path):
 
 def test_tables_are_the_library_csv(tmp_path):
     fbm = cov.fractional_brownian(0.35)
+    table = lk.cauchy_table([1, 2, 3, 4], fbm, fbm)
+    profile = pv.variation_profile(fbm, 1.0 / 0.7, 5)
     cases = [
         (["spectrum", "--kernel", "fbm hurst=0.35", "--level", 4], "spectrum.csv",
-         sp.general_spectrum(fbm, fbm, 4).csv()),
+         csv_body("alpha,multiplicity", sp.general_spectrum(fbm, fbm, 4).entries)),
         (["spectrum", "--kernel", "brownian", "--grid", 16], "spectrum.csv",
-         sp.brownian_spectrum(16).csv()),
+         csv_body("alpha,multiplicity", sp.brownian_spectrum(16).entries)),
         (["cauchy", "--kernel", "fbm hurst=0.35", "--levels", "1:4"], "cauchy.csv",
-         lk.cauchy_table([1, 2, 3, 4], fbm, fbm).csv()),
+         csv_body("n,m,norm_sq,refine,flag",
+                  [(n, m, norm.value, norm.refine, table.flag) for n, m, norm in table.rows])),
         (["pvar", "--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 5], "pvar.csv",
-         pv.profile_csv(pv.variation_profile(fbm, 1.0 / 0.7, 5))),
+         csv_body("level,estimate,verdict",
+                  [(level, est, profile.verdict) for level, est in profile.levels])),
     ]
     for i, (argv, name, body) in enumerate(cases):
         out = tmp_path / str(i)
@@ -689,6 +747,82 @@ def test_tables_are_the_library_csv(tmp_path):
         echo, rest = (out / name).read_text().split("\n", 1)
         assert echo.startswith(f"# schema_version={cli.SCHEMA_VERSION} command={argv[0]} ")
         assert rest == body, argv
+
+
+def readme_tables():
+    """(command, file, columns, JSON key or None) of each row of the README's CSV column table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command  | file          | columns                  | JSON key |")
+    tables = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, name, columns, key = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        tables.append((command, name, columns.split(","), None if key == "-" else key))
+    return tables
+
+
+#: a small run of each table command
+TABLE_RUNS = {
+    "simulate": ["--kernel", "brownian", "--level", 3, "--samples", 40, "--seed", 2, "--t", "0,1",
+                 "--emit-samples"],
+    "cf": ["--kernel", "fbm hurst=0.35", "--level", 3, "--t", "0,1"],
+    "spectrum": ["--kernel", "fbm hurst=0.35", "--level", 3],
+    "pvar": ["--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 4],
+    "cauchy": ["--kernel", "fbm hurst=0.35", "--levels", "1:3"],
+}
+
+
+def test_readme_table_matches_the_writer(tmp_path):
+    tables = readme_tables()
+    assert {command for command, *_ in tables} == set(TABLE_RUNS)
+    for i, (command, name, columns, key) in enumerate(tables):
+        runs = {}
+        for fmt in ("csv", "json"):
+            out = runs[fmt] = tmp_path / f"{i}-{fmt}"
+            assert run_cli([command, *TABLE_RUNS[command], "--format", fmt, "--out", out]) == 0
+        assert read_csv(runs["csv"] / name)[1] == columns, (command, name)
+        assert not (runs["json"] / name).exists()
+        summary = json.loads((runs["json"] / "summary.json").read_text())
+        if key is None:
+            continue
+        rows = summary[key]
+        assert rows and all(set(row) == set(rows[0]) for row in rows), (command, key)
+        # the row fields first, then the summary fields repeated as constant columns
+        assert set(columns[:len(rows[0])]) == set(rows[0]), (command, key)
+        assert all(field in summary for field in columns[len(rows[0]):]), (command, key)
+
+
+def same_value(cell, value):
+    """Whether a CSV cell and a JSON value are the same number or string, -0.0 apart from 0.0."""
+    if isinstance(value, float):
+        return repr(float(cell)) == repr(value)
+    return cell == str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kernel1", "brownian", "--kernel2", "fbm hurst=0.35", "--level", 3,
+     "--samples", 30, "--seed", 4, "--t", "0,0.5,2"],
+    ["cf", "--kernel", "brownian", "--pairs", 20, "--t", "0,1,1e200"],
+    ["cf", "--kernel", "kind=weighted degree=0 coeff=100", "--t", "0,0.01,3"],
+    ["cf", "--kernel", "fbm hurst=0.35", "--level", 4, "--t=-1,0,1"],
+    ["spectrum", "--kernel", "brownian", "--grid", 5],
+    ["spectrum", "--kernel", "kind=weighted degree=1", "--level", 3],
+    ["pvar", "--kernel", "kind=fbm hurst=0.75", "--p", "auto", "--level", 6],
+    ["cauchy", "--kernel1", "brownian", "--kernel2", "fbm hurst=0.35", "--levels", "1:4"],
+])
+def test_csv_and_json_rows_are_the_same_values(tmp_path, argv):
+    (name, key), = [(n, k) for c, n, _, k in readme_tables() if c == argv[0] and k]
+    for fmt in ("csv", "json"):
+        assert run_cli([*argv, "--format", fmt, "--out", tmp_path / fmt]) == 0
+    _, header, cells = read_csv(tmp_path / "csv" / name)
+    summary = json.loads((tmp_path / "json" / "summary.json").read_text())
+    rows = summary[key]
+    assert len(cells) == len(rows) > 0
+    for line, row in zip(cells, rows):
+        for column, cell in zip(header, line, strict=True):
+            value = row[column] if column in row else summary[column]
+            assert same_value(cell, value), (column, cell, value)
 
 
 def test_usage_error_exit_code(tmp_path):

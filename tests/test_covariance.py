@@ -374,6 +374,30 @@ def test_table_csv_errors(tmp_path):
         cov.load_table_csv(path)
 
 
+def off_mesh_table_lines():
+    """A 4-step table listing t = 0.3 in place of the node 0.25, its values those of the node."""
+    nodes = np.linspace(0, 1, 5)
+    return ["s,t,value"] + [
+        f"{s},{0.3 if t == 0.25 else t},{min(s, t)}" for s in nodes for t in nodes
+    ]
+
+
+def test_table_points_off_the_mesh_are_rejected(tmp_path):
+    path = tmp_path / "off.csv"
+    path.write_text("\n".join(off_mesh_table_lines()) + "\n")
+    with pytest.raises(ShapeError, match=r"\(0.0, 0.3\) is off the uniform 4-step mesh"):
+        cov.load_table_csv(path)
+    # within 1e-12 of a node is on it; a lone s value is no mesh
+    nodes = np.linspace(0, 1, 5)
+    near = ["s,t,value"] + [f"{float(s) + 5e-13!r},{t},{min(s, t)}" for s in nodes for t in nodes]
+    path.write_text("\n".join(near) + "\n")
+    assert cov.load_table_csv(path).table[2, 3] == 0.5
+    for text in ("s,t,value\n0,0,1\n", "s,t,value\n0,0,0\n0,1,0\n1,0,0\nnan,1,0\n"):
+        path.write_text(text)
+        with pytest.raises(ShapeError):
+            cov.load_table_csv(path)
+
+
 def _forbid_grams(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built for a kernel that must be rejected")

@@ -404,14 +404,6 @@ def test_cauchy_table_unknown_for_tabulated():
     assert table.flag == lk.UNKNOWN
 
 
-def test_cauchy_table_csv():
-    table = lk.cauchy_table([1, 2, 3], cov.brownian(), cov.brownian())
-    lines = table.csv().strip().splitlines()
-    assert lines[0] == "n,m,norm_sq,refine,flag"
-    assert lines[1].startswith("1,2,0.125")
-    assert lines[1].endswith(",covered")
-
-
 def test_cauchy_table_validation():
     with pytest.raises(ParameterError):
         lk.cauchy_table([3, 2], cov.brownian(), cov.brownian())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,18 +200,29 @@ def test_non_finite_exponents_are_rejected():
                 call()
 
 
+def test_v2p_grid_peak_is_a_few_level_vectors():
+    # fBm holds the N + 1 lags and one work vector of the autocovariance, then the
+    # lags, the |gamma|^p terms and their counts; a diagonal Gram holds the N
+    # variances and their |v|^p terms; no partition is held next to them
+    level = 16
+    n_floats = 8 * 2**level
+    bounds = {"fbm": 4.5, "brownian": 2.5, "weighted": 2.5}
+    kernels = {"fbm": cov.fractional_brownian(0.35), "brownian": cov.brownian(),
+               "weighted": cov.weighted_poly(1)}
+    for name, kernel in kernels.items():
+        tracemalloc.start()
+        try:
+            pv.v2p_grid(kernel, 1.5, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bounds[name] * n_floats, (name, peak / n_floats)
+
+
 def test_profile_brownian_constant():
     prof = pv.variation_profile(cov.brownian(), 1.0, 10)
     assert prof.verdict == pv.STABILIZING
     assert all(est == pytest.approx(1.0, abs=1e-12) for _, est in prof.levels)
-
-
-def test_profile_csv_format():
-    prof = pv.variation_profile(cov.brownian(), 1.0, 3)
-    lines = pv.profile_csv(prof).strip().splitlines()
-    assert lines[0] == "level,estimate,verdict"
-    assert lines[1].startswith("1,") and lines[1].endswith(",Stabilizing")
-    assert len(lines) == 4
 
 
 # ---------------------------------------------------------------------------

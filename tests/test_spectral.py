@@ -107,6 +107,21 @@ def test_cf_tail_bound_is_self_validating():
     assert short.tail_bound > longer.tail_bound > 0.0
 
 
+def test_cf_at_the_largest_arguments_is_finite():
+    # |t|^2 overflows a Python float power above 1.34e154, and 2 t above half the
+    # float range; neither may raise or turn the value into nan
+    fbm = cov.fractional_brownian(0.35)
+    spectra = [sp.general_spectrum(fbm, fbm, 3), sp.brownian_spectrum(8), sp.classical_spectrum(10)]
+    for spec in spectra:
+        for t in (1.4e154, 1e155, 1e300, 1.7976931348623157e308, -1.7976931348623157e308):
+            res = sp.cf_from_spectrum(spec, 1j * t)
+            assert math.isfinite(res.value.real) and math.isfinite(res.value.imag), (spec, t)
+            assert abs(res.value) <= 1.0
+            # a zero tail bounds nothing at every t; a positive one reads inf once |t|^2 overflows
+            assert res.tail_bound == (math.inf if spec.tail_sq else 0.0), (spec, t)
+    assert sp.cf_from_spectrum(spectra[2], 1e150j).tail_bound == 1e150**2 * spectra[2].tail_sq
+
+
 # ---------------------------------------------------------------------------
 # cosh factorization
 # ---------------------------------------------------------------------------
@@ -554,6 +569,12 @@ def full_route(r1, r2, level):
     return np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
 
 
+def assert_same_spectrum(spec, want):
+    """Bit for bit, signed zeros included: the same alphas in the same order, the same mults."""
+    assert spec.alphas.tobytes() == want.alphas.tobytes()
+    assert spec.mults.tolist() == want.mults.tolist()
+
+
 def loop_clustered(w, cluster_tol):
     """Entries of the ascending eigenvalues w merged one gap at a time."""
     gap = cluster_tol * (float(np.max(np.abs(w))) or 1.0)
@@ -733,7 +754,7 @@ def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
         calls.clear()
         spec = sp.general_spectrum(*pair, 8)
         assert calls == [("cholesky", (256, 256))] * 2 + [("svd", (256, 256))], calls
-        assert spec.csv() == want.csv()
+        assert_same_spectrum(spec, want)
 
 
 def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
@@ -751,12 +772,12 @@ def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
         return svd(m, *args, **kwargs)
 
     brownian = cov.brownian()
-    expected = sp.general_spectrum(brownian, brownian, 8).csv()
+    expected = sp.general_spectrum(brownian, brownian, 8)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     spec = sp.general_spectrum(cov.brownian(), cov.brownian(), 8)
     assert calls == [("cholesky", (128, 128)), ("cholesky", (128, 128)), ("svd", (128, 128))]
-    assert spec.csv() == expected
+    assert_same_spectrum(spec, expected)
     assert np.all(spec.mults == 2) and len(spec.alphas) == 2**8
 
 
@@ -778,7 +799,7 @@ def test_weighted_kernel_keeps_the_full_route():
         s = full_route(weighted, weighted, level)
         alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
         expected = sp.Spectrum(alphas=alphas, mults=mults)
-        assert sp.general_spectrum(weighted, weighted, level).csv() == expected.csv(), level
+        assert_same_spectrum(sp.general_spectrum(weighted, weighted, level), expected)
     assert not cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_symmetric
 
 
