@@ -32,7 +32,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 def _fmt(x: float) -> str:
@@ -43,6 +43,17 @@ def _fmt(x: float) -> str:
 def _cell(value) -> str:
     """The one value rule of the artifacts: floats by _fmt, anything else by str."""
     return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _json_value(value):
+    """`value` for strict JSON: non-finite floats become their _cell strings."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 #: most points a range may expand to; the count is checked before any list is built
@@ -214,6 +225,8 @@ def _write_table(args, echo: dict, name: str, key: str, columns, rows, summary: 
     CSV: file `name` holds the echo line, the header and the rows, cells by
     _cell, with the summary fields named in `repeat` as trailing constant
     columns. JSON: summary.json holds the rows under `key`, one object each.
+    summary.json is strict JSON: an infinite or nan float is written as the
+    string its CSV cell holds ("inf", "-inf", "nan").
     """
     if args.format == "json":
         summary = {**summary, key: [dict(zip(columns, row)) for row in rows]}
@@ -222,7 +235,8 @@ def _write_table(args, echo: dict, name: str, key: str, columns, rows, summary: 
         lines = (",".join(map(_cell, (*row, *tail))) for row in rows)
         _write_csv(_out_path(args, name), echo,
                    (f"{line}\n" for line in (",".join((*columns, *repeat)), *lines)))
-    doc = json.dumps({**echo, **summary}, sort_keys=True, indent=2)
+    doc = json.dumps(_json_value({**echo, **summary}), sort_keys=True, indent=2,
+                     allow_nan=False)
     _out_path(args, "summary.json").write_text(doc + "\n", encoding="utf-8")
 
 

@@ -13,30 +13,34 @@ structure of the Gram that covariance.level_gram returns:
                gives d in O(N log N) from 2N normals
     dense      dense Cholesky factor of the Gram (tabulated kernels)
 
-Randomness comes from the Philox counter-based generator (Salmon et al.,
-SC'11), whose every key gives an independent stream. Samples are split into
-batches of the fixed size BATCH; process p of batch b draws from the stream
-keyed by
+Randomness comes from SFC64 generators, one independent stream per batch and
+process. Samples are split into batches of the fixed size BATCH; process p of
+batch b draws from the stream seeded by
 
-    key = (seed, 2 * b + p)
+    SeedSequence(seed mod 2^64, spawn_key=(2 * b + p,))
 
 row by row, so sample i takes its normals from a fixed position of a fixed
 stream. Its bits depend only on (seed, i): not on n_samples, on the row chunks
 work is done in, or on how many worker threads share out the batches, and the
-two processes never share a stream.
+two processes never share a stream. (The paper names Philox counter-based
+streams, Salmon et al., SC'11; the sampling contract needs only independent
+streams per (seed, batch, process), and SFC64 fills normals about a third
+faster.)
 
 The discrete area of one sample is
 
-    sum_{k<l} (d1_k d2_l - d2_k d1_l)
+    sum_{k<l} (d1_k d2_l - d2_k d1_l) = sum_l d2_l P1_l - sum_l d1_l P2_l,
 
-evaluated in O(N) with prefix sums and a pairwise-summed row reduction.
+with P the exclusive prefix sums, evaluated in O(N): each of the two sums is
+formed in one prefix scratch and reduced by numpy's pairwise row sum, and
+swapping the processes swaps the two sums, so the area flips sign exactly.
 
 Work runs in row chunks of at most CHUNK_ELEMENTS normals per process. Each
 worker draws a batch's normals into one reused buffer per process, the
-samplers map them to increments in place, and the area reduction reuses its
-two prefix arrays for its products, so the scratch memory of one worker is a
-small fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample
-count; run_mc adds 8 bytes per sample for the areas.
+samplers map them to increments in place, and the area reduction reuses one
+prefix scratch, so the scratch memory of one worker is a small fixed multiple
+of CHUNK_ELEMENTS floats whatever the level or sample count; run_mc adds 8
+bytes per sample for the areas.
 """
 from __future__ import annotations
 
@@ -52,7 +56,8 @@ from .errors import NumericalError, ParameterError, ShapeError
 BATCH = 4096
 
 #: normals per process held at once by one worker (512 KiB of float64), so
-#: that a worker's few chunk arrays stay within a 2 MiB per-core L2 cache
+#: that a worker's two normal buffers and one prefix scratch (at most 1.5 MiB)
+#: stay within a 2 MiB per-core L2 cache
 CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14
@@ -180,20 +185,21 @@ def _chunk_rows(samplers) -> int:
 
 
 def _batch_chunks(config: MCConfig, samplers, batch_start: int, rows: int):
-    """Yield (start, inc1, inc2) for each row chunk of the batch at batch_start.
+    """Yield (start, inc1, inc2, scratch) for each row chunk of the batch at batch_start.
 
     Each process draws its normals row-major from its own batch stream, so
     chunk boundaries only split the stream and never change a sample's bits.
-    The increments are views of buffers that the next chunk overwrites.
+    The increments are views of buffers that the next chunk overwrites, and
+    scratch is a (chunk rows, 2^level) prefix array for _areas_from_increments.
     """
     b = batch_start // BATCH
     seed = config.seed & (2**64 - 1)
-    # an explicit uint64 key: a list holding a seed >= 2^63 would go through float64
     gens = [
-        np.random.Generator(np.random.Philox(key=np.array([seed, 2 * b + p], dtype=np.uint64)))
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(2 * b + p,))))
         for p in (0, 1)
     ]
     bufs = [np.empty((rows, s.width)) for s in samplers]
+    scratch = np.empty((rows, 2**config.level))
     stop = min(batch_start + BATCH, config.n_samples)
     for start in range(batch_start, stop, rows):
         count = min(rows, stop - start)
@@ -201,7 +207,7 @@ def _batch_chunks(config: MCConfig, samplers, batch_start: int, rows: int):
             s.apply(g.standard_normal(out=buf[:count]))
             for s, g, buf in zip(samplers, gens, bufs)
         )
-        yield start, inc1, inc2
+        yield start, inc1, inc2, scratch[:count]
 
 
 def sample_paths(config: MCConfig):
@@ -215,24 +221,27 @@ def sample_paths(config: MCConfig):
     shape = (config.n_samples, 2**config.level)
     out1, out2 = np.empty(shape), np.empty(shape)
     for batch_start in range(0, config.n_samples, BATCH):
-        for start, inc1, inc2 in _batch_chunks(config, samplers, batch_start, rows):
+        for start, inc1, inc2, _ in _batch_chunks(config, samplers, batch_start, rows):
             out1[start : start + len(inc1)] = inc1
             out2[start : start + len(inc2)] = inc2
     return out1, out2
 
 
-def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray) -> np.ndarray:
-    p1 = np.empty_like(inc1)
-    p2 = np.empty_like(inc2)
-    p1[:, 0] = 0.0
-    p2[:, 0] = 0.0
-    np.cumsum(inc1[:, :-1], axis=1, out=p1[:, 1:])
-    np.cumsum(inc2[:, :-1], axis=1, out=p2[:, 1:])
-    # the terms inc2 * p1 - inc1 * p2, formed in the prefix arrays
-    np.multiply(inc2, p1, out=p1)
-    np.multiply(inc1, p2, out=p2)
-    np.subtract(p1, p2, out=p1)
-    return p1.sum(axis=1)
+def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Row areas sum_l inc2_l P1_l - sum_l inc1_l P2_l, each sum formed in `scratch`.
+
+    P is the exclusive prefix sum along a row. The row reduction stays numpy's
+    pairwise sum(axis=1), whose bits per row do not depend on the row count;
+    vecdot and einsum were measured to break that at N = 16384 (see
+    tests/test_simulate.py).
+    """
+    sums = []
+    for prefix, weight in ((inc1, inc2), (inc2, inc1)):
+        scratch[:, 0] = 0.0
+        np.cumsum(prefix[:, :-1], axis=1, out=scratch[:, 1:])
+        scratch *= weight
+        sums.append(scratch.sum(axis=1))
+    return np.subtract(*sums, out=sums[0])
 
 
 def discrete_levy_area(increments1, increments2) -> float:
@@ -245,7 +254,8 @@ def discrete_levy_area(increments1, increments2) -> float:
         )
     if a.size == 0:
         return 0.0
-    return float(_areas_from_increments(a[None, :], b[None, :])[0])
+    a, b = a[None, :], b[None, :]
+    return float(_areas_from_increments(a, b, np.empty_like(a))[0])
 
 
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
@@ -262,8 +272,8 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     starts = list(range(0, config.n_samples, BATCH))
 
     def work(batch_start):
-        for start, inc1, inc2 in _batch_chunks(config, samplers, batch_start, rows):
-            areas[start : start + len(inc1)] = _areas_from_increments(inc1, inc2)
+        for start, inc1, inc2, scratch in _batch_chunks(config, samplers, batch_start, rows):
+            areas[start : start + len(inc1)] = _areas_from_increments(inc1, inc2, scratch)
 
     workers = min(threads, len(starts))
     if workers > 1:

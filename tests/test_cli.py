@@ -654,7 +654,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 11
+    assert summary["schema_version"] == 12
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -838,6 +838,21 @@ def test_json_format(tmp_path):
     assert summary["cf"][0]["re"] == 1.0
     assert summary["n_points"] == 2
     assert not (tmp_path / "cf.csv").exists()
+
+
+def test_summary_json_is_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    # the tail bound at t = 1e155 is infinite
+    assert run_cli([
+        "cf", "--kernel", "brownian", "--t", "0,1e155", "--format", "json", "--out", tmp_path,
+    ]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert [row["tail_bound"] for row in summary["cf"]][1] == "inf"
+    inf, nan = float("inf"), float("nan")
+    assert cli._json_value({"a": [nan, -inf, (inf, 1.0)], "b": 2}) == {
+        "a": ["nan", "-inf", ["inf", 1.0]], "b": 2}
 
 
 def test_threads_below_one_are_a_usage_error(tmp_path, monkeypatch):

@@ -295,13 +295,18 @@ def test_fbm_rows_do_not_depend_on_batching():
 
 
 def test_batch_stream_key_pin():
-    # process p of batch b draws row-major from Philox key (seed, 2 b + p)
+    # process p of batch b draws row-major from SFC64(SeedSequence(seed, spawn_key=(2 b + p,)))
     for seed in (11, 2**63 + 3):
         config = brownian_config(seed=seed, n_samples=sim.BATCH + 2, level=4)
-        for p, inc in enumerate(sim.sample_paths(config)):
-            key = np.array([seed, 2 + p], dtype=np.uint64)
-            normals = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, 16))
-            assert np.array_equal(inc[sim.BATCH + 1], np.sqrt(2.0**-4) * normals[1])
+        paths = sim.sample_paths(config)
+        for b in (0, 1):
+            for p, inc in enumerate(paths):
+                key = np.random.SeedSequence(seed, spawn_key=(2 * b + p,))
+                normals = np.random.Generator(np.random.SFC64(key)).standard_normal((2, 16))
+                rows = inc[b * sim.BATCH : b * sim.BATCH + 2]
+                assert np.array_equal(rows, np.sqrt(2.0**-4) * normals)
+        first = [inc[b * sim.BATCH] for inc in paths for b in (0, 1)]
+        assert all(not np.array_equal(x, y) for i, x in enumerate(first) for y in first[i + 1 :])
 
 
 def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
@@ -317,6 +322,23 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
         for a, b in zip(sim.sample_paths(config), paths):
             assert np.array_equal(a, b)
         assert np.array_equal(sim.run_mc(config).samples, areas)
+
+
+def test_level_14_areas_do_not_depend_on_chunk_rows(monkeypatch):
+    # N = 16384 is above the size where OpenBLAS threads its dot product. The
+    # row sum stays numpy's pairwise sum(axis=1): at this N, np.vecdot (through
+    # OpenBLAS ddot) gave different bits under OPENBLAS_NUM_THREADS=1 and 2,
+    # and np.einsum("ij,ij->i") different bits for a 1-row than a 64-row call
+    configs = [brownian_config(seed=29, n_samples=5, level=14),
+               fbm_config(seed=29, n_samples=5, level=14)]
+    reference = [sim.run_mc(c).samples for c in configs]
+    for config, areas in zip(configs, reference):
+        inc1, inc2 = sim.sample_paths(config)
+        assert np.array_equal([sim.discrete_levy_area(a, b) for a, b in zip(inc1, inc2)], areas)
+    for elements in (2**15, 2**17):
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", elements)
+        for config, areas in zip(configs, reference):
+            assert np.array_equal(sim.run_mc(config).samples, areas)
 
 
 def test_sample_paths_rows_give_the_run_mc_areas():
@@ -338,9 +360,9 @@ def test_sample_paths_rows_give_the_run_mc_areas():
 
 def test_run_mc_scratch_is_bounded():
     # one worker holds at most four chunk arrays of CHUNK_ELEMENTS floats at
-    # once (two normal buffers and two prefix arrays, or the two buffers and
-    # one FFT of a buffer's rows); one more chunk covers the samplers and
-    # small temporaries, and run_mc adds the areas
+    # once (two normal buffers, one prefix scratch and one FFT of a buffer's
+    # rows); one more chunk covers the samplers and small temporaries, and
+    # run_mc adds the areas
     n = 2 * sim.BATCH + 7
     bound = 5 * sim.CHUNK_ELEMENTS * 8 + 8 * n
     sim.run_mc(brownian_config(n_samples=1, level=1))  # lazy numpy imports are not scratch
