@@ -6,7 +6,6 @@ functions, plus a CLI (`levylab`) that wires them together.
 """
 from .covariance import (
     CovKernel,
-    GridGram,
     LevelGram,
     Rectangle,
     brownian,

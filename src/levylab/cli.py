@@ -32,7 +32,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 
 def _fmt(x: float) -> str:
@@ -106,7 +106,10 @@ def _read_config_file(path):
         if "=" not in line:
             raise argparse.ArgumentTypeError(f"config line without '=': {raw!r}")
         key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise argparse.ArgumentTypeError(f"config key {key} is repeated in {path}")
+        values[key] = val.strip()
     return values
 
 

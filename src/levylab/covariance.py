@@ -250,15 +250,8 @@ def dyadic_partition(level: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, 2**level + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class GridGram:
-    """Increment Gram matrix: matrix[k,l] = R over I_k x I_l of the partition."""
-
-    partition: np.ndarray
-    matrix: np.ndarray
-
-
-def gram_matrix(kernel: CovKernel, partition) -> GridGram:
+def gram_matrix(kernel: CovKernel, partition) -> np.ndarray:
+    """Increment Gram G[k,l] = R over I_k x I_l of the partition's cells, as an array."""
     part = np.asarray(partition, dtype=float)
     if part.ndim != 1 or len(part) < 2:
         raise PartitionError("partition needs at least two breakpoints")
@@ -267,8 +260,7 @@ def gram_matrix(kernel: CovKernel, partition) -> GridGram:
     if np.any(np.diff(part) <= 0):
         raise PartitionError("partition breakpoints must be strictly increasing")
     corners = eval_grid(kernel, part, part)
-    matrix = np.diff(np.diff(corners, axis=0), axis=1)
-    return GridGram(partition=part, matrix=matrix)
+    return np.diff(np.diff(corners, axis=0), axis=1)
 
 
 #: structures of the level-n increment Gram, see level_gram
@@ -293,15 +285,13 @@ class LevelGram:
     level: int
     values: np.ndarray
 
-    def dense(self) -> GridGram:
-        """The N x N matrix as a GridGram on the dyadic partition."""
+    def dense(self) -> np.ndarray:
+        """The N x N matrix; a dense Gram's own values, a fresh array otherwise."""
         if self.kind == DIAGONAL:
-            matrix = np.diag(self.values)
-        elif self.kind == TOEPLITZ:
-            matrix = _toeplitz(self.values, 2**self.level)
-        else:
-            matrix = self.values
-        return GridGram(partition=dyadic_partition(self.level), matrix=matrix)
+            return np.diag(self.values)
+        if self.kind == TOEPLITZ:
+            return _toeplitz(self.values, 2**self.level)
+        return self.values
 
     @property
     def mirror_symmetric(self) -> bool:
@@ -377,7 +367,7 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
         # no name holds the partition, so it is freed before the differences are taken
         values = np.diff(kernel.weight.antiderivative_sq(dyadic_partition(level)))
     else:
-        values = gram_matrix(kernel, dyadic_partition(level)).matrix
+        values = gram_matrix(kernel, dyadic_partition(level))
     return LevelGram(_STRUCTURE[kernel.kind], level, values)
 
 
@@ -437,16 +427,15 @@ def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
     return gamma
 
 
-def cholesky_factor(gram: GridGram) -> tuple:
+def cholesky_factor(matrix: np.ndarray) -> tuple:
     """(L, rung): lower-triangular L with L L^T = matrix + j max|matrix| I.
 
     j is the first rung of JITTER_LADDER that factors and rung its index, 0
     when no shift was needed; small-Hurst Gram matrices are ill-conditioned
     and routinely need the ladder.
     """
-    m = gram.matrix
     (factor,), rung = _factor_at_one_rung(
-        (lambda shift: _shifted(m, shift),), float(np.max(np.abs(m)))
+        (lambda shift: _shifted(matrix, shift),), float(np.max(np.abs(matrix)))
     )
     return factor, rung
 
@@ -519,6 +508,7 @@ def parse_kernel_spec(text: str) -> CovKernel:
 
     Accepted forms: ``brownian``, ``kind=fbm hurst=0.35``, ``fbm hurst=0.35``,
     ``kind=weighted weight=poly degree=1 coeff=2``, ``kind=tabulated path=t.csv``.
+    A key given twice (a bare kind counts as ``kind=``) raises ParameterError.
     """
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -527,11 +517,13 @@ def parse_kernel_spec(text: str) -> CovKernel:
     for tok in tokens:
         if "=" in tok:
             key, val = tok.split("=", 1)
-            fields[key.strip()] = val.strip()
         elif "kind" not in fields:
-            fields["kind"] = tok
+            key, val = "kind", tok
         else:
             raise ParameterError(f"stray token {tok!r} in kernel spec {text!r}")
+        if key in fields:
+            raise ParameterError(f"repeated key {key!r} in kernel spec {text!r}")
+        fields[key] = val
     kind = fields.pop("kind", None)
     if kind is None:
         raise ParameterError(f"kernel spec {text!r} does not name a kind")
@@ -589,9 +581,9 @@ def _spec_number(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def min_eigenvalue_ratio(gram: GridGram) -> float:
-    """Smallest over largest |eigenvalue| of the Gram, for PSD audits."""
-    w = np.linalg.eigvalsh(gram.matrix)
+def min_eigenvalue_ratio(matrix: np.ndarray) -> float:
+    """Smallest over largest |eigenvalue| of a Gram matrix, for PSD audits."""
+    w = np.linalg.eigvalsh(matrix)
     top = float(np.max(np.abs(w))) or 1.0
     return float(w[0]) / top
 

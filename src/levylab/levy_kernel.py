@@ -142,11 +142,11 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     result negative beyond rounding means an indefinite Gram (a covariance
     table that is not positive semidefinite) and raises NumericalError.
     """
-    x1 = sign_product(cov.level_gram(r1, level).dense().matrix, blocks)
+    x1 = sign_product(cov.level_gram(r1, level).dense(), blocks)
     if r2 is r1:
         terms = x1 * x1.T
     else:
-        x2 = sign_product(cov.level_gram(r2, level).dense().matrix, blocks)
+        x2 = sign_product(cov.level_gram(r2, level).dense(), blocks)
         terms = np.multiply(x1, x2.T, out=x1)
     # 0.0 - sum: an exact zero is +0.0, never -0.0
     total = 0.0 - float(np.sum(terms))

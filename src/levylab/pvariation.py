@@ -294,7 +294,7 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
     nodes = cov.dyadic_partition(level)
     fvals = _eval_on_nodes(f, nodes)
     gram = cov.level_gram(g, level)
-    inc = gram.dense().matrix
+    inc = gram.dense()
     value = float(np.sum(fvals[:-1, :-1] * inc))
     n = len(inc) // 2
     coarse = float(np.sum(fvals[:-1:2, :-1:2] * inc.reshape(n, 2, n, 2).sum(axis=(1, 3))))

@@ -27,7 +27,8 @@ sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
 spectrum comes from one SVD (half-size when the two Grams are equal and
 mirror-symmetric), and mirror symmetry holds by construction. So do the
 multiplicities: every value is listed twice when the two Grams are equal (M
-is then antisymmetric) and once otherwise. Only the reference eigen_solve
+is then antisymmetric) and once otherwise. A is never built: products with it
+are prefix sums (levy_kernel.sign_product). Only the reference eigen_solve
 merges eigenvalues into multiplicity clusters by a tolerance.
 """
 from __future__ import annotations
@@ -307,12 +308,14 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
     B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
     halves (cov.mirror_factors) and A_+- = cell_sign_matrix(n-1, n-1) - 1/2,
-    so one N/2 SVD gives every pair. A_+- is never built: L+^T A_+- is
-    lk.sign_product(L+^T), formed in L+'s own memory, less half of each
-    column sum of L+, so the split route holds at most three N/2 x N/2
-    arrays besides the SVD's own copy. Every other pair takes one N x N SVD
-    of M, with L_i from cov.cholesky_factor (for equal Grams, the mean of
-    each pair of its sorted singular values). The spectrum carries the
+    so one N/2 SVD gives every pair. Every other pair takes one N x N SVD of
+    M, with L_i from cov.cholesky_factor (for equal Grams, the mean of each
+    pair of its sorted singular values). No sign matrix is built: L+^T A_+-
+    is lk.sign_product(L+^T) less half of each column sum of L+, and L_1^T A
+    is lk.sign_product(L_1^T), each in the factor's own memory (in a copy of
+    L_1 when equal Grams share it). So the split route holds at most three
+    N/2 x N/2 arrays besides the SVD's own copy, and the full route three
+    N x N arrays for diagonal and Toeplitz Grams. The spectrum carries the
     jitter rung those calls return, the larger of two when two Grams factor;
     an indefinite Gram raises NumericalError once the jitter ladder is spent.
     """
@@ -331,7 +334,7 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
         return _plus_minus(np.linalg.svd(b, compute_uv=False), 2, jitter_rung=rung)
     l1, rung1 = cov.cholesky_factor(g1.dense())
     l2, rung2 = (l1, rung1) if equal else cov.cholesky_factor(g2.dense())
-    x = l1.T @ lk.cell_sign_matrix(level, level)
+    x = lk.sign_product((l1.copy() if equal else l1).T)  # L1^T A
     del l1
     m = x @ l2
     del x, l2

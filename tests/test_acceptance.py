@@ -122,7 +122,7 @@ def test_criterion_4_cauchy_decay():
         law = 2.0 ** (-n - 2)
         A = lk.cell_sign_matrix(n, refine) - lk.cell_sign_matrix(n + 1, refine)
         part = cov.dyadic_partition(refine)
-        g = cov.gram_matrix(br, part).matrix
+        g = cov.gram_matrix(br, part)
         oracle = 2.0 * float(np.einsum("kl,pq,kp,lq->", A, A, g, g, optimize=True))
         worst = max(worst, abs(got - law), abs(got - oracle))
     table = lk.cauchy_table(range(1, 7), br, br)

@@ -286,6 +286,37 @@ def test_pvar_runs_fbm_above_the_dense_level(tmp_path):
     assert [int(row[0]) for row in rows] == list(range(1, 17))
 
 
+def test_repeated_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    # a key given twice in a kernel spec or a config file is a usage error
+    # that names the key, not last-wins; config keys compare after - -> _
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started despite a repeated key")
+
+    monkeypatch.setattr(sim, "run_mc", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    base = ["simulate", "--level", 3, "--samples", 5]
+    cases = [
+        (["--kernel", "kind=fbm kind=brownian"], None, "'kind'"),
+        (["--kernel", "fbm hurst=0.3 hurst=0.4"], None, "'hurst'"),
+        (["--kernel", "brownian"], "seed=1\nseed=2\n", "config key seed"),
+        (["--kernel", "brownian"], "emit-samples=true\nemit_samples=false\n",
+         "config key emit_samples"),
+        ([], "kernel=brownian\n# a comment\nkernel=fbm hurst=0.3\n", "config key kernel"),
+    ]
+    for i, (argv, text, key) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        extra = []
+        if text is not None:
+            config = tmp_path / f"run{i}.cfg"
+            config.write_text(text)
+            extra = ["--config", config]
+        capsys.readouterr()
+        assert run_cli(base + argv + extra + ["--out", out]) == 2, i
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "repeated" in err and key in err, err
+        assert not (out / "cf.csv").exists(), i
+
+
 def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
     spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 5)] * 2))
 
@@ -654,7 +685,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 12
+    assert summary["schema_version"] == 13
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

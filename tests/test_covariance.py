@@ -157,12 +157,12 @@ def test_rect_increment_split_additivity(data, kind, axis):
 
 def test_gram_brownian_level1():
     gram = cov.gram_matrix(cov.brownian(), cov.dyadic_partition(1))
-    assert np.allclose(gram.matrix, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
+    assert np.allclose(gram, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
 
 
 def test_gram_brownian_diagonal_all_levels():
     for level in (2, 5, 8):
-        m = cov.gram_matrix(cov.brownian(), cov.dyadic_partition(level)).matrix
+        m = cov.gram_matrix(cov.brownian(), cov.dyadic_partition(level))
         assert np.allclose(np.diagonal(m), 2.0**-level, atol=1e-15)
         off = m - np.diag(np.diagonal(m))
         assert np.max(np.abs(off)) == 0.0
@@ -171,7 +171,7 @@ def test_gram_brownian_diagonal_all_levels():
 def test_gram_fbm_level1_offdiagonal():
     # adjacent-increment covariance: 1/2 - 2^{-2H} = 2^{-2H} (2^{2H-1} - 1)
     h = 0.75
-    m = cov.gram_matrix(cov.fractional_brownian(h), cov.dyadic_partition(1)).matrix
+    m = cov.gram_matrix(cov.fractional_brownian(h), cov.dyadic_partition(1))
     expected = 2.0 ** (-2 * h) * (2.0 ** (2 * h - 1) - 1.0)
     assert expected == pytest.approx(0.5 - 2.0**-1.5, abs=1e-15)
     assert m[0, 1] == pytest.approx(expected, abs=1e-12)
@@ -182,13 +182,13 @@ def test_gram_telescoping():
     for kernel in kernels_under_test():
         gram = cov.gram_matrix(kernel, cov.dyadic_partition(5))
         total = cov.rect_increment(kernel, cov.Rectangle(0, 1, 0, 1))
-        assert float(gram.matrix.sum()) == pytest.approx(total, abs=1e-10)
+        assert float(gram.sum()) == pytest.approx(total, abs=1e-10)
 
 
 def test_gram_symmetry_and_psd():
     for kernel in kernels_under_test():
         gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
-        assert np.max(np.abs(gram.matrix - gram.matrix.T)) <= 1e-12
+        assert np.max(np.abs(gram - gram.T)) <= 1e-12
         assert cov.min_eigenvalue_ratio(gram) >= -cov.PSD_TOL
 
 
@@ -209,7 +209,7 @@ def test_gram_partition_errors():
 # ---------------------------------------------------------------------------
 
 def test_cholesky_identity():
-    gram = cov.GridGram(partition=np.array([0.0, 1.0]), matrix=np.eye(3))
+    gram = np.eye(3)
     L, rung = cov.cholesky_factor(gram)
     assert np.allclose(L, np.eye(3), atol=1e-12) and rung == 0
 
@@ -224,15 +224,15 @@ def test_cholesky_brownian_diagonal():
 def test_cholesky_fbm_reconstruction():
     gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
     L, _ = cov.cholesky_factor(gram)
-    assert np.max(np.abs(L @ L.T - gram.matrix)) <= 1e-10
+    assert np.max(np.abs(L @ L.T - gram)) <= 1e-10
 
 
 def test_cholesky_bit_identical_to_shifted_gram():
     gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
-    assert np.array_equal(cov.cholesky_factor(gram)[0], np.linalg.cholesky(gram.matrix))
+    assert np.array_equal(cov.cholesky_factor(gram)[0], np.linalg.cholesky(gram))
     # a rank-4 Gram (bilinear table on a mesh of 4) needs a jittered rung
     singular = cov.gram_matrix(cov.tabulated_from_fn(np.minimum, 4), cov.dyadic_partition(4))
-    m = singular.matrix
+    m = singular
     scale = float(np.max(np.abs(m)))
     for rung, j in enumerate(cov.JITTER_LADDER):
         try:
@@ -252,11 +252,11 @@ def test_cholesky_factor_returns_its_jitter_rung():
     assert cov.cholesky_factor(cov.level_gram(product_st, 6).dense())[1] == 1
     fbm = cov.level_gram(cov.fractional_brownian(0.35), 8).dense()
     L, rung = cov.cholesky_factor(fbm)
-    assert rung == 0 and np.array_equal(L, np.linalg.cholesky(fbm.matrix))
+    assert rung == 0 and np.array_equal(L, np.linalg.cholesky(fbm))
 
 
 def test_cholesky_failure_names_eigenvalue():
-    bad = cov.GridGram(partition=np.array([0.0, 1.0]), matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericalError, match="eigenvalue"):
         cov.cholesky_factor(bad)
 
@@ -273,7 +273,7 @@ def test_increment_autocovariance_is_the_gram_row():
             assert gram.kind == cov.TOEPLITZ
             gamma = gram.values
             assert gamma.shape == (2**level + 1,)
-            row = cov.gram_matrix(k, cov.dyadic_partition(level)).matrix[0]
+            row = cov.gram_matrix(k, cov.dyadic_partition(level))[0]
             assert np.allclose(gamma[:-1], row, rtol=0, atol=1e-13 * row[0])
     # Brownian is H = 1/2: white noise
     white = cov.level_gram(cov.fractional_brownian(0.5), 3).values
@@ -285,7 +285,7 @@ def test_increment_autocovariance_is_the_gram_row():
 def test_cell_variances_are_the_gram_diagonal():
     for k in (cov.brownian(), cov.weighted_poly(1), cov.weighted_poly(3, 1.7)):
         part = cov.dyadic_partition(6)
-        diag = np.diagonal(cov.gram_matrix(k, part).matrix)
+        diag = np.diagonal(cov.gram_matrix(k, part))
         gram = cov.level_gram(k, 6)
         assert gram.kind == cov.DIAGONAL
         assert np.array_equal(gram.values, diag)
@@ -299,12 +299,11 @@ def test_level_gram_dense_and_power_sum_match_gram_matrix():
             gram = cov.level_gram(kernel, level)
             ref = cov.gram_matrix(kernel, cov.dyadic_partition(level))
             dense = gram.dense()
-            assert np.array_equal(dense.partition, ref.partition)
-            assert np.max(np.abs(dense.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
+            assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
             if gram.kind != cov.TOEPLITZ:
-                assert np.array_equal(dense.matrix, ref.matrix)
+                assert np.array_equal(dense, ref)
             for p in (1.0, 1.5, 2.0, 5.0):
-                total = np.sum(np.abs(ref.matrix) ** p)
+                total = np.sum(np.abs(ref) ** p)
                 assert gram.abs_power_sum(p) == pytest.approx(total, rel=1e-12, abs=0)
     assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.DENSE
 
@@ -482,6 +481,20 @@ def test_parse_kernel_spec_errors():
         cov.parse_kernel_spec("kind=brownian bogus=1")
     with pytest.raises(ParameterError):
         cov.parse_kernel_spec("kind=sinusoid")
+
+
+def test_parse_kernel_spec_rejects_a_repeated_key():
+    # no key is read last-wins: a bare kind counts as kind=
+    cases = {
+        "kind=fbm kind=brownian": "kind",
+        "fbm kind=brownian": "kind",
+        "fbm hurst=0.3 hurst=0.4": "hurst",
+        "fbm,hurst=0.3,hurst=0.3": "hurst",
+        "kind=weighted degree=1 coeff=2 degree=2": "degree",
+    }
+    for text, key in cases.items():
+        with pytest.raises(ParameterError, match=f"repeated key '{key}'"):
+            cov.parse_kernel_spec(text)
 
 
 def test_kernel_spec_string_roundtrip():

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +41,8 @@ def quadruple_loop_norm(A, g1, g2):
 def grams(kernel1, kernel2, refine):
     part = cov.dyadic_partition(refine)
     return (
-        cov.gram_matrix(kernel1, part).matrix,
-        cov.gram_matrix(kernel2, part).matrix,
+        cov.gram_matrix(kernel1, part),
+        cov.gram_matrix(kernel2, part),
     )
 
 
@@ -159,6 +161,19 @@ def test_sign_product_is_the_explicit_sign_matrix_product():
                 assert err <= 1e-13 * scale, (level, c, x.flags.c_contiguous)
 
 
+def test_declared_numpy_floor_covers_sign_product():
+    # sign_product reshapes with copy=False, which numpy added in 2.1: the
+    # floor in pyproject.toml must be at least that, and the README names it
+    root = Path(__file__).resolve().parents[1]
+    deps = re.search(r"^dependencies = \[(.*)\]$", (root / "pyproject.toml").read_text(), re.M)
+    floor = re.fullmatch(r'"numpy>=(\d+)\.(\d+)"', deps.group(1))
+    assert floor, deps.group(1)
+    major, minor = map(int, floor.groups())
+    assert (major, minor) >= (2, 1)
+    assert tuple(map(int, np.__version__.split(".")[:2])) >= (major, minor)
+    assert f"`numpy>={major}.{minor}`" in (root / "README.md").read_text()
+
+
 def test_norms_build_no_sign_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a norm built a step matrix")
@@ -190,7 +205,7 @@ CHECK_KERNELS = checks._kernels()
 def test_norms_match_the_einsum_oracle(name1, name2, n, m):
     r1, r2 = CHECK_KERNELS[name1], CHECK_KERNELS[name2]
     level = max(n, m)
-    g1, g2 = (cov.level_gram(r, level).dense().matrix for r in (r1, r2))
+    g1, g2 = (cov.level_gram(r, level).dense() for r in (r1, r2))
     steps = (
         (lk.norm_approx(level, r1, r2).value, lk.cell_sign_matrix(level, level)),
         (lk.norm_diff(n, m, r1, r2).value,

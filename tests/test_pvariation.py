@@ -339,7 +339,7 @@ def test_young_evaluates_f_once_on_one_gram(monkeypatch):
     def anchored(kernel, level):
         nodes = cov.dyadic_partition(level)
         S, T = np.meshgrid(nodes[:-1], nodes[:-1], indexing="ij")
-        return float(np.sum(f(S, T) * cov.gram_matrix(kernel, nodes).matrix))
+        return float(np.sum(f(S, T) * cov.gram_matrix(kernel, nodes)))
 
     tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) + S * T, 16)
     level_gram = cov.level_gram
