@@ -56,8 +56,6 @@ from .spectral import (
     cf_from_spectrum,
     classical_spectrum,
     cosh_factorization_check,
-    discretize_classical_operator,
-    eigen_solve,
     general_spectrum,
     symmetry_check,
     weighted_cf,

@@ -2,6 +2,11 @@
 
 Each check returns a short detail string on success and raises AssertionError
 (or any error) on failure; run_all collects (name, ok, detail) triples.
+
+The dense references the audits compare the library's routes against live
+here too: the cell sign matrix that levy_kernel.sign_product multiplies by,
+and the midpoint matrix whose spectrum spectral.brownian_spectrum lists. No
+library route builds either.
 """
 from __future__ import annotations
 
@@ -12,6 +17,40 @@ from . import levy_kernel as lk
 from . import pvariation as pv
 from . import simulate as sim
 from . import spectral as sp
+from .errors import ParameterError, ResourceError
+
+
+def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
+    """Step values of the level-n approximation on the level-refine cell grid."""
+    if refine < level:
+        raise ParameterError(f"refine level {refine} is below the approximation level {level}")
+    coarse = (np.arange(2**refine) >> (refine - level)).astype(float)
+    # one float array: the differences of small integers, their signs and the halving are exact
+    out = coarse[None, :] - coarse[:, None]
+    np.sign(out, out=out)
+    out *= 0.5
+    return out
+
+
+def discretize_classical_operator(grid_size: int) -> np.ndarray:
+    """Midpoint collocation of the classical block operator on 2g points.
+
+    Off-diagonal blocks discretize h -> (int_0^t h - int_t^1 h)/2 with
+    uniform weight 1/g at midpoints t_i = (i + 1/2)/g; the sign-kernel form
+    keeps the matrix exactly symmetric, which the spectrum tests require.
+    The h(1) + h(0) = 0 boundary behaviour emerges in the eigenvectors.
+    A dense reference: sp.brownian_spectrum gives its spectrum exactly.
+    """
+    if grid_size < 4:
+        raise ParameterError(f"grid_size must be >= 4, got {grid_size}")
+    if grid_size > 2**sp.MAX_OPERATOR_LEVEL:
+        raise ResourceError(
+            f"midpoint grid {grid_size} exceeds cap {2**sp.MAX_OPERATOR_LEVEL} = 2^MAX_OPERATOR_LEVEL"
+        )
+    idx = np.arange(grid_size)
+    block = 0.5 * np.sign(idx[:, None] - idx[None, :]) / grid_size
+    zero = np.zeros_like(block)
+    return np.block([[zero, -block], [block, zero]])
 
 
 def _kernels():
@@ -168,9 +207,9 @@ def check_norm_diff_basics():
     level, worst, kernels = 6, 0.0, _kernels()
     grams = {name: cov.level_gram(k, level).dense() for name, k in kernels.items()}
     for n in range(1, level + 1):
-        D = lk.cell_sign_matrix(level, level)
+        D = cell_sign_matrix(level, level)
         if n < level:
-            D -= lk.cell_sign_matrix(n, level)
+            D -= cell_sign_matrix(n, level)
         for name1, r1 in kernels.items():
             for name2, r2 in kernels.items():
                 want = 2.0 * float(np.sum((grams[name1] @ D) * (D @ grams[name2])))
@@ -273,20 +312,21 @@ def check_cosh_residual():
 
 
 def check_classical_operator_structure():
-    spec = sp.eigen_solve(sp.discretize_classical_operator(128))
-    assert spec.entries[0][1] == 2, spec.entries[:2]
-    top = abs(spec.entries[0][0])
+    w = np.linalg.eigvalsh(discretize_classical_operator(128))
+    spec = sp.Spectrum(w, np.ones(w.size, dtype=int))
+    top = spec.spectral_radius
     assert abs(top - 1.0 / np.pi) <= 0.01 / np.pi
-    # the closed form against the dense eigensolve and the level-7 step-kernel SVD
+    # the closed form, each value repeated by its multiplicity 2, against the
+    # sorted dense eigenvalues elementwise, and against the level-7 step-kernel SVD
     exact = sp.brownian_spectrum(128)
     radius = exact.spectral_radius
-    dense = float(np.max(np.abs(np.sort(spec.eigenvalues()) - np.sort(exact.eigenvalues()))))
+    dense = float(np.max(np.abs(w - np.sort(exact.eigenvalues()))))
     assert dense <= 1e-12 * radius, f"dense midpoint off the closed form by {dense:.3e}"
     step = sp.general_spectrum(cov.brownian(), cov.brownian(), 7)
     assert np.array_equal(step.mults, exact.mults)
     svd = float(np.max(np.abs(step.alphas - exact.alphas)))
     assert svd <= 1e-12 * radius, f"level-7 step kernel off the closed form by {svd:.3e}"
-    return (f"top pair has multiplicity 2, near 1/pi; closed form matches the dense solve "
+    return (f"top value near 1/pi; the closed form, each value twice, matches the dense solve "
             f"to {dense / radius:.1e} and the level-7 SVD to {svd / radius:.1e} of the radius")
 
 
@@ -315,7 +355,7 @@ def check_mirror_split():
     def full_svd(r1, r2):
         l1 = cov.cholesky_factor(cov.level_gram(r1, 6).dense())[0]
         l2 = cov.cholesky_factor(cov.level_gram(r2, 6).dense())[0]
-        return np.linalg.svd(l1.T @ lk.cell_sign_matrix(6, 6) @ l2, compute_uv=False)
+        return np.linalg.svd(l1.T @ cell_sign_matrix(6, 6) @ l2, compute_uv=False)
 
     # a Gram that needs jitter (the rank-one product-st, whose true spectrum is
     # 0) lists values made of the jitter, which the two routes resolve to ~1e-4
@@ -330,7 +370,7 @@ def check_mirror_split():
         assert err <= 1e-12, f"{name}: split spectrum off the full SVD by {err:.3e} of the radius"
         # the split route's prefix-sum form of L+^T A_+- against the explicit product
         plus = cov.mirror_factors(gram)[0]
-        explicit = plus.T @ (lk.cell_sign_matrix(5, 5) - 0.5)
+        explicit = plus.T @ (cell_sign_matrix(5, 5) - 0.5)
         prefix = lk.sign_product(plus.copy().T) - 0.5 * np.sum(plus, axis=0)[:, None]
         gap = float(np.max(np.abs(prefix - explicit)))
         assert gap <= 1e-13 * float(np.max(np.abs(plus))), (
@@ -358,7 +398,8 @@ def check_symmetry_audit():
     }
     for name, bad in broken.items():
         assert not sp.symmetry_check(bad).ok, f"{name} passed the audit"
-    passing = [sp.classical_spectrum(100), sp.eigen_solve(sp.discretize_classical_operator(128))]
+    midpoint = np.linalg.eigvalsh(discretize_classical_operator(128))
+    passing = [sp.classical_spectrum(100), sp.Spectrum(midpoint, np.ones(midpoint.size, dtype=int))]
     passing += [sp.general_spectrum(k, k, 6) for k in _kernels().values()]
     for spec in passing:
         assert sp.symmetry_check(spec).ok, sp.symmetry_check(spec).violations

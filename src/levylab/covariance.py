@@ -199,6 +199,9 @@ def eval_grid(kernel: CovKernel, x, y) -> np.ndarray:
 
 
 def _bilinear(table, S, T):
+    # the products below are taken in place, so a table of another dtype
+    # (a CovKernel built directly) is first read as float64, exactly
+    table = np.asarray(table, dtype=float)
     m = table.shape[0] - 1
     xs = np.clip(S * m, 0.0, m)
     ys = np.clip(T * m, 0.0, m)
@@ -206,16 +209,21 @@ def _bilinear(table, S, T):
     j = np.minimum(ys.astype(int), m - 1)
     fx = xs - i
     fy = ys - j
-    v00 = table[i, j]
-    v10 = table[i + 1, j]
-    v01 = table[i, j + 1]
-    v11 = table[i + 1, j + 1]
-    return (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+    gx = 1 - fx
+    gy = 1 - fy
+    # v00 gx gy + v10 fx gy + v01 gx fy + v11 fx fy, in that order and with the
+    # same roundings, built from one gathered corner at a time: the weights
+    # are broadcast vectors, so the result and one term are the only full arrays
+    out = table[i, j]
+    out *= gx
+    out *= gy
+    for di, dj, wx, wy in ((1, 0, fx, gy), (0, 1, gx, fy), (1, 1, fx, fy)):
+        term = table[i + di, j + dj]
+        term *= wx
+        term *= wy
+        out += term
+        del term
+    return out
 
 
 def eval(kernel: CovKernel, s: float, t: float) -> float:  # noqa: A001 - shadows builtins.eval on purpose
@@ -260,7 +268,9 @@ def gram_matrix(kernel: CovKernel, partition) -> np.ndarray:
     if np.any(np.diff(part) <= 0):
         raise PartitionError("partition breakpoints must be strictly increasing")
     corners = eval_grid(kernel, part, part)
-    return np.diff(np.diff(corners, axis=0), axis=1)
+    # rebound, so the (N+1)^2 corner values are freed before the second difference
+    corners = np.diff(corners, axis=0)
+    return np.diff(corners, axis=1)
 
 
 #: structures of the level-n increment Gram, see level_gram
@@ -358,7 +368,9 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     F(t_{k+1}) - F(t_k) bit-identical to the diagonal of gram_matrix. fBm
     increments over equal cells are stationary (fractional Gaussian noise),
     so the Gram is Toeplitz. Tabulated kernels get the dense gram_matrix.
+    check_level bounds the level by that structure before anything is built.
     """
+    check_level(level, kernel)
     if kernel.kind == FBM:
         values = _fgn_autocovariance(kernel.hurst, level)
     elif kernel.kind == BROWNIAN:

@@ -87,18 +87,6 @@ class ChaosNorm:
     refine: int
 
 
-def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
-    """Step values of the level-n approximation on the level-refine cell grid."""
-    if refine < level:
-        raise ParameterError(f"refine level {refine} is below the approximation level {level}")
-    coarse = (np.arange(2**refine) >> (refine - level)).astype(float)
-    # one float array: the differences of small integers, their signs and the halving are exact
-    out = coarse[None, :] - coarse[:, None]
-    np.sign(out, out=out)
-    out *= 0.5
-    return out
-
-
 #: rows per slab of sign_product's adjacent add
 _ADD_ROWS = 32
 
@@ -108,10 +96,11 @@ def sign_product(x: np.ndarray, blocks: int = 1) -> np.ndarray:
 
     S[k, l] = sign(l - k) / 2 when cells k and l lie in the same one of
     `blocks` equal runs of x's columns, and 0 otherwise. One block gives
-    cell_sign_matrix(n, n); 2^c blocks on level r give cell_sign_matrix(r, r)
-    - cell_sign_matrix(c, r), the difference of two approximations. Within a
-    run, column l of the product is (sum_{k<l} x_k - sum_{k>l} x_k) / 2. With
-    H the reverse cumulative sum of -x / 2 that is H[l] + H[l+1] - H[0]: one
+    the level-n cell sign matrix A_n; 2^c blocks on level r give A_r - A_c
+    on the level-r grid, the difference of two approximations (the dense
+    A_n is checks.cell_sign_matrix). Within a run, column l of the product
+    is (sum_{k<l} x_k - sum_{k>l} x_k) / 2. With H the reverse cumulative
+    sum of -x / 2 that is H[l] + H[l+1] - H[0]: one
     scaling, one cumsum and one add of adjacent columns, in place on a
     (rows, blocks, run) view of x (a view for C-ordered and transposed x).
     Pass only arrays the caller owns.

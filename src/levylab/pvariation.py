@@ -98,12 +98,11 @@ def v2p_grid(kernel, p: float, level: int) -> float:
     A lower bound of the true 2D p-variation (the supremum is restricted to
     the full dyadic product partition of the given level). The cell
     increments are the entries of the level Gram, so the sum takes O(N) time
-    and memory for diagonal and Toeplitz Grams. cov.check_level bounds the
+    and memory for diagonal and Toeplitz Grams. cov.level_gram bounds the
     level by the Gram's structure before it is built: 24 for Brownian and
     weighted kernels, 23 for fBm, 12 for tabulated kernels.
     """
     _require_exponent(p)
-    cov.check_level(level, kernel)
     return cov.level_gram(kernel, level).abs_power_sum(p) ** (1.0 / p)
 
 

@@ -157,11 +157,10 @@ def increment_sampler(kernel: cov.CovKernel, level: int):
     depends on its own input row only. `apply` may overwrite Z and may return
     a view of it, so it needs no array larger than Z beyond one FFT of its
     rows. The map is chosen by the structure of the level Gram: diagonal,
-    Toeplitz (circulant embedding) or dense (Cholesky). cov.check_level
+    Toeplitz (circulant embedding) or dense (Cholesky). cov.level_gram
     bounds the level by that structure before the Gram is built, so a dense
     Gram above level 12 raises ResourceError.
     """
-    cov.check_level(level, kernel)
     gram = cov.level_gram(kernel, level)
     if gram.kind == cov.TOEPLITZ:
         return _Circulant(gram.values)

@@ -12,14 +12,11 @@ product to 1/cosh. Equivalently cosh factors as
 
     cosh(z) = prod_{n>=0} (1 + 4 z^2 / (pi^2 (2n+1)^2)).
 
-Two discretizations are provided: midpoint collocation of the classical
-block integral operator (h(1) + h(0) = 0 boundary behaviour emerges in the
-eigenvectors), and the level-n step-kernel operator for arbitrary covariance
-pairs. The midpoint operator on g points has the closed-form spectrum
-+-cot(pi (2k+1) / (2g)) / (2g), each value twice, which brownian_spectrum
-lists in O(g); at g = 2^n that is also the Brownian level-n step-kernel
-spectrum. discretize_classical_operator and eigen_solve, a dense generic
-eigensolver, remain as the references the closed form is checked against.
+The midpoint collocation of the classical block integral operator on g
+points has the closed-form spectrum +-cot(pi (2k+1) / (2g)) / (2g), each
+value twice, which brownian_spectrum lists in O(g); at g = 2^n that is also
+the Brownian level-n step-kernel spectrum. The dense midpoint matrix, the
+reference the closed form is checked against, lives in checks.
 On dyadic step functions, in the coordinates whitened by the Cholesky
 factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
 is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
@@ -28,8 +25,7 @@ spectrum comes from one SVD (half-size when the two Grams are equal and
 mirror-symmetric), and mirror symmetry holds by construction. So do the
 multiplicities: every value is listed twice when the two Grams are equal (M
 is then antisymmetric) and once otherwise. A is never built: products with it
-are prefix sums (levy_kernel.sign_product). Only the reference eigen_solve
-merges eigenvalues into multiplicity clusters by a tolerance.
+are prefix sums (levy_kernel.sign_product).
 """
 from __future__ import annotations
 
@@ -41,10 +37,8 @@ import numpy as np
 
 from . import covariance as cov
 from . import levy_kernel as lk
-from .errors import ParameterError, ResourceError, ShapeError
+from .errors import ParameterError, ResourceError
 
-#: relative gap below which eigen_solve merges eigenvalues into one multiplicity cluster
-CLUSTER_TOL = 1e-6
 #: relative tolerance for matching each sorted eigenvalue with its mirror partner
 PAIR_TOL = 1e-6
 #: cap on the step-kernel level, and on the midpoint grid at 2 ** MAX_OPERATOR_LEVEL
@@ -176,14 +170,14 @@ def weighted_cf(weight_norm_sq: float, t: float) -> float:
 
 
 def brownian_spectrum(grid: int) -> Spectrum:
-    """Exact spectrum of discretize_classical_operator(grid), in O(grid).
+    """Exact spectrum of the midpoint operator on `grid` points, in O(grid).
 
-    The operator is [[0, K^T], [K, 0]] with K = sign(i - j) / (2g)
-    antisymmetric, so its eigenvalues are +-|mu| for the eigenvalues
-    mu = i cot(pi (2k+1) / (2g)) / (2g), k = 0..g-1, of K: each cot value
-    twice. The g//2 positive values are listed +-, descending, with
-    multiplicity 2; an odd grid adds an exact zero (k = (g-1)/2) with
-    multiplicity 2, last. At grid = 2^n this is general_spectrum(brownian,
+    The operator (dense in checks.discretize_classical_operator) is
+    [[0, K^T], [K, 0]] with K = sign(i - j) / (2g) antisymmetric, so its
+    eigenvalues are +-|mu| for the eigenvalues mu = i cot(pi (2k+1) / (2g))
+    / (2g), k = 0..g-1, of K: each cot value twice. The g//2 positive values
+    are listed +-, descending, with multiplicity 2; an odd grid adds an exact
+    zero (k = (g-1)/2) with multiplicity 2, last. At grid = 2^n this is general_spectrum(brownian,
     brownian, n), whose whitened step kernel is the same matrix. An integer
     grid below 2 raises ParameterError, one above 2^MAX_OPERATOR_LEVEL
     ResourceError, before anything is allocated.
@@ -200,64 +194,6 @@ def brownian_spectrum(grid: int) -> Spectrum:
     if g % 2 == 0:
         return spectrum
     return Spectrum(np.append(spectrum.alphas, 0.0), np.append(spectrum.mults, 2))
-
-
-def discretize_classical_operator(grid_size: int) -> np.ndarray:
-    """Midpoint collocation of the classical block operator on 2g points.
-
-    Off-diagonal blocks discretize h -> (int_0^t h - int_t^1 h)/2 with
-    uniform weight 1/g at midpoints t_i = (i + 1/2)/g; the sign-kernel form
-    keeps the matrix exactly symmetric, which the spectrum tests require.
-    A dense reference: brownian_spectrum gives its spectrum exactly.
-    """
-    if grid_size < 4:
-        raise ParameterError(f"grid_size must be >= 4, got {grid_size}")
-    if grid_size > 2**MAX_OPERATOR_LEVEL:
-        raise ResourceError(
-            f"midpoint grid {grid_size} exceeds cap {2**MAX_OPERATOR_LEVEL} = 2^MAX_OPERATOR_LEVEL"
-        )
-    idx = np.arange(grid_size)
-    block = 0.5 * np.sign(idx[:, None] - idx[None, :]) / grid_size
-    zero = np.zeros_like(block)
-    return np.block([[zero, -block], [block, zero]])
-
-
-def eigen_solve(matrix: np.ndarray) -> Spectrum:
-    """Symmetric eigensolve with multiplicity clustering, the dense reference.
-
-    Eigenvalues closer than CLUSTER_TOL * spectral_radius are merged into a
-    single entry whose value is the cluster mean; rounding splits exact
-    multiplicities, which this tolerance absorbs. This is the one route whose
-    multiplicities are not known from its construction; no CLI artifact
-    takes it (brownian_spectrum lists the midpoint spectrum exactly).
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    scale = float(np.max(np.abs(m))) or 1.0
-    if asym > 1e-10 * max(scale, 1.0):
-        raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return _clustered(np.linalg.eigvalsh((m + m.T) / 2.0), CLUSTER_TOL)
-
-
-def _clustered(w: np.ndarray, cluster_tol: float) -> Spectrum:
-    """Spectrum of the ascending eigenvalues w, merging gaps below cluster_tol * radius."""
-    if not w.size:
-        return Spectrum(np.empty(0), np.empty(0, dtype=int))
-    gap = cluster_tol * (float(np.max(np.abs(w))) or 1.0)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1))
-    sizes = np.diff(np.append(starts, len(w)))
-    # one row per cluster of size k: the row sums of a (count, k) array add in
-    # np.mean's order, so means keep their bits (np.add.reduceat adds the first
-    # member last and moves some means in the last digit)
-    sums = np.empty(len(starts))
-    for k in np.unique(sizes):
-        rows = np.flatnonzero(sizes == k)
-        sums[rows] = np.sum(w[starts[rows, None] + np.arange(k)], axis=1)
-    means = sums / sizes
-    order = np.lexsort((-means, -np.abs(means)))
-    return Spectrum(means[order], sizes[order])
 
 
 @dataclass(frozen=True)
@@ -307,10 +243,10 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     N = 2^level cells, J A J = -A; when the equal Grams also have J G J = G
     (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
     B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
-    halves (cov.mirror_factors) and A_+- = cell_sign_matrix(n-1, n-1) - 1/2,
-    so one N/2 SVD gives every pair. Every other pair takes one N x N SVD of
-    M, with L_i from cov.cholesky_factor (for equal Grams, the mean of each
-    pair of its sorted singular values). No sign matrix is built: L+^T A_+-
+    halves (cov.mirror_factors) and A_+- the level-(n-1) cell sign matrix
+    less 1/2, so one N/2 SVD gives every pair. Every other pair takes one
+    N x N SVD of M, with L_i from cov.cholesky_factor (for equal Grams, the
+    mean of each pair of its sorted singular values). No sign matrix is built: L+^T A_+-
     is lk.sign_product(L+^T) less half of each column sum of L+, and L_1^T A
     is lk.sign_product(L_1^T), each in the factor's own memory (in a copy of
     L_1 when equal Grams share it). So the split route holds at most three

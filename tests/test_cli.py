@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levylab import cli
+from levylab import checks, cli
 from levylab import covariance as cov
 from levylab import levy_kernel as lk
 from levylab import pvariation as pv
@@ -323,9 +323,9 @@ def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built before the level cap was checked")
 
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
-    monkeypatch.setattr(cov, "level_gram", forbidden)
-    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    # level_gram checks the level itself: every builder it calls is forbidden
+    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "cholesky_factor"):
+        monkeypatch.setattr(cov, name, forbidden)
     out = tmp_path / "out"
     assert run_cli(["simulate", "--kernel", spec, "--level",
                     DENSE_TOP + 1, "--samples", 5, "--out", out]) == 2
@@ -482,7 +482,7 @@ def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
         raise AssertionError("step matrix or Gram built before the level cap was checked")
 
     monkeypatch.setattr(cov, "level_gram", forbidden)
-    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     assert run_cli(["cauchy", "--kernel", "brownian", "--levels", "12:13", "--out", tmp_path]) == 2
     assert not (tmp_path / "cauchy.csv").exists()
 
@@ -572,7 +572,7 @@ def test_spectrum_grid_above_cap_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     grid = 2**sp.MAX_OPERATOR_LEVEL + 1
     with pytest.raises(ResourceError):
-        sp.discretize_classical_operator(grid)
+        checks.discretize_classical_operator(grid)
     out = tmp_path / "out"
     assert run_cli(["spectrum", "--kernel", "brownian", "--grid", grid, "--out", out]) == 2
     assert not (out / "spectrum.csv").exists()

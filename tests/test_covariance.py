@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,25 @@ def test_check_level_counts_the_largest_array_of_the_route():
             cov.check_level(-1, kernel)
 
 
+def test_level_gram_checks_its_level_before_building(monkeypatch):
+    # each structure's builder is forbidden, so a level that got past the
+    # check would fail here without allocating anything
+    table = cov.tabulated_from_fn(np.minimum, 4)
+    fbm, brownian, weighted = cov.fractional_brownian(0.35), cov.brownian(), cov.weighted_poly(1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("level Gram built before its level was checked")
+
+    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix"):
+        monkeypatch.setattr(cov, name, forbidden)
+    for kernel in (brownian, fbm, weighted, table):
+        with pytest.raises(ParameterError):
+            cov.level_gram(kernel, -1)
+    for kernel, level in ((brownian, 25), (weighted, 25), (fbm, 24), (table, 13)):
+        with pytest.raises(ResourceError):
+            cov.level_gram(kernel, level)
+
+
 # ---------------------------------------------------------------------------
 # tabulated kernels
 # ---------------------------------------------------------------------------
@@ -334,6 +355,63 @@ def test_tabulated_bilinear_exact_for_bilinear_function():
     for _ in range(50):
         s, t = rng.uniform(0, 1, 2)
         assert cov.eval(k, s, t) == pytest.approx(s * t, abs=1e-14)
+
+
+def four_corner(table, x, y):
+    """The bilinear interpolant of table on x by y, as the explicit four-corner sum."""
+    m = table.shape[0] - 1
+    xs = np.clip(np.asarray(x, dtype=float)[:, None] * m, 0.0, m)
+    ys = np.clip(np.asarray(y, dtype=float)[None, :] * m, 0.0, m)
+    i = np.minimum(xs.astype(int), m - 1)
+    j = np.minimum(ys.astype(int), m - 1)
+    fx, fy = xs - i, ys - j
+    return (
+        table[i, j] * (1 - fx) * (1 - fy)
+        + table[i + 1, j] * fx * (1 - fy)
+        + table[i, j + 1] * (1 - fx) * fy
+        + table[i + 1, j + 1] * fx * fy
+    )
+
+
+@pytest.mark.parametrize("mesh", [32, 33, 100])
+def test_tabulated_grids_are_the_four_corner_sum_bit_for_bit(mesh):
+    k = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3 + 0.1 * S * T, mesh)
+    rng = np.random.default_rng(mesh)
+    x = np.concatenate(([0.0], np.sort(rng.uniform(0, 1, 37)), [1.0]))
+    y = np.sort(rng.uniform(0, 1, 53))
+    assert cov.eval_grid(k, x, y).tobytes() == four_corner(k.table, x, y).tobytes()
+    for level in (3, 8):
+        part = cov.dyadic_partition(level)
+        want = np.diff(np.diff(four_corner(k.table, part, part), axis=0), axis=1)
+        assert cov.gram_matrix(k, part).tobytes() == want.tobytes()
+
+
+def test_tabulated_tables_of_other_dtypes_interpolate_in_float64():
+    # a CovKernel built directly keeps its table's dtype: int64 and float32 here
+    nodes = np.linspace(0, 1, 9)
+    x = np.linspace(0, 1, 13)
+    for table in (np.minimum.outer(np.arange(9), np.arange(9)),
+                  np.minimum.outer(nodes, nodes).astype(np.float32)):
+        k = cov.CovKernel(cov.TABULATED, table=table)
+        got = cov.eval_grid(k, x, x)
+        assert got.dtype == float and got.tobytes() == four_corner(table, x, x).tobytes()
+
+
+def test_tabulated_gram_holds_about_two_full_size_arrays():
+    # the interpolant and one gathered corner term, then the corners and
+    # their first difference: about 2 N^2 floats, where four corner terms
+    # and their weighted products made about 7
+    k = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 100)
+    level = 9
+    square = 8 * 4**level
+    part = cov.dyadic_partition(level)
+    tracemalloc.start()
+    try:
+        cov.gram_matrix(k, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * square, f"{peak / square:.2f} N^2 floats"
 
 
 def test_tabulated_continuity_under_refinement():

@@ -128,9 +128,9 @@ def test_step_matrices_and_contractions_skip_full_size_transients():
     # into G S in place, and the elementwise terms: 2 arrays of N^2 floats,
     # where D, one Gram and two products made 4
     square = 8 * 4**9
-    sign = lk.cell_sign_matrix(3, 9)
+    sign = checks.cell_sign_matrix(3, 9)
     assert set(np.unique(sign).tolist()) == {-0.5, 0.0, 0.5}
-    assert traced_peak(lk.cell_sign_matrix, 3, 9) <= 1.1 * square
+    assert traced_peak(checks.cell_sign_matrix, 3, 9) <= 1.1 * square
     fbm = cov.fractional_brownian(0.35)
     assert traced_peak(lk.norm_diff, 8, 9, fbm, fbm) <= 2.5 * square
 
@@ -152,7 +152,7 @@ def test_sign_product_is_the_explicit_sign_matrix_product():
     for level in range(1, 9):
         size = 2**level
         for c in range(level + 1):
-            S = lk.cell_sign_matrix(level, level) - lk.cell_sign_matrix(c, level)
+            S = checks.cell_sign_matrix(level, level) - checks.cell_sign_matrix(c, level)
             for x in (rng.normal(size=(size, size)), rng.normal(size=(size, size)).T):
                 want, scale = x @ S, np.max(np.abs(x))
                 got = lk.sign_product(x, 2**c)
@@ -178,7 +178,7 @@ def test_norms_build_no_sign_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a norm built a step matrix")
 
-    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     br, fbm = cov.brownian(), cov.fractional_brownian(0.35)
     for n in range(1, 9):
         assert lk.norm_approx(n, fbm, br).value > 0.0
@@ -207,9 +207,9 @@ def test_norms_match_the_einsum_oracle(name1, name2, n, m):
     level = max(n, m)
     g1, g2 = (cov.level_gram(r, level).dense() for r in (r1, r2))
     steps = (
-        (lk.norm_approx(level, r1, r2).value, lk.cell_sign_matrix(level, level)),
+        (lk.norm_approx(level, r1, r2).value, checks.cell_sign_matrix(level, level)),
         (lk.norm_diff(n, m, r1, r2).value,
-         lk.cell_sign_matrix(n, level) - lk.cell_sign_matrix(m, level)),
+         checks.cell_sign_matrix(n, level) - checks.cell_sign_matrix(m, level)),
     )
     for got, A in steps:
         want = gram_contraction_norm(A, g1, g2)
@@ -228,7 +228,7 @@ def test_norm_diff_brownian_12():
     assert result.value == pytest.approx(0.125, abs=1e-12)
     # independent oracle on the grid the contraction ran on
     refine = result.refine
-    A = lk.cell_sign_matrix(1, refine) - lk.cell_sign_matrix(2, refine)
+    A = checks.cell_sign_matrix(1, refine) - checks.cell_sign_matrix(2, refine)
     g1, g2 = grams(br, br, refine)
     assert gram_contraction_norm(A, g1, g2) == pytest.approx(0.125, abs=1e-12)
     assert quadruple_loop_norm(A, g1, g2) == pytest.approx(0.125, abs=1e-12)
@@ -256,7 +256,7 @@ def test_norm_diff_matches_oracle_nontrivial_kernels():
         got = lk.norm_diff(n, m, r1, r2).value
         # the oracle runs on a finer grid: the step-function norm is grid-independent
         refine = max(n, m) + 2
-        A = lk.cell_sign_matrix(n, refine) - lk.cell_sign_matrix(m, refine)
+        A = checks.cell_sign_matrix(n, refine) - checks.cell_sign_matrix(m, refine)
         g1, g2 = grams(r1, r2, refine)
         want = gram_contraction_norm(A, g1, g2)
         assert got == pytest.approx(want, rel=1e-12)
@@ -284,7 +284,7 @@ def test_contraction_level_cap_fires_before_any_allocation(monkeypatch):
         raise AssertionError("step matrix or Gram built before the level cap was checked")
 
     monkeypatch.setattr(cov, "level_gram", forbidden)
-    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     br = cov.brownian()
     top = DENSE_TOP + 1
     with pytest.raises(ResourceError):
@@ -319,7 +319,7 @@ def test_norm_approx_matches_quadruple_loop():
     fbm = cov.fractional_brownian(0.75)
     refine = 3
     got = lk.norm_approx(2, fbm, fbm).value
-    A = lk.cell_sign_matrix(2, refine)
+    A = checks.cell_sign_matrix(2, refine)
     g1, g2 = grams(fbm, fbm, refine)
     assert got == pytest.approx(quadruple_loop_norm(A, g1, g2), abs=1e-12)
 
@@ -330,7 +330,7 @@ def test_norm_approx_refine_stability_fbm():
     got = lk.norm_approx(4, fbm, fbm).value
     for refine in (8, 9):
         g1, g2 = grams(fbm, fbm, refine)
-        want = gram_contraction_norm(lk.cell_sign_matrix(4, refine), g1, g2)
+        want = gram_contraction_norm(checks.cell_sign_matrix(4, refine), g1, g2)
         assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -89,7 +89,8 @@ def test_v2p_product_kernel_p1_is_one():
 
 def test_v2p_resource_cap(monkeypatch):
     table = cov.tabulated_from_fn(np.minimum, 4)
-    _forbid_dense_grams(monkeypatch, "level_gram")
+    # level_gram checks the level itself: every builder it calls is forbidden
+    _forbid_dense_grams(monkeypatch, "dyadic_partition", "_fgn_autocovariance")
     # one past the largest level of each Gram structure, and a huge level
     for kernel, level in ((cov.brownian(), 25), (cov.weighted_poly(1), 25),
                           (cov.fractional_brownian(0.35), 24), (table, DENSE_TOP + 1),

@@ -205,9 +205,9 @@ def test_tabulated_level_cap_fires_before_any_gram(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built before the level cap was checked")
 
-    monkeypatch.setattr(cov, "level_gram", forbidden)
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
-    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    # level_gram checks the level itself: every builder it calls is forbidden
+    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "cholesky_factor"):
+        monkeypatch.setattr(cov, name, forbidden)
     for level in (DENSE_TOP + 1, sim.MAX_LEVEL):
         for k2 in (tab, cov.brownian()):
             config = sim.MCConfig(seed=1, n_samples=3, level=level, kernel1=tab, kernel2=k2)

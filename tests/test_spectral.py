@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.spectral as sp
-from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeError
+from levylab.errors import NumericalError, ParameterError, ResourceError
 
 
 # ---------------------------------------------------------------------------
@@ -140,43 +141,50 @@ def test_cosh_factorization_residuals():
 # classical operator discretization
 # ---------------------------------------------------------------------------
 
+def midpoint_spectrum(grid):
+    """The ascending dense eigenvalues of the midpoint matrix, each listed once."""
+    w = np.linalg.eigvalsh(checks.discretize_classical_operator(grid))
+    return sp.Spectrum(w, np.ones(w.size, dtype=int))
+
+
 def test_classical_operator_shape_and_symmetry():
-    m = sp.discretize_classical_operator(16)
+    m = checks.discretize_classical_operator(16)
     assert m.shape == (32, 32)
     assert np.array_equal(m, m.T)
     assert np.array_equal(np.diagonal(m), np.zeros(32))
     with pytest.raises(ParameterError):
-        sp.discretize_classical_operator(3)
+        checks.discretize_classical_operator(3)
 
 
 def test_classical_operator_eigenvalues():
     grid = 256
-    spec = sp.eigen_solve(sp.discretize_classical_operator(grid))
-    top = abs(spec.entries[0][0])
+    spec = midpoint_spectrum(grid)
+    top = spec.spectral_radius
     assert abs(top - 1.0 / np.pi) <= 0.01 / np.pi
-    # second |alpha| cluster sits near 1/(3 pi)
-    uniq = []
-    for a, _ in spec.entries:
-        if not uniq or abs(abs(a) - uniq[-1]) > 1e-9:
-            if all(abs(abs(a) - u) > 1e-9 for u in uniq):
-                uniq.append(abs(a))
-    assert abs(uniq[1] - 1.0 / (3 * np.pi)) <= 0.02 / (3 * np.pi)
+    # the largest |alpha| below the top value sits near 1/(3 pi)
+    magnitudes = np.abs(spec.alphas)
+    second = np.max(magnitudes[magnitudes < top - 1e-9])
+    assert abs(second - 1.0 / (3 * np.pi)) <= 0.02 / (3 * np.pi)
 
 
 def test_classical_operator_mirror_pairs():
-    w = np.linalg.eigvalsh(sp.discretize_classical_operator(128))
+    w = np.linalg.eigvalsh(checks.discretize_classical_operator(128))
     ws = np.sort(w)
     assert np.max(np.abs(ws + ws[::-1])) <= 1e-10
 
 
 def test_classical_operator_multiplicity_two():
-    spec = sp.eigen_solve(sp.discretize_classical_operator(256))
-    assert all(m == 2 for _, m in spec.entries)
+    # the closed form repeats each value twice; the sorted dense eigenvalues
+    # must match it elementwise, so every dense value comes in a pair
+    w = midpoint_spectrum(256).alphas
+    exact = sp.brownian_spectrum(256)
+    assert np.all(exact.mults == 2)
+    assert np.max(np.abs(w - np.sort(exact.eigenvalues()))) <= 1e-12 * exact.spectral_radius
 
 
 def test_classical_eigenvector_endpoint_condition():
     grid = 256
-    m = sp.discretize_classical_operator(grid)
+    m = checks.discretize_classical_operator(grid)
     w, V = np.linalg.eigh(m)
     h = V[:, int(np.argmax(np.abs(w)))]
     h = h / np.max(np.abs(h))
@@ -189,8 +197,7 @@ def test_classical_eigenvector_endpoint_condition():
 def test_classical_operator_convergence_ratio():
     errs = []
     for grid in (64, 128, 256):
-        spec = sp.eigen_solve(sp.discretize_classical_operator(grid))
-        errs.append(abs(abs(spec.entries[0][0]) - 1.0 / np.pi))
+        errs.append(abs(midpoint_spectrum(grid).spectral_radius - 1.0 / np.pi))
     assert errs[1] <= 0.6 * errs[0]
     assert errs[2] <= 0.6 * errs[1]
 
@@ -202,8 +209,8 @@ def test_classical_operator_convergence_ratio():
 @pytest.mark.parametrize("grid", [*range(4, 41), 127, 128, 255, 256, 1024])
 def test_brownian_spectrum_is_the_dense_midpoint_spectrum(grid):
     spec = sp.brownian_spectrum(grid)
-    dense = sp.eigen_solve(sp.discretize_classical_operator(grid)).eigenvalues()
-    err = float(np.max(np.abs(np.sort(spec.eigenvalues()) - np.sort(dense))))
+    dense = midpoint_spectrum(grid).alphas
+    err = float(np.max(np.abs(np.sort(spec.eigenvalues()) - dense)))
     assert err <= 1e-12 * spec.spectral_radius, err
     # |alpha| descending, every +a directly followed by its -a, multiplicity 2
     nonzero = spec.alphas[spec.alphas != 0.0]
@@ -250,35 +257,6 @@ def test_brownian_spectrum_caps_allocate_nothing(monkeypatch):
     for grid in (2**sp.MAX_OPERATOR_LEVEL + 1, 10**18):
         with pytest.raises(ResourceError):
             sp.brownian_spectrum(grid)
-
-
-# ---------------------------------------------------------------------------
-# eigen_solve
-# ---------------------------------------------------------------------------
-
-def test_eigen_solve_diag():
-    spec = sp.eigen_solve(np.diag([3.0, 1.0]))
-    assert spec.entries == ((3.0, 1), (1.0, 1))
-    assert spec.spectral_radius == 3.0
-
-
-def test_eigen_solve_offdiag_pair():
-    a = 0.7
-    spec = sp.eigen_solve(np.array([[0.0, a], [a, 0.0]]))
-    assert spec.entries == ((a, 1), (-a, 1))
-
-
-def test_eigen_solve_clusters_multiplicity():
-    spec = sp.eigen_solve(np.diag([1.0, 1.0 + 1e-9, -2.0]))
-    entries = dict((round(a, 6), m) for a, m in spec.entries)
-    assert entries[1.0] == 2 and entries[-2.0] == 1
-
-
-def test_eigen_solve_rejects_asymmetric():
-    with pytest.raises(ShapeError):
-        sp.eigen_solve(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ShapeError):
-        sp.eigen_solve(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +345,7 @@ def _audited_spectra():
     for count in (1, 10, 100, 1000, 10_000):
         yield sp.classical_spectrum(count)
     for grid in (4, 8, 16, 32, 64, 128, 256):
-        yield sp.eigen_solve(sp.discretize_classical_operator(grid))
+        yield midpoint_spectrum(grid)
 
 
 def test_symmetry_audit_matches_the_cluster_reference():
@@ -451,7 +429,7 @@ def test_general_operator_block_structure():
     # pair up and every +-s of the spectrum has even multiplicity
     for kernel in (cov.brownian(), cov.fractional_brownian(0.4)):
         L, _ = cov.cholesky_factor(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
-        M = L.T @ lk.cell_sign_matrix(5, 5) @ L
+        M = L.T @ checks.cell_sign_matrix(5, 5) @ L
         scale = np.max(np.abs(M))
         assert np.max(np.abs(M + M.T)) <= 1e-12 * scale
         s = np.linalg.svd(M, compute_uv=False)
@@ -491,7 +469,7 @@ def whitened_reference(r1, r2, level):
     g1 = cov.gram_matrix(r1, part)
     g2 = cov.gram_matrix(r2, part)
     n = g1.shape[0]
-    X = g1 @ lk.cell_sign_matrix(level, level) @ g2
+    X = g1 @ checks.cell_sign_matrix(level, level) @ g2
     K = np.zeros((2 * n, 2 * n))
     K[:n, n:] = X
     K[n:, :n] = X.T
@@ -527,7 +505,7 @@ def test_general_spectrum_matches_whitened_eigh(r1, r2):
         radius = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * radius, level
         clustered = sorted(spec.entries)
-        expected = sorted(sp.eigen_solve(reference).entries)
+        expected = sorted(loop_clustered(want, 1e-6))
         assert [m for _, m in clustered] == [m for _, m in expected], level
         assert [a for a, _ in clustered] == pytest.approx(
             [a for a, _ in expected], rel=0, abs=1e-12 * radius
@@ -566,7 +544,7 @@ def full_route(r1, r2, level):
     """Singular values of L_1^T A L_2 from the full N x N Grams, descending."""
     l1, _ = cov.cholesky_factor(cov.level_gram(r1, level).dense())
     l2, _ = cov.cholesky_factor(cov.level_gram(r2, level).dense())
-    return np.linalg.svd(l1.T @ lk.cell_sign_matrix(level, level) @ l2, compute_uv=False)
+    return np.linalg.svd(l1.T @ checks.cell_sign_matrix(level, level) @ l2, compute_uv=False)
 
 
 def assert_same_spectrum(spec, want):
@@ -686,7 +664,7 @@ def test_half_sign_product_matches_the_explicit_product():
     fbm = cov.fractional_brownian(0.35)
     for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
         plus = cov.mirror_factors(cov.level_gram(fbm, level))[0]
-        explicit = plus.T @ (lk.cell_sign_matrix(level - 1, level - 1) - 0.5)
+        explicit = plus.T @ (checks.cell_sign_matrix(level - 1, level - 1) - 0.5)
         got = lk.sign_product(plus.copy().T) - 0.5 * np.sum(plus, axis=0)[:, None]
         assert got.shape == explicit.shape, level
         assert np.max(np.abs(got - explicit)) <= 1e-14 * np.max(np.abs(plus)), level
@@ -728,7 +706,7 @@ def test_full_route_never_builds_the_sign_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the dense cell sign matrix was built")
 
-    monkeypatch.setattr(lk, "cell_sign_matrix", forbidden)
+    monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     for pair, wants in zip(pairs, expected):
         for level, (s, mult, rung) in zip(levels, wants):
             assert not (pair[0] is pair[1] and cov.level_gram(pair[0], level).mirror_symmetric)
@@ -838,7 +816,7 @@ def test_spectrum_stores_arrays():
     assert np.array_equal(spec.alphas[::2], -spec.alphas[1::2])
     assert spec.entries == tuple(zip(spec.alphas.tolist(), spec.mults.tolist()))
     assert all(type(a) is float and type(m) is int for a, m in spec.entries)
-    empty = sp._clustered(np.array([]), sp.CLUSTER_TOL)
+    empty = sp.Spectrum(np.empty(0), np.empty(0, dtype=int))
     assert empty.spectral_radius == 0.0 and empty.eigenvalues().size == 0
     assert sp.symmetry_check(empty).ok and sp.symmetry_check(empty).max_pair_gap == 0.0
 
@@ -848,29 +826,10 @@ def test_weighted_kernel_keeps_the_full_route():
     for level in (1, 4, 7):
         assert not cov.level_gram(weighted, level).mirror_symmetric
         s = full_route(weighted, weighted, level)
-        alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), sp.CLUSTER_TOL))
+        alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), 1e-6))
         expected = sp.Spectrum(alphas=alphas, mults=mults)
         assert_same_spectrum(sp.general_spectrum(weighted, weighted, level), expected)
     assert not cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_symmetric
-
-
-def test_clustered_matches_the_loop_reference():
-    rng = np.random.default_rng(17)
-    spectra = [np.array([0.0]), np.array([-1.0, 1.0]), np.array([2.0, 2.0, 2.0])]
-    for _ in range(30):
-        # repeated values spread by ~1e-8: the tolerances below merge or split them
-        w = np.repeat(rng.normal(size=rng.integers(1, 40)), rng.integers(1, 4))
-        spectra.append(np.sort(w + rng.normal(scale=1e-8, size=len(w))))
-    for kernel in (cov.fractional_brownian(0.35), cov.weighted_poly(2)):
-        s = full_route(kernel, kernel, 6)
-        spectra.append(np.concatenate([-s, s[::-1]]))
-    spectra.append(np.linalg.eigvalsh(sp.discretize_classical_operator(64)))
-    for w in spectra:
-        for tol in (0.0, 1e-9, sp.CLUSTER_TOL, 1e-2):
-            got = sp._clustered(w, tol).entries
-            want = loop_clustered(w, tol)
-            assert got == want
-    assert sp._clustered(np.array([]), sp.CLUSTER_TOL).entries == ()
 
 
 @settings(max_examples=40, deadline=None)
