@@ -274,6 +274,43 @@ def check_mc_determinism():
     return "bit-identical samples across thread counts"
 
 
+def cf_z_scores(samples: np.ndarray, t: float, exact: complex):
+    """(z_re, z_im): the empirical CF at t less `exact`, per part in units of
+    that part's estimated standard error (sample std of cos / sin of t A over
+    sqrt(n))."""
+    phase = t * samples
+    scores = []
+    for part, ref in ((np.cos(phase), exact.real), (np.sin(phase), exact.imag)):
+        stderr = float(np.std(part, ddof=1)) / np.sqrt(part.size)
+        scores.append((float(np.mean(part)) - ref) / stderr)
+    return tuple(scores)
+
+
+#: seed, sample count and z bound of check_mc_exact_law, fixed before its first run
+EXACT_LAW_SEED = 22
+EXACT_LAW_SAMPLES = 2**16
+EXACT_LAW_Z = 4.0
+
+
+def check_mc_exact_law():
+    # the level-n area is 2 z1^T M z2, so its CF is exactly the regularized
+    # determinant of M's spectrum: the MC CF must match it, not just the
+    # continuum one (which differs by up to 0.06 at level 4)
+    fbm = cov.fractional_brownian(0.35)
+    cases = (("brownian", cov.brownian(), sp.brownian_spectrum(16)),
+             ("fbm-0.35", fbm, sp.general_spectrum(fbm, fbm, 4)))
+    worst = 0.0
+    for name, kernel, spectrum in cases:
+        config = sim.MCConfig(seed=EXACT_LAW_SEED, n_samples=EXACT_LAW_SAMPLES, level=4,
+                              kernel1=kernel, kernel2=kernel)
+        samples = sim.run_mc(config).samples
+        for t in (0.5, 1.0, 2.0):
+            z = cf_z_scores(samples, t, sp.cf_from_spectrum(spectrum, 1j * t).value)
+            assert max(map(abs, z)) <= EXACT_LAW_Z, (name, t, z)
+            worst = max(worst, *map(abs, z))
+    return f"level-4 CF within {worst:.2f} stderr of the exact law (bound {EXACT_LAW_Z})"
+
+
 def check_sampler_covariance():
     fbm = cov.fractional_brownian(0.35)
     sampler = sim.increment_sampler(fbm, 6)
@@ -424,6 +461,7 @@ ALL_CHECKS = [
     ("simulate.area-identities", check_area_identities),
     ("simulate.determinism", check_mc_determinism),
     ("simulate.sampler-covariance", check_sampler_covariance),
+    ("simulate.exact-level-law", check_mc_exact_law),
     ("spectral.cf-real-bounded", check_cf_real_and_bounded),
     ("spectral.cf-tail-bound", check_cf_tail_bound),
     ("spectral.cosh-residual", check_cosh_residual),

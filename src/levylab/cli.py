@@ -32,7 +32,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 
 def _fmt(x: float) -> str:
@@ -214,11 +214,14 @@ def _write_csv(path: Path, echo: dict, blocks):
 
 
 def _sample_blocks(samples):
-    """samples.csv body: the header, then one text block per BATCH samples."""
+    """samples.csv body: the header, then one text block per BATCH samples.
+
+    "%.17g" of a Python float is _fmt's text, inf, nan and -0 included.
+    """
     yield "sample,area\n"
     for start in range(0, len(samples), sim.BATCH):
-        block = samples[start : start + sim.BATCH]
-        yield "".join(f"{i},{_fmt(a)}\n" for i, a in enumerate(block, start))
+        block = samples[start : start + sim.BATCH].tolist()
+        yield "".join(["%d,%.17g\n" % row for row in enumerate(block, start)])
 
 
 def _write_table(args, echo: dict, name: str, key: str, columns, rows, summary: dict,

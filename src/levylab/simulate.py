@@ -1,10 +1,10 @@
 """Monte Carlo sampling of discrete Levy areas and empirical characteristic
 functions.
 
-Path increments over the N = 2^level dyadic cells are d = T z, one
-independent standard normal vector z per process per sample, where the
-linear map T (T T^T = increment Gram) comes from a sampler chosen by the
-structure of the Gram that covariance.level_gram returns:
+Path increments over the N = 2^level dyadic cells are d = T z, one standard
+normal vector z per process per sample, where the linear map T (T T^T =
+increment Gram) comes from a sampler chosen by the structure of the Gram that
+covariance.level_gram returns:
 
     diagonal   independent increments (Brownian, weighted):
                T = diag(sqrt(cell variance))
@@ -13,34 +13,47 @@ structure of the Gram that covariance.level_gram returns:
                gives d in O(N log N) from 2N normals
     dense      dense Cholesky factor of the Gram (tabulated kernels)
 
-Randomness comes from SFC64 generators, one independent stream per batch and
-process. Samples are split into batches of the fixed size BATCH; process p of
-batch b draws from the stream seeded by
-
-    SeedSequence(seed mod 2^64, spawn_key=(2 * b + p,))
-
-row by row, so sample i takes its normals from a fixed position of a fixed
-stream. Its bits depend only on (seed, i): not on n_samples, on the row chunks
-work is done in, or on how many worker threads share out the batches, and the
-two processes never share a stream. (The paper names Philox counter-based
-streams, Salmon et al., SC'11; the sampling contract needs only independent
-streams per (seed, batch, process), and SFC64 fills normals about a third
-faster.)
-
 The discrete area of one sample is
 
-    sum_{k<l} (d1_k d2_l - d2_k d1_l) = sum_l d2_l P1_l - sum_l d1_l P2_l,
+    A = sum_{k<l} (d1_k d2_l - d2_k d1_l) = 2 d2 . h,
+    h_l = (sum_{k<l} d1_k - sum_{k>l} d1_k) / 2 = (d1 S)_l,
 
-with P the exclusive prefix sums, evaluated in O(N): each of the two sums is
-formed in one prefix scratch and reduced by numpy's pairwise row sum, and
-swapping the processes swaps the two sums, so the area flips sign exactly.
+with S the cell sign matrix (levy_kernel.sign_product). Given d1, A is linear
+in the Gaussian vector d2 of the other process, so A | d1 ~ N(0, 4 h^T G2 h)
+exactly, G2 the second process's increment Gram; this conditional Gaussian
+law is the one Gaines & Lyons (SIAM J. Appl. Math. 54, 1994) and Wiktorsson
+(Ann. Appl. Probab. 11, 2001) build on. run_mc therefore draws one path per
+sample, d1, forms h by one prefix sum, evaluates the quadratic form
+q = h^T G2 h through the second sampler's `quad` (a weighted sum, one FFT or
+one matrix product) and returns A = 2 sqrt(q) xi for one more standard normal
+xi. The samples are independent, each with the law of the two-path double
+sum; sample_paths and discrete_levy_area stay the path-level API for that
+sum. (The paper's Monte Carlo draws both paths; drawing the area from its
+conditional law given one path halves the normals and the prefix sums.)
 
-Work runs in row chunks of at most CHUNK_ELEMENTS normals per process. Each
-worker draws a batch's normals into one reused buffer per process, the
-samplers map them to increments in place, and the area reduction reuses one
-prefix scratch, so the scratch memory of one worker is a small fixed multiple
-of CHUNK_ELEMENTS floats whatever the level or sample count; run_mc adds 8
-bytes per sample for the areas.
+Randomness comes from SFC64 generators, one independent stream per batch and
+process. Samples are split into batches of the fixed size BATCH; stream
+s = 2 b + p of batch b is seeded by
+
+    SeedSequence(seed mod 2^64, spawn_key=(s,))
+
+Stream 2 b holds process 1's normals row-major, one row of `width` normals
+per sample, in run_mc and sample_paths alike. Stream 2 b + 1 holds, in
+run_mc, one xi per sample, in sample order; in sample_paths, process 2's
+normals row-major. So sample i takes its normals from fixed positions of
+fixed streams, and its bits depend only on (seed, i): not on n_samples, on
+the row chunks work is done in, or on how many worker threads share out the
+batches. (The paper names Philox counter-based streams, Salmon et al., SC'11;
+the sampling contract needs only independent streams per (seed, batch,
+process), and SFC64 fills normals about a third faster.)
+
+Work runs in row chunks whose row count is set by the wider of the two
+samplers, at most CHUNK_ELEMENTS normals. A run_mc worker draws process 1's
+normals into one reused buffer; the sampler maps them to d1 and sign_product
+to h in place, and `quad` needs at most one more chunk-sized array (an FFT of
+the rows or the product h L). So the scratch memory of one worker is a small
+fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
+run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
 """
 from __future__ import annotations
 
@@ -50,14 +63,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
+from . import levy_kernel as lk
 from .errors import NumericalError, ParameterError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
 
-#: normals per process held at once by one worker (512 KiB of float64), so
-#: that a worker's two normal buffers and one prefix scratch (at most 1.5 MiB)
-#: stay within a 2 MiB per-core L2 cache
+#: normals per chunk buffer (512 KiB of float64), so that a run_mc worker's
+#: normal buffer and the one chunk-sized array of `quad` (at most 1 MiB) stay
+#: within a 2 MiB per-core L2 cache
 CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14
@@ -99,12 +113,19 @@ class _Diagonal:
     """d = sqrt(v) * z for independent increments with variances v."""
 
     def __init__(self, variances):
+        self.variances = variances
         self.scale = np.sqrt(variances)
         self.width = len(variances)
 
     def apply(self, Z):
         Z *= self.scale
         return Z
+
+    def quad(self, H):
+        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H."""
+        H *= H
+        H *= self.variances
+        return H.sum(axis=1)
 
 
 class _Circulant:
@@ -117,6 +138,11 @@ class _Circulant:
     leading N x N block is the Toeplitz Gram. For real y, H y = Re(F y) - Im(F y)
     with F the forward DFT, and only the first N of the M outputs are needed,
     which rfft provides.
+
+    The same diagonalization gives the Gram's quadratic form: with h
+    zero-padded to length M and F_k its DFT, h^T C h = sum_k lam_k |F_k|^2 / M,
+    and lam_k = lam_{M-k}, |F_k| = |F_{M-k}| for real h fold the sum onto the
+    N + 1 rfft bins, doubled for 0 < k < N.
     """
 
     def __init__(self, gamma):
@@ -129,6 +155,10 @@ class _Circulant:
             )
         self.width = 2 * self.n
         self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.width)
+        weights = lam / self.width
+        weights[1:-1] *= 2.0
+        # one weight per float of the complex rfft bins: real, imaginary
+        self.weights = np.repeat(weights, 2)
 
     def apply(self, Z):
         Z *= self.scale
@@ -136,6 +166,13 @@ class _Circulant:
         out = Z[:, : self.n]
         np.subtract(f.real, f.imag, out=out)
         return out
+
+    def quad(self, H):
+        """Rows of h^T G h from one rfft of the zero-padded rows of H."""
+        f = np.fft.rfft(H, n=self.width, axis=1).view(float)
+        f *= f
+        f *= self.weights
+        return f.sum(axis=1)
 
 
 class _Cholesky:
@@ -148,6 +185,12 @@ class _Cholesky:
     def apply(self, Z):
         return Z @ self.L.T
 
+    def quad(self, H):
+        """Rows of h^T G h = ||h L||^2."""
+        y = H @ self.L
+        y *= y
+        return y.sum(axis=1)
+
 
 def increment_sampler(kernel: cov.CovKernel, level: int):
     """Linear map from `width` standard normals to the 2^level cell increments.
@@ -156,8 +199,11 @@ def increment_sampler(kernel: cov.CovKernel, level: int):
     (rows, width), to increment rows, shape (rows, 2^level); each output row
     depends on its own input row only. `apply` may overwrite Z and may return
     a view of it, so it needs no array larger than Z beyond one FFT of its
-    rows. The map is chosen by the structure of the level Gram: diagonal,
-    Toeplitz (circulant embedding) or dense (Cholesky). cov.level_gram
+    rows. `quad(H)` returns the quadratic forms h^T G h of the rows h of H,
+    shape (rows, 2^level), with the level Gram G; it may overwrite H and
+    needs at most one array of about rows x width floats. The map is chosen
+    by the structure of the level Gram: diagonal, Toeplitz (circulant
+    embedding) or dense (Cholesky). cov.level_gram
     bounds the level by that structure before the Gram is built, so a dense
     Gram above level 12 raises ResourceError.
     """
@@ -183,68 +229,62 @@ def _chunk_rows(samplers) -> int:
     return max(1, min(BATCH, CHUNK_ELEMENTS // width))
 
 
-def _batch_chunks(config: MCConfig, samplers, batch_start: int, rows: int):
-    """Yield (start, inc1, inc2, scratch) for each row chunk of the batch at batch_start.
-
-    Each process draws its normals row-major from its own batch stream, so
-    chunk boundaries only split the stream and never change a sample's bits.
-    The increments are views of buffers that the next chunk overwrites, and
-    scratch is a (chunk rows, 2^level) prefix array for _areas_from_increments.
-    """
-    b = batch_start // BATCH
+def _streams(config: MCConfig, b: int):
+    """The two SFC64 generators of batch b: streams 2 b and 2 b + 1."""
     seed = config.seed & (2**64 - 1)
-    gens = [
+    return [
         np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(2 * b + p,))))
         for p in (0, 1)
     ]
-    bufs = [np.empty((rows, s.width)) for s in samplers]
-    scratch = np.empty((rows, 2**config.level))
-    stop = min(batch_start + BATCH, config.n_samples)
-    for start in range(batch_start, stop, rows):
-        count = min(rows, stop - start)
-        inc1, inc2 = (
-            s.apply(g.standard_normal(out=buf[:count]))
-            for s, g, buf in zip(samplers, gens, bufs)
-        )
-        yield start, inc1, inc2, scratch[:count]
 
 
 def sample_paths(config: MCConfig):
     """Increment arrays (n_samples, 2^level) for the two processes.
 
-    Materializes everything; intended for moderate n_samples. run_mc streams
-    chunks instead and never holds more than one chunk of increments per worker.
+    Process p of batch b draws its normals row-major from stream 2 b + p in
+    row chunks, so chunk boundaries only split the streams and never change a
+    sample's bits. Materializes everything; intended for moderate n_samples.
     """
     samplers = _samplers(config)
     rows = _chunk_rows(samplers)
     shape = (config.n_samples, 2**config.level)
-    out1, out2 = np.empty(shape), np.empty(shape)
+    outs = np.empty(shape), np.empty(shape)
     for batch_start in range(0, config.n_samples, BATCH):
-        for start, inc1, inc2, _ in _batch_chunks(config, samplers, batch_start, rows):
-            out1[start : start + len(inc1)] = inc1
-            out2[start : start + len(inc2)] = inc2
-    return out1, out2
+        gens = _streams(config, batch_start // BATCH)
+        bufs = [np.empty((rows, s.width)) for s in samplers]
+        stop = min(batch_start + BATCH, config.n_samples)
+        for start in range(batch_start, stop, rows):
+            count = min(rows, stop - start)
+            for s, g, buf, out in zip(samplers, gens, bufs, outs):
+                out[start : start + count] = s.apply(g.standard_normal(out=buf[:count]))
+    return outs
 
 
-def _areas_from_increments(inc1: np.ndarray, inc2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Row areas sum_l inc2_l P1_l - sum_l inc1_l P2_l, each sum formed in `scratch`.
+def _conditional_areas(inc1: np.ndarray, sampler2, xi: np.ndarray) -> np.ndarray:
+    """Areas 2 sqrt(h^T G2 h) xi of the rows of inc1, written into xi and returned.
 
-    P is the exclusive prefix sum along a row. The row reduction stays numpy's
-    pairwise sum(axis=1), whose bits per row do not depend on the row count;
-    vecdot and einsum were measured to break that at N = 16384 (see
+    h = lk.sign_product(inc1), formed in inc1's memory, and G2 is sampler2's
+    Gram. Every quad is a sum of nonnegative terms (the circulant eigenvalues
+    are checked nonnegative), so the square root is real. Each row's bits
+    depend on that row alone: the row reductions are numpy's pairwise
+    sum(axis=1), whose bits per row do not depend on the row count; vecdot
+    and einsum were measured to break that at N = 16384 (see
     tests/test_simulate.py).
     """
-    sums = []
-    for prefix, weight in ((inc1, inc2), (inc2, inc1)):
-        scratch[:, 0] = 0.0
-        np.cumsum(prefix[:, :-1], axis=1, out=scratch[:, 1:])
-        scratch *= weight
-        sums.append(scratch.sum(axis=1))
-    return np.subtract(*sums, out=sums[0])
+    q = sampler2.quad(lk.sign_product(inc1))
+    np.sqrt(q, out=q)
+    q *= 2.0
+    xi *= q
+    return xi
 
 
 def discrete_levy_area(increments1, increments2) -> float:
-    """Antisymmetrized double sum over k < l of the two increment arrays."""
+    """Antisymmetrized double sum over k < l of the two increment arrays.
+
+    It is sum_l b_l P(a)_l - sum_l a_l P(b)_l with P the exclusive prefix
+    sum, each sum formed in one scratch and reduced by numpy's pairwise sum;
+    swapping the arrays swaps the two sums, so the area flips sign exactly.
+    """
     a = np.asarray(increments1, dtype=float)
     b = np.asarray(increments2, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
@@ -253,26 +293,40 @@ def discrete_levy_area(increments1, increments2) -> float:
         )
     if a.size == 0:
         return 0.0
-    a, b = a[None, :], b[None, :]
-    return float(_areas_from_increments(a, b, np.empty_like(a))[0])
+    scratch = np.empty_like(a)
+    sums = []
+    for prefix, weight in ((a, b), (b, a)):
+        scratch[0] = 0.0
+        np.cumsum(prefix[:-1], out=scratch[1:])
+        scratch *= weight
+        sums.append(float(scratch.sum()))
+    return sums[0] - sums[1]
 
 
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     """Independent discrete-area draws with summary moments.
 
-    Work is split into fixed-size batches, one per task, processed in
-    fixed-size row chunks; the thread count (clamped to the number of
-    batches) changes only the scheduling, never the batch streams or the
-    reduction order, so the samples array is bit-identical for any `threads`.
+    Each area is drawn from its exact law given process 1's path (see the
+    module docstring). Work is split into fixed-size batches, one per task,
+    processed in fixed-size row chunks; the thread count (clamped to the
+    number of batches) changes only the scheduling, never the batch streams
+    or the reduction order, so the samples array is bit-identical for any
+    `threads`.
     """
-    samplers = _samplers(config)
-    rows = _chunk_rows(samplers)
+    sampler1, sampler2 = _samplers(config)
+    rows = _chunk_rows((sampler1, sampler2))
     areas = np.empty(config.n_samples)
     starts = list(range(0, config.n_samples, BATCH))
 
     def work(batch_start):
-        for start, inc1, inc2, scratch in _batch_chunks(config, samplers, batch_start, rows):
-            areas[start : start + len(inc1)] = _areas_from_increments(inc1, inc2, scratch)
+        paths, scalars = _streams(config, batch_start // BATCH)
+        buf = np.empty((rows, sampler1.width))
+        stop = min(batch_start + BATCH, config.n_samples)
+        for start in range(batch_start, stop, rows):
+            count = min(rows, stop - start)
+            inc1 = sampler1.apply(paths.standard_normal(out=buf[:count]))
+            xi = scalars.standard_normal(out=areas[start : start + count])
+            _conditional_areas(inc1, sampler2, xi)
 
     workers = min(threads, len(starts))
     if workers > 1:

@@ -170,6 +170,24 @@ def test_sampler_map_reproduces_gram():
             assert err <= 1e-12 * np.max(np.abs(gram)), (kernel, level, err)
 
 
+def test_sampler_quad_matches_the_dense_quadratic_form():
+    # rows of h^T G h for random h and for h = sign_product(d), the rows
+    # run_mc feeds to quad, against the dense level Gram
+    table = cov.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
+    kernels = [cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35),
+               cov.fractional_brownian(0.75), cov.tabulated(table)]
+    rng = np.random.default_rng(41)
+    for kernel in kernels:
+        for level in range(1, 9):
+            sampler = sim.increment_sampler(kernel, level)
+            gram = cov.level_gram(kernel, level).dense()
+            paths = sampler.apply(rng.normal(size=(4, sampler.width)))
+            h = np.vstack((rng.normal(size=(4, 2**level)), lk.sign_product(paths.copy())))
+            exact = np.einsum("ij,jk,ik->i", h, gram, h)
+            got = sampler.quad(h.copy())
+            assert np.all(np.abs(got - exact) <= 1e-13 * exact), (kernel, level)
+
+
 def test_circulant_embedding_eigenvalues_nonnegative():
     for h in (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.99):
         kernel = cov.fractional_brownian(h)
@@ -324,17 +342,31 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
         assert np.array_equal(sim.run_mc(config).samples, areas)
 
 
+def _one_row_areas(config):
+    """Areas from one-row _conditional_areas calls on the sample_paths rows of
+    process 1, with xi read from stream 2 b + 1 of each batch b in sample order."""
+    inc1 = sim.sample_paths(config)[0]
+    sampler2 = sim._samplers(config)[1]
+    areas = []
+    for b, batch_start in enumerate(range(0, config.n_samples, sim.BATCH)):
+        key = np.random.SeedSequence(config.seed, spawn_key=(2 * b + 1,))
+        count = min(sim.BATCH, config.n_samples - batch_start)
+        xi = np.random.Generator(np.random.SFC64(key)).standard_normal(count)
+        for row, x in zip(inc1[batch_start:], xi):
+            areas.append(sim._conditional_areas(row[None, :].copy(), sampler2, np.array([x]))[0])
+    return np.array(areas)
+
+
 def test_level_14_areas_do_not_depend_on_chunk_rows(monkeypatch):
     # N = 16384 is above the size where OpenBLAS threads its dot product. The
-    # row sum stays numpy's pairwise sum(axis=1): at this N, np.vecdot (through
+    # row sums stay numpy's pairwise sum(axis=1): at this N, np.vecdot (through
     # OpenBLAS ddot) gave different bits under OPENBLAS_NUM_THREADS=1 and 2,
     # and np.einsum("ij,ij->i") different bits for a 1-row than a 64-row call
     configs = [brownian_config(seed=29, n_samples=5, level=14),
                fbm_config(seed=29, n_samples=5, level=14)]
     reference = [sim.run_mc(c).samples for c in configs]
     for config, areas in zip(configs, reference):
-        inc1, inc2 = sim.sample_paths(config)
-        assert np.array_equal([sim.discrete_levy_area(a, b) for a, b in zip(inc1, inc2)], areas)
+        assert np.array_equal(_one_row_areas(config), areas)
     for elements in (2**15, 2**17):
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", elements)
         for config, areas in zip(configs, reference):
@@ -343,12 +375,13 @@ def test_level_14_areas_do_not_depend_on_chunk_rows(monkeypatch):
 
 def test_sample_paths_rows_give_the_run_mc_areas():
     # at level 10 and the default chunk size a batch takes many chunks, whose
-    # buffers are reused; sample_paths must copy them out, not return views
+    # buffers are reused; sample_paths must copy them out, not return views.
+    # run_mc draws each area given process 1's path, which is the sample_paths
+    # row, from the next normal of stream 2 b + 1
     config = brownian_config(seed=19, n_samples=sim.BATCH + 5, level=10)
     assert sim._chunk_rows(sim._samplers(config)) < sim.BATCH // 8
     inc1, inc2 = sim.sample_paths(config)
-    areas = [sim.discrete_levy_area(a, b) for a, b in zip(inc1, inc2)]
-    assert np.array_equal(areas, sim.run_mc(config).samples)
+    assert np.array_equal(_one_row_areas(config), sim.run_mc(config).samples)
     again = sim.sample_paths(config)
     pairs = [(inc1, inc2)] + [(x, y) for x in (inc1, inc2) for y in again]
     assert not any(np.shares_memory(x, y) for x, y in pairs)
@@ -359,12 +392,13 @@ def test_sample_paths_rows_give_the_run_mc_areas():
 # ---------------------------------------------------------------------------
 
 def test_run_mc_scratch_is_bounded():
-    # one worker holds at most four chunk arrays of CHUNK_ELEMENTS floats at
-    # once (two normal buffers, one prefix scratch and one FFT of a buffer's
-    # rows); one more chunk covers the samplers and small temporaries, and
-    # run_mc adds the areas
+    # one worker holds at most two chunk arrays of CHUNK_ELEMENTS floats at
+    # once: the normal buffer, and one FFT of its rows or the input copy that
+    # sign_product's adjacent add takes (at most one chunk); one more chunk
+    # covers the samplers' vectors and small temporaries at these levels, and
+    # run_mc adds the areas, into which it draws the xi
     n = 2 * sim.BATCH + 7
-    bound = 5 * sim.CHUNK_ELEMENTS * 8 + 8 * n
+    bound = 3 * sim.CHUNK_ELEMENTS * 8 + 8 * n
     sim.run_mc(brownian_config(n_samples=1, level=1))  # lazy numpy imports are not scratch
     for config in (brownian_config(seed=3, n_samples=n, level=10),
                    fbm_config(seed=3, n_samples=n, level=12)):
@@ -467,6 +501,31 @@ def test_run_mc_weighted_variance():
     m4 = float(np.mean((result.samples - result.mean) ** 4))
     se_var = np.sqrt((m4 - result.variance**2) / n)
     assert abs(result.variance - target) <= 3.0 * se_var
+
+
+def test_run_mc_mixed_pair_variance_uses_the_second_gram():
+    # the area given process 1's path has variance 4 h^T G2 h: a quad built on
+    # process 1's Gram would give 2 norm_approx(8, k1, k1) = 1 - 2^-8, far
+    # from the mixed pair's 1.33
+    k1, k2 = cov.brownian(), cov.fractional_brownian(0.35)
+    config = sim.MCConfig(seed=37, n_samples=20_000, level=8, kernel1=k1, kernel2=k2)
+    result = sim.run_mc(config)
+    target = 2.0 * lk.norm_approx(8, k1, k2).value
+    n = result.samples.size
+    m4 = float(np.mean((result.samples - result.mean) ** 4))
+    se_var = np.sqrt((m4 - result.variance**2) / n)
+    assert abs(result.variance - target) <= 5.0 * se_var
+
+
+def test_run_mc_matches_the_exact_level_law():
+    # the check's bound has power: the continuum CF sech(t) of the Brownian
+    # area lies far outside it at level 4
+    assert "stderr of the exact law" in checks.check_mc_exact_law()
+    config = brownian_config(seed=checks.EXACT_LAW_SEED, n_samples=checks.EXACT_LAW_SAMPLES,
+                             level=4)
+    samples = sim.run_mc(config).samples
+    z_re, _ = checks.cf_z_scores(samples, 1.0, complex(1.0 / np.cosh(1.0)))
+    assert abs(z_re) > 2 * checks.EXACT_LAW_Z
 
 
 def test_empirical_cf_at_zero_is_exactly_one():
