@@ -312,13 +312,20 @@ def check_mc_exact_law():
 
 
 def check_sampler_covariance():
+    # one kernel per factor kind: diagonal, circulant and dense (Cholesky)
     fbm = cov.fractional_brownian(0.35)
-    sampler = sim.increment_sampler(fbm, 6)
-    rows = sampler.apply(np.eye(sampler.width))  # T^T
-    gram = cov.gram_matrix(fbm, cov.dyadic_partition(6))
-    rel = float(np.max(np.abs(rows.T @ rows - gram))) / float(np.max(np.abs(gram)))
-    assert rel <= 1e-12, f"T T^T vs gram_matrix off by {rel:.3e} relative"
-    return f"T T^T matches gram_matrix at level 6 to {rel:.1e}"
+    table = cov.tabulated(cov.eval_grid(fbm, *2 * [np.linspace(0.0, 1.0, 257)]))
+    kernels = {"brownian": cov.brownian(), "weighted-u": cov.weighted_poly(1), "fbm-0.35": fbm,
+               "fbm-0.35-table": table}
+    worst = 0.0
+    for name, kernel in kernels.items():
+        factor = cov.level_gram(kernel, 6).factor()
+        rows = factor.apply(np.eye(factor.width))  # F^T
+        gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
+        rel = float(np.max(np.abs(rows.T @ rows - gram))) / float(np.max(np.abs(gram)))
+        assert rel <= 1e-12, f"{name}: F F^T vs gram_matrix off by {rel:.3e} relative"
+        worst = max(worst, rel)
+    return f"F F^T matches gram_matrix at level 6 to {worst:.1e} for every factor kind"
 
 
 def check_cf_real_and_bounded():

@@ -352,6 +352,116 @@ class LevelGram:
             terms *= np.arange(len(terms), 0, -1.0)
         return float(np.sum(terms))
 
+    def equals(self, other: LevelGram) -> bool:
+        """Whether other is the same matrix: the same structure and the same values."""
+        return other is self or (other.kind == self.kind
+                                 and bool(np.array_equal(other.values, self.values)))
+
+    def factor(self):
+        """The factor F (F F^T = G) of this Gram's structure, as a linear map.
+
+        The result has `width` and `apply(Z)`, which maps rows of Z, shape
+        (rows, width), to the rows of Z F^T, shape (rows, 2^level); each
+        output row depends on its own input row only. `apply` may overwrite Z
+        and may return a view of it, so it needs no array larger than Z
+        beyond one FFT of its rows. `quad(H)` returns the quadratic forms
+        h^T G h = ||F^T h||^2 of the rows h of H, shape (rows, 2^level); it
+        may overwrite H and needs at most one array of about rows x width
+        floats. F is sqrt(variances) for a diagonal Gram, the minimal
+        circulant embedding for a Toeplitz one and the Cholesky factor of a
+        dense one. The dense factor multiplies through BLAS, whose bits may
+        change with the row count of Z or H (by a few ulps); the diagonal and
+        circulant factors' rows do not depend on it.
+        """
+        if self.kind == TOEPLITZ:
+            return _Circulant(self.values)
+        if self.kind == DIAGONAL:
+            return _Diagonal(self.values)
+        return _Cholesky(cholesky_factor(self.values)[0])
+
+
+class _Diagonal:
+    """d = sqrt(v) * z for independent increments with variances v."""
+
+    def __init__(self, variances):
+        self.variances = variances
+        self.scale = np.sqrt(variances)
+        self.width = len(variances)
+
+    def apply(self, Z):
+        Z *= self.scale
+        return Z
+
+    def quad(self, H):
+        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H."""
+        H *= H
+        H *= self.variances
+        return H.sum(axis=1)
+
+
+class _Circulant:
+    """Exact stationary Gaussian increments by minimal circulant embedding.
+
+    The autocovariance gamma(0..N) is the first row of a symmetric circulant C
+    of size M = 2N with eigenvalues lam = DFT(first row). The Hartley matrix
+    H[j,k] = cos(2 pi jk/M) + sin(2 pi jk/M) diagonalizes C as
+    C = H diag(lam) H / M, so d = H (sqrt(lam / M) z) has covariance C, whose
+    leading N x N block is the Toeplitz Gram. For real y, H y = Re(F y) - Im(F y)
+    with F the forward DFT, and only the first N of the M outputs are needed,
+    which rfft provides.
+
+    The same diagonalization gives the Gram's quadratic form: with h
+    zero-padded to length M and F_k its DFT, h^T C h = sum_k lam_k |F_k|^2 / M,
+    and lam_k = lam_{M-k}, |F_k| = |F_{M-k}| for real h fold the sum onto the
+    N + 1 rfft bins, doubled for 0 < k < N.
+    """
+
+    def __init__(self, gamma):
+        self.n = len(gamma) - 1
+        lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+        if lam.min() < 0.0:
+            raise NumericalError(
+                f"circulant embedding of the increment autocovariance is indefinite: "
+                f"smallest eigenvalue {lam.min():.3e}"
+            )
+        self.width = 2 * self.n
+        self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.width)
+        weights = lam / self.width
+        weights[1:-1] *= 2.0
+        # one weight per float of the complex rfft bins: real, imaginary
+        self.weights = np.repeat(weights, 2)
+
+    def apply(self, Z):
+        Z *= self.scale
+        f = np.fft.rfft(Z, axis=1)[:, : self.n]
+        out = Z[:, : self.n]
+        np.subtract(f.real, f.imag, out=out)
+        return out
+
+    def quad(self, H):
+        """Rows of h^T G h from one rfft of the zero-padded rows of H."""
+        f = np.fft.rfft(H, n=self.width, axis=1).view(float)
+        f *= f
+        f *= self.weights
+        return f.sum(axis=1)
+
+
+class _Cholesky:
+    """d = L z with L the dense Cholesky factor of the increment Gram."""
+
+    def __init__(self, L):
+        self.L = L
+        self.width = L.shape[0]
+
+    def apply(self, Z):
+        return Z @ self.L.T
+
+    def quad(self, H):
+        """Rows of h^T G h = ||h L||^2."""
+        y = H @ self.L
+        y *= y
+        return y.sum(axis=1)
+
 
 def _toeplitz(gamma: np.ndarray, n: int) -> np.ndarray:
     """The n x n matrix gamma(|k - l|) from the lags gamma(0..n-1)."""

@@ -1,17 +1,13 @@
 """Monte Carlo sampling of discrete Levy areas and empirical characteristic
 functions.
 
-Path increments over the N = 2^level dyadic cells are d = T z, one standard
-normal vector z per process per sample, where the linear map T (T T^T =
-increment Gram) comes from a sampler chosen by the structure of the Gram that
-covariance.level_gram returns:
-
-    diagonal   independent increments (Brownian, weighted):
-               T = diag(sqrt(cell variance))
-    toeplitz   stationary increments (fBm): the minimal circulant embedding
-               of size 2N (Davies & Harte 1987; Dietrich & Newsam 1997)
-               gives d in O(N log N) from 2N normals
-    dense      dense Cholesky factor of the Gram (tabulated kernels)
+Path increments over the N = 2^level dyadic cells are d = F z, one standard
+normal vector z per process per sample, where the factor F (F F^T =
+increment Gram) of every sampler is covariance.LevelGram.factor() of the
+kernel's level Gram: diag(sqrt(cell variance)) for independent increments
+(Brownian, weighted), the minimal circulant embedding of size 2N for
+stationary ones (fBm: d in O(N log N) from 2N normals; Davies & Harte 1987;
+Dietrich & Newsam 1997) and the dense Cholesky factor for tabulated kernels.
 
 The discrete area of one sample is
 
@@ -24,7 +20,7 @@ exactly, G2 the second process's increment Gram; this conditional Gaussian
 law is the one Gaines & Lyons (SIAM J. Appl. Math. 54, 1994) and Wiktorsson
 (Ann. Appl. Probab. 11, 2001) build on. run_mc therefore draws one path per
 sample, d1, forms h by one prefix sum, evaluates the quadratic form
-q = h^T G2 h through the second sampler's `quad` (a weighted sum, one FFT or
+q = h^T G2 h through the second factor's `quad` (a weighted sum, one FFT or
 one matrix product) and returns A = 2 sqrt(q) xi for one more standard normal
 xi. The samples are independent, each with the law of the two-path double
 sum; sample_paths and discrete_levy_area stay the path-level API for that
@@ -43,13 +39,16 @@ run_mc, one xi per sample, in sample order; in sample_paths, process 2's
 normals row-major. So sample i takes its normals from fixed positions of
 fixed streams, and its bits depend only on (seed, i): not on n_samples, on
 the row chunks work is done in, or on how many worker threads share out the
-batches. (The paper names Philox counter-based streams, Salmon et al., SC'11;
+batches. Tabulated kernels are the exception: their dense factor multiplies
+through BLAS, whose bits can change with a chunk's row count, so a sample
+may move by a few ulps with n_samples (at most 3.4e-16 relative was seen);
+thread counts still give identical bits. (The paper names Philox counter-based streams, Salmon et al., SC'11;
 the sampling contract needs only independent streams per (seed, batch,
 process), and SFC64 fills normals about a third faster.)
 
 Work runs in row chunks whose row count is set by the wider of the two
-samplers, at most CHUNK_ELEMENTS normals. A run_mc worker draws process 1's
-normals into one reused buffer; the sampler maps them to d1 and sign_product
+factors, at most CHUNK_ELEMENTS normals. A run_mc worker draws process 1's
+normals into one reused buffer; the factor maps them to d1 and sign_product
 to h in place, and `quad` needs at most one more chunk-sized array (an FFT of
 the rows or the product h L). So the scratch memory of one worker is a small
 fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
@@ -64,7 +63,7 @@ import numpy as np
 
 from . import covariance as cov
 from . import levy_kernel as lk
-from .errors import NumericalError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
@@ -109,118 +108,12 @@ class EmpiricalCF:
     std_errors: np.ndarray
 
 
-class _Diagonal:
-    """d = sqrt(v) * z for independent increments with variances v."""
-
-    def __init__(self, variances):
-        self.variances = variances
-        self.scale = np.sqrt(variances)
-        self.width = len(variances)
-
-    def apply(self, Z):
-        Z *= self.scale
-        return Z
-
-    def quad(self, H):
-        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H."""
-        H *= H
-        H *= self.variances
-        return H.sum(axis=1)
-
-
-class _Circulant:
-    """Exact stationary Gaussian increments by minimal circulant embedding.
-
-    The autocovariance gamma(0..N) is the first row of a symmetric circulant C
-    of size M = 2N with eigenvalues lam = DFT(first row). The Hartley matrix
-    H[j,k] = cos(2 pi jk/M) + sin(2 pi jk/M) diagonalizes C as
-    C = H diag(lam) H / M, so d = H (sqrt(lam / M) z) has covariance C, whose
-    leading N x N block is the Toeplitz Gram. For real y, H y = Re(F y) - Im(F y)
-    with F the forward DFT, and only the first N of the M outputs are needed,
-    which rfft provides.
-
-    The same diagonalization gives the Gram's quadratic form: with h
-    zero-padded to length M and F_k its DFT, h^T C h = sum_k lam_k |F_k|^2 / M,
-    and lam_k = lam_{M-k}, |F_k| = |F_{M-k}| for real h fold the sum onto the
-    N + 1 rfft bins, doubled for 0 < k < N.
-    """
-
-    def __init__(self, gamma):
-        self.n = len(gamma) - 1
-        lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
-        if lam.min() < 0.0:
-            raise NumericalError(
-                f"circulant embedding of the increment autocovariance is indefinite: "
-                f"smallest eigenvalue {lam.min():.3e}"
-            )
-        self.width = 2 * self.n
-        self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.width)
-        weights = lam / self.width
-        weights[1:-1] *= 2.0
-        # one weight per float of the complex rfft bins: real, imaginary
-        self.weights = np.repeat(weights, 2)
-
-    def apply(self, Z):
-        Z *= self.scale
-        f = np.fft.rfft(Z, axis=1)[:, : self.n]
-        out = Z[:, : self.n]
-        np.subtract(f.real, f.imag, out=out)
-        return out
-
-    def quad(self, H):
-        """Rows of h^T G h from one rfft of the zero-padded rows of H."""
-        f = np.fft.rfft(H, n=self.width, axis=1).view(float)
-        f *= f
-        f *= self.weights
-        return f.sum(axis=1)
-
-
-class _Cholesky:
-    """d = L z with L the dense Cholesky factor of the increment Gram."""
-
-    def __init__(self, L):
-        self.L = L
-        self.width = L.shape[0]
-
-    def apply(self, Z):
-        return Z @ self.L.T
-
-    def quad(self, H):
-        """Rows of h^T G h = ||h L||^2."""
-        y = H @ self.L
-        y *= y
-        return y.sum(axis=1)
-
-
-def increment_sampler(kernel: cov.CovKernel, level: int):
-    """Linear map from `width` standard normals to the 2^level cell increments.
-
-    The result has `width` and `apply(Z)`, which maps rows of Z, shape
-    (rows, width), to increment rows, shape (rows, 2^level); each output row
-    depends on its own input row only. `apply` may overwrite Z and may return
-    a view of it, so it needs no array larger than Z beyond one FFT of its
-    rows. `quad(H)` returns the quadratic forms h^T G h of the rows h of H,
-    shape (rows, 2^level), with the level Gram G; it may overwrite H and
-    needs at most one array of about rows x width floats. The map is chosen
-    by the structure of the level Gram: diagonal, Toeplitz (circulant
-    embedding) or dense (Cholesky). cov.level_gram
-    bounds the level by that structure before the Gram is built, so a dense
-    Gram above level 12 raises ResourceError.
-    """
-    gram = cov.level_gram(kernel, level)
-    if gram.kind == cov.TOEPLITZ:
-        return _Circulant(gram.values)
-    if gram.kind == cov.DIAGONAL:
-        return _Diagonal(gram.values)
-    return _Cholesky(cov.cholesky_factor(gram.dense())[0])
-
-
 def _samplers(config: MCConfig):
-    """Samplers of the two processes: one shared sampler when both use one kernel object."""
-    first = increment_sampler(config.kernel1, config.level)
+    """The two processes' level-Gram factors: one shared factor when both use one kernel object."""
+    first = cov.level_gram(config.kernel1, config.level).factor()
     if config.kernel2 is config.kernel1:
         return [first, first]
-    return [first, increment_sampler(config.kernel2, config.level)]
+    return [first, cov.level_gram(config.kernel2, config.level).factor()]
 
 
 def _chunk_rows(samplers) -> int:

@@ -158,10 +158,11 @@ def weighted_cf(weight_norm_sq: float, t: float) -> float:
 
     Where cosh(x) overflows (|x| above about 710), sech(x) =
     2 e^{-|x|} / (1 + e^{-2|x|}) is 2 e^{-|x|} to double precision, so large
-    arguments give values near 0, not an error.
+    arguments give values near 0, not an error. A zero norm (a zero weight, or
+    one whose square underflows) is the identically zero process: CF 1.
     """
-    if weight_norm_sq <= 0:
-        raise ParameterError(f"weight norm squared must be positive, got {weight_norm_sq}")
+    if not 0.0 <= weight_norm_sq < math.inf:
+        raise ParameterError(f"weight norm squared must be finite and >= 0, got {weight_norm_sq}")
     x = t * weight_norm_sq
     try:
         return 1.0 / math.cosh(x)
@@ -237,7 +238,7 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
 
     The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
     with multiplicities from the construction, not from a tolerance: when the
-    two level Grams are equal (r2 is r1, or the same kind and values), M is
+    two level Grams are equal (r2 is r1, or LevelGram.equals), M is
     antisymmetric and each pair of equal s is listed once with multiplicity
     2; otherwise every s has multiplicity 1. With J the flip of the
     N = 2^level cells, J A J = -A; when the equal Grams also have J G J = G
@@ -258,7 +259,7 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     check_operator_level(level)
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
-    equal = g2 is g1 or (g2.kind == g1.kind and np.array_equal(g2.values, g1.values))
+    equal = g1.equals(g2)
     if equal and g1.mirror_symmetric:
         plus, minus, rung = cov.mirror_factors(g1)
         # the column sums first: sign_product overwrites plus

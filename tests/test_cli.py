@@ -231,6 +231,17 @@ def test_cf_weighted_kernel_with_a_large_norm(tmp_path):
     assert np.all(np.isfinite(values)) and np.all((values >= 0.0) & (values <= 1.0))
 
 
+def test_cf_of_a_zero_weight_is_one(tmp_path):
+    # coeff 0, and coeff 1e-200 whose square underflows: the process is
+    # identically zero, so its CF is sech(0) = 1 at every t
+    for i, coeff in enumerate(("0", "1e-200")):
+        out = tmp_path / str(i)
+        argv = ["cf", "--kernel", f"weighted degree=1 coeff={coeff}", "--t", "0,0.5,3,1e300"]
+        assert run_cli([*argv, "--out", out]) == 0, coeff
+        _, _, rows = read_csv(out / "cf.csv")
+        assert [(float(re), float(im)) for _, re, im, _ in rows] == [(1.0, 0.0)] * 4, coeff
+
+
 def test_cf_at_the_largest_arguments_is_finite(tmp_path):
     big = "1e155,1e300,1.7976931348623157e308"
     cases = [(["--kernel", "brownian"], "inf"), (["--kernel", "brownian", "--pairs", 10], "inf"),

@@ -310,6 +310,19 @@ def test_level_gram_dense_and_power_sum_match_gram_matrix():
     assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.DENSE
 
 
+def test_level_gram_equals_compares_the_matrix_in_its_structure():
+    # weighted degree 0 coeff 1 is R = min(s, t): the Brownian cell variances, bit for bit
+    brownian = cov.level_gram(cov.brownian(), 4)
+    assert brownian.equals(brownian)
+    assert brownian.equals(cov.level_gram(cov.weighted_poly(0), 4))
+    assert not brownian.equals(cov.level_gram(cov.weighted_poly(1), 4))
+    # the same matrix stored densely is another structure
+    assert not brownian.equals(cov.LevelGram(cov.DENSE, 4, brownian.dense()))
+    fbm = cov.fractional_brownian(0.35)
+    assert cov.level_gram(fbm, 4).equals(cov.level_gram(cov.fractional_brownian(0.35), 4))
+    assert not cov.level_gram(fbm, 4).equals(cov.level_gram(fbm, 3))
+
+
 def test_check_level_counts_the_largest_array_of_the_route():
     # N^2 floats for a route holding the N x N matrix (no kernel) or a dense
     # Gram, N + 1 lags for fBm, N variances for Brownian and weighted kernels

@@ -7,6 +7,12 @@ import levylab
 
 SRC = Path(levylab.__file__).resolve().parent
 ROUTES = ("covariance", "levy_kernel", "pvariation", "simulate", "spectral")
+#: modules that use level Grams only through covariance's LevelGram methods
+GRAM_USERS = ("simulate", "spectral", "levy_kernel", "pvariation", "cli")
+#: a level Gram's storage, which only covariance may read: its `values`
+#: attribute and the names of its structures
+GRAM_VALUES = "values"
+GRAM_STRUCTURES = ("DIAGONAL", "TOEPLITZ", "DENSE", "_STRUCTURE")
 
 
 def imported_modules(path):
@@ -32,3 +38,25 @@ def test_route_modules_do_not_import_the_checks(route):
 def test_reference_only_functions_are_not_exported():
     for name in ("eigen_solve", "discretize_classical_operator", "cell_sign_matrix"):
         assert not hasattr(levylab, name), name
+
+
+def storage_reads(path):
+    """(line, name) of every `.values` read and every use or import of a structure name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr] if node.attr in (GRAM_VALUES, *GRAM_STRUCTURES) else []
+        elif isinstance(node, ast.Name):
+            names = [node.id] if node.id in GRAM_STRUCTURES else []
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names if alias.name in GRAM_STRUCTURES]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names]
+    return found
+
+
+@pytest.mark.parametrize("module", GRAM_USERS)
+def test_only_covariance_reads_a_grams_storage(module):
+    # a Gram's structure is taught to covariance alone: its factor, equality and sums
+    assert storage_reads(SRC / f"{module}.py") == [], module

@@ -269,8 +269,12 @@ def test_weighted_cf_values():
     assert sp.weighted_cf(1.0 / 3.0, 3.0) == pytest.approx(1.0 / np.cosh(1.0), abs=1e-12)
     assert sp.weighted_cf(1.0 / 3.0, 3.0) == pytest.approx(0.64805, abs=1e-5)
     assert sp.weighted_cf(0.5, 0.0) == 1.0
-    with pytest.raises(ParameterError):
-        sp.weighted_cf(0.0, 1.0)
+    # a zero norm is the identically zero process
+    for t in (0.0, 1.0, -3.0, 1e300):
+        assert sp.weighted_cf(0.0, t) == 1.0
+    for bad in (-1e-300, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            sp.weighted_cf(bad, 1.0)
 
 
 def test_weighted_cf_past_cosh_overflow():
