@@ -9,7 +9,6 @@ from .covariance import (
     LevelGram,
     Rectangle,
     brownian,
-    cholesky_factor,
     eval,
     eval_grid,
     fractional_brownian,

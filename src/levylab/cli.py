@@ -32,7 +32,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 
 def _fmt(x: float) -> str:
@@ -304,7 +304,6 @@ def cmd_cf(args) -> int:
         pairs=pairs if kernel.kind == cov.BROWNIAN else None,
         level=level if stepped else None,
     )
-    diagnostics = {}
     if kernel.kind == cov.WEIGHTED:
         norm_sq = kernel.weight.norm_sq
         rows = [(float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0) for t in t_grid]
@@ -313,11 +312,10 @@ def cmd_cf(args) -> int:
             spectrum = sp.classical_spectrum(pairs)
         else:
             spectrum = sp.general_spectrum(kernel, kernel, level)
-            diagnostics = {"jitter_rung": spectrum.jitter_rung}
         rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
                 for r in sp.cf_curve(spectrum, t_grid)]
     _write_table(args, echo, "cf.csv", "cf", ("t", "re", "im", "tail_bound"), rows,
-                 {"n_points": len(rows), **diagnostics})
+                 {"n_points": len(rows)})
     return 0
 
 
@@ -351,7 +349,6 @@ def cmd_spectrum(args) -> int:
         "spectral_radius": spectrum.spectral_radius,
         "symmetry_ok": report.ok,
         "symmetry_violations": list(report.violations),
-        "jitter_rung": spectrum.jitter_rung,
     }
     _write_table(args, echo, "spectrum.csv", "spectrum",
                  ("alpha", "multiplicity"), spectrum.entries, summary)

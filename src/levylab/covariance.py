@@ -37,7 +37,7 @@ FBM = "fbm"
 WEIGHTED = "weighted"
 TABULATED = "tabulated"
 
-#: escalation ladder for Cholesky / Gram regularization
+#: the retired jitter ladder; its only reader is benchmarks/tracer.py, at install
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 #: relative tolerance for positive semidefiniteness audits
@@ -276,10 +276,10 @@ def gram_matrix(kernel: CovKernel, partition) -> np.ndarray:
 #: structures of the level-n increment Gram, see level_gram
 DIAGONAL = "diagonal"
 TOEPLITZ = "toeplitz"
-DENSE = "dense"
+FACTORED = "factored"
 
 #: the structure of each kernel kind's level Gram
-_STRUCTURE = {BROWNIAN: DIAGONAL, WEIGHTED: DIAGONAL, FBM: TOEPLITZ, TABULATED: DENSE}
+_STRUCTURE = {BROWNIAN: DIAGONAL, WEIGHTED: DIAGONAL, FBM: TOEPLITZ, TABULATED: FACTORED}
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,30 +288,25 @@ class LevelGram:
 
         diagonal  values[k] = G[k,k], the N cell variances
         toeplitz  values[k] = gamma(k) for lags k = 0..N, G[k,l] = gamma(|k-l|)
-        dense     values = G, the N x N matrix
+        factored  values = F, an N x r array with F F^T = G
+
+    mirror_symmetric says whether J G J = G for the cell flip J: k -> N-1-k,
+    as decided exactly by level_gram; never at level 0. False, the default,
+    is right for any Gram: it only keeps general_spectrum on its full route.
     """
 
     kind: str
     level: int
     values: np.ndarray
+    mirror_symmetric: bool = False
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix; a dense Gram's own values, a fresh array otherwise."""
+        """The N x N matrix, as a fresh array."""
         if self.kind == DIAGONAL:
             return np.diag(self.values)
         if self.kind == TOEPLITZ:
             return _toeplitz(self.values, 2**self.level)
-        return self.values
-
-    @property
-    def mirror_symmetric(self) -> bool:
-        """Whether J G J = G for the cell flip J: k -> N-1-k; never at level 0.
-
-        Always for a Toeplitz Gram, otherwise when the values read the same flipped.
-        """
-        if self.level < 1:
-            return False
-        return self.kind == TOEPLITZ or bool(np.array_equal(self.values, np.flip(self.values)))
+        return self.values @ self.values.T
 
     def mirror_half(self, sign: float) -> np.ndarray:
         """The N/2 x N/2 block G11 + sign G12 K of a mirror-symmetric Gram, as a fresh array.
@@ -323,14 +318,13 @@ class LevelGram:
         only when mirror_symmetric.
         """
         n = 2 ** (self.level - 1)
-        if self.kind == DIAGONAL:
-            return np.diag(self.values[:n])
         if self.kind == TOEPLITZ:
             half = _toeplitz(self.values, n)
             # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
             g12k = np.lib.stride_tricks.sliding_window_view(self.values[2 * n - 1 : 0 : -1], n)
         else:
-            half, g12k = self.values[:n, :n].copy(), self.values[:n, : n - 1 : -1]
+            gram = self.dense()
+            half, g12k = gram[:n, :n].copy(), gram[:n, : n - 1 : -1]
         if sign > 0:
             half += g12k
         else:
@@ -338,13 +332,13 @@ class LevelGram:
         return half
 
     def abs_power_sum(self, p: float) -> float:
-        """sum over all N^2 entries of |G[k,l]|^p, in O(N) unless dense.
+        """sum over all N^2 entries of |G[k,l]|^p, in O(N) unless factored.
 
         Lag k of a Toeplitz Gram occurs N times on the diagonal (k = 0) and
         2 (N - k) times off it; the zero off-diagonal of a diagonal Gram adds
-        nothing.
+        nothing. A factored Gram forms G.
         """
-        terms = np.abs(self.values[: 2**self.level] if self.kind == TOEPLITZ else self.values)
+        terms = np.abs(self.dense() if self.kind == FACTORED else self.values[: 2**self.level])
         terms **= p
         if self.kind == TOEPLITZ:
             # times the counts, N at lag 0 and 2 (N - k) at lag k; the doubling is exact
@@ -357,6 +351,32 @@ class LevelGram:
         return other is self or (other.kind == self.kind
                                  and bool(np.array_equal(other.values, self.values)))
 
+    def root(self) -> np.ndarray:
+        """A fresh N x w array R with R R^T = G, unshifted: diag(sqrt(variances))
+        (bit for bit LAPACK's Cholesky factor where positive), the Cholesky
+        factor of a Toeplitz Gram, or a copy of F."""
+        if self.kind == DIAGONAL:
+            return np.diag(np.sqrt(self.values))
+        if self.kind == TOEPLITZ:
+            return np.linalg.cholesky(self.dense())
+        return self.values.copy()
+
+    def mirror_roots(self) -> tuple:
+        """(R+, R-): fresh roots R+- R+-^T = mirror_half(+-1) of a mirror-symmetric Gram.
+
+        diag(sqrt(variances)) of the first N/2 cells twice (G12 is zero); the
+        Cholesky factors of a Toeplitz Gram's halves, each built just before
+        it is factored, so at most R+, G- and R- are alive; or
+        (F_top +- flip(F_bottom)) / sqrt(2).
+        """
+        n = 2 ** (self.level - 1)
+        if self.kind == DIAGONAL:
+            return tuple(np.diag(np.sqrt(self.values[:n])) for _ in "+-")
+        if self.kind == TOEPLITZ:
+            return tuple(np.linalg.cholesky(self.mirror_half(sign)) for sign in (1.0, -1.0))
+        top, bottom = self.values[:n], self.values[: n - 1 : -1]
+        return (top + bottom) / math.sqrt(2.0), (top - bottom) / math.sqrt(2.0)
+
     def factor(self):
         """The factor F (F F^T = G) of this Gram's structure, as a linear map.
 
@@ -368,16 +388,17 @@ class LevelGram:
         h^T G h = ||F^T h||^2 of the rows h of H, shape (rows, 2^level); it
         may overwrite H and needs at most one array of about rows x width
         floats. F is sqrt(variances) for a diagonal Gram, the minimal
-        circulant embedding for a Toeplitz one and the Cholesky factor of a
-        dense one. The dense factor multiplies through BLAS, whose bits may
-        change with the row count of Z or H (by a few ulps); the diagonal and
-        circulant factors' rows do not depend on it.
+        circulant embedding for a Toeplitz one and the stored N x r array of
+        a factored one, whose width r may be 0 (a zero Gram). The factored
+        map multiplies through BLAS, whose bits may change with the row count
+        of Z or H (by a few ulps); the diagonal and circulant factors' rows
+        do not depend on it.
         """
         if self.kind == TOEPLITZ:
             return _Circulant(self.values)
         if self.kind == DIAGONAL:
             return _Diagonal(self.values)
-        return _Cholesky(cholesky_factor(self.values)[0])
+        return _Dense(self.values)
 
 
 class _Diagonal:
@@ -446,19 +467,19 @@ class _Circulant:
         return f.sum(axis=1)
 
 
-class _Cholesky:
-    """d = L z with L the dense Cholesky factor of the increment Gram."""
+class _Dense:
+    """d = F z with F the N x r array of a factored Gram."""
 
-    def __init__(self, L):
-        self.L = L
-        self.width = L.shape[0]
+    def __init__(self, F):
+        self.F = F
+        self.width = F.shape[1]
 
     def apply(self, Z):
-        return Z @ self.L.T
+        return Z @ self.F.T
 
     def quad(self, H):
-        """Rows of h^T G h = ||h L||^2."""
-        y = H @ self.L
+        """Rows of h^T G h = ||h F||^2."""
+        y = H @ self.F
         y *= y
         return y.sum(axis=1)
 
@@ -477,20 +498,49 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     increments are independent and the Gram is diagonal, with variances
     F(t_{k+1}) - F(t_k) bit-identical to the diagonal of gram_matrix. fBm
     increments over equal cells are stationary (fractional Gaussian noise),
-    so the Gram is Toeplitz. Tabulated kernels get the dense gram_matrix.
-    check_level bounds the level by that structure before anything is built.
+    so the Gram is Toeplitz. Tabulated kernels get the factor of
+    _table_factor. check_level bounds the level by that structure before
+    anything is built.
     """
     check_level(level, kernel)
     if kernel.kind == FBM:
-        values = _fgn_autocovariance(kernel.hurst, level)
-    elif kernel.kind == BROWNIAN:
-        values = np.diff(dyadic_partition(level))
-    elif kernel.kind == WEIGHTED:
-        # no name holds the partition, so it is freed before the differences are taken
-        values = np.diff(kernel.weight.antiderivative_sq(dyadic_partition(level)))
+        values, mirror = _fgn_autocovariance(kernel.hurst, level), True
+    elif kernel.kind == TABULATED:
+        values, mirror = _table_factor(kernel.table, level)
     else:
-        values = gram_matrix(kernel, dyadic_partition(level))
-    return LevelGram(_STRUCTURE[kernel.kind], level, values)
+        part = dyadic_partition(level)
+        if kernel.kind == WEIGHTED:
+            part = kernel.weight.antiderivative_sq(part)
+        values = np.diff(part)
+        del part
+        mirror = bool(np.array_equal(values, np.flip(values)))
+    return LevelGram(_STRUCTURE[kernel.kind], level, values, level >= 1 and mirror)
+
+
+def _table_factor(table, level: int) -> tuple:
+    """(F, mirror) for the bilinear interpolant of an (m+1) x (m+1) node table T.
+
+    The level Gram is exactly G = K H K^T: H is the m x m mesh increment Gram
+    (the double difference of T, read as float64) and K[k, c] = m |I_k ∩ J_c|
+    the overlap of dyadic cell k with mesh cell c, exact as the differences of
+    clip(m t - c, 0, 1) over the breakpoints t. One eigh H = V diag(w) V^T
+    checks H (NumericalError below -PSD_TOL of max|w|) and factors it: the w
+    above numpy's matrix_rank cut m eps max|w| give F = K V+ sqrt(w+), N x r
+    with r = rank H (0 for a zero H). mirror is J H J = H, so J G J = G (J K = K J).
+    """
+    h = np.diff(np.diff(np.asarray(table, dtype=float), axis=0), axis=1)
+    m = h.shape[0]
+    w, v = np.linalg.eigh(h)
+    top = float(np.max(np.abs(w)))
+    if w[0] < -PSD_TOL * top:
+        raise NumericalError(
+            f"tabulated kernel is not positive semidefinite: its mesh Gram has the "
+            f"negative eigenvalue {w[0]:.3e} against a largest |eigenvalue| of {top:.3e}"
+        )
+    keep = w > m * np.finfo(float).eps * top
+    overlap = np.clip(m * dyadic_partition(level)[:, None] - np.arange(m), 0.0, 1.0)
+    factor = np.diff(overlap, axis=0) @ (v[:, keep] * np.sqrt(w[keep]))
+    return factor, bool(np.array_equal(h, h[::-1, ::-1]))
 
 
 def check_level(level: int, kernel: CovKernel | None = None) -> int:
@@ -498,20 +548,21 @@ def check_level(level: int, kernel: CovKernel | None = None) -> int:
 
     A route that holds the N x N matrix (N = 2^level) passes no kernel and
     counts N^2 floats. A route that holds only the kernel's level_gram counts
-    that structure: N floats diagonal, N + 1 lags Toeplitz, N^2 floats dense.
-    So dense routes and tabulated kernels reach level 12, fBm level 23, and
+    that structure: N floats diagonal, N + 1 lags Toeplitz, and N^2 floats
+    factored, whose norm and p-variation routes still form G. So dense
+    routes and tabulated kernels reach level 12, fBm level 23, and
     Brownian and weighted kernels level 24. Raises ParameterError below 0 and
     ResourceError above, before anything is built and without forming 2^level
     for a huge level.
     """
     if level < 0:
         raise ParameterError(f"dyadic level must be >= 0, got {level}")
-    structure = DENSE if kernel is None else _STRUCTURE[kernel.kind]
+    structure = "dense" if kernel is None else _STRUCTURE[kernel.kind]
     limit = MAX_GRAM_BYTES // 8
     # every level Gram holds at least 2^level floats, so a huge level stops here
     if level < limit.bit_length():
         n = 2**level
-        if {DIAGONAL: n, TOEPLITZ: n + 1, DENSE: n * n}[structure] <= limit:
+        if {DIAGONAL: n, TOEPLITZ: n + 1}.get(structure, n * n) <= limit:
             return level
     raise ResourceError(
         f"level-{level} {structure} Gram exceeds MAX_GRAM_BYTES = {MAX_GRAM_BYTES}"
@@ -547,69 +598,6 @@ def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
     down *= k
     gamma *= 0.5 * 2.0 ** (-level * h2)
     return gamma
-
-
-def cholesky_factor(matrix: np.ndarray) -> tuple:
-    """(L, rung): lower-triangular L with L L^T = matrix + j max|matrix| I.
-
-    j is the first rung of JITTER_LADDER that factors and rung its index, 0
-    when no shift was needed; small-Hurst Gram matrices are ill-conditioned
-    and routinely need the ladder.
-    """
-    (factor,), rung = _factor_at_one_rung(
-        (lambda shift: _shifted(matrix, shift),), float(np.max(np.abs(matrix)))
-    )
-    return factor, rung
-
-
-def mirror_factors(gram: LevelGram) -> tuple:
-    """(L+, L-, rung): Cholesky factors of gram.mirror_half(+-1) for a mirror-symmetric Gram.
-
-    The jitter is that of the full Gram: both halves take the first rung j of
-    JITTER_LADDER at which G+ + j max|G| I and G- + j max|G| I both factor,
-    which is the rung at which G + j max|G| I factors; rung is j's index. If
-    either half fails at a rung, both are built again at the next one. Each
-    half is built just before it is factored and dropped once it is, so at
-    most three N/2 x N/2 arrays are alive: L+, G- and L-.
-    """
-    # lags 0..N-1 of a Toeplitz Gram, the whole of a diagonal or dense one
-    scale = float(np.max(np.abs(gram.values[: 2**gram.level])))
-    builds = [lambda shift, sign=sign: _shifted(gram.mirror_half(sign), shift, owned=True)
-              for sign in (1.0, -1.0)]
-    (plus, minus), rung = _factor_at_one_rung(builds, scale)
-    return plus, minus, rung
-
-
-def _factor_at_one_rung(builds, scale: float) -> tuple:
-    """Cholesky factors of every build(j scale) at the first rung j where all factor, and j's index.
-
-    build(shift) returns its matrix plus shift I. Each matrix is built just
-    before it is factored and released once it is; if one fails, every
-    matrix is built again at the next rung.
-    """
-    scale = scale or 1.0
-    for rung, j in enumerate(JITTER_LADDER):
-        factors = []
-        try:
-            for build in builds:
-                factors.append(np.linalg.cholesky(build(j * scale)))
-        except np.linalg.LinAlgError:
-            continue
-        return tuple(factors), rung
-    smallest = min(float(np.linalg.eigvalsh(build(0.0))[0]) for build in builds)
-    raise NumericalError(
-        f"Cholesky factorization failed after jitter ladder {JITTER_LADDER}; "
-        f"smallest Gram eigenvalue {smallest:.3e}"
-    )
-
-
-def _shifted(m: np.ndarray, shift: float, owned: bool = False) -> np.ndarray:
-    """m + shift I: m itself when shift is zero, m changed in place when owned, else a copy."""
-    if not shift:
-        return m
-    out = m if owned else m.copy()
-    out.flat[:: m.shape[0] + 1] += shift
-    return out
 
 
 def variation_index(kernel: CovKernel) -> float | None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 
 
 def kernel_eval(s: float, i: int, t: float, j: int) -> float:
@@ -127,9 +127,10 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
 
     S is sign_product's matrix with `blocks` runs. It is antisymmetric, so
     tr(G_1 S G_2 S^T) = -sum (G_1 S) * (G_2 S)^T, whether or not G_2 is
-    symmetric, and both factors are prefix sums over fresh level Grams. A
-    result negative beyond rounding means an indefinite Gram (a covariance
-    table that is not positive semidefinite) and raises NumericalError.
+    symmetric, and both factors are prefix sums over fresh level Grams.
+    Every level Gram is positive semidefinite (level_gram refuses an
+    indefinite table), so the trace is ||G_1^{1/2} S G_2^{1/2}||_F^2 >= 0
+    and a negative rounding of it reads 0.
     """
     x1 = sign_product(cov.level_gram(r1, level).dense(), blocks)
     if r2 is r1:
@@ -138,14 +139,7 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
         x2 = sign_product(cov.level_gram(r2, level).dense(), blocks)
         terms = np.multiply(x1, x2.T, out=x1)
     # 0.0 - sum: an exact zero is +0.0, never -0.0
-    total = 0.0 - float(np.sum(terms))
-    if total < 0.0:
-        if total < -1e-10 * float(np.sum(np.abs(terms))):
-            raise NumericalError(
-                f"squared norm came out negative ({2.0 * total:.3e}) on the level-{level} grid"
-            )
-        total = 0.0
-    return 2.0 * total
+    return 2.0 * max(0.0 - float(np.sum(terms)), 0.0)
 
 
 def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:

@@ -297,7 +297,7 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
     value = float(np.sum(fvals[:-1, :-1] * inc))
     n = len(inc) // 2
     coarse = float(np.sum(fvals[:-1:2, :-1:2] * inc.reshape(n, 2, n, 2).sum(axis=(1, 3))))
-    # free the dense copy of a Toeplitz or diagonal Gram before the norm of f
+    # free the dense copy of the Gram before the norm of f
     del inc
 
     finc = np.diff(np.diff(fvals, axis=0), axis=1)

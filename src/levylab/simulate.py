@@ -7,7 +7,9 @@ increment Gram) of every sampler is covariance.LevelGram.factor() of the
 kernel's level Gram: diag(sqrt(cell variance)) for independent increments
 (Brownian, weighted), the minimal circulant embedding of size 2N for
 stationary ones (fBm: d in O(N log N) from 2N normals; Davies & Harte 1987;
-Dietrich & Newsam 1997) and the dense Cholesky factor for tabulated kernels.
+Dietrich & Newsam 1997) and the N x r low-rank factor of a tabulated kernel,
+r the rank of its mesh Gram (r normals; none for a zero process, whose
+increments are exact zeros).
 
 The discrete area of one sample is
 
@@ -39,7 +41,7 @@ run_mc, one xi per sample, in sample order; in sample_paths, process 2's
 normals row-major. So sample i takes its normals from fixed positions of
 fixed streams, and its bits depend only on (seed, i): not on n_samples, on
 the row chunks work is done in, or on how many worker threads share out the
-batches. Tabulated kernels are the exception: their dense factor multiplies
+batches. Tabulated kernels are the exception: their factor multiplies
 through BLAS, whose bits can change with a chunk's row count, so a sample
 may move by a few ulps with n_samples (at most 3.4e-16 relative was seen);
 thread counts still give identical bits. (The paper names Philox counter-based streams, Salmon et al., SC'11;
@@ -50,7 +52,7 @@ Work runs in row chunks whose row count is set by the wider of the two
 factors, at most CHUNK_ELEMENTS normals. A run_mc worker draws process 1's
 normals into one reused buffer; the factor maps them to d1 and sign_product
 to h in place, and `quad` needs at most one more chunk-sized array (an FFT of
-the rows or the product h L). So the scratch memory of one worker is a small
+the rows or the product h F). So the scratch memory of one worker is a small
 fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
 run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
 """
@@ -117,8 +119,11 @@ def _samplers(config: MCConfig):
 
 
 def _chunk_rows(samplers) -> int:
-    """Rows per work chunk; a power of two dividing BATCH, fixed per config."""
-    width = max(s.width for s in samplers)
+    """Rows per work chunk; a power of two dividing BATCH, fixed per config.
+
+    Factors of width 0 (zero processes) draw no normals and count as width 1.
+    """
+    width = max(1, *(s.width for s in samplers))
     return max(1, min(BATCH, CHUNK_ELEMENTS // width))
 
 

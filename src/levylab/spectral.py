@@ -17,15 +17,16 @@ points has the closed-form spectrum +-cot(pi (2k+1) / (2g)) / (2g), each
 value twice, which brownian_spectrum lists in O(g); at g = 2^n that is also
 the Brownian level-n step-kernel spectrum. The dense midpoint matrix, the
 reference the closed form is checked against, lives in checks.
-On dyadic step functions, in the coordinates whitened by the Cholesky
-factors L_i of the increment Grams G_i = L_i L_i^T, the step-kernel operator
-is the block matrix [[0, M], [M^T, 0]] with M = L_1^T A L_2 and A the cell
-sign matrix. Its eigenvalues are +-s for the singular values s of M, so the
-spectrum comes from one SVD (half-size when the two Grams are equal and
-mirror-symmetric), and mirror symmetry holds by construction. So do the
-multiplicities: every value is listed twice when the two Grams are equal (M
-is then antisymmetric) and once otherwise. A is never built: products with it
-are prefix sums (levy_kernel.sign_product).
+On dyadic step functions, in the coordinates whitened by unshifted roots
+R_i of the increment Grams G_i = R_i R_i^T, the step-kernel operator is the
+block matrix [[0, M], [M^T, 0]] with M = R_1^T A R_2 and A the cell sign
+matrix. Its nonzero eigenvalues are +-s for the singular values s of M,
+whichever roots are taken, so the spectrum comes from one SVD (half-size
+when the two Grams are equal and mirror-symmetric), and mirror symmetry
+holds by construction. So do the multiplicities: every value is listed
+twice when the two Grams are equal (M is then antisymmetric) and once
+otherwise. No Gram is shifted, so no listed value is made of a shift. A is
+never built: products with it are prefix sums (levy_kernel.sign_product).
 """
 from __future__ import annotations
 
@@ -52,16 +53,12 @@ class Spectrum:
     """Eigenvalues alphas (|alpha| descending, + before -) with integer multiplicities mults.
 
     tail_sq carries the sum of squared eigenvalues *not* listed (zero for
-    finite spectra); truncation bounds downstream rely on it. jitter_rung is
-    the index in cov.JITTER_LADDER of the shift the Gram factorizations
-    needed (the larger one when two Grams factor separately), 0 when none
-    did: values of the size of that shift are made of jitter.
+    finite spectra); truncation bounds downstream rely on it.
     """
 
     alphas: np.ndarray
     mults: np.ndarray
     tail_sq: float = 0.0
-    jitter_rung: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
@@ -236,49 +233,53 @@ def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryRe
 def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectrum:
     """Spectrum of the level-n step-kernel operator for a covariance pair.
 
-    The eigenvalues are +-s for the singular values s of M = L_1^T A L_2,
-    with multiplicities from the construction, not from a tolerance: when the
-    two level Grams are equal (r2 is r1, or LevelGram.equals), M is
+    The eigenvalues are +-s for the singular values s of M = R_1^T A R_2,
+    R_i the unshifted roots of the level Grams (LevelGram.root), with
+    multiplicities from the construction, not from a tolerance: when the two
+    level Grams are equal (r2 is r1, or LevelGram.equals), M is
     antisymmetric and each pair of equal s is listed once with multiplicity
-    2; otherwise every s has multiplicity 1. With J the flip of the
+    2, floor(w/2) pairs for M of width w (an odd one's unpaired s is zero);
+    otherwise every s has multiplicity 1. With J the flip of the
     N = 2^level cells, J A J = -A; when the equal Grams also have J G J = G
     (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
-    B = L+^T A_+- L- and -B^T of size N/2, with L+- the factors of the Gram
-    halves (cov.mirror_factors) and A_+- the level-(n-1) cell sign matrix
-    less 1/2, so one N/2 SVD gives every pair. Every other pair takes one
-    N x N SVD of M, with L_i from cov.cholesky_factor (for equal Grams, the
-    mean of each pair of its sorted singular values). No sign matrix is built: L+^T A_+-
-    is lk.sign_product(L+^T) less half of each column sum of L+, and L_1^T A
-    is lk.sign_product(L_1^T), each in the factor's own memory (in a copy of
-    L_1 when equal Grams share it). So the split route holds at most three
-    N/2 x N/2 arrays besides the SVD's own copy, and the full route three
-    N x N arrays for diagonal and Toeplitz Grams. The spectrum carries the
-    jitter rung those calls return, the larger of two when two Grams factor;
-    an indefinite Gram raises NumericalError once the jitter ladder is spent.
+    B = R+^T A_+- R- and -B^T, with R+- the roots of the Gram halves
+    (LevelGram.mirror_roots) and A_+- the level-(n-1) cell sign matrix less
+    1/2, so one SVD of B gives every pair. Every other pair takes one SVD of
+    M. M has rank at most N and B at most N/2, so no more s are kept; a table
+    of rank r gives r x r matrices, and its B lists rounding of zero beyond
+    r/2 pairs. No sign matrix is built: R+^T A_+- is lk.sign_product(R+^T)
+    less half of each column sum of R+, and R_1^T A is lk.sign_product(R_1^T),
+    each in the root's own memory (in a copy of R_1 when equal Grams share
+    it). So the split route holds at most three N/2 x N/2 arrays besides the
+    SVD's own copy, and the full route three N x N arrays for diagonal and
+    Toeplitz Grams. No Gram is shifted: a zero Gram lists exact zeros or
+    nothing.
     """
     check_operator_level(level)
+    n = 2**level
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g1.equals(g2)
     if equal and g1.mirror_symmetric:
-        plus, minus, rung = cov.mirror_factors(g1)
+        plus, minus = g1.mirror_roots()
         # the column sums first: sign_product overwrites plus
         half_sums = 0.5 * np.sum(plus, axis=0)
         x = lk.sign_product(plus.T)
         x -= half_sums[:, None]
         b = x @ minus
         del plus, minus, x
-        return _plus_minus(np.linalg.svd(b, compute_uv=False), 2, jitter_rung=rung)
-    l1, rung1 = cov.cholesky_factor(g1.dense())
-    l2, rung2 = (l1, rung1) if equal else cov.cholesky_factor(g2.dense())
-    x = lk.sign_product((l1.copy() if equal else l1).T)  # L1^T A
+        return _plus_minus(np.linalg.svd(b, compute_uv=False)[: n // 2], 2)
+    l1 = g1.root()
+    l2 = l1 if equal else g2.root()
+    x = lk.sign_product((l1.copy() if equal else l1).T)  # R1^T A
     del l1
     m = x @ l2
     del x, l2
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(m, compute_uv=False)[:n]
     if equal:
-        s = (s[0::2] + s[1::2]) / 2.0
-    return _plus_minus(s, 2 if equal else 1, jitter_rung=max(rung1, rung2))
+        pairs = len(s) // 2
+        s = (s[0 : 2 * pairs : 2] + s[1 : 2 * pairs : 2]) / 2.0
+    return _plus_minus(s, 2 if equal else 1)
 
 
 def check_operator_level(level: int) -> int:

@@ -335,7 +335,7 @@ def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
         raise AssertionError("Gram built before the level cap was checked")
 
     # level_gram checks the level itself: every builder it calls is forbidden
-    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "cholesky_factor"):
+    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "_table_factor"):
         monkeypatch.setattr(cov, name, forbidden)
     out = tmp_path / "out"
     assert run_cli(["simulate", "--kernel", spec, "--level",
@@ -474,7 +474,7 @@ def test_cauchy_shares_one_kernel_between_the_processes(tmp_path, monkeypatch, k
 def test_tabulated_simulate_factors_one_gram(tmp_path, monkeypatch):
     spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 9)] * 2))
     grams = _counting(monkeypatch, cov, "level_gram")
-    factors = _counting(monkeypatch, cov, "cholesky_factor")
+    factors = _counting(monkeypatch, cov, "_table_factor")
     tables = _counting(monkeypatch, cov, "load_table_csv")
     assert run_cli(["simulate", "--kernel", spec, "--level", 3, "--samples", 50,
                     "--out", tmp_path / "out"]) == 0
@@ -502,25 +502,56 @@ def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
 # spectrum
 # ---------------------------------------------------------------------------
 
-def test_spectrum_and_cf_write_the_jitter_rung(tmp_path):
-    # the rank-one S*T table needs rung 1 of the jitter ladder, fBm 0.35 none
+def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
+    # no Gram is shifted, so no summary carries a jitter rung: the rank-one S*T
+    # table lists rounding of zero against (N/2) tr G = 1/2, a bound on the radius
     table = tmp_path / "st.csv"
     nodes = np.linspace(0.0, 1.0, 33).tolist()
     table.write_text("s,t,value\n" + "".join(
         f"{s!r},{t!r},{s * t!r}\n" for s in nodes for t in nodes))
-    cases = [
-        (f"kind=tabulated path={table}", 6, 1),
-        ("kind=fbm hurst=0.35", 10, 0),
-    ]
-    for spec, level, rung in cases:
+    for spec, level in ((f"kind=tabulated path={table}", 6), ("kind=fbm hurst=0.35", 10)):
         for command, extra in (("spectrum", []), ("cf", ["--t", "0,1"])):
-            out = tmp_path / f"{command}-{rung}"
+            out = tmp_path / f"{command}-{level}"
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert summary["jitter_rung"] == rung, (command, spec)
+            assert "jitter_rung" not in summary and summary["schema_version"] == 15
+    _, _, rows = read_csv(tmp_path / "spectrum-6" / "spectrum.csv")
+    assert rows and max(abs(float(alpha)) for alpha, _ in rows) <= 1e-15 * 0.5
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
+
+
+def test_zero_table_process_is_exact_zeros(tmp_path):
+    # an s + t table has a zero mesh Gram: factors of width 0, increments and
+    # areas that are exact zeros and a spectrum that lists nothing
+    nodes = np.linspace(0.0, 1.0, 9)
+    spec = _kernel_table(tmp_path / "sum.csv", np.add.outer(nodes, nodes))
+    for i, second in enumerate((spec, "brownian")):
+        out = tmp_path / f"sim{i}"
+        assert run_cli(["simulate", "--kernel1", spec, "--kernel2", second, "--level", 6,
+                        "--samples", 5000, "--t", "0,1,2", "--out", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["mean"], summary["variance"]) == (0.0, 0.0), second
+        _, header, rows = read_csv(out / "cf.csv")
+        assert [(float(r[header.index("re")]), float(r[header.index("im")])) for r in rows] \
+            == [(1.0, 0.0)] * 3
+    for level in (1, 3, 6):
+        out = tmp_path / f"spectrum{level}"
+        assert run_cli(["spectrum", "--kernel", spec, "--level", level, "--out", out]) == 0
+        assert read_csv(out / "spectrum.csv")[2] == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["symmetry_ok"] is True and summary["spectral_radius"] == 0.0
+
+
+def test_zero_weight_spectrum_lists_exact_zeros(tmp_path):
+    # a zero weight has zero variances: its root is zero, so every value is an
+    # exact zero
+    out = tmp_path / "weighted"
+    assert run_cli(["spectrum", "--kernel", "weighted degree=1 coeff=0", "--level", 3,
+                    "--out", out]) == 0
+    _, _, rows = read_csv(out / "spectrum.csv")
+    assert len(rows) == 8 and all(float(alpha) == 0.0 for alpha, _ in rows)
 
 
 def test_spectrum_classical(tmp_path):
@@ -670,7 +701,7 @@ def test_asymmetric_table_exits_2_before_any_gram(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
-    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    monkeypatch.setattr(cov, "_table_factor", forbidden)
     nodes = np.linspace(0, 1, 9)
     S, T = np.meshgrid(nodes, nodes, indexing="ij")
     spec = _kernel_table(tmp_path / "asym.csv", np.minimum(S, T) + 0.3 * S * (T - S))
@@ -696,7 +727,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 14
+    assert summary["schema_version"] == 15
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

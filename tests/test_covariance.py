@@ -207,60 +207,97 @@ def test_gram_partition_errors():
 
 
 # ---------------------------------------------------------------------------
-# cholesky_factor
+# root and mirror_roots: unshifted square roots of every level Gram
 # ---------------------------------------------------------------------------
 
 def test_cholesky_identity():
-    gram = np.eye(3)
-    L, rung = cov.cholesky_factor(gram)
-    assert np.allclose(L, np.eye(3), atol=1e-12) and rung == 0
+    # the root of the identity Gram is its Cholesky factor, the identity
+    R = cov.LevelGram(cov.DIAGONAL, 2, np.ones(4)).root()
+    assert np.array_equal(R, np.eye(4)) and np.array_equal(R, np.linalg.cholesky(np.eye(4)))
 
 
 def test_cholesky_brownian_diagonal():
+    # diag(sqrt v) is LAPACK's Cholesky factor of a positive diagonal Gram, bit for bit
     for level in (2, 6):
-        gram = cov.gram_matrix(cov.brownian(), cov.dyadic_partition(level))
-        L, _ = cov.cholesky_factor(gram)
-        assert np.allclose(L, np.eye(2**level) * 2.0 ** (-level / 2), atol=1e-14)
+        R = cov.level_gram(cov.brownian(), level).root()
+        assert np.array_equal(R, np.eye(2**level) * 2.0 ** (-level / 2))
+    for kernel in (cov.brownian(), cov.weighted_poly(1), cov.weighted_poly(3, 2.5)):
+        for level in (3, 7, 10):
+            gram = cov.level_gram(kernel, level)
+            assert np.array_equal(gram.root(), np.linalg.cholesky(gram.dense())), level
 
 
 def test_cholesky_fbm_reconstruction():
     gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
-    L, _ = cov.cholesky_factor(gram)
-    assert np.max(np.abs(L @ L.T - gram)) <= 1e-10
+    R = cov.level_gram(cov.fractional_brownian(0.3), 6).root()
+    assert np.max(np.abs(R @ R.T - gram)) <= 1e-10
 
 
-def test_cholesky_bit_identical_to_shifted_gram():
-    gram = cov.gram_matrix(cov.fractional_brownian(0.3), cov.dyadic_partition(6))
-    assert np.array_equal(cov.cholesky_factor(gram)[0], np.linalg.cholesky(gram))
-    # a rank-4 Gram (bilinear table on a mesh of 4) needs a jittered rung
-    singular = cov.gram_matrix(cov.tabulated_from_fn(np.minimum, 4), cov.dyadic_partition(4))
-    m = singular
-    scale = float(np.max(np.abs(m)))
-    for rung, j in enumerate(cov.JITTER_LADDER):
-        try:
-            expected = np.linalg.cholesky(m + (j * scale) * np.eye(m.shape[0]))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    assert j > 0.0
-    L, got_rung = cov.cholesky_factor(singular)
-    assert np.array_equal(L, expected) and got_rung == rung
+def test_root_is_the_unshifted_factor_of_each_structure():
+    # a Toeplitz Gram's root is numpy's Cholesky factor of the matrix itself,
+    # and a table's the copy of its factor F
+    fbm = cov.level_gram(cov.fractional_brownian(0.3), 6)
+    assert np.array_equal(fbm.root(), np.linalg.cholesky(fbm.dense()))
+    # the bilinear table on a mesh of 4 has a rank-4 level Gram
+    table = cov.level_gram(cov.tabulated_from_fn(np.minimum, 4), 4)
+    R = table.root()
+    assert R.shape == (16, 4) and R is not table.values and np.array_equal(R, table.values)
+    ref = cov.gram_matrix(cov.tabulated_from_fn(np.minimum, 4), cov.dyadic_partition(4))
+    assert np.max(np.abs(R @ R.T - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_cholesky_factor_returns_its_jitter_rung():
-    # the rank-one S*T table is singular at level 6 and factors only at rung 1;
-    # fBm 0.35 at level 8 factors unshifted
-    product_st = checks._kernels()["product-st"]
-    assert cov.cholesky_factor(cov.level_gram(product_st, 6).dense())[1] == 1
-    fbm = cov.level_gram(cov.fractional_brownian(0.35), 8).dense()
-    L, rung = cov.cholesky_factor(fbm)
-    assert rung == 0 and np.array_equal(L, np.linalg.cholesky(fbm))
+@pytest.mark.parametrize("hurst", [0.01, 0.35, 0.75, 0.9999])
+def test_fbm_grams_and_their_halves_factor_unshifted(hurst):
+    # plain Cholesky factors every fBm Gram and both its mirror halves
+    for level in range(1, 11):
+        gram = cov.level_gram(cov.fractional_brownian(hurst), level)
+        np.linalg.cholesky(gram.dense())
+        for sign in (1.0, -1.0):
+            np.linalg.cholesky(gram.mirror_half(sign))
 
 
-def test_cholesky_failure_names_eigenvalue():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NumericalError, match="eigenvalue"):
-        cov.cholesky_factor(bad)
+def test_mirror_roots_factor_the_halves():
+    # Toeplitz: numpy's Cholesky factors of the halves, bit for bit; diagonal:
+    # sqrt of the first half's variances, twice; mirror-symmetric tables:
+    # (F_top +- flip(F_bottom)) / sqrt(2), to rounding
+    tables = [cov.tabulated_from_fn(np.minimum, 16), cov.tabulated_from_fn(lambda S, T: S * T, 8),
+              cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) - S * T, 16)]
+    for level in (1, 3, 6):
+        fbm = cov.level_gram(cov.fractional_brownian(0.35), level)
+        for R, sign in zip(fbm.mirror_roots(), (1.0, -1.0)):
+            assert np.array_equal(R, np.linalg.cholesky(fbm.mirror_half(sign)))
+        brownian = cov.level_gram(cov.brownian(), level)
+        plus, minus = brownian.mirror_roots()
+        assert plus is not minus
+        for R, sign in ((plus, 1.0), (minus, -1.0)):
+            assert np.array_equal(R, np.linalg.cholesky(brownian.mirror_half(sign)))
+        for table in tables:
+            gram = cov.level_gram(table, level)
+            assert gram.mirror_symmetric
+            G = gram.dense()
+            for R, sign in zip(gram.mirror_roots(), (1.0, -1.0)):
+                gap = np.max(np.abs(R @ R.T - gram.mirror_half(sign)))
+                assert gap <= 1e-14 * np.max(np.abs(G)), (level, gap)
+
+
+def test_zero_grams_have_exact_zero_roots():
+    # a zero weight has zero variances and an s + t table a zero mesh Gram:
+    # roots of zeros and of width 0, no shift
+    zero_weight = cov.level_gram(cov.weighted_poly(1, 0.0), 3)
+    assert np.array_equal(zero_weight.root(), np.zeros((8, 8)))
+    assert all(np.array_equal(R, np.zeros((4, 4))) for R in zero_weight.mirror_roots())
+    zero_table = cov.level_gram(cov.tabulated_from_fn(lambda S, T: S + T, 8), 5)
+    assert zero_table.root().shape == (32, 0) and zero_table.factor().width == 0
+    assert np.array_equal(zero_table.dense(), np.zeros((32, 32)))
+    assert [R.shape for R in zero_table.mirror_roots()] == [(16, 0), (16, 0)]
+
+
+def test_indefinite_table_names_its_eigenvalue():
+    # R = -s t: the mesh Gram is negative semidefinite, refused before any level Gram
+    table = cov.tabulated_from_fn(lambda S, T: -S * T, 4)
+    for level in (0, 3):
+        with pytest.raises(NumericalError, match="negative eigenvalue"):
+            cov.level_gram(table, level)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +332,22 @@ def test_cell_variances_are_the_gram_diagonal():
     assert cov.level_gram(cov.fractional_brownian(0.3), 3).kind == cov.TOEPLITZ
 
 
+def exact_table_gram(kernel, level):
+    """K H K^T in np.longdouble: H the table's double difference, K the cell overlaps.
+
+    K[k, c] = m |I_k ∩ J_c|, from the exact dyadic and mesh breakpoints.
+    """
+    t = np.asarray(kernel.table, dtype=float)
+    h = np.diff(np.diff(t, axis=0), axis=1).astype(np.longdouble)
+    m = h.shape[0]
+    cells = np.arange(2**level + 1, dtype=np.longdouble) / 2**level
+    mesh = np.arange(m + 1, dtype=np.longdouble) / m
+    lo = np.maximum(cells[:-1, None], mesh[None, :-1])
+    hi = np.minimum(cells[1:, None], mesh[None, 1:])
+    K = m * np.clip(hi - lo, 0, None)
+    return K @ h @ K.T
+
+
 def test_level_gram_dense_and_power_sum_match_gram_matrix():
     for kernel in kernels_under_test():
         for level in range(0, 7):
@@ -302,12 +355,57 @@ def test_level_gram_dense_and_power_sum_match_gram_matrix():
             ref = cov.gram_matrix(kernel, cov.dyadic_partition(level))
             dense = gram.dense()
             assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
-            if gram.kind != cov.TOEPLITZ:
+            if gram.kind == cov.DIAGONAL:
                 assert np.array_equal(dense, ref)
+            elif gram.kind == cov.FACTORED:
+                exact = exact_table_gram(kernel, level)
+                assert np.max(np.abs(dense - exact)) <= 1e-14 * np.max(np.abs(exact))
             for p in (1.0, 1.5, 2.0, 5.0):
                 total = np.sum(np.abs(ref) ** p)
                 assert gram.abs_power_sum(p) == pytest.approx(total, rel=1e-12, abs=0)
-    assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.DENSE
+    assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.FACTORED
+
+
+def _reference_tables():
+    fbm = cov.fractional_brownian(0.35)
+    return {
+        "min^1.3/32": cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 32),
+        "S*T/32": cov.tabulated_from_fn(lambda S, T: S * T, 32),
+        "min/64": cov.tabulated_from_fn(np.minimum, 64),
+        "fbm/100": cov.tabulated(cov.eval_grid(fbm, *2 * [np.linspace(0.0, 1.0, 101)])),
+        "fbm/256": cov.tabulated(cov.eval_grid(fbm, *2 * [np.linspace(0.0, 1.0, 257)])),
+        "bridge/16": cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) - S * T, 16),
+        "int64": cov.CovKernel(cov.TABULATED, table=np.minimum.outer(np.arange(9), np.arange(9))),
+        "float32": cov.CovKernel(cov.TABULATED, table=cov.eval_grid(
+            fbm, *2 * [np.linspace(0.0, 1.0, 33)]).astype(np.float32)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reference_tables()))
+def test_table_grams_match_the_exact_product(name):
+    # F F^T against K H K^T in long double, to 1e-14 of max|G| at levels 1-10
+    kernel = _reference_tables()[name]
+    for level in range(1, 11):
+        gram = cov.level_gram(kernel, level)
+        assert gram.kind == cov.FACTORED
+        exact = exact_table_gram(kernel, level)
+        gap = np.max(np.abs(gram.dense() - exact)) / np.max(np.abs(exact))
+        assert gap <= 1e-14, (level, gap)
+
+
+def test_table_factor_width_is_the_mesh_gram_rank():
+    # the rank of H sets the width r: 1 for S*T, m - 1 for the bridge, m for min,
+    # 0 for the zero process s + t; mirror symmetry is J H J = H, read exactly
+    tables = _reference_tables()
+    cases = [("S*T/32", 1, True), ("bridge/16", 15, True), ("min/64", 64, True),
+             ("min^1.3/32", 32, False)]
+    for name, rank, mirror in cases:
+        for level in (0, 3, 8):
+            gram = cov.level_gram(tables[name], level)
+            assert gram.factor().width == rank and gram.root().shape == (2**level, rank)
+            assert gram.mirror_symmetric == (mirror and level >= 1), (name, level)
+    zero = cov.level_gram(cov.tabulated_from_fn(lambda S, T: S + T, 8), 4)
+    assert zero.factor().width == 0 and zero.mirror_symmetric
 
 
 def test_level_gram_equals_compares_the_matrix_in_its_structure():
@@ -316,8 +414,8 @@ def test_level_gram_equals_compares_the_matrix_in_its_structure():
     assert brownian.equals(brownian)
     assert brownian.equals(cov.level_gram(cov.weighted_poly(0), 4))
     assert not brownian.equals(cov.level_gram(cov.weighted_poly(1), 4))
-    # the same matrix stored densely is another structure
-    assert not brownian.equals(cov.LevelGram(cov.DENSE, 4, brownian.dense()))
+    # the same matrix stored as a factor is another structure
+    assert not brownian.equals(cov.LevelGram(cov.FACTORED, 4, brownian.root()))
     fbm = cov.fractional_brownian(0.35)
     assert cov.level_gram(fbm, 4).equals(cov.level_gram(cov.fractional_brownian(0.35), 4))
     assert not cov.level_gram(fbm, 4).equals(cov.level_gram(fbm, 3))

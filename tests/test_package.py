@@ -12,7 +12,7 @@ GRAM_USERS = ("simulate", "spectral", "levy_kernel", "pvariation", "cli")
 #: a level Gram's storage, which only covariance may read: its `values`
 #: attribute and the names of its structures
 GRAM_VALUES = "values"
-GRAM_STRUCTURES = ("DIAGONAL", "TOEPLITZ", "DENSE", "_STRUCTURE")
+GRAM_STRUCTURES = ("DIAGONAL", "TOEPLITZ", "FACTORED", "_STRUCTURE")
 
 
 def imported_modules(path):
@@ -38,6 +38,16 @@ def test_route_modules_do_not_import_the_checks(route):
 def test_reference_only_functions_are_not_exported():
     for name in ("eigen_solve", "discretize_classical_operator", "cell_sign_matrix"):
         assert not hasattr(levylab, name), name
+
+
+def test_the_jitter_ladder_is_retired():
+    # every level Gram has an unshifted root (LevelGram.root, mirror_roots):
+    # no shifted factorization and no rung is left in the library
+    for name in ("cholesky_factor", "mirror_factors", "_factor_at_one_rung", "_shifted",
+                 "jitter_rung"):
+        assert not hasattr(levylab, name), name
+        for path in sorted(SRC.glob("*.py")):
+            assert name not in path.read_text(), (path.name, name)
 
 
 def storage_reads(path):

@@ -209,7 +209,7 @@ def test_independent_increments_skip_the_gram(monkeypatch):
         raise AssertionError("dense Gram route taken")
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
-    monkeypatch.setattr(cov, "cholesky_factor", forbidden)
+    monkeypatch.setattr(cov, "_table_factor", forbidden)
     monkeypatch.setattr(cov.LevelGram, "dense", forbidden)
     for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
         config = sim.MCConfig(seed=4, n_samples=5, level=6, kernel1=kernel, kernel2=kernel)
@@ -224,7 +224,7 @@ def test_tabulated_level_cap_fires_before_any_gram(monkeypatch):
         raise AssertionError("Gram built before the level cap was checked")
 
     # level_gram checks the level itself: every builder it calls is forbidden
-    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "cholesky_factor"):
+    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "_table_factor"):
         monkeypatch.setattr(cov, name, forbidden)
     for level in (DENSE_TOP + 1, sim.MAX_LEVEL):
         for k2 in (tab, cov.brownian()):

@@ -217,7 +217,7 @@ def test_brownian_spectrum_is_the_dense_midpoint_spectrum(grid):
     assert np.array_equal(nonzero[1::2], -nonzero[0::2])
     assert np.all(np.diff(nonzero[0::2]) < 0) and np.all(nonzero[0::2] > 0)
     assert np.all(spec.mults == 2)
-    assert (spec.tail_sq, spec.jitter_rung) == (0.0, 0)
+    assert spec.tail_sq == 0.0
     if grid % 2:
         assert spec.entries[-1] == (0.0, 2)
     assert sp.symmetry_check(spec).ok
@@ -432,7 +432,7 @@ def test_general_operator_block_structure():
     # equal covariances make M = L^T A L antisymmetric, so its singular values
     # pair up and every +-s of the spectrum has even multiplicity
     for kernel in (cov.brownian(), cov.fractional_brownian(0.4)):
-        L, _ = cov.cholesky_factor(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
+        L = np.linalg.cholesky(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
         M = L.T @ checks.cell_sign_matrix(5, 5) @ L
         scale = np.max(np.abs(M))
         assert np.max(np.abs(M + M.T)) <= 1e-12 * scale
@@ -457,7 +457,7 @@ def test_general_operator_level_cap():
 
 
 def test_general_spectrum_indefinite_gram():
-    # R = -s t is negative semidefinite: no jitter rung makes it factorizable
+    # R = -s t is negative semidefinite: its level Gram is refused
     table = cov.tabulated_from_fn(lambda S, T: -S * T, 4)
     with pytest.raises(NumericalError):
         sp.general_spectrum(table, table, 3)
@@ -499,7 +499,7 @@ def _kernel_pairs():
 
 @pytest.mark.parametrize("r1,r2", _kernel_pairs())
 def test_general_spectrum_matches_whitened_eigh(r1, r2):
-    # above level 4 the 16-node table's Grams need jitter, which the reference omits
+    # above level 4 the 16-node table's Grams are singular, which the reference cannot invert
     top = 4 if r1.kind == cov.TABULATED else 6
     for level in range(3, top + 1):
         reference = whitened_reference(r1, r2, level)
@@ -531,12 +531,13 @@ def _weighted_pairs():
 
 @pytest.mark.parametrize("r1,r2", _kernel_pairs() + _weighted_pairs())
 def test_general_spectrum_squares_sum_to_norm_approx(r1, r2):
-    # the 16-node table needs jitter above level 7, which norm_approx does not carry
-    top = 7 if r1.kind == cov.TABULATED else sp.MAX_OPERATOR_LEVEL
-    for level in range(1, top + 1):
+    # the 16-node table's Grams are singular above level 4, and its unshifted
+    # roots list no value made of a shift: its sum holds to 1e-14 at every level
+    rel = 1e-14 if r1.kind == cov.TABULATED else 1e-12
+    for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
         spec = sp.general_spectrum(r1, r2, level)
         total = sum(m * a**2 for a, m in spec.entries)
-        assert total == pytest.approx(lk.norm_approx(level, r1, r2).value, rel=1e-12), level
+        assert total == pytest.approx(lk.norm_approx(level, r1, r2).value, rel=rel), level
         assert set(spec.mults.tolist()) == {structural_multiplicity(r1, r2, level)}, level
 
 
@@ -545,10 +546,10 @@ def test_general_spectrum_squares_sum_to_norm_approx(r1, r2):
 # ---------------------------------------------------------------------------
 
 def full_route(r1, r2, level):
-    """Singular values of L_1^T A L_2 from the full N x N Grams, descending."""
-    l1, _ = cov.cholesky_factor(cov.level_gram(r1, level).dense())
-    l2, _ = cov.cholesky_factor(cov.level_gram(r2, level).dense())
-    return np.linalg.svd(l1.T @ checks.cell_sign_matrix(level, level) @ l2, compute_uv=False)
+    """Singular values of R_1^T A R_2 from the roots of the level Grams, descending, at most N."""
+    l1, l2 = (cov.level_gram(r, level).root() for r in (r1, r2))
+    s = np.linalg.svd(l1.T @ checks.cell_sign_matrix(level, level) @ l2, compute_uv=False)
+    return s[: 2**level]
 
 
 def assert_same_spectrum(spec, want):
@@ -615,59 +616,33 @@ def test_mirror_halves_are_the_even_odd_blocks():
             assert np.max(np.abs(Q.T @ G @ Q - blocks)) <= 1e-15 * np.max(np.abs(G))
 
 
-def test_mirror_split_shares_the_full_gram_jitter_rung():
-    # singular mirror-symmetric Grams factor only at rung 1, and both halves
-    # take that rung's shift j max|G| of the full Gram: the 16-node min table
-    # at levels 5-6, and the rank-one R = s t, whose halves are 2 G11 and 0
+def test_mirror_split_lists_singular_tables_unshifted():
+    # singular mirror-symmetric Grams split with no shift: the 16-node min table
+    # at levels 5-6 (rank 16) lists the full route's values, and values within
+    # rounding of zero in the even/odd blocks beyond its rank; the rank-one
+    # R = s t lists only rounding of zero, against (N/2) tr G, a bound on the radius
     tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
     rank_one = cov.tabulated_from_fn(lambda S, T: S * T, 8)
     for kernel, level in ((tab, 5), (tab, 6), (rank_one, 3)):
         gram = cov.level_gram(kernel, level)
-        G = gram.dense()
+        assert gram.mirror_symmetric
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(G)
-        scale = np.max(np.abs(G))
-        shift = cov.JITTER_LADDER[1] * scale * np.eye(G.shape[0] // 2)
-        l_plus, l_minus, rung = cov.mirror_factors(gram)
-        assert rung == 1, level
-        for L, sign in ((l_plus, 1.0), (l_minus, -1.0)):
-            half = gram.mirror_half(sign)
-            assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale, level
-    for level in (5, 6):
-        assert_matches_full_route(tab, tab, level)
-
-
-def test_mirror_factors_rebuild_both_halves_when_only_the_minus_half_fails():
-    # G = Q diag(G+, G-) Q^T with G+ = 2 I + 1 and G- = 1 (rank one): G+ factors
-    # at rung 0 but G- does not, so both halves must be built again and
-    # factored at rung 1, each with the full Gram's shift
-    n = 4
-    g_plus, g_minus = 2.0 * np.eye(n) + 1.0, np.ones((n, n))
-    a, b = (g_plus + g_minus) / 2.0, (g_plus - g_minus) / 2.0
-    flip = np.eye(n)[::-1]
-    G = np.block([[a, b @ flip], [flip @ b, flip @ a @ flip]])
-    gram = cov.LevelGram(cov.DENSE, 3, G)
-    assert gram.mirror_symmetric
-    plus, minus = gram.mirror_half(1.0), gram.mirror_half(-1.0)
-    assert np.array_equal(plus, g_plus) and np.array_equal(minus, g_minus)
-    np.linalg.cholesky(plus)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(minus)
-    l_plus, l_minus, rung = cov.mirror_factors(gram)
-    assert rung == 1
-    scale = np.max(np.abs(G))
-    shift = cov.JITTER_LADDER[1] * scale * np.eye(n)
-    for L, half in ((l_plus, g_plus), (l_minus, g_minus)):
-        assert np.max(np.abs(L @ L.T - (half + shift))) <= 1e-14 * scale
-    assert cov.cholesky_factor(gram.dense())[1] == rung
+            np.linalg.cholesky(gram.dense())
+        s = full_route(kernel, kernel, level)
+        got = np.sort(np.abs(sp.general_spectrum(kernel, kernel, level).eigenvalues()))[::-1]
+        want = np.zeros(max(got.size, 2 * s.size))
+        want[: 2 * s.size] = np.repeat(s, 2)
+        scale = s[0] if kernel is tab else 2**level / 2 * np.trace(gram.dense())
+        tol = 1e-12 if kernel is tab else 1e-15
+        assert np.max(np.abs(np.pad(got, (0, want.size - got.size)) - want)) <= tol * scale, level
 
 
 def test_half_sign_product_matches_the_explicit_product():
-    # the split route's L+^T A_+-: lk.sign_product(L+^T) less half of each
-    # column sum of L+; level 1 is the 1 x 1 case, where the product is -plus / 2
+    # the split route's R+^T A_+-: lk.sign_product(R+^T) less half of each
+    # column sum of R+; level 1 is the 1 x 1 case, where the product is -plus / 2
     fbm = cov.fractional_brownian(0.35)
     for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
-        plus = cov.mirror_factors(cov.level_gram(fbm, level))[0]
+        plus = cov.level_gram(fbm, level).mirror_roots()[0]
         explicit = plus.T @ (checks.cell_sign_matrix(level - 1, level - 1) - 0.5)
         got = lk.sign_product(plus.copy().T) - 0.5 * np.sum(plus, axis=0)[:, None]
         assert got.shape == explicit.shape, level
@@ -676,7 +651,7 @@ def test_half_sign_product_matches_the_explicit_product():
 
 @pytest.mark.parametrize("level", [9, 10])
 def test_split_route_holds_at_most_three_half_size_arrays(level):
-    # L+ (overwritten by L+^T A_+-), L- and B, or L+, G- and L-; never A_+-
+    # R+ (overwritten by R+^T A_+-), R- and B, or R+, G- and R-; never A_+-
     fbm = cov.fractional_brownian(0.35)
     half = 4 ** (level - 1) * 8
     tracemalloc.start()
@@ -690,40 +665,34 @@ def test_split_route_holds_at_most_three_half_size_arrays(level):
 
 def test_full_route_never_builds_the_sign_matrix(monkeypatch):
     # every pair but equal mirror-symmetric Grams takes the full route, whose
-    # L_1^T A is a prefix sum: mixed mirror-symmetric pairs, weighted with
-    # itself, and a table that is not mirror-symmetric and needs jitter rung 2
+    # R_1^T A is a prefix sum: mixed mirror-symmetric pairs, weighted with
+    # itself, and a table that is not mirror-symmetric, of rank 32 < N above level 5
     fbm = cov.fractional_brownian(0.35)
     weighted = cov.weighted_poly(1)
     table = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 32)
     pairs = [(fbm, cov.brownian()), (fbm, cov.fractional_brownian(0.75)),
              (weighted, weighted), (table, table)]
     levels = range(1, 9)
-    expected = []
-    for r1, r2 in pairs:
-        wants = []
-        for level in levels:
-            rung = max(cov.cholesky_factor(cov.level_gram(r, level).dense())[1] for r in (r1, r2))
-            wants.append((full_route(r1, r2, level), structural_multiplicity(r1, r2, level), rung))
-        expected.append(wants)
-    assert max(rung for _, _, rung in expected[3]) == 2
+    expected = [[(full_route(r1, r2, level), structural_multiplicity(r1, r2, level))
+                 for level in levels] for r1, r2 in pairs]
+    assert [len(s) for s, _ in expected[3]] == [min(32, 2**level) for level in levels]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the dense cell sign matrix was built")
 
     monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     for pair, wants in zip(pairs, expected):
-        for level, (s, mult, rung) in zip(levels, wants):
+        for level, (s, mult) in zip(levels, wants):
             assert not (pair[0] is pair[1] and cov.level_gram(pair[0], level).mirror_symmetric)
             spec = sp.general_spectrum(*pair, level)
             assert spec.mults.tolist() == [mult] * (2 * len(s) // mult), level
-            assert spec.jitter_rung == rung, level
             assert np.array_equal(spec.alphas[1::2], -spec.alphas[0::2]), level
             gap = np.max(np.abs(np.repeat(spec.alphas[0::2], mult) - s))
             assert gap <= 1e-13 * s[0], (level, gap / s[0])
 
 
 def test_mixed_pair_holds_three_full_size_arrays():
-    # L_1 (overwritten by L_1^T A), L_2 and M, or L_1, G_2 and L_2; never A
+    # R_1 (overwritten by R_1^T A), R_2 and M, or R_1, G_2 and R_2; never A
     fbm, level = cov.fractional_brownian(0.35), 9
     full = 4**level * 8
     tracemalloc.start()
@@ -735,16 +704,50 @@ def test_mixed_pair_holds_three_full_size_arrays():
     assert peak <= 3.3 * full, f"{peak / full:.2f} full-size arrays"
 
 
-def test_spectrum_reports_the_jitter_rung():
-    # the rank-one S*T table has norm 0: its listed values are made of rung-1 jitter
+def test_spectrum_lists_no_shift_made_values():
+    # no Gram is shifted: the rank-one S*T table, whose spectrum is zero, lists
+    # rounding of zero against (N/2) tr G; a zero weight lists exact zeros, an
+    # s + t table nothing
     product_st = cov.tabulated_from_fn(lambda S, T: S * T, 32)
-    assert sp.general_spectrum(product_st, product_st, 6).jitter_rung == 1
-    fbm = cov.fractional_brownian(0.35)
-    assert sp.general_spectrum(fbm, fbm, 10).jitter_rung == 0
-    # the full route reports the larger rung of its two factorizations
-    assert sp.general_spectrum(product_st, cov.brownian(), 4).jitter_rung == 1
-    assert sp.general_spectrum(cov.weighted_poly(1), cov.weighted_poly(1), 4).jitter_rung == 0
-    assert sp.classical_spectrum(3).jitter_rung == 0
+    bound = 32.0 * np.trace(cov.level_gram(product_st, 6).dense())
+    assert sp.general_spectrum(product_st, product_st, 6).spectral_radius <= 1e-15 * bound
+    zero_weight = cov.weighted_poly(1, 0.0)
+    for level in (1, 3, 8):
+        spec = sp.general_spectrum(zero_weight, zero_weight, level)
+        assert len(spec.alphas) == 2**level and np.all(spec.alphas == 0.0), level
+    zero_table = cov.tabulated_from_fn(lambda S, T: S + T, 8)
+    for level in (1, 3, 8):
+        assert sp.general_spectrum(zero_table, zero_table, level).entries == (), level
+        assert sp.general_spectrum(zero_table, cov.brownian(), level).entries == (), level
+    # a rank-one table against Brownian: the one nonzero value, every value once
+    spec = sp.general_spectrum(product_st, cov.brownian(), 4)
+    assert spec.mults.tolist() == [1, 1]
+    norm = lk.norm_approx(4, product_st, cov.brownian()).value
+    assert float(np.sum(spec.alphas**2)) == pytest.approx(norm, rel=1e-14)
+    assert not hasattr(sp.classical_spectrum(3), "jitter_rung")
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_odd_rank_table_lists_floor_half_pairs(rank):
+    # equal Grams of odd width r on the full route: M is antisymmetric, so its
+    # unpaired singular value is zero and floor(min(r, N) / 2) pairs are listed
+    kernel = {1: cov.tabulated_from_fn(lambda S, T: (S * T) ** 2, 3),
+              3: cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 3)}[rank]
+    for level in (1, 2, 3, 6):
+        gram = cov.level_gram(kernel, level)
+        assert not gram.mirror_symmetric and gram.root().shape == (2**level, rank)
+        spec = sp.general_spectrum(kernel, kernel, level)
+        pairs = min(rank, 2**level) // 2
+        assert spec.mults.tolist() == [2] * (2 * pairs), level
+        s = full_route(kernel, kernel, level)
+        # (N/2) tr G bounds the radius; the unpaired value is zero to its rounding
+        bound = 2**level / 2 * np.trace(gram.dense())
+        assert len(s) == 2 * pairs or s[-1] <= 1e-15 * bound, level
+        gap = np.max(np.abs(np.repeat(spec.alphas[0::2], 2) - s[: 2 * pairs]), initial=0.0)
+        assert gap <= 1e-13 * s[0], level
+        total = float(np.sum(spec.mults * spec.alphas**2))
+        norm = lk.norm_approx(level, kernel, kernel).value
+        assert abs(total - norm) <= 1e-13 * norm + 1e-15 * bound**2, level
 
 
 def test_equal_kernel_split_pairs_every_value_exactly():
@@ -758,16 +761,20 @@ def test_equal_kernel_split_pairs_every_value_exactly():
 def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
     # the route is read off both Grams before anything is factored, and only
     # equal mirror-symmetric Grams split: a mirror/non-mirror pair and a pair
-    # of two different mirror-symmetric Grams take exactly two full
-    # factorizations and one full SVD, and list every value once, within
-    # 1e-13 of the radius of the explicit svd(L_1^T A L_2): the prefix-sum
-    # L_1^T A rounds differently
+    # of two different mirror-symmetric Grams take exactly two full roots (one
+    # Cholesky factor, of the fBm Gram) and one full SVD, and list every value
+    # once, within 1e-13 of the radius of the explicit svd(R_1^T A R_2): the
+    # prefix-sum R_1^T A rounds differently
     calls = []
-    cholesky, svd = np.linalg.cholesky, np.linalg.svd
+    cholesky, svd, root = np.linalg.cholesky, np.linalg.svd, cov.LevelGram.root
 
     def counting_cholesky(m):
         calls.append(("cholesky", m.shape))
         return cholesky(m)
+
+    def counting_root(gram):
+        calls.append(("root", gram.kind))
+        return root(gram)
 
     def counting_svd(m, *args, **kwargs):
         calls.append(("svd", m.shape))
@@ -781,10 +788,13 @@ def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
         expected.append(sp.Spectrum(np.column_stack((s, -s)).ravel(), np.ones(2 * len(s), int)))
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cov.LevelGram, "root", counting_root)
     for pair, want in zip(pairs, expected):
         calls.clear()
         spec = sp.general_spectrum(*pair, 8)
-        assert calls == [("cholesky", (256, 256))] * 2 + [("svd", (256, 256))], calls
+        roots = [("root", cov.level_gram(r, 8).kind) for r in pair]
+        roots.insert(1 + (pair[0] is not fbm), ("cholesky", (256, 256)))
+        assert calls == roots + [("svd", (256, 256))], calls
         assert spec.mults.tolist() == want.mults.tolist()
         gap = np.max(np.abs(spec.alphas - want.alphas))
         assert gap <= 1e-13 * want.spectral_radius, gap / want.spectral_radius
@@ -792,13 +802,19 @@ def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
 
 def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
     # equal Grams are read off the Gram values, not off kernel identity: two
-    # separately built Brownian kernels take one factorization per half and one SVD
+    # separately built Brownian kernels take the roots of the halves (diagonal,
+    # no Cholesky) and one half-size SVD
     calls = []
-    cholesky, svd = np.linalg.cholesky, np.linalg.svd
+    cholesky, svd, mirror_roots = np.linalg.cholesky, np.linalg.svd, cov.LevelGram.mirror_roots
 
     def counting_cholesky(m):
         calls.append(("cholesky", m.shape))
         return cholesky(m)
+
+    def counting_mirror_roots(gram):
+        roots = mirror_roots(gram)
+        calls.append(("mirror_roots", [r.shape for r in roots]))
+        return roots
 
     def counting_svd(m, *args, **kwargs):
         calls.append(("svd", m.shape))
@@ -808,8 +824,9 @@ def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
     expected = sp.general_spectrum(brownian, brownian, 8)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cov.LevelGram, "mirror_roots", counting_mirror_roots)
     spec = sp.general_spectrum(cov.brownian(), cov.brownian(), 8)
-    assert calls == [("cholesky", (128, 128)), ("cholesky", (128, 128)), ("svd", (128, 128))]
+    assert calls == [("mirror_roots", [(128, 128)] * 2), ("svd", (128, 128))]
     assert_same_spectrum(spec, expected)
     assert np.all(spec.mults == 2) and len(spec.alphas) == 2**8
 
