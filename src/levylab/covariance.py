@@ -352,9 +352,11 @@ class LevelGram:
                                  and bool(np.array_equal(other.values, self.values)))
 
     def root(self) -> np.ndarray:
-        """A fresh N x w array R with R R^T = G, unshifted: diag(sqrt(variances))
-        (bit for bit LAPACK's Cholesky factor where positive), the Cholesky
-        factor of a Toeplitz Gram, or a copy of F."""
+        """A fresh N x w array R with R R^T = G, unshifted.
+
+        diag(sqrt(variances)), bit for bit LAPACK's Cholesky factor where
+        positive; numpy's Cholesky factor of a Toeplitz Gram; or a copy of F.
+        """
         if self.kind == DIAGONAL:
             return np.diag(np.sqrt(self.values))
         if self.kind == TOEPLITZ:
@@ -371,7 +373,8 @@ class LevelGram:
         """
         n = 2 ** (self.level - 1)
         if self.kind == DIAGONAL:
-            return tuple(np.diag(np.sqrt(self.values[:n])) for _ in "+-")
+            plus = np.diag(np.sqrt(self.values[:n]))
+            return plus, plus.copy()
         if self.kind == TOEPLITZ:
             return tuple(np.linalg.cholesky(self.mirror_half(sign)) for sign in (1.0, -1.0))
         top, bottom = self.values[:n], self.values[: n - 1 : -1]
