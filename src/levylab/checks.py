@@ -365,14 +365,14 @@ def check_classical_operator_structure():
     top = spec.spectral_radius
     assert abs(top - 1.0 / np.pi) <= 0.01 / np.pi
     # the closed form, each value repeated by its multiplicity 2, against the
-    # sorted dense eigenvalues elementwise, and against the level-7 step-kernel SVD
+    # sorted dense eigenvalues elementwise, and against both members of each
+    # pair of singular values of the level-7 step kernel A / 128
     exact = sp.brownian_spectrum(128)
     radius = exact.spectral_radius
     dense = float(np.max(np.abs(w - np.sort(exact.eigenvalues()))))
     assert dense <= 1e-12 * radius, f"dense midpoint off the closed form by {dense:.3e}"
-    step = sp.general_spectrum(cov.brownian(), cov.brownian(), 7)
-    assert np.array_equal(step.mults, exact.mults)
-    svd = float(np.max(np.abs(step.alphas - exact.alphas)))
+    s = np.linalg.svd(cell_sign_matrix(7, 7) / 128, compute_uv=False)
+    svd = float(max(np.max(np.abs(s[k::2] - exact.alphas[0::2])) for k in (0, 1)))
     assert svd <= 1e-12 * radius, f"level-7 step kernel off the closed form by {svd:.3e}"
     return (f"top value near 1/pi; the closed form, each value twice, matches the dense solve "
             f"to {dense / radius:.1e} and the level-7 SVD to {svd / radius:.1e} of the radius")
@@ -407,19 +407,14 @@ def check_mirror_split():
     worst, compared = 0.0, []
     for name, kernel in _kernels().items():
         gram = cov.level_gram(kernel, 6)
-        if not gram.mirror_symmetric:
+        if kernel.kind != cov.FBM:
+            # only a Toeplitz Gram splits: diagonal and table Grams have no roots of halves
+            assert gram.mirror_roots() is None, f"{name}: a {gram.kind} Gram has mirror roots"
             continue
         s = full_svd(kernel, kernel)
         got = np.sort(sp.general_spectrum(kernel, kernel, 6).eigenvalues())
-        if name == "product-st":
-            # the rank-one Gram g g^T has the zero spectrum (g^T A g = 0): both
-            # routes must read rounding of (N/2) tr G, a bound on the radius
-            bound = 32.0 * float(np.trace(gram.dense()))
-            err = max(float(np.max(np.abs(got))), float(s[0])) / bound
-            assert err <= 1e-15, f"{name}: zero spectrum read as {err:.3e} of (N/2) tr G"
-        else:
-            err = float(np.max(np.abs(got - np.sort(np.concatenate([-s, s]))))) / s[0]
-            assert err <= 1e-12, f"{name}: split spectrum off the full SVD by {err:.3e} of the radius"
+        err = float(np.max(np.abs(got - np.sort(np.concatenate([-s, s]))))) / s[0]
+        assert err <= 1e-12, f"{name}: split spectrum off the full SVD by {err:.3e} of the radius"
         # the split route's prefix-sum form of R+^T A_+- against the explicit product
         plus = gram.mirror_roots()[0]
         explicit = plus.T @ (cell_sign_matrix(5, 5) - 0.5)
@@ -429,14 +424,14 @@ def check_mirror_split():
             f"{name}: prefix-sum R+^T A_+- off the explicit product by {gap:.3e}"
         )
         worst, compared = max(worst, err), compared + [name]
-    # different mirror-symmetric Grams take the full route, every value once
+    # different Toeplitz and diagonal Grams take the full route, every value once
     s = full_svd(cov.fractional_brownian(0.35), cov.brownian())
     mixed = sp.general_spectrum(cov.fractional_brownian(0.35), cov.brownian(), 6)
     gap = float(np.max(np.abs(mixed.eigenvalues() - np.column_stack((s, -s)).ravel())))
     assert np.all(mixed.mults == 1) and gap <= 1e-13 * s[0], f"fBm 0.35/Brownian off by {gap:.3e}"
-    assert not cov.level_gram(cov.weighted_poly(1), 6).mirror_symmetric
     return (f"split matches the full SVD at level 6 to {worst:.1e} ({', '.join(compared)}), "
-            "its prefix-sum product the explicit one; fBm 0.35/Brownian and weighted Grams unsplit")
+            "its prefix-sum product the explicit one; fBm 0.35/Brownian, diagonal and table "
+            "Grams unsplit")
 
 
 def check_symmetry_audit():

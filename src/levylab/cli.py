@@ -322,23 +322,20 @@ def cmd_cf(args) -> int:
 def cmd_spectrum(args) -> int:
     """Operator spectrum and its symmetry audit.
 
-    A Brownian kernel takes one route, the closed form sp.brownian_spectrum,
-    on the midpoint grid g (--grid, default 256) or on g = 2^n (--level n,
-    where it is the level-n step-kernel spectrum); no dense solve and no
-    clustering tolerance enter. Every other kernel takes the level-n
-    step-kernel SVD of sp.general_spectrum (--level, default 7).
+    A Brownian kernel without --level takes the closed form
+    sp.brownian_spectrum on the midpoint grid g (--grid, default 256). Every
+    kernel with --level n (default 7 for non-Brownian kernels) takes the
+    level-n step-kernel spectrum of sp.general_spectrum, which for a
+    Brownian kernel is the same closed form at g = 2^n. No dense solve and
+    no clustering tolerance enter a Brownian spectrum.
     """
     kernel = _resolve_kernel(args.kernel, args.hurst)
     if args.grid is not None and (kernel.kind != cov.BROWNIAN or args.level is not None):
         raise argparse.ArgumentTypeError("--grid only applies to brownian kernels without --level")
-    if kernel.kind == cov.BROWNIAN:
-        if args.level is None:
-            grid = args.grid if args.grid is not None else 256
-            route = {"route": "classical-midpoint", "grid": grid}
-        else:
-            grid = 2 ** sp.check_operator_level(args.level)
-            route = {"route": "step-kernel", "level": args.level}
+    if kernel.kind == cov.BROWNIAN and args.level is None:
+        grid = args.grid if args.grid is not None else 256
         spectrum = sp.brownian_spectrum(grid)
+        route = {"route": "classical-midpoint", "grid": grid}
     else:
         level = args.level if args.level is not None else 7
         spectrum = sp.general_spectrum(kernel, kernel, level)

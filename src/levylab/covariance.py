@@ -289,16 +289,11 @@ class LevelGram:
         diagonal  values[k] = G[k,k], the N cell variances
         toeplitz  values[k] = gamma(k) for lags k = 0..N, G[k,l] = gamma(|k-l|)
         factored  values = F, an N x r array with F F^T = G
-
-    mirror_symmetric says whether J G J = G for the cell flip J: k -> N-1-k,
-    as decided exactly by level_gram; never at level 0. False, the default,
-    is right for any Gram: it only keeps general_spectrum on its full route.
     """
 
     kind: str
     level: int
     values: np.ndarray
-    mirror_symmetric: bool = False
 
     def dense(self) -> np.ndarray:
         """The N x N matrix, as a fresh array."""
@@ -311,11 +306,11 @@ class LevelGram:
     def mirror_half(self, sign: float) -> np.ndarray:
         """The N/2 x N/2 block G11 + sign G12 K of a mirror-symmetric Gram, as a fresh array.
 
-        With K the flip of N/2 cells, a mirror-symmetric Gram is block-diagonal
-        in the even/odd basis [I; +-K]/sqrt(2), with blocks G+ (sign +1) and
-        G- (sign -1); for a Toeplitz Gram G+- is Toeplitz +- Hankel in the
-        lags. Built as one copy of G11, then G12 K added in place. Meaningful
-        only when mirror_symmetric.
+        With K the flip of N/2 cells, a mirror-symmetric Gram (J G J = G for
+        the cell flip J: k -> N-1-k) is block-diagonal in the even/odd basis
+        [I; +-K]/sqrt(2), with blocks G+ (sign +1) and G- (sign -1); for a
+        Toeplitz Gram G+- is Toeplitz +- Hankel in the lags. Built as one copy
+        of G11, then G12 K added in place. Meaningful only when J G J = G.
         """
         n = 2 ** (self.level - 1)
         if self.kind == TOEPLITZ:
@@ -363,22 +358,18 @@ class LevelGram:
             return np.linalg.cholesky(self.dense())
         return self.values.copy()
 
-    def mirror_roots(self) -> tuple:
-        """(R+, R-): fresh roots R+- R+-^T = mirror_half(+-1) of a mirror-symmetric Gram.
+    def mirror_roots(self) -> tuple | None:
+        """(R+, R-): fresh roots R+- R+-^T = mirror_half(+-1) of a Toeplitz Gram, else None.
 
-        diag(sqrt(variances)) of the first N/2 cells twice (G12 is zero); the
-        Cholesky factors of a Toeplitz Gram's halves, each built just before
-        it is factored, so at most R+, G- and R- are alive; or
-        (F_top +- flip(F_bottom)) / sqrt(2).
+        A Toeplitz Gram at level >= 1 is mirror-symmetric by its structure;
+        its roots are numpy's Cholesky factors of the halves, each half built
+        just before it is factored, so at most R+, G- and R- are alive. Every
+        other Gram returns None: a diagonal one has the closed form or gains
+        nothing from the split, and a table's root is already r wide.
         """
-        n = 2 ** (self.level - 1)
-        if self.kind == DIAGONAL:
-            plus = np.diag(np.sqrt(self.values[:n]))
-            return plus, plus.copy()
-        if self.kind == TOEPLITZ:
-            return tuple(np.linalg.cholesky(self.mirror_half(sign)) for sign in (1.0, -1.0))
-        top, bottom = self.values[:n], self.values[: n - 1 : -1]
-        return (top + bottom) / math.sqrt(2.0), (top - bottom) / math.sqrt(2.0)
+        if self.kind != TOEPLITZ or self.level < 1:
+            return None
+        return tuple(np.linalg.cholesky(self.mirror_half(sign)) for sign in (1.0, -1.0))
 
     def factor(self):
         """The factor F (F F^T = G) of this Gram's structure, as a linear map.
@@ -507,21 +498,20 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     """
     check_level(level, kernel)
     if kernel.kind == FBM:
-        values, mirror = _fgn_autocovariance(kernel.hurst, level), True
+        values = _fgn_autocovariance(kernel.hurst, level)
     elif kernel.kind == TABULATED:
-        values, mirror = _table_factor(kernel.table, level)
+        values = _table_factor(kernel.table, level)
     else:
         part = dyadic_partition(level)
         if kernel.kind == WEIGHTED:
             part = kernel.weight.antiderivative_sq(part)
         values = np.diff(part)
         del part
-        mirror = bool(np.array_equal(values, np.flip(values)))
-    return LevelGram(_STRUCTURE[kernel.kind], level, values, level >= 1 and mirror)
+    return LevelGram(_STRUCTURE[kernel.kind], level, values)
 
 
-def _table_factor(table, level: int) -> tuple:
-    """(F, mirror) for the bilinear interpolant of an (m+1) x (m+1) node table T.
+def _table_factor(table, level: int) -> np.ndarray:
+    """The N x r factor F of the bilinear interpolant of an (m+1) x (m+1) node table T.
 
     The level Gram is exactly G = K H K^T: H is the m x m mesh increment Gram
     (the double difference of T, read as float64) and K[k, c] = m |I_k ∩ J_c|
@@ -529,7 +519,8 @@ def _table_factor(table, level: int) -> tuple:
     clip(m t - c, 0, 1) over the breakpoints t. One eigh H = V diag(w) V^T
     checks H (NumericalError below -PSD_TOL of max|w|) and factors it: the w
     above numpy's matrix_rank cut m eps max|w| give F = K V+ sqrt(w+), N x r
-    with r = rank H (0 for a zero H). mirror is J H J = H, so J G J = G (J K = K J).
+    with r = rank H (0 for a zero H). F is the table's root, already r wide,
+    so its spectrum takes the full route: the M of general_spectrum is r x r.
     """
     h = np.diff(np.diff(np.asarray(table, dtype=float), axis=0), axis=1)
     m = h.shape[0]
@@ -542,8 +533,7 @@ def _table_factor(table, level: int) -> tuple:
         )
     keep = w > m * np.finfo(float).eps * top
     overlap = np.clip(m * dyadic_partition(level)[:, None] - np.arange(m), 0.0, 1.0)
-    factor = np.diff(overlap, axis=0) @ (v[:, keep] * np.sqrt(w[keep]))
-    return factor, bool(np.array_equal(h, h[::-1, ::-1]))
+    return np.diff(overlap, axis=0) @ (v[:, keep] * np.sqrt(w[keep]))
 
 
 def check_level(level: int, kernel: CovKernel | None = None) -> int:

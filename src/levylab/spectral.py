@@ -22,11 +22,12 @@ R_i of the increment Grams G_i = R_i R_i^T, the step-kernel operator is the
 block matrix [[0, M], [M^T, 0]] with M = R_1^T A R_2 and A the cell sign
 matrix. Its nonzero eigenvalues are +-s for the singular values s of M,
 whichever roots are taken, so the spectrum comes from one SVD (half-size
-when the two Grams are equal and mirror-symmetric), and mirror symmetry
-holds by construction. So do the multiplicities: every value is listed
-twice when the two Grams are equal (M is then antisymmetric) and once
-otherwise. No Gram is shifted, so no listed value is made of a shift. A is
-never built: products with it are prefix sums (levy_kernel.sign_product).
+for two equal Toeplitz Grams), or from the closed form for two Brownian
+kernels, and mirror symmetry holds by construction. So do the
+multiplicities: every value is listed twice when the two Grams are equal
+(M is then antisymmetric) and once otherwise. No Gram is shifted, so no
+listed value is made of a shift. A is never built: products with it are
+prefix sums (levy_kernel.sign_product).
 """
 from __future__ import annotations
 
@@ -98,7 +99,8 @@ def classical_spectrum(count: int) -> Spectrum:
 
 def _plus_minus(s: np.ndarray, mult: int, **fields) -> Spectrum:
     """The spectrum s_0, -s_0, s_1, -s_1, ... for descending s >= 0, every value mult times."""
-    return Spectrum(np.column_stack((s, -s)).ravel(), np.full(2 * len(s), mult), **fields)
+    # 0.0 - s, not -s: an exact zero is listed as +0 twice, never as -0
+    return Spectrum(np.column_stack((s, 0.0 - s)).ravel(), np.full(2 * len(s), mult), **fields)
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,9 @@ def brownian_spectrum(grid: int) -> Spectrum:
     eigenvalues are +-|mu| for the eigenvalues mu = i cot(pi (2k+1) / (2g))
     / (2g), k = 0..g-1, of K: each cot value twice. The g//2 positive values
     are listed +-, descending, with multiplicity 2; an odd grid adds an exact
-    zero (k = (g-1)/2) with multiplicity 2, last. At grid = 2^n this is general_spectrum(brownian,
-    brownian, n), whose whitened step kernel is the same matrix. An integer
+    zero (k = (g-1)/2) with multiplicity 2, last. At grid = 2^n this is the level-n
+    step-kernel spectrum of two Brownian kernels, whose whitened step kernel
+    A / 2^n is the same matrix; general_spectrum returns it from here. An integer
     grid below 2 raises ParameterError, one above 2^MAX_OPERATOR_LEVEL
     ResourceError, before anything is allocated.
     """
@@ -233,22 +236,24 @@ def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryRe
 def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectrum:
     """Spectrum of the level-n step-kernel operator for a covariance pair.
 
-    The eigenvalues are +-s for the singular values s of M = R_1^T A R_2,
-    R_i the unshifted roots of the level Grams (LevelGram.root), with
-    multiplicities from the construction, not from a tolerance: when the two
-    level Grams are equal (r2 is r1, or LevelGram.equals), M is
-    antisymmetric and each pair of equal s is listed once with multiplicity
-    2, floor(w/2) pairs for M of width w (an odd one's unpaired s is zero);
-    otherwise every s has multiplicity 1. With J the flip of the
-    N = 2^level cells, J A J = -A; when the equal Grams also have J G J = G
-    (LevelGram.mirror_symmetric), the even/odd basis turns M into the blocks
+    The route is read off the kernels' structure, never off rounding. Two
+    Brownian kernels return brownian_spectrum(2^level), the closed form of
+    this spectrum, and build no Gram. Otherwise the eigenvalues are +-s for
+    the singular values s of M = R_1^T A R_2, R_i the unshifted roots of the
+    level Grams (LevelGram.root), with multiplicities from the construction,
+    not from a tolerance: when the two level Grams are equal (r2 is r1, or
+    LevelGram.equals), M is antisymmetric and each pair of equal s is listed
+    once with multiplicity 2, floor(w/2) pairs for M of width w (an odd
+    one's unpaired s is zero); otherwise every s has multiplicity 1. With J
+    the flip of the N = 2^level cells, J A J = -A; for equal Toeplitz Grams,
+    which have J G J = G, the even/odd basis turns M into the blocks
     B = R+^T A_+- R- and -B^T, with R+- the roots of the Gram halves
-    (LevelGram.mirror_roots) and A_+- the level-(n-1) cell sign matrix less
-    1/2, so one SVD of B gives every pair. Every other pair takes one SVD of
-    M. M has rank at most N and B at most N/2, so no more s are kept; a table
-    of rank r gives r x r matrices, and its B lists rounding of zero beyond
-    r/2 pairs. No sign matrix is built: R+^T A_+- is lk.sign_product(R+^T)
-    less half of each column sum of R+, and R_1^T A is lk.sign_product(R_1^T),
+    (LevelGram.mirror_roots, None for every other Gram) and A_+- the
+    level-(n-1) cell sign matrix less 1/2, so one SVD of B gives every pair.
+    Every other pair takes one SVD of M; M has rank at most N, so no more s
+    are kept, and a table of rank r gives an r x r M and floor(min(r, N)/2)
+    pairs. No sign matrix is built: R+^T A_+- is lk.sign_product(R+^T) less
+    half of each column sum of R+, and R_1^T A is lk.sign_product(R_1^T),
     each in the root's own memory (in a copy of R_1 when equal Grams share
     it). So the split route holds at most three N/2 x N/2 arrays besides the
     SVD's own copy, and the full route three N x N arrays for diagonal and
@@ -257,11 +262,15 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     """
     check_operator_level(level)
     n = 2**level
+    if r1.kind == r2.kind == cov.BROWNIAN:
+        return brownian_spectrum(n)
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g1.equals(g2)
-    if equal and g1.mirror_symmetric:
-        plus, minus = g1.mirror_roots()
+    roots = g1.mirror_roots() if equal else None
+    if roots is not None:
+        plus, minus = roots
+        del roots
         # the column sums first: sign_product overwrites plus
         half_sums = 0.5 * np.sum(plus, axis=0)
         x = lk.sign_product(plus.T)

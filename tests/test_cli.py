@@ -504,7 +504,7 @@ def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
 
 def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
     # no Gram is shifted, so no summary carries a jitter rung: the rank-one S*T
-    # table lists rounding of zero against (N/2) tr G = 1/2, a bound on the radius
+    # table, whose spectrum is zero, lists no pair
     table = tmp_path / "st.csv"
     nodes = np.linspace(0.0, 1.0, 33).tolist()
     table.write_text("s,t,value\n" + "".join(
@@ -516,10 +516,28 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
             assert "jitter_rung" not in summary and summary["schema_version"] == 15
-    _, _, rows = read_csv(tmp_path / "spectrum-6" / "spectrum.csv")
-    assert rows and max(abs(float(alpha)) for alpha, _ in rows) <= 1e-15 * 0.5
+    assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
+
+
+def test_table_spectrum_lists_exact_pair_counts(tmp_path):
+    # the 16-step min table has rank 16: floor(16 / 2) = 8 pairs at level 6,
+    # each value +- with multiplicity 2, and no row of rounding of zero
+    nodes = np.linspace(0.0, 1.0, 17)
+    spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(nodes, nodes))
+    assert run_cli(["spectrum", "--kernel", spec, "--level", 6, "--out", tmp_path / "out"]) == 0
+    rows = read_csv(tmp_path / "out" / "spectrum.csv")[2]
+    assert len(rows) == 16 and all(m == "2" for _, m in rows)
+    assert min(abs(float(alpha)) for alpha, _ in rows) > 1e-6
+
+
+def test_spectrum_writes_no_negative_zero(tmp_path):
+    # a zero weight has exact zero values, each listed as 0 twice, never as -0
+    out = tmp_path / "zero"
+    assert run_cli(["spectrum", "--kernel", "weighted degree=1 coeff=0", "--level", 2,
+                    "--out", out]) == 0
+    assert read_csv(out / "spectrum.csv")[2] == [["0", "2"]] * 4
 
 
 def test_zero_table_process_is_exact_zeros(tmp_path):

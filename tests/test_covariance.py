@@ -257,27 +257,17 @@ def test_fbm_grams_and_their_halves_factor_unshifted(hurst):
 
 
 def test_mirror_roots_factor_the_halves():
-    # Toeplitz: numpy's Cholesky factors of the halves, bit for bit; diagonal:
-    # sqrt of the first half's variances, twice; mirror-symmetric tables:
-    # (F_top +- flip(F_bottom)) / sqrt(2), to rounding
+    # Toeplitz: numpy's Cholesky factors of the halves, bit for bit; every
+    # other Gram, and a Toeplitz one at level 0, has no roots of halves
     tables = [cov.tabulated_from_fn(np.minimum, 16), cov.tabulated_from_fn(lambda S, T: S * T, 8),
               cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) - S * T, 16)]
     for level in (1, 3, 6):
         fbm = cov.level_gram(cov.fractional_brownian(0.35), level)
         for R, sign in zip(fbm.mirror_roots(), (1.0, -1.0)):
             assert np.array_equal(R, np.linalg.cholesky(fbm.mirror_half(sign)))
-        brownian = cov.level_gram(cov.brownian(), level)
-        plus, minus = brownian.mirror_roots()
-        assert plus is not minus
-        for R, sign in ((plus, 1.0), (minus, -1.0)):
-            assert np.array_equal(R, np.linalg.cholesky(brownian.mirror_half(sign)))
-        for table in tables:
-            gram = cov.level_gram(table, level)
-            assert gram.mirror_symmetric
-            G = gram.dense()
-            for R, sign in zip(gram.mirror_roots(), (1.0, -1.0)):
-                gap = np.max(np.abs(R @ R.T - gram.mirror_half(sign)))
-                assert gap <= 1e-14 * np.max(np.abs(G)), (level, gap)
+        for kernel in (cov.brownian(), cov.weighted_poly(0, 2.0), *tables):
+            assert cov.level_gram(kernel, level).mirror_roots() is None, (kernel, level)
+    assert cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_roots() is None
 
 
 def test_zero_grams_have_exact_zero_roots():
@@ -285,11 +275,9 @@ def test_zero_grams_have_exact_zero_roots():
     # roots of zeros and of width 0, no shift
     zero_weight = cov.level_gram(cov.weighted_poly(1, 0.0), 3)
     assert np.array_equal(zero_weight.root(), np.zeros((8, 8)))
-    assert all(np.array_equal(R, np.zeros((4, 4))) for R in zero_weight.mirror_roots())
     zero_table = cov.level_gram(cov.tabulated_from_fn(lambda S, T: S + T, 8), 5)
     assert zero_table.root().shape == (32, 0) and zero_table.factor().width == 0
     assert np.array_equal(zero_table.dense(), np.zeros((32, 32)))
-    assert [R.shape for R in zero_table.mirror_roots()] == [(16, 0), (16, 0)]
 
 
 def test_indefinite_table_names_its_eigenvalue():
@@ -395,17 +383,15 @@ def test_table_grams_match_the_exact_product(name):
 
 def test_table_factor_width_is_the_mesh_gram_rank():
     # the rank of H sets the width r: 1 for S*T, m - 1 for the bridge, m for min,
-    # 0 for the zero process s + t; mirror symmetry is J H J = H, read exactly
+    # 0 for the zero process s + t
     tables = _reference_tables()
-    cases = [("S*T/32", 1, True), ("bridge/16", 15, True), ("min/64", 64, True),
-             ("min^1.3/32", 32, False)]
-    for name, rank, mirror in cases:
+    cases = [("S*T/32", 1), ("bridge/16", 15), ("min/64", 64), ("min^1.3/32", 32)]
+    for name, rank in cases:
         for level in (0, 3, 8):
             gram = cov.level_gram(tables[name], level)
             assert gram.factor().width == rank and gram.root().shape == (2**level, rank)
-            assert gram.mirror_symmetric == (mirror and level >= 1), (name, level)
     zero = cov.level_gram(cov.tabulated_from_fn(lambda S, T: S + T, 8), 4)
-    assert zero.factor().width == 0 and zero.mirror_symmetric
+    assert zero.factor().width == 0
 
 
 def test_level_gram_equals_compares_the_matrix_in_its_structure():

@@ -42,9 +42,10 @@ def test_reference_only_functions_are_not_exported():
 
 def test_the_jitter_ladder_is_retired():
     # every level Gram has an unshifted root (LevelGram.root, mirror_roots):
-    # no shifted factorization and no rung is left in the library
+    # no shifted factorization and no rung is left in the library; nor a stored
+    # mirror flag, since mirror_roots alone decides the split
     for name in ("cholesky_factor", "mirror_factors", "_factor_at_one_rung", "_shifted",
-                 "jitter_rung"):
+                 "jitter_rung", "mirror_symmetric"):
         assert not hasattr(levylab, name), name
         for path in sorted(SRC.glob("*.py")):
             assert name not in path.read_text(), (path.name, name)

@@ -235,11 +235,14 @@ def test_brownian_spectrum_below_the_dense_builder_floor():
 
 @pytest.mark.parametrize("level", range(1, sp.MAX_OPERATOR_LEVEL + 1))
 def test_brownian_spectrum_is_the_level_n_step_kernel_spectrum(level):
+    # the whitened Brownian step kernel is A / 2^n: both members of each pair
+    # of its singular values against the closed form, each value twice
     spec = sp.brownian_spectrum(2**level)
-    ref = sp.general_spectrum(cov.brownian(), cov.brownian(), level)
-    assert np.array_equal(spec.mults, ref.mults)
-    err = float(np.max(np.abs(spec.alphas - ref.alphas)))
-    assert err <= 1e-12 * ref.spectral_radius, err
+    s = np.linalg.svd(checks.cell_sign_matrix(level, level) / 2**level, compute_uv=False)
+    assert np.all(spec.mults == 2) and len(spec.alphas) == s.size
+    for k in (0, 1):
+        err = float(np.max(np.abs(s[k::2] - spec.alphas[0::2])))
+        assert err <= 1e-12 * spec.spectral_radius, (k, err)
     total = float(np.sum(spec.mults * spec.alphas**2))
     assert total == pytest.approx((1.0 - 2.0**-level) / 2.0, rel=1e-12, abs=0)
     norm = lk.norm_approx(level, cov.brownian(), cov.brownian()).value
@@ -595,9 +598,11 @@ def _mirror_pairs():
 
 @pytest.mark.parametrize("r1,r2", _mirror_pairs())
 def test_mirror_split_matches_full_route(r1, r2):
+    # only the Toeplitz (fBm) Gram has roots of halves; equal Brownian kernels
+    # take the closed form, which the full route checks as well
     for level in range(1, sp.MAX_OPERATOR_LEVEL + 1):
-        assert cov.level_gram(r1, level).mirror_symmetric
-        assert cov.level_gram(r2, level).mirror_symmetric
+        for r in (r1, r2):
+            assert (cov.level_gram(r, level).mirror_roots() is None) == (r.kind != cov.FBM)
         assert_matches_full_route(r1, r2, level)
 
 
@@ -616,25 +621,23 @@ def test_mirror_halves_are_the_even_odd_blocks():
             assert np.max(np.abs(Q.T @ G @ Q - blocks)) <= 1e-15 * np.max(np.abs(G))
 
 
-def test_mirror_split_lists_singular_tables_unshifted():
-    # singular mirror-symmetric Grams split with no shift: the 16-node min table
-    # at levels 5-6 (rank 16) lists the full route's values, and values within
-    # rounding of zero in the even/odd blocks beyond its rank; the rank-one
-    # R = s t lists only rounding of zero, against (N/2) tr G, a bound on the radius
+def test_singular_tables_list_exact_pair_counts():
+    # a table's root is already r wide, so its Gram takes the full route with no
+    # shift and lists exactly floor(min(r, N) / 2) pairs: the 16-node min table
+    # at levels 5-6 (rank 16, singular Grams) lists the full route's 8 pairs,
+    # and the rank-one R = s t, whose spectrum is zero, lists none
     tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
     rank_one = cov.tabulated_from_fn(lambda S, T: S * T, 8)
-    for kernel, level in ((tab, 5), (tab, 6), (rank_one, 3)):
+    for kernel, level, pairs in ((tab, 5, 8), (tab, 6, 8), (rank_one, 3, 0)):
         gram = cov.level_gram(kernel, level)
-        assert gram.mirror_symmetric
+        assert gram.mirror_roots() is None
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(gram.dense())
-        s = full_route(kernel, kernel, level)
-        got = np.sort(np.abs(sp.general_spectrum(kernel, kernel, level).eigenvalues()))[::-1]
-        want = np.zeros(max(got.size, 2 * s.size))
-        want[: 2 * s.size] = np.repeat(s, 2)
-        scale = s[0] if kernel is tab else 2**level / 2 * np.trace(gram.dense())
-        tol = 1e-12 if kernel is tab else 1e-15
-        assert np.max(np.abs(np.pad(got, (0, want.size - got.size)) - want)) <= tol * scale, level
+        spec = sp.general_spectrum(kernel, kernel, level)
+        assert spec.mults.tolist() == [2] * (2 * pairs), level
+        s = full_route(kernel, kernel, level)[: 2 * pairs]
+        gap = np.max(np.abs(np.repeat(spec.alphas[0::2], 2) - s), initial=0.0)
+        assert gap <= 1e-12 * np.max(s, initial=0.0), level
 
 
 def test_half_sign_product_matches_the_explicit_product():
@@ -664,9 +667,9 @@ def test_split_route_holds_at_most_three_half_size_arrays(level):
 
 
 def test_full_route_never_builds_the_sign_matrix(monkeypatch):
-    # every pair but equal mirror-symmetric Grams takes the full route, whose
-    # R_1^T A is a prefix sum: mixed mirror-symmetric pairs, weighted with
-    # itself, and a table that is not mirror-symmetric, of rank 32 < N above level 5
+    # every pair but equal Toeplitz Grams and two Brownian kernels takes the
+    # full route, whose R_1^T A is a prefix sum: mixed Toeplitz pairs, weighted
+    # with itself, and a table, of rank 32 < N above level 5
     fbm = cov.fractional_brownian(0.35)
     weighted = cov.weighted_poly(1)
     table = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 32)
@@ -683,7 +686,7 @@ def test_full_route_never_builds_the_sign_matrix(monkeypatch):
     monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     for pair, wants in zip(pairs, expected):
         for level, (s, mult) in zip(levels, wants):
-            assert not (pair[0] is pair[1] and cov.level_gram(pair[0], level).mirror_symmetric)
+            assert pair[0] is not pair[1] or cov.level_gram(pair[0], level).mirror_roots() is None
             spec = sp.general_spectrum(*pair, level)
             assert spec.mults.tolist() == [mult] * (2 * len(s) // mult), level
             assert np.array_equal(spec.alphas[1::2], -spec.alphas[0::2]), level
@@ -706,11 +709,9 @@ def test_mixed_pair_holds_three_full_size_arrays():
 
 def test_spectrum_lists_no_shift_made_values():
     # no Gram is shifted: the rank-one S*T table, whose spectrum is zero, lists
-    # rounding of zero against (N/2) tr G; a zero weight lists exact zeros, an
-    # s + t table nothing
+    # no pair (floor(1/2) = 0); a zero weight lists exact zeros, an s + t table nothing
     product_st = cov.tabulated_from_fn(lambda S, T: S * T, 32)
-    bound = 32.0 * np.trace(cov.level_gram(product_st, 6).dense())
-    assert sp.general_spectrum(product_st, product_st, 6).spectral_radius <= 1e-15 * bound
+    assert sp.general_spectrum(product_st, product_st, 6).entries == ()
     zero_weight = cov.weighted_poly(1, 0.0)
     for level in (1, 3, 8):
         spec = sp.general_spectrum(zero_weight, zero_weight, level)
@@ -735,7 +736,7 @@ def test_odd_rank_table_lists_floor_half_pairs(rank):
               3: cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 3)}[rank]
     for level in (1, 2, 3, 6):
         gram = cov.level_gram(kernel, level)
-        assert not gram.mirror_symmetric and gram.root().shape == (2**level, rank)
+        assert gram.mirror_roots() is None and gram.root().shape == (2**level, rank)
         spec = sp.general_spectrum(kernel, kernel, level)
         pairs = min(rank, 2**level) // 2
         assert spec.mults.tolist() == [2] * (2 * pairs), level
@@ -760,11 +761,10 @@ def test_equal_kernel_split_pairs_every_value_exactly():
 
 def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
     # the route is read off both Grams before anything is factored, and only
-    # equal mirror-symmetric Grams split: a mirror/non-mirror pair and a pair
-    # of two different mirror-symmetric Grams take exactly two full roots (one
-    # Cholesky factor, of the fBm Gram) and one full SVD, and list every value
-    # once, within 1e-13 of the radius of the explicit svd(R_1^T A R_2): the
-    # prefix-sum R_1^T A rounds differently
+    # equal Toeplitz Grams split: a Toeplitz/weighted pair and a Toeplitz/Brownian
+    # pair take exactly two full roots (one Cholesky factor, of the fBm Gram)
+    # and one full SVD, and list every value once, within 1e-13 of the radius
+    # of the explicit svd(R_1^T A R_2): the prefix-sum R_1^T A rounds differently
     calls = []
     cholesky, svd, root = np.linalg.cholesky, np.linalg.svd, cov.LevelGram.root
 
@@ -800,35 +800,49 @@ def test_mixed_mirror_pair_factors_only_the_full_route(monkeypatch):
         assert gap <= 1e-13 * want.spectral_radius, gap / want.spectral_radius
 
 
-def test_equal_brownian_kernels_factor_only_the_halves(monkeypatch):
-    # equal Grams are read off the Gram values, not off kernel identity: two
-    # separately built Brownian kernels take the roots of the halves (diagonal,
-    # no Cholesky) and one half-size SVD
+def test_equal_brownian_kernels_take_the_closed_form(monkeypatch):
+    # two Brownian kernels, shared or built separately, return the closed form
+    # bit for bit at every level: no level Gram, no root and no SVD
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Brownian pair built a Gram, a root or an SVD")
+
+    levels = range(1, sp.MAX_OPERATOR_LEVEL + 1)
+    expected = [sp.brownian_spectrum(2**level) for level in levels]
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    for name in ("root", "mirror_roots", "mirror_half", "dense"):
+        monkeypatch.setattr(cov.LevelGram, name, forbidden)
+    for name in ("svd", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    brownian = cov.brownian()
+    for level, want in zip(levels, expected):
+        for pair in ((brownian, brownian), (cov.brownian(), cov.brownian())):
+            assert_same_spectrum(sp.general_spectrum(*pair, level), want)
+
+
+@pytest.mark.parametrize("coeff", [2.0, 0.3])
+def test_constant_weight_route_depends_on_structure_not_rounding(coeff, monkeypatch):
+    # a constant weight c has c^2 times the Brownian Gram; its variances are
+    # exactly flip-symmetric for c = 2 and off by an ulp for c = 0.3, yet both
+    # take one full-size SVD, split nothing, and list c^2 times the closed form.
+    # The two kernels are built separately: equal Grams are read off the values
     calls = []
-    cholesky, svd, mirror_roots = np.linalg.cholesky, np.linalg.svd, cov.LevelGram.mirror_roots
-
-    def counting_cholesky(m):
-        calls.append(("cholesky", m.shape))
-        return cholesky(m)
-
-    def counting_mirror_roots(gram):
-        roots = mirror_roots(gram)
-        calls.append(("mirror_roots", [r.shape for r in roots]))
-        return roots
+    svd = np.linalg.svd
 
     def counting_svd(m, *args, **kwargs):
-        calls.append(("svd", m.shape))
+        calls.append(m.shape)
         return svd(m, *args, **kwargs)
 
-    brownian = cov.brownian()
-    expected = sp.general_spectrum(brownian, brownian, 8)
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagonal Gram was split")
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(cov.LevelGram, "mirror_roots", counting_mirror_roots)
-    spec = sp.general_spectrum(cov.brownian(), cov.brownian(), 8)
-    assert calls == [("mirror_roots", [(128, 128)] * 2), ("svd", (128, 128))]
-    assert_same_spectrum(spec, expected)
-    assert np.all(spec.mults == 2) and len(spec.alphas) == 2**8
+    monkeypatch.setattr(cov.LevelGram, "mirror_half", forbidden)
+    spec = sp.general_spectrum(cov.weighted_poly(0, coeff), cov.weighted_poly(0, coeff), 8)
+    assert calls == [(256, 256)]
+    exact = sp.brownian_spectrum(256)
+    assert spec.mults.tolist() == exact.mults.tolist()
+    gap = np.max(np.abs(spec.alphas - coeff**2 * exact.alphas))
+    assert gap <= 1e-13 * spec.spectral_radius, gap / spec.spectral_radius
 
 
 def test_spectrum_stores_arrays():
@@ -845,12 +859,12 @@ def test_spectrum_stores_arrays():
 def test_weighted_kernel_keeps_the_full_route():
     weighted = cov.weighted_poly(1)
     for level in (1, 4, 7):
-        assert not cov.level_gram(weighted, level).mirror_symmetric
+        assert cov.level_gram(weighted, level).mirror_roots() is None
         s = full_route(weighted, weighted, level)
         alphas, mults = zip(*loop_clustered(np.concatenate([-s, s[::-1]]), 1e-6))
         expected = sp.Spectrum(alphas=alphas, mults=mults)
         assert_same_spectrum(sp.general_spectrum(weighted, weighted, level), expected)
-    assert not cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_symmetric
+    assert cov.level_gram(cov.fractional_brownian(0.35), 0).mirror_roots() is None
 
 
 @settings(max_examples=40, deadline=None)
