@@ -304,22 +304,21 @@ class LevelGram:
         return self.values @ self.values.T
 
     def mirror_half(self, sign: float) -> np.ndarray:
-        """The N/2 x N/2 block G11 + sign G12 K of a mirror-symmetric Gram, as a fresh array.
+        """The N/2 x N/2 block G11 + sign G12 K of a Toeplitz Gram, as a fresh array.
 
         With K the flip of N/2 cells, a mirror-symmetric Gram (J G J = G for
-        the cell flip J: k -> N-1-k) is block-diagonal in the even/odd basis
-        [I; +-K]/sqrt(2), with blocks G+ (sign +1) and G- (sign -1); for a
-        Toeplitz Gram G+- is Toeplitz +- Hankel in the lags. Built as one copy
-        of G11, then G12 K added in place. Meaningful only when J G J = G.
+        the cell flip J: k -> N-1-k), as every Toeplitz Gram is, is
+        block-diagonal in the even/odd basis [I; +-K]/sqrt(2), with blocks G+
+        (sign +1) and G- (sign -1); for a Toeplitz Gram G+- is Toeplitz +-
+        Hankel in the lags. Built as one Toeplitz copy of G11, then G12 K
+        added in place. Other Grams have no halves (mirror_roots returns None).
         """
+        if self.kind != TOEPLITZ:
+            raise ShapeError(f"only a Toeplitz Gram has mirror halves, not a {self.kind} one")
         n = 2 ** (self.level - 1)
-        if self.kind == TOEPLITZ:
-            half = _toeplitz(self.values, n)
-            # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
-            g12k = np.lib.stride_tricks.sliding_window_view(self.values[2 * n - 1 : 0 : -1], n)
-        else:
-            gram = self.dense()
-            half, g12k = gram[:n, :n].copy(), gram[:n, : n - 1 : -1]
+        half = _toeplitz(self.values, n)
+        # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
+        g12k = np.lib.stride_tricks.sliding_window_view(self.values[2 * n - 1 : 0 : -1], n)
         if sign > 0:
             half += g12k
         else:
@@ -385,8 +384,9 @@ class LevelGram:
         circulant embedding for a Toeplitz one and the stored N x r array of
         a factored one, whose width r may be 0 (a zero Gram). The factored
         map multiplies through BLAS, whose bits may change with the row count
-        of Z or H (by a few ulps); the diagonal and circulant factors' rows
-        do not depend on it.
+        of Z or H (by a few ulps), so simulate passes chunks of one fixed
+        row count; the diagonal and circulant factors' rows do not depend on
+        it.
         """
         if self.kind == TOEPLITZ:
             return _Circulant(self.values)
@@ -682,11 +682,3 @@ def kernel_spec_string(kernel: CovKernel) -> str:
 def _spec_number(x: float) -> str:
     text = repr(float(x))
     return text[:-2] if text.endswith(".0") else text
-
-
-def min_eigenvalue_ratio(matrix: np.ndarray) -> float:
-    """Smallest over largest |eigenvalue| of a Gram matrix, for PSD audits."""
-    w = np.linalg.eigvalsh(matrix)
-    top = float(np.max(np.abs(w))) or 1.0
-    return float(w[0]) / top
-

@@ -13,13 +13,14 @@ therefore has the exact squared norm 2 tr(G_1 D G_2 D^T), G_i the level-r
 increment Grams. The level-n approximation and the difference of the level-n
 and level-m approximations are both step functions on the level-max(n, m)
 grid, and both are +-(a sign matrix within 1 or 2^min(n, m) equal blocks of
-cells). Multiplying by such a matrix is a prefix sum (sign_product), so one
-prefix sum over each Gram and one elementwise contraction give norms and
-inter-level distances exactly, for every covariance pair and without any
-factorization, step matrix or matrix product.
+cells). Multiplying by such a matrix is a blocked prefix sum (sign_product),
+so one such product over each Gram and one elementwise contraction give
+norms and inter-level distances exactly, for every covariance pair and
+without any factorization, N x N step matrix or Gram product.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,8 +88,21 @@ class ChaosNorm:
     refine: int
 
 
-#: rows per slab of sign_product's adjacent add
-_ADD_ROWS = 32
+#: rows per slab of sign_product: a slab's product, and for a transposed x
+#: the slab's copy, are its only row-sized temporaries, never one of all of x
+_SLAB_ROWS = 32
+
+#: cells per block of sign_product's within-block matrix product
+_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_signs(width: int) -> np.ndarray:
+    """The width x width cell sign matrix sign(l - k) / 2, read-only."""
+    k = np.arange(width)
+    signs = np.sign(k[None, :] - k[:, None]) * 0.5
+    signs.flags.writeable = False
+    return signs
 
 
 def sign_product(x: np.ndarray, blocks: int = 1) -> np.ndarray:
@@ -99,26 +113,36 @@ def sign_product(x: np.ndarray, blocks: int = 1) -> np.ndarray:
     the level-n cell sign matrix A_n; 2^c blocks on level r give A_r - A_c
     on the level-r grid, the difference of two approximations (the dense
     A_n is checks.cell_sign_matrix). Within a run, column l of the product
-    is (sum_{k<l} x_k - sum_{k>l} x_k) / 2. With H the reverse cumulative
-    sum of -x / 2 that is H[l] + H[l+1] - H[0]: one
-    scaling, one cumsum and one add of adjacent columns, in place on a
-    (rows, blocks, run) view of x (a view for C-ordered and transposed x).
-    Pass only arrays the caller owns.
+    is (sum_{k<l} x_k - sum_{k>l} x_k) / 2. Each run is cut into blocks
+    of w = 32 cells (a shorter run, or one 32 does not divide, is one
+    block). The sums within l's block are the product of the (rows,
+    cols / w, w) view of x with the w x w cell sign matrix; the sums over
+    the run's other blocks are sign_product of the block totals, with the
+    same `blocks` runs, added to every cell of the block. That two-level
+    blocked scan (Blelloch 1990) has no accumulate, only matrix products
+    and adds, during which numpy releases the GIL.
+
+    Each row's bits depend only on its own values and on (cols, blocks):
+    both products (the totals are the product with a vector of ones) are
+    stacked matmuls, one BLAS call of one fixed shape per row, where one
+    matmul over all rows would take another BLAS path for one row than
+    for several. x is processed in slabs of _SLAB_ROWS rows. Rows of unit
+    column stride (C-ordered x, or a column slice of one) are read in
+    place; others (a transposed x) are copied one slab at a time. Pass only
+    arrays the caller owns.
     """
     rows, cols = x.shape
-    v = np.reshape(x, (rows, blocks, cols // blocks), copy=False)
-    v *= -0.5
-    reverse = v[..., ::-1]
-    np.cumsum(reverse, axis=-1, out=reverse)
-    first = v[..., :1].copy()
-    # the add reads columns it writes, so numpy buffers a copy of its input:
-    # row slabs bound that copy for C-ordered x; a transposed one-block x
-    # (the mirror split's) takes no copy, and slabs would only slow it
-    step = _ADD_ROWS if x.flags.c_contiguous else rows
-    for start in range(0, rows, step):
-        slab = v[start : start + step]
-        np.add(slab[..., :-1], slab[..., 1:], out=slab[..., :-1])
-    v -= first
+    run = cols // blocks
+    width = _BLOCK if run % _BLOCK == 0 else run
+    signs = _cell_signs(width)
+    for start in range(0, rows, _SLAB_ROWS):
+        slab = x[start : start + _SLAB_ROWS]
+        cells = slab if slab.strides[-1] == slab.itemsize else np.ascontiguousarray(slab)
+        cells = np.reshape(cells, (len(slab), cols // width, width), copy=False)
+        part = np.matmul(cells, signs)
+        if run > width:
+            part += sign_product(np.matmul(cells, np.ones(width)), blocks)[..., None]
+        np.copyto(slab, np.reshape(part, slab.shape))
     return x
 
 

@@ -21,7 +21,7 @@ in the Gaussian vector d2 of the other process, so A | d1 ~ N(0, 4 h^T G2 h)
 exactly, G2 the second process's increment Gram; this conditional Gaussian
 law is the one Gaines & Lyons (SIAM J. Appl. Math. 54, 1994) and Wiktorsson
 (Ann. Appl. Probab. 11, 2001) build on. run_mc therefore draws one path per
-sample, d1, forms h by one prefix sum, evaluates the quadratic form
+sample, d1, forms h by one blocked prefix sum, evaluates the quadratic form
 q = h^T G2 h through the second factor's `quad` (a weighted sum, one FFT or
 one matrix product) and returns A = 2 sqrt(q) xi for one more standard normal
 xi. The samples are independent, each with the law of the two-path double
@@ -41,19 +41,20 @@ run_mc, one xi per sample, in sample order; in sample_paths, process 2's
 normals row-major. So sample i takes its normals from fixed positions of
 fixed streams, and its bits depend only on (seed, i): not on n_samples, on
 the row chunks work is done in, or on how many worker threads share out the
-batches. Tabulated kernels are the exception: their factor multiplies
-through BLAS, whose bits can change with a chunk's row count, so a sample
-may move by a few ulps with n_samples (at most 3.4e-16 relative was seen);
-thread counts still give identical bits. (The paper names Philox counter-based streams, Salmon et al., SC'11;
+batches, for every kernel on a given numpy/BLAS build. The last chunk of a
+batch is zero-padded to the full row count (_fill), so the BLAS products of
+a table's factor and of sign_product always take one shape. (The paper
+names Philox counter-based streams, Salmon et al., SC'11;
 the sampling contract needs only independent streams per (seed, batch,
 process), and SFC64 fills normals about a third faster.)
 
 Work runs in row chunks whose row count is set by the wider of the two
 factors, at most CHUNK_ELEMENTS normals. A run_mc worker draws process 1's
 normals into one reused buffer; the factor maps them to d1 and sign_product
-to h in place, and `quad` needs at most one more chunk-sized array (an FFT of
-the rows or the product h F). So the scratch memory of one worker is a small
-fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
+to h in place (with a temporary of at most half a chunk), and `quad` needs
+at most one more chunk-sized array (an FFT of the rows or the product h F).
+So the scratch memory of one worker is a small fixed multiple of
+CHUNK_ELEMENTS floats whatever the level or sample count;
 run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
 """
 from __future__ import annotations
@@ -154,12 +155,23 @@ def sample_paths(config: MCConfig):
         for start in range(batch_start, stop, rows):
             count = min(rows, stop - start)
             for s, g, buf, out in zip(samplers, gens, bufs, outs):
-                out[start : start + count] = s.apply(g.standard_normal(out=buf[:count]))
+                out[start : start + count] = s.apply(_fill(g, buf, count))[:count]
     return outs
 
 
+def _fill(gen, buf, count):
+    """buf with gen's next count rows of normals on top and zeros below, returned.
+
+    Every chunk then has the full row count, so the factor's BLAS products
+    take one shape and a sample's bits do not depend on where its batch ends.
+    """
+    gen.standard_normal(out=buf[:count])
+    buf[count:] = 0.0
+    return buf
+
+
 def _conditional_areas(inc1: np.ndarray, sampler2, xi: np.ndarray) -> np.ndarray:
-    """Areas 2 sqrt(h^T G2 h) xi of the rows of inc1, written into xi and returned.
+    """Areas 2 sqrt(h^T G2 h) xi of inc1's first len(xi) rows, written into xi and returned.
 
     h = lk.sign_product(inc1), formed in inc1's memory, and G2 is sampler2's
     Gram. Every quad is a sum of nonnegative terms (the circulant eigenvalues
@@ -169,7 +181,7 @@ def _conditional_areas(inc1: np.ndarray, sampler2, xi: np.ndarray) -> np.ndarray
     and einsum were measured to break that at N = 16384 (see
     tests/test_simulate.py).
     """
-    q = sampler2.quad(lk.sign_product(inc1))
+    q = sampler2.quad(lk.sign_product(inc1))[: len(xi)]
     np.sqrt(q, out=q)
     q *= 2.0
     xi *= q
@@ -222,7 +234,7 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
         stop = min(batch_start + BATCH, config.n_samples)
         for start in range(batch_start, stop, rows):
             count = min(rows, stop - start)
-            inc1 = sampler1.apply(paths.standard_normal(out=buf[:count]))
+            inc1 = sampler1.apply(_fill(paths, buf, count))
             xi = scalars.standard_normal(out=areas[start : start + count])
             _conditional_areas(inc1, sampler2, xi)
 

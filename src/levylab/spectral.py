@@ -27,7 +27,7 @@ kernels, and mirror symmetry holds by construction. So do the
 multiplicities: every value is listed twice when the two Grams are equal
 (M is then antisymmetric) and once otherwise. No Gram is shifted, so no
 listed value is made of a shift. A is never built: products with it are
-prefix sums (levy_kernel.sign_product).
+blocked prefix sums (levy_kernel.sign_product).
 """
 from __future__ import annotations
 

@@ -191,7 +191,7 @@ def test_gram_symmetry_and_psd():
     for kernel in kernels_under_test():
         gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
         assert np.max(np.abs(gram - gram.T)) <= 1e-12
-        assert cov.min_eigenvalue_ratio(gram) >= -cov.PSD_TOL
+        assert checks.min_eigenvalue_ratio(gram) >= -cov.PSD_TOL
 
 
 def test_gram_partition_errors():

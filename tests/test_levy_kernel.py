@@ -136,9 +136,9 @@ def test_step_matrices_and_contractions_skip_full_size_transients():
 
 
 def test_two_kernel_norms_hold_only_their_two_grams():
-    # the adjacent add of sign_product runs in row slabs of a C-ordered x,
-    # so numpy buffers one slab, not a copy of x; two different kernels then
-    # hold their two Grams, the terms formed in the first
+    # sign_product runs in row slabs of x, so its product temporary is one
+    # slab, not a copy of x; two different kernels then hold their two
+    # Grams, the terms formed in the first
     square = 8 * 4**9
     x = np.random.default_rng(7).normal(size=(2**9, 2**9))
     assert traced_peak(lk.sign_product, x) <= 0.25 * square
@@ -159,6 +159,23 @@ def test_sign_product_is_the_explicit_sign_matrix_product():
                 assert got is x, (level, c)
                 err = np.max(np.abs(got - want))
                 assert err <= 1e-13 * scale, (level, c, x.flags.c_contiguous)
+
+
+def test_sign_product_rows_do_not_depend_on_the_row_count_or_layout():
+    # each row's bits are those of the row computed alone, for C-ordered x,
+    # the row-contiguous column slice Z[:, :N] that the circulant factor's
+    # apply returns, and a transposed x (the spectral roots)
+    rng = np.random.default_rng(11)
+    for level in range(1, 13):
+        size = 2**level
+        for c in range(level + 1):
+            base = rng.normal(size=(9, size))
+            alone = np.vstack([lk.sign_product(row[None, :].copy(), 2**c) for row in base])
+            for rows in range(1, 10):
+                padded = np.zeros((rows, 2 * size))
+                padded[:, :size] = base[:rows]
+                for x in (base[:rows].copy(), padded[:, :size], base[:rows].T.copy().T):
+                    assert np.array_equal(lk.sign_product(x, 2**c), alone[:rows]), (level, c, rows)
 
 
 def test_declared_numpy_floor_covers_sign_product():

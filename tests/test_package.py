@@ -36,8 +36,33 @@ def test_route_modules_do_not_import_the_checks(route):
 
 
 def test_reference_only_functions_are_not_exported():
-    for name in ("eigen_solve", "discretize_classical_operator", "cell_sign_matrix"):
+    for name in ("eigen_solve", "discretize_classical_operator", "cell_sign_matrix",
+                 "min_eigenvalue_ratio"):
         assert not hasattr(levylab, name), name
+    # the PSD audit's eigenvalue ratio lives in checks, and a Gram's mirror
+    # halves are built from its Toeplitz lags only: no dense Gram
+    assert not hasattr(levylab.covariance, "min_eigenvalue_ratio")
+    assert "dense" not in called_names(function_node("covariance", "mirror_half"))
+
+
+def function_node(module, name):
+    """The ast node of the function or method `name` defined in the module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def called_names(node):
+    """The names and attribute names of everything called within the node."""
+    calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+    return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None) for f in calls}
+
+
+def test_sign_product_holds_no_accumulate():
+    # every numpy accumulate holds the GIL; sign_product is blocked matrix
+    # products, sums and adds, which release it, so run_mc's workers overlap
+    called = called_names(function_node("levy_kernel", "sign_product"))
+    assert not called & {"cumsum", "accumulate"}, called
 
 
 def test_the_jitter_ladder_is_retired():

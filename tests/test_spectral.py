@@ -10,7 +10,7 @@ import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.spectral as sp
-from levylab.errors import NumericalError, ParameterError, ResourceError
+from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +606,16 @@ def test_mirror_split_matches_full_route(r1, r2):
         assert_matches_full_route(r1, r2, level)
 
 
+def dense_mirror_half(gram, sign):
+    """G11 + sign G12 K of any mirror-symmetric Gram, read off its dense matrix."""
+    G = gram.dense()
+    n = len(G) // 2
+    return G[:n, :n] + sign * G[:n, : n - 1 : -1]
+
+
 def test_mirror_halves_are_the_even_odd_blocks():
-    # Q^T G Q = diag(G+, G-) for the orthogonal even/odd basis Q = [[I, I], [K, -K]] / sqrt(2)
+    # Q^T G Q = diag(G+, G-) for the orthogonal even/odd basis Q = [[I, I], [K, -K]] / sqrt(2):
+    # LevelGram.mirror_half for the Toeplitz Gram, the dense halves for mirror-symmetric others
     tab = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T), 16)
     for kernel in (cov.fractional_brownian(0.35), cov.brownian(), tab):
         for level in (1, 2, 5):
@@ -616,7 +624,12 @@ def test_mirror_halves_are_the_even_odd_blocks():
             eye, flip = np.eye(n), np.eye(n)[::-1]
             Q = np.block([[eye, eye], [flip, -flip]]) / np.sqrt(2.0)
             G = gram.dense()
-            plus, minus = gram.mirror_half(1.0), gram.mirror_half(-1.0)
+            if kernel.kind == cov.FBM:
+                plus, minus = gram.mirror_half(1.0), gram.mirror_half(-1.0)
+            else:
+                plus, minus = dense_mirror_half(gram, 1.0), dense_mirror_half(gram, -1.0)
+                with pytest.raises(ShapeError):
+                    gram.mirror_half(1.0)
             blocks = np.block([[plus, np.zeros((n, n))], [np.zeros((n, n)), minus]])
             assert np.max(np.abs(Q.T @ G @ Q - blocks)) <= 1e-15 * np.max(np.abs(G))
 
