@@ -3,12 +3,15 @@
 Each check returns a short detail string on success and raises AssertionError
 (or any error) on failure; run_all collects (name, ok, detail) triples.
 
-The dense references the audits compare the library's routes against live
-here too: the cell sign matrix that levy_kernel.sign_product multiplies by,
-and the midpoint matrix whose spectrum spectral.brownian_spectrum lists. No
-library route builds either.
+The references the audits compare the library's routes against live here
+too: the cell sign matrix that levy_kernel.sign_product multiplies by, the
+midpoint matrix whose spectrum spectral.brownian_spectrum lists, and the
+exhaustive enumeration that pvariation.v1p's dynamic program replaces. No
+library route uses them.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -51,6 +54,28 @@ def discretize_classical_operator(grid_size: int) -> np.ndarray:
     block = 0.5 * np.sign(idx[:, None] - idx[None, :]) / grid_size
     zero = np.zeros_like(block)
     return np.block([[zero, -block], [block, zero]])
+
+
+def v1p_exhaustive(samples, p: float) -> float:
+    """Reference of pvariation.v1p: enumerate every sub-partition.
+
+    Exponential in the sample count; intended for grids with <= 6 points.
+    """
+    pv._require_exponent(p)
+    vals = [float(s[1]) for s in samples]
+    n = len(vals)
+    if n < 2:
+        return 0.0
+    interior = range(1, n - 1)
+    sup = 0.0
+    for r in range(0, n - 1):
+        for choice in combinations(interior, r):
+            idx = (0,) + choice + (n - 1,)
+            total = sum(
+                abs(vals[idx[k + 1]] - vals[idx[k]]) ** p for k in range(len(idx) - 1)
+            )
+            sup = max(sup, total)
+    return sup ** (1.0 / p)
 
 
 def _kernels():
@@ -174,7 +199,7 @@ def check_v1p_bruteforce():
         p = float(rng.uniform(1.0, 3.0))
         samples = list(zip(pts, vals))
         fast = pv.v1p(samples, p)
-        slow = pv.v1p_exhaustive(samples, p)
+        slow = v1p_exhaustive(samples, p)
         assert abs(fast - slow) <= 1e-12, (fast, slow)
     return "dynamic program matches exhaustive enumeration"
 
@@ -271,18 +296,15 @@ def check_area_identities():
 
 
 def check_mc_determinism():
-    # three batches, so the threads=3 run really shares them out over a pool
-    config = sim.MCConfig(
-        seed=99,
-        n_samples=2 * sim.BATCH + 1,
-        level=3,
-        kernel1=cov.brownian(),
-        kernel2=cov.brownian(),
-    )
-    r1 = sim.run_mc(config, threads=1)
-    r2 = sim.run_mc(config, threads=3)
-    assert np.array_equal(r1.samples, r2.samples)
-    return "bit-identical samples across thread counts"
+    # three batches, so the threads=3 run really shares them out over a pool;
+    # two Brownian kernels take the chain route, fBm the conditional one
+    for kernel in (cov.brownian(), cov.fractional_brownian(0.35)):
+        config = sim.MCConfig(seed=99, n_samples=2 * sim.BATCH + 1, level=3,
+                              kernel1=kernel, kernel2=kernel)
+        r1 = sim.run_mc(config, threads=1)
+        r2 = sim.run_mc(config, threads=3)
+        assert np.array_equal(r1.samples, r2.samples), kernel
+    return "bit-identical samples across thread counts on both run_mc routes"
 
 
 def cf_z_scores(samples: np.ndarray, t: float, exact: complex):
@@ -307,9 +329,10 @@ def check_mc_exact_law():
     # the level-n area is 2 z1^T M z2, so its CF is exactly the regularized
     # determinant of M's spectrum: the MC CF must match it, not just the
     # continuum one (which differs by up to 0.06 at level 4)
-    fbm = cov.fractional_brownian(0.35)
+    fbm, weighted = cov.fractional_brownian(0.35), cov.weighted_poly(1)
     cases = (("brownian", cov.brownian(), sp.brownian_spectrum(16)),
-             ("fbm-0.35", fbm, sp.general_spectrum(fbm, fbm, 4)))
+             ("fbm-0.35", fbm, sp.general_spectrum(fbm, fbm, 4)),
+             ("weighted-u", weighted, sp.general_spectrum(weighted, weighted, 4)))
     worst = 0.0
     for name, kernel, spectrum in cases:
         config = sim.MCConfig(seed=EXACT_LAW_SEED, n_samples=EXACT_LAW_SAMPLES, level=4,

@@ -32,11 +32,12 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 15
+SCHEMA_VERSION = 16
 
 
 def _fmt(x: float) -> str:
-    """Fixed shortest-roundtrip decimal; '.' separator, locale-free."""
+    """17 significant digits, round-trip exact ('0.10000000000000001' for 0.1);
+    '.' separator, locale-free."""
     return format(float(x), ".17g")
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -68,28 +67,6 @@ def v1p(samples, p: float) -> float:
     for j in range(1, n):
         best[j] = np.max(best[:j] + np.abs(vals[j] - vals[:j]) ** p)
     return float(best[-1] ** (1.0 / p))
-
-
-def v1p_exhaustive(samples, p: float) -> float:
-    """Reference implementation: enumerate every sub-partition.
-
-    Exponential in the sample count; intended for grids with <= 6 points.
-    """
-    _require_exponent(p)
-    vals = [float(s[1]) for s in samples]
-    n = len(vals)
-    if n < 2:
-        return 0.0
-    interior = range(1, n - 1)
-    sup = 0.0
-    for r in range(0, n - 1):
-        for choice in combinations(interior, r):
-            idx = (0,) + choice + (n - 1,)
-            total = sum(
-                abs(vals[idx[k + 1]] - vals[idx[k]]) ** p for k in range(len(idx) - 1)
-            )
-            sup = max(sup, total)
-    return sup ** (1.0 / p)
 
 
 def v2p_grid(kernel, p: float, level: int) -> float:

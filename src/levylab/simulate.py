@@ -1,33 +1,61 @@
 """Monte Carlo sampling of discrete Levy areas and empirical characteristic
 functions.
 
-Path increments over the N = 2^level dyadic cells are d = F z, one standard
-normal vector z per process per sample, where the factor F (F F^T =
-increment Gram) of every sampler is covariance.LevelGram.factor() of the
+The discrete area of two increment vectors d1, d2 over the N = 2^level
+dyadic cells is
+
+    A = sum_{k<l} (d1_k d2_l - d2_k d1_l).
+
+run_mc draws it along one of two routes, read off the kernels' kinds.
+
+Two Brownian kernels: Levy's midpoint refinement as a Markov chain on three
+scalars (P. Levy 1948; Gaines & Lyons, SIAM J. Appl. Math. 54, 1994). Let
+X, Y be the two processes' increment vectors at level j (m = 2^j cells of
+variance s^2 = 2^-j), A_j their area, P_j = |X|^2 and Q_j = |Y|^2. Splitting
+every cell into halves, the half differences E = x_left - x_right and E'
+are independent of X and Y with variance s^2 per cell, the cross-cell terms
+give back A_j and each pair adds (E_k Y_k - X_k E'_k) / 2:
+
+    A_{j+1} = A_j + (E . Y - X . E') / 2,
+    P_{j+1} = (P_j + |E|^2) / 2,   Q_{j+1} = (Q_j + |E'|^2) / 2.
+
+By rotation invariance of the Gaussian vector E, (E . Y, |E|^2) has the law
+of (s u sqrt(Q_j), s^2 (u^2 + c)) with u ~ N(0, 1) and c ~ chi^2_{m-1}
+independent, and likewise E' with w and c'. So from P_0 = g0^2, Q_0 = g1^2
+and A_0 = 0,
+
+    A += (s / 2) (u sqrt(Q) - w sqrt(P)),
+    P, Q = (P + s^2 (u^2 + c)) / 2, (Q + s^2 (w^2 + c')) / 2,
+
+for j = 0 .. level - 1 gives the level's area with its exact law: no chi-square
+at j = 0 (one cell) and no norm update at the last level, so 2 level + 2
+normals and 2 (level - 2) chi-squares per sample (22 and 16 at level 10)
+instead of a path of 2^level cells. No path, sign product or level Gram is
+formed, and every step is an elementwise +, * or sqrt.
+
+Every other pair: the conditional law given one path. Path increments are
+d = F z, one standard normal vector z per process per sample, where the
+factor F (F F^T = increment Gram) is covariance.LevelGram.factor() of the
 kernel's level Gram: diag(sqrt(cell variance)) for independent increments
-(Brownian, weighted), the minimal circulant embedding of size 2N for
-stationary ones (fBm: d in O(N log N) from 2N normals; Davies & Harte 1987;
-Dietrich & Newsam 1997) and the N x r low-rank factor of a tabulated kernel,
-r the rank of its mesh Gram (r normals; none for a zero process, whose
-increments are exact zeros).
+(weighted, and Brownian in sample_paths), the minimal circulant embedding
+of size 2N for stationary ones (fBm: d in O(N log N) from 2N normals; Davies
+& Harte 1987; Dietrich & Newsam 1997) and the N x r low-rank factor of a
+tabulated kernel, r the rank of its mesh Gram (r normals; none for a zero
+process, whose increments are exact zeros). Then
 
-The discrete area of one sample is
-
-    A = sum_{k<l} (d1_k d2_l - d2_k d1_l) = 2 d2 . h,
-    h_l = (sum_{k<l} d1_k - sum_{k>l} d1_k) / 2 = (d1 S)_l,
+    A = 2 d2 . h,   h_l = (sum_{k<l} d1_k - sum_{k>l} d1_k) / 2 = (d1 S)_l,
 
 with S the cell sign matrix (levy_kernel.sign_product). Given d1, A is linear
 in the Gaussian vector d2 of the other process, so A | d1 ~ N(0, 4 h^T G2 h)
-exactly, G2 the second process's increment Gram; this conditional Gaussian
-law is the one Gaines & Lyons (SIAM J. Appl. Math. 54, 1994) and Wiktorsson
-(Ann. Appl. Probab. 11, 2001) build on. run_mc therefore draws one path per
-sample, d1, forms h by one blocked prefix sum, evaluates the quadratic form
-q = h^T G2 h through the second factor's `quad` (a weighted sum, one FFT or
-one matrix product) and returns A = 2 sqrt(q) xi for one more standard normal
-xi. The samples are independent, each with the law of the two-path double
-sum; sample_paths and discrete_levy_area stay the path-level API for that
-sum. (The paper's Monte Carlo draws both paths; drawing the area from its
-conditional law given one path halves the normals and the prefix sums.)
+exactly, G2 the second process's increment Gram (the law Gaines & Lyons and
+Wiktorsson, Ann. Appl. Probab. 11, 2001, build on). This route draws one
+path per sample, d1, forms h by one blocked prefix sum, evaluates the
+quadratic form q = h^T G2 h through the second factor's `quad` (a weighted
+sum, one FFT or one matrix product) and returns A = 2 sqrt(q) xi for one
+more standard normal xi. The samples of both routes are independent, each
+with the law of the two-path double sum; sample_paths and
+discrete_levy_area stay the path-level API for that sum. (The paper's Monte
+Carlo draws both paths; both routes draw the same law from fewer normals.)
 
 Randomness comes from SFC64 generators, one independent stream per batch and
 process. Samples are split into batches of the fixed size BATCH; stream
@@ -35,27 +63,32 @@ s = 2 b + p of batch b is seeded by
 
     SeedSequence(seed mod 2^64, spawn_key=(s,))
 
-Stream 2 b holds process 1's normals row-major, one row of `width` normals
-per sample, in run_mc and sample_paths alike. Stream 2 b + 1 holds, in
-run_mc, one xi per sample, in sample order; in sample_paths, process 2's
-normals row-major. So sample i takes its normals from fixed positions of
-fixed streams, and its bits depend only on (seed, i): not on n_samples, on
-the row chunks work is done in, or on how many worker threads share out the
-batches, for every kernel on a given numpy/BLAS build. The last chunk of a
-batch is zero-padded to the full row count (_fill), so the BLAS products of
-a table's factor and of sign_product always take one shape. (The paper
-names Philox counter-based streams, Salmon et al., SC'11;
-the sampling contract needs only independent streams per (seed, batch,
+Stream 2 b holds, row-major with one row per sample: the chain's normals
+(g0, g1, u_0, w_0, ..., u_{level-1}, w_{level-1}), or process 1's `width`
+normals of the conditional route and of sample_paths. Stream 2 b + 1 holds
+the chain's chi-squares (c_1, c'_1, ..., c_{level-2}, c'_{level-2}) row-major,
+or one xi per sample in sample order, or process 2's normals of sample_paths
+row-major. So sample i takes its draws from fixed positions of fixed
+streams, and its bits depend only on (seed, i): not on n_samples, on the row
+chunks work is done in, or on how many worker threads share out the
+batches, for every kernel on a given numpy/BLAS build. On the conditional
+route the last chunk of a batch is zero-padded to the full row count
+(_fill), so the BLAS products of a table's factor and of sign_product always
+take one shape; the chain has no BLAS product and needs no padding. (The
+paper names Philox counter-based streams, Salmon et al., SC'11; the
+sampling contract needs only independent streams per (seed, batch,
 process), and SFC64 fills normals about a third faster.)
 
-Work runs in row chunks whose row count is set by the wider of the two
-factors, at most CHUNK_ELEMENTS normals. A run_mc worker draws process 1's
-normals into one reused buffer; the factor maps them to d1 and sign_product
-to h in place (with a temporary of at most half a chunk), and `quad` needs
-at most one more chunk-sized array (an FFT of the rows or the product h F).
-So the scratch memory of one worker is a small fixed multiple of
-CHUNK_ELEMENTS floats whatever the level or sample count;
-run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
+Work runs in row chunks. A chain chunk holds at most CHUNK_ELEMENTS draws,
+its normals in one reused buffer per worker. A conditional chunk's row
+count is set by the wider of the two factors, at most CHUNK_ELEMENTS
+normals: a worker draws process 1's normals into one reused buffer, the
+factor maps them to d1 and sign_product to h in place (with a temporary of
+at most half a chunk), and `quad` needs at most one more chunk-sized array
+(an FFT of the rows or the product h F). So the scratch memory of one
+worker is a small fixed multiple of CHUNK_ELEMENTS floats whatever the
+level or sample count; run_mc adds 8 bytes per sample for the areas, into
+which the xi are drawn.
 """
 from __future__ import annotations
 
@@ -71,9 +104,9 @@ from .errors import ParameterError, ShapeError
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
 
-#: normals per chunk buffer (512 KiB of float64), so that a run_mc worker's
-#: normal buffer and the one chunk-sized array of `quad` (at most 1 MiB) stay
-#: within a 2 MiB per-core L2 cache
+#: draws per chunk (512 KiB of float64), so that a run_mc worker's normal
+#: buffer and the one chunk-sized array of `quad` (at most 1 MiB) stay within
+#: a 2 MiB per-core L2 cache
 CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14
@@ -213,30 +246,94 @@ def discrete_levy_area(increments1, increments2) -> float:
     return sums[0] - sums[1]
 
 
+def _chain_chunks(level: int):
+    """(rows, width, chunk) of the Brownian chain route at `level`.
+
+    chunk(buf, normals, chis, out) draws len(out) rows of the chain's 2 level + 2
+    normals into buf (rows x width) from `normals` and its 2 (level - 2)
+    chi-squares from `chis`, both row-major, and writes the areas into out.
+    A chunk holds at most CHUNK_ELEMENTS draws.
+    """
+    width = 2 * level + 2
+    dfs = np.repeat(2.0 ** np.arange(1, level - 1) - 1.0, 2)
+    rows = max(1, min(BATCH, CHUNK_ELEMENTS // (width + dfs.size)))
+
+    def chunk(buf, normals, chis, out):
+        draws = normals.standard_normal(out=buf[: len(out)])
+        _chain_areas(draws, chis.chisquare(dfs, size=(len(out), dfs.size)), out)
+
+    return rows, width, chunk
+
+
+def _chain_areas(normals: np.ndarray, chis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Level-n Brownian areas of the chain's draws, written into out and returned.
+
+    Row i of `normals` holds g0, g1, u_0, w_0, ..., u_{n-1}, w_{n-1} and row i
+    of `chis` holds c_j, c'_j ~ chi^2_{2^j - 1} for j = 1 .. n - 2 (see the
+    module docstring). Every step is an elementwise +, * or sqrt, so each
+    row's bits depend on that row's draws alone.
+    """
+    level = normals.shape[1] // 2 - 1
+    p, q = np.square(normals[:, 0]), np.square(normals[:, 1])
+    out[:] = 0.0
+    for j in range(level):
+        u, w = normals[:, 2 * j + 2], normals[:, 2 * j + 3]
+        root_p, root_q = np.sqrt(p), np.sqrt(q)
+        root_q *= u
+        root_p *= w
+        root_q -= root_p
+        root_q *= 0.5 * np.sqrt(2.0**-j)
+        out += root_q
+        if j == level - 1:
+            break
+        # the half differences' squared norms: s^2 (u^2 + c), c = 0 at one cell
+        for norm, draw, col in ((p, u, 2 * j - 2), (q, w, 2 * j - 1)):
+            step = np.square(draw)
+            if j:
+                step += chis[:, col]
+            step *= 2.0**-j
+            norm += step
+            norm *= 0.5
+    return out
+
+
+def _conditional_chunks(config: MCConfig):
+    """(rows, width, chunk) of the conditional route: chunk(buf, paths, scalars,
+    out) maps len(out) rows of process 1's normals to paths and draws their
+    areas given the paths, with xi from `scalars`, into out."""
+    sampler1, sampler2 = _samplers(config)
+
+    def chunk(buf, paths, scalars, out):
+        inc1 = sampler1.apply(_fill(paths, buf, len(out)))
+        _conditional_areas(inc1, sampler2, scalars.standard_normal(out=out))
+
+    return _chunk_rows((sampler1, sampler2)), sampler1.width, chunk
+
+
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     """Independent discrete-area draws with summary moments.
 
-    Each area is drawn from its exact law given process 1's path (see the
+    Two Brownian kernels draw each area from the midpoint-refinement chain,
+    every other pair from its exact law given process 1's path (see the
     module docstring). Work is split into fixed-size batches, one per task,
     processed in fixed-size row chunks; the thread count (clamped to the
     number of batches) changes only the scheduling, never the batch streams
     or the reduction order, so the samples array is bit-identical for any
     `threads`.
     """
-    sampler1, sampler2 = _samplers(config)
-    rows = _chunk_rows((sampler1, sampler2))
+    if config.kernel1.kind == config.kernel2.kind == cov.BROWNIAN:
+        rows, width, chunk = _chain_chunks(config.level)
+    else:
+        rows, width, chunk = _conditional_chunks(config)
     areas = np.empty(config.n_samples)
     starts = list(range(0, config.n_samples, BATCH))
 
     def work(batch_start):
-        paths, scalars = _streams(config, batch_start // BATCH)
-        buf = np.empty((rows, sampler1.width))
+        streams = _streams(config, batch_start // BATCH)
+        buf = np.empty((rows, width))
         stop = min(batch_start + BATCH, config.n_samples)
         for start in range(batch_start, stop, rows):
-            count = min(rows, stop - start)
-            inc1 = sampler1.apply(_fill(paths, buf, count))
-            xi = scalars.standard_normal(out=areas[start : start + count])
-            _conditional_areas(inc1, sampler2, xi)
+            chunk(buf, *streams, areas[start : min(start + rows, stop)])
 
     workers = min(threads, len(starts))
     if workers > 1:

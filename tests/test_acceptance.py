@@ -216,7 +216,7 @@ def test_criterion_8_young_machinery():
         vals = rng.normal(size=n)
         p = float(rng.uniform(1.0, 3.0))
         samples = list(zip(pts, vals))
-        worst = max(worst, abs(pv.v1p(samples, p) - pv.v1p_exhaustive(samples, p)))
+        worst = max(worst, abs(pv.v1p(samples, p) - checks.v1p_exhaustive(samples, p)))
     assert worst <= 1e-12
     _report(
         8,

@@ -515,7 +515,7 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert "jitter_rung" not in summary and summary["schema_version"] == 15
+            assert "jitter_rung" not in summary and summary["schema_version"] == 16
     assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -745,7 +745,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 15
+    assert summary["schema_version"] == 16
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

@@ -37,11 +37,13 @@ def test_route_modules_do_not_import_the_checks(route):
 
 def test_reference_only_functions_are_not_exported():
     for name in ("eigen_solve", "discretize_classical_operator", "cell_sign_matrix",
-                 "min_eigenvalue_ratio"):
+                 "min_eigenvalue_ratio", "v1p_exhaustive"):
         assert not hasattr(levylab, name), name
-    # the PSD audit's eigenvalue ratio lives in checks, and a Gram's mirror
-    # halves are built from its Toeplitz lags only: no dense Gram
+    # the PSD audit's eigenvalue ratio and v1p's exhaustive reference live in
+    # checks, and a Gram's mirror halves are built from its Toeplitz lags
+    # only: no dense Gram
     assert not hasattr(levylab.covariance, "min_eigenvalue_ratio")
+    assert not hasattr(levylab.pvariation, "v1p_exhaustive")
     assert "dense" not in called_names(function_node("covariance", "mirror_half"))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.pvariation as pv
 from levylab.errors import ParameterError, ResourceError
@@ -27,7 +28,7 @@ def test_v1p_linear_total_variation():
 def test_v1p_linear_p2():
     # single block {0,1} attains the supremum; cross-checked by enumeration
     samples = uniform_samples(lambda t: t)
-    assert pv.v1p_exhaustive(uniform_samples(lambda t: t, n=6), 2.0) == pytest.approx(1.0, abs=1e-14)
+    assert checks.v1p_exhaustive(uniform_samples(lambda t: t, n=6), 2.0) == pytest.approx(1.0, abs=1e-14)
     assert pv.v1p(samples, 2.0) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -56,7 +57,7 @@ def test_v1p_trivial_inputs():
 def test_v1p_matches_exhaustive(values, p):
     pts = np.linspace(0, 1, len(values))
     samples = list(zip(pts, values))
-    assert pv.v1p(samples, p) == pytest.approx(pv.v1p_exhaustive(samples, p), abs=1e-12)
+    assert pv.v1p(samples, p) == pytest.approx(checks.v1p_exhaustive(samples, p), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def test_non_finite_exponents_are_rejected():
     for bad in (float("nan"), float("inf"), -float("inf")):
         for call in (
             lambda: pv.v1p(samples, bad),
-            lambda: pv.v1p_exhaustive(samples, bad),
+            lambda: checks.v1p_exhaustive(samples, bad),
             lambda: pv.v2p_grid(cov.brownian(), bad, 3),
             lambda: pv.variation_profile(cov.fractional_brownian(0.35), bad, 3),
             lambda: pv.grid_control(cov.brownian(), bad),

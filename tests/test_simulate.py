@@ -11,6 +11,7 @@ import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.levy_kernel as lk
 import levylab.simulate as sim
+import levylab.spectral as sp
 from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeError
 
 #: the largest level whose N x N float64 Gram fits covariance.MAX_GRAM_BYTES
@@ -25,6 +26,12 @@ def brownian_config(seed=11, n_samples=100, level=5):
         kernel1=cov.brownian(),
         kernel2=cov.brownian(),
     )
+
+
+def weighted_config(seed=11, n_samples=100, level=5):
+    """u-weighted Brownian kernels: a diagonal factor on run_mc's conditional route."""
+    k = cov.weighted_poly(1)
+    return sim.MCConfig(seed=seed, n_samples=n_samples, level=level, kernel1=k, kernel2=k)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +352,7 @@ def test_batch_stream_key_pin():
 
 def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
     configs = [
-        brownian_config(seed=5, n_samples=sim.BATCH + 9, level=4),
+        weighted_config(seed=5, n_samples=sim.BATCH + 9, level=4),
         fbm_config(seed=5, n_samples=sim.BATCH + 9, level=4),
     ]
     reference = [(sim.sample_paths(c), sim.run_mc(c).samples) for c in configs]
@@ -378,7 +385,7 @@ def test_level_14_areas_do_not_depend_on_chunk_rows(monkeypatch):
     # row sums stay numpy's pairwise sum(axis=1): at this N, np.vecdot (through
     # OpenBLAS ddot) gave different bits under OPENBLAS_NUM_THREADS=1 and 2,
     # and np.einsum("ij,ij->i") different bits for a 1-row than a 64-row call
-    configs = [brownian_config(seed=29, n_samples=5, level=14),
+    configs = [weighted_config(seed=29, n_samples=5, level=14),
                fbm_config(seed=29, n_samples=5, level=14)]
     reference = [sim.run_mc(c).samples for c in configs]
     for config, areas in zip(configs, reference):
@@ -394,7 +401,7 @@ def test_sample_paths_rows_give_the_run_mc_areas():
     # buffers are reused; sample_paths must copy them out, not return views.
     # run_mc draws each area given process 1's path, which is the sample_paths
     # row, from the next normal of stream 2 b + 1
-    config = brownian_config(seed=19, n_samples=sim.BATCH + 5, level=10)
+    config = weighted_config(seed=19, n_samples=sim.BATCH + 5, level=10)
     assert sim._chunk_rows(sim._samplers(config)) < sim.BATCH // 8
     inc1, inc2 = sim.sample_paths(config)
     assert np.array_equal(_one_row_areas(config), sim.run_mc(config).samples)
@@ -404,19 +411,99 @@ def test_sample_paths_rows_give_the_run_mc_areas():
 
 
 # ---------------------------------------------------------------------------
+# the Brownian midpoint-refinement chain
+# ---------------------------------------------------------------------------
+
+#: seed of test_brownian_chain_matches_the_exact_level_law, fixed before its first run
+CHAIN_LAW_SEED = 2027
+
+
+def test_brownian_chain_matches_the_exact_level_law():
+    # levels 1 and 2 draw no chi-square, level 3 one pair: the edge levels of the chain
+    for level in (1, 2, 3, 4, 10):
+        samples = sim.run_mc(brownian_config(seed=CHAIN_LAW_SEED, n_samples=2**18,
+                                             level=level)).samples
+        spectrum = sp.brownian_spectrum(2**level)
+        for t in (0.5, 1.0, 2.0, 3.0):
+            z = checks.cf_z_scores(samples, t, sp.cf_from_spectrum(spectrum, 1j * t).value)
+            assert max(map(abs, z)) <= 4.0, (level, t, z)
+
+
+def _chain_row_by_hand(seed, level, i):
+    """Area of sample i from scalar draws of its batch's two streams: normals
+    g0, g1, u_j, w_j row-major from stream 2 b, chi-squares c_j, c'_j with
+    2^j - 1 degrees of freedom row-major from stream 2 b + 1."""
+    b, row = divmod(i, sim.BATCH)
+    normals, chis = (np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(2 * b + p,)))) for p in (0, 1))
+    for _ in range(row + 1):
+        g = normals.standard_normal(2 * level + 2).tolist()
+        c = [float(chis.chisquare(2**j - 1)) for j in range(1, level - 1) for _ in (0, 1)]
+    p, q, area = g[0] * g[0], g[1] * g[1], 0.0
+    for j in range(level):
+        u, w = g[2 * j + 2], g[2 * j + 3]
+        area += (u * math.sqrt(q) - w * math.sqrt(p)) * (0.5 * math.sqrt(2.0**-j))
+        if 0 < j < level - 1:
+            p = (p + (u * u + c[2 * j - 2]) * 2.0**-j) * 0.5
+            q = (q + (w * w + c[2 * j - 1]) * 2.0**-j) * 0.5
+        elif j == 0:
+            p, q = (p + u * u) * 0.5, (q + w * w) * 0.5
+    return area
+
+
+def test_brownian_chain_stream_layout_pin():
+    for seed, level in ((11, 1), (11, 3), (2**63 + 3, 6), (5, 10)):
+        areas = sim.run_mc(brownian_config(seed=seed, n_samples=sim.BATCH + 3, level=level)).samples
+        for i in (0, 2, sim.BATCH + 2):
+            assert areas[i] == _chain_row_by_hand(seed, level, i), (seed, level, i)
+
+
+def test_brownian_chain_bits_do_not_depend_on_threads_counts_or_chunks(monkeypatch):
+    for level in (2, 10, 14):
+        large = brownian_config(seed=41, n_samples=2 * sim.BATCH + 333, level=level)
+        areas = sim.run_mc(large, threads=1).samples
+        for threads in (2, 3):
+            assert np.array_equal(sim.run_mc(large, threads=threads).samples, areas)
+        small = brownian_config(seed=41, n_samples=sim.BATCH + 3, level=level)
+        assert np.array_equal(sim.run_mc(small).samples, areas[: small.n_samples])
+        for elements in (64, 2**10, 2**17):
+            monkeypatch.setattr(sim, "CHUNK_ELEMENTS", elements)
+            assert np.array_equal(sim.run_mc(large).samples, areas), (level, elements)
+        monkeypatch.undo()
+
+
+def test_run_mc_route_is_read_off_the_kernel_kinds(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conditional route taken")
+
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(lk, "sign_product", forbidden)
+    assert sim.run_mc(brownian_config(seed=1, n_samples=50, level=12)).samples.shape == (50,)
+    # a Brownian process paired with fBm, and weighted kernels (diagonal Grams
+    # like the Brownian one), keep the conditional route
+    mixed = sim.MCConfig(seed=1, n_samples=5, level=4, kernel1=cov.brownian(),
+                         kernel2=cov.fractional_brownian(0.35))
+    for config in (mixed, weighted_config(seed=1, n_samples=5, level=4)):
+        with pytest.raises(AssertionError, match="conditional route taken"):
+            sim.run_mc(config)
+
+
+# ---------------------------------------------------------------------------
 # run_mc / empirical_cf
 # ---------------------------------------------------------------------------
 
 def test_run_mc_scratch_is_bounded():
     # one worker holds at most two chunk arrays of CHUNK_ELEMENTS floats at
     # once: the normal buffer, and one FFT of its rows or sign_product's slab
-    # product (at most one chunk); one more chunk
+    # product (at most one chunk); the Brownian chain's normals and
+    # chi-squares fill one chunk together; one more chunk
     # covers the samplers' vectors and small temporaries at these levels, and
     # run_mc adds the areas, into which it draws the xi
     n = 2 * sim.BATCH + 7
     bound = 3 * sim.CHUNK_ELEMENTS * 8 + 8 * n
     sim.run_mc(brownian_config(n_samples=1, level=1))  # lazy numpy imports are not scratch
     for config in (brownian_config(seed=3, n_samples=n, level=10),
+                   weighted_config(seed=3, n_samples=n, level=10),
                    fbm_config(seed=3, n_samples=n, level=12)):
         tracemalloc.start()
         try:
@@ -478,7 +565,7 @@ def test_run_mc_clamps_workers_to_batches(monkeypatch):
 def test_determinism_check_runs_a_thread_pool(monkeypatch):
     seen = _record_pool_sizes(monkeypatch)
     checks.check_mc_determinism()
-    assert seen == [3]
+    assert seen == [3, 3]  # one pool per route: the Brownian chain, then fBm
 
 
 def test_run_mc_fbm_variance_matches_exact_norm():
