@@ -32,7 +32,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 16
+SCHEMA_VERSION = 17
 
 
 def _fmt(x: float) -> str:
@@ -156,27 +156,18 @@ def _merge_config(args):
     return args
 
 
-def _resolve_kernel(spec, hurst):
+def _resolve_kernel(spec):
     if spec is None:
         raise argparse.ArgumentTypeError("a kernel spec is required (--kernel)")
-    if hurst is not None:
-        if "hurst=" in spec:
-            raise argparse.ArgumentTypeError(
-                f"--hurst {hurst} conflicts with the hurst= of kernel spec {spec!r}"
-            )
-        spec = f"{spec} hurst={hurst}"
-    kernel = cov.parse_kernel_spec(spec)
-    if hurst is not None and kernel.kind != cov.FBM:
-        raise argparse.ArgumentTypeError("--hurst only applies to fbm kernels")
-    return kernel
+    return cov.parse_kernel_spec(spec)
 
 
 def _resolve_pair(args):
     """Kernels of the two processes: one object when both take the same spec."""
     spec1 = args.kernel1 or args.kernel
     spec2 = args.kernel2 or args.kernel
-    k1 = _resolve_kernel(spec1, None)
-    return k1, k1 if spec2 == spec1 else _resolve_kernel(spec2, None)
+    k1 = _resolve_kernel(spec1)
+    return k1, k1 if spec2 == spec1 else _resolve_kernel(spec2)
 
 
 def _threads(args) -> int:
@@ -286,7 +277,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cf(args) -> int:
-    kernel = _resolve_kernel(args.kernel, args.hurst)
+    kernel = _resolve_kernel(args.kernel)
     stepped = kernel.kind in (cov.FBM, cov.TABULATED)
     if args.level is not None and not stepped:
         raise argparse.ArgumentTypeError(
@@ -321,28 +312,16 @@ def cmd_cf(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    """Operator spectrum and its symmetry audit.
+    """Level-n operator spectrum (--level, default 7) and its symmetry audit.
 
-    A Brownian kernel without --level takes the closed form
-    sp.brownian_spectrum on the midpoint grid g (--grid, default 256). Every
-    kernel with --level n (default 7 for non-Brownian kernels) takes the
-    level-n step-kernel spectrum of sp.general_spectrum, which for a
-    Brownian kernel is the same closed form at g = 2^n. No dense solve and
-    no clustering tolerance enter a Brownian spectrum.
+    sp.general_spectrum gives it for every kernel: for a Brownian kernel the
+    closed form on the midpoint grid g = 2^n, with no dense solve.
     """
-    kernel = _resolve_kernel(args.kernel, args.hurst)
-    if args.grid is not None and (kernel.kind != cov.BROWNIAN or args.level is not None):
-        raise argparse.ArgumentTypeError("--grid only applies to brownian kernels without --level")
-    if kernel.kind == cov.BROWNIAN and args.level is None:
-        grid = args.grid if args.grid is not None else 256
-        spectrum = sp.brownian_spectrum(grid)
-        route = {"route": "classical-midpoint", "grid": grid}
-    else:
-        level = args.level if args.level is not None else 7
-        spectrum = sp.general_spectrum(kernel, kernel, level)
-        route = {"route": "step-kernel", "level": level}
+    kernel = _resolve_kernel(args.kernel)
+    level = args.level if args.level is not None else 7
+    spectrum = sp.general_spectrum(kernel, kernel, level)
     report = sp.symmetry_check(spectrum)
-    echo = _echo("spectrum", kernel=cov.kernel_spec_string(kernel), **route)
+    echo = _echo("spectrum", kernel=cov.kernel_spec_string(kernel), level=level)
     summary = {
         "spectral_radius": spectrum.spectral_radius,
         "symmetry_ok": report.ok,
@@ -354,7 +333,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_pvar(args) -> int:
-    kernel = _resolve_kernel(args.kernel, args.hurst)
+    kernel = _resolve_kernel(args.kernel)
     if args.p in (None, "auto"):
         index = cov.variation_index(kernel)
         if index is None:
@@ -436,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="analytic / spectral characteristic function curves")
     common(p)
     p.add_argument("--kernel", required=False)
-    p.add_argument("--hurst", type=float)
     p.add_argument("--t", type=parse_range)
     p.add_argument("--pairs", type=int, help="classical spectrum truncation (pairs)")
     p.add_argument("--level", type=int, help="step-kernel level for non-classical kernels")
@@ -445,15 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="discretized operator spectrum + symmetry audit")
     common(p)
     p.add_argument("--kernel")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--grid", type=int, help="classical midpoint grid size")
-    p.add_argument("--level", type=int, help="step-kernel dyadic level")
+    p.add_argument("--level", type=int, help="step-kernel dyadic level (default 7)")
     p.set_defaults(fn=cmd_spectrum, parser=p)
 
     p = sub.add_parser("pvar", help="grid p-variation profile of a kernel")
     common(p)
     p.add_argument("--kernel")
-    p.add_argument("--hurst", type=float)
     p.add_argument("--p", help="variation exponent or 'auto'")
     p.add_argument("--level", type=int,
                    help="maximum grid level (default 10); the level Gram must fit "

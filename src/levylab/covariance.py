@@ -630,7 +630,6 @@ def parse_kernel_spec(text: str) -> CovKernel:
     kind = fields.pop("kind", None)
     if kind is None:
         raise ParameterError(f"kernel spec {text!r} does not name a kind")
-    kind = {"fractional": FBM, "fractionalbrownian": FBM}.get(kind, kind)
     if kind == BROWNIAN:
         _reject_extras(fields, text)
         return brownian()

@@ -80,15 +80,18 @@ sampling contract needs only independent streams per (seed, batch,
 process), and SFC64 fills normals about a third faster.)
 
 Work runs in row chunks. A chain chunk holds at most CHUNK_ELEMENTS draws,
-its normals in one reused buffer per worker. A conditional chunk's row
-count is set by the wider of the two factors, at most CHUNK_ELEMENTS
-normals: a worker draws process 1's normals into one reused buffer, the
-factor maps them to d1 and sign_product to h in place (with a temporary of
-at most half a chunk), and `quad` needs at most one more chunk-sized array
-(an FFT of the rows or the product h F). So the scratch memory of one
-worker is a small fixed multiple of CHUNK_ELEMENTS floats whatever the
-level or sample count; run_mc adds 8 bytes per sample for the areas, into
-which the xi are drawn.
+its normals in one reused buffer per worker. A conditional chunk has
+CHUNK_ELEMENTS // max(2^level, factor widths) rows (_chunk_rows), so both
+process 1's normals and its path d1 fit one chunk. A worker draws the
+normals into one reused buffer; the factor maps them to d1 in that buffer
+(diagonal) or through one new chunk-sized array (the circulant's FFT of
+the rows, a table's product z F^T); sign_product forms h in d1's memory
+with a temporary of one slab of at most 32 rows, which is the whole chunk
+when the chunk has no more rows (weighted at level 14: 4 rows of 16384);
+and `quad` needs at most one more chunk-sized array (an FFT of the rows
+or the product h F). So the scratch memory of one worker is a small fixed
+multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
+run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
 """
 from __future__ import annotations
 
@@ -152,12 +155,14 @@ def _samplers(config: MCConfig):
     return [first, cov.level_gram(config.kernel2, config.level).factor()]
 
 
-def _chunk_rows(samplers) -> int:
-    """Rows per work chunk; a power of two dividing BATCH, fixed per config.
+def _chunk_rows(samplers, level: int) -> int:
+    """Rows per work chunk, fixed per config: CHUNK_ELEMENTS over the widest
+    row, the 2^level cells of a path or a factor's normals, at most BATCH.
 
-    Factors of width 0 (zero processes) draw no normals and count as width 1.
+    That is a power of two dividing BATCH unless a table's rank r exceeds
+    2^level (then CHUNK_ELEMENTS // r rows, at least one).
     """
-    width = max(1, *(s.width for s in samplers))
+    width = max(2**level, *(s.width for s in samplers))
     return max(1, min(BATCH, CHUNK_ELEMENTS // width))
 
 
@@ -178,7 +183,7 @@ def sample_paths(config: MCConfig):
     sample's bits. Materializes everything; intended for moderate n_samples.
     """
     samplers = _samplers(config)
-    rows = _chunk_rows(samplers)
+    rows = _chunk_rows(samplers, config.level)
     shape = (config.n_samples, 2**config.level)
     outs = np.empty(shape), np.empty(shape)
     for batch_start in range(0, config.n_samples, BATCH):
@@ -307,7 +312,7 @@ def _conditional_chunks(config: MCConfig):
         inc1 = sampler1.apply(_fill(paths, buf, len(out)))
         _conditional_areas(inc1, sampler2, scalars.standard_normal(out=out))
 
-    return _chunk_rows((sampler1, sampler2)), sampler1.width, chunk
+    return _chunk_rows((sampler1, sampler2), config.level), sampler1.width, chunk
 
 
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:

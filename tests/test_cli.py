@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from levylab import levy_kernel as lk
 from levylab import pvariation as pv
 from levylab import simulate as sim
 from levylab import spectral as sp
-from levylab.errors import ResourceError
 from test_covariance import off_mesh_table_lines
 from test_simulate import DENSE_TOP
 
@@ -148,20 +148,29 @@ def test_oversized_ranges_exit_2(tmp_path, monkeypatch):
         assert not (out / "cf.csv").exists(), t
 
 
-def test_hurst_flag_conflicting_with_the_spec_exits_2(tmp_path):
-    for command in ("cf", "spectrum", "pvar"):
-        out = tmp_path / command
-        argv = [command, "--kernel", "fbm hurst=0.3", "--hurst", 0.4, "--level", 3]
-        assert run_cli(argv + ["--out", out]) == 2, command
-        assert not (out / "summary.json").exists(), command
-        config = tmp_path / f"{command}.cfg"
-        config.write_text("hurst=0.4\n")
-        argv = [command, "--kernel", "kind=fbm hurst=0.3", "--level", 3, "--config", config]
-        assert run_cli(argv + ["--out", out]) == 2, command
-        # the flag alone still supplies the Hurst index
-        assert run_cli([command, "--kernel", "fbm", "--hurst", 0.4, "--level", 3,
-                        "--out", out]) == 0, command
-        assert json.loads((out / "summary.json").read_text())["kernel"] == "kind=fbm hurst=0.4"
+#: the retired spellings as (argv, config-file line or None): a Hurst index is
+#: spelled only in the kernel spec, fBm only as fbm and a spectrum's size only
+#: as --level
+RETIRED = (
+    [([c, "--kernel", "fbm", "--hurst", 0.4, "--level", 3], None)
+     for c in ("cf", "spectrum", "pvar")]
+    + [([c, "--kernel", "fbm", "--level", 3], "hurst=0.4") for c in ("cf", "spectrum", "pvar")]
+    + [(["spectrum", "--kernel", "brownian", "--grid", 64], None),
+       (["spectrum", "--kernel", "brownian"], "grid=64")]
+    + [([c, "--kernel", f"kind={kind} hurst=0.3", "--level", 3], None)
+       for kind in ("fractional", "fractionalbrownian") for c in ("cf", "spectrum", "pvar")]
+)
+
+
+@pytest.mark.parametrize("argv, line", RETIRED)
+def test_retired_spellings_exit_2(tmp_path, argv, line):
+    if line is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        argv = [*argv, "--config", config]
+    out = tmp_path / "out"
+    assert flag_exit_code([*argv, "--out", out]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +223,7 @@ def test_cf_echoes_the_level_it_uses(tmp_path):
 
 def test_cf_fbm_spectrum_route(tmp_path):
     assert run_cli([
-        "cf", "--kernel", "fbm", "--hurst", 0.4, "--t", "0,1", "--level", 5, "--out", tmp_path,
+        "cf", "--kernel", "fbm hurst=0.4", "--t", "0,1", "--level", 5, "--out", tmp_path,
     ]) == 0
     _, _, rows = read_csv(tmp_path / "cf.csv")
     assert float(rows[0][1]) == 1.0
@@ -264,7 +273,7 @@ def test_cf_at_the_largest_arguments_is_finite(tmp_path):
 
 def test_pvar_auto_exponent(tmp_path):
     assert run_cli([
-        "pvar", "--kernel", "fbm", "--hurst", 0.35, "--p", "auto", "--out", tmp_path,
+        "pvar", "--kernel", "fbm hurst=0.35", "--p", "auto", "--out", tmp_path,
     ]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["p"] == pytest.approx(1.0 / 0.7)
@@ -515,7 +524,7 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert "jitter_rung" not in summary and summary["schema_version"] == 16
+            assert "jitter_rung" not in summary and summary["schema_version"] == 17
     assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -573,7 +582,7 @@ def test_zero_weight_spectrum_lists_exact_zeros(tmp_path):
 
 
 def test_spectrum_classical(tmp_path):
-    assert run_cli(["spectrum", "--kernel", "brownian", "--grid", 128, "--out", tmp_path]) == 0
+    assert run_cli(["spectrum", "--kernel", "brownian", "--out", tmp_path]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["symmetry_ok"] is True
     assert summary["spectral_radius"] == pytest.approx(1.0 / np.pi, rel=0.01)
@@ -588,18 +597,14 @@ def test_brownian_spectrum_takes_no_dense_solve(tmp_path, monkeypatch):
 
     for name in ("eigvalsh", "svd", "cholesky"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    cases = [(["--grid", 16], 16, "route=classical-midpoint grid=16"),
-             (["--grid", 5], 5, "route=classical-midpoint grid=5"),
-             (["--grid", 2], 2, "route=classical-midpoint grid=2"),
-             (["--grid", 3], 3, "route=classical-midpoint grid=3"),
-             (["--level", 3], 8, "route=step-kernel level=3"),
-             ([], 256, "route=classical-midpoint grid=256")]
-    for i, (flags, grid, route) in enumerate(cases):
+    # the closed form on the midpoint grid g = 2^level, level 7 by default
+    cases = [(["--level", 1], 1), (["--level", 3], 3), (["--level", 8], 8), ([], 7)]
+    for i, (flags, level) in enumerate(cases):
         out = tmp_path / str(i)
         assert run_cli(["spectrum", "--kernel", "brownian", *flags, "--out", out]) == 0, flags
         echo, rest = (out / "spectrum.csv").read_text().split("\n", 1)
-        assert echo.endswith(f"kind=brownian {route}"), echo
-        assert rest == csv_body("alpha,multiplicity", sp.brownian_spectrum(grid).entries), flags
+        assert echo.endswith(f"kind=brownian level={level}"), echo
+        assert rest == csv_body("alpha,multiplicity", sp.brownian_spectrum(2**level).entries)
         assert json.loads((out / "summary.json").read_text())["symmetry_ok"] is True
 
 
@@ -623,37 +628,6 @@ def test_spectrum_numerical_error_exit_code(tmp_path):
         "spectrum", "--kernel", f"kind=tabulated path={table}", "--level", 3, "--out", tmp_path,
     ])
     assert code == 3
-
-
-def test_spectrum_grid_above_cap_exits_2(tmp_path, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("midpoint operator solved above the grid cap")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    grid = 2**sp.MAX_OPERATOR_LEVEL + 1
-    with pytest.raises(ResourceError):
-        checks.discretize_classical_operator(grid)
-    out = tmp_path / "out"
-    assert run_cli(["spectrum", "--kernel", "brownian", "--grid", grid, "--out", out]) == 2
-    assert not (out / "spectrum.csv").exists()
-
-
-def test_spectrum_rejects_grid_where_it_is_not_read(tmp_path, capsys):
-    # --grid sizes only the Brownian midpoint operator, which --level replaces
-    cases = [
-        ["--kernel", "fbm hurst=0.35", "--grid", 64],
-        ["--kernel", "brownian", "--grid", 64, "--level", 3],
-    ]
-    for i, argv in enumerate(cases):
-        out = tmp_path / f"flag{i}"
-        assert run_cli(["spectrum", *argv, "--out", out]) == 2, argv
-        assert "--grid" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir()), argv
-        config = tmp_path / f"run{i}.cfg"
-        config.write_text("grid=64\n")
-        out = tmp_path / f"config{i}"
-        assert run_cli(["spectrum", *argv[:2], *argv[4:], "--config", config, "--out", out]) == 2
-        assert not out.exists() or not any(out.iterdir()), argv
 
 
 def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -745,7 +719,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 16
+    assert summary["schema_version"] == 17
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -796,8 +770,8 @@ def test_config_values_are_validated_like_flags(tmp_path):
         out = tmp_path / "bad"
         assert run_cli(["simulate", "--config", config, "--out", out]) == 2, extra
         assert not (out / "cf.csv").exists(), extra
-    # keys belong to the subcommand: simulate takes no --hurst
-    config.write_text(base + "hurst=0.3\n")
+    # keys belong to the subcommand: simulate takes no --p
+    config.write_text(base + "p=2\n")
     assert run_cli(["simulate", "--config", config, "--out", tmp_path / "h"]) == 2
 
 
@@ -823,7 +797,7 @@ def test_tables_are_the_library_csv(tmp_path):
     cases = [
         (["spectrum", "--kernel", "fbm hurst=0.35", "--level", 4], "spectrum.csv",
          csv_body("alpha,multiplicity", sp.general_spectrum(fbm, fbm, 4).entries)),
-        (["spectrum", "--kernel", "brownian", "--grid", 16], "spectrum.csv",
+        (["spectrum", "--kernel", "brownian", "--level", 4], "spectrum.csv",
          csv_body("alpha,multiplicity", sp.brownian_spectrum(16).entries)),
         (["cauchy", "--kernel", "fbm hurst=0.35", "--levels", "1:4"], "cauchy.csv",
          csv_body("n,m,norm_sq,refine,flag",
@@ -838,6 +812,26 @@ def test_tables_are_the_library_csv(tmp_path):
         echo, rest = (out / name).read_text().split("\n", 1)
         assert echo.startswith(f"# schema_version={cli.SCHEMA_VERSION} command={argv[0]} ")
         assert rest == body, argv
+
+
+def readme_command_lines():
+    """The argv of each `levylab` line of the README's CLI block, continuations joined."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("levylab ")]
+
+
+def test_readme_cli_examples_parse():
+    # a retired flag or kernel spelling in the README fails here
+    commands = readme_command_lines()
+    assert {argv[0] for argv in commands} == {"simulate", "cf", "spectrum", "pvar", "cauchy",
+                                             "check"}
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        for spec in (getattr(args, key, None) for key in ("kernel", "kernel1", "kernel2")):
+            if spec is not None:
+                cov.parse_kernel_spec(spec)
 
 
 def readme_tables():
@@ -897,7 +891,7 @@ def same_value(cell, value):
     ["cf", "--kernel", "brownian", "--pairs", 20, "--t", "0,1,1e200"],
     ["cf", "--kernel", "kind=weighted degree=0 coeff=100", "--t", "0,0.01,3"],
     ["cf", "--kernel", "fbm hurst=0.35", "--level", 4, "--t=-1,0,1"],
-    ["spectrum", "--kernel", "brownian", "--grid", 5],
+    ["spectrum", "--kernel", "brownian", "--level", 3],
     ["spectrum", "--kernel", "kind=weighted degree=1", "--level", 3],
     ["pvar", "--kernel", "kind=fbm hurst=0.75", "--p", "auto", "--level", 6],
     ["cauchy", "--kernel1", "brownian", "--kernel2", "fbm hurst=0.35", "--levels", "1:4"],

@@ -359,7 +359,7 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
     for config, (paths, areas) in zip(configs, reference):
         width = max(s.width for s in sim._samplers(config))
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 4 * width)
-        assert sim._chunk_rows(sim._samplers(config)) == 4
+        assert sim._chunk_rows(sim._samplers(config), config.level) == 4
         for a, b in zip(sim.sample_paths(config), paths):
             assert np.array_equal(a, b)
         assert np.array_equal(sim.run_mc(config).samples, areas)
@@ -402,7 +402,7 @@ def test_sample_paths_rows_give_the_run_mc_areas():
     # run_mc draws each area given process 1's path, which is the sample_paths
     # row, from the next normal of stream 2 b + 1
     config = weighted_config(seed=19, n_samples=sim.BATCH + 5, level=10)
-    assert sim._chunk_rows(sim._samplers(config)) < sim.BATCH // 8
+    assert sim._chunk_rows(sim._samplers(config), config.level) < sim.BATCH // 8
     inc1, inc2 = sim.sample_paths(config)
     assert np.array_equal(_one_row_areas(config), sim.run_mc(config).samples)
     again = sim.sample_paths(config)
@@ -494,17 +494,20 @@ def test_run_mc_route_is_read_off_the_kernel_kinds(monkeypatch):
 
 def test_run_mc_scratch_is_bounded():
     # one worker holds at most two chunk arrays of CHUNK_ELEMENTS floats at
-    # once: the normal buffer, and one FFT of its rows or sign_product's slab
-    # product (at most one chunk); the Brownian chain's normals and
-    # chi-squares fill one chunk together; one more chunk
+    # once: the normal buffer or a table's path d1 = z F^T, and one FFT of its
+    # rows or sign_product's slab product (at most one chunk); the Brownian
+    # chain's normals and chi-squares fill one chunk together; one more chunk
     # covers the samplers' vectors and small temporaries at these levels, and
-    # run_mc adds the areas, into which it draws the xi
+    # run_mc adds the areas, into which it draws the xi. A 16-step table's
+    # factor is only N x 16, so its chunk rows are set by the N-wide path
     n = 2 * sim.BATCH + 7
     bound = 3 * sim.CHUNK_ELEMENTS * 8 + 8 * n
+    table = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 16)
     sim.run_mc(brownian_config(n_samples=1, level=1))  # lazy numpy imports are not scratch
     for config in (brownian_config(seed=3, n_samples=n, level=10),
                    weighted_config(seed=3, n_samples=n, level=10),
-                   fbm_config(seed=3, n_samples=n, level=12)):
+                   fbm_config(seed=3, n_samples=n, level=12),
+                   sim.MCConfig(seed=3, n_samples=n, level=10, kernel1=table, kernel2=table)):
         tracemalloc.start()
         try:
             sim.run_mc(config, threads=1)
