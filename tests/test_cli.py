@@ -12,6 +12,7 @@ from levylab import levy_kernel as lk
 from levylab import pvariation as pv
 from levylab import simulate as sim
 from levylab import spectral as sp
+from levylab.errors import ResourceError
 from test_covariance import off_mesh_table_lines
 from test_simulate import DENSE_TOP
 
@@ -628,6 +629,25 @@ def test_spectrum_numerical_error_exit_code(tmp_path):
         "spectrum", "--kernel", f"kind=tabulated path={table}", "--level", 3, "--out", tmp_path,
     ])
     assert code == 3
+
+
+def test_spectrum_grid_above_cap_exits_2(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("midpoint operator solved above the grid cap")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    grid = 2**sp.MAX_OPERATOR_LEVEL + 1
+    with pytest.raises(ResourceError):
+        checks.discretize_classical_operator(grid)
+    with pytest.raises(ResourceError):
+        sp.brownian_spectrum(grid)
+    # the spectrum's midpoint grid is 2^level, so one level above the cap is
+    # the first grid past it; the retired --grid spelling is refused outright
+    for i, flags in enumerate([["--level", sp.MAX_OPERATOR_LEVEL + 1], ["--grid", grid]]):
+        out = tmp_path / str(i)
+        argv = ["spectrum", "--kernel", "brownian", *flags, "--out", out]
+        assert flag_exit_code(argv) == 2, flags
+        assert not (out / "spectrum.csv").exists()
 
 
 def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -154,8 +154,6 @@ def test_classical_operator_shape_and_symmetry():
     assert np.array_equal(np.diagonal(m), np.zeros(32))
     with pytest.raises(ParameterError):
         checks.discretize_classical_operator(3)
-    with pytest.raises(ResourceError):
-        checks.discretize_classical_operator(2**sp.MAX_OPERATOR_LEVEL + 1)
 
 
 def test_classical_operator_eigenvalues():
