@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Subcommands: simulate, cf, spectrum, pvar, cauchy, check. Options may come
-from flags or from a key=value config file (flags win). Grids use the range
-syntax a:b:step (inclusive of the endpoint up to rounding) or a comma list;
-integer level ranges accept a:b. Artifacts are CSV tables plus a JSON
-summary; every artifact embeds the semantic config echo (command, kernels,
-seed, sizes) so runs are reproducible from their outputs alone. One writer,
-_write_table, renders every table, and one value rule, _cell, formats every
-CSV cell and echo list. Execution
-knobs (thread count, output paths) are deliberately not part of the echo:
-outputs are bit-identical for the same config and seed at any --threads.
+Subcommands: simulate, cf, spectrum, pvar, cauchy, check. Options come from
+flags only. Grids use the range syntax a:b:step (inclusive of the endpoint
+up to rounding) or a comma list; integer level ranges accept a:b. Each table
+command writes its CSV table and summary.json into --out (default .); every
+artifact embeds the semantic config echo (command, kernels, seed, sizes) so
+runs are reproducible from their outputs alone. One writer, _write_table,
+renders every table, and one value rule, _cell, formats every CSV cell and
+echo list. The thread count and the output directory are deliberately not
+part of the echo: outputs are bit-identical for the same config and seed at
+any --threads.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 numerical error.
 """
@@ -98,64 +98,6 @@ def _finite(token: str) -> float:
     return value
 
 
-def _read_config_file(path):
-    values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise argparse.ArgumentTypeError(f"config line without '=': {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key in values:
-            raise argparse.ArgumentTypeError(f"config key {key} is repeated in {path}")
-        values[key] = val.strip()
-    return values
-
-
-def _config_value(action, key, raw):
-    """Convert and check a config-file value as argparse would the flag's."""
-    if action.nargs == 0:  # an on/off flag such as --emit-samples
-        if raw.lower() in ("1", "true", "yes"):
-            return action.const
-        if raw.lower() in ("0", "false", "no"):
-            return action.default
-        raise argparse.ArgumentTypeError(
-            f"config key {key}: expected true or false, got {raw!r}"
-        )
-    try:
-        value = action.type(raw) if action.type else raw
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"config key {key}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise argparse.ArgumentTypeError(
-            f"config key {key}: {raw!r} is not one of {', '.join(map(str, action.choices))}"
-        )
-    return value
-
-
-def _merge_config(args):
-    """Fill argparse gaps from the config file; flags always win.
-
-    Keys are the subcommand's own option names, and every value goes through
-    that option's argparse type and choices.
-    """
-    if not getattr(args, "config", None):
-        return args
-    fields = _read_config_file(args.config)
-    actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
-    unknown = set(fields) - set(actions)
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown config keys {sorted(unknown)} for {args.command}"
-        )
-    for key, raw in fields.items():
-        if getattr(args, key) is None:
-            setattr(args, key, _config_value(actions[key], key, raw))
-    return args
-
-
 def _resolve_kernel(spec):
     if spec is None:
         raise argparse.ArgumentTypeError("a kernel spec is required (--kernel)")
@@ -216,46 +158,36 @@ def _sample_blocks(samples):
         yield "".join(["%d,%.17g\n" % row for row in enumerate(block, start)])
 
 
-def _write_table(args, echo: dict, name: str, key: str, columns, rows, summary: dict,
-                 repeat=()):
+def _write_table(args, echo: dict, name: str, columns, rows, summary: dict, repeat=()):
     """Write a table (column names, rows of plain values) and summary.json.
 
-    CSV: file `name` holds the echo line, the header and the rows, cells by
+    File `name` holds the echo line, the header and the rows, cells by
     _cell, with the summary fields named in `repeat` as trailing constant
-    columns. JSON: summary.json holds the rows under `key`, one object each.
-    summary.json is strict JSON: an infinite or nan float is written as the
-    string its CSV cell holds ("inf", "-inf", "nan").
+    columns. summary.json holds the echo and the summary fields; it is
+    strict JSON: an infinite or nan float is written as the string its CSV
+    cell holds ("inf", "-inf", "nan").
     """
-    if args.format == "json":
-        summary = {**summary, key: [dict(zip(columns, row)) for row in rows]}
-    else:
-        tail = tuple(summary[field] for field in repeat)
-        lines = (",".join(map(_cell, (*row, *tail))) for row in rows)
-        _write_csv(_out_path(args, name), echo,
-                   (f"{line}\n" for line in (",".join((*columns, *repeat)), *lines)))
+    tail = tuple(summary[field] for field in repeat)
+    lines = (",".join(map(_cell, (*row, *tail))) for row in rows)
+    _write_csv(_out_path(args, name), echo,
+               (f"{line}\n" for line in (",".join((*columns, *repeat)), *lines)))
     doc = json.dumps(_json_value({**echo, **summary}), sort_keys=True, indent=2,
                      allow_nan=False)
     _out_path(args, "summary.json").write_text(doc + "\n", encoding="utf-8")
 
 
 def _out_path(args, name: str) -> Path:
-    prefix = args.prefix or ""
-    out_dir = Path(args.out or ".")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / f"{prefix}{name}"
+    return out_dir / name
 
 
 def cmd_simulate(args) -> int:
     threads = _threads(args)
     k1, k2 = _resolve_pair(args)
     config = sim.MCConfig(
-        seed=args.seed if args.seed is not None else 0,
-        n_samples=args.samples if args.samples is not None else 10_000,
-        level=args.level if args.level is not None else 8,
-        kernel1=k1,
-        kernel2=k2,
+        seed=args.seed, n_samples=args.samples, level=args.level, kernel1=k1, kernel2=k2,
     )
-    t_grid = args.t if args.t is not None else parse_range("0:3:0.5")
     echo = _echo(
         "simulate",
         kernel1=cov.kernel_spec_string(k1),
@@ -263,15 +195,15 @@ def cmd_simulate(args) -> int:
         seed=config.seed,
         samples=config.n_samples,
         level=config.level,
-        t=[float(t) for t in t_grid],
+        t=[float(t) for t in args.t],
     )
     result = sim.run_mc(config, threads=threads)
-    ecf = sim.empirical_cf(result, t_grid)
+    ecf = sim.empirical_cf(result, args.t)
     rows = list(zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
                     ecf.estimates.imag.tolist(), ecf.std_errors.tolist()))
-    _write_table(args, echo, "cf.csv", "cf", ("t", "re", "im", "stderr"), rows,
+    _write_table(args, echo, "cf.csv", ("t", "re", "im", "stderr"), rows,
                  {"mean": result.mean, "variance": result.variance})
-    if args.format == "csv" and args.emit_samples:
+    if args.emit_samples:
         _write_csv(_out_path(args, "samples.csv"), echo, _sample_blocks(result.samples))
     return 0
 
@@ -286,27 +218,26 @@ def cmd_cf(args) -> int:
         )
     if args.pairs is not None and kernel.kind != cov.BROWNIAN:
         raise argparse.ArgumentTypeError("--pairs only applies to brownian kernels")
-    t_grid = args.t if args.t is not None else parse_range("0:3:0.1")
     pairs = args.pairs if args.pairs is not None else 10_000
     level = args.level if args.level is not None else 7
     echo = _echo(
         "cf",
         kernel=cov.kernel_spec_string(kernel),
-        t=[float(t) for t in t_grid],
+        t=[float(t) for t in args.t],
         pairs=pairs if kernel.kind == cov.BROWNIAN else None,
         level=level if stepped else None,
     )
     if kernel.kind == cov.WEIGHTED:
         norm_sq = kernel.weight.norm_sq
-        rows = [(float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0) for t in t_grid]
+        rows = [(float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0) for t in args.t]
     else:
         if kernel.kind == cov.BROWNIAN:
             spectrum = sp.classical_spectrum(pairs)
         else:
             spectrum = sp.general_spectrum(kernel, kernel, level)
         rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
-                for r in sp.cf_curve(spectrum, t_grid)]
-    _write_table(args, echo, "cf.csv", "cf", ("t", "re", "im", "tail_bound"), rows,
+                for r in sp.cf_curve(spectrum, args.t)]
+    _write_table(args, echo, "cf.csv", ("t", "re", "im", "tail_bound"), rows,
                  {"n_points": len(rows)})
     return 0
 
@@ -318,23 +249,22 @@ def cmd_spectrum(args) -> int:
     closed form on the midpoint grid g = 2^n, with no dense solve.
     """
     kernel = _resolve_kernel(args.kernel)
-    level = args.level if args.level is not None else 7
-    spectrum = sp.general_spectrum(kernel, kernel, level)
+    spectrum = sp.general_spectrum(kernel, kernel, args.level)
     report = sp.symmetry_check(spectrum)
-    echo = _echo("spectrum", kernel=cov.kernel_spec_string(kernel), level=level)
+    echo = _echo("spectrum", kernel=cov.kernel_spec_string(kernel), level=args.level)
     summary = {
         "spectral_radius": spectrum.spectral_radius,
         "symmetry_ok": report.ok,
         "symmetry_violations": list(report.violations),
     }
-    _write_table(args, echo, "spectrum.csv", "spectrum",
-                 ("alpha", "multiplicity"), spectrum.entries, summary)
+    _write_table(args, echo, "spectrum.csv", ("alpha", "multiplicity"), spectrum.entries,
+                 summary)
     return 0
 
 
 def cmd_pvar(args) -> int:
     kernel = _resolve_kernel(args.kernel)
-    if args.p in (None, "auto"):
+    if args.p == "auto":
         index = cov.variation_index(kernel)
         if index is None:
             raise argparse.ArgumentTypeError(
@@ -343,22 +273,21 @@ def cmd_pvar(args) -> int:
         p = index
     else:
         p = float(args.p)
-    max_level = args.level if args.level is not None else 10
-    profile = pv.variation_profile(kernel, p, max_level)
-    echo = _echo("pvar", kernel=cov.kernel_spec_string(kernel), p=float(p), max_level=max_level)
-    _write_table(args, echo, "pvar.csv", "levels", ("level", "estimate"), profile.levels,
+    profile = pv.variation_profile(kernel, p, args.level)
+    echo = _echo("pvar", kernel=cov.kernel_spec_string(kernel), p=float(p),
+                 max_level=args.level)
+    _write_table(args, echo, "pvar.csv", ("level", "estimate"), profile.levels,
                  {"p": float(p), "verdict": profile.verdict}, repeat=("verdict",))
     return 0
 
 
 def cmd_cauchy(args) -> int:
     k1, k2 = _resolve_pair(args)
-    levels = args.levels or parse_range("1:6")
-    if not all(float(v).is_integer() for v in levels):
+    if not all(float(v).is_integer() for v in args.levels):
         raise argparse.ArgumentTypeError(
-            f"levels must be integers, got {','.join(map(_fmt, levels))}"
+            f"levels must be integers, got {','.join(map(_fmt, args.levels))}"
         )
-    levels = [int(v) for v in levels]
+    levels = [int(v) for v in args.levels]
     table = lk.cauchy_table(levels, k1, k2)
     echo = _echo(
         "cauchy",
@@ -367,7 +296,7 @@ def cmd_cauchy(args) -> int:
         levels=levels,
     )
     rows = [(n, m, norm.value, norm.refine) for n, m, norm in table.rows]
-    _write_table(args, echo, "cauchy.csv", "rows", ("n", "m", "norm_sq", "refine"), rows,
+    _write_table(args, echo, "cauchy.csv", ("n", "m", "norm_sq", "refine"), rows,
                  {"slope": table.slope, "flag": table.flag}, repeat=("flag",))
     return 0
 
@@ -392,10 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--prefix", help="artifact filename prefix")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--out", default=".", help="output directory (default .)")
 
     p = sub.add_parser("simulate", help="Monte Carlo areas and empirical CF")
     common(p)
@@ -404,48 +330,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", help="kernel spec for both processes")
     p.add_argument("--kernel1")
     p.add_argument("--kernel2")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--t", type=parse_range, help="CF argument grid a:b:step or list")
-    p.add_argument("--emit-samples", action="store_const", const=True,
-                   dest="emit_samples", default=None)
-    p.set_defaults(fn=cmd_simulate, parser=p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--t", type=parse_range, default="0:3:0.5",
+                   help="CF argument grid a:b:step or list (default 0:3:0.5)")
+    p.add_argument("--emit-samples", action="store_true", help="also write samples.csv")
+    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("cf", help="analytic / spectral characteristic function curves")
     common(p)
     p.add_argument("--kernel", required=False)
-    p.add_argument("--t", type=parse_range)
-    p.add_argument("--pairs", type=int, help="classical spectrum truncation (pairs)")
-    p.add_argument("--level", type=int, help="step-kernel level for non-classical kernels")
-    p.set_defaults(fn=cmd_cf, parser=p)
+    p.add_argument("--t", type=parse_range, default="0:3:0.1",
+                   help="CF argument grid a:b:step or list (default 0:3:0.1)")
+    p.add_argument("--pairs", type=int,
+                   help="classical spectrum truncation, brownian only (default 10000)")
+    p.add_argument("--level", type=int,
+                   help="step-kernel level, fbm and tabulated only (default 7)")
+    p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("spectrum", help="discretized operator spectrum + symmetry audit")
     common(p)
     p.add_argument("--kernel")
-    p.add_argument("--level", type=int, help="step-kernel dyadic level (default 7)")
-    p.set_defaults(fn=cmd_spectrum, parser=p)
+    p.add_argument("--level", type=int, default=7, help="step-kernel dyadic level (default 7)")
+    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("pvar", help="grid p-variation profile of a kernel")
     common(p)
     p.add_argument("--kernel")
-    p.add_argument("--p", help="variation exponent or 'auto'")
-    p.add_argument("--level", type=int,
+    p.add_argument("--p", default="auto", help="variation exponent or 'auto' (default)")
+    p.add_argument("--level", type=int, default=10,
                    help="maximum grid level (default 10); the level Gram must fit "
                         "covariance.MAX_GRAM_BYTES: at most 24 for brownian and "
                         "weighted kernels, 23 for fbm, 12 for tabulated")
-    p.set_defaults(fn=cmd_pvar, parser=p)
+    p.set_defaults(fn=cmd_pvar)
 
     p = sub.add_parser("cauchy", help="inter-level chaos distances with decay fit")
     common(p)
     p.add_argument("--kernel")
     p.add_argument("--kernel1")
     p.add_argument("--kernel2")
-    p.add_argument("--levels", type=parse_range, help="level ladder a:b")
-    p.set_defaults(fn=cmd_cauchy, parser=p)
+    p.add_argument("--levels", type=parse_range, default="1:6",
+                   help="level ladder a:b (default 1:6)")
+    p.set_defaults(fn=cmd_cauchy)
 
     p = sub.add_parser("check", help="run the full invariant suite")
-    p.set_defaults(fn=cmd_check, parser=p)
+    p.set_defaults(fn=cmd_check)
 
     return parser
 
@@ -454,9 +384,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _merge_config(args)
-        if getattr(args, "format", None) is None:
-            args.format = "csv"
         return args.fn(args)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -97,7 +97,7 @@ class CovKernel:
                 raise ParameterError(
                     f"tabulated kernel has {int(np.sum(~np.isfinite(t)))} non-finite values"
                 )
-            asym = float(np.max(np.abs(t - t.T)))  # Cholesky would read one triangle only
+            asym = float(np.max(np.abs(t - t.T)))  # eigh of the mesh Gram reads one triangle only
             if asym > 1e-12 * float(np.max(np.abs(t))):
                 raise ParameterError(
                     f"tabulated kernel is not symmetric: max|R(s,t) - R(t,s)| = {asym:.3e}"

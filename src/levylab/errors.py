@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package.
 
 Usage errors (bad arguments, bad partitions, malformed input) derive from
-ValueError; numerical failures (factorizations, singular Gram matrices)
-derive from RuntimeError so callers can map them to distinct exit codes.
+ValueError; numerical failures (an indefinite embedding or table, a LAPACK
+routine that fails, a result that overflows a float) derive from
+RuntimeError so callers can map them to distinct exit codes.
 """
 
 
@@ -27,4 +28,4 @@ class ResourceError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed beyond its recovery ladder."""
+    """A numerical routine failed or produced a non-finite result from accepted input."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 
 def kernel_eval(s: float, i: int, t: float, j: int) -> float:
@@ -154,7 +154,9 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     symmetric, and both factors are prefix sums over fresh level Grams.
     Every level Gram is positive semidefinite (level_gram refuses an
     indefinite table), so the trace is ||G_1^{1/2} S G_2^{1/2}||_F^2 >= 0
-    and a negative rounding of it reads 0.
+    and a negative rounding of it reads 0. A contraction that is not finite
+    (Grams too large for their products to fit a float) raises
+    NumericalError.
     """
     x1 = sign_product(cov.level_gram(r1, level).dense(), blocks)
     if r2 is r1:
@@ -162,8 +164,11 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     else:
         x2 = sign_product(cov.level_gram(r2, level).dense(), blocks)
         terms = np.multiply(x1, x2.T, out=x1)
+    total = float(np.sum(terms))
+    if not math.isfinite(total):
+        raise NumericalError(f"the level-{level} chaos-norm contraction is {total}")
     # 0.0 - sum: an exact zero is +0.0, never -0.0
-    return 2.0 * max(0.0 - float(np.sum(terms)), 0.0)
+    return 2.0 * max(0.0 - total, 0.0)
 
 
 def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 #: relative tolerance deciding that a profile has stabilized
 PROFILE_TOL = 1e-3
@@ -77,10 +77,14 @@ def v2p_grid(kernel, p: float, level: int) -> float:
     increments are the entries of the level Gram, so the sum takes O(N) time
     and memory for diagonal and Toeplitz Grams. cov.level_gram bounds the
     level by the Gram's structure before it is built: 24 for Brownian and
-    weighted kernels, 23 for fBm, 12 for tabulated kernels.
+    weighted kernels, 23 for fBm, 12 for tabulated kernels. A sum that is
+    not finite (|increment|^p above the largest float) raises NumericalError.
     """
     _require_exponent(p)
-    return cov.level_gram(kernel, level).abs_power_sum(p) ** (1.0 / p)
+    total = cov.level_gram(kernel, level).abs_power_sum(p)
+    if not math.isfinite(total):
+        raise NumericalError(f"the level-{level} sum of |increment|^{p:g} is {total}")
+    return total ** (1.0 / p)
 
 
 @dataclass(frozen=True)

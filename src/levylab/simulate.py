@@ -102,7 +102,7 @@ import numpy as np
 
 from . import covariance as cov
 from . import levy_kernel as lk
-from .errors import ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
@@ -324,7 +324,9 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     processed in fixed-size row chunks; the thread count (clamped to the
     number of batches) changes only the scheduling, never the batch streams
     or the reduction order, so the samples array is bit-identical for any
-    `threads`.
+    `threads`. An area that is not finite raises NumericalError: the
+    conditional route's h^T G2 h is the square of an area's scale, so it
+    overflows for areas above about 1e154.
     """
     if config.kernel1.kind == config.kernel2.kind == cov.BROWNIAN:
         rows, width, chunk = _chain_chunks(config.level)
@@ -347,6 +349,11 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     else:
         for start in starts:
             work(start)
+    if not np.all(np.isfinite(areas)):
+        raise NumericalError(
+            f"{int(np.sum(~np.isfinite(areas)))} of {config.n_samples} areas are not finite "
+            "(the kernels' scale overflows a float)"
+        )
     mean = float(np.mean(areas))
     variance = float(np.var(areas, ddof=1)) if config.n_samples > 1 else 0.0
     return MCResult(samples=areas, mean=mean, variance=variance, config=config)

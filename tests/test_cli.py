@@ -85,11 +85,6 @@ def test_non_finite_cf_arguments_exit_2(tmp_path):
         out = tmp_path / f"flag{i}"
         assert flag_exit_code(argv + ["--t", t, "--out", out]) == 2, argv
         assert not (out / "cf.csv").exists(), argv
-        config = tmp_path / f"run{i}.cfg"
-        config.write_text(f"t={t}\n")
-        out = tmp_path / f"config{i}"
-        assert run_cli(argv + ["--config", config, "--out", out]) == 2, argv
-        assert not (out / "cf.csv").exists(), argv
 
 
 def test_parse_range_caps_the_point_count():
@@ -116,19 +111,13 @@ def test_empty_comma_lists_exit_2_before_any_work(tmp_path, monkeypatch):
     for module, name in ((sim, "run_mc"), (sp, "cf_curve"), (lk, "cauchy_table")):
         monkeypatch.setattr(module, name, forbidden)
     cases = [
-        (["cauchy", "--kernel", "brownian"], "--levels", "levels", "cauchy.csv"),
-        (["cf", "--kernel", "brownian"], "--t", "t", "cf.csv"),
-        (["simulate", "--kernel", "brownian", "--level", 3, "--samples", 50], "--t", "t",
-         "cf.csv"),
+        (["cauchy", "--kernel", "brownian"], "--levels", "cauchy.csv"),
+        (["cf", "--kernel", "brownian"], "--t", "cf.csv"),
+        (["simulate", "--kernel", "brownian", "--level", 3, "--samples", 50], "--t", "cf.csv"),
     ]
-    for i, (argv, flag, key, name) in enumerate(cases):
+    for i, (argv, flag, name) in enumerate(cases):
         out = tmp_path / f"flag{i}"
         assert flag_exit_code(argv + [flag, ",", "--out", out]) == 2, argv
-        assert not (out / name).exists(), argv
-        config = tmp_path / f"run{i}.cfg"
-        config.write_text(f"{key}=,\n")
-        out = tmp_path / f"config{i}"
-        assert run_cli(argv + ["--config", config, "--out", out]) == 2, argv
         assert not (out / name).exists(), argv
 
 
@@ -142,36 +131,45 @@ def test_oversized_ranges_exit_2(tmp_path, monkeypatch):
         out = tmp_path / f"flag{i}"
         assert flag_exit_code(argv + ["--t", t, "--out", out]) == 2, t
         assert not (out / "cf.csv").exists(), t
-        config = tmp_path / f"run{i}.cfg"
-        config.write_text(f"t={t}\n")
-        out = tmp_path / f"config{i}"
-        assert run_cli(argv + ["--config", config, "--out", out]) == 2, t
-        assert not (out / "cf.csv").exists(), t
 
 
-#: the retired spellings as (argv, config-file line or None): a Hurst index is
+#: a small run of each table command
+TABLE_RUNS = {
+    "simulate": ["--kernel", "brownian", "--level", 3, "--samples", 40, "--seed", 2, "--t", "0,1",
+                 "--emit-samples"],
+    "cf": ["--kernel", "fbm hurst=0.35", "--level", 3, "--t", "0,1"],
+    "spectrum": ["--kernel", "fbm hurst=0.35", "--level", 3],
+    "pvar": ["--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 4],
+    "cauchy": ["--kernel", "fbm hurst=0.35", "--levels", "1:3"],
+}
+
+#: the retired spellings as (argv, retired option or None): a Hurst index is
 #: spelled only in the kernel spec, fBm only as fbm and a spectrum's size only
-#: as --level
+#: as --level; options come only from flags (no --config), every table is a
+#: CSV file (no --format) and --out alone places the artifacts (no --prefix)
 RETIRED = (
     [([c, "--kernel", "fbm", "--hurst", 0.4, "--level", 3], None)
      for c in ("cf", "spectrum", "pvar")]
-    + [([c, "--kernel", "fbm", "--level", 3], "hurst=0.4") for c in ("cf", "spectrum", "pvar")]
+    + [([c, "--kernel", "fbm hurst=0.4", "--level", 3], "--config run.cfg")
+       for c in ("cf", "spectrum", "pvar")]
     + [(["spectrum", "--kernel", "brownian", "--grid", 64], None),
-       (["spectrum", "--kernel", "brownian"], "grid=64")]
+       (["spectrum", "--kernel", "brownian"], "--config run.cfg")]
     + [([c, "--kernel", f"kind={kind} hurst=0.3", "--level", 3], None)
        for kind in ("fractional", "fractionalbrownian") for c in ("cf", "spectrum", "pvar")]
+    + [([c, *TABLE_RUNS[c]], option)
+       for option in ("--config run.cfg", "--format csv", "--format json", "--prefix p")
+       for c in TABLE_RUNS]
 )
 
 
-@pytest.mark.parametrize("argv, line", RETIRED)
-def test_retired_spellings_exit_2(tmp_path, argv, line):
-    if line is not None:
-        config = tmp_path / "run.cfg"
-        config.write_text(f"{line}\n")
-        argv = [*argv, "--config", config]
-    out = tmp_path / "out"
-    assert flag_exit_code([*argv, "--out", out]) == 2
-    assert not out.exists()
+@pytest.mark.parametrize("argv, option", RETIRED)
+def test_retired_spellings_exit_2(tmp_path, monkeypatch, argv, option):
+    # run.cfg is a config file the retired --config read without complaint
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("# no keys\n")
+    extra = [] if option is None else shlex.split(option)
+    assert flag_exit_code([*argv, *extra, "--out", "out"]) == 2
+    assert not Path("out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +197,14 @@ def test_cf_weighted_kernel(tmp_path):
 
 def test_cf_rejects_flags_its_route_does_not_read(tmp_path):
     cases = [
-        (["--kernel", "brownian", "--level", 3], "level=3"),
-        (["--kernel", "kind=weighted,degree=1", "--level", 4, "--pairs", 5], "level=4"),
-        (["--kernel", "kind=weighted,degree=1", "--pairs", 5], "pairs=5"),
-        (["--kernel", "fbm hurst=0.35", "--level", 3, "--pairs", 5], "pairs=5"),
+        ["--kernel", "brownian", "--level", 3],
+        ["--kernel", "kind=weighted,degree=1", "--level", 4, "--pairs", 5],
+        ["--kernel", "kind=weighted,degree=1", "--pairs", 5],
+        ["--kernel", "fbm hurst=0.35", "--level", 3, "--pairs", 5],
     ]
-    for i, (argv, key) in enumerate(cases):
+    for i, argv in enumerate(cases):
         out = tmp_path / f"flag{i}"
         assert run_cli(["cf", *argv, "--out", out]) == 2, argv
-        assert not (out / "cf.csv").exists(), argv
-        config = tmp_path / f"run{i}.cfg"
-        config.write_text(f"{key}\n")
-        out = tmp_path / f"config{i}"
-        assert run_cli(["cf", *argv[:2], "--config", config, "--out", out]) == 2, argv
         assert not (out / "cf.csv").exists(), argv
 
 
@@ -308,31 +301,19 @@ def test_pvar_runs_fbm_above_the_dense_level(tmp_path):
 
 
 def test_repeated_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
-    # a key given twice in a kernel spec or a config file is a usage error
-    # that names the key, not last-wins; config keys compare after - -> _
+    # a key given twice in a kernel spec is a usage error that names the key,
+    # not last-wins
     def forbidden(*args, **kwargs):
         raise AssertionError("work started despite a repeated key")
 
     monkeypatch.setattr(sim, "run_mc", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
     base = ["simulate", "--level", 3, "--samples", 5]
-    cases = [
-        (["--kernel", "kind=fbm kind=brownian"], None, "'kind'"),
-        (["--kernel", "fbm hurst=0.3 hurst=0.4"], None, "'hurst'"),
-        (["--kernel", "brownian"], "seed=1\nseed=2\n", "config key seed"),
-        (["--kernel", "brownian"], "emit-samples=true\nemit_samples=false\n",
-         "config key emit_samples"),
-        ([], "kernel=brownian\n# a comment\nkernel=fbm hurst=0.3\n", "config key kernel"),
-    ]
-    for i, (argv, text, key) in enumerate(cases):
+    cases = [("kind=fbm kind=brownian", "'kind'"), ("fbm hurst=0.3 hurst=0.4", "'hurst'")]
+    for i, (spec, key) in enumerate(cases):
         out = tmp_path / f"out{i}"
-        extra = []
-        if text is not None:
-            config = tmp_path / f"run{i}.cfg"
-            config.write_text(text)
-            extra = ["--config", config]
         capsys.readouterr()
-        assert run_cli(base + argv + extra + ["--out", out]) == 2, i
+        assert run_cli(base + ["--kernel", spec, "--out", out]) == 2, i
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "repeated" in err and key in err, err
         assert not (out / "cf.csv").exists(), i
@@ -422,9 +403,6 @@ def test_cauchy_rejects_refine(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["cauchy", "--kernel", "brownian", "--refine", 9, "--out", tmp_path])
     assert exc.value.code == 2
-    config = tmp_path / "run.cfg"
-    config.write_text("kernel=brownian\nrefine=9\n")
-    assert run_cli(["cauchy", "--config", config, "--out", tmp_path]) == 2
 
 
 def test_cauchy_rejects_non_integer_levels(tmp_path, monkeypatch):
@@ -437,24 +415,16 @@ def test_cauchy_rejects_non_integer_levels(tmp_path, monkeypatch):
         out = tmp_path / levels
         assert run_cli(["cauchy", "--kernel", "brownian", "--levels", levels, "--out", out]) == 2
         assert not (out / "cauchy.csv").exists()
-    config = tmp_path / "run.cfg"
-    config.write_text("kernel=brownian\nlevels=1,2.5,3\n")
-    assert run_cli(["cauchy", "--config", config, "--out", tmp_path]) == 2
-    assert not (tmp_path / "cauchy.csv").exists()
 
 
 def test_execution_flags_only_where_they_are_read(tmp_path):
-    # only simulate reads --threads; check reads no output or config option
+    # only simulate reads --threads; check reads no output option
     with pytest.raises(SystemExit) as exc:
         run_cli(["pvar", "--kernel", "brownian", "--threads", 2, "--out", tmp_path])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "--out", tmp_path])
     assert exc.value.code == 2
-    config = tmp_path / "run.cfg"
-    config.write_text("kernel=brownian\nthreads=2\n")
-    assert run_cli(["pvar", "--config", config, "--out", tmp_path]) == 2
-    assert not (tmp_path / "pvar.csv").exists()
 
 
 def _counting(monkeypatch, module, name):
@@ -662,6 +632,38 @@ def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_results_exit_3(tmp_path, capsys):
+    # accepted kernels (coeff^2 is finite) whose area scale h^T G2 h, chaos
+    # norm or |increment|^p sum overflows a float exit 3 and write no table;
+    # at coeff 1e70 every value is finite and the tables are the library's
+    kernel = cov.parse_kernel_spec("kind=weighted degree=0 coeff=1e70")
+    ecf = sim.empirical_cf(sim.run_mc(sim.MCConfig(seed=0, n_samples=50, level=3,
+                                                   kernel1=kernel, kernel2=kernel)), [0.0, 1.0])
+    table = lk.cauchy_table([1, 2, 3], kernel, kernel)
+    profile = pv.variation_profile(kernel, 2.0, 3)
+    cases = [
+        (["simulate", "--level", 3, "--samples", 50, "--t", "0,1"], "1e80", "cf.csv",
+         csv_body("t,re,im,stderr", zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
+                                        ecf.estimates.imag.tolist(), ecf.std_errors.tolist()))),
+        (["cauchy", "--levels", "1:3"], "1e80", "cauchy.csv",
+         csv_body("n,m,norm_sq,refine,flag",
+                  [(n, m, norm.value, norm.refine, table.flag) for n, m, norm in table.rows])),
+        (["pvar", "--p", 2, "--level", 3], "1e100", "pvar.csv",
+         csv_body("level,estimate,verdict",
+                  [(level, est, profile.verdict) for level, est in profile.levels])),
+    ]
+    for command, coeff, name, body in cases:
+        out = tmp_path / command[0]
+        spec = f"kind=weighted degree=0 coeff={coeff}"
+        assert run_cli([*command, "--kernel", spec, "--out", out]) == 3, command
+        assert "numerical error" in capsys.readouterr().err
+        assert not (out / name).exists() and not (out / "summary.json").exists(), command
+        spec = "kind=weighted degree=0 coeff=1e70"
+        assert run_cli([*command, "--kernel", spec, "--out", out]) == 0, command
+        assert (out / name).read_text().split("\n", 1)[1] == body, command
+
+
 def test_table_off_the_mesh_exits_2(tmp_path, capsys):
     path = tmp_path / "off.csv"
     path.write_text("\n".join(off_mesh_table_lines()) + "\n")
@@ -768,48 +770,6 @@ def test_simulate_threads_bit_identical(tmp_path):
     assert body == "\n".join(["sample,area", *rows]) + "\n"
 
 
-def test_config_file_with_flag_override(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("kernel=brownian\nseed=1\nsamples=50\nlevel=3\nt=0,1\n")
-    out1 = tmp_path / "o1"
-    assert run_cli(["simulate", "--config", config, "--out", out1]) == 0
-    s1 = json.loads((out1 / "summary.json").read_text())
-    assert s1["seed"] == 1 and s1["samples"] == 50
-
-    out2 = tmp_path / "o2"
-    assert run_cli(["simulate", "--config", config, "--seed", 2, "--out", out2]) == 0
-    s2 = json.loads((out2 / "summary.json").read_text())
-    assert s2["seed"] == 2
-
-
-def test_config_values_are_validated_like_flags(tmp_path):
-    base = "kernel=brownian\nseed=1\nsamples=50\nlevel=3\nt=0,1\n"
-    for extra in ("format=xml", "emit_samples=maybe", "samples=many", "t=3:1:0.5"):
-        config = tmp_path / "bad.cfg"
-        config.write_text(base + extra + "\n")
-        out = tmp_path / "bad"
-        assert run_cli(["simulate", "--config", config, "--out", out]) == 2, extra
-        assert not (out / "cf.csv").exists(), extra
-    # keys belong to the subcommand: simulate takes no --p
-    config.write_text(base + "p=2\n")
-    assert run_cli(["simulate", "--config", config, "--out", tmp_path / "h"]) == 2
-
-
-def test_config_values_take_effect(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "kernel=brownian\nseed=1\nsamples=50\nlevel=3\nt=0,1\nformat=json\nemit_samples=true\n"
-    )
-    out = tmp_path / "json"
-    assert run_cli(["simulate", "--config", config, "--out", out]) == 0
-    assert json.loads((out / "summary.json").read_text())["cf"][0]["re"] == 1.0
-    assert not (out / "cf.csv").exists()
-    config.write_text("kernel=brownian\nseed=1\nsamples=50\nlevel=3\nemit_samples=yes\n")
-    out = tmp_path / "samples"
-    assert run_cli(["simulate", "--config", config, "--out", out]) == 0
-    assert len(read_csv(out / "samples.csv")[2]) == 50
-
-
 def test_tables_are_the_library_csv(tmp_path):
     fbm = cov.fractional_brownian(0.35)
     table = lk.cauchy_table([1, 2, 3, 4], fbm, fbm)
@@ -855,79 +815,51 @@ def test_readme_cli_examples_parse():
 
 
 def readme_tables():
-    """(command, file, columns, JSON key or None) of each row of the README's CSV column table."""
+    """(command, file, columns) of each row of the README's CSV column table."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| command  | file          | columns                  | JSON key |")
+    start = lines.index("| command  | file          | columns                  |")
     tables = []
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        command, name, columns, key = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
-        tables.append((command, name, columns.split(","), None if key == "-" else key))
+        command, name, columns = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        tables.append((command, name, columns.split(",")))
     return tables
 
 
-#: a small run of each table command
-TABLE_RUNS = {
-    "simulate": ["--kernel", "brownian", "--level", 3, "--samples", 40, "--seed", 2, "--t", "0,1",
-                 "--emit-samples"],
-    "cf": ["--kernel", "fbm hurst=0.35", "--level", 3, "--t", "0,1"],
-    "spectrum": ["--kernel", "fbm hurst=0.35", "--level", 3],
-    "pvar": ["--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 4],
-    "cauchy": ["--kernel", "fbm hurst=0.35", "--levels", "1:3"],
+#: each table command with its optional flags at their documented defaults
+DEFAULT_RUNS = {
+    "simulate": (["--kernel", "brownian"],
+                 ["--seed", 0, "--samples", 10000, "--level", 8, "--t", "0:3:0.5"]),
+    "cf": (["--kernel", "fbm hurst=0.35"], ["--level", 7, "--t", "0:3:0.1"]),
+    "cf-pairs": (["--kernel", "brownian"], ["--pairs", 10000, "--t", "0:3:0.1"]),
+    "spectrum": (["--kernel", "fbm hurst=0.35"], ["--level", 7]),
+    "pvar": (["--kernel", "fbm hurst=0.35"], ["--p", "auto", "--level", 10]),
+    "cauchy": (["--kernel", "fbm hurst=0.35"], ["--levels", "1:6"]),
 }
+
+
+@pytest.mark.parametrize("name", DEFAULT_RUNS)
+def test_omitted_flags_take_their_documented_defaults(tmp_path, name):
+    required, defaults = DEFAULT_RUNS[name]
+    command = name.split("-")[0]
+    runs = {"omitted": [command, *required], "explicit": [command, *required, *defaults]}
+    for key, argv in runs.items():
+        assert run_cli([*argv, "--out", tmp_path / key]) == 0, argv
+    files = sorted(path.name for path in (tmp_path / "omitted").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "explicit").iterdir())
+    for file in files:
+        assert (tmp_path / "omitted" / file).read_bytes() \
+            == (tmp_path / "explicit" / file).read_bytes(), file
 
 
 def test_readme_table_matches_the_writer(tmp_path):
     tables = readme_tables()
     assert {command for command, *_ in tables} == set(TABLE_RUNS)
-    for i, (command, name, columns, key) in enumerate(tables):
-        runs = {}
-        for fmt in ("csv", "json"):
-            out = runs[fmt] = tmp_path / f"{i}-{fmt}"
-            assert run_cli([command, *TABLE_RUNS[command], "--format", fmt, "--out", out]) == 0
-        assert read_csv(runs["csv"] / name)[1] == columns, (command, name)
-        assert not (runs["json"] / name).exists()
-        summary = json.loads((runs["json"] / "summary.json").read_text())
-        if key is None:
-            continue
-        rows = summary[key]
-        assert rows and all(set(row) == set(rows[0]) for row in rows), (command, key)
-        # the row fields first, then the summary fields repeated as constant columns
-        assert set(columns[:len(rows[0])]) == set(rows[0]), (command, key)
-        assert all(field in summary for field in columns[len(rows[0]):]), (command, key)
-
-
-def same_value(cell, value):
-    """Whether a CSV cell and a JSON value are the same number or string, -0.0 apart from 0.0."""
-    if isinstance(value, float):
-        return repr(float(cell)) == repr(value)
-    return cell == str(value)
-
-
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--kernel1", "brownian", "--kernel2", "fbm hurst=0.35", "--level", 3,
-     "--samples", 30, "--seed", 4, "--t", "0,0.5,2"],
-    ["cf", "--kernel", "brownian", "--pairs", 20, "--t", "0,1,1e200"],
-    ["cf", "--kernel", "kind=weighted degree=0 coeff=100", "--t", "0,0.01,3"],
-    ["cf", "--kernel", "fbm hurst=0.35", "--level", 4, "--t=-1,0,1"],
-    ["spectrum", "--kernel", "brownian", "--level", 3],
-    ["spectrum", "--kernel", "kind=weighted degree=1", "--level", 3],
-    ["pvar", "--kernel", "kind=fbm hurst=0.75", "--p", "auto", "--level", 6],
-    ["cauchy", "--kernel1", "brownian", "--kernel2", "fbm hurst=0.35", "--levels", "1:4"],
-])
-def test_csv_and_json_rows_are_the_same_values(tmp_path, argv):
-    (name, key), = [(n, k) for c, n, _, k in readme_tables() if c == argv[0] and k]
-    for fmt in ("csv", "json"):
-        assert run_cli([*argv, "--format", fmt, "--out", tmp_path / fmt]) == 0
-    _, header, cells = read_csv(tmp_path / "csv" / name)
-    summary = json.loads((tmp_path / "json" / "summary.json").read_text())
-    rows = summary[key]
-    assert len(cells) == len(rows) > 0
-    for line, row in zip(cells, rows):
-        for column, cell in zip(header, line, strict=True):
-            value = row[column] if column in row else summary[column]
-            assert same_value(cell, value), (column, cell, value)
+    for i, (command, name, columns) in enumerate(tables):
+        out = tmp_path / str(i)
+        assert run_cli([command, *TABLE_RUNS[command], "--out", out]) == 0
+        assert read_csv(out / name)[1] == columns, (command, name)
 
 
 def test_usage_error_exit_code(tmp_path):
@@ -935,26 +867,19 @@ def test_usage_error_exit_code(tmp_path):
     assert run_cli(["pvar", "--kernel", "brownian", "--p", "0.5", "--out", tmp_path]) == 2
 
 
-def test_json_format(tmp_path):
-    assert run_cli([
-        "cf", "--kernel", "brownian", "--t", "0,1", "--format", "json", "--out", tmp_path,
-    ]) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["cf"][0]["re"] == 1.0
-    assert summary["n_points"] == 2
-    assert not (tmp_path / "cf.csv").exists()
-
-
 def test_summary_json_is_strict_json(tmp_path):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
 
-    # the tail bound at t = 1e155 is infinite
-    assert run_cli([
-        "cf", "--kernel", "brownian", "--t", "0,1e155", "--format", "json", "--out", tmp_path,
-    ]) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
-    assert [row["tail_bound"] for row in summary["cf"]][1] == "inf"
+    # the tail bound at t = 1e155 is infinite; it is a cf.csv cell, not a summary field
+    runs = {**{c: [c, *argv] for c, argv in TABLE_RUNS.items()},
+            "cf-inf": ["cf", "--kernel", "brownian", "--t", "0,1e155"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run_cli([*argv, "--out", out]) == 0, argv
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["schema_version"] == cli.SCHEMA_VERSION, argv
+    assert read_csv(tmp_path / "cf-inf" / "cf.csv")[2][1][3] == "inf"
     inf, nan = float("inf"), float("nan")
     assert cli._json_value({"a": [nan, -inf, (inf, 1.0)], "b": 2}) == {
         "a": ["nan", "-inf", ["inf", 1.0]], "b": 2}
@@ -969,11 +894,6 @@ def test_threads_below_one_are_a_usage_error(tmp_path, monkeypatch):
     for i, threads in enumerate((0, -5)):
         out = tmp_path / f"flag{i}"
         assert run_cli(base + ["--threads", threads, "--out", out]) == 2
-        assert not (out / "cf.csv").exists()
-        config = tmp_path / f"run{i}.cfg"
-        config.write_text(f"threads={threads}\n")
-        out = tmp_path / f"config{i}"
-        assert run_cli(base + ["--config", config, "--out", out]) == 2
         assert not (out / "cf.csv").exists()
     monkeypatch.setenv("LEVY_LAB_THREADS", "0")
     out = tmp_path / "env"
