@@ -309,12 +309,18 @@ def check_mc_determinism():
 
 def cf_z_scores(samples: np.ndarray, t: float, exact: complex):
     """(z_re, z_im): the empirical CF at t less `exact`, per part in units of
-    that part's estimated standard error (sample std of cos / sin of t A over
-    sqrt(n))."""
+    that part's estimated standard error.
+
+    The standard error comes from the means of consecutive pairs, samples 2j
+    and 2j + 1, on every route: two fBm samples of a pair share one circulant
+    draw, so they are uncorrelated but not independent. It is the sample std
+    of the pair means of cos / sin of t A over sqrt(number of pairs).
+    """
     phase = t * samples
     scores = []
     for part, ref in ((np.cos(phase), exact.real), (np.sin(phase), exact.imag)):
-        stderr = float(np.std(part, ddof=1)) / np.sqrt(part.size)
+        pairs = part[: part.size - part.size % 2].reshape(-1, 2).mean(axis=1)
+        stderr = float(np.std(pairs, ddof=1)) / np.sqrt(pairs.size)
         scores.append((float(np.mean(part)) - ref) / stderr)
     return tuple(scores)
 
@@ -345,21 +351,47 @@ def check_mc_exact_law():
     return f"level-4 CF within {worst:.2f} stderr of the exact law (bound {EXACT_LAW_Z})"
 
 
+def sampler_maps(factor):
+    """(F1^T, F2^T, cross): the factor's maps of the two rows of a draw and
+    their cross covariance F1 F2^T, from unit draws fed as row pairs."""
+    rows = factor.apply(np.eye(2 * factor.width).reshape(-1, factor.width))
+    first, second = rows[0::2], rows[1::2]
+    return first, second, first.T @ second
+
+
+def circulant_cross_block(gamma: np.ndarray) -> np.ndarray:
+    """C[0:N, N:2N] J: the cross covariance of the two paths of one circulant
+    draw, from the first row (gamma(0..N), gamma(N-1..1)) of C."""
+    n = len(gamma) - 1
+    row = np.concatenate((gamma, gamma[-2:0:-1]))
+    lags = (np.arange(2 * n - 1, n - 1, -1)[None, :] - np.arange(n)[:, None]) % (2 * n)
+    return row[lags]
+
+
 def check_sampler_covariance():
-    # one kernel per factor kind: diagonal, circulant and low rank (a table)
+    # one kernel per factor kind: diagonal, circulant and low rank (a table);
+    # both rows of a draw must map to the Gram, and the circulant's two paths
+    # share the draw through its off-diagonal block
     fbm = cov.fractional_brownian(0.35)
     table = cov.tabulated(cov.eval_grid(fbm, *2 * [np.linspace(0.0, 1.0, 257)]))
     kernels = {"brownian": cov.brownian(), "weighted-u": cov.weighted_poly(1), "fbm-0.35": fbm,
                "fbm-0.35-table": table}
     worst = 0.0
     for name, kernel in kernels.items():
-        factor = cov.level_gram(kernel, 6).factor()
-        rows = factor.apply(np.eye(factor.width))  # F^T
         gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
-        rel = float(np.max(np.abs(rows.T @ rows - gram))) / float(np.max(np.abs(gram)))
-        assert rel <= 1e-12, f"{name}: F F^T vs gram_matrix off by {rel:.3e} relative"
-        worst = max(worst, rel)
-    return f"F F^T matches gram_matrix at level 6 to {worst:.1e} for every factor kind"
+        level_gram = cov.level_gram(kernel, 6)
+        first, second, cross = sampler_maps(level_gram.factor())
+        expected = (circulant_cross_block(level_gram.values) if level_gram.kind == cov.TOEPLITZ
+                    else np.zeros_like(gram))
+        scale = float(np.max(np.abs(gram)))
+        for what, got, want in (("even rows", first.T @ first, gram),
+                                ("odd rows", second.T @ second, gram),
+                                ("cross block", cross, expected)):
+            rel = float(np.max(np.abs(got - want))) / scale
+            assert rel <= 1e-12, f"{name}: {what} vs gram_matrix off by {rel:.3e} relative"
+            worst = max(worst, rel)
+    return (f"F F^T of both rows of a draw matches gram_matrix at level 6 to {worst:.1e}, "
+            "and their cross block the factor's, for every factor kind")
 
 
 def check_cf_real_and_bounded():

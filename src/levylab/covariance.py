@@ -333,12 +333,14 @@ class LevelGram:
         nothing. A factored Gram forms G.
         """
         terms = np.abs(self.dense() if self.kind == FACTORED else self.values[: 2**self.level])
-        terms **= p
-        if self.kind == TOEPLITZ:
-            # times the counts, N at lag 0 and 2 (N - k) at lag k; the doubling is exact
-            terms[1:] *= 2.0
-            terms *= np.arange(len(terms), 0, -1.0)
-        return float(np.sum(terms))
+        # a power above the largest float reads inf without a warning: callers check the sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms **= p
+            if self.kind == TOEPLITZ:
+                # times the counts, N at lag 0 and 2 (N - k) at lag k; the doubling is exact
+                terms[1:] *= 2.0
+                terms *= np.arange(len(terms), 0, -1.0)
+            return float(np.sum(terms))
 
     def equals(self, other: LevelGram) -> bool:
         """Whether other is the same matrix: the same structure and the same values."""
@@ -373,20 +375,25 @@ class LevelGram:
     def factor(self):
         """The factor F (F F^T = G) of this Gram's structure, as a linear map.
 
-        The result has `width` and `apply(Z)`, which maps rows of Z, shape
-        (rows, width), to the rows of Z F^T, shape (rows, 2^level); each
-        output row depends on its own input row only. `apply` may overwrite Z
-        and may return a view of it, so it needs no array larger than Z
-        beyond one FFT of its rows. `quad(H)` returns the quadratic forms
-        h^T G h = ||F^T h||^2 of the rows h of H, shape (rows, 2^level); it
-        may overwrite H and needs at most one array of about rows x width
-        floats. F is sqrt(variances) for a diagonal Gram, the minimal
-        circulant embedding for a Toeplitz one and the stored N x r array of
-        a factored one, whose width r may be 0 (a zero Gram). The factored
-        map multiplies through BLAS, whose bits may change with the row count
-        of Z or H (by a few ulps), so simulate passes chunks of one fixed
-        row count; the diagonal and circulant factors' rows do not depend on
-        it.
+        The result has `width`, `row_floats` and `apply(Z)`, which maps rows
+        of Z, shape (rows, width), to paths of increments with Gram G, shape
+        (rows, 2^level). `apply` may overwrite Z and may return a view of it,
+        so it needs no array larger than Z beyond one FFT of its rows.
+        `quad(H)` returns the quadratic forms h^T G h = ||F^T h||^2 of the
+        rows h of H, shape (rows, 2^level); it may overwrite H and needs at
+        most one array of rows x row_floats floats, the widest row that
+        apply or quad holds. F is sqrt(variances) for a diagonal Gram, the
+        minimal circulant embedding for a Toeplitz one and the stored N x r
+        array of a factored one, whose width r may be 0 (a zero Gram).
+
+        The diagonal and factored maps take rows one by one: output row i is
+        row i of Z F^T. The circulant map takes rows in pairs, so rows must
+        be even: one draw of 2N normals, rows 2j and 2j + 1, gives two paths,
+        each with Gram G, whose cross covariance is the circulant's
+        off-diagonal block (see _Circulant). The factored map multiplies
+        through BLAS, whose bits may change with the row count of Z or H (by
+        a few ulps), so simulate passes chunks of one fixed row count; the
+        diagonal and circulant factors' rows do not depend on it.
         """
         if self.kind == TOEPLITZ:
             return _Circulant(self.values)
@@ -401,29 +408,36 @@ class _Diagonal:
     def __init__(self, variances):
         self.variances = variances
         self.scale = np.sqrt(variances)
-        self.width = len(variances)
+        self.width = self.row_floats = len(variances)
 
     def apply(self, Z):
         Z *= self.scale
         return Z
 
     def quad(self, H):
-        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H."""
-        H *= H
-        H *= self.variances
+        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H. Squares above the
+        largest float read inf without a warning: the caller checks the result."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            H *= H
+            H *= self.variances
         return H.sum(axis=1)
 
 
 class _Circulant:
-    """Exact stationary Gaussian increments by minimal circulant embedding.
+    """Exact stationary Gaussian increments by minimal circulant embedding,
+    two paths per draw.
 
     The autocovariance gamma(0..N) is the first row of a symmetric circulant C
     of size M = 2N with eigenvalues lam = DFT(first row). The Hartley matrix
     H[j,k] = cos(2 pi jk/M) + sin(2 pi jk/M) diagonalizes C as
-    C = H diag(lam) H / M, so d = H (sqrt(lam / M) z) has covariance C, whose
-    leading N x N block is the Toeplitz Gram. For real y, H y = Re(F y) - Im(F y)
-    with F the forward DFT, and only the first N of the M outputs are needed,
-    which rfft provides.
+    C = H diag(lam) H / M, so y = H (sqrt(lam / M) z) has covariance C for a
+    draw z of M standard normals. For real x, (H x)_j = Re F_j - Im F_j and
+    (H x)_{M-j} = Re F_j + Im F_j with F = rfft(x), so the N + 1 rfft bins
+    give both halves of y: y[0:N] from bins 0 .. N-1, and y[M-1], ..., y[N]
+    from bins 1 .. N. Both are exact paths, because C's diagonal blocks are
+    the Toeplitz Gram G and the reversal J keeps it, J G J = G; their cross
+    covariance is C's off-diagonal block C[0:N, N:M] J, so the two are not
+    independent (Davies & Harte 1987; Dietrich & Newsam 1997).
 
     The same diagonalization gives the Gram's quadratic form: with h
     zero-padded to length M and F_k its DFT, h^T C h = sum_k lam_k |F_k|^2 / M,
@@ -439,23 +453,31 @@ class _Circulant:
                 f"circulant embedding of the increment autocovariance is indefinite: "
                 f"smallest eigenvalue {lam.min():.3e}"
             )
-        self.width = 2 * self.n
-        self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.width)
-        weights = lam / self.width
+        self.width = self.n
+        # quad zero-pads its rows to M = 2N floats
+        self.row_floats = 2 * self.n
+        self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.row_floats)
+        weights = lam / self.row_floats
         weights[1:-1] *= 2.0
         # one weight per float of the complex rfft bins: real, imaginary
         self.weights = np.repeat(weights, 2)
 
     def apply(self, Z):
-        Z *= self.scale
-        f = np.fft.rfft(Z, axis=1)[:, : self.n]
-        out = Z[:, : self.n]
-        np.subtract(f.real, f.imag, out=out)
-        return out
+        """Paths of the row pairs of Z, (rows, N) with rows even, written into Z.
+
+        Rows 2j and 2j + 1 together hold one draw of M normals; row 2j becomes
+        y[0:N] and row 2j + 1 becomes y[M-1], ..., y[N] of that draw.
+        """
+        draws = Z.reshape(-1, 2 * self.n)
+        draws *= self.scale
+        f = np.fft.rfft(draws, axis=1)
+        np.subtract(f.real[:, : self.n], f.imag[:, : self.n], out=draws[:, : self.n])
+        np.add(f.real[:, 1:], f.imag[:, 1:], out=draws[:, self.n :])
+        return draws.reshape(Z.shape)
 
     def quad(self, H):
         """Rows of h^T G h from one rfft of the zero-padded rows of H."""
-        f = np.fft.rfft(H, n=self.width, axis=1).view(float)
+        f = np.fft.rfft(H, n=self.row_floats, axis=1).view(float)
         f *= f
         f *= self.weights
         return f.sum(axis=1)
@@ -467,6 +489,7 @@ class _Dense:
     def __init__(self, F):
         self.F = F
         self.width = F.shape[1]
+        self.row_floats = max(F.shape)
 
     def apply(self, Z):
         return Z @ self.F.T

@@ -158,13 +158,15 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     (Grams too large for their products to fit a float) raises
     NumericalError.
     """
-    x1 = sign_product(cov.level_gram(r1, level).dense(), blocks)
-    if r2 is r1:
-        terms = x1 * x1.T
-    else:
-        x2 = sign_product(cov.level_gram(r2, level).dense(), blocks)
-        terms = np.multiply(x1, x2.T, out=x1)
-    total = float(np.sum(terms))
+    # an overflow reads inf or nan without a warning; the total is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = sign_product(cov.level_gram(r1, level).dense(), blocks)
+        if r2 is r1:
+            terms = x1 * x1.T
+        else:
+            x2 = sign_product(cov.level_gram(r2, level).dense(), blocks)
+            terms = np.multiply(x1, x2.T, out=x1)
+        total = float(np.sum(terms))
     if not math.isfinite(total):
         raise NumericalError(f"the level-{level} chaos-norm contraction is {total}")
     # 0.0 - sum: an exact zero is +0.0, never -0.0

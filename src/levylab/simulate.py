@@ -34,14 +34,17 @@ instead of a path of 2^level cells. No path, sign product or level Gram is
 formed, and every step is an elementwise +, * or sqrt.
 
 Every other pair: the conditional law given one path. Path increments are
-d = F z, one standard normal vector z per process per sample, where the
-factor F (F F^T = increment Gram) is covariance.LevelGram.factor() of the
-kernel's level Gram: diag(sqrt(cell variance)) for independent increments
-(weighted, and Brownian in sample_paths), the minimal circulant embedding
-of size 2N for stationary ones (fBm: d in O(N log N) from 2N normals; Davies
-& Harte 1987; Dietrich & Newsam 1997) and the N x r low-rank factor of a
-tabulated kernel, r the rank of its mesh Gram (r normals; none for a zero
-process, whose increments are exact zeros). Then
+d = F z, standard normals z per process per sample, where the factor F
+(F F^T = increment Gram) is covariance.LevelGram.factor() of the kernel's
+level Gram: diag(sqrt(cell variance)) for independent increments (weighted,
+and Brownian in sample_paths), the minimal circulant embedding of size 2N
+for stationary ones (fBm; Davies & Harte 1987; Dietrich & Newsam 1997) and
+the N x r low-rank factor of a tabulated kernel, r the rank of its mesh
+Gram (r normals; none for a zero process, whose increments are exact
+zeros). The circulant maps one draw of 2N normals to two exact paths in
+O(N log N), the two halves of one circular vector (the second reversed in
+time), so an fBm sample takes N normals: samples 2j and 2j + 1 share a
+draw. Then
 
     A = 2 d2 . h,   h_l = (sum_{k<l} d1_k - sum_{k>l} d1_k) / 2 = (d1 S)_l,
 
@@ -52,10 +55,14 @@ Wiktorsson, Ann. Appl. Probab. 11, 2001, build on). This route draws one
 path per sample, d1, forms h by one blocked prefix sum, evaluates the
 quadratic form q = h^T G2 h through the second factor's `quad` (a weighted
 sum, one FFT or one matrix product) and returns A = 2 sqrt(q) xi for one
-more standard normal xi. The samples of both routes are independent, each
-with the law of the two-path double sum; sample_paths and
-discrete_levy_area stay the path-level API for that sum. (The paper's Monte
-Carlo draws both paths; both routes draw the same law from fewer normals.)
+more standard normal xi. Every sample of both routes has the law of the
+two-path double sum; sample_paths and discrete_levy_area stay the path-level
+API for that sum. (The paper's Monte Carlo draws both paths; both routes
+draw the same law from fewer normals.) The samples are independent, except
+that when process 1 is fBm the two samples of a pair share their circulant
+draw: each has its own xi, so the pair is uncorrelated (E[A A'] = E[q^1/2
+q'^1/2] E[xi] E[xi'] = 0), but not independent (q and q' are correlated,
+about 0.02 at H = 0.75 and 0.07 at H = 0.9 for A^2 and A'^2).
 
 Randomness comes from SFC64 generators, one independent stream per batch and
 process. Samples are split into batches of the fixed size BATCH; stream
@@ -65,32 +72,36 @@ s = 2 b + p of batch b is seeded by
 
 Stream 2 b holds, row-major with one row per sample: the chain's normals
 (g0, g1, u_0, w_0, ..., u_{level-1}, w_{level-1}), or process 1's `width`
-normals of the conditional route and of sample_paths. Stream 2 b + 1 holds
-the chain's chi-squares (c_1, c'_1, ..., c_{level-2}, c'_{level-2}) row-major,
-or one xi per sample in sample order, or process 2's normals of sample_paths
-row-major. So sample i takes its draws from fixed positions of fixed
-streams, and its bits depend only on (seed, i): not on n_samples, on the row
-chunks work is done in, or on how many worker threads share out the
-batches, for every kernel on a given numpy/BLAS build. On the conditional
-route the last chunk of a batch is zero-padded to the full row count
-(_fill), so the BLAS products of a table's factor and of sign_product always
-take one shape; the chain has no BLAS product and needs no padding. (The
-paper names Philox counter-based streams, Salmon et al., SC'11; the
-sampling contract needs only independent streams per (seed, batch,
-process), and SFC64 fills normals about a third faster.)
+normals of the conditional route and of sample_paths (for fBm N per sample,
+rows 2j and 2j + 1 forming one draw). Stream 2 b + 1 holds the chain's
+chi-squares (c_1, c'_1, ..., c_{level-2}, c'_{level-2}) row-major, or one xi
+per sample in sample order, or process 2's normals of sample_paths
+row-major. Rows are drawn in whole pairs, so the last sample of an odd count
+still reads the second row of its draw from the stream. So sample i takes
+its draws from fixed positions of fixed streams, and its bits depend only on
+(seed, i): not on n_samples, on the row chunks work is done in, or on how
+many worker threads share out the batches, for every kernel on a given
+numpy/BLAS build. On the conditional route the last chunk of a batch is
+zero-padded to the full row count (_fill), so the BLAS products of a table's
+factor and of sign_product always take one shape; the chain has no BLAS
+product and needs no padding. (The paper names Philox counter-based streams,
+Salmon et al., SC'11; the sampling contract needs only independent streams
+per (seed, batch, process), and SFC64 fills normals about a third faster.)
 
 Work runs in row chunks. A chain chunk holds at most CHUNK_ELEMENTS draws,
 its normals in one reused buffer per worker. A conditional chunk has
-CHUNK_ELEMENTS // max(2^level, factor widths) rows (_chunk_rows), so both
-process 1's normals and its path d1 fit one chunk. A worker draws the
-normals into one reused buffer; the factor maps them to d1 in that buffer
-(diagonal) or through one new chunk-sized array (the circulant's FFT of
-the rows, a table's product z F^T); sign_product forms h in d1's memory
-with a temporary of one slab of at most 32 rows, which is the whole chunk
-when the chunk has no more rows (weighted at level 14: 4 rows of 16384);
-and `quad` needs at most one more chunk-sized array (an FFT of the rows
-or the product h F). So the scratch memory of one worker is a small fixed
-multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
+CHUNK_ELEMENTS // max(row_floats) rows, an even count of at least 2
+(_chunk_rows); row_floats is the widest row a factor holds: 2^level cells of
+a path, a table's rank, or the 2^(level+1) floats of the circulant quad's
+zero-padded FFT row. A worker draws the normals into one reused buffer; the
+factor maps them to d1 in that buffer (diagonal, circulant) or through one
+new chunk-sized array (a table's product z F^T), the circulant through one
+FFT of its row pairs, half a chunk; sign_product forms h in d1's memory with
+a temporary of one slab of at most 32 rows, which is the whole chunk when
+the chunk has no more rows (weighted at level 14: 4 rows of 16384); and
+`quad` needs at most one more chunk-sized array (an FFT of the zero-padded
+rows or the product h F). So the scratch memory of one worker is a small
+fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
 run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
 """
 from __future__ import annotations
@@ -107,9 +118,10 @@ from .errors import NumericalError, ParameterError, ShapeError
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
 
-#: draws per chunk (512 KiB of float64), so that a run_mc worker's normal
-#: buffer and the one chunk-sized array of `quad` (at most 1 MiB) stay within
-#: a 2 MiB per-core L2 cache
+#: floats per chunk (512 KiB of float64), counted over the widest row a
+#: factor holds, so that a run_mc worker's normal buffer and the one
+#: chunk-sized array of `quad` (at most 1 MiB) stay within a 2 MiB per-core
+#: L2 cache; an fBm chunk's normals fill half of it
 CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14
@@ -157,13 +169,15 @@ def _samplers(config: MCConfig):
 
 def _chunk_rows(samplers, level: int) -> int:
     """Rows per work chunk, fixed per config: CHUNK_ELEMENTS over the widest
-    row, the 2^level cells of a path or a factor's normals, at most BATCH.
+    row a factor holds (`row_floats`: the 2^level cells of a path, a table's
+    rank r, the circulant quad's zero-padded 2^(level+1) floats), rounded
+    down to whole pairs of rows, at least one pair and at most BATCH.
 
     That is a power of two dividing BATCH unless a table's rank r exceeds
-    2^level (then CHUNK_ELEMENTS // r rows, at least one).
+    2^level (then an even count, at least 2).
     """
-    width = max(2**level, *(s.width for s in samplers))
-    return max(1, min(BATCH, CHUNK_ELEMENTS // width))
+    rows = CHUNK_ELEMENTS // max(2**level, *(s.row_floats for s in samplers))
+    return max(2, min(BATCH, rows - rows % 2))
 
 
 def _streams(config: MCConfig, b: int):
@@ -198,11 +212,16 @@ def sample_paths(config: MCConfig):
 
 
 def _fill(gen, buf, count):
-    """buf with gen's next count rows of normals on top and zeros below, returned.
+    """buf with gen's next rows of normals on top, count rounded up to whole
+    pairs, and zeros below, returned.
 
-    Every chunk then has the full row count, so the factor's BLAS products
-    take one shape and a sample's bits do not depend on where its batch ends.
+    A circulant factor maps row pairs to two paths, so the last sample of an
+    odd count still gets its pair's second row from the stream and its bits
+    do not depend on the count's parity. Every chunk then has the full row
+    count, so the factor's BLAS products take one shape and a sample's bits
+    do not depend on where its batch ends.
     """
+    count += count % 2
     gen.standard_normal(out=buf[:count])
     buf[count:] = 0.0
     return buf
@@ -316,7 +335,7 @@ def _conditional_chunks(config: MCConfig):
 
 
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
-    """Independent discrete-area draws with summary moments.
+    """Discrete-area draws with summary moments.
 
     Two Brownian kernels draw each area from the midpoint-refinement chain,
     every other pair from its exact law given process 1's path (see the
@@ -324,9 +343,12 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     processed in fixed-size row chunks; the thread count (clamped to the
     number of batches) changes only the scheduling, never the batch streams
     or the reduction order, so the samples array is bit-identical for any
-    `threads`. An area that is not finite raises NumericalError: the
-    conditional route's h^T G2 h is the square of an area's scale, so it
-    overflows for areas above about 1e154.
+    `threads`. Samples 2j and 2j + 1 share one circulant draw when process
+    1 is fBm (uncorrelated, not independent). Each batch tests its own
+    areas as it finishes, and one that is not finite raises NumericalError:
+    one thread draws no later batch, and a pool cancels the batches it has
+    not started. The conditional route's h^T G2 h is the square of an
+    area's scale, so it overflows for areas above about 1e154.
     """
     if config.kernel1.kind == config.kernel2.kind == cov.BROWNIAN:
         rows, width, chunk = _chain_chunks(config.level)
@@ -341,6 +363,12 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
         stop = min(batch_start + BATCH, config.n_samples)
         for start in range(batch_start, stop, rows):
             chunk(buf, *streams, areas[start : min(start + rows, stop)])
+        bad = int(np.sum(~np.isfinite(areas[batch_start:stop])))
+        if bad:
+            raise NumericalError(
+                f"{bad} of the {stop - batch_start} areas of batch {batch_start // BATCH} are "
+                "not finite (the kernels' scale overflows a float)"
+            )
 
     workers = min(threads, len(starts))
     if workers > 1:
@@ -349,11 +377,6 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     else:
         for start in starts:
             work(start)
-    if not np.all(np.isfinite(areas)):
-        raise NumericalError(
-            f"{int(np.sum(~np.isfinite(areas)))} of {config.n_samples} areas are not finite "
-            "(the kernels' scale overflows a float)"
-        )
     mean = float(np.mean(areas))
     variance = float(np.var(areas, ddof=1)) if config.n_samples > 1 else 0.0
     return MCResult(samples=areas, mean=mean, variance=variance, config=config)
@@ -363,7 +386,14 @@ def empirical_cf(result: MCResult, t_grid) -> EmpiricalCF:
     """Empirical characteristic function on a grid of real arguments.
 
     estimate(t) = mean of exp(i t A); at t = 0 this is exactly 1. The per
-    component standard error is 1/sqrt(n_samples).
+    component standard error is 1/sqrt(n_samples), a bound that holds for
+    the fBm pairs too. Given q = h^T G2 h, A ~ N(0, 4q), so
+    m = E[cos tA | q] = exp(-2 t^2 q) in [0, 1] and E[cos^2 tA | q] =
+    (1 + m^4) / 2; the xi of a pair are independent, so its covariance is
+    Cov(m, m') <= E m^2 - (E m)^2. Then n Var(mean cos) <= Var(cos) +
+    Cov_pair <= 1/2 + E m^4 / 2 + E m^2 - 2 (E m)^2 <= 1/2 + 9/32 < 1
+    (E m^4 <= E m^2 <= E m, maximized at E m = 3/8), and the sin parts of a
+    pair are uncorrelated, since E[sin tA | q] = 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:

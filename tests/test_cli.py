@@ -495,7 +495,7 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert "jitter_rung" not in summary and summary["schema_version"] == 17
+            assert "jitter_rung" not in summary and summary["schema_version"] == 18
     assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -632,7 +632,7 @@ def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_results_exit_3(tmp_path, capsys):
     # accepted kernels (coeff^2 is finite) whose area scale h^T G2 h, chaos
     # norm or |increment|^p sum overflows a float exit 3 and write no table;
@@ -741,7 +741,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 17
+    assert summary["schema_version"] == 18
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

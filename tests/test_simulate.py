@@ -139,42 +139,63 @@ def test_area_row_sum_matches_fsum_oracle():
 # increment samplers: the level Grams' factors
 # ---------------------------------------------------------------------------
 
-def _fgn_toeplitz(hurst, level):
-    """fGn Gram from 40-digit decimal powers, independent of levylab."""
-    n = 2**level
+def _fgn_gamma(hurst, level):
+    """fGn lags gamma(0..N) from 40-digit decimal powers, independent of levylab."""
     with localcontext() as ctx:
         ctx.prec = 40
         h2 = Decimal(2 * hurst)
         scale = (Decimal(2) ** -level) ** h2 / 2
-        gamma = [
+        return np.array([
             float(scale * (Decimal(k + 1) ** h2 - 2 * Decimal(k) ** h2 + Decimal(abs(k - 1)) ** h2))
-            for k in range(n)
-        ]
+            for k in range(2**level + 1)
+        ])
+
+
+def _fgn_toeplitz(hurst, level):
+    n = 2**level
     lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return np.array(gamma)[lags]
+    return _fgn_gamma(hurst, level)[lags]
 
 
-def _sampler_covariance(kernel, level):
+def _fgn_cross_block(hurst, level):
+    """Cov(y_k, y_{2N-1-l}) of one circulant draw y: the circulant of size 2N
+    with first row gamma(0..N), gamma(N-1..1) has entry gamma(min(d, 2N - d))
+    at circular distance d."""
+    n = 2**level
+    d = (2 * n - 1 - np.arange(n)[None, :] - np.arange(n)[:, None]) % (2 * n)
+    return _fgn_gamma(hurst, level)[np.minimum(d, 2 * n - d)]
+
+
+def _sampler_maps(kernel, level):
+    """(G1, G2, X): the Grams of the even-row and odd-row maps and their cross
+    block, from unit draws of 2 width normals fed as row pairs."""
     sampler = cov.level_gram(kernel, level).factor()
-    rows = sampler.apply(np.eye(sampler.width))  # T^T
-    assert rows.shape == (sampler.width, 2**level)
-    return rows.T @ rows
+    first, second, cross = checks.sampler_maps(sampler)  # F1^T, F2^T, F1 F2^T
+    assert first.shape == second.shape == (2 * sampler.width, 2**level)
+    return first.T @ first, second.T @ second, cross
 
 
 def test_sampler_map_reproduces_gram():
     # fBm is compared with the exact Toeplitz Gram: gram_matrix differences
     # R values of size up to 1, so at H = 0.75 and level 8 its own entries
-    # sit about 1.5e-12 (relative to max |G|) off the exact ones
+    # sit about 1.5e-12 (relative to max |G|) off the exact ones. Both rows of
+    # a draw map to the Gram; the diagonal and table maps take rows one by
+    # one, so their cross block is 0, while the circulant's two paths share
+    # the draw through the circulant's off-diagonal block
     table = cov.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
     others = [cov.brownian(), cov.weighted_poly(1), cov.tabulated(table)]
     for level in range(1, 9):
-        cases = [(k, cov.gram_matrix(k, cov.dyadic_partition(level))) for k in others]
+        cases = [(k, cov.gram_matrix(k, cov.dyadic_partition(level)), 0.0) for k in others]
         cases += [
-            (cov.fractional_brownian(h), _fgn_toeplitz(h, level)) for h in (0.1, 0.35, 0.75)
+            (cov.fractional_brownian(h), _fgn_toeplitz(h, level), _fgn_cross_block(h, level))
+            for h in (0.1, 0.35, 0.75)
         ]
-        for kernel, gram in cases:
-            err = np.max(np.abs(_sampler_covariance(kernel, level) - gram))
-            assert err <= 1e-12 * np.max(np.abs(gram)), (kernel, level, err)
+        for kernel, gram, cross in cases:
+            g1, g2, x = _sampler_maps(kernel, level)
+            tol = 1e-12 * np.max(np.abs(gram))
+            for what, got, want in (("even", g1, gram), ("odd", g2, gram), ("cross", x, cross)):
+                err = np.max(np.abs(got - want))
+                assert err <= tol, (kernel, level, what, err)
 
 
 def test_sampler_quad_matches_the_dense_quadratic_form():
@@ -202,7 +223,10 @@ def test_circulant_embedding_eigenvalues_nonnegative():
             gamma = cov.level_gram(kernel, level).values
             lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
             assert lam.min() > 0.0, (h, level, lam.min())
-            assert cov.level_gram(kernel, level).factor().width == 2 ** (level + 1)
+            # one draw of 2^(level+1) normals, fed as a pair of rows of
+            # 2^level, gives two paths
+            sampler = cov.level_gram(kernel, level).factor()
+            assert sampler.width == 2**level and sampler.row_floats == 2 ** (level + 1)
 
 
 def test_indefinite_circulant_embedding_raises():
@@ -308,6 +332,45 @@ def fbm_config(seed=9, n_samples=100, level=6, hurst=0.35):
     return sim.MCConfig(seed=seed, n_samples=n_samples, level=level, kernel1=k, kernel2=k)
 
 
+def test_fbm_pairs_share_one_circulant_draw():
+    # samples 2j and 2j + 1 of batch b take rows 2j and 2j + 1 of stream 2 b:
+    # one draw z of 2N normals, y = H (sqrt(lam / 2N) z) with H the Hartley
+    # matrix; sample 2j is y[0:N], sample 2j + 1 is y[2N-1], ..., y[N]
+    level, seed = 4, 7
+    n = 2**level
+    config = fbm_config(seed=seed, n_samples=sim.BATCH + 4, level=level)
+    inc1 = sim.sample_paths(config)[0]
+    gamma = _fgn_gamma(0.35, level)
+    lam = np.fft.fft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+    angle = np.pi * np.outer(np.arange(2 * n), np.arange(2 * n)) / n
+    hartley = np.cos(angle) + np.sin(angle)
+    for b in (0, 1):
+        key = np.random.SeedSequence(seed, spawn_key=(2 * b,))
+        draws = np.random.Generator(np.random.SFC64(key)).standard_normal((2, 2 * n))
+        for j, z in enumerate(draws):
+            y = hartley @ (np.sqrt(lam / (2 * n)) * z)
+            i = b * sim.BATCH + 2 * j
+            assert np.allclose(inc1[i], y[:n], rtol=0, atol=1e-13), (b, j)
+            assert np.allclose(inc1[i + 1], y[: n - 1 : -1], rtol=0, atol=1e-13), (b, j)
+
+
+def test_fbm_bits_do_not_depend_on_the_count_or_threads():
+    # a pair draws whole: the last sample of an odd count takes the second
+    # row of its draw from the stream, not from the zero padding
+    for n in (sim.BATCH - 2, sim.BATCH - 1, 2 * sim.BATCH + 332, 2 * sim.BATCH + 333):
+        one_more = sim.run_mc(fbm_config(seed=43, n_samples=n + 1, level=6)).samples
+        config = fbm_config(seed=43, n_samples=n, level=6)
+        areas = sim.run_mc(config, threads=1).samples
+        assert np.array_equal(areas, one_more[:n]), n
+        for threads in (2, 3):
+            assert np.array_equal(sim.run_mc(config, threads=threads).samples, areas), (n, threads)
+    for n in (5, 6):
+        small, large = (sim.sample_paths(fbm_config(seed=43, n_samples=m, level=6))
+                        for m in (n, n + 1))
+        for a, b in zip(small, large):
+            assert np.array_equal(a, b[:n]), n
+
+
 def test_fbm_rows_do_not_depend_on_batching():
     for n_small, n_large in ((3, sim.BATCH + 7), (sim.BATCH + 3, 2 * sim.BATCH + 5)):
         small = fbm_config(seed=31, n_samples=n_small, level=9)
@@ -356,13 +419,15 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
         fbm_config(seed=5, n_samples=sim.BATCH + 9, level=4),
     ]
     reference = [(sim.sample_paths(c), sim.run_mc(c).samples) for c in configs]
+    # the smallest chunk is one pair of rows, one circulant draw
     for config, (paths, areas) in zip(configs, reference):
-        width = max(s.width for s in sim._samplers(config))
-        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 4 * width)
-        assert sim._chunk_rows(sim._samplers(config), config.level) == 4
-        for a, b in zip(sim.sample_paths(config), paths):
-            assert np.array_equal(a, b)
-        assert np.array_equal(sim.run_mc(config).samples, areas)
+        width = max(s.row_floats for s in sim._samplers(config))
+        for rows in (2, 4):
+            monkeypatch.setattr(sim, "CHUNK_ELEMENTS", rows * width)
+            assert sim._chunk_rows(sim._samplers(config), config.level) == rows
+            for a, b in zip(sim.sample_paths(config), paths):
+                assert np.array_equal(a, b)
+            assert np.array_equal(sim.run_mc(config).samples, areas)
 
 
 def _one_row_areas(config):
@@ -525,6 +590,25 @@ def test_run_mc_thread_count_is_bit_invariant():
     assert r1.mean == r2.mean and r1.variance == r2.variance
 
 
+def test_overflowing_run_fails_after_one_batch(monkeypatch):
+    # each batch tests its own areas, so an overflowing kernel stops after
+    # the first batch instead of drawing all 16
+    calls = []
+    streams = sim._streams
+
+    def counting(config, b):
+        calls.append(b)
+        return streams(config, b)
+
+    monkeypatch.setattr(sim, "_streams", counting)
+    kernel = cov.parse_kernel_spec("kind=weighted degree=0 coeff=1e80")
+    config = sim.MCConfig(seed=0, n_samples=16 * sim.BATCH, level=10, kernel1=kernel,
+                          kernel2=kernel)
+    with pytest.raises(NumericalError, match="areas of batch 0 are not finite"):
+        sim.run_mc(config, threads=1)
+    assert calls == [0]
+
+
 def test_run_mc_fbm_thread_count_is_bit_invariant():
     config = fbm_config(seed=12, n_samples=sim.BATCH + 100, level=5)
     r1 = sim.run_mc(config, threads=1)
@@ -575,9 +659,10 @@ def test_run_mc_fbm_variance_matches_exact_norm():
     config = fbm_config(seed=23, n_samples=20_000, level=8)
     result = sim.run_mc(config)
     target = 2.0 * lk.norm_approx(8, config.kernel1, config.kernel2).value
-    n = result.samples.size
-    m4 = float(np.mean((result.samples - result.mean) ** 4))
-    se_var = np.sqrt((m4 - result.variance**2) / n)
+    # samples 2j and 2j + 1 share a circulant draw: the stderr of the mean
+    # squared deviation comes from its pair means
+    pairs = ((result.samples - result.mean) ** 2).reshape(-1, 2).mean(axis=1)
+    se_var = float(np.std(pairs, ddof=1)) / np.sqrt(pairs.size)
     assert abs(result.variance - target) <= 5.0 * se_var
 
 
