@@ -297,7 +297,7 @@ def check_area_identities():
 
 def check_mc_determinism():
     # three batches, so the threads=3 run really shares them out over a pool;
-    # two Brownian kernels take the chain route, fBm the conditional one
+    # Brownian motion, a constant weight, takes the chain route, fBm the conditional one
     for kernel in (cov.brownian(), cov.fractional_brownian(0.35)):
         config = sim.MCConfig(seed=99, n_samples=2 * sim.BATCH + 1, level=3,
                               kernel1=kernel, kernel2=kernel)
@@ -491,9 +491,18 @@ def check_mirror_split():
     mixed = sp.general_spectrum(cov.fractional_brownian(0.35), cov.brownian(), 6)
     gap = float(np.max(np.abs(mixed.eigenvalues() - np.column_stack((s, -s)).ravel())))
     assert np.all(mixed.mults == 1) and gap <= 1e-13 * s[0], f"fBm 0.35/Brownian off by {gap:.3e}"
+    # constant weights take the scaled closed form, the full SVD their reference
+    closed = 0.0
+    for c in (0.3, 2.0):
+        kernel = cov.weighted_poly(0, c)
+        s = full_svd(kernel, kernel)
+        got = np.sort(sp.general_spectrum(kernel, kernel, 6).eigenvalues())
+        err = float(np.max(np.abs(got - np.sort(np.concatenate([-s, s]))))) / s[0]
+        assert err <= 1e-12, f"constant weight {c}: closed form off the full SVD by {err:.3e}"
+        closed = max(closed, err)
     return (f"split matches the full SVD at level 6 to {worst:.1e} ({', '.join(compared)}), "
             "its prefix-sum product the explicit one; fBm 0.35/Brownian, diagonal and table "
-            "Grams unsplit")
+            f"Grams unsplit; constant weights 0.3 and 2 match it to {closed:.1e}")
 
 
 def check_symmetry_audit():

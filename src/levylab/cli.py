@@ -31,7 +31,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 18
+SCHEMA_VERSION = 19
 
 
 def _fmt(x: float) -> str:
@@ -209,33 +209,25 @@ def cmd_simulate(args) -> int:
 
 def cmd_cf(args) -> int:
     kernel = _resolve_kernel(args.kernel)
-    stepped = kernel.kind in (cov.FBM, cov.TABULATED)
+    stepped = kernel.kind != cov.WEIGHTED
     if args.level is not None and not stepped:
         raise argparse.ArgumentTypeError(
-            f"--level only applies to fbm and tabulated kernels; the {kernel.kind} cf "
-            "is not computed on a dyadic level"
+            "--level only applies to fbm and tabulated kernels; the cf of a weighted "
+            "kernel, brownian included, is exact"
         )
-    if args.pairs is not None and kernel.kind != cov.BROWNIAN:
-        raise argparse.ArgumentTypeError("--pairs only applies to brownian kernels")
-    pairs = args.pairs if args.pairs is not None else 10_000
     level = args.level if args.level is not None else 7
     echo = _echo(
         "cf",
         kernel=cov.kernel_spec_string(kernel),
         t=[float(t) for t in args.t],
-        pairs=pairs if kernel.kind == cov.BROWNIAN else None,
         level=level if stepped else None,
     )
-    if kernel.kind == cov.WEIGHTED:
+    if stepped:
+        rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
+                for r in sp.cf_curve(sp.general_spectrum(kernel, kernel, level), args.t)]
+    else:
         norm_sq = kernel.weight.norm_sq
         rows = [(float(t), sp.weighted_cf(norm_sq, float(t)), 0.0, 0.0) for t in args.t]
-    else:
-        if kernel.kind == cov.BROWNIAN:
-            spectrum = sp.classical_spectrum(pairs)
-        else:
-            spectrum = sp.general_spectrum(kernel, kernel, level)
-        rows = [(r.z.imag, r.value.real, r.value.imag, r.tail_bound)
-                for r in sp.cf_curve(spectrum, args.t)]
     _write_table(args, echo, "cf.csv", ("t", "re", "im", "tail_bound"), rows,
                  {"n_points": len(rows)})
     return 0
@@ -244,8 +236,8 @@ def cmd_cf(args) -> int:
 def cmd_spectrum(args) -> int:
     """Level-n operator spectrum (--level, default 7) and its symmetry audit.
 
-    sp.general_spectrum gives it for every kernel: for a Brownian kernel the
-    closed form on the midpoint grid g = 2^n, with no dense solve.
+    sp.general_spectrum gives it for every kernel: for a constant weight, the
+    scaled closed form on the midpoint grid g = 2^n, with no dense solve.
     """
     kernel = _resolve_kernel(args.kernel)
     spectrum = sp.general_spectrum(kernel, kernel, args.level)
@@ -340,13 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-samples", action="store_true", help="also write samples.csv")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("cf", help="analytic / spectral characteristic function curves")
+    p = sub.add_parser("cf", help="exact or level-n spectral characteristic function curves")
     common(p)
     p.add_argument("--kernel", required=False)
     p.add_argument("--t", type=parse_range, default="0:3:0.1",
                    help="CF argument grid a:b:step or list (default 0:3:0.1)")
-    p.add_argument("--pairs", type=int,
-                   help="classical spectrum truncation, brownian only (default 10000)")
     p.add_argument("--level", type=int,
                    help="step-kernel level, fbm and tabulated only (default 7)")
     p.set_defaults(fn=cmd_cf)
@@ -363,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="auto", help="variation exponent or 'auto' (default)")
     p.add_argument("--level", type=int, default=10,
                    help="maximum grid level (default 10); the level Gram must fit "
-                        "covariance.MAX_GRAM_BYTES: at most 24 for brownian and "
-                        "weighted kernels, 23 for fbm, 12 for tabulated")
+                        "covariance.MAX_GRAM_BYTES: at most 24 for weighted kernels "
+                        "(brownian included), 23 for fbm, 12 for tabulated")
     p.set_defaults(fn=cmd_pvar)
 
     p = sub.add_parser("cauchy", help="inter-level chaos distances with decay fit")

@@ -2,10 +2,10 @@
 
 Supported kernels (all with R(0,t) = R(s,0) = 0, processes started at zero):
 
-    brownian    R(s,t) = min(s,t)
     fbm         R(s,t) = (s^{2H} + t^{2H} - |s-t|^{2H}) / 2,  H in (0,1)
     weighted    R(s,t) = int_0^{min(s,t)} f(u)^2 du  for a polynomial weight
-                f(u) = c u^d, so R(s,t) = c^2 (s ^ t)^{2d+1} / (2d+1)
+                f(u) = c u^d, so R(s,t) = c^2 (s ^ t)^{2d+1} / (2d+1); Brownian
+                motion, min(s,t), is f = 1, spelled `brownian` (constant_weight)
     tabulated   bilinear interpolation of a value table on a uniform mesh
 
 The rectangular increment
@@ -32,7 +32,6 @@ from .errors import (
     ShapeError,
 )
 
-BROWNIAN = "brownian"
 FBM = "fbm"
 WEIGHTED = "weighted"
 TABULATED = "tabulated"
@@ -82,7 +81,7 @@ class CovKernel:
     table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (BROWNIAN, FBM, WEIGHTED, TABULATED):
+        if self.kind not in (FBM, WEIGHTED, TABULATED):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == FBM:
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
@@ -108,7 +107,7 @@ class CovKernel:
 
 
 def brownian() -> CovKernel:
-    return CovKernel(BROWNIAN)
+    return weighted_poly(0)
 
 
 def fractional_brownian(hurst: float) -> CovKernel:
@@ -187,8 +186,6 @@ def eval_grid(kernel: CovKernel, x, y) -> np.ndarray:
     _check_unit_square(x, y)
     S = x[:, None]
     T = y[None, :]
-    if kernel.kind == BROWNIAN:
-        return np.broadcast_to(np.minimum(S, T), (len(x), len(y))).copy()
     if kernel.kind == FBM:
         h2 = 2.0 * kernel.hurst
         return 0.5 * (S**h2 + T**h2 - np.abs(S - T) ** h2)
@@ -279,7 +276,7 @@ TOEPLITZ = "toeplitz"
 FACTORED = "factored"
 
 #: the structure of each kernel kind's level Gram
-_STRUCTURE = {BROWNIAN: DIAGONAL, WEIGHTED: DIAGONAL, FBM: TOEPLITZ, TABULATED: FACTORED}
+_STRUCTURE = {WEIGHTED: DIAGONAL, FBM: TOEPLITZ, TABULATED: FACTORED}
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,12 +412,12 @@ class _Diagonal:
         return Z
 
     def quad(self, H):
-        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H. Squares above the
-        largest float read inf without a warning: the caller checks the result."""
+        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H. Squares and sums above
+        the largest float read inf without a warning: the caller checks them."""
         with np.errstate(over="ignore", invalid="ignore"):
             H *= H
             H *= self.variances
-        return H.sum(axis=1)
+            return H.sum(axis=1)
 
 
 class _Circulant:
@@ -511,7 +508,7 @@ def _toeplitz(gamma: np.ndarray, n: int) -> np.ndarray:
 def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     """The level-n increment Gram in its exact structure.
 
-    Brownian and weighted kernels have R(s,t) = F(min(s,t)), so the cell
+    Weighted kernels (Brownian motion too) have R(s,t) = F(min(s,t)), so the cell
     increments are independent and the Gram is diagonal, with variances
     F(t_{k+1}) - F(t_k) bit-identical to the diagonal of gram_matrix. fBm
     increments over equal cells are stationary (fractional Gaussian noise),
@@ -525,11 +522,7 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
     elif kernel.kind == TABULATED:
         values = _table_factor(kernel.table, level)
     else:
-        part = dyadic_partition(level)
-        if kernel.kind == WEIGHTED:
-            part = kernel.weight.antiderivative_sq(part)
-        values = np.diff(part)
-        del part
+        values = np.diff(kernel.weight.antiderivative_sq(dyadic_partition(level)))
     return LevelGram(_STRUCTURE[kernel.kind], level, values)
 
 
@@ -567,7 +560,7 @@ def check_level(level: int, kernel: CovKernel | None = None) -> int:
     that structure: N floats diagonal, N + 1 lags Toeplitz, and N^2 floats
     factored, whose norm and p-variation routes still form G. So dense
     routes and tabulated kernels reach level 12, fBm level 23, and
-    Brownian and weighted kernels level 24. Raises ParameterError below 0 and
+    weighted kernels level 24. Raises ParameterError below 0 and
     ResourceError above, before anything is built and without forming 2^level
     for a huge level.
     """
@@ -619,13 +612,22 @@ def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
 def variation_index(kernel: CovKernel) -> float | None:
     """Smallest p with finite grid p-variation, where known.
 
-    Bounded variation (p = 1) for Brownian-type kernels; 1/(2H) for rough
+    Bounded variation (p = 1) for weighted kernels; 1/(2H) for rough
     fractional kernels with H <= 1/2; unknown (None) for tabulated data.
     """
-    if kernel.kind in (BROWNIAN, WEIGHTED):
+    if kernel.kind == WEIGHTED:
         return 1.0
     if kernel.kind == FBM:
         return 1.0 / (2.0 * kernel.hurst) if kernel.hurst <= 0.5 else 1.0
+    return None
+
+
+def constant_weight(kernel: CovKernel) -> float | None:
+    """c of a constant weight f = c (weighted, degree 0), else None: the process
+    c W, Brownian motion (c = 1) on the clock c^2 t. Routes take its Brownian
+    closed forms by this rule, read off the spec, never off Gram values."""
+    if kernel.kind == WEIGHTED and kernel.weight.degree == 0:
+        return kernel.weight.coeff
     return None
 
 
@@ -653,7 +655,7 @@ def parse_kernel_spec(text: str) -> CovKernel:
     kind = fields.pop("kind", None)
     if kind is None:
         raise ParameterError(f"kernel spec {text!r} does not name a kind")
-    if kind == BROWNIAN:
+    if kind == "brownian":
         _reject_extras(fields, text)
         return brownian()
     if kind == FBM:
@@ -688,10 +690,10 @@ def kernel_spec_string(kernel: CovKernel) -> str:
     """Canonical key=value record for config echoes.
 
     Numbers are written as their shortest round-trip repr without a trailing
-    ".0", so parse_kernel_spec rebuilds the same hurst and coeff exactly; a
-    tabulated kernel is named by its mesh only.
+    ".0", so parse_kernel_spec rebuilds the same kernel exactly (the unit weight
+    as kind=brownian); a tabulated kernel is named by its mesh only.
     """
-    if kernel.kind == BROWNIAN:
+    if constant_weight(kernel) == 1.0:
         return "kind=brownian"
     if kernel.kind == FBM:
         return f"kind=fbm hurst={_spec_number(kernel.hurst)}"

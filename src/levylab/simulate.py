@@ -6,11 +6,12 @@ dyadic cells is
 
     A = sum_{k<l} (d1_k d2_l - d2_k d1_l).
 
-run_mc draws it along one of two routes, read off the kernels' kinds.
+run_mc draws it along one of two routes, read off the kernels' specs.
 
-Two Brownian kernels: Levy's midpoint refinement as a Markov chain on three
+Two constant weights c1, c2 (covariance.constant_weight): c1 c2 times the
+area of W1, W2 from Levy's midpoint refinement as a Markov chain on three
 scalars (P. Levy 1948; Gaines & Lyons, SIAM J. Appl. Math. 54, 1994). Let
-X, Y be the two processes' increment vectors at level j (m = 2^j cells of
+X, Y be the increment vectors of W1, W2 at level j (m = 2^j cells of
 variance s^2 = 2^-j), A_j their area, P_j = |X|^2 and Q_j = |Y|^2. Splitting
 every cell into halves, the half differences E = x_left - x_right and E'
 are independent of X and Y with variance s^2 per cell, the cross-cell terms
@@ -30,14 +31,14 @@ and A_0 = 0,
 for j = 0 .. level - 1 gives the level's area with its exact law: no chi-square
 at j = 0 (one cell) and no norm update at the last level, so 2 level + 2
 normals and 2 (level - 2) chi-squares per sample (22 and 16 at level 10)
-instead of a path of 2^level cells. No path, sign product or level Gram is
-formed, and every step is an elementwise +, * or sqrt.
+instead of a path of 2^level cells, times c1 c2 (1.0 keeps every bit). No
+path, sign product or level Gram is formed; every step is elementwise.
 
 Every other pair: the conditional law given one path. Path increments are
 d = F z, standard normals z per process per sample, where the factor F
 (F F^T = increment Gram) is covariance.LevelGram.factor() of the kernel's
 level Gram: diag(sqrt(cell variance)) for independent increments (weighted,
-and Brownian in sample_paths), the minimal circulant embedding of size 2N
+Brownian motion among them), the minimal circulant embedding of size 2N
 for stationary ones (fBm; Davies & Harte 1987; Dietrich & Newsam 1997) and
 the N x r low-rank factor of a tabulated kernel, r the rank of its mesh
 Gram (r normals; none for a zero process, whose increments are exact
@@ -270,13 +271,13 @@ def discrete_levy_area(increments1, increments2) -> float:
     return sums[0] - sums[1]
 
 
-def _chain_chunks(level: int):
-    """(rows, width, chunk) of the Brownian chain route at `level`.
+def _chain_chunks(level: int, scale: float):
+    """(rows, width, chunk) of the chain route at `level`, areas times `scale`.
 
     chunk(buf, normals, chis, out) draws len(out) rows of the chain's 2 level + 2
     normals into buf (rows x width) from `normals` and its 2 (level - 2)
-    chi-squares from `chis`, both row-major, and writes the areas into out.
-    A chunk holds at most CHUNK_ELEMENTS draws.
+    chi-squares from `chis`, both row-major, and writes the areas into out (inf,
+    with no warning, on overflow). A chunk holds at most CHUNK_ELEMENTS draws.
     """
     width = 2 * level + 2
     dfs = np.repeat(2.0 ** np.arange(1, level - 1) - 1.0, 2)
@@ -285,6 +286,8 @@ def _chain_chunks(level: int):
     def chunk(buf, normals, chis, out):
         draws = normals.standard_normal(out=buf[: len(out)])
         _chain_areas(draws, chis.chisquare(dfs, size=(len(out), dfs.size)), out)
+        with np.errstate(over="ignore"):
+            out *= scale
 
     return rows, width, chunk
 
@@ -337,7 +340,7 @@ def _conditional_chunks(config: MCConfig):
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     """Discrete-area draws with summary moments.
 
-    Two Brownian kernels draw each area from the midpoint-refinement chain,
+    Two constant weights draw each area from the midpoint-refinement chain,
     every other pair from its exact law given process 1's path (see the
     module docstring). Work is split into fixed-size batches, one per task,
     processed in fixed-size row chunks; the thread count (clamped to the
@@ -348,10 +351,12 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     areas as it finishes, and one that is not finite raises NumericalError:
     one thread draws no later batch, and a pool cancels the batches it has
     not started. The conditional route's h^T G2 h is the square of an
-    area's scale, so it overflows for areas above about 1e154.
+    area's scale, so it overflows for areas above about 1e154; so does the
+    variance of finite areas, which raises NumericalError after the run.
     """
-    if config.kernel1.kind == config.kernel2.kind == cov.BROWNIAN:
-        rows, width, chunk = _chain_chunks(config.level)
+    c1, c2 = cov.constant_weight(config.kernel1), cov.constant_weight(config.kernel2)
+    if c1 is not None and c2 is not None:
+        rows, width, chunk = _chain_chunks(config.level, c1 * c2)
     else:
         rows, width, chunk = _conditional_chunks(config)
     areas = np.empty(config.n_samples)
@@ -377,8 +382,11 @@ def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
     else:
         for start in starts:
             work(start)
-    mean = float(np.mean(areas))
-    variance = float(np.var(areas, ddof=1)) if config.n_samples > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(areas))
+        variance = float(np.var(areas, ddof=1)) if config.n_samples > 1 else 0.0
+    if not np.isfinite([mean, variance]).all():
+        raise NumericalError(f"the areas' mean {mean} or variance {variance} overflows a float")
     return MCResult(samples=areas, mean=mean, variance=variance, config=config)
 
 
@@ -402,7 +410,13 @@ def empirical_cf(result: MCResult, t_grid) -> EmpiricalCF:
     if samples.size == 0:
         raise ShapeError("empirical CF needs at least one sample")
     estimates = np.empty(len(t), dtype=complex)
+    # exp(i t A) as its cos and sin in one reused buffer: the bits of
+    # np.exp(1j * t * A), whose argument has a zero real part, in less time
+    phases = np.empty(samples.size, dtype=complex)
     for idx, tk in enumerate(t):
-        estimates[idx] = np.mean(np.exp(1j * tk * samples))
+        angle = tk * samples
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
+        estimates[idx] = np.mean(phases)
     stderr = np.full(len(t), 1.0 / np.sqrt(samples.size))
     return EmpiricalCF(t_grid=t, estimates=estimates, std_errors=stderr)

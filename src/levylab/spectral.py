@@ -22,12 +22,12 @@ R_i of the increment Grams G_i = R_i R_i^T, the step-kernel operator is the
 block matrix [[0, M], [M^T, 0]] with M = R_1^T A R_2 and A the cell sign
 matrix. Its nonzero eigenvalues are +-s for the singular values s of M,
 whichever roots are taken, so the spectrum comes from one SVD (half-size
-for two equal Toeplitz Grams), or from the closed form for two Brownian
-kernels, and mirror symmetry holds by construction. So do the
-multiplicities: every value is listed twice when the two Grams are equal
-(M is then antisymmetric) and once otherwise. No Gram is shifted, so no
-listed value is made of a shift. A is never built: products with it are
-blocked prefix sums (levy_kernel.sign_product).
+for two equal Toeplitz Grams), or from the closed form scaled by |c1 c2| for
+two constant weights c1, c2, and mirror symmetry holds by construction. So
+do the multiplicities: every value is listed twice when the two Grams are
+equal or both constant weights' (M is then antisymmetric) and once otherwise.
+No Gram is shifted, so no listed value is made of a shift. A is never built:
+products with it are blocked prefix sums (levy_kernel.sign_product).
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .errors import ParameterError, ResourceError
 PAIR_TOL = 1e-6
 #: cap on the step-kernel level, and on the midpoint grid at 2 ** MAX_OPERATOR_LEVEL
 MAX_OPERATOR_LEVEL = 10
-#: cap on the +-alpha pairs classical_spectrum lists (cf --pairs)
+#: cap on the +-alpha pairs classical_spectrum lists
 MAX_CLASSICAL_PAIRS = 10**6
 
 
@@ -236,9 +236,10 @@ def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryRe
 def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectrum:
     """Spectrum of the level-n step-kernel operator for a covariance pair.
 
-    The route is read off the kernels' structure, never off rounding. Two
-    Brownian kernels return brownian_spectrum(2^level), the closed form of
-    this spectrum, and build no Gram. Otherwise the eigenvalues are +-s for
+    The route is read off the kernels' specs and structure, never off rounding.
+    Two constant weights c1, c2 (cov.constant_weight) return the closed form
+    brownian_spectrum(2^level) scaled by |c1 c2| before the +- listing (a zero
+    weight lists +0) and build no Gram. Otherwise the eigenvalues are +-s for
     the singular values s of M = R_1^T A R_2, R_i the unshifted roots of the
     level Grams (LevelGram.root), with multiplicities from the construction,
     not from a tolerance: when the two level Grams are equal (r2 is r1, or
@@ -262,8 +263,9 @@ def general_spectrum(r1: cov.CovKernel, r2: cov.CovKernel, level: int) -> Spectr
     """
     check_operator_level(level)
     n = 2**level
-    if r1.kind == r2.kind == cov.BROWNIAN:
-        return brownian_spectrum(n)
+    c1, c2 = cov.constant_weight(r1), cov.constant_weight(r2)
+    if c1 is not None and c2 is not None:
+        return _plus_minus(abs(c1 * c2) * brownian_spectrum(n).alphas[0::2], 2)
     g1 = cov.level_gram(r1, level)
     g2 = g1 if r2 is r1 else cov.level_gram(r2, level)
     equal = g1.equals(g2)

@@ -126,7 +126,8 @@ def test_oversized_ranges_exit_2(tmp_path, monkeypatch):
         raise AssertionError("CF computed on an oversized grid")
 
     monkeypatch.setattr(sp, "cf_curve", forbidden)
-    argv = ["cf", "--kernel", "brownian", "--pairs", 10]
+    monkeypatch.setattr(sp, "weighted_cf", forbidden)
+    argv = ["cf", "--kernel", "brownian"]
     for i, t in enumerate(("0:2e6:1", "1:3e6")):
         out = tmp_path / f"flag{i}"
         assert flag_exit_code(argv + ["--t", t, "--out", out]) == 2, t
@@ -146,7 +147,8 @@ TABLE_RUNS = {
 #: the retired spellings as (argv, retired option or None): a Hurst index is
 #: spelled only in the kernel spec, fBm only as fbm and a spectrum's size only
 #: as --level; options come only from flags (no --config), every table is a
-#: CSV file (no --format) and --out alone places the artifacts (no --prefix)
+#: CSV file (no --format), --out alone places the artifacts (no --prefix) and
+#: a Brownian cf is exact, with no classical truncation (no --pairs)
 RETIRED = (
     [([c, "--kernel", "fbm", "--hurst", 0.4, "--level", 3], None)
      for c in ("cf", "spectrum", "pvar")]
@@ -159,6 +161,7 @@ RETIRED = (
     + [([c, *TABLE_RUNS[c]], option)
        for option in ("--config run.cfg", "--format csv", "--format json", "--prefix p")
        for c in TABLE_RUNS]
+    + [(["cf", "--kernel", "brownian"], "--pairs 10")]
 )
 
 
@@ -177,14 +180,14 @@ def test_retired_spellings_exit_2(tmp_path, monkeypatch, argv, option):
 # ---------------------------------------------------------------------------
 
 def test_cf_brownian_matches_sech_within_tail_bound(tmp_path):
+    # Brownian motion is the unit constant weight: its cf is the exact sech(t), tail bound 0
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0:3:0.1", "--out", tmp_path]) == 0
-    _, header, rows = read_csv(tmp_path / "cf.csv")
+    echo, header, rows = read_csv(tmp_path / "cf.csv")
     assert header == ["t", "re", "im", "tail_bound"]
-    assert len(rows) == 31
-    for t_s, re_s, im_s, tb_s in rows:
-        t, re, im, tb = map(float, (t_s, re_s, im_s, tb_s))
-        assert abs(re - 1.0 / np.cosh(t)) <= max(tb, 1e-12)
-        assert abs(im) <= 1e-12
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "pairs" not in echo and "pairs" not in summary
+    assert rows == [[cli._fmt(t), cli._fmt(sp.weighted_cf(1.0, t)), "0", "0"]
+                    for t in cli.parse_range("0:3:0.1")]
 
 
 def test_cf_weighted_kernel(tmp_path):
@@ -193,14 +196,20 @@ def test_cf_weighted_kernel(tmp_path):
     ]) == 0
     _, _, rows = read_csv(tmp_path / "cf.csv")
     assert float(rows[0][1]) == pytest.approx(1.0 / np.cosh(1.0), abs=1e-12)
+    # a constant weight c: the process c W has area c^2 A, cf sech(c^2 t) exactly
+    for coeff in (0.3, 2.0):
+        out = tmp_path / str(coeff)
+        argv = ["cf", "--kernel", f"weighted degree=0 coeff={coeff!r}", "--t", "0.5,1,3"]
+        assert run_cli([*argv, "--out", out]) == 0, coeff
+        assert [(float(re), im, tb) for _, re, im, tb in read_csv(out / "cf.csv")[2]] \
+            == [(1.0 / math.cosh(coeff * coeff * t), "0", "0") for t in (0.5, 1.0, 3.0)]
 
 
 def test_cf_rejects_flags_its_route_does_not_read(tmp_path):
     cases = [
         ["--kernel", "brownian", "--level", 3],
-        ["--kernel", "kind=weighted,degree=1", "--level", 4, "--pairs", 5],
-        ["--kernel", "kind=weighted,degree=1", "--pairs", 5],
-        ["--kernel", "fbm hurst=0.35", "--level", 3, "--pairs", 5],
+        ["--kernel", "kind=weighted,degree=1", "--level", 4],
+        ["--kernel", "weighted degree=0 coeff=2", "--level", 3],
     ]
     for i, argv in enumerate(cases):
         out = tmp_path / f"flag{i}"
@@ -247,7 +256,7 @@ def test_cf_of_a_zero_weight_is_one(tmp_path):
 
 def test_cf_at_the_largest_arguments_is_finite(tmp_path):
     big = "1e155,1e300,1.7976931348623157e308"
-    cases = [(["--kernel", "brownian"], "inf"), (["--kernel", "brownian", "--pairs", 10], "inf"),
+    cases = [(["--kernel", "brownian"], "0"),
              (["--kernel", "fbm hurst=0.35"], "0"), (["--kernel", "fbm hurst=0.35", "--level", 3], "0")]
     for i, (argv, tail) in enumerate(cases):
         out = tmp_path / str(i)
@@ -461,13 +470,6 @@ def test_tabulated_simulate_factors_one_gram(tmp_path, monkeypatch):
     assert (len(tables), len(grams), len(factors)) == (1, 1, 1)
 
 
-def test_cf_pairs_above_cap_exit_2(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli(["cf", "--kernel", "brownian", "--pairs", sp.MAX_CLASSICAL_PAIRS + 1,
-                    "--out", out]) == 2
-    assert not (out / "cf.csv").exists()
-
-
 def test_cauchy_levels_above_cap_exit_2(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("step matrix or Gram built before the level cap was checked")
@@ -495,7 +497,7 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert "jitter_rung" not in summary and summary["schema_version"] == 18
+            assert "jitter_rung" not in summary and summary["schema_version"] == 19
     assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -513,11 +515,13 @@ def test_table_spectrum_lists_exact_pair_counts(tmp_path):
 
 
 def test_spectrum_writes_no_negative_zero(tmp_path):
-    # a zero weight has exact zero values, each listed as 0 twice, never as -0
-    out = tmp_path / "zero"
-    assert run_cli(["spectrum", "--kernel", "weighted degree=1 coeff=0", "--level", 2,
-                    "--out", out]) == 0
-    assert read_csv(out / "spectrum.csv")[2] == [["0", "2"]] * 4
+    # a zero weight has exact zero values, each listed as 0 twice, never as -0,
+    # on the SVD route (degree 1) and the constant weights' closed form (degree 0)
+    for degree in (1, 0):
+        out = tmp_path / f"zero{degree}"
+        assert run_cli(["spectrum", "--kernel", f"weighted degree={degree} coeff=0", "--level", 2,
+                        "--out", out]) == 0
+        assert read_csv(out / "spectrum.csv")[2] == [["0", "2"]] * 4, degree
 
 
 def test_zero_table_process_is_exact_zeros(tmp_path):
@@ -634,18 +638,29 @@ def test_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_results_exit_3(tmp_path, capsys):
-    # accepted kernels (coeff^2 is finite) whose area scale h^T G2 h, chaos
-    # norm or |increment|^p sum overflows a float exit 3 and write no table;
-    # at coeff 1e70 every value is finite and the tables are the library's
+    # accepted kernels (coeff^2 is finite) whose area moments, chaos norm or
+    # |increment|^p sum overflow a float exit 3 and write no table: constant
+    # weights take the chain, whose areas c^2 A stay finite at coeff 1e80 and
+    # 5e76 (near 1e160 and 1e153) while their variance, or the sum of squares
+    # it is taken from, does not. At coeff 1e70 every value is finite and the
+    # tables are the library's
     kernel = cov.parse_kernel_spec("kind=weighted degree=0 coeff=1e70")
-    ecf = sim.empirical_cf(sim.run_mc(sim.MCConfig(seed=0, n_samples=50, level=3,
-                                                   kernel1=kernel, kernel2=kernel)), [0.0, 1.0])
+
+    def cf_body(seed, samples, level):
+        config = sim.MCConfig(seed=seed, n_samples=samples, level=level, kernel1=kernel,
+                              kernel2=kernel)
+        ecf = sim.empirical_cf(sim.run_mc(config), [0.0, 1.0])
+        return csv_body("t,re,im,stderr", zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
+                                              ecf.estimates.imag.tolist(),
+                                              ecf.std_errors.tolist()))
+
     table = lk.cauchy_table([1, 2, 3], kernel, kernel)
     profile = pv.variation_profile(kernel, 2.0, 3)
     cases = [
         (["simulate", "--level", 3, "--samples", 50, "--t", "0,1"], "1e80", "cf.csv",
-         csv_body("t,re,im,stderr", zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
-                                        ecf.estimates.imag.tolist(), ecf.std_errors.tolist()))),
+         cf_body(0, 50, 3)),
+        (["simulate", "--level", 4, "--samples", 200, "--seed", 1, "--t", "0,1"], "5e76",
+         "cf.csv", cf_body(1, 200, 4)),
         (["cauchy", "--levels", "1:3"], "1e80", "cauchy.csv",
          csv_body("n,m,norm_sq,refine,flag",
                   [(n, m, norm.value, norm.refine, table.flag) for n, m, norm in table.rows])),
@@ -653,8 +668,8 @@ def test_overflowing_results_exit_3(tmp_path, capsys):
          csv_body("level,estimate,verdict",
                   [(level, est, profile.verdict) for level, est in profile.levels])),
     ]
-    for command, coeff, name, body in cases:
-        out = tmp_path / command[0]
+    for i, (command, coeff, name, body) in enumerate(cases):
+        out = tmp_path / str(i)
         spec = f"kind=weighted degree=0 coeff={coeff}"
         assert run_cli([*command, "--kernel", spec, "--out", out]) == 3, command
         assert "numerical error" in capsys.readouterr().err
@@ -741,7 +756,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 18
+    assert summary["schema_version"] == 19
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -832,7 +847,6 @@ DEFAULT_RUNS = {
     "simulate": (["--kernel", "brownian"],
                  ["--seed", 0, "--samples", 10000, "--level", 8, "--t", "0:3:0.5"]),
     "cf": (["--kernel", "fbm hurst=0.35"], ["--level", 7, "--t", "0:3:0.1"]),
-    "cf-pairs": (["--kernel", "brownian"], ["--pairs", 10000, "--t", "0:3:0.1"]),
     "spectrum": (["--kernel", "fbm hurst=0.35"], ["--level", 7]),
     "pvar": (["--kernel", "fbm hurst=0.35"], ["--p", "auto", "--level", 10]),
     "cauchy": (["--kernel", "fbm hurst=0.35"], ["--levels", "1:6"]),
@@ -871,15 +885,11 @@ def test_summary_json_is_strict_json(tmp_path):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
 
-    # the tail bound at t = 1e155 is infinite; it is a cf.csv cell, not a summary field
-    runs = {**{c: [c, *argv] for c, argv in TABLE_RUNS.items()},
-            "cf-inf": ["cf", "--kernel", "brownian", "--t", "0,1e155"]}
-    for name, argv in runs.items():
+    for name, argv in TABLE_RUNS.items():
         out = tmp_path / name
-        assert run_cli([*argv, "--out", out]) == 0, argv
+        assert run_cli([name, *argv, "--out", out]) == 0, argv
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["schema_version"] == cli.SCHEMA_VERSION, argv
-    assert read_csv(tmp_path / "cf-inf" / "cf.csv")[2][1][3] == "inf"
     inf, nan = float("inf"), float("nan")
     assert cli._json_value({"a": [nan, -inf, (inf, 1.0)], "b": 2}) == {
         "a": ["nan", "-inf", ["inf", 1.0]], "b": 2}

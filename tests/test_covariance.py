@@ -637,8 +637,9 @@ def test_asymmetric_tables_are_rejected(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_parse_kernel_spec_forms():
-    assert cov.parse_kernel_spec("brownian").kind == cov.BROWNIAN
-    assert cov.parse_kernel_spec("kind=brownian").kind == cov.BROWNIAN
+    for text in ("brownian", "kind=brownian", "weighted degree=0", "kind=weighted degree=0 coeff=1"):
+        k = cov.parse_kernel_spec(text)
+        assert k.kind == cov.WEIGHTED and (k.weight.degree, k.weight.coeff) == (0, 1.0), text
     k = cov.parse_kernel_spec("kind=fbm hurst=0.35")
     assert k.kind == cov.FBM and k.hurst == 0.35
     k = cov.parse_kernel_spec("fbm hurst=0.2")
@@ -692,6 +693,35 @@ def test_kernel_spec_string_rebuilds_every_parameter_exactly(hurst, degree, coef
     weighted = cov.parse_kernel_spec(cov.kernel_spec_string(cov.weighted_poly(degree, coeff)))
     assert (weighted.weight.degree, weighted.weight.coeff) == (degree, coeff)
     assert np.signbit(weighted.weight.coeff) == np.signbit(coeff)
+
+
+def test_brownian_is_the_unit_constant_weight():
+    # not a kind: brownian() is weighted_poly(0), echoed as kind=brownian
+    with pytest.raises(ParameterError, match="unknown kernel kind 'brownian'"):
+        cov.CovKernel("brownian")
+    brownian = cov.brownian()
+    assert brownian.kind == cov.WEIGHTED and brownian.weight == cov.PolyWeight(0, 1.0)
+    for kernel in (brownian, cov.weighted_poly(0), cov.weighted_poly(0, 1.0)):
+        assert cov.kernel_spec_string(kernel) == "kind=brownian"
+        again = cov.parse_kernel_spec(cov.kernel_spec_string(kernel))
+        assert again.kind == cov.WEIGHTED and again.weight == kernel.weight
+    # other constant weights, -1 among them, keep their weighted echo
+    for coeff in (-1.0, 2.0, 0.0):
+        assert cov.kernel_spec_string(cov.weighted_poly(0, coeff)).startswith("kind=weighted")
+    # the unit weight's values are min(s, t) and 2^-level to the bit
+    x = np.linspace(0.0, 1.0, 33)
+    assert np.array_equal(cov.eval_grid(brownian, x, x), np.minimum.outer(x, x))
+    assert np.array_equal(cov.level_gram(brownian, 12).values, np.full(4096, 2.0**-12))
+
+
+def test_constant_weight_is_read_off_the_spec():
+    assert cov.constant_weight(cov.brownian()) == 1.0
+    for coeff in (0.3, 2.0, 0.0, -1.5):
+        assert cov.constant_weight(cov.weighted_poly(0, coeff)) == coeff
+    # a weight of higher degree, fBm and a table of min(s, t) are not constant weights
+    table = cov.tabulated(np.minimum.outer(*2 * [np.linspace(0.0, 1.0, 9)]))
+    for kernel in (cov.weighted_poly(1), cov.fractional_brownian(0.5), table):
+        assert cov.constant_weight(kernel) is None
 
 
 def test_kernel_spec_string_keeps_short_numbers_short():

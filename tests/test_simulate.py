@@ -544,13 +544,34 @@ def test_run_mc_route_is_read_off_the_kernel_kinds(monkeypatch):
     monkeypatch.setattr(cov, "level_gram", forbidden)
     monkeypatch.setattr(lk, "sign_product", forbidden)
     assert sim.run_mc(brownian_config(seed=1, n_samples=50, level=12)).samples.shape == (50,)
-    # a Brownian process paired with fBm, and weighted kernels (diagonal Grams
-    # like the Brownian one), keep the conditional route
+    # a Brownian process paired with fBm, and weighted kernels of degree 1
+    # (diagonal Grams like the Brownian one), keep the conditional route
     mixed = sim.MCConfig(seed=1, n_samples=5, level=4, kernel1=cov.brownian(),
                          kernel2=cov.fractional_brownian(0.35))
     for config in (mixed, weighted_config(seed=1, n_samples=5, level=4)):
         with pytest.raises(AssertionError, match="conditional route taken"):
             sim.run_mc(config)
+
+
+def test_constant_weights_take_the_chain(monkeypatch):
+    # c1 W1, c2 W2 have the area c1 c2 A: the Brownian chain's areas of the
+    # same seed times c1 c2, to the bit, with no Gram or path formed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conditional route taken")
+
+    brownian = sim.run_mc(brownian_config(seed=7, n_samples=sim.BATCH + 5, level=6)).samples
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    monkeypatch.setattr(lk, "sign_product", forbidden)
+    for c1, c2 in ((0.3, 0.3), (2.0, 2.0), (0.0, 0.0), (0.3, 2.0), (1.0, 0.5)):
+        config = sim.MCConfig(seed=7, n_samples=sim.BATCH + 5, level=6,
+                              kernel1=cov.weighted_poly(0, c1), kernel2=cov.weighted_poly(0, c2))
+        for threads in (1, 2):
+            areas = sim.run_mc(config, threads=threads).samples
+            assert np.array_equal(areas, (c1 * c2) * brownian), (c1, c2, threads)
+    # a power of two scales every bit, the exponent only
+    config = sim.MCConfig(seed=7, n_samples=sim.BATCH + 5, level=6,
+                          kernel1=cov.weighted_poly(0, 2.0), kernel2=cov.weighted_poly(0, 0.5))
+    assert np.array_equal(sim.run_mc(config).samples, brownian)
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +622,16 @@ def test_overflowing_run_fails_after_one_batch(monkeypatch):
         return streams(config, b)
 
     monkeypatch.setattr(sim, "_streams", counting)
-    kernel = cov.parse_kernel_spec("kind=weighted degree=0 coeff=1e80")
-    config = sim.MCConfig(seed=0, n_samples=16 * sim.BATCH, level=10, kernel1=kernel,
-                          kernel2=kernel)
-    with pytest.raises(NumericalError, match="areas of batch 0 are not finite"):
-        sim.run_mc(config, threads=1)
-    assert calls == [0]
+    # one kernel per route whose areas overflow: on the conditional route
+    # h^T G2 h overflows, on the chain c1 c2 = 1e308 times the Brownian area
+    for spec in ("kind=weighted degree=1 coeff=1e80", "kind=weighted degree=0 coeff=1e154"):
+        kernel = cov.parse_kernel_spec(spec)
+        config = sim.MCConfig(seed=0, n_samples=16 * sim.BATCH, level=10, kernel1=kernel,
+                              kernel2=kernel)
+        with pytest.raises(NumericalError, match="areas of batch 0 are not finite"):
+            sim.run_mc(config, threads=1)
+        assert calls == [0], spec
+        calls.clear()
 
 
 def test_run_mc_fbm_thread_count_is_bit_invariant():
@@ -733,6 +758,20 @@ def test_empirical_cf_brownian_matches_sech():
     for t, est in zip(ecf.t_grid, ecf.estimates):
         assert est.real == pytest.approx(1.0 / np.cosh(t), abs=0.02)
         assert abs(est.imag) <= 4.0 / np.sqrt(config.n_samples)
+
+
+def test_empirical_cf_is_the_mean_of_exp_i_t_a_to_the_bit():
+    # the cos/sin buffer gives the bits of the direct formula mean(exp(i t A))
+    t = np.concatenate((np.linspace(0.0, 3.0, 31), [-2.0, 1e-300, 1e155]))
+    configs = [brownian_config(seed=seed, n_samples=4096, level=8) for seed in (1, 2, 3)]
+    configs += [brownian_config(seed=4, n_samples=65536, level=10),
+                fbm_config(seed=5, n_samples=3001, level=6)]
+    for config in configs:
+        samples = sim.run_mc(config).samples
+        want = np.array([np.mean(np.exp(1j * tk * samples)) for tk in t])
+        got = sim.empirical_cf(sim.MCResult(samples, 0.0, 0.0, config), t).estimates
+        assert np.array_equal(got.view(float), want.view(float)), config.seed
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def test_empirical_cf_validation():

@@ -836,8 +836,8 @@ def test_equal_brownian_kernels_take_the_closed_form(monkeypatch):
 def test_constant_weight_route_depends_on_structure_not_rounding(coeff, monkeypatch):
     # a constant weight c has c^2 times the Brownian Gram; its variances are
     # exactly flip-symmetric for c = 2 and off by an ulp for c = 0.3, yet both
-    # take one full-size SVD, split nothing, and list c^2 times the closed form.
-    # The two kernels are built separately: equal Grams are read off the values
+    # are read off the spec as constant weights: no SVD, no split, and c^2
+    # times the closed form. The two kernels are built separately
     calls = []
     svd = np.linalg.svd
 
@@ -851,11 +851,30 @@ def test_constant_weight_route_depends_on_structure_not_rounding(coeff, monkeypa
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(cov.LevelGram, "mirror_half", forbidden)
     spec = sp.general_spectrum(cov.weighted_poly(0, coeff), cov.weighted_poly(0, coeff), 8)
-    assert calls == [(256, 256)]
+    assert calls == []
     exact = sp.brownian_spectrum(256)
     assert spec.mults.tolist() == exact.mults.tolist()
     gap = np.max(np.abs(spec.alphas - coeff**2 * exact.alphas))
     assert gap <= 1e-13 * spec.spectral_radius, gap / spec.spectral_radius
+
+
+def test_constant_weights_take_the_scaled_closed_form(monkeypatch):
+    # c1 W1, c2 W2: |c1 c2| times the closed form, scaled before the +- listing,
+    # every value twice; no Gram, root or SVD, and a zero weight lists +0, never -0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a constant weight built a Gram, a root or an SVD")
+
+    exact = sp.brownian_spectrum(2**7).alphas[0::2]
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    for name in ("svd", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for c1, c2 in ((0.3, 0.3), (2.0, 2.0), (0.0, 0.0), (0.3, 2.0), (-2.0, 0.3), (0.0, -1.0)):
+        spec = sp.general_spectrum(cov.weighted_poly(0, c1), cov.weighted_poly(0, c2), 7)
+        scaled = abs(c1 * c2) * exact
+        want = sp.Spectrum(np.column_stack((scaled, 0.0 - scaled)).ravel(), np.full(128, 2))
+        assert_same_spectrum(spec, want)
+    zero = sp.general_spectrum(cov.weighted_poly(0, 0.0), cov.weighted_poly(0, -0.0), 7)
+    assert not np.any(np.signbit(zero.alphas)) and zero.spectral_radius == 0.0
 
 
 def test_spectrum_stores_arrays():
