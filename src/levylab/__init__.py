@@ -33,20 +33,7 @@ from .levy_kernel import (
     norm_approx,
     norm_diff,
 )
-from .pvariation import (
-    ControlEstimate,
-    ControlReport,
-    VariationProfile,
-    YoungBound,
-    YoungNorm,
-    area_control,
-    control_product_check,
-    grid_control,
-    v1p,
-    v2p_grid,
-    variation_profile,
-    young_integral_2d,
-)
+from .pvariation import VariationProfile, v1p, v2p_grid, variation_profile
 from .simulate import EmpiricalCF, MCConfig, MCResult, discrete_levy_area, empirical_cf, run_mc, sample_paths
 from .spectral import (
     CFProduct,
@@ -54,7 +41,6 @@ from .spectral import (
     brownian_spectrum,
     cf_from_spectrum,
     classical_spectrum,
-    cosh_factorization_check,
     general_spectrum,
     symmetry_check,
     weighted_cf,

@@ -149,12 +149,18 @@ def _write_csv(path: Path, echo: dict, blocks):
 def _sample_blocks(samples):
     """samples.csv body: the header, then one text block per BATCH samples.
 
-    "%.17g" of a Python float is _fmt's text, inf, nan and -0 included.
+    "%.17g" of a Python float is _fmt's text, inf, nan and -0 included. A
+    block is one % of the row format repeated over its interleaved cells.
     """
     yield "sample,area\n"
+    row = "%d,%.17g\n"
+    full = row * sim.BATCH
     for start in range(0, len(samples), sim.BATCH):
         block = samples[start : start + sim.BATCH].tolist()
-        yield "".join(["%d,%.17g\n" % row for row in enumerate(block, start)])
+        cells = [None] * (2 * len(block))
+        cells[0::2] = range(start, start + len(block))
+        cells[1::2] = block
+        yield (full if len(block) == sim.BATCH else row * len(block)) % tuple(cells)
 
 
 def _write_table(args, echo: dict, name: str, columns, rows, summary: dict, repeat=()):

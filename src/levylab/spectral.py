@@ -142,16 +142,6 @@ def cf_from_spectrum(spectrum: Spectrum, z: complex) -> CFProduct:
     return CFProduct(z=z, value=value, tail_bound=tail_bound)
 
 
-def cosh_factorization_check(z: complex, n_factors: int) -> float:
-    """|prod_{n<N} (1 + 4 z^2 / (pi^2 (2n+1)^2)) - cosh(z)|."""
-    if n_factors < 0:
-        raise ParameterError(f"n_factors must be >= 0, got {n_factors}")
-    n = np.arange(n_factors)
-    factors = 1.0 + 4.0 * complex(z) ** 2 / (np.pi**2 * (2 * n + 1) ** 2)
-    product = complex(np.prod(factors)) if n_factors else 1.0 + 0.0j
-    return float(abs(product - np.cosh(complex(z))))
-
-
 def weighted_cf(weight_norm_sq: float, t: float) -> float:
     """Characteristic function sech(t * ||f||^2) of the weighted-process area.
 

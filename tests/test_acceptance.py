@@ -193,15 +193,15 @@ def test_criterion_7_fbm_existence_gate():
 
 
 def test_criterion_8_young_machinery():
-    residual = sp.cosh_factorization_check(1.0, 100_000)
+    residual = checks.cosh_factorization_check(1.0, 100_000)
     assert residual < 1e-4
 
-    report_area = pv.control_product_check(
-        pv.area_control(), pv.area_control(), 2.0, 2.0, trials=500, slack=1e-9
+    report_area = checks.control_product_check(
+        checks.area_control(), checks.area_control(), 2.0, 2.0, trials=500, slack=1e-9
     )
-    omega = pv.grid_control(cov.brownian(), 1.0, level=5)
-    report_grid = pv.control_product_check(
-        omega, pv.area_control(), 1.0, 4.0, trials=500, slack=1e-9
+    omega = checks.grid_control(cov.brownian(), 1.0, level=5)
+    report_grid = checks.control_product_check(
+        omega, checks.area_control(), 1.0, 4.0, trials=500, slack=1e-9
     )
     assert report_area.n_violations == 0
     assert report_grid.n_violations == 0

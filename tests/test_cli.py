@@ -785,6 +785,19 @@ def test_simulate_threads_bit_identical(tmp_path):
     assert body == "\n".join(["sample,area", *rows]) + "\n"
 
 
+def test_sample_blocks_match_the_per_row_text():
+    # one % per block renders each row as "%d,%.17g\n" does alone, over a
+    # full block and a partial one and at the edges of the float range
+    edges = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(0)
+    samples = np.concatenate([edges, rng.normal(size=5000 - len(edges))])
+    assert len(samples) - sim.BATCH == 904
+    rows = ["%d,%.17g\n" % (i, a) for i, a in enumerate(samples.tolist())]
+    assert "".join(cli._sample_blocks(samples)) == "".join(["sample,area\n", *rows])
+    assert "".join(cli._sample_blocks(samples[:0])) == "sample,area\n"
+
+
 def test_tables_are_the_library_csv(tmp_path):
     fbm = cov.fractional_brownian(0.35)
     table = lk.cauchy_table([1, 2, 3, 4], fbm, fbm)

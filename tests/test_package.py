@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import levylab
+import levylab.checks
 
 SRC = Path(levylab.__file__).resolve().parent
 ROUTES = ("covariance", "levy_kernel", "pvariation", "simulate", "spectral")
@@ -13,6 +14,10 @@ GRAM_USERS = ("simulate", "spectral", "levy_kernel", "pvariation", "cli")
 #: attribute and the names of its structures
 GRAM_VALUES = "values"
 GRAM_STRUCTURES = ("DIAGONAL", "TOEPLITZ", "FACTORED", "_STRUCTURE")
+#: the 2D Young audits and the cosh residual: only `levylab check` and the tests call them
+AUDIT_ONLY = ("area_control", "grid_control", "control_product_check", "ControlEstimate",
+              "ControlReport", "young_integral_2d", "YoungNorm", "YoungBound",
+              "cosh_factorization_check")
 
 
 def imported_modules(path):
@@ -45,6 +50,13 @@ def test_reference_only_functions_are_not_exported():
     assert not hasattr(levylab.covariance, "min_eigenvalue_ratio")
     assert not hasattr(levylab.pvariation, "v1p_exhaustive")
     assert "dense" not in called_names(function_node("covariance", "mirror_half"))
+
+
+@pytest.mark.parametrize("name", AUDIT_ONLY)
+def test_audit_only_names_live_in_the_checks(name):
+    for module in (levylab, levylab.pvariation, levylab.spectral):
+        assert not hasattr(module, name), (module.__name__, name)
+    assert hasattr(levylab.checks, name), name
 
 
 def function_node(module, name):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.pvariation as pv
-from levylab.errors import ParameterError, ResourceError
+from levylab.errors import NumericalError, ParameterError, ResourceError
 from test_simulate import DENSE_TOP, _fgn_toeplitz
 
 
@@ -194,9 +194,9 @@ def test_non_finite_exponents_are_rejected():
             lambda: checks.v1p_exhaustive(samples, bad),
             lambda: pv.v2p_grid(cov.brownian(), bad, 3),
             lambda: pv.variation_profile(cov.fractional_brownian(0.35), bad, 3),
-            lambda: pv.grid_control(cov.brownian(), bad),
-            lambda: pv.young_integral_2d(one, cov.brownian(), bad, 1.0, 3),
-            lambda: pv.young_integral_2d(one, cov.brownian(), 2.0, bad, 3),
+            lambda: checks.grid_control(cov.brownian(), bad),
+            lambda: checks.young_integral_2d(one, cov.brownian(), bad, 1.0, 3),
+            lambda: checks.young_integral_2d(one, cov.brownian(), 2.0, bad, 3),
         ):
             with pytest.raises(ParameterError, match="finite"):
                 call()
@@ -232,14 +232,15 @@ def test_profile_brownian_constant():
 # ---------------------------------------------------------------------------
 
 def test_control_product_area_measure():
-    report = pv.control_product_check(pv.area_control(), pv.area_control(), 2.0, 2.0, trials=400)
+    area = checks.area_control()
+    report = checks.control_product_check(area, area, 2.0, 2.0, trials=400)
     assert report.ok
-    assert report.max_violation <= pv.SLACK_TOL
+    assert report.max_violation <= checks.SLACK_TOL
 
 
 def test_control_product_brownian_grid():
-    omega1 = pv.grid_control(cov.brownian(), 1.0, level=5)
-    report = pv.control_product_check(omega1, pv.area_control(), 1.0, 5.0, trials=400)
+    omega1 = checks.grid_control(cov.brownian(), 1.0, level=5)
+    report = checks.control_product_check(omega1, checks.area_control(), 1.0, 5.0, trials=400)
     assert report.ok
 
 
@@ -247,26 +248,37 @@ def test_grid_control_checks_its_level_at_construction(monkeypatch):
     # each call of omega builds a (2^level + 1)^2 corner grid
     _forbid_dense_grams(monkeypatch)
     with pytest.raises(ParameterError):
-        pv.grid_control(cov.brownian(), 1.0, level=-1)
+        checks.grid_control(cov.brownian(), 1.0, level=-1)
     with pytest.raises(ResourceError):
-        pv.grid_control(cov.brownian(), 1.0, level=DENSE_TOP + 1)
+        checks.grid_control(cov.brownian(), 1.0, level=DENSE_TOP + 1)
 
 
 def test_control_product_exponent_error():
+    area = checks.area_control()
     with pytest.raises(ParameterError):
-        pv.control_product_check(pv.area_control(), pv.area_control(), 3.0, 3.0)
+        checks.control_product_check(area, area, 3.0, 3.0)
     for p, q in ((float("nan"), 2.0), (2.0, float("nan"))):
         with pytest.raises(ParameterError):
-            pv.control_product_check(pv.area_control(), pv.area_control(), p, q, trials=5)
+            checks.control_product_check(area, area, p, q, trials=5)
 
 
 def test_control_report_worst_case_records_split():
-    report = pv.control_product_check(pv.area_control(), pv.area_control(), 2.0, 2.0, trials=50)
+    area = checks.area_control()
+    report = checks.control_product_check(area, area, 2.0, 2.0, trials=50)
     whole, left, right = report.worst_case
-    assert isinstance(whole, pv.ControlEstimate)
+    assert isinstance(whole, checks.ControlEstimate)
     assert left.value >= 0 and right.value >= 0
     with pytest.raises(ParameterError):
-        pv.ControlEstimate(rectangle=None, value=-1.0)
+        checks.ControlEstimate(rectangle=None, value=-1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_control_product_refuses_estimates_that_are_not_finite():
+    # 13 of the 20 whole-rectangle estimates overflow to inf; their violations
+    # are nan, which no slack flags, so the audit raises instead of passing
+    omega = checks.grid_control(cov.weighted_poly(0, 1e150), 2.0, level=2)
+    with pytest.raises(NumericalError, match="control estimate"):
+        checks.control_product_check(omega, checks.area_control(), 2.0, 2.0, trials=20)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +286,15 @@ def test_control_report_worst_case_records_split():
 # ---------------------------------------------------------------------------
 
 def test_young_constant_integrand():
-    value, report = pv.young_integral_2d(lambda S, T: 2.5 + 0.0 * S, cov.brownian(), 2.0, 1.0, 5)
+    value, report = checks.young_integral_2d(lambda S, T: 2.5 + 0.0 * S, cov.brownian(),
+                                             2.0, 1.0, 5)
     assert value == pytest.approx(2.5, abs=1e-12)
     assert report.refinement_delta <= 1e-12
 
 
 def test_young_one_against_fbm():
-    value, _ = pv.young_integral_2d(lambda S, T: 1.0 + 0.0 * S, cov.fractional_brownian(0.6), 2.0, 1.0, 4)
+    value, _ = checks.young_integral_2d(lambda S, T: 1.0 + 0.0 * S, cov.fractional_brownian(0.6),
+                                        2.0, 1.0, 4)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -291,7 +305,7 @@ def test_young_product_integrand_diagonal_limit():
     oracle = float(np.trapezoid(u**2, u))
     assert oracle == pytest.approx(1.0 / 3.0, abs=1e-8)
 
-    value, report = pv.young_integral_2d(lambda S, T: S * T, cov.brownian(), 2.0, 1.0, 8)
+    value, report = checks.young_integral_2d(lambda S, T: S * T, cov.brownian(), 2.0, 1.0, 8)
     assert value == pytest.approx(oracle, abs=0.01)
     # exact finite-sum value: sum_k (k 2^-n)^2 2^-n
     n = 8
@@ -306,14 +320,14 @@ def test_young_step_function_exact():
     def f(S, T):
         return np.where(S >= 0.5, 1.0, 0.0) * np.where(T >= 0.5, 3.0, 1.0)
 
-    vals = [pv.young_integral_2d(f, cov.brownian(), 2.0, 1.0, lvl)[0] for lvl in (2, 4, 6)]
+    vals = [checks.young_integral_2d(f, cov.brownian(), 2.0, 1.0, lvl)[0] for lvl in (2, 4, 6)]
     assert max(vals) - min(vals) <= 1e-12
     # hand-computed: integrand is f(0.5,0.5)=3 on the diagonal overlap [0.5, 1]
     assert vals[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_young_norm_parts():
-    _, report = pv.young_integral_2d(lambda S, T: S + T, cov.brownian(), 2.0, 1.0, 4)
+    _, report = checks.young_integral_2d(lambda S, T: S + T, cov.brownian(), 2.0, 1.0, 4)
     norm = report.f_norm
     # additive integrand: zero 2D increments, unit variation along both edges
     assert norm.v2p == pytest.approx(0.0, abs=1e-12)
@@ -329,7 +343,7 @@ def test_young_level_cap_fires_before_f_is_evaluated(monkeypatch):
 
     monkeypatch.setattr(cov, "level_gram", forbidden)
     with pytest.raises(ResourceError):
-        pv.young_integral_2d(forbidden, cov.brownian(), 2.0, 1.0, DENSE_TOP + 1)
+        checks.young_integral_2d(forbidden, cov.brownian(), 2.0, 1.0, DENSE_TOP + 1)
 
 
 def test_young_evaluates_f_once_on_one_gram(monkeypatch):
@@ -357,7 +371,7 @@ def test_young_evaluates_f_once_on_one_gram(monkeypatch):
             return level_gram(k, level)
 
         monkeypatch.setattr(cov, "level_gram", counting_gram)
-        value, report = pv.young_integral_2d(counting_f, kernel, 2.0, 1.5, 6)
+        value, report = checks.young_integral_2d(counting_f, kernel, 2.0, 1.5, 6)
         monkeypatch.setattr(cov, "level_gram", level_gram)
         assert calls == [("f", (65, 65)), ("level_gram", 6)], calls
         fine, coarse = anchored(kernel, 6), anchored(kernel, 5)
@@ -366,6 +380,14 @@ def test_young_evaluates_f_once_on_one_gram(monkeypatch):
         assert report.g_variation == pv.v2p_grid(kernel, 1.5, 6)
 
 
+@pytest.mark.filterwarnings("error")
+def test_young_overflow_raises_without_warnings():
+    # the sum and the norm of f overflow: a NumericalError, not inf and nan
+    with pytest.raises(NumericalError, match="Young sum is inf"):
+        checks.young_integral_2d(lambda S, T: 1e200 * S * T, cov.weighted_poly(0, 1e150),
+                                 2.0, 1.0, 3)
+
+
 def test_young_exponent_error():
     with pytest.raises(ParameterError):
-        pv.young_integral_2d(lambda S, T: S, cov.brownian(), 2.0, 2.0, 3)
+        checks.young_integral_2d(lambda S, T: S, cov.brownian(), 2.0, 2.0, 3)
