@@ -23,8 +23,8 @@ def main():
         table = lk.cauchy_table(range(1, 7), r1, r2)
         slope = "n/a" if table.slope is None else f"{table.slope:+.3f}"
         print(f"{name}: flag={table.flag} log2-slope={slope}")
-        for n, m, norm in table.rows:
-            print(f"    ({n},{m})  norm_sq={norm.value:.6e}  refine={norm.refine}")
+        for n, m, norm_sq, refine in table.rows:
+            print(f"    ({n},{m})  norm_sq={norm_sq:.6e}  refine={refine}")
 
 
 if __name__ == "__main__":

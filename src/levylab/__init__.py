@@ -23,9 +23,6 @@ from .covariance import (
 )
 from .levy_kernel import (
     CauchyTable,
-    ChaosNorm,
-    DyadicApprox,
-    approx_eval,
     cauchy_table,
     existence_check,
     fbm_existence_check,

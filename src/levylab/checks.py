@@ -106,7 +106,8 @@ def grid_control(kernel, p: float, level: int = 6):
     rectangle, evaluated on a uniform 2^level subdivision of the rectangle.
     Each call builds a (2^level + 1)^2 corner array, so the level is checked
     here, as for a dense route, by cov.check_level: ParameterError below 0,
-    ResourceError above 12.
+    ResourceError above 12. A sum that is not finite (|increment|^p above the
+    largest float) raises NumericalError, as in v2p_grid.
     """
     pv._require_exponent(p)
     n = 2 ** cov.check_level(level)
@@ -116,7 +117,13 @@ def grid_control(kernel, p: float, level: int = 6):
         ys = np.linspace(rect.u0, rect.u1, n + 1)
         corners = cov.eval_grid(kernel, xs, ys)
         inc = np.diff(np.diff(corners, axis=0), axis=1)
-        return float(np.sum(np.abs(inc) ** p))
+        # an overflow reads inf or nan without a warning; the sum is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(np.abs(inc) ** p))
+        if not math.isfinite(total):
+            raise NumericalError(f"grid control estimate on {rect} is {total}: a sum of "
+                                 f"|increment|^{p:g} past the largest float")
+        return total
 
     return omega
 
@@ -452,9 +459,9 @@ def check_levy_antisymmetry():
 def check_norm_diff_basics():
     br = cov.brownian()
     fbm = cov.fractional_brownian(0.75)
-    assert lk.norm_diff(3, 3, br, br).value == 0.0
-    a = lk.norm_diff(2, 4, fbm, fbm).value
-    b = lk.norm_diff(4, 2, fbm, fbm).value
+    assert lk.norm_diff(3, 3, br, br) == 0.0
+    a = lk.norm_diff(2, 4, fbm, fbm)
+    b = lk.norm_diff(4, 2, fbm, fbm)
     assert abs(a - b) <= 1e-12, (a, b)
     # the prefix-sum norms against the explicit dense contraction 2 tr(G1 D G2 D^T) at
     # level 6: D = A_6 (norm_approx) and A_6 - A_n (norm_diff(n, 6)), every block count
@@ -468,13 +475,13 @@ def check_norm_diff_basics():
             for name2, r2 in kernels.items():
                 want = 2.0 * float(np.sum((grams[name1] @ D) * (D @ grams[name2])))
                 norm = lk.norm_approx(n, r1, r2) if n == level else lk.norm_diff(n, level, r1, r2)
-                err = abs(norm.value - want)
+                err = abs(norm - want)
                 # the rank-one product-st Gram g g^T has g^T D g = 0: with itself both
                 # contractions are zero, which its factored entries give to rounding
                 # of (sum |G|)^2 = R(1,1)^2 = 1
                 zero = name1 == name2 == "product-st"
                 assert err <= (1e-15 if zero else 1e-13 * abs(want)), (
-                    f"{name1} x {name2}, levels ({n}, {level}): {norm.value!r} vs dense {want!r}"
+                    f"{name1} x {name2}, levels ({n}, {level}): {norm!r} vs dense {want!r}"
                 )
                 worst = max(worst, err / abs(want) if want and not zero else 0.0)
     return (f"zero at equal levels, symmetric in the pair; norms match the dense contraction "
@@ -485,7 +492,7 @@ def check_brownian_variance_identity():
     br = cov.brownian()
     worst = 0.0
     for n in (1, 4, 8):
-        worst = max(worst, abs(2.0 * lk.norm_approx(n, br, br).value - (1.0 - 2.0**-n)))
+        worst = max(worst, abs(2.0 * lk.norm_approx(n, br, br) - (1.0 - 2.0**-n)))
     assert worst <= 1e-10, worst
     return f"max residual {worst:.2e}"
 
@@ -494,8 +501,8 @@ def check_triangle_consistency():
     br = cov.brownian()
     worst = 0.0
     for n, m in ((1, 2), (2, 5), (3, 4)):
-        d = lk.norm_diff(n, m, br, br).value
-        e = abs(lk.norm_approx(n, br, br).value - lk.norm_approx(m, br, br).value)
+        d = lk.norm_diff(n, m, br, br)
+        e = abs(lk.norm_approx(n, br, br) - lk.norm_approx(m, br, br))
         worst = max(worst, abs(d - e))
     assert worst <= 1e-10, worst
     return f"max residual {worst:.2e}"
@@ -674,7 +681,7 @@ def check_step_operator_identity():
     ):
         spec = sp.general_spectrum(kernel, kernel, level)
         total = float(np.sum(spec.mults * spec.alphas**2))
-        norm = lk.norm_approx(level, kernel, kernel).value
+        norm = lk.norm_approx(level, kernel, kernel)
         rel = abs(total - norm) / norm
         assert rel <= 1e-12, (
             f"{name}: sum mult*alpha^2 {total!r} vs norm_approx({level}) {norm!r}"

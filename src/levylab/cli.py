@@ -292,8 +292,7 @@ def cmd_cauchy(args) -> int:
         kernel2=cov.kernel_spec_string(k2),
         levels=levels,
     )
-    rows = [(n, m, norm.value, norm.refine) for n, m, norm in table.rows]
-    _write_table(args, echo, "cauchy.csv", ("n", "m", "norm_sq", "refine"), rows,
+    _write_table(args, echo, "cauchy.csv", ("n", "m", "norm_sq", "refine"), table.rows,
                  {"slope": table.slope, "flag": table.flag}, repeat=("flag",))
     return 0
 

@@ -169,10 +169,10 @@ def load_table_csv(path) -> CovKernel:
 
 
 def _check_unit_square(*axes):
-    # each axis separately: x and y may have different lengths
+    # each axis separately: x and y may have different lengths; nan is outside
     for axis in axes:
         axis = np.asarray(axis)
-        if np.any((axis < 0) | (axis > 1)):
+        if not np.all((axis >= 0) & (axis <= 1)):
             raise DomainError("covariance arguments must lie in [0,1]")
 
 
@@ -262,7 +262,7 @@ def gram_matrix(kernel: CovKernel, partition) -> np.ndarray:
         raise PartitionError("partition needs at least two breakpoints")
     if part[0] != 0.0 or part[-1] != 1.0:
         raise PartitionError("partition must start at 0 and end at 1")
-    if np.any(np.diff(part) <= 0):
+    if not np.all(np.diff(part) > 0):  # a nan breakpoint fails too
         raise PartitionError("partition breakpoints must be strictly increasing")
     corners = eval_grid(kernel, part, part)
     # rebound, so the (N+1)^2 corner values are freed before the second difference

@@ -4,7 +4,9 @@ The kernel lives on ([0,1] x {1,2})^2 and takes the value +1/2 on the
 off-diagonal triangle s < t of the (1,2) block, -1/2 on s > t, with signs
 flipped on the (2,1) block and zero diagonal blocks. Its level-n dyadic
 approximation replaces the triangles by unions of product cells, which
-zeroes out the band of diagonal cells of width 2^-n.
+zeroes out the band of diagonal cells of width 2^-n. The approximation is
+never evaluated at a point: it is the sign matrix sign(l - k) / 2 over the
+cells k, l = 0..2^n - 1, and kernel_eval is only the kernel's definition.
 
 Inner products in the tensor Hilbert space attached to covariance kernels
 R_1, R_2 reduce, for step functions, to quadruple sums of cell values against
@@ -40,52 +42,9 @@ def kernel_eval(s: float, i: int, t: float, j: int) -> float:
     return base if (i, j) == (1, 2) else -base
 
 
-def cell_index(x: float, level: int) -> int:
-    """Index of the left-open dyadic cell (t_k, t_{k+1}] containing x; 0 at x=0."""
-    return min(max(math.ceil(x * 2**level) - 1, 0), 2**level - 1)
-
-
-def approx_eval(level: int, s: float, i: int, t: float, j: int) -> float:
-    """Value of the level-n step approximation; zero on diagonal cells."""
-    if level < 0:
-        raise ParameterError(f"approximation level must be >= 0, got {level}")
-    _check_index(i)
-    _check_index(j)
-    if i == j:
-        return 0.0
-    k = cell_index(s, level)
-    l = cell_index(t, level)
-    if k == l:
-        return 0.0
-    base = 0.5 if k < l else -0.5
-    return base if (i, j) == (1, 2) else -base
-
-
 def _check_index(i):
     if i not in (1, 2):
         raise ParameterError(f"process index must be 1 or 2, got {i}")
-
-
-@dataclass(frozen=True)
-class DyadicApprox:
-    """Level-n dyadic step approximation of the Levy kernel."""
-
-    level: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ParameterError(f"approximation level must be >= 1, got {self.level}")
-
-    def eval(self, s, i, t, j):
-        return approx_eval(self.level, s, i, t, j)
-
-
-@dataclass(frozen=True)
-class ChaosNorm:
-    """A squared tensor-space norm and the dyadic grid level it was contracted on."""
-
-    value: float
-    refine: int
 
 
 #: rows per slab of sign_product: a slab's product, and for a transposed x
@@ -173,22 +132,23 @@ def _step_norm(r1: cov.CovKernel, r2: cov.CovKernel, blocks: int, level: int) ->
     return 2.0 * max(0.0 - total, 0.0)
 
 
-def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
-    """Exact squared tensor norm of the level-n approximation.
+def norm_approx(n: int, r1: cov.CovKernel, r2: cov.CovKernel) -> float:
+    """Exact squared tensor norm of the level-n approximation, as a float.
 
-    The contraction holds N x N arrays, N = 2^n, so n is checked by
-    cov.check_level (at most 12) before any Gram is built.
+    It is contracted on the level-n grid, whose N x N arrays, N = 2^n, cap n
+    through cov.check_level (at most 12) before any Gram is built.
     """
     if n < 1:
         raise ParameterError(f"approximation level must be >= 1, got {n}")
     cov.check_level(n)
-    return ChaosNorm(value=_step_norm(r1, r2, 1, n), refine=n)
+    return _step_norm(r1, r2, 1, n)
 
 
-def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm:
+def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> float:
     """Exact squared tensor distance between the level-n and level-m approximations.
 
-    On the level-max(n, m) grid the difference is +-S with 2^min(n, m) blocks
+    It is contracted on the level-max(n, m) grid, the cauchy.csv
+    refine column. On that grid the difference is +-S with 2^min(n, m) blocks
     (sign_product), which is zero at equal levels. Like norm_approx it holds
     N x N arrays, so max(n, m) is checked by cov.check_level (at most 12).
     """
@@ -196,7 +156,7 @@ def norm_diff(n: int, m: int, r1: cov.CovKernel, r2: cov.CovKernel) -> ChaosNorm
         raise ParameterError(f"approximation levels must be >= 1, got ({n}, {m})")
     level = max(n, m)
     cov.check_level(level)
-    return ChaosNorm(value=_step_norm(r1, r2, 2 ** min(n, m), level), refine=level)
+    return _step_norm(r1, r2, 2 ** min(n, m), level)
 
 
 def existence_check(p: float, q: float) -> bool:
@@ -227,7 +187,7 @@ def coverage_flag(r1: cov.CovKernel, r2: cov.CovKernel) -> str:
 
 @dataclass(frozen=True)
 class CauchyTable:
-    rows: tuple  # ((n, m, ChaosNorm), ...)
+    rows: tuple  # ((n, m, norm_sq, refine), ...), the cauchy.csv rows
     slope: float | None
     flag: str
 
@@ -235,18 +195,18 @@ class CauchyTable:
 def cauchy_table(levels, r1: cov.CovKernel, r2: cov.CovKernel) -> CauchyTable:
     """Distances across consecutive levels with a fitted dyadic decay rate.
 
-    The slope is the least-squares fit of log2(norm_sq) against n over the
-    consecutive pairs (n, n+1); -1 means norm_sq halves per level. The top
+    Each row is the cauchy.csv row (n, m, norm_sq, refine) of consecutive
+    levels n < m: norm_sq = norm_diff(n, m), contracted on the level-refine
+    grid, refine = m. The slope is the least-squares fit of log2(norm_sq)
+    against n over the rows; -1 means norm_sq halves per level. The top
     level is checked by cov.check_level (at most 12) before the first row.
     """
     levels = [int(x) for x in levels]
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ParameterError("levels must be an increasing list with at least two entries")
     cov.check_level(levels[-1])
-    rows = []
-    for a, b in zip(levels, levels[1:]):
-        rows.append((a, b, norm_diff(a, b, r1, r2)))
-    xs = [a for a, _, norm in rows if norm.value > 0]
-    ys = [math.log2(norm.value) for _, _, norm in rows if norm.value > 0]
+    rows = tuple((a, b, norm_diff(a, b, r1, r2), b) for a, b in zip(levels, levels[1:]))
+    xs = [a for a, _, norm_sq, _ in rows if norm_sq > 0]
+    ys = [math.log2(norm_sq) for _, _, norm_sq, _ in rows if norm_sq > 0]
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
-    return CauchyTable(rows=tuple(rows), slope=slope, flag=coverage_flag(r1, r2))
+    return CauchyTable(rows=rows, slope=slope, flag=coverage_flag(r1, r2))

@@ -46,7 +46,7 @@ def v1p(samples, p: float) -> float:
     _require_exponent(p)
     pts = np.asarray([s[0] for s in samples], dtype=float)
     vals = np.asarray([s[1] for s in samples], dtype=float)
-    if len(pts) and np.any(np.diff(pts) <= 0):
+    if not np.all(np.diff(pts) > 0):  # a nan point fails too
         raise ParameterError("sample points must be strictly increasing")
     n = len(vals)
     if n < 2:

@@ -197,17 +197,17 @@ class SymmetryReport:
         return not self.violations
 
 
-def symmetry_check(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> SymmetryReport:
+def symmetry_check(spectrum: Spectrum) -> SymmetryReport:
     """Audit mirror symmetry and even multiplicity of a spectrum.
 
     The eigenvalues e_0 <= ... <= e_{n-1}, each repeated by its multiplicity,
-    must equal their own negatives reversed: |e_k + e_{n-1-k}| <= pair_tol *
+    must equal their own negatives reversed: |e_k + e_{n-1-k}| <= PAIR_TOL *
     spectral_radius for every k, and n must be even. max_pair_gap is the
     largest |e_k + e_{n-1-k}|.
     """
     e = np.sort(spectrum.eigenvalues())
     gaps = np.abs(e + e[::-1])
-    tol = pair_tol * (spectrum.spectral_radius or 1.0)
+    tol = PAIR_TOL * (spectrum.spectral_radius or 1.0)
     violations = []
     bad = np.flatnonzero(gaps > tol)
     if bad.size:

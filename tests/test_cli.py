@@ -663,7 +663,7 @@ def test_overflowing_results_exit_3(tmp_path, capsys):
          "cf.csv", cf_body(1, 200, 4)),
         (["cauchy", "--levels", "1:3"], "1e80", "cauchy.csv",
          csv_body("n,m,norm_sq,refine,flag",
-                  [(n, m, norm.value, norm.refine, table.flag) for n, m, norm in table.rows])),
+                  [(*row, table.flag) for row in table.rows])),
         (["pvar", "--p", 2, "--level", 3], "1e100", "pvar.csv",
          csv_body("level,estimate,verdict",
                   [(level, est, profile.verdict) for level, est in profile.levels])),
@@ -809,7 +809,7 @@ def test_tables_are_the_library_csv(tmp_path):
          csv_body("alpha,multiplicity", sp.brownian_spectrum(16).entries)),
         (["cauchy", "--kernel", "fbm hurst=0.35", "--levels", "1:4"], "cauchy.csv",
          csv_body("n,m,norm_sq,refine,flag",
-                  [(n, m, norm.value, norm.refine, table.flag) for n, m, norm in table.rows])),
+                  [(*row, table.flag) for row in table.rows])),
         (["pvar", "--kernel", "fbm hurst=0.35", "--p", "auto", "--level", 5], "pvar.csv",
          csv_body("level,estimate,verdict",
                   [(level, est, profile.verdict) for level, est in profile.levels])),

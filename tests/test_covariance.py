@@ -78,6 +78,17 @@ def test_eval_grid_rectangular_axes():
         cov.eval_grid(k, x, [0.0, 0.25, -0.5])
 
 
+def test_nan_arguments_are_outside_the_unit_square():
+    # nan compares false both ways, so a range test must require the good case
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        cov.eval(cov.brownian(), nan, 0.5)
+    with pytest.raises(DomainError):
+        cov.eval(cov.brownian(), 0.5, nan)
+    with pytest.raises(DomainError):
+        cov.eval_grid(cov.fractional_brownian(0.35), [nan, 0.5], [0.25])
+
+
 def test_hurst_validation():
     with pytest.raises(ParameterError):
         cov.fractional_brownian(0.0)
@@ -204,6 +215,11 @@ def test_gram_partition_errors():
         cov.gram_matrix(k, [0.1, 0.5, 1.0])
     with pytest.raises(PartitionError):
         cov.gram_matrix(k, [0.0, 0.5, 0.9])
+
+
+def test_gram_refuses_a_nan_breakpoint():
+    with pytest.raises(PartitionError, match="strictly increasing"):
+        cov.gram_matrix(cov.brownian(), [0.0, float("nan"), 1.0])
 
 
 # ---------------------------------------------------------------------------

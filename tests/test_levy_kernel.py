@@ -47,7 +47,7 @@ def grams(kernel1, kernel2, refine):
 
 
 # ---------------------------------------------------------------------------
-# kernel_eval / approx_eval
+# kernel_eval and the cell sign matrix
 # ---------------------------------------------------------------------------
 
 def test_kernel_eval_examples():
@@ -74,39 +74,20 @@ def test_kernel_eval_antisymmetry(s, t):
     assert lk.kernel_eval(s, 2, t, 2) == 0.0
 
 
-def test_approx_eval_examples():
-    assert lk.approx_eval(1, 0.2, 1, 0.8, 2) == 0.5
-    assert lk.approx_eval(1, 0.2, 1, 0.4, 2) == 0.0  # same cell
-    assert lk.approx_eval(3, 0.2, 1, 0.8, 2) == 0.5
-    assert lk.approx_eval(2, 0.8, 1, 0.2, 2) == -0.5
-    assert lk.approx_eval(2, 0.8, 2, 0.2, 1) == 0.5
-
-
-def test_approx_eval_cell_conventions():
-    # cells are left-open: 0.5 belongs to (0.25, 0.5] at level 2
-    assert lk.cell_index(0.5, 2) == 1
-    assert lk.cell_index(0.0, 2) == 0
-    assert lk.cell_index(1.0, 2) == 3
-    assert lk.approx_eval(1, 0.5, 1, 0.75, 2) == 0.5
-
-
-def test_approx_matches_kernel_off_the_band():
-    rng = np.random.default_rng(2)
-    level = 4
-    width = 2.0**-level
-    for _ in range(200):
-        s, t = rng.uniform(0, 1, 2)
-        if abs(s - t) <= width:
-            continue
-        for i, j in ((1, 2), (2, 1)):
-            assert lk.approx_eval(level, s, i, t, j) == lk.kernel_eval(s, i, t, j)
-
-
-def test_dyadic_approx_wrapper():
-    approx = lk.DyadicApprox(level=2)
-    assert approx.eval(0.2, 1, 0.9, 2) == 0.5
-    with pytest.raises(ParameterError):
-        lk.DyadicApprox(level=0)
+def test_cell_signs_match_the_kernel_off_the_band():
+    # the level-n approximation equals the kernel off the band of diagonal
+    # level-n cells and is zero on it: checked at the fine-cell midpoints
+    for refine in range(2, 9):
+        mids = (np.arange(2**refine) + 0.5) / 2**refine
+        kernel = np.array([[lk.kernel_eval(s, 1, t, 2) for t in mids] for s in mids])
+        flipped = np.array([[lk.kernel_eval(s, 2, t, 1) for t in mids] for s in mids])
+        assert np.array_equal(flipped, -kernel)
+        for level in range(1, refine):
+            coarse = np.arange(2**refine) >> (refine - level)
+            off_band = coarse[:, None] != coarse[None, :]
+            approx = checks.cell_sign_matrix(level, refine)
+            assert np.array_equal(approx[off_band], kernel[off_band]), (level, refine)
+            assert not np.any(approx[~off_band]), (level, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +179,15 @@ def test_norms_build_no_sign_matrix(monkeypatch):
     monkeypatch.setattr(checks, "cell_sign_matrix", forbidden)
     br, fbm = cov.brownian(), cov.fractional_brownian(0.35)
     for n in range(1, 9):
-        assert lk.norm_approx(n, fbm, br).value > 0.0
+        assert lk.norm_approx(n, fbm, br) > 0.0
         for m in range(1, 9):
-            value = lk.norm_diff(n, m, fbm, fbm).value
+            value = lk.norm_diff(n, m, fbm, fbm)
             if n == m:  # an exact zero, and +0.0
                 assert value == 0.0 and math.copysign(1.0, value) == 1.0, n
             else:
                 assert value > 0.0, (n, m)
     table = lk.cauchy_table(range(1, 9), fbm, br)
-    assert [norm.refine for _, _, norm in table.rows] == list(range(2, 9))
+    assert [refine for _, _, _, refine in table.rows] == list(range(2, 9))
 
 
 CHECK_KERNELS = checks._kernels()
@@ -224,8 +205,8 @@ def test_norms_match_the_einsum_oracle(name1, name2, n, m):
     level = max(n, m)
     g1, g2 = (cov.level_gram(r, level).dense() for r in (r1, r2))
     steps = (
-        (lk.norm_approx(level, r1, r2).value, checks.cell_sign_matrix(level, level)),
-        (lk.norm_diff(n, m, r1, r2).value,
+        (lk.norm_approx(level, r1, r2), checks.cell_sign_matrix(level, level)),
+        (lk.norm_diff(n, m, r1, r2),
          checks.cell_sign_matrix(n, level) - checks.cell_sign_matrix(m, level)),
     )
     # the rank-one product-st Gram g g^T has g^T A g = 0: with itself both norms
@@ -239,15 +220,14 @@ def test_norms_match_the_einsum_oracle(name1, name2, n, m):
 def test_norm_diff_equal_levels_is_exactly_zero():
     br = cov.brownian()
     for kernel in (br, cov.fractional_brownian(0.75)):
-        assert lk.norm_diff(3, 3, br, kernel).value == 0.0
+        assert lk.norm_diff(3, 3, br, kernel) == 0.0
 
 
 def test_norm_diff_brownian_12():
     br = cov.brownian()
-    result = lk.norm_diff(1, 2, br, br)
-    assert result.value == pytest.approx(0.125, abs=1e-12)
-    # independent oracle on the grid the contraction ran on
-    refine = result.refine
+    assert lk.norm_diff(1, 2, br, br) == pytest.approx(0.125, abs=1e-12)
+    # independent oracle on the grid the contraction ran on, level max(n, m)
+    refine = max(1, 2)
     A = checks.cell_sign_matrix(1, refine) - checks.cell_sign_matrix(2, refine)
     g1, g2 = grams(br, br, refine)
     assert gram_contraction_norm(A, g1, g2) == pytest.approx(0.125, abs=1e-12)
@@ -257,7 +237,7 @@ def test_norm_diff_brownian_12():
 def test_norm_diff_brownian_dyadic_decay():
     br = cov.brownian()
     for n in range(1, 11):
-        value = lk.norm_diff(n, n + 1, br, br).value
+        value = lk.norm_diff(n, n + 1, br, br)
         assert value == pytest.approx(2.0 ** (-n - 2), abs=1e-10)
 
 
@@ -273,7 +253,7 @@ def test_norm_diff_matches_oracle_nontrivial_kernels():
         (rough, rough, 2, 4),
         (tab, cov.fractional_brownian(0.35), 1, 3),
     ):
-        got = lk.norm_diff(n, m, r1, r2).value
+        got = lk.norm_diff(n, m, r1, r2)
         # the oracle runs on a finer grid: the step-function norm is grid-independent
         refine = max(n, m) + 2
         A = checks.cell_sign_matrix(n, refine) - checks.cell_sign_matrix(m, refine)
@@ -284,15 +264,15 @@ def test_norm_diff_matches_oracle_nontrivial_kernels():
 
 def test_norm_diff_symmetry():
     fbm = cov.fractional_brownian(0.75)
-    a = lk.norm_diff(2, 4, fbm, fbm).value
-    b = lk.norm_diff(4, 2, fbm, fbm).value
+    a = lk.norm_diff(2, 4, fbm, fbm)
+    b = lk.norm_diff(4, 2, fbm, fbm)
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_norm_diff_refine_validation():
     # the grid is always max(n, m): no refine knob, and levels below 1 are rejected
     br = cov.brownian()
-    assert lk.norm_diff(2, 4, br, br).refine == 4
+    assert [row[3] for row in lk.cauchy_table([2, 4], br, br).rows] == [4]
     with pytest.raises(TypeError):
         lk.norm_diff(2, 4, br, br, refine=3)
     with pytest.raises(ParameterError):
@@ -331,15 +311,15 @@ def test_norm_of_indefinite_table_raises():
 def test_norm_approx_brownian_formula():
     br = cov.brownian()
     for n in (1, 4, 10):
-        value = lk.norm_approx(n, br, br).value
+        value = lk.norm_approx(n, br, br)
         assert value == pytest.approx((1.0 - 2.0**-n) / 2.0, abs=1e-12)
-    assert lk.norm_approx(1, br, br).value == pytest.approx(0.25, abs=1e-15)
+    assert lk.norm_approx(1, br, br) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_norm_approx_matches_quadruple_loop():
     fbm = cov.fractional_brownian(0.75)
     refine = 3
-    got = lk.norm_approx(2, fbm, fbm).value
+    got = lk.norm_approx(2, fbm, fbm)
     A = checks.cell_sign_matrix(2, refine)
     g1, g2 = grams(fbm, fbm, refine)
     assert got == pytest.approx(quadruple_loop_norm(A, g1, g2), abs=1e-12)
@@ -348,7 +328,7 @@ def test_norm_approx_matches_quadruple_loop():
 def test_norm_approx_refine_stability_fbm():
     # the level-4 norm is the same contraction on every finer grid
     fbm = cov.fractional_brownian(0.75)
-    got = lk.norm_approx(4, fbm, fbm).value
+    got = lk.norm_approx(4, fbm, fbm)
     for refine in (8, 9):
         g1, g2 = grams(fbm, fbm, refine)
         want = gram_contraction_norm(checks.cell_sign_matrix(4, refine), g1, g2)
@@ -363,7 +343,7 @@ def test_norm_approx_matches_exact_fgn_gram():
             idx = np.arange(2**n)
             D = 0.5 * np.sign(idx[None, :] - idx[:, None])
             want = 2.0 * np.sum((g @ D) * (D @ g))
-            got = lk.norm_approx(n, fbm, fbm).value
+            got = lk.norm_approx(n, fbm, fbm)
             assert got == pytest.approx(want, rel=1e-12, abs=0), (h, n)
 
 
@@ -378,14 +358,14 @@ def kernels():
 @settings(max_examples=40, deadline=None)
 @given(r1=kernels(), r2=kernels(), n=st.integers(1, 6), m=st.integers(1, 6))
 def test_contractions_are_nonnegative(r1, r2, n, m):
-    assert lk.norm_approx(n, r1, r2).value >= 0.0
-    assert lk.norm_diff(n, m, r1, r2).value >= 0.0
+    assert lk.norm_approx(n, r1, r2) >= 0.0
+    assert lk.norm_diff(n, m, r1, r2) >= 0.0
 
 
 def test_variance_identity_brownian():
     br = cov.brownian()
     for n in (1, 5, 10):
-        assert 2.0 * lk.norm_approx(n, br, br).value == pytest.approx(
+        assert 2.0 * lk.norm_approx(n, br, br) == pytest.approx(
             1.0 - 2.0**-n, abs=1e-10
         )
 
@@ -393,8 +373,8 @@ def test_variance_identity_brownian():
 def test_triangle_consistency_brownian():
     br = cov.brownian()
     for n, m in ((1, 2), (2, 5), (3, 6)):
-        d = lk.norm_diff(n, m, br, br).value
-        e = abs(lk.norm_approx(n, br, br).value - lk.norm_approx(m, br, br).value)
+        d = lk.norm_diff(n, m, br, br)
+        e = abs(lk.norm_approx(n, br, br) - lk.norm_approx(m, br, br))
         assert d == pytest.approx(e, abs=1e-10)
 
 
@@ -415,14 +395,14 @@ def test_cauchy_table_brownian_slope():
     table = lk.cauchy_table(range(1, 7), cov.brownian(), cov.brownian())
     assert table.flag == lk.COVERED
     assert table.slope == pytest.approx(-1.0, abs=0.05)
-    values = [norm.value for _, _, norm in table.rows]
+    values = [norm_sq for _, _, norm_sq, _ in table.rows]
     assert values == pytest.approx([2.0 ** (-n - 2) for n in range(1, 6)], abs=1e-12)
 
 
 def test_cauchy_table_fbm_monotone():
     fbm = cov.fractional_brownian(0.75)
     table = lk.cauchy_table(range(1, 7), fbm, fbm)
-    values = [norm.value for _, _, norm in table.rows]
+    values = [norm_sq for _, _, norm_sq, _ in table.rows]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert table.flag == lk.COVERED
 
@@ -431,7 +411,7 @@ def test_cauchy_table_flags_uncovered_pair():
     rough = cov.fractional_brownian(0.2)
     table = lk.cauchy_table([1, 2, 3], rough, rough)
     assert table.flag == lk.NOT_COVERED
-    assert all(norm.value >= 0 for _, _, norm in table.rows)
+    assert all(norm_sq >= 0 for _, _, norm_sq, _ in table.rows)
 
 
 def test_cauchy_table_unknown_for_tabulated():

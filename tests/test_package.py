@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,22 @@ def test_audit_only_names_live_in_the_checks(name):
     for module in (levylab, levylab.pvariation, levylab.spectral):
         assert not hasattr(module, name), (module.__name__, name)
     assert hasattr(levylab.checks, name), name
+
+
+@pytest.mark.parametrize("name", ("ChaosNorm", "DyadicApprox", "approx_eval", "cell_index"))
+def test_pointwise_approximation_and_norm_record_are_retired(name):
+    # the step approximation is evaluated only as sign_product's matrix, and
+    # its norms are plain floats; kernel_eval stays as the kernel's definition
+    for module in (levylab, levylab.levy_kernel):
+        assert not hasattr(module, name), (module.__name__, name)
+    assert hasattr(levylab.levy_kernel, "kernel_eval")
+
+
+def test_norms_are_floats_and_the_pair_tolerance_is_a_constant():
+    br = levylab.brownian()
+    assert type(levylab.norm_approx(2, br, br)) is float
+    assert type(levylab.norm_diff(1, 2, br, br)) is float
+    assert "pair_tol" not in inspect.signature(levylab.spectral.symmetry_check).parameters
 
 
 def function_node(module, name):

@@ -44,6 +44,11 @@ def test_v1p_errors():
         pv.v1p([(0.0, 1.0), (0.0, 2.0)], 2.0)
 
 
+def test_v1p_refuses_a_nan_point():
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        pv.v1p([(0.0, 1.0), (float("nan"), 2.0), (1.0, 0.5)], 2.0)
+
+
 def test_v1p_trivial_inputs():
     assert pv.v1p([], 2.0) == 0.0
     assert pv.v1p([(0.5, 3.0)], 2.0) == 0.0
@@ -272,10 +277,18 @@ def test_control_report_worst_case_records_split():
         checks.ControlEstimate(rectangle=None, value=-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_control_overflow_raises_without_warnings():
+    # |increment|^2 of the 1e150 weight overflows: a NumericalError, not inf
+    omega = checks.grid_control(cov.weighted_poly(0, 1e150), 2.0, level=2)
+    with pytest.raises(NumericalError, match="grid control estimate"):
+        omega(cov.Rectangle(0.0, 1.0, 0.0, 1.0))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_control_product_refuses_estimates_that_are_not_finite():
-    # 13 of the 20 whole-rectangle estimates overflow to inf; their violations
-    # are nan, which no slack flags, so the audit raises instead of passing
+    # 13 of the 20 whole-rectangle estimates overflow: omega refuses the first,
+    # where an inf estimate would give a nan violation that no slack flags
     omega = checks.grid_control(cov.weighted_poly(0, 1e150), 2.0, level=2)
     with pytest.raises(NumericalError, match="control estimate"):
         checks.control_product_check(omega, checks.area_control(), 2.0, 2.0, trials=20)

@@ -683,7 +683,7 @@ def test_determinism_check_runs_a_thread_pool(monkeypatch):
 def test_run_mc_fbm_variance_matches_exact_norm():
     config = fbm_config(seed=23, n_samples=20_000, level=8)
     result = sim.run_mc(config)
-    target = 2.0 * lk.norm_approx(8, config.kernel1, config.kernel2).value
+    target = 2.0 * lk.norm_approx(8, config.kernel1, config.kernel2)
     # samples 2j and 2j + 1 share a circulant draw: the stderr of the mean
     # squared deviation comes from its pair means
     pairs = ((result.samples - result.mean) ** 2).reshape(-1, 2).mean(axis=1)
@@ -700,7 +700,7 @@ def test_run_mc_moments_match_exact_norms():
     se_mean = np.sqrt(result.variance / n)
     assert abs(result.mean) <= 3.0 * se_mean
     # variance equals twice the exact squared norm of the level-8 step kernel
-    target = 2.0 * lk.norm_approx(8, config.kernel1, config.kernel2).value
+    target = 2.0 * lk.norm_approx(8, config.kernel1, config.kernel2)
     assert target == pytest.approx(1.0 - 2.0**-8, abs=1e-12)
     m4 = float(np.mean((result.samples - result.mean) ** 4))
     se_var = np.sqrt((m4 - result.variance**2) / n)
@@ -711,7 +711,7 @@ def test_run_mc_weighted_variance():
     wk = cov.weighted_poly(1)
     config = sim.MCConfig(seed=6, n_samples=20_000, level=8, kernel1=wk, kernel2=wk)
     result = sim.run_mc(config)
-    target = 2.0 * lk.norm_approx(8, wk, wk).value
+    target = 2.0 * lk.norm_approx(8, wk, wk)
     assert target == pytest.approx(1.0 / 9.0, abs=2e-3)
     n = result.samples.size
     m4 = float(np.mean((result.samples - result.mean) ** 4))
@@ -726,7 +726,7 @@ def test_run_mc_mixed_pair_variance_uses_the_second_gram():
     k1, k2 = cov.brownian(), cov.fractional_brownian(0.35)
     config = sim.MCConfig(seed=37, n_samples=20_000, level=8, kernel1=k1, kernel2=k2)
     result = sim.run_mc(config)
-    target = 2.0 * lk.norm_approx(8, k1, k2).value
+    target = 2.0 * lk.norm_approx(8, k1, k2)
     n = result.samples.size
     m4 = float(np.mean((result.samples - result.mean) ** 4))
     se_var = np.sqrt((m4 - result.variance**2) / n)
