@@ -374,7 +374,7 @@ def check_level_gram_structure():
         ref = cov.gram_matrix(kernel, cov.dyadic_partition(6))
         scale = float(np.max(np.abs(ref)))
         rel = float(np.max(np.abs(gram.dense() - ref))) / scale
-        assert rel <= 1e-12, f"{name}: {gram.kind} Gram off gram_matrix by {rel:.3e} of max|G|"
+        assert rel <= 1e-12, f"{name}: {type(gram).__name__} off gram_matrix by {rel:.3e} of max|G|"
         worst = max(worst, rel)
         for p in (1.0, 1.5, 2.0):
             total = float(np.sum(np.abs(ref) ** p))
@@ -580,10 +580,10 @@ def check_mc_exact_law():
     return f"level-4 CF within {worst:.2f} stderr of the exact law (bound {EXACT_LAW_Z})"
 
 
-def sampler_maps(factor):
-    """(F1^T, F2^T, cross): the factor's maps of the two rows of a draw and
-    their cross covariance F1 F2^T, from unit draws fed as row pairs."""
-    rows = factor.apply(np.eye(2 * factor.width).reshape(-1, factor.width))
+def sampler_maps(gram):
+    """(F1^T, F2^T, cross): a level Gram's sampler maps of the two rows of a
+    draw and their cross covariance F1 F2^T, from unit draws fed as row pairs."""
+    rows = gram.apply(np.eye(2 * gram.width).reshape(-1, gram.width))
     first, second = rows[0::2], rows[1::2]
     return first, second, first.T @ second
 
@@ -609,9 +609,9 @@ def check_sampler_covariance():
     for name, kernel in kernels.items():
         gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
         level_gram = cov.level_gram(kernel, 6)
-        first, second, cross = sampler_maps(level_gram.factor())
-        expected = (circulant_cross_block(level_gram.values) if level_gram.kind == cov.TOEPLITZ
-                    else np.zeros_like(gram))
+        first, second, cross = sampler_maps(level_gram)
+        expected = (circulant_cross_block(level_gram.values)
+                    if isinstance(level_gram, cov.ToeplitzGram) else np.zeros_like(gram))
         scale = float(np.max(np.abs(gram)))
         for what, got, want in (("even rows", first.T @ first, gram),
                                 ("odd rows", second.T @ second, gram),
@@ -700,7 +700,7 @@ def check_mirror_split():
         gram = cov.level_gram(kernel, 6)
         if kernel.kind != cov.FBM:
             # only a Toeplitz Gram splits: diagonal and table Grams have no roots of halves
-            assert gram.mirror_roots() is None, f"{name}: a {gram.kind} Gram has mirror roots"
+            assert gram.mirror_roots() is None, f"{name}: a {type(gram).__name__} has mirror roots"
             continue
         s = full_svd(kernel, kernel)
         got = np.sort(sp.general_spectrum(kernel, kernel, 6).eigenvalues())

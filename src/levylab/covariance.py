@@ -1,4 +1,4 @@
-"""Covariance kernels on [0,1]^2 and their rectangular-increment calculus.
+"""Covariance kernels on [0,1]^2 and their level Grams.
 
 Supported kernels (all with R(0,t) = R(s,0) = 0, processes started at zero):
 
@@ -8,18 +8,20 @@ Supported kernels (all with R(0,t) = R(s,0) = 0, processes started at zero):
                 motion, min(s,t), is f = 1, spelled `brownian` (constant_weight)
     tabulated   bilinear interpolation of a value table on a uniform mesh
 
-The rectangular increment
-
-    R([s0,s1] x [u0,u1]) = R(s1,u1) - R(s1,u0) - R(s0,u1) + R(s0,u0)
-
-is the basic quantity out of which every inner product downstream is built;
-weighted kernels therefore carry a closed-form antiderivative of f^2 instead
-of a quadrature rule, so increments stay exact.
+A route that needs a kernel's inner products reads them off its level Gram,
+the increment Gram of the N = 2^level equal dyadic cells, which level_gram
+builds exactly (closed forms, or a table's mesh product) as one class per
+structure: DiagonalGram (weighted kernels, independent increments),
+ToeplitzGram (fBm, stationary increments) and FactoredGram (tabulated
+kernels, an N x r factor). Each is also its own sampler. The rectangular
+increment and gram_matrix, the Gram of any partition from point values, are
+the pointwise reference the level Grams are checked against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -270,48 +272,125 @@ def gram_matrix(kernel: CovKernel, partition) -> np.ndarray:
     return np.diff(corners, axis=1)
 
 
-#: structures of the level-n increment Gram, see level_gram
-DIAGONAL = "diagonal"
-TOEPLITZ = "toeplitz"
-FACTORED = "factored"
-
-#: the structure of each kernel kind's level Gram
-_STRUCTURE = {WEIGHTED: DIAGONAL, FBM: TOEPLITZ, TABULATED: FACTORED}
-
-
 @dataclass(frozen=True, eq=False)
 class LevelGram:
-    """Increment Gram of the N = 2^level equal dyadic cells, stored by structure.
+    """Increment Gram G of the N = 2^level equal dyadic cells, one subclass per structure:
 
-        diagonal  values[k] = G[k,k], the N cell variances
-        toeplitz  values[k] = gamma(k) for lags k = 0..N, G[k,l] = gamma(|k-l|)
-        factored  values = F, an N x r array with F F^T = G
+        DiagonalGram  values[k] = G[k,k], the N cell variances
+        ToeplitzGram  values[k] = gamma(k) for lags k = 0..N, G[k,l] = gamma(|k-l|)
+        FactoredGram  values = F, an N x r array with F F^T = G (r may be 0)
+
+    Each has dense() and root(), fresh arrays: the N x N matrix and an
+    unshifted N x w R with R R^T = G; abs_power_sum(p); and peak_floats(N),
+    the floats of the largest array a route holding it forms (check_level).
+    A level Gram is its own sampler, the map of a factor F (F F^T = G):
+    apply(Z) maps rows of Z, (rows, width), to paths with Gram G, (rows, N),
+    and quad(H) returns h^T G h = ||F^T h||^2 for the rows h of H. Both may
+    overwrite their argument (apply may return a view of it) and hold at most
+    one more array of rows x row_floats floats; prepare() builds what they
+    read, on the calling thread. The circulant map takes row pairs (see
+    ToeplitzGram), the others single rows; the factored one's BLAS bits may
+    change with the row count, so simulate passes one fixed row count.
     """
 
-    kind: str
     level: int
     values: np.ndarray
 
+    #: normals per row: one per cell unless factored
+    width = property(lambda self: 2**self.level)
+    #: floats of the widest row apply or quad holds: a path or a row of normals
+    row_floats = property(lambda self: max(2**self.level, self.width))
+
+    def equals(self, other: LevelGram) -> bool:
+        """Whether other is the same matrix: the same structure and the same values."""
+        return other is self or (type(other) is type(self)
+                                 and bool(np.array_equal(other.values, self.values)))
+
+    def mirror_roots(self) -> tuple | None:
+        """None: only a Toeplitz Gram splits into mirror halves. A diagonal one has
+        the closed form or gains nothing from the split; a table's root is r wide."""
+        return None
+
+    def prepare(self) -> None:
+        """Nothing to build: apply and quad read the stored values."""
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalGram(LevelGram):
+    """Independent increments, the N cell variances v: d = sqrt(v) z."""
+
+    peak_floats = staticmethod(lambda n: n)
+
     def dense(self) -> np.ndarray:
-        """The N x N matrix, as a fresh array."""
-        if self.kind == DIAGONAL:
-            return np.diag(self.values)
-        if self.kind == TOEPLITZ:
-            return _toeplitz(self.values, 2**self.level)
-        return self.values @ self.values.T
+        return np.diag(self.values)
+
+    def root(self) -> np.ndarray:
+        """diag(sqrt(variances)), bit for bit LAPACK's Cholesky factor where positive."""
+        return np.diag(np.sqrt(self.values))
+
+    def abs_power_sum(self, p: float) -> float:
+        """sum over all N^2 entries of |G[k,l]|^p: the zero off-diagonal adds nothing."""
+        return _abs_power_sum(self.values, p)
+
+    def apply(self, Z):
+        Z *= np.sqrt(self.values)
+        return Z
+
+    def quad(self, H):
+        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H. Squares and sums above
+        the largest float read inf without a warning: the caller checks them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            H *= H
+            H *= self.values
+            return H.sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class ToeplitzGram(LevelGram):
+    """Stationary increments, the lags gamma(0..N), sampled by minimal circulant embedding.
+
+    gamma(0..N) is the first row of a symmetric circulant C of size M = 2N
+    with eigenvalues lam = DFT(first row). The Hartley matrix
+    H[j,k] = cos(2 pi jk/M) + sin(2 pi jk/M) diagonalizes C as
+    C = H diag(lam) H / M, so y = H (sqrt(lam / M) z) has covariance C for a
+    draw z of M standard normals. For real x, (H x)_j = Re F_j - Im F_j and
+    (H x)_{M-j} = Re F_j + Im F_j with F = rfft(x), so the N + 1 rfft bins
+    give both halves of y: y[0:N] from bins 0 .. N-1, and y[M-1], ..., y[N]
+    from bins 1 .. N. Both are exact paths, because C's diagonal blocks are
+    the Toeplitz Gram G and the reversal J keeps it, J G J = G; their cross
+    covariance is C's off-diagonal block C[0:N, N:M] J, so the two are not
+    independent (Davies & Harte 1987; Dietrich & Newsam 1997). The same
+    diagonalization gives the quadratic form: with h zero-padded to length M
+    and F_k its DFT, h^T C h = sum_k lam_k |F_k|^2 / M, and lam_k = lam_{M-k},
+    |F_k| = |F_{M-k}| for real h fold the sum onto the N + 1 rfft bins,
+    doubled for 0 < k < N. lam is computed on first use, so building the
+    Gram takes no FFT.
+    """
+
+    peak_floats = staticmethod(lambda n: n + 1)
+    row_floats = property(lambda self: 2 * 2**self.level)  # quad zero-pads rows to M = 2N
+
+    def dense(self) -> np.ndarray:
+        return _toeplitz(self.values, 2**self.level)
+
+    def root(self) -> np.ndarray:
+        """numpy's Cholesky factor of the matrix."""
+        return np.linalg.cholesky(self.dense())
+
+    def abs_power_sum(self, p: float) -> float:
+        """sum over all N^2 entries of |G[k,l]|^p in O(N): lag k occurs N times
+        on the diagonal (k = 0) and 2 (N - k) times off it."""
+        counts = np.arange(2**self.level, 0, -1.0)
+        counts[1:] *= 2.0
+        return _abs_power_sum(self.values[:-1], p, counts)
 
     def mirror_half(self, sign: float) -> np.ndarray:
-        """The N/2 x N/2 block G11 + sign G12 K of a Toeplitz Gram, as a fresh array.
-
-        With K the flip of N/2 cells, a mirror-symmetric Gram (J G J = G for
-        the cell flip J: k -> N-1-k), as every Toeplitz Gram is, is
-        block-diagonal in the even/odd basis [I; +-K]/sqrt(2), with blocks G+
-        (sign +1) and G- (sign -1); for a Toeplitz Gram G+- is Toeplitz +-
-        Hankel in the lags. Built as one Toeplitz copy of G11, then G12 K
-        added in place. Other Grams have no halves (mirror_roots returns None).
-        """
-        if self.kind != TOEPLITZ:
-            raise ShapeError(f"only a Toeplitz Gram has mirror halves, not a {self.kind} one")
+        """The N/2 x N/2 block G11 + sign G12 K, as a fresh array: with K the
+        flip of N/2 cells, a mirror-symmetric Gram (J G J = G for the cell flip
+        J: k -> N-1-k), as every Toeplitz Gram is, is block-diagonal in the
+        even/odd basis [I; +-K]/sqrt(2), with blocks G+ (sign +1) and G- (sign
+        -1), here Toeplitz +- Hankel in the lags. Built as one Toeplitz copy of
+        G11, then G12 K added in place."""
         n = 2 ** (self.level - 1)
         half = _toeplitz(self.values, n)
         # (G12 K)[k, l] = gamma(N-1-k-l): window k of (gamma(N-1), ..., gamma(1))
@@ -322,154 +401,49 @@ class LevelGram:
             half -= g12k
         return half
 
-    def abs_power_sum(self, p: float) -> float:
-        """sum over all N^2 entries of |G[k,l]|^p, in O(N) unless factored.
-
-        Lag k of a Toeplitz Gram occurs N times on the diagonal (k = 0) and
-        2 (N - k) times off it; the zero off-diagonal of a diagonal Gram adds
-        nothing. A factored Gram forms G.
-        """
-        terms = np.abs(self.dense() if self.kind == FACTORED else self.values[: 2**self.level])
-        # a power above the largest float reads inf without a warning: callers check the sum
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms **= p
-            if self.kind == TOEPLITZ:
-                # times the counts, N at lag 0 and 2 (N - k) at lag k; the doubling is exact
-                terms[1:] *= 2.0
-                terms *= np.arange(len(terms), 0, -1.0)
-            return float(np.sum(terms))
-
-    def equals(self, other: LevelGram) -> bool:
-        """Whether other is the same matrix: the same structure and the same values."""
-        return other is self or (other.kind == self.kind
-                                 and bool(np.array_equal(other.values, self.values)))
-
-    def root(self) -> np.ndarray:
-        """A fresh N x w array R with R R^T = G, unshifted.
-
-        diag(sqrt(variances)), bit for bit LAPACK's Cholesky factor where
-        positive; numpy's Cholesky factor of a Toeplitz Gram; or a copy of F.
-        """
-        if self.kind == DIAGONAL:
-            return np.diag(np.sqrt(self.values))
-        if self.kind == TOEPLITZ:
-            return np.linalg.cholesky(self.dense())
-        return self.values.copy()
-
     def mirror_roots(self) -> tuple | None:
-        """(R+, R-): fresh roots R+- R+-^T = mirror_half(+-1) of a Toeplitz Gram, else None.
-
-        A Toeplitz Gram at level >= 1 is mirror-symmetric by its structure;
-        its roots are numpy's Cholesky factors of the halves, each half built
-        just before it is factored, so at most R+, G- and R- are alive. Every
-        other Gram returns None: a diagonal one has the closed form or gains
-        nothing from the split, and a table's root is already r wide.
-        """
-        if self.kind != TOEPLITZ or self.level < 1:
+        """(R+, R-): numpy's Cholesky factors of mirror_half(+-1), each half
+        built just before it is factored; None at level 0."""
+        if self.level < 1:
             return None
         return tuple(np.linalg.cholesky(self.mirror_half(sign)) for sign in (1.0, -1.0))
 
-    def factor(self):
-        """The factor F (F F^T = G) of this Gram's structure, as a linear map.
-
-        The result has `width`, `row_floats` and `apply(Z)`, which maps rows
-        of Z, shape (rows, width), to paths of increments with Gram G, shape
-        (rows, 2^level). `apply` may overwrite Z and may return a view of it,
-        so it needs no array larger than Z beyond one FFT of its rows.
-        `quad(H)` returns the quadratic forms h^T G h = ||F^T h||^2 of the
-        rows h of H, shape (rows, 2^level); it may overwrite H and needs at
-        most one array of rows x row_floats floats, the widest row that
-        apply or quad holds. F is sqrt(variances) for a diagonal Gram, the
-        minimal circulant embedding for a Toeplitz one and the stored N x r
-        array of a factored one, whose width r may be 0 (a zero Gram).
-
-        The diagonal and factored maps take rows one by one: output row i is
-        row i of Z F^T. The circulant map takes rows in pairs, so rows must
-        be even: one draw of 2N normals, rows 2j and 2j + 1, gives two paths,
-        each with Gram G, whose cross covariance is the circulant's
-        off-diagonal block (see _Circulant). The factored map multiplies
-        through BLAS, whose bits may change with the row count of Z or H (by
-        a few ulps), so simulate passes chunks of one fixed row count; the
-        diagonal and circulant factors' rows do not depend on it.
-        """
-        if self.kind == TOEPLITZ:
-            return _Circulant(self.values)
-        if self.kind == DIAGONAL:
-            return _Diagonal(self.values)
-        return _Dense(self.values)
-
-
-class _Diagonal:
-    """d = sqrt(v) * z for independent increments with variances v."""
-
-    def __init__(self, variances):
-        self.variances = variances
-        self.scale = np.sqrt(variances)
-        self.width = self.row_floats = len(variances)
-
-    def apply(self, Z):
-        Z *= self.scale
-        return Z
-
-    def quad(self, H):
-        """Rows of h^T G h = sum_l v_l h_l^2; overwrites H. Squares and sums above
-        the largest float read inf without a warning: the caller checks them."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            H *= H
-            H *= self.variances
-            return H.sum(axis=1)
-
-
-class _Circulant:
-    """Exact stationary Gaussian increments by minimal circulant embedding,
-    two paths per draw.
-
-    The autocovariance gamma(0..N) is the first row of a symmetric circulant C
-    of size M = 2N with eigenvalues lam = DFT(first row). The Hartley matrix
-    H[j,k] = cos(2 pi jk/M) + sin(2 pi jk/M) diagonalizes C as
-    C = H diag(lam) H / M, so y = H (sqrt(lam / M) z) has covariance C for a
-    draw z of M standard normals. For real x, (H x)_j = Re F_j - Im F_j and
-    (H x)_{M-j} = Re F_j + Im F_j with F = rfft(x), so the N + 1 rfft bins
-    give both halves of y: y[0:N] from bins 0 .. N-1, and y[M-1], ..., y[N]
-    from bins 1 .. N. Both are exact paths, because C's diagonal blocks are
-    the Toeplitz Gram G and the reversal J keeps it, J G J = G; their cross
-    covariance is C's off-diagonal block C[0:N, N:M] J, so the two are not
-    independent (Davies & Harte 1987; Dietrich & Newsam 1997).
-
-    The same diagonalization gives the Gram's quadratic form: with h
-    zero-padded to length M and F_k its DFT, h^T C h = sum_k lam_k |F_k|^2 / M,
-    and lam_k = lam_{M-k}, |F_k| = |F_{M-k}| for real h fold the sum onto the
-    N + 1 rfft bins, doubled for 0 < k < N.
-    """
-
-    def __init__(self, gamma):
-        self.n = len(gamma) - 1
-        lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """lam, the N + 1 rfft bins of C's first row; NumericalError if one is negative."""
+        lam = np.fft.rfft(np.concatenate((self.values, self.values[-2:0:-1]))).real
         if lam.min() < 0.0:
-            raise NumericalError(
-                f"circulant embedding of the increment autocovariance is indefinite: "
-                f"smallest eigenvalue {lam.min():.3e}"
-            )
-        self.width = self.n
-        # quad zero-pads its rows to M = 2N floats
-        self.row_floats = 2 * self.n
-        self.scale = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.row_floats)
-        weights = lam / self.row_floats
+            raise NumericalError("circulant embedding of the increment autocovariance is "
+                                 f"indefinite: smallest eigenvalue {lam.min():.3e}")
+        return lam
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """sqrt(lam / M) over all M bins, which apply reads."""
+        lam = self.eigenvalues
+        return np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / self.row_floats)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """lam / M, doubled for 0 < k < N, once per float (real, imaginary) of the rfft bins."""
+        weights = self.eigenvalues / self.row_floats
         weights[1:-1] *= 2.0
-        # one weight per float of the complex rfft bins: real, imaginary
-        self.weights = np.repeat(weights, 2)
+        return np.repeat(weights, 2)
+
+    def prepare(self) -> None:
+        """The scale and weights: NumericalError here for an indefinite embedding."""
+        self.scale, self.weights
 
     def apply(self, Z):
-        """Paths of the row pairs of Z, (rows, N) with rows even, written into Z.
-
-        Rows 2j and 2j + 1 together hold one draw of M normals; row 2j becomes
-        y[0:N] and row 2j + 1 becomes y[M-1], ..., y[N] of that draw.
-        """
-        draws = Z.reshape(-1, 2 * self.n)
+        """Paths of the row pairs of Z, (rows, N) with rows even, written into Z:
+        rows 2j and 2j + 1 hold one draw of M normals and become y[0:N] and
+        y[M-1], ..., y[N] of that draw."""
+        n = self.width
+        draws = Z.reshape(-1, 2 * n)
         draws *= self.scale
         f = np.fft.rfft(draws, axis=1)
-        np.subtract(f.real[:, : self.n], f.imag[:, : self.n], out=draws[:, : self.n])
-        np.add(f.real[:, 1:], f.imag[:, 1:], out=draws[:, self.n :])
+        np.subtract(f.real[:, :n], f.imag[:, :n], out=draws[:, :n])
+        np.add(f.real[:, 1:], f.imag[:, 1:], out=draws[:, n:])
         return draws.reshape(Z.shape)
 
     def quad(self, H):
@@ -480,22 +454,43 @@ class _Circulant:
         return f.sum(axis=1)
 
 
-class _Dense:
-    """d = F z with F the N x r array of a factored Gram."""
+@dataclass(frozen=True, eq=False)
+class FactoredGram(LevelGram):
+    """A tabulated kernel's N x r factor F, F F^T = G: d = F z."""
 
-    def __init__(self, F):
-        self.F = F
-        self.width = F.shape[1]
-        self.row_floats = max(F.shape)
+    #: the norm and p-variation routes form G
+    peak_floats = staticmethod(lambda n: n * n)
+    width = property(lambda self: self.values.shape[1])
+
+    def dense(self) -> np.ndarray:
+        return self.values @ self.values.T
+
+    def root(self) -> np.ndarray:
+        return self.values.copy()
+
+    def abs_power_sum(self, p: float) -> float:
+        """sum over all N^2 entries of |G[k,l]|^p, from the formed G."""
+        return _abs_power_sum(self.dense(), p)
 
     def apply(self, Z):
-        return Z @ self.F.T
+        return Z @ self.values.T
 
     def quad(self, H):
         """Rows of h^T G h = ||h F||^2."""
-        y = H @ self.F
+        y = H @ self.values
         y *= y
         return y.sum(axis=1)
+
+
+def _abs_power_sum(x: np.ndarray, p: float, counts: np.ndarray | None = None) -> float:
+    """sum of |x|^p, each term times its count. A power above the largest
+    float reads inf without a warning: callers check the sum."""
+    terms = np.abs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms **= p
+        if counts is not None:
+            terms *= counts
+        return float(np.sum(terms))
 
 
 def _toeplitz(gamma: np.ndarray, n: int) -> np.ndarray:
@@ -505,16 +500,18 @@ def _toeplitz(gamma: np.ndarray, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1].copy()
 
 
-def level_gram(kernel: CovKernel, level: int) -> LevelGram:
-    """The level-n increment Gram in its exact structure.
+_GRAM_CLASS = {WEIGHTED: DiagonalGram, FBM: ToeplitzGram, TABULATED: FactoredGram}
 
-    Weighted kernels (Brownian motion too) have R(s,t) = F(min(s,t)), so the cell
-    increments are independent and the Gram is diagonal, with variances
+
+def level_gram(kernel: CovKernel, level: int) -> LevelGram:
+    """The level-n increment Gram as the class of its exact structure, whose
+    peak_floats check_level bounds before anything is built.
+
+    Weighted kernels (Brownian motion too) have R(s,t) = F(min(s,t)), so the
+    cell increments are independent: a DiagonalGram, with variances
     F(t_{k+1}) - F(t_k) bit-identical to the diagonal of gram_matrix. fBm
-    increments over equal cells are stationary (fractional Gaussian noise),
-    so the Gram is Toeplitz. Tabulated kernels get the factor of
-    _table_factor. check_level bounds the level by that structure before
-    anything is built.
+    increments over equal cells are stationary (fractional Gaussian noise): a
+    ToeplitzGram. Tabulated kernels get the FactoredGram of _table_factor.
     """
     check_level(level, kernel)
     if kernel.kind == FBM:
@@ -523,7 +520,7 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
         values = _table_factor(kernel.table, level)
     else:
         values = np.diff(kernel.weight.antiderivative_sq(dyadic_partition(level)))
-    return LevelGram(_STRUCTURE[kernel.kind], level, values)
+    return _GRAM_CLASS[kernel.kind](level, values)
 
 
 def _table_factor(table, level: int) -> np.ndarray:
@@ -557,25 +554,22 @@ def check_level(level: int, kernel: CovKernel | None = None) -> int:
 
     A route that holds the N x N matrix (N = 2^level) passes no kernel and
     counts N^2 floats. A route that holds only the kernel's level_gram counts
-    that structure: N floats diagonal, N + 1 lags Toeplitz, and N^2 floats
-    factored, whose norm and p-variation routes still form G. So dense
-    routes and tabulated kernels reach level 12, fBm level 23, and
-    weighted kernels level 24. Raises ParameterError below 0 and
+    the peak_floats of its class: N diagonal, N + 1 Toeplitz and N^2 factored
+    floats. So dense routes and tabulated kernels reach level 12, fBm level
+    23, and weighted kernels level 24. Raises ParameterError below 0 and
     ResourceError above, before anything is built and without forming 2^level
     for a huge level.
     """
     if level < 0:
         raise ParameterError(f"dyadic level must be >= 0, got {level}")
-    structure = "dense" if kernel is None else _STRUCTURE[kernel.kind]
+    # a dense route counts the N^2 floats that a factored Gram's routes form
+    gram = FactoredGram if kernel is None else _GRAM_CLASS[kernel.kind]
     limit = MAX_GRAM_BYTES // 8
     # every level Gram holds at least 2^level floats, so a huge level stops here
-    if level < limit.bit_length():
-        n = 2**level
-        if {DIAGONAL: n, TOEPLITZ: n + 1}.get(structure, n * n) <= limit:
-            return level
-    raise ResourceError(
-        f"level-{level} {structure} Gram exceeds MAX_GRAM_BYTES = {MAX_GRAM_BYTES}"
-    )
+    if level < limit.bit_length() and gram.peak_floats(2**level) <= limit:
+        return level
+    name = "dense Gram" if kernel is None else gram.__name__
+    raise ResourceError(f"level-{level} {name} exceeds MAX_GRAM_BYTES = {MAX_GRAM_BYTES}")
 
 
 def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:

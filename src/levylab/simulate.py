@@ -36,16 +36,16 @@ path, sign product or level Gram is formed; every step is elementwise.
 
 Every other pair: the conditional law given one path. Path increments are
 d = F z, standard normals z per process per sample, where the factor F
-(F F^T = increment Gram) is covariance.LevelGram.factor() of the kernel's
-level Gram: diag(sqrt(cell variance)) for independent increments (weighted,
-Brownian motion among them), the minimal circulant embedding of size 2N
-for stationary ones (fBm; Davies & Harte 1987; Dietrich & Newsam 1997) and
-the N x r low-rank factor of a tabulated kernel, r the rank of its mesh
-Gram (r normals; none for a zero process, whose increments are exact
-zeros). The circulant maps one draw of 2N normals to two exact paths in
-O(N log N), the two halves of one circular vector (the second reversed in
-time), so an fBm sample takes N normals: samples 2j and 2j + 1 share a
-draw. Then
+(F F^T = increment Gram) is applied by the kernel's level Gram itself:
+diag(sqrt(cell variance)) for independent increments (DiagonalGram:
+weighted, Brownian motion among them), the minimal circulant embedding of
+size 2N for stationary ones (ToeplitzGram: fBm; Davies & Harte 1987;
+Dietrich & Newsam 1997) and the N x r low-rank factor of a tabulated kernel
+(FactoredGram), r the rank of its mesh Gram (r normals; none for a zero
+process, whose increments are exact zeros). The circulant maps one draw of
+2N normals to two exact paths in O(N log N), the two halves of one circular
+vector (the second reversed in time), so an fBm sample takes N normals:
+samples 2j and 2j + 1 share a draw. Then
 
     A = 2 d2 . h,   h_l = (sum_{k<l} d1_k - sum_{k>l} d1_k) / 2 = (d1 S)_l,
 
@@ -161,11 +161,14 @@ class EmpiricalCF:
 
 
 def _samplers(config: MCConfig):
-    """The two processes' level-Gram factors: one shared factor when both use one kernel object."""
-    first = cov.level_gram(config.kernel1, config.level).factor()
-    if config.kernel2 is config.kernel1:
-        return [first, first]
-    return [first, cov.level_gram(config.kernel2, config.level).factor()]
+    """The two processes' level Grams, their own samplers (one shared Gram when both
+    use one kernel object), prepared before any normal is drawn: the workers only read them."""
+    first = cov.level_gram(config.kernel1, config.level)
+    grams = [first, first if config.kernel2 is config.kernel1
+             else cov.level_gram(config.kernel2, config.level)]
+    for gram in grams:
+        gram.prepare()
+    return grams
 
 
 def _chunk_rows(samplers, level: int) -> int:

@@ -119,9 +119,11 @@ def cf_from_spectrum(spectrum: Spectrum, z: complex) -> CFProduct:
     summed phase overflows (|z| near the largest float) only the modulus is
     kept. The tail bound |z|^2 * spectrum.tail_sq (0 for a zero tail, inf
     where |z|^2 overflows) bounds the error against the product over the
-    untruncated spectrum for purely imaginary z.
+    untruncated spectrum for purely imaginary z. A non-finite z is refused.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParameterError(f"argument must be finite, got {z}")
     sigma = spectrum.spectral_radius
     if 2.0 * abs(z.real) * sigma >= 1.0:
         raise ParameterError(

@@ -228,7 +228,7 @@ def test_gram_refuses_a_nan_breakpoint():
 
 def test_cholesky_identity():
     # the root of the identity Gram is its Cholesky factor, the identity
-    R = cov.LevelGram(cov.DIAGONAL, 2, np.ones(4)).root()
+    R = cov.DiagonalGram(2, np.ones(4)).root()
     assert np.array_equal(R, np.eye(4)) and np.array_equal(R, np.linalg.cholesky(np.eye(4)))
 
 
@@ -292,7 +292,7 @@ def test_zero_grams_have_exact_zero_roots():
     zero_weight = cov.level_gram(cov.weighted_poly(1, 0.0), 3)
     assert np.array_equal(zero_weight.root(), np.zeros((8, 8)))
     zero_table = cov.level_gram(cov.tabulated_from_fn(lambda S, T: S + T, 8), 5)
-    assert zero_table.root().shape == (32, 0) and zero_table.factor().width == 0
+    assert zero_table.root().shape == (32, 0) and zero_table.width == 0
     assert np.array_equal(zero_table.dense(), np.zeros((32, 32)))
 
 
@@ -313,7 +313,7 @@ def test_increment_autocovariance_is_the_gram_row():
         k = cov.fractional_brownian(h)
         for level in (0, 1, 3, 6):
             gram = cov.level_gram(k, level)
-            assert gram.kind == cov.TOEPLITZ
+            assert isinstance(gram, cov.ToeplitzGram)
             gamma = gram.values
             assert gamma.shape == (2**level + 1,)
             row = cov.gram_matrix(k, cov.dyadic_partition(level))[0]
@@ -322,7 +322,7 @@ def test_increment_autocovariance_is_the_gram_row():
     white = cov.level_gram(cov.fractional_brownian(0.5), 3).values
     assert np.allclose(white, [0.125] + [0.0] * 8, rtol=0, atol=1e-15 * 0.125)
     # only fBm kernels get the Toeplitz structure
-    assert cov.level_gram(cov.brownian(), 3).kind == cov.DIAGONAL
+    assert isinstance(cov.level_gram(cov.brownian(), 3), cov.DiagonalGram)
 
 
 def test_cell_variances_are_the_gram_diagonal():
@@ -330,10 +330,10 @@ def test_cell_variances_are_the_gram_diagonal():
         part = cov.dyadic_partition(6)
         diag = np.diagonal(cov.gram_matrix(k, part))
         gram = cov.level_gram(k, 6)
-        assert gram.kind == cov.DIAGONAL
+        assert isinstance(gram, cov.DiagonalGram)
         assert np.array_equal(gram.values, diag)
     # independent increments are the Brownian and weighted kernels only
-    assert cov.level_gram(cov.fractional_brownian(0.3), 3).kind == cov.TOEPLITZ
+    assert isinstance(cov.level_gram(cov.fractional_brownian(0.3), 3), cov.ToeplitzGram)
 
 
 def exact_table_gram(kernel, level):
@@ -359,15 +359,15 @@ def test_level_gram_dense_and_power_sum_match_gram_matrix():
             ref = cov.gram_matrix(kernel, cov.dyadic_partition(level))
             dense = gram.dense()
             assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
-            if gram.kind == cov.DIAGONAL:
+            if isinstance(gram, cov.DiagonalGram):
                 assert np.array_equal(dense, ref)
-            elif gram.kind == cov.FACTORED:
+            elif isinstance(gram, cov.FactoredGram):
                 exact = exact_table_gram(kernel, level)
                 assert np.max(np.abs(dense - exact)) <= 1e-14 * np.max(np.abs(exact))
             for p in (1.0, 1.5, 2.0, 5.0):
                 total = np.sum(np.abs(ref) ** p)
                 assert gram.abs_power_sum(p) == pytest.approx(total, rel=1e-12, abs=0)
-    assert cov.level_gram(kernels_under_test()[-1], 3).kind == cov.FACTORED
+    assert isinstance(cov.level_gram(kernels_under_test()[-1], 3), cov.FactoredGram)
 
 
 def _reference_tables():
@@ -391,7 +391,7 @@ def test_table_grams_match_the_exact_product(name):
     kernel = _reference_tables()[name]
     for level in range(1, 11):
         gram = cov.level_gram(kernel, level)
-        assert gram.kind == cov.FACTORED
+        assert isinstance(gram, cov.FactoredGram)
         exact = exact_table_gram(kernel, level)
         gap = np.max(np.abs(gram.dense() - exact)) / np.max(np.abs(exact))
         assert gap <= 1e-14, (level, gap)
@@ -405,9 +405,9 @@ def test_table_factor_width_is_the_mesh_gram_rank():
     for name, rank in cases:
         for level in (0, 3, 8):
             gram = cov.level_gram(tables[name], level)
-            assert gram.factor().width == rank and gram.root().shape == (2**level, rank)
+            assert gram.width == rank and gram.root().shape == (2**level, rank)
     zero = cov.level_gram(cov.tabulated_from_fn(lambda S, T: S + T, 8), 4)
-    assert zero.factor().width == 0
+    assert zero.width == 0
 
 
 def test_level_gram_equals_compares_the_matrix_in_its_structure():
@@ -417,7 +417,7 @@ def test_level_gram_equals_compares_the_matrix_in_its_structure():
     assert brownian.equals(cov.level_gram(cov.weighted_poly(0), 4))
     assert not brownian.equals(cov.level_gram(cov.weighted_poly(1), 4))
     # the same matrix stored as a factor is another structure
-    assert not brownian.equals(cov.LevelGram(cov.FACTORED, 4, brownian.root()))
+    assert not brownian.equals(cov.FactoredGram(4, brownian.root()))
     fbm = cov.fractional_brownian(0.35)
     assert cov.level_gram(fbm, 4).equals(cov.level_gram(cov.fractional_brownian(0.35), 4))
     assert not cov.level_gram(fbm, 4).equals(cov.level_gram(fbm, 3))

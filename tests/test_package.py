@@ -11,10 +11,15 @@ SRC = Path(levylab.__file__).resolve().parent
 ROUTES = ("covariance", "levy_kernel", "pvariation", "simulate", "spectral")
 #: modules that use level Grams only through covariance's LevelGram methods
 GRAM_USERS = ("simulate", "spectral", "levy_kernel", "pvariation", "cli")
+#: the class of each level Gram structure
+GRAM_CLASSES = ("DiagonalGram", "ToeplitzGram", "FactoredGram")
 #: a level Gram's storage, which only covariance may read: its `values`
-#: attribute and the names of its structures
+#: attribute and the names of its structures, their classes included
 GRAM_VALUES = "values"
-GRAM_STRUCTURES = ("DIAGONAL", "TOEPLITZ", "FACTORED", "_STRUCTURE")
+GRAM_STRUCTURES = ("DIAGONAL", "TOEPLITZ", "FACTORED", "_STRUCTURE", "_GRAM_CLASS", *GRAM_CLASSES)
+#: the structure strings and the sampler classes the Gram classes replaced
+RETIRED_GRAM_NAMES = ("factor", "_STRUCTURE", "DIAGONAL", "TOEPLITZ", "FACTORED", "_Diagonal",
+                      "_Circulant", "_Dense")
 #: the 2D Young audits and the cosh residual: only `levylab check` and the tests call them
 AUDIT_ONLY = ("area_control", "grid_control", "control_product_check", "ControlEstimate",
               "ControlReport", "young_integral_2d", "YoungNorm", "YoungBound",
@@ -127,3 +132,26 @@ def storage_reads(path):
 def test_only_covariance_reads_a_grams_storage(module):
     # a Gram's structure is taught to covariance alone: its factor, equality and sums
     assert storage_reads(SRC / f"{module}.py") == [], module
+
+
+@pytest.mark.parametrize("name", RETIRED_GRAM_NAMES)
+def test_structure_strings_and_sampler_classes_are_retired(name):
+    # one class per structure, and each level Gram is its own sampler
+    cov = levylab.covariance
+    for owner in (cov, cov.LevelGram, *(getattr(cov, c) for c in GRAM_CLASSES)):
+        assert not hasattr(owner, name), (owner, name)
+
+
+def test_gram_classes_compare_no_kind():
+    # a Gram's structure is its class: no method tests a kind attribute
+    tree = ast.parse((SRC / "covariance.py").read_text())
+    classes = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in ("LevelGram", *GRAM_CLASSES)]
+    assert len(classes) == 4
+    for cls in classes:
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Compare):
+                kinds = [o for o in (node.left, *node.comparators)
+                         if isinstance(o, ast.Attribute) and o.attr == "kind"]
+                assert not kinds, (cls.name, node.lineno)
+    assert not hasattr(levylab.level_gram(levylab.brownian(), 2), "kind")

@@ -9,7 +9,7 @@ import levylab.checks as checks
 import levylab.covariance as cov
 import levylab.pvariation as pv
 from levylab.errors import NumericalError, ParameterError, ResourceError
-from test_simulate import DENSE_TOP, _fgn_toeplitz
+from test_simulate import DENSE_TOP, _fgn_toeplitz, forbid_gram_methods
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def _forbid_dense_grams(monkeypatch, *extra):
 
     for name in ("gram_matrix", "eval_grid", *extra):
         monkeypatch.setattr(cov, name, forbidden)
-    monkeypatch.setattr(cov.LevelGram, "dense", forbidden)
+    assert forbid_gram_methods(monkeypatch, ["dense"], forbidden) == 3
 
 
 def test_v2p_structured_kernels_skip_the_dense_gram(monkeypatch):

@@ -17,6 +17,21 @@ from levylab.errors import NumericalError, ParameterError, ResourceError, ShapeE
 #: the largest level whose N x N float64 Gram fits covariance.MAX_GRAM_BYTES
 DENSE_TOP = max(n for n in range(32) if 8 * 4**n <= cov.MAX_GRAM_BYTES)
 
+#: the level Gram base class and its three structures
+GRAM_CLASSES = (cov.LevelGram, cov.DiagonalGram, cov.ToeplitzGram, cov.FactoredGram)
+
+
+def forbid_gram_methods(monkeypatch, names, forbidden):
+    """Patch each named method on every level Gram class that defines it, so
+    that no structure's override escapes the patch; returns how many were patched."""
+    patched = 0
+    for cls in GRAM_CLASSES:
+        for name in names:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, forbidden)
+                patched += 1
+    return patched
+
 
 def brownian_config(seed=11, n_samples=100, level=5):
     return sim.MCConfig(
@@ -169,7 +184,7 @@ def _fgn_cross_block(hurst, level):
 def _sampler_maps(kernel, level):
     """(G1, G2, X): the Grams of the even-row and odd-row maps and their cross
     block, from unit draws of 2 width normals fed as row pairs."""
-    sampler = cov.level_gram(kernel, level).factor()
+    sampler = cov.level_gram(kernel, level)
     first, second, cross = checks.sampler_maps(sampler)  # F1^T, F2^T, F1 F2^T
     assert first.shape == second.shape == (2 * sampler.width, 2**level)
     return first.T @ first, second.T @ second, cross
@@ -207,8 +222,8 @@ def test_sampler_quad_matches_the_dense_quadratic_form():
     rng = np.random.default_rng(41)
     for kernel in kernels:
         for level in range(1, 9):
-            sampler = cov.level_gram(kernel, level).factor()
-            gram = cov.level_gram(kernel, level).dense()
+            sampler = cov.level_gram(kernel, level)
+            gram = sampler.dense()
             paths = sampler.apply(rng.normal(size=(4, sampler.width)))
             h = np.vstack((rng.normal(size=(4, 2**level)), lk.sign_product(paths.copy())))
             exact = np.einsum("ij,jk,ik->i", h, gram, h)
@@ -225,14 +240,67 @@ def test_circulant_embedding_eigenvalues_nonnegative():
             assert lam.min() > 0.0, (h, level, lam.min())
             # one draw of 2^(level+1) normals, fed as a pair of rows of
             # 2^level, gives two paths
-            sampler = cov.level_gram(kernel, level).factor()
+            sampler = cov.level_gram(kernel, level)
             assert sampler.width == 2**level and sampler.row_floats == 2 ** (level + 1)
 
 
-def test_indefinite_circulant_embedding_raises():
-    # first row (1, 2, 0, 2) has eigenvalue 1 - 2 + 0 - 2 = -3
-    with pytest.raises(NumericalError, match="indefinite"):
-        cov._Circulant(np.array([1.0, 2.0, 0.0]))
+def count_embeddings(monkeypatch):
+    """A list that grows by one for each 1-d np.fft.rfft call: a circulant
+    embedding's eigenvalues; apply and quad transform 2-d rows."""
+    calls, rfft = [], np.fft.rfft
+
+    def counting_rfft(a, *args, **kwargs):
+        if np.ndim(a) == 1:
+            calls.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    return calls
+
+
+def test_indefinite_circulant_embedding_raises(monkeypatch):
+    # first row (1, 2, 0, 2) has eigenvalue 1 - 2 + 0 - 2 = -3: building the
+    # Gram takes no FFT, and its first apply or quad computes and refuses it
+    embeddings = count_embeddings(monkeypatch)
+    lags = np.array([1.0, 2.0, 0.0])
+    for first_use in (lambda g: g.apply(np.ones((2, 2))), lambda g: g.quad(np.ones((2, 2))),
+                      lambda g: g.prepare()):
+        gram = cov.ToeplitzGram(1, lags)
+        assert embeddings == []
+        with pytest.raises(NumericalError, match="indefinite"):
+            first_use(gram)
+        assert embeddings == [4]
+        embeddings.clear()
+
+
+def test_an_indefinite_embedding_is_refused_before_any_draw(monkeypatch):
+    # the samplers are prepared on the calling thread: no normal is drawn
+    def forbidden(*args, **kwargs):
+        raise AssertionError("normals drawn before the embedding was checked")
+
+    monkeypatch.setattr(cov, "level_gram", lambda kernel, level: cov.ToeplitzGram(
+        level, np.array([1.0, 2.0, 0.0])))
+    monkeypatch.setattr(sim, "_fill", forbidden)
+    fbm = cov.fractional_brownian(0.35)
+    config = sim.MCConfig(seed=1, n_samples=2 * sim.BATCH, level=1, kernel1=fbm, kernel2=fbm)
+    for run in (lambda: sim.run_mc(config, threads=2), lambda: sim.sample_paths(config)):
+        with pytest.raises(NumericalError, match="indefinite"):
+            run()
+
+
+def test_circulant_eigenvalues_are_built_on_first_use_only(monkeypatch):
+    embeddings = count_embeddings(monkeypatch)
+    # the p-variation sum reads the lags alone
+    fbm = cov.fractional_brownian(0.35)
+    assert cov.level_gram(fbm, 20).abs_power_sum(1 / 0.7) > 0.0
+    assert embeddings == []
+    # one run: once per distinct kernel, before the workers, not once per worker or chunk
+    other = cov.fractional_brownian(0.75)
+    for k2, count in ((fbm, 1), (cov.fractional_brownian(0.35), 2), (other, 2)):
+        embeddings.clear()
+        config = sim.MCConfig(seed=3, n_samples=3 * sim.BATCH, level=8, kernel1=fbm, kernel2=k2)
+        sim.run_mc(config, threads=3)
+        assert embeddings == [2**9] * count, (k2, embeddings)
 
 
 def test_independent_increments_skip_the_gram(monkeypatch):
@@ -241,7 +309,7 @@ def test_independent_increments_skip_the_gram(monkeypatch):
 
     monkeypatch.setattr(cov, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "_table_factor", forbidden)
-    monkeypatch.setattr(cov.LevelGram, "dense", forbidden)
+    assert forbid_gram_methods(monkeypatch, ["dense"], forbidden) == 3
     for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
         config = sim.MCConfig(seed=4, n_samples=5, level=6, kernel1=kernel, kernel2=kernel)
         inc1, _ = sim.sample_paths(config)
