@@ -7,16 +7,11 @@ functions, plus a CLI (`levylab`) that wires them together.
 from .covariance import (
     CovKernel,
     LevelGram,
-    Rectangle,
     brownian,
-    eval,
-    eval_grid,
     fractional_brownian,
-    gram_matrix,
     level_gram,
     load_table_csv,
     parse_kernel_spec,
-    rect_increment,
     tabulated,
     tabulated_from_fn,
     weighted_poly,
@@ -30,8 +25,8 @@ from .levy_kernel import (
     norm_approx,
     norm_diff,
 )
-from .pvariation import VariationProfile, v1p, v2p_grid, variation_profile
-from .simulate import EmpiricalCF, MCConfig, MCResult, discrete_levy_area, empirical_cf, run_mc, sample_paths
+from .pvariation import VariationProfile, v2p_grid, variation_profile
+from .simulate import EmpiricalCF, MCConfig, MCResult, empirical_cf, run_mc, sample_paths
 from .spectral import (
     CFProduct,
     Spectrum,

@@ -4,12 +4,18 @@ Each check returns a short detail string on success and raises AssertionError
 (or any error) on failure; run_all collects (name, ok, detail) triples.
 
 The references the audits compare the library's routes against live here
-too: the cell sign matrix that levy_kernel.sign_product multiplies by, the
-midpoint matrix whose spectrum spectral.brownian_spectrum lists, and the
-exhaustive enumeration that pvariation.v1p's dynamic program replaces. So do
-the 2D Young audits behind the existence condition 1/p + 1/q > 1 (the control
-maps and control_product_check, young_integral_2d) and the residual of the
-cosh product that spectral.classical_spectrum rests on. No route uses them.
+too. First the pointwise layer: a kernel's point values (eval, eval_grid),
+the rectangular increment (Rectangle, rect_increment) and gram_matrix, the
+Gram of any partition, which covariance.level_gram's closed forms must match;
+discrete_levy_area, the two-path double sum whose law simulate.run_mc draws;
+and v1p, the 1D p-variation of sample points x_0 < ... < x_n, the supremum
+of (sum_i |f(x_{i+1'}) - f(x_{i'})|^p)^{1/p} over all sub-partitions, which
+a dynamic program computes exactly and v1p_exhaustive enumerates. Then the
+cell sign matrix that levy_kernel.sign_product multiplies by, the midpoint
+matrix whose spectrum spectral.brownian_spectrum lists, the 2D Young audits
+behind the existence condition 1/p + 1/q > 1 (the control maps and
+control_product_check, young_integral_2d) and the residual of the cosh
+product that spectral.classical_spectrum rests on. No route uses them.
 
 The Young integral of f against a kernel g is the anchored Riemann-Stieltjes
 sum over dyadic cells (anchor = lower-left corner, matching left-closed dyadic
@@ -33,10 +39,158 @@ from . import levy_kernel as lk
 from . import pvariation as pv
 from . import simulate as sim
 from . import spectral as sp
-from .errors import NumericalError, ParameterError, ResourceError
+from .errors import (
+    DomainError,
+    NumericalError,
+    ParameterError,
+    PartitionError,
+    ResourceError,
+    ShapeError,
+)
 
 #: numerical slack allowed in superadditivity audits
 SLACK_TOL = 1e-9
+
+
+def _check_unit_square(*axes):
+    # each axis separately: x and y may have different lengths; nan is outside
+    for axis in axes:
+        axis = np.asarray(axis)
+        if not np.all((axis >= 0) & (axis <= 1)):
+            raise DomainError("covariance arguments must lie in [0,1]")
+
+
+def eval_grid(kernel: cov.CovKernel, x, y) -> np.ndarray:
+    """R on the outer product of coordinate vectors x and y.
+
+    x has shape (m,), y has shape (k,); the result has shape (m, k).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_unit_square(x, y)
+    S = x[:, None]
+    T = y[None, :]
+    if kernel.kind == cov.FBM:
+        h2 = 2.0 * kernel.hurst
+        return 0.5 * (S**h2 + T**h2 - np.abs(S - T) ** h2)
+    if kernel.kind == cov.WEIGHTED:
+        vals = kernel.weight.antiderivative_sq(np.minimum(S, T))
+        return np.broadcast_to(vals, (len(x), len(y))).copy()
+    return _bilinear(kernel.table, S, T)
+
+
+def _bilinear(table, S, T):
+    # the products below are taken in place, so a table of another dtype
+    # (a CovKernel built directly) is first read as float64, exactly
+    table = np.asarray(table, dtype=float)
+    m = table.shape[0] - 1
+    xs = np.clip(S * m, 0.0, m)
+    ys = np.clip(T * m, 0.0, m)
+    i = np.minimum(xs.astype(int), m - 1)
+    j = np.minimum(ys.astype(int), m - 1)
+    fx = xs - i
+    fy = ys - j
+    gx = 1 - fx
+    gy = 1 - fy
+    # v00 gx gy + v10 fx gy + v01 gx fy + v11 fx fy, in that order and with the
+    # same roundings, built from one gathered corner at a time: the weights
+    # are broadcast vectors, so the result and one term are the only full arrays
+    out = table[i, j]
+    out *= gx
+    out *= gy
+    for di, dj, wx, wy in ((1, 0, fx, gy), (0, 1, gx, fy), (1, 1, fx, fy)):
+        term = table[i + di, j + dj]
+        term *= wx
+        term *= wy
+        out += term
+        del term
+    return out
+
+
+def eval(kernel: cov.CovKernel, s: float, t: float) -> float:  # noqa: A001 - shadows builtins.eval on purpose
+    """Point evaluation R(s,t)."""
+    return float(eval_grid(kernel, [s], [t])[0, 0])
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    """Axis-aligned rectangle [s0,s1] x [u0,u1] inside the unit square."""
+
+    s0: float
+    s1: float
+    u0: float
+    u1: float
+
+    def __post_init__(self):
+        if not (self.s0 <= self.s1 and self.u0 <= self.u1):
+            raise ParameterError(f"degenerate rectangle bounds {self}")
+        _check_unit_square([self.s0, self.s1], [self.u0, self.u1])
+
+
+def rect_increment(kernel: cov.CovKernel, rect: Rectangle) -> float:
+    """Mixed second difference of R over rect."""
+    corners = eval_grid(kernel, [rect.s0, rect.s1], [rect.u0, rect.u1])
+    return float(corners[1, 1] - corners[1, 0] - corners[0, 1] + corners[0, 0])
+
+
+def gram_matrix(kernel: cov.CovKernel, partition) -> np.ndarray:
+    """Increment Gram G[k,l] = R over I_k x I_l of the partition's cells, as an array."""
+    part = np.asarray(partition, dtype=float)
+    if part.ndim != 1 or len(part) < 2:
+        raise PartitionError("partition needs at least two breakpoints")
+    if part[0] != 0.0 or part[-1] != 1.0:
+        raise PartitionError("partition must start at 0 and end at 1")
+    if not np.all(np.diff(part) > 0):  # a nan breakpoint fails too
+        raise PartitionError("partition breakpoints must be strictly increasing")
+    corners = eval_grid(kernel, part, part)
+    # rebound, so the (N+1)^2 corner values are freed before the second difference
+    corners = np.diff(corners, axis=0)
+    return np.diff(corners, axis=1)
+
+
+def discrete_levy_area(increments1, increments2) -> float:
+    """Antisymmetrized double sum over k < l of the two increment arrays.
+
+    It is sum_l b_l P(a)_l - sum_l a_l P(b)_l with P the exclusive prefix
+    sum, each sum formed in one scratch and reduced by numpy's pairwise sum;
+    swapping the arrays swaps the two sums, so the area flips sign exactly.
+    """
+    a = np.asarray(increments1, dtype=float)
+    b = np.asarray(increments2, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ShapeError(
+            f"increment arrays must be 1-d with equal length, got {a.shape} and {b.shape}"
+        )
+    if a.size == 0:
+        return 0.0
+    scratch = np.empty_like(a)
+    sums = []
+    for prefix, weight in ((a, b), (b, a)):
+        scratch[0] = 0.0
+        np.cumsum(prefix[:-1], out=scratch[1:])
+        scratch *= weight
+        sums.append(float(scratch.sum()))
+    return sums[0] - sums[1]
+
+
+def v1p(samples, p: float) -> float:
+    """Exact 1D p-variation over all sub-partitions of the sample points.
+
+    samples: sequence of (point, value) pairs with strictly increasing points.
+    """
+    pv._require_exponent(p)
+    pts = np.asarray([s[0] for s in samples], dtype=float)
+    vals = np.asarray([s[1] for s in samples], dtype=float)
+    if not np.all(np.diff(pts) > 0):  # a nan point fails too
+        raise ParameterError("sample points must be strictly increasing")
+    n = len(vals)
+    if n < 2:
+        return 0.0
+    # best[j] = max over sub-partitions ending at j of sum |delta|^p
+    best = np.zeros(n)
+    for j in range(1, n):
+        best[j] = np.max(best[:j] + np.abs(vals[j] - vals[:j]) ** p)
+    return float(best[-1] ** (1.0 / p))
 
 
 def cell_sign_matrix(level: int, refine: int) -> np.ndarray:
@@ -73,7 +227,7 @@ def discretize_classical_operator(grid_size: int) -> np.ndarray:
 
 
 def v1p_exhaustive(samples, p: float) -> float:
-    """Reference of pvariation.v1p: enumerate every sub-partition.
+    """Reference of v1p: enumerate every sub-partition.
 
     Exponential in the sample count; intended for grids with <= 6 points.
     """
@@ -115,7 +269,7 @@ def grid_control(kernel, p: float, level: int = 6):
     def omega(rect):
         xs = np.linspace(rect.s0, rect.s1, n + 1)
         ys = np.linspace(rect.u0, rect.u1, n + 1)
-        corners = cov.eval_grid(kernel, xs, ys)
+        corners = eval_grid(kernel, xs, ys)
         inc = np.diff(np.diff(corners, axis=0), axis=1)
         # an overflow reads inf or nan without a warning; the sum is checked below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -132,7 +286,7 @@ def grid_control(kernel, p: float, level: int = 6):
 class ControlEstimate:
     """One control evaluation omega1(rect)^{1/p} omega2(rect)^{1/q} pinned to its rectangle."""
 
-    rectangle: cov.Rectangle
+    rectangle: Rectangle
     value: float
 
     def __post_init__(self):
@@ -188,12 +342,12 @@ def control_product_check(
     for _ in range(trials):
         x0, x1 = np.sort(rng.uniform(0.0, 1.0, 2))
         y0, y1 = np.sort(rng.uniform(0.0, 1.0, 2))
-        whole = estimate(cov.Rectangle(x0, x1, y0, y1))
+        whole = estimate(Rectangle(x0, x1, y0, y1))
         mx = x0 + rng.uniform() * (x1 - x0)
         my = y0 + rng.uniform() * (y1 - y0)
         for left, right in (
-            (cov.Rectangle(x0, mx, y0, y1), cov.Rectangle(mx, x1, y0, y1)),
-            (cov.Rectangle(x0, x1, y0, my), cov.Rectangle(x0, x1, my, y1)),
+            (Rectangle(x0, mx, y0, y1), Rectangle(mx, x1, y0, y1)),
+            (Rectangle(x0, x1, y0, my), Rectangle(x0, x1, my, y1)),
         ):
             el, er = estimate(left), estimate(right)
             viol = el.value + er.value - whole.value
@@ -268,8 +422,8 @@ def young_integral_2d(f, g, p: float, q: float, level: int) -> tuple[float, Youn
 
         finc = np.diff(np.diff(fvals, axis=0), axis=1)
         f_v2p = float(np.sum(np.abs(finc) ** p) ** (1.0 / p))
-        bottom = pv.v1p(list(zip(nodes, fvals[:, 0])), p)
-        left = pv.v1p(list(zip(nodes, fvals[0, :])), p)
+        bottom = v1p(list(zip(nodes, fvals[:, 0])), p)
+        left = v1p(list(zip(nodes, fvals[0, :])), p)
         norm = YoungNorm(
             v2p=f_v2p,
             v1p_bottom_edge=bottom,
@@ -324,9 +478,9 @@ def check_rect_additivity():
         for _ in range(40):
             x0, xm, x1 = np.sort(rng.uniform(0, 1, 3))
             y0, y1 = np.sort(rng.uniform(0, 1, 2))
-            whole = cov.rect_increment(kernel, cov.Rectangle(x0, x1, y0, y1))
-            left = cov.rect_increment(kernel, cov.Rectangle(x0, xm, y0, y1))
-            right = cov.rect_increment(kernel, cov.Rectangle(xm, x1, y0, y1))
+            whole = rect_increment(kernel, Rectangle(x0, x1, y0, y1))
+            left = rect_increment(kernel, Rectangle(x0, xm, y0, y1))
+            right = rect_increment(kernel, Rectangle(xm, x1, y0, y1))
             worst = max(worst, abs(whole - (left + right)))
     assert worst <= 1e-12, f"additivity violated by {worst:.3e}"
     return f"max split residual {worst:.2e}"
@@ -335,8 +489,8 @@ def check_rect_additivity():
 def check_gram_telescoping():
     worst = 0.0
     for kernel in _kernels().values():
-        gram = cov.gram_matrix(kernel, cov.dyadic_partition(5))
-        total = cov.rect_increment(kernel, cov.Rectangle(0, 1, 0, 1))
+        gram = gram_matrix(kernel, cov.dyadic_partition(5))
+        total = rect_increment(kernel, Rectangle(0, 1, 0, 1))
         worst = max(worst, abs(float(gram.sum()) - total))
     assert worst <= 1e-10, f"telescoping off by {worst:.3e}"
     return f"max telescoping residual {worst:.2e}"
@@ -344,7 +498,7 @@ def check_gram_telescoping():
 
 def check_brownian_diagonal():
     for level in (1, 4, 7):
-        m = cov.gram_matrix(cov.brownian(), cov.dyadic_partition(level))
+        m = gram_matrix(cov.brownian(), cov.dyadic_partition(level))
         off = m - np.diag(np.diagonal(m))
         assert np.max(np.abs(off)) == 0.0
         assert np.allclose(np.diagonal(m), 2.0**-level)
@@ -361,7 +515,7 @@ def min_eigenvalue_ratio(matrix: np.ndarray) -> float:
 def check_gram_psd():
     worst = 0.0
     for kernel in _kernels().values():
-        gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
+        gram = gram_matrix(kernel, cov.dyadic_partition(6))
         worst = min(worst, min_eigenvalue_ratio(gram))
     assert worst >= -cov.PSD_TOL, f"Gram eigenvalue ratio {worst:.3e}"
     return f"min eigenvalue ratio {worst:.2e}"
@@ -371,7 +525,7 @@ def check_level_gram_structure():
     worst = 0.0
     for name, kernel in _kernels().items():
         gram = cov.level_gram(kernel, 6)
-        ref = cov.gram_matrix(kernel, cov.dyadic_partition(6))
+        ref = gram_matrix(kernel, cov.dyadic_partition(6))
         scale = float(np.max(np.abs(ref)))
         rel = float(np.max(np.abs(gram.dense() - ref))) / scale
         assert rel <= 1e-12, f"{name}: {type(gram).__name__} off gram_matrix by {rel:.3e} of max|G|"
@@ -389,7 +543,7 @@ def check_symmetry_zero_edge():
     for name, kernel in _kernels().items():
         if name == "product-st":
             continue  # test-only kernel, not a process covariance
-        vals = cov.eval_grid(kernel, pts, pts)
+        vals = eval_grid(kernel, pts, pts)
         assert np.max(np.abs(vals - vals.T)) <= 1e-12, name
         assert np.max(np.abs(vals[0])) <= 1e-12, name
         assert np.max(np.abs(vals[:, 0])) <= 1e-12, name
@@ -427,7 +581,7 @@ def check_v1p_bruteforce():
         vals = rng.normal(size=n)
         p = float(rng.uniform(1.0, 3.0))
         samples = list(zip(pts, vals))
-        fast = pv.v1p(samples, p)
+        fast = v1p(samples, p)
         slow = v1p_exhaustive(samples, p)
         assert abs(fast - slow) <= 1e-12, (fast, slow)
     return "dynamic program matches exhaustive enumeration"
@@ -514,9 +668,9 @@ def check_area_identities():
         n = int(rng.integers(2, 40))
         a = rng.normal(size=n)
         b = rng.normal(size=n)
-        ab = sim.discrete_levy_area(a, b)
-        assert ab == -sim.discrete_levy_area(b, a)
-        assert sim.discrete_levy_area(2.0 * a, b) == 2.0 * ab
+        ab = discrete_levy_area(a, b)
+        assert ab == -discrete_levy_area(b, a)
+        assert discrete_levy_area(2.0 * a, b) == 2.0 * ab
         ref = sum(
             a[k] * b[l] - b[k] * a[l] for k in range(n) for l in range(n) if k < l
         )
@@ -602,12 +756,12 @@ def check_sampler_covariance():
     # both rows of a draw must map to the Gram, and the circulant's two paths
     # share the draw through its off-diagonal block
     fbm = cov.fractional_brownian(0.35)
-    table = cov.tabulated(cov.eval_grid(fbm, *2 * [np.linspace(0.0, 1.0, 257)]))
+    table = cov.tabulated(eval_grid(fbm, *2 * [np.linspace(0.0, 1.0, 257)]))
     kernels = {"brownian": cov.brownian(), "weighted-u": cov.weighted_poly(1), "fbm-0.35": fbm,
                "fbm-0.35-table": table}
     worst = 0.0
     for name, kernel in kernels.items():
-        gram = cov.gram_matrix(kernel, cov.dyadic_partition(6))
+        gram = gram_matrix(kernel, cov.dyadic_partition(6))
         level_gram = cov.level_gram(kernel, 6)
         first, second, cross = sampler_maps(level_gram)
         expected = (circulant_cross_block(level_gram.values)

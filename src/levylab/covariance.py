@@ -13,9 +13,9 @@ the increment Gram of the N = 2^level equal dyadic cells, which level_gram
 builds exactly (closed forms, or a table's mesh product) as one class per
 structure: DiagonalGram (weighted kernels, independent increments),
 ToeplitzGram (fBm, stationary increments) and FactoredGram (tabulated
-kernels, an N x r factor). Each is also its own sampler. The rectangular
-increment and gram_matrix, the Gram of any partition from point values, are
-the pointwise reference the level Grams are checked against.
+kernels, an N x r factor). Each is also its own sampler. The pointwise
+reference the level Grams are checked against lives in checks: point values,
+the rectangular increment and gram_matrix, the Gram of any partition.
 """
 from __future__ import annotations
 
@@ -25,14 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NumericalError,
-    ParameterError,
-    PartitionError,
-    ResourceError,
-    ShapeError,
-)
+from .errors import NumericalError, ParameterError, ResourceError, ShapeError
 
 FBM = "fbm"
 WEIGHTED = "weighted"
@@ -170,106 +163,10 @@ def load_table_csv(path) -> CovKernel:
     return tabulated(values)
 
 
-def _check_unit_square(*axes):
-    # each axis separately: x and y may have different lengths; nan is outside
-    for axis in axes:
-        axis = np.asarray(axis)
-        if not np.all((axis >= 0) & (axis <= 1)):
-            raise DomainError("covariance arguments must lie in [0,1]")
-
-
-def eval_grid(kernel: CovKernel, x, y) -> np.ndarray:
-    """R on the outer product of coordinate vectors x and y.
-
-    x has shape (m,), y has shape (k,); the result has shape (m, k).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_unit_square(x, y)
-    S = x[:, None]
-    T = y[None, :]
-    if kernel.kind == FBM:
-        h2 = 2.0 * kernel.hurst
-        return 0.5 * (S**h2 + T**h2 - np.abs(S - T) ** h2)
-    if kernel.kind == WEIGHTED:
-        vals = kernel.weight.antiderivative_sq(np.minimum(S, T))
-        return np.broadcast_to(vals, (len(x), len(y))).copy()
-    return _bilinear(kernel.table, S, T)
-
-
-def _bilinear(table, S, T):
-    # the products below are taken in place, so a table of another dtype
-    # (a CovKernel built directly) is first read as float64, exactly
-    table = np.asarray(table, dtype=float)
-    m = table.shape[0] - 1
-    xs = np.clip(S * m, 0.0, m)
-    ys = np.clip(T * m, 0.0, m)
-    i = np.minimum(xs.astype(int), m - 1)
-    j = np.minimum(ys.astype(int), m - 1)
-    fx = xs - i
-    fy = ys - j
-    gx = 1 - fx
-    gy = 1 - fy
-    # v00 gx gy + v10 fx gy + v01 gx fy + v11 fx fy, in that order and with the
-    # same roundings, built from one gathered corner at a time: the weights
-    # are broadcast vectors, so the result and one term are the only full arrays
-    out = table[i, j]
-    out *= gx
-    out *= gy
-    for di, dj, wx, wy in ((1, 0, fx, gy), (0, 1, gx, fy), (1, 1, fx, fy)):
-        term = table[i + di, j + dj]
-        term *= wx
-        term *= wy
-        out += term
-        del term
-    return out
-
-
-def eval(kernel: CovKernel, s: float, t: float) -> float:  # noqa: A001 - shadows builtins.eval on purpose
-    """Point evaluation R(s,t)."""
-    return float(eval_grid(kernel, [s], [t])[0, 0])
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned rectangle [s0,s1] x [u0,u1] inside the unit square."""
-
-    s0: float
-    s1: float
-    u0: float
-    u1: float
-
-    def __post_init__(self):
-        if not (self.s0 <= self.s1 and self.u0 <= self.u1):
-            raise ParameterError(f"degenerate rectangle bounds {self}")
-        _check_unit_square([self.s0, self.s1], [self.u0, self.u1])
-
-
-def rect_increment(kernel: CovKernel, rect: Rectangle) -> float:
-    """Mixed second difference of R over rect."""
-    corners = eval_grid(kernel, [rect.s0, rect.s1], [rect.u0, rect.u1])
-    return float(corners[1, 1] - corners[1, 0] - corners[0, 1] + corners[0, 0])
-
-
 def dyadic_partition(level: int) -> np.ndarray:
     if level < 0:
         raise ParameterError(f"dyadic level must be >= 0, got {level}")
     return np.linspace(0.0, 1.0, 2**level + 1)
-
-
-def gram_matrix(kernel: CovKernel, partition) -> np.ndarray:
-    """Increment Gram G[k,l] = R over I_k x I_l of the partition's cells, as an array."""
-    part = np.asarray(partition, dtype=float)
-    if part.ndim != 1 or len(part) < 2:
-        raise PartitionError("partition needs at least two breakpoints")
-    if part[0] != 0.0 or part[-1] != 1.0:
-        raise PartitionError("partition must start at 0 and end at 1")
-    if not np.all(np.diff(part) > 0):  # a nan breakpoint fails too
-        raise PartitionError("partition breakpoints must be strictly increasing")
-    corners = eval_grid(kernel, part, part)
-    # rebound, so the (N+1)^2 corner values are freed before the second difference
-    corners = np.diff(corners, axis=0)
-    return np.diff(corners, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,9 +406,10 @@ def level_gram(kernel: CovKernel, level: int) -> LevelGram:
 
     Weighted kernels (Brownian motion too) have R(s,t) = F(min(s,t)), so the
     cell increments are independent: a DiagonalGram, with variances
-    F(t_{k+1}) - F(t_k) bit-identical to the diagonal of gram_matrix. fBm
-    increments over equal cells are stationary (fractional Gaussian noise): a
-    ToeplitzGram. Tabulated kernels get the FactoredGram of _table_factor.
+    F(t_{k+1}) - F(t_k) bit-identical to the diagonal of checks.gram_matrix.
+    fBm increments over equal cells are stationary (fractional Gaussian
+    noise): a ToeplitzGram. Tabulated kernels get the FactoredGram of
+    _table_factor.
     """
     check_level(level, kernel)
     if kernel.kind == FBM:
@@ -583,7 +481,7 @@ def _fgn_autocovariance(hurst: float, level: int) -> np.ndarray:
     k^{2H} (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))), which avoids the
     cancellation between the three large powers: relative to gamma(0) the
     error stays near 1e-14 up to level 14 for H <= 0.75, where the direct
-    form (and gram_matrix's double difference) loses about k^{2H} ulps.
+    form (and checks.gram_matrix's double difference) loses about k^{2H} ulps.
     """
     h2 = 2.0 * hurst
     k = np.arange(2.0, 2**level + 1)

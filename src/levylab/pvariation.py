@@ -1,23 +1,17 @@
-"""Grid p-variation estimates.
+"""Grid p-variation estimates of a covariance kernel.
 
-1D variation of f over sample points x_0 < ... < x_n is the supremum of
-
-    ( sum_i |f(x_{i+1'}) - f(x_{i'})|^p )^{1/p}
-
-over all sub-partitions of the samples; on a fixed sample set this supremum
-is computed exactly by dynamic programming. The 2D analogue replaces point
-differences with rectangular increments over a partition pair. The true 2D
-supremum over arbitrary partition pairs is combinatorially explosive, so
-``v2p_grid`` sums |increment|^p over the full dyadic product grid of a given
-level and reports it as a lower bound; ``variation_profile`` tracks that
-bound over a refinement ladder and classifies its behaviour.
+The 2D p-variation replaces the point differences of 1D variation with
+rectangular increments over a partition pair. The true 2D supremum over
+arbitrary partition pairs is combinatorially explosive, so ``v2p_grid`` sums
+|increment|^p over the full dyadic product grid of a given level and reports
+it as a lower bound; ``variation_profile`` tracks that bound over a
+refinement ladder and classifies its behaviour. The exact 1D p-variation of
+sample points (checks.v1p) and the 2D Young audits are references in checks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import covariance as cov
 from .errors import NumericalError, ParameterError
@@ -36,26 +30,6 @@ def _require_exponent(p: float) -> None:
     """Raise ParameterError unless p is a finite variation exponent p >= 1."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ParameterError(f"variation exponent must be finite and >= 1, got {p}")
-
-
-def v1p(samples, p: float) -> float:
-    """Exact 1D p-variation over all sub-partitions of the sample points.
-
-    samples: sequence of (point, value) pairs with strictly increasing points.
-    """
-    _require_exponent(p)
-    pts = np.asarray([s[0] for s in samples], dtype=float)
-    vals = np.asarray([s[1] for s in samples], dtype=float)
-    if not np.all(np.diff(pts) > 0):  # a nan point fails too
-        raise ParameterError("sample points must be strictly increasing")
-    n = len(vals)
-    if n < 2:
-        return 0.0
-    # best[j] = max over sub-partitions ending at j of sum |delta|^p
-    best = np.zeros(n)
-    for j in range(1, n):
-        best[j] = np.max(best[:j] + np.abs(vals[j] - vals[:j]) ** p)
-    return float(best[-1] ** (1.0 / p))
 
 
 def v2p_grid(kernel, p: float, level: int) -> float:

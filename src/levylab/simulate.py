@@ -57,8 +57,8 @@ path per sample, d1, forms h by one blocked prefix sum, evaluates the
 quadratic form q = h^T G2 h through the second factor's `quad` (a weighted
 sum, one FFT or one matrix product) and returns A = 2 sqrt(q) xi for one
 more standard normal xi. Every sample of both routes has the law of the
-two-path double sum; sample_paths and discrete_levy_area stay the path-level
-API for that sum. (The paper's Monte Carlo draws both paths; both routes
+two-path double sum: sample_paths draws the two paths themselves, and the
+sum's reference is checks.discrete_levy_area. (The paper's Monte Carlo draws both paths; both routes
 draw the same law from fewer normals.) The samples are independent, except
 that when process 1 is fBm the two samples of a pair share their circulant
 draw: each has its own xi, so the pair is uncorrelated (E[A A'] = E[q^1/2
@@ -114,7 +114,7 @@ import numpy as np
 
 from . import covariance as cov
 from . import levy_kernel as lk
-from .errors import NumericalError, ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ResourceError, ShapeError
 
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
@@ -139,6 +139,11 @@ class MCConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
+        # run_mc holds 8 bytes per sample for the areas: the budget of a level route
+        if 8 * self.n_samples > cov.MAX_GRAM_BYTES:
+            raise ResourceError(
+                f"n_samples {self.n_samples} exceeds cap {cov.MAX_GRAM_BYTES // 8} = MAX_GRAM_BYTES / 8"
+            )
         if not 1 <= self.level <= MAX_LEVEL:
             raise ParameterError(
                 f"dyadic level must lie in [1, {MAX_LEVEL}], got {self.level}"
@@ -171,7 +176,7 @@ def _samplers(config: MCConfig):
     return grams
 
 
-def _chunk_rows(samplers, level: int) -> int:
+def _chunk_rows(samplers) -> int:
     """Rows per work chunk, fixed per config: CHUNK_ELEMENTS over the widest
     row a factor holds (`row_floats`: the 2^level cells of a path, a table's
     rank r, the circulant quad's zero-padded 2^(level+1) floats), rounded
@@ -180,7 +185,7 @@ def _chunk_rows(samplers, level: int) -> int:
     That is a power of two dividing BATCH unless a table's rank r exceeds
     2^level (then an even count, at least 2).
     """
-    rows = CHUNK_ELEMENTS // max(2**level, *(s.row_floats for s in samplers))
+    rows = CHUNK_ELEMENTS // max(s.row_floats for s in samplers)
     return max(2, min(BATCH, rows - rows % 2))
 
 
@@ -201,7 +206,7 @@ def sample_paths(config: MCConfig):
     sample's bits. Materializes everything; intended for moderate n_samples.
     """
     samplers = _samplers(config)
-    rows = _chunk_rows(samplers, config.level)
+    rows = _chunk_rows(samplers)
     shape = (config.n_samples, 2**config.level)
     outs = np.empty(shape), np.empty(shape)
     for batch_start in range(0, config.n_samples, BATCH):
@@ -247,31 +252,6 @@ def _conditional_areas(inc1: np.ndarray, sampler2, xi: np.ndarray) -> np.ndarray
     q *= 2.0
     xi *= q
     return xi
-
-
-def discrete_levy_area(increments1, increments2) -> float:
-    """Antisymmetrized double sum over k < l of the two increment arrays.
-
-    It is sum_l b_l P(a)_l - sum_l a_l P(b)_l with P the exclusive prefix
-    sum, each sum formed in one scratch and reduced by numpy's pairwise sum;
-    swapping the arrays swaps the two sums, so the area flips sign exactly.
-    """
-    a = np.asarray(increments1, dtype=float)
-    b = np.asarray(increments2, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(
-            f"increment arrays must be 1-d with equal length, got {a.shape} and {b.shape}"
-        )
-    if a.size == 0:
-        return 0.0
-    scratch = np.empty_like(a)
-    sums = []
-    for prefix, weight in ((a, b), (b, a)):
-        scratch[0] = 0.0
-        np.cumsum(prefix[:-1], out=scratch[1:])
-        scratch *= weight
-        sums.append(float(scratch.sum()))
-    return sums[0] - sums[1]
 
 
 def _chain_chunks(level: int, scale: float):
@@ -337,7 +317,7 @@ def _conditional_chunks(config: MCConfig):
         inc1 = sampler1.apply(_fill(paths, buf, len(out)))
         _conditional_areas(inc1, sampler2, scalars.standard_normal(out=out))
 
-    return _chunk_rows((sampler1, sampler2), config.level), sampler1.width, chunk
+    return _chunk_rows((sampler1, sampler2)), sampler1.width, chunk
 
 
 def run_mc(config: MCConfig, threads: int = 1) -> MCResult:

@@ -292,8 +292,9 @@ def test_pvar_level_above_cap_exits_2(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built before the level cap was checked")
 
-    for name in ("gram_matrix", "level_gram", "eval_grid"):
-        monkeypatch.setattr(cov, name, forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    for name in ("gram_matrix", "eval_grid"):
+        monkeypatch.setattr(checks, name, forbidden)
     # one past the largest level of each Gram structure, and a level whose
     # 2^level the check must never form
     for kernel, level in (("brownian", 25), ("fbm hurst=0.35", 24), (spec, DENSE_TOP + 1),
@@ -328,6 +329,21 @@ def test_repeated_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
         assert not (out / "cf.csv").exists(), i
 
 
+def test_oversized_sample_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampling started for a sample count above the budget")
+
+    monkeypatch.setattr(sim, "run_mc", forbidden)
+    for i, (kernel, samples) in enumerate((("brownian", 10**12), ("fbm hurst=0.35", 10**11))):
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert run_cli(["simulate", "--kernel", kernel, "--level", 2, "--samples", samples,
+                        "--out", out]) == 2, kernel
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "n_samples" in err, err
+        assert not (out / "cf.csv").exists(), kernel
+
+
 def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
     spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 5)] * 2))
 
@@ -335,8 +351,9 @@ def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
         raise AssertionError("Gram built before the level cap was checked")
 
     # level_gram checks the level itself: every builder it calls is forbidden
-    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "_table_factor"):
+    for name in ("dyadic_partition", "_fgn_autocovariance", "_table_factor"):
         monkeypatch.setattr(cov, name, forbidden)
+    monkeypatch.setattr(checks, "gram_matrix", forbidden)
     out = tmp_path / "out"
     assert run_cli(["simulate", "--kernel", spec, "--level",
                     DENSE_TOP + 1, "--samples", 5, "--out", out]) == 2
@@ -347,7 +364,7 @@ def test_pvar_level_below_one_exits_2(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built for a level below one")
 
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(checks, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden, raising=False)
     for level in (0, -3):
         out = tmp_path / f"level{level}"
@@ -702,7 +719,7 @@ def test_non_finite_kernel_inputs_exit_2(tmp_path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built for a kernel with non-finite inputs")
 
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(checks, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
     nodes = np.linspace(0, 1, 5)
     specs = [f"kind=weighted degree=1 coeff={c}" for c in ("nan", "inf", "1e200")]
@@ -728,7 +745,7 @@ def test_asymmetric_table_exits_2_before_any_gram(tmp_path, monkeypatch, capsys)
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built for an asymmetric table")
 
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(checks, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
     monkeypatch.setattr(cov, "_table_factor", forbidden)
     nodes = np.linspace(0, 1, 9)

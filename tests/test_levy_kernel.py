@@ -41,8 +41,8 @@ def quadruple_loop_norm(A, g1, g2):
 def grams(kernel1, kernel2, refine):
     part = cov.dyadic_partition(refine)
     return (
-        cov.gram_matrix(kernel1, part),
-        cov.gram_matrix(kernel2, part),
+        checks.gram_matrix(kernel1, part),
+        checks.gram_matrix(kernel2, part),
     )
 
 

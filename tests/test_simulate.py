@@ -54,8 +54,8 @@ def weighted_config(seed=11, n_samples=100, level=5):
 # ---------------------------------------------------------------------------
 
 def test_area_hand_computation():
-    assert sim.discrete_levy_area([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert sim.discrete_levy_area([0.3, -0.2, 0.5], [0.3, -0.2, 0.5]) == 0.0
+    assert checks.discrete_levy_area([1.0, 0.0], [0.0, 1.0]) == 1.0
+    assert checks.discrete_levy_area([0.3, -0.2, 0.5], [0.3, -0.2, 0.5]) == 0.0
 
 
 def test_area_swap_flips_sign_exactly():
@@ -63,14 +63,14 @@ def test_area_swap_flips_sign_exactly():
     for _ in range(30):
         a = rng.normal(size=17)
         b = rng.normal(size=17)
-        assert sim.discrete_levy_area(a, b) == -sim.discrete_levy_area(b, a)
+        assert checks.discrete_levy_area(a, b) == -checks.discrete_levy_area(b, a)
 
 
 def test_area_shape_error():
     with pytest.raises(ShapeError):
-        sim.discrete_levy_area([1.0, 2.0], [1.0])
+        checks.discrete_levy_area([1.0, 2.0], [1.0])
     with pytest.raises(ShapeError):
-        sim.discrete_levy_area([[1.0]], [[1.0]])
+        checks.discrete_levy_area([[1.0]], [[1.0]])
 
 
 # entries are 0 or at least 2^-200 in size: every prefix sum, product and
@@ -89,11 +89,11 @@ _NORMAL_ENTRY = st.floats(min_value=-3, max_value=3).map(
 def test_area_antisymmetry_and_dyadic_scaling(vals, scale_pow):
     a = np.array([v[0] for v in vals])
     b = np.array([v[1] for v in vals])
-    area = sim.discrete_levy_area(a, b)
-    assert sim.discrete_levy_area(b, a) == -area
+    area = checks.discrete_levy_area(a, b)
+    assert checks.discrete_levy_area(b, a) == -area
     # scaling by powers of two is exact in binary floating point
     c = 2.0**scale_pow
-    assert sim.discrete_levy_area(c * a, b) == c * area
+    assert checks.discrete_levy_area(c * a, b) == c * area
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,9 +110,9 @@ def test_area_antisymmetry_and_bilinear_scaling(vals, a, b, signs):
     x = np.array([v[0] for v in vals]) / 1000.0
     y = np.array([v[1] for v in vals]) / 1000.0
     a, b = signs[0] * a, signs[1] * b
-    area = sim.discrete_levy_area(x, y)
-    assert sim.discrete_levy_area(y, x) == -area
-    scaled = sim.discrete_levy_area(a * x, b * y)
+    area = checks.discrete_levy_area(x, y)
+    assert checks.discrete_levy_area(y, x) == -area
+    scaled = checks.discrete_levy_area(a * x, b * y)
     bound = 1e-12 * abs(a * b) * np.sum(np.abs(x)) * np.sum(np.abs(y))
     assert abs(scaled - a * b * area) <= bound
 
@@ -121,8 +121,8 @@ def test_area_general_scaling_close():
     rng = np.random.default_rng(1)
     a = rng.normal(size=40)
     b = rng.normal(size=40)
-    area = sim.discrete_levy_area(a, b)
-    assert sim.discrete_levy_area(1.7 * a, b) == pytest.approx(1.7 * area, rel=1e-12)
+    area = checks.discrete_levy_area(a, b)
+    assert checks.discrete_levy_area(1.7 * a, b) == pytest.approx(1.7 * area, rel=1e-12)
 
 
 def test_area_prefix_sum_matches_quadratic_oracle():
@@ -131,7 +131,7 @@ def test_area_prefix_sum_matches_quadratic_oracle():
         n = int(rng.integers(2, 48))
         a = rng.normal(size=n)
         b = rng.normal(size=n)
-        fast = sim.discrete_levy_area(a, b)
+        fast = checks.discrete_levy_area(a, b)
         slow = sum(
             a[k] * b[l] - b[k] * a[l] for k in range(n) for l in range(k + 1, n)
         )
@@ -147,7 +147,7 @@ def test_area_row_sum_matches_fsum_oracle():
         pb = np.concatenate(([0.0], np.cumsum(b[:-1])))
         terms = b * pa - a * pb
         exact = math.fsum(terms)
-        assert abs(sim.discrete_levy_area(a, b) - exact) <= 1e-13 * np.sum(np.abs(terms))
+        assert abs(checks.discrete_levy_area(a, b) - exact) <= 1e-13 * np.sum(np.abs(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +197,10 @@ def test_sampler_map_reproduces_gram():
     # a draw map to the Gram; the diagonal and table maps take rows one by
     # one, so their cross block is 0, while the circulant's two paths share
     # the draw through the circulant's off-diagonal block
-    table = cov.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
+    table = checks.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
     others = [cov.brownian(), cov.weighted_poly(1), cov.tabulated(table)]
     for level in range(1, 9):
-        cases = [(k, cov.gram_matrix(k, cov.dyadic_partition(level)), 0.0) for k in others]
+        cases = [(k, checks.gram_matrix(k, cov.dyadic_partition(level)), 0.0) for k in others]
         cases += [
             (cov.fractional_brownian(h), _fgn_toeplitz(h, level), _fgn_cross_block(h, level))
             for h in (0.1, 0.35, 0.75)
@@ -216,7 +216,7 @@ def test_sampler_map_reproduces_gram():
 def test_sampler_quad_matches_the_dense_quadratic_form():
     # rows of h^T G h for random h and for h = sign_product(d), the rows
     # run_mc feeds to quad, against the dense level Gram
-    table = cov.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
+    table = checks.eval_grid(cov.fractional_brownian(0.35), *2 * [np.linspace(0, 1, 257)])
     kernels = [cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35),
                cov.fractional_brownian(0.75), cov.tabulated(table)]
     rng = np.random.default_rng(41)
@@ -307,7 +307,7 @@ def test_independent_increments_skip_the_gram(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense Gram route taken")
 
-    monkeypatch.setattr(cov, "gram_matrix", forbidden)
+    monkeypatch.setattr(checks, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "_table_factor", forbidden)
     assert forbid_gram_methods(monkeypatch, ["dense"], forbidden) == 3
     for kernel in (cov.brownian(), cov.weighted_poly(1), cov.fractional_brownian(0.35)):
@@ -317,14 +317,15 @@ def test_independent_increments_skip_the_gram(monkeypatch):
 
 
 def test_tabulated_level_cap_fires_before_any_gram(monkeypatch):
-    tab = cov.tabulated(cov.eval_grid(cov.brownian(), *2 * [np.linspace(0, 1, 17)]))
+    tab = cov.tabulated(checks.eval_grid(cov.brownian(), *2 * [np.linspace(0, 1, 17)]))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram built before the level cap was checked")
 
     # level_gram checks the level itself: every builder it calls is forbidden
-    for name in ("dyadic_partition", "_fgn_autocovariance", "gram_matrix", "_table_factor"):
+    for name in ("dyadic_partition", "_fgn_autocovariance", "_table_factor"):
         monkeypatch.setattr(cov, name, forbidden)
+    monkeypatch.setattr(checks, "gram_matrix", forbidden)
     for level in (DENSE_TOP + 1, sim.MAX_LEVEL):
         for k2 in (tab, cov.brownian()):
             config = sim.MCConfig(seed=1, n_samples=3, level=level, kernel1=tab, kernel2=k2)
@@ -345,6 +346,11 @@ def test_config_validation():
         brownian_config(level=15)
     with pytest.raises(ParameterError):
         brownian_config(level=0)
+    # the areas take 8 bytes per sample, within MAX_GRAM_BYTES: 2^24 samples
+    # construct (and are not run), one more is refused
+    assert brownian_config(n_samples=2**24).n_samples == 2**24
+    with pytest.raises(ResourceError):
+        brownian_config(n_samples=2**24 + 1)
 
 
 def test_sample_paths_shapes_and_determinism():
@@ -492,7 +498,7 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
         width = max(s.row_floats for s in sim._samplers(config))
         for rows in (2, 4):
             monkeypatch.setattr(sim, "CHUNK_ELEMENTS", rows * width)
-            assert sim._chunk_rows(sim._samplers(config), config.level) == rows
+            assert sim._chunk_rows(sim._samplers(config)) == rows
             for a, b in zip(sim.sample_paths(config), paths):
                 assert np.array_equal(a, b)
             assert np.array_equal(sim.run_mc(config).samples, areas)
@@ -535,7 +541,7 @@ def test_sample_paths_rows_give_the_run_mc_areas():
     # run_mc draws each area given process 1's path, which is the sample_paths
     # row, from the next normal of stream 2 b + 1
     config = weighted_config(seed=19, n_samples=sim.BATCH + 5, level=10)
-    assert sim._chunk_rows(sim._samplers(config), config.level) < sim.BATCH // 8
+    assert sim._chunk_rows(sim._samplers(config)) < sim.BATCH // 8
     inc1, inc2 = sim.sample_paths(config)
     assert np.array_equal(_one_row_areas(config), sim.run_mc(config).samples)
     again = sim.sample_paths(config)

@@ -445,7 +445,7 @@ def test_general_operator_block_structure():
     # equal covariances make M = L^T A L antisymmetric, so its singular values
     # pair up and every +-s of the spectrum has even multiplicity
     for kernel in (cov.brownian(), cov.fractional_brownian(0.4)):
-        L = np.linalg.cholesky(cov.gram_matrix(kernel, cov.dyadic_partition(5)))
+        L = np.linalg.cholesky(checks.gram_matrix(kernel, cov.dyadic_partition(5)))
         M = L.T @ checks.cell_sign_matrix(5, 5) @ L
         scale = np.max(np.abs(M))
         assert np.max(np.abs(M + M.T)) <= 1e-12 * scale
@@ -483,8 +483,8 @@ def whitened_reference(r1, r2, level):
     block-diagonal increment Gram; the inverse square root comes from eigh.
     """
     part = cov.dyadic_partition(level)
-    g1 = cov.gram_matrix(r1, part)
-    g2 = cov.gram_matrix(r2, part)
+    g1 = checks.gram_matrix(r1, part)
+    g2 = checks.gram_matrix(r2, part)
     n = g1.shape[0]
     X = g1 @ checks.cell_sign_matrix(level, level) @ g2
     K = np.zeros((2 * n, 2 * n))
