@@ -16,9 +16,8 @@ from levylab import spectral as sp
 
 def run(name, kernel, analytic, samples, level, seed):
     config = sim.MCConfig(seed=seed, n_samples=samples, level=level, kernel1=kernel, kernel2=kernel)
-    result = sim.run_mc(config, threads=2)
-    t_grid = np.array([0.5, 1.0, 2.0, 3.0])
-    ecf = sim.empirical_cf(result, t_grid)
+    result = sim.run_mc(config, threads=2, t_grid=[0.5, 1.0, 2.0, 3.0])
+    ecf = result.cf
     print(f"{name}: variance={result.variance:.5f}")
     for t, est, se in zip(ecf.t_grid, ecf.estimates, ecf.std_errors):
         target = analytic(t)

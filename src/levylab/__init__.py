@@ -26,7 +26,7 @@ from .levy_kernel import (
     norm_diff,
 )
 from .pvariation import VariationProfile, v2p_grid, variation_profile
-from .simulate import EmpiricalCF, MCConfig, MCResult, empirical_cf, run_mc, sample_paths
+from .simulate import EmpiricalCF, MCConfig, MCResult, run_mc, sample_paths
 from .spectral import (
     CFProduct,
     Spectrum,

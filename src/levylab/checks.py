@@ -684,10 +684,12 @@ def check_mc_determinism():
     for kernel in (cov.brownian(), cov.fractional_brownian(0.35)):
         config = sim.MCConfig(seed=99, n_samples=2 * sim.BATCH + 1, level=3,
                               kernel1=kernel, kernel2=kernel)
-        r1 = sim.run_mc(config, threads=1)
-        r2 = sim.run_mc(config, threads=3)
+        r1 = sim.run_mc(config, threads=1, t_grid=[0.0, 1.0])
+        r2 = sim.run_mc(config, threads=3, t_grid=[0.0, 1.0])
         assert np.array_equal(r1.samples, r2.samples), kernel
-    return "bit-identical samples across thread counts on both run_mc routes"
+        assert (r1.mean, r1.variance) == (r2.mean, r2.variance), kernel
+        assert np.array_equal(r1.cf.estimates, r2.cf.estimates), kernel
+    return "bit-identical samples, moments and CF across thread counts on both run_mc routes"
 
 
 def cf_z_scores(samples: np.ndarray, t: float, exact: complex):

@@ -31,7 +31,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 19
+SCHEMA_VERSION = 20
 
 
 def _fmt(x: float) -> str:
@@ -202,8 +202,8 @@ def cmd_simulate(args) -> int:
         level=config.level,
         t=[float(t) for t in args.t],
     )
-    result = sim.run_mc(config, threads=threads)
-    ecf = sim.empirical_cf(result, args.t)
+    result = sim.run_mc(config, threads=threads, t_grid=args.t)
+    ecf = result.cf
     rows = list(zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
                     ecf.estimates.imag.tolist(), ecf.std_errors.tolist()))
     _write_table(args, echo, "cf.csv", ("t", "re", "im", "stderr"), rows,

@@ -71,15 +71,18 @@ s = 2 b + p of batch b is seeded by
 
     SeedSequence(seed mod 2^64, spawn_key=(s,))
 
-Stream 2 b holds, row-major with one row per sample: the chain's normals
-(g0, g1, u_0, w_0, ..., u_{level-1}, w_{level-1}), or process 1's `width`
-normals of the conditional route and of sample_paths (for fBm N per sample,
-rows 2j and 2j + 1 forming one draw). Stream 2 b + 1 holds the chain's
-chi-squares (c_1, c'_1, ..., c_{level-2}, c'_{level-2}) row-major, or one xi
-per sample in sample order, or process 2's normals of sample_paths
-row-major. Rows are drawn in whole pairs, so the last sample of an odd count
-still reads the second row of its draw from the stream. So sample i takes
-its draws from fixed positions of fixed streams, and its bits depend only on
+The chain draws its batch by columns, each of BATCH values, whatever the
+batch's sample count: stream 2 b holds the normal columns g0, g1, u_0, w_0,
+..., u_{level-1}, w_{level-1} and stream 2 b + 1 the chi-square columns c_1,
+c'_1, ..., c_{level-2}, c'_{level-2}, each one scalar-df chisquare(2^j - 1,
+size=BATCH), so sample i of the batch takes entry i of every column. The
+conditional route draws row-major, one row per sample: stream 2 b holds
+process 1's `width` normals (also those of sample_paths; for fBm N per
+sample, rows 2j and 2j + 1 forming one draw), and stream 2 b + 1 one xi per
+sample in sample order, or process 2's normals of sample_paths row-major.
+Rows are drawn in whole pairs, so the last sample of an odd count still
+reads the second row of its draw from the stream. So sample i takes its
+draws from fixed positions of fixed streams, and its bits depend only on
 (seed, i): not on n_samples, on the row chunks work is done in, or on how
 many worker threads share out the batches, for every kernel on a given
 numpy/BLAS build. On the conditional route the last chunk of a batch is
@@ -89,21 +92,28 @@ product and needs no padding. (The paper names Philox counter-based streams,
 Salmon et al., SC'11; the sampling contract needs only independent streams
 per (seed, batch, process), and SFC64 fills normals about a third faster.)
 
-Work runs in row chunks. A chain chunk holds at most CHUNK_ELEMENTS draws,
-its normals in one reused buffer per worker. A conditional chunk has
-CHUNK_ELEMENTS // max(row_floats) rows, an even count of at least 2
-(_chunk_rows); row_floats is the widest row a factor holds: 2^level cells of
-a path, a table's rank, or the 2^(level+1) floats of the circulant quad's
-zero-padded FFT row. A worker draws the normals into one reused buffer; the
-factor maps them to d1 in that buffer (diagonal, circulant) or through one
-new chunk-sized array (a table's product z F^T), the circulant through one
-FFT of its row pairs, half a chunk; sign_product forms h in d1's memory with
-a temporary of one slab of at most 32 rows, which is the whole chunk when
-the chunk has no more rows (weighted at level 14: 4 rows of 16384); and
-`quad` needs at most one more chunk-sized array (an FFT of the zero-padded
-rows or the product h F). So the scratch memory of one worker is a small
-fixed multiple of CHUNK_ELEMENTS floats whatever the level or sample count;
-run_mc adds 8 bytes per sample for the areas, into which the xi are drawn.
+Each batch is reduced in the worker that draws it, once its areas pass the
+finiteness test: their sum, and sum cos(t A) and sum sin(t A) at every t of
+the CF grid. run_mc adds the batches' sums in batch order, and takes the
+variance as sum (A - mean)^2 over the areas in BATCH blocks, so the mean,
+variance and CF are bit-identical for any thread count.
+
+Memory. The chain holds a few columns of BATCH floats per worker. The
+conditional route runs in row chunks of CHUNK_ELEMENTS // max(row_floats)
+rows, an even count of at least 2 (_chunk_rows); row_floats is the widest
+row a factor holds: 2^level cells of a path, a table's rank, or the
+2^(level+1) floats of the circulant quad's zero-padded FFT row. A worker
+draws the normals into one reused buffer; the factor maps them to d1 in
+that buffer (diagonal, circulant) or through one new chunk-sized array (a
+table's product z F^T), the circulant through one FFT of its row pairs,
+half a chunk; sign_product forms h in d1's memory with a temporary of one
+slab of at most 32 rows, which is the whole chunk when the chunk has no
+more rows (weighted at level 14: 4 rows of 16384); and `quad` needs at most
+one more chunk-sized array (an FFT of the zero-padded rows or the product
+h F). So the scratch memory of one worker is a small fixed multiple of
+CHUNK_ELEMENTS floats, or of BATCH floats on either route's reductions,
+whatever the level or sample count; run_mc adds 8 bytes per sample for the
+areas, into which the xi are drawn.
 """
 from __future__ import annotations
 
@@ -119,10 +129,10 @@ from .errors import NumericalError, ParameterError, ResourceError, ShapeError
 #: samples per work batch; fixed so outputs never depend on the thread count
 BATCH = 4096
 
-#: floats per chunk (512 KiB of float64), counted over the widest row a
-#: factor holds, so that a run_mc worker's normal buffer and the one
-#: chunk-sized array of `quad` (at most 1 MiB) stay within a 2 MiB per-core
-#: L2 cache; an fBm chunk's normals fill half of it
+#: floats per conditional-route chunk (512 KiB of float64), counted over the
+#: widest row a factor holds, so that a run_mc worker's normal buffer and the
+#: one chunk-sized array of `quad` (at most 1 MiB) stay within a 2 MiB
+#: per-core L2 cache; an fBm chunk's normals fill half of it
 CHUNK_ELEMENTS = 2**16
 
 MAX_LEVEL = 14
@@ -139,7 +149,7 @@ class MCConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
-        # run_mc holds 8 bytes per sample for the areas: the budget of a level route
+        # run_mc holds 8 bytes per sample, the areas; everything else is per batch
         if 8 * self.n_samples > cov.MAX_GRAM_BYTES:
             raise ResourceError(
                 f"n_samples {self.n_samples} exceeds cap {cov.MAX_GRAM_BYTES // 8} = MAX_GRAM_BYTES / 8"
@@ -151,18 +161,31 @@ class MCConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class EmpiricalCF:
+    """Empirical characteristic function on a grid of real arguments.
+
+    estimate(t) = mean of exp(i t A); at t = 0 this is exactly 1 + 0j. The
+    per component standard error is 1/sqrt(n_samples), a bound that holds
+    for the fBm pairs too. Given q = h^T G2 h, A ~ N(0, 4q), so m = E[cos tA
+    | q] = exp(-2 t^2 q) in [0, 1] and E[cos^2 tA | q] = (1 + m^4) / 2; the
+    xi of a pair are independent, so its covariance is Cov(m, m') <= E m^2 -
+    (E m)^2. Then n Var(mean cos) <= Var(cos) + Cov_pair <= 1/2 + E m^4 / 2
+    + E m^2 - 2 (E m)^2 <= 1/2 + 9/32 < 1 (E m^4 <= E m^2 <= E m, maximized
+    at E m = 3/8), and the sin parts of a pair are uncorrelated, since E[sin
+    tA | q] = 0.
+    """
+    t_grid: np.ndarray
+    estimates: np.ndarray
+    std_errors: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class MCResult:
     samples: np.ndarray
     mean: float
     variance: float
+    cf: EmpiricalCF
     config: MCConfig
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalCF:
-    t_grid: np.ndarray
-    estimates: np.ndarray
-    std_errors: np.ndarray
 
 
 def _samplers(config: MCConfig):
@@ -254,152 +277,145 @@ def _conditional_areas(inc1: np.ndarray, sampler2, xi: np.ndarray) -> np.ndarray
     return xi
 
 
-def _chain_chunks(level: int, scale: float):
-    """(rows, width, chunk) of the chain route at `level`, areas times `scale`.
+def _chain_batch(level: int, scale: float):
+    """batch(normals, chis, out): the chain's areas at `level` times `scale`,
+    into out (inf, with no warning, on overflow).
 
-    chunk(buf, normals, chis, out) draws len(out) rows of the chain's 2 level + 2
-    normals into buf (rows x width) from `normals` and its 2 (level - 2)
-    chi-squares from `chis`, both row-major, and writes the areas into out (inf,
-    with no warning, on overflow). A chunk holds at most CHUNK_ELEMENTS draws.
+    The batch draws whole columns of BATCH values, its 2 level + 2 normal
+    columns g0, g1, u_j, w_j from `normals` and its 2 (level - 2) chi-square
+    columns c_j, c'_j ~ chi^2_{2^j - 1}, j = 1 .. level - 2, from `chis` (see
+    the module docstring), and writes their first len(out) areas. Every step
+    is an elementwise +, * or sqrt, so each area's bits depend on its own
+    entries of the columns alone.
     """
-    width = 2 * level + 2
-    dfs = np.repeat(2.0 ** np.arange(1, level - 1) - 1.0, 2)
-    rows = max(1, min(BATCH, CHUNK_ELEMENTS // (width + dfs.size)))
 
-    def chunk(buf, normals, chis, out):
-        draws = normals.standard_normal(out=buf[: len(out)])
-        _chain_areas(draws, chis.chisquare(dfs, size=(len(out), dfs.size)), out)
+    def batch(normals, chis, out):
+        p, q = np.square(normals.standard_normal(BATCH)), np.square(normals.standard_normal(BATCH))
+        area = np.zeros(BATCH)
+        for j in range(level):
+            u, w = normals.standard_normal(BATCH), normals.standard_normal(BATCH)
+            root_p, root_q = np.sqrt(p), np.sqrt(q)
+            root_q *= u
+            root_p *= w
+            root_q -= root_p
+            root_q *= 0.5 * np.sqrt(2.0**-j)
+            area += root_q
+            if j == level - 1:
+                break
+            # the half differences' squared norms: s^2 (u^2 + c), c = 0 at one cell
+            for norm, draw in ((p, u), (q, w)):
+                step = np.square(draw)
+                if j:
+                    step += chis.chisquare(2.0**j - 1.0, size=BATCH)
+                step *= 2.0**-j
+                norm += step
+                norm *= 0.5
         with np.errstate(over="ignore"):
-            out *= scale
+            np.multiply(area[: len(out)], scale, out=out)
 
-    return rows, width, chunk
-
-
-def _chain_areas(normals: np.ndarray, chis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Level-n Brownian areas of the chain's draws, written into out and returned.
-
-    Row i of `normals` holds g0, g1, u_0, w_0, ..., u_{n-1}, w_{n-1} and row i
-    of `chis` holds c_j, c'_j ~ chi^2_{2^j - 1} for j = 1 .. n - 2 (see the
-    module docstring). Every step is an elementwise +, * or sqrt, so each
-    row's bits depend on that row's draws alone.
-    """
-    level = normals.shape[1] // 2 - 1
-    p, q = np.square(normals[:, 0]), np.square(normals[:, 1])
-    out[:] = 0.0
-    for j in range(level):
-        u, w = normals[:, 2 * j + 2], normals[:, 2 * j + 3]
-        root_p, root_q = np.sqrt(p), np.sqrt(q)
-        root_q *= u
-        root_p *= w
-        root_q -= root_p
-        root_q *= 0.5 * np.sqrt(2.0**-j)
-        out += root_q
-        if j == level - 1:
-            break
-        # the half differences' squared norms: s^2 (u^2 + c), c = 0 at one cell
-        for norm, draw, col in ((p, u, 2 * j - 2), (q, w, 2 * j - 1)):
-            step = np.square(draw)
-            if j:
-                step += chis[:, col]
-            step *= 2.0**-j
-            norm += step
-            norm *= 0.5
-    return out
+    return batch
 
 
-def _conditional_chunks(config: MCConfig):
-    """(rows, width, chunk) of the conditional route: chunk(buf, paths, scalars,
-    out) maps len(out) rows of process 1's normals to paths and draws their
-    areas given the paths, with xi from `scalars`, into out."""
+def _conditional_batch(config: MCConfig):
+    """batch(paths, scalars, out): len(out) rows of process 1's normals from
+    `paths`, mapped to paths in row chunks, and their areas given the paths,
+    with xi from `scalars`, into out."""
     sampler1, sampler2 = _samplers(config)
+    rows = _chunk_rows((sampler1, sampler2))
 
-    def chunk(buf, paths, scalars, out):
-        inc1 = sampler1.apply(_fill(paths, buf, len(out)))
-        _conditional_areas(inc1, sampler2, scalars.standard_normal(out=out))
+    def batch(paths, scalars, out):
+        buf = np.empty((rows, sampler1.width))
+        for start in range(0, len(out), rows):
+            chunk = out[start : start + rows]
+            inc1 = sampler1.apply(_fill(paths, buf, len(chunk)))
+            _conditional_areas(inc1, sampler2, scalars.standard_normal(out=chunk))
 
-    return _chunk_rows((sampler1, sampler2)), sampler1.width, chunk
+    return batch
 
 
-def run_mc(config: MCConfig, threads: int = 1) -> MCResult:
-    """Discrete-area draws with summary moments.
+def _batch_sums(areas: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(sum A, sum cos(t_k A) for every k, sum sin(t_k A) for every k) of one
+    batch's areas, each a numpy pairwise sum over at most BATCH floats."""
+    sums = np.empty(1 + 2 * t.size)
+    with np.errstate(over="ignore"):
+        sums[0] = np.sum(areas)
+    angle, phase = np.empty_like(areas), np.empty_like(areas)
+    for k, tk in enumerate(t):
+        np.multiply(tk, areas, out=angle)
+        sums[1 + k] = np.sum(np.cos(angle, out=phase))
+        sums[1 + t.size + k] = np.sum(np.sin(angle, out=phase))
+    return sums
+
+
+def run_mc(config: MCConfig, threads: int = 1, t_grid=()) -> MCResult:
+    """Discrete-area draws with their mean, variance and empirical CF on t_grid.
 
     Two constant weights draw each area from the midpoint-refinement chain,
     every other pair from its exact law given process 1's path (see the
-    module docstring). Work is split into fixed-size batches, one per task,
-    processed in fixed-size row chunks; the thread count (clamped to the
-    number of batches) changes only the scheduling, never the batch streams
-    or the reduction order, so the samples array is bit-identical for any
-    `threads`. Samples 2j and 2j + 1 share one circulant draw when process
-    1 is fBm (uncorrelated, not independent). Each batch tests its own
-    areas as it finishes, and one that is not finite raises NumericalError:
-    one thread draws no later batch, and a pool cancels the batches it has
-    not started. The conditional route's h^T G2 h is the square of an
-    area's scale, so it overflows for areas above about 1e154; so does the
-    variance of finite areas, which raises NumericalError after the run.
+    module docstring). Work is split into fixed-size batches, one per task;
+    the thread count (clamped to the number of batches) changes only the
+    scheduling, never the batch streams or the reduction order, so the
+    samples, mean, variance and CF are bit-identical for any `threads`.
+    Samples 2j and 2j + 1 share one circulant draw when process 1 is fBm
+    (uncorrelated, not independent). Each batch tests its own areas as it
+    finishes, and one that is not finite raises NumericalError: one thread
+    draws no later batch, and a pool cancels the batches it has not
+    started. A batch that passes is reduced at once to its sums (the area
+    sum, sum cos(tA) and sum sin(tA)), which run_mc adds in batch order;
+    the variance is sum (A - mean)^2 over BATCH blocks, divided by n - 1.
+    The conditional route's h^T G2 h is the square of an area's scale, so it
+    overflows for areas above about 1e154; so does the variance of finite
+    areas, which raises NumericalError after the run.
     """
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ShapeError(f"t_grid must be a 1-d array, got shape {t.shape}")
     c1, c2 = cov.constant_weight(config.kernel1), cov.constant_weight(config.kernel2)
     if c1 is not None and c2 is not None:
-        rows, width, chunk = _chain_chunks(config.level, c1 * c2)
+        batch = _chain_batch(config.level, c1 * c2)
     else:
-        rows, width, chunk = _conditional_chunks(config)
-    areas = np.empty(config.n_samples)
-    starts = list(range(0, config.n_samples, BATCH))
+        batch = _conditional_batch(config)
+    n = config.n_samples
+    areas = np.empty(n)
+    starts = range(0, n, BATCH)
 
     def work(batch_start):
-        streams = _streams(config, batch_start // BATCH)
-        buf = np.empty((rows, width))
-        stop = min(batch_start + BATCH, config.n_samples)
-        for start in range(batch_start, stop, rows):
-            chunk(buf, *streams, areas[start : min(start + rows, stop)])
-        bad = int(np.sum(~np.isfinite(areas[batch_start:stop])))
+        block = areas[batch_start : batch_start + BATCH]
+        batch(*_streams(config, batch_start // BATCH), block)
+        bad = int(np.sum(~np.isfinite(block)))
         if bad:
             raise NumericalError(
-                f"{bad} of the {stop - batch_start} areas of batch {batch_start // BATCH} are "
+                f"{bad} of the {block.size} areas of batch {batch_start // BATCH} are "
                 "not finite (the kernels' scale overflows a float)"
             )
+        return _batch_sums(block, t)
+
+    def combine(parts):
+        """The batches' sums added as they arrive, in batch order from +0.0
+        (so the sin sums at t = 0 add to +0.0)."""
+        sums = np.zeros(1 + 2 * t.size)
+        for part in parts:
+            with np.errstate(over="ignore"):
+                sums += part
+        return sums
 
     workers = min(threads, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
+            sums = combine(pool.map(work, starts))
     else:
-        for start in starts:
-            work(start)
+        sums = combine(map(work, starts))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(areas))
-        variance = float(np.var(areas, ddof=1)) if config.n_samples > 1 else 0.0
+        mean = float(sums[0]) / n
+        squares = 0.0
+        for start in starts:
+            dev = areas[start : start + BATCH] - mean
+            squares += float(np.sum(np.square(dev, out=dev)))
+        variance = squares / (n - 1) if n > 1 else 0.0
     if not np.isfinite([mean, variance]).all():
         raise NumericalError(f"the areas' mean {mean} or variance {variance} overflows a float")
-    return MCResult(samples=areas, mean=mean, variance=variance, config=config)
-
-
-def empirical_cf(result: MCResult, t_grid) -> EmpiricalCF:
-    """Empirical characteristic function on a grid of real arguments.
-
-    estimate(t) = mean of exp(i t A); at t = 0 this is exactly 1. The per
-    component standard error is 1/sqrt(n_samples), a bound that holds for
-    the fBm pairs too. Given q = h^T G2 h, A ~ N(0, 4q), so
-    m = E[cos tA | q] = exp(-2 t^2 q) in [0, 1] and E[cos^2 tA | q] =
-    (1 + m^4) / 2; the xi of a pair are independent, so its covariance is
-    Cov(m, m') <= E m^2 - (E m)^2. Then n Var(mean cos) <= Var(cos) +
-    Cov_pair <= 1/2 + E m^4 / 2 + E m^2 - 2 (E m)^2 <= 1/2 + 9/32 < 1
-    (E m^4 <= E m^2 <= E m, maximized at E m = 3/8), and the sin parts of a
-    pair are uncorrelated, since E[sin tA | q] = 0.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ShapeError("t_grid must be a nonempty 1-d array")
-    samples = result.samples
-    if samples.size == 0:
-        raise ShapeError("empirical CF needs at least one sample")
-    estimates = np.empty(len(t), dtype=complex)
-    # exp(i t A) as its cos and sin in one reused buffer: the bits of
-    # np.exp(1j * t * A), whose argument has a zero real part, in less time
-    phases = np.empty(samples.size, dtype=complex)
-    for idx, tk in enumerate(t):
-        angle = tk * samples
-        np.cos(angle, out=phases.real)
-        np.sin(angle, out=phases.imag)
-        estimates[idx] = np.mean(phases)
-    stderr = np.full(len(t), 1.0 / np.sqrt(samples.size))
-    return EmpiricalCF(t_grid=t, estimates=estimates, std_errors=stderr)
+    estimates = np.empty(t.size, dtype=complex)
+    estimates.real = sums[1 : 1 + t.size] / n
+    estimates.imag = sums[1 + t.size :] / n
+    cf = EmpiricalCF(t_grid=t, estimates=estimates, std_errors=np.full(t.size, 1.0 / np.sqrt(n)))
+    return MCResult(samples=areas, mean=mean, variance=variance, cf=cf, config=config)

@@ -166,8 +166,8 @@ def test_criterion_6_weighted_example():
     config = sim.MCConfig(
         seed=SEED, n_samples=MC_SAMPLES, level=MC_LEVEL, kernel1=wk, kernel2=wk
     )
-    result = sim.run_mc(config, threads=2)
-    ecf = sim.empirical_cf(result, [3.0])
+    result = sim.run_mc(config, threads=2, t_grid=[3.0])
+    ecf = result.cf
     cf_dev = abs(ecf.estimates[0].real - 1.0 / np.cosh(1.0))
     assert cf_dev <= 0.01
     m4 = float(np.mean((result.samples - result.mean) ** 4))

@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,27 @@ def test_oversized_sample_count_exits_2_before_sampling(tmp_path, monkeypatch, c
         assert not (out / "cf.csv").exists(), kernel
 
 
+def test_simulate_memory_grows_by_the_areas_alone(tmp_path):
+    # MCConfig's sample cap budgets 8 bytes per sample, the areas: the mean,
+    # variance and CF are reduced per batch, so the command's traced peak
+    # grows by at most 10 bytes per added sample, on the chain (Brownian) and
+    # on the conditional route (weighted, a diagonal Gram)
+    small, large = 2**18, 2**20
+    for kernel, level in (("brownian", 10), ("kind=weighted degree=1", 3)):
+        peaks = []
+        for samples in (small, large):
+            out = tmp_path / f"{level}-{samples}"
+            tracemalloc.start()
+            try:
+                assert run_cli(["simulate", "--kernel", kernel, "--level", level,
+                                "--samples", samples, "--out", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_sample = (peaks[1] - peaks[0]) / (large - small)
+        assert per_sample <= 10.0, (kernel, peaks, per_sample)
+
+
 def test_tabulated_simulate_above_cap_exits_2(tmp_path, monkeypatch):
     spec = _kernel_table(tmp_path / "min.csv", np.minimum.outer(*[np.linspace(0, 1, 5)] * 2))
 
@@ -514,7 +536,7 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert "jitter_rung" not in summary and summary["schema_version"] == 19
+            assert "jitter_rung" not in summary and summary["schema_version"] == 20
     assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -666,7 +688,7 @@ def test_overflowing_results_exit_3(tmp_path, capsys):
     def cf_body(seed, samples, level):
         config = sim.MCConfig(seed=seed, n_samples=samples, level=level, kernel1=kernel,
                               kernel2=kernel)
-        ecf = sim.empirical_cf(sim.run_mc(config), [0.0, 1.0])
+        ecf = sim.run_mc(config, t_grid=[0.0, 1.0]).cf
         return csv_body("t,re,im,stderr", zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
                                               ecf.estimates.imag.tolist(),
                                               ecf.std_errors.tolist()))
@@ -773,7 +795,7 @@ def test_simulate_artifacts_and_echo(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
     assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 19
+    assert summary["schema_version"] == 20
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment

@@ -27,6 +27,8 @@ AUDIT_ONLY = ("area_control", "grid_control", "control_product_check", "ControlE
 #: the pointwise reference layer, the oracle of level_gram, run_mc and the 1D p-variation
 POINTWISE_REFERENCE = ("eval", "eval_grid", "_bilinear", "_check_unit_square", "Rectangle",
                        "rect_increment", "gram_matrix", "discrete_levy_area", "v1p")
+#: the all-samples CF pass and the chain's row chunks, which run_mc's batch reductions replaced
+RETIRED_MC_NAMES = ("empirical_cf", "_chain_chunks", "_chain_areas")
 
 
 def imported_modules(path):
@@ -84,6 +86,16 @@ def test_pointwise_approximation_and_norm_record_are_retired(name):
     for module in (levylab, levylab.levy_kernel):
         assert not hasattr(module, name), (module.__name__, name)
     assert hasattr(levylab.levy_kernel, "kernel_eval")
+
+
+@pytest.mark.parametrize("name", RETIRED_MC_NAMES)
+def test_all_samples_cf_pass_and_chain_chunks_are_retired(name):
+    # run_mc reduces each batch in its worker: the CF is MCResult.cf
+    for module in (levylab, levylab.simulate):
+        assert not hasattr(module, name), (module.__name__, name)
+    for path in sorted(SRC.glob("*.py")):
+        assert name not in path.read_text(), (path.name, name)
+    assert "cf" in {f.name for f in levylab.simulate.MCResult.__dataclass_fields__.values()}
 
 
 def test_norms_are_floats_and_the_pair_tolerance_is_a_constant():

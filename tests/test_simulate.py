@@ -569,15 +569,17 @@ def test_brownian_chain_matches_the_exact_level_law():
 
 
 def _chain_row_by_hand(seed, level, i):
-    """Area of sample i from scalar draws of its batch's two streams: normals
-    g0, g1, u_j, w_j row-major from stream 2 b, chi-squares c_j, c'_j with
-    2^j - 1 degrees of freedom row-major from stream 2 b + 1."""
+    """Area of sample i from entry `row` of its batch's columns of BATCH
+    draws, in scalar arithmetic: normals g0, g1, u_0, w_0, ... as one
+    (2 level + 2) x BATCH array from stream 2 b, chi-squares c_1, c'_1, ...
+    with 2^j - 1 degrees of freedom one column after the other from stream
+    2 b + 1, whole columns however few samples the batch holds."""
     b, row = divmod(i, sim.BATCH)
     normals, chis = (np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed, spawn_key=(2 * b + p,)))) for p in (0, 1))
-    for _ in range(row + 1):
-        g = normals.standard_normal(2 * level + 2).tolist()
-        c = [float(chis.chisquare(2**j - 1)) for j in range(1, level - 1) for _ in (0, 1)]
+    g = normals.standard_normal((2 * level + 2, sim.BATCH))[:, row].tolist()
+    c = [float(chis.chisquare(2**j - 1, size=sim.BATCH)[row])
+         for j in range(1, level - 1) for _ in (0, 1)]
     p, q, area = g[0] * g[0], g[1] * g[1], 0.0
     for j in range(level):
         u, w = g[2 * j + 2], g[2 * j + 3]
@@ -591,13 +593,16 @@ def _chain_row_by_hand(seed, level, i):
 
 
 def test_brownian_chain_stream_layout_pin():
-    for seed, level in ((11, 1), (11, 3), (2**63 + 3, 6), (5, 10)):
+    # levels 1 and 2 draw no chi-square, level 3 one pair; sample BATCH + 2
+    # is the last of a 3-sample batch, which still draws whole columns
+    for seed, level in ((11, 1), (11, 2), (11, 3), (2**63 + 3, 6), (5, 10)):
         areas = sim.run_mc(brownian_config(seed=seed, n_samples=sim.BATCH + 3, level=level)).samples
-        for i in (0, 2, sim.BATCH + 2):
+        for i in (0, 2, sim.BATCH - 1, sim.BATCH, sim.BATCH + 2):
             assert areas[i] == _chain_row_by_hand(seed, level, i), (seed, level, i)
 
 
 def test_brownian_chain_bits_do_not_depend_on_threads_counts_or_chunks(monkeypatch):
+    # the chain draws whole columns of BATCH and reads no CHUNK_ELEMENTS
     for level in (2, 10, 14):
         large = brownian_config(seed=41, n_samples=2 * sim.BATCH + 333, level=level)
         areas = sim.run_mc(large, threads=1).samples
@@ -649,17 +654,18 @@ def test_constant_weights_take_the_chain(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# run_mc / empirical_cf
+# run_mc and its reductions: mean, variance and the empirical CF
 # ---------------------------------------------------------------------------
 
 def test_run_mc_scratch_is_bounded():
     # one worker holds at most two chunk arrays of CHUNK_ELEMENTS floats at
     # once: the normal buffer or a table's path d1 = z F^T, and one FFT of its
     # rows or sign_product's slab product (at most one chunk); the Brownian
-    # chain's normals and chi-squares fill one chunk together; one more chunk
-    # covers the samplers' vectors and small temporaries at these levels, and
-    # run_mc adds the areas, into which it draws the xi. A 16-step table's
-    # factor is only N x 16, so its chunk rows are set by the N-wide path
+    # chain holds a few columns of BATCH floats (a chunk holds 16); one more
+    # chunk covers the samplers' vectors and small temporaries at these
+    # levels, and the batch reductions two arrays of BATCH floats; run_mc
+    # adds the areas, into which it draws the xi. A 16-step table's factor
+    # is only N x 16, so its chunk rows are set by the N-wide path
     n = 2 * sim.BATCH + 7
     bound = 3 * sim.CHUNK_ELEMENTS * 8 + 8 * n
     table = cov.tabulated_from_fn(lambda S, T: np.minimum(S, T) ** 1.3, 16)
@@ -670,7 +676,7 @@ def test_run_mc_scratch_is_bounded():
                    sim.MCConfig(seed=3, n_samples=n, level=10, kernel1=table, kernel2=table)):
         tracemalloc.start()
         try:
-            sim.run_mc(config, threads=1)
+            sim.run_mc(config, threads=1, t_grid=np.linspace(0.0, 3.0, 7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -679,10 +685,11 @@ def test_run_mc_scratch_is_bounded():
 
 def test_run_mc_thread_count_is_bit_invariant():
     config = brownian_config(seed=3, n_samples=sim.BATCH + 100, level=4)
-    r1 = sim.run_mc(config, threads=1)
-    r2 = sim.run_mc(config, threads=4)
+    r1 = sim.run_mc(config, threads=1, t_grid=[0.0, 1.0])
+    r2 = sim.run_mc(config, threads=4, t_grid=[0.0, 1.0])
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.mean == r2.mean and r1.variance == r2.variance
+    assert np.array_equal(r1.cf.estimates, r2.cf.estimates)
 
 
 def test_overflowing_run_fails_after_one_batch(monkeypatch):
@@ -819,44 +826,114 @@ def test_run_mc_matches_the_exact_level_law():
 
 
 def test_empirical_cf_at_zero_is_exactly_one():
-    result = sim.run_mc(brownian_config(seed=8, n_samples=500, level=5))
-    ecf = sim.empirical_cf(result, [0.0, 1.0])
+    # sin(0 A) is -0.0 for a negative area, so a batch whose areas are all
+    # negative sums to -0.0; the batches add from +0.0, so im(0) is +0.0
+    result = sim.run_mc(brownian_config(seed=8, n_samples=500, level=5), t_grid=[0.0, 1.0])
+    ecf = result.cf
     assert ecf.estimates[0] == 1.0 + 0.0j
     assert ecf.std_errors[0] == pytest.approx(1.0 / np.sqrt(500))
+    negative = 0
+    for seed in range(8):
+        config = brownian_config(seed=seed, n_samples=sim.BATCH + 1, level=5)
+        result = sim.run_mc(config, t_grid=[0.0, -0.0])
+        negative += result.samples[-1] < 0.0
+        assert np.array_equal(result.cf.estimates.real, [1.0, 1.0]), seed
+        assert np.array_equal(result.cf.estimates.imag, [0.0, 0.0]), seed
+        assert not np.signbit(result.cf.estimates.imag).any(), seed
+    assert negative  # a last batch of one negative area was tested
 
 
 def test_empirical_cf_brownian_matches_sech():
     config = brownian_config(seed=13, n_samples=40_000, level=8)
-    result = sim.run_mc(config)
-    ecf = sim.empirical_cf(result, [0.5, 1.0])
+    ecf = sim.run_mc(config, t_grid=[0.5, 1.0]).cf
     for t, est in zip(ecf.t_grid, ecf.estimates):
         assert est.real == pytest.approx(1.0 / np.cosh(t), abs=0.02)
         assert abs(est.imag) <= 4.0 / np.sqrt(config.n_samples)
 
 
-def test_empirical_cf_is_the_mean_of_exp_i_t_a_to_the_bit():
-    # the cos/sin buffer gives the bits of the direct formula mean(exp(i t A))
+def test_empirical_cf_is_the_batch_ordered_sum_of_cos_and_sin():
+    # each batch sums cos(t A) and sin(t A) over its areas, the batches add
+    # in batch order from +0.0, and the total is divided by n; that agrees
+    # with the direct formula mean(exp(i t A)) at rounding level
     t = np.concatenate((np.linspace(0.0, 3.0, 31), [-2.0, 1e-300, 1e155]))
     configs = [brownian_config(seed=seed, n_samples=4096, level=8) for seed in (1, 2, 3)]
     configs += [brownian_config(seed=4, n_samples=65536, level=10),
-                fbm_config(seed=5, n_samples=3001, level=6)]
+                fbm_config(seed=5, n_samples=3001, level=6),
+                weighted_config(seed=6, n_samples=2 * sim.BATCH + 333, level=4)]
     for config in configs:
-        samples = sim.run_mc(config).samples
+        result = sim.run_mc(config, t_grid=t)
+        samples, n = result.samples, config.n_samples
+        re, im = np.zeros(t.size), np.zeros(t.size)
+        for start in range(0, n, sim.BATCH):
+            block = samples[start : start + sim.BATCH]
+            re += [np.sum(np.cos(tk * block)) for tk in t]
+            im += [np.sum(np.sin(tk * block)) for tk in t]
+        got = result.cf.estimates
+        for part, total in ((got.real, re), (got.imag, im)):
+            assert np.array_equal(part, total / n), config.seed
+            assert np.array_equal(np.signbit(part), np.signbit(total / n)), config.seed
         want = np.array([np.mean(np.exp(1j * tk * samples)) for tk in t])
-        got = sim.empirical_cf(sim.MCResult(samples, 0.0, 0.0, config), t).estimates
-        assert np.array_equal(got.view(float), want.view(float)), config.seed
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14), config.seed
+        assert np.array_equal(result.cf.t_grid, t)
+
+
+def test_run_mc_moments_are_batch_ordered_sums():
+    # mean: the batches' pairwise sums added in batch order, over n; variance:
+    # sum (A - mean)^2 over BATCH blocks, over n - 1; both agree with numpy's
+    # whole-array mean and var at rounding level
+    for config in (brownian_config(seed=4, n_samples=2 * sim.BATCH + 333, level=10),
+                   fbm_config(seed=5, n_samples=3001, level=6)):
+        result = sim.run_mc(config)
+        samples, n = result.samples, config.n_samples
+        total = squares = 0.0
+        blocks = [samples[start : start + sim.BATCH] for start in range(0, n, sim.BATCH)]
+        for block in blocks:
+            total += float(np.sum(block))
+        mean = total / n
+        for block in blocks:
+            squares += float(np.sum((block - mean) ** 2))
+        assert result.mean == mean and result.variance == squares / (n - 1)
+        assert result.mean == pytest.approx(float(np.mean(samples)), rel=1e-12, abs=1e-15)
+        assert result.variance == pytest.approx(float(np.var(samples, ddof=1)), rel=1e-12)
+
+
+def test_run_mc_reductions_do_not_depend_on_threads_or_counts():
+    # the samples, mean, variance and CF are bit-identical for threads 1-3 on
+    # both routes, and a shorter run's samples are a prefix of a longer one's
+    t = np.linspace(0.0, 3.0, 7)
+    for make in (brownian_config, fbm_config, weighted_config):
+        large = make(seed=41, n_samples=2 * sim.BATCH + 333, level=6)
+        small = make(seed=41, n_samples=sim.BATCH + 3, level=6)
+        reference = sim.run_mc(large, threads=1, t_grid=t)
+        for threads in (2, 3):
+            result = sim.run_mc(large, threads=threads, t_grid=t)
+            assert np.array_equal(result.samples, reference.samples), (make, threads)
+            assert result.mean == reference.mean and result.variance == reference.variance
+            assert np.array_equal(result.cf.estimates.view(float),
+                                  reference.cf.estimates.view(float)), (make, threads)
+        assert np.array_equal(sim.run_mc(small, t_grid=t).samples,
+                              reference.samples[: small.n_samples]), make
 
 
 def test_empirical_cf_validation():
-    result = sim.run_mc(brownian_config(seed=1, n_samples=10, level=3))
-    with pytest.raises(ShapeError):
-        sim.empirical_cf(result, [])
+    # the grid must be 1-d, checked before any area is drawn; an empty grid
+    # gives an empty CF
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    config = brownian_config(seed=1, n_samples=10, level=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_streams", forbidden)
+        with pytest.raises(ShapeError):
+            sim.run_mc(config, t_grid=[[0.0, 1.0]])
+    for grid in ((), []):
+        cf = sim.run_mc(config, t_grid=grid).cf
+        assert cf.t_grid.shape == cf.estimates.shape == cf.std_errors.shape == (0,)
 
 
 def test_empirical_cf_modulus_bound():
-    result = sim.run_mc(brownian_config(seed=17, n_samples=3000, level=6))
-    ecf = sim.empirical_cf(result, np.linspace(0.0, 4.0, 9))
+    ecf = sim.run_mc(brownian_config(seed=17, n_samples=3000, level=6),
+                     t_grid=np.linspace(0.0, 4.0, 9)).cf
     assert np.all(np.abs(ecf.estimates) <= 1.0 + 3.0 * ecf.std_errors)
 
 
