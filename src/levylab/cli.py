@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Subcommands: simulate, cf, spectrum, pvar, cauchy, check. Options come from
-flags only. Grids use the range syntax a:b:step (inclusive of the endpoint
-up to rounding) or a comma list; integer level ranges accept a:b. Each table
-command writes its CSV table and summary.json into --out (default .); every
-artifact embeds the semantic config echo (command, kernels, seed, sizes) so
-runs are reproducible from their outputs alone. One writer, _write_table,
-renders every table, and one value rule, _cell, formats every CSV cell and
-echo list. The thread count and the output directory are deliberately not
-part of the echo: outputs are bit-identical for the same config and seed at
-any --threads.
+flags only, and each value has one spelling: a kernel spec is its kind, then
+whitespace-separated key=value fields (covariance.parse_kernel_spec), and the
+worker count of simulate comes from --threads alone (default 1). Grids use
+the range syntax a:b:step (inclusive of the endpoint up to rounding) or a
+comma list; integer level ranges accept a:b. Each table command writes its
+CSV table and summary.json into --out (default .); every artifact embeds the
+semantic config echo (command, kernels, seed, sizes) so runs are
+reproducible from their outputs alone. One writer, _write_table, renders
+every table, and one value rule, _cell, formats every CSV cell and echo
+list. The thread count and the output directory are deliberately not part of
+the echo: outputs are bit-identical for the same config and seed at any
+--threads.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 numerical error.
 """
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from . import simulate as sim
 from . import spectral as sp
 from .errors import NumericalError
 
-SCHEMA_VERSION = 20
+SCHEMA_VERSION = 21
 
 
 def _fmt(x: float) -> str:
@@ -111,17 +113,6 @@ def _resolve_pair(args):
     return k1, k1 if spec2 == spec1 else _resolve_kernel(spec2)
 
 
-def _threads(args) -> int:
-    """Worker count from --threads, else LEVY_LAB_THREADS, else 1; below 1 is a usage error."""
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        threads, source = int(os.environ.get("LEVY_LAB_THREADS") or 1), "LEVY_LAB_THREADS"
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def _echo(command: str, **fields) -> dict:
     echo = {"schema_version": SCHEMA_VERSION, "command": command}
     echo.update({k: v for k, v in fields.items() if v is not None})
@@ -147,20 +138,18 @@ def _write_csv(path: Path, echo: dict, blocks):
 
 
 def _sample_blocks(samples):
-    """samples.csv body: the header, then one text block per BATCH samples.
+    """samples.csv body: the header `area`, then one text block per BATCH
+    samples; body row i holds sample i.
 
     "%.17g" of a Python float is _fmt's text, inf, nan and -0 included. A
-    block is one % of the row format repeated over its interleaved cells.
+    block is one % of the row format repeated over its areas.
     """
-    yield "sample,area\n"
-    row = "%d,%.17g\n"
+    yield "area\n"
+    row = "%.17g\n"
     full = row * sim.BATCH
     for start in range(0, len(samples), sim.BATCH):
         block = samples[start : start + sim.BATCH].tolist()
-        cells = [None] * (2 * len(block))
-        cells[0::2] = range(start, start + len(block))
-        cells[1::2] = block
-        yield (full if len(block) == sim.BATCH else row * len(block)) % tuple(cells)
+        yield (full if len(block) == sim.BATCH else row * len(block)) % tuple(block)
 
 
 def _write_table(args, echo: dict, name: str, columns, rows, summary: dict, repeat=()):
@@ -188,7 +177,8 @@ def _out_path(args, name: str) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    threads = _threads(args)
+    if args.threads < 1:
+        raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {args.threads}")
     k1, k2 = _resolve_pair(args)
     config = sim.MCConfig(
         seed=args.seed, n_samples=args.samples, level=args.level, kernel1=k1, kernel2=k2,
@@ -202,7 +192,7 @@ def cmd_simulate(args) -> int:
         level=config.level,
         t=[float(t) for t in args.t],
     )
-    result = sim.run_mc(config, threads=threads, t_grid=args.t)
+    result = sim.run_mc(config, threads=args.threads, t_grid=args.t)
     ecf = result.cf
     rows = list(zip(ecf.t_grid.tolist(), ecf.estimates.real.tolist(),
                     ecf.estimates.imag.tolist(), ecf.std_errors.tolist()))
@@ -324,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo areas and empirical CF")
     common(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (or LEVY_LAB_THREADS)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1); outputs do not depend on it")
     p.add_argument("--kernel", help="kernel spec for both processes")
     p.add_argument("--kernel1")
     p.add_argument("--kernel2")

@@ -523,76 +523,61 @@ def constant_weight(kernel: CovKernel) -> float | None:
     return None
 
 
-def parse_kernel_spec(text: str) -> CovKernel:
-    """Parse a flat key=value kernel record.
+#: the keys each kind's spec may carry after the kind
+_SPEC_KEYS = {"brownian": (), FBM: ("hurst",), WEIGHTED: ("degree", "coeff"),
+              TABULATED: ("path",)}
 
-    Accepted forms: ``brownian``, ``kind=fbm hurst=0.35``, ``fbm hurst=0.35``,
-    ``kind=weighted weight=poly degree=1 coeff=2``, ``kind=tabulated path=t.csv``.
-    A key given twice (a bare kind counts as ``kind=``) raises ParameterError.
+
+def parse_kernel_spec(text: str) -> CovKernel:
+    """Parse a kernel spec: the kind, then whitespace-separated key=value fields.
+
+    The kinds and their keys: ``brownian`` (none), ``fbm hurst=0.35``,
+    ``weighted degree=1 coeff=2`` (degree 1 and coeff 1 by default) and
+    ``tabulated path=t.csv``. Any other kind or key, a key given twice or a
+    field without ``=`` raises ParameterError.
     """
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ParameterError("empty kernel spec")
+    kind, *tokens = text.split() or [""]
+    if kind not in _SPEC_KEYS:
+        raise ParameterError(f"unknown kernel kind {kind!r} in kernel spec {text!r}; a spec "
+                             f"starts with its kind: {', '.join(_SPEC_KEYS)}")
     fields = {}
     for tok in tokens:
-        if "=" in tok:
-            key, val = tok.split("=", 1)
-        elif "kind" not in fields:
-            key, val = "kind", tok
-        else:
+        key, eq, val = tok.partition("=")
+        if not eq:
             raise ParameterError(f"stray token {tok!r} in kernel spec {text!r}")
         if key in fields:
             raise ParameterError(f"repeated key {key!r} in kernel spec {text!r}")
+        if key not in _SPEC_KEYS[kind]:
+            raise ParameterError(f"unknown key {key!r} for kind {kind} in kernel spec {text!r}")
         fields[key] = val
-    kind = fields.pop("kind", None)
-    if kind is None:
-        raise ParameterError(f"kernel spec {text!r} does not name a kind")
     if kind == "brownian":
-        _reject_extras(fields, text)
         return brownian()
-    if kind == FBM:
-        if "hurst" not in fields:
-            raise ParameterError("fbm kernel spec requires hurst=")
-        hurst = float(fields.pop("hurst"))
-        _reject_extras(fields, text)
-        return fractional_brownian(hurst)
     if kind == WEIGHTED:
-        weight = fields.pop("weight", "poly")
-        if weight != "poly":
-            raise ParameterError(f"unsupported weight family {weight!r}")
-        degree = int(fields.pop("degree", 1))
-        coeff = float(fields.pop("coeff", 1.0))
-        _reject_extras(fields, text)
-        return weighted_poly(degree, coeff)
-    if kind == TABULATED:
-        if "path" not in fields:
-            raise ParameterError("tabulated kernel spec requires path=")
-        path = fields.pop("path")
-        _reject_extras(fields, text)
-        return load_table_csv(path)
-    raise ParameterError(f"unknown kernel kind {kind!r}")
-
-
-def _reject_extras(fields, text):
-    if fields:
-        raise ParameterError(f"unknown kernel spec keys {sorted(fields)} in {text!r}")
+        return weighted_poly(int(fields.get("degree", 1)), float(fields.get("coeff", 1.0)))
+    if kind == FBM and "hurst" in fields:
+        return fractional_brownian(float(fields["hurst"]))
+    if kind == TABULATED and "path" in fields:
+        return load_table_csv(fields["path"])
+    raise ParameterError(f"{kind} kernel spec requires {_SPEC_KEYS[kind][0]}=")
 
 
 def kernel_spec_string(kernel: CovKernel) -> str:
-    """Canonical key=value record for config echoes.
+    """The kernel's spec for config echoes, in parse_kernel_spec's grammar.
 
-    Numbers are written as their shortest round-trip repr without a trailing
-    ".0", so parse_kernel_spec rebuilds the same kernel exactly (the unit weight
-    as kind=brownian); a tabulated kernel is named by its mesh only.
+    ``brownian`` for the unit weight, ``fbm hurst=0.35``, ``weighted degree=1
+    coeff=1`` and ``tabulated mesh=16``. Numbers are written as their shortest
+    round-trip repr without a trailing ".0", so parse_kernel_spec rebuilds the
+    same kernel exactly. A tabulated kernel is named by its mesh only: its
+    spec names the table's file (path=), which the echo does not record.
     """
     if constant_weight(kernel) == 1.0:
-        return "kind=brownian"
+        return "brownian"
     if kernel.kind == FBM:
-        return f"kind=fbm hurst={_spec_number(kernel.hurst)}"
+        return f"fbm hurst={_spec_number(kernel.hurst)}"
     if kernel.kind == WEIGHTED:
         w = kernel.weight
-        return f"kind=weighted weight=poly degree={w.degree} coeff={_spec_number(w.coeff)}"
-    return f"kind=tabulated mesh={kernel.table.shape[0] - 1}"
+        return f"weighted degree={w.degree} coeff={_spec_number(w.coeff)}"
+    return f"tabulated mesh={kernel.table.shape[0] - 1}"
 
 
 def _spec_number(x: float) -> str:

@@ -96,7 +96,7 @@ def test_criterion_3_discrete_area_variance(mc_run_a):
     out, _ = mc_run_a
     summary = json.loads((out / "summary.json").read_text())
     samples = np.array(
-        [float(line.split(",")[1]) for line in (out / "samples.csv").read_text().strip().splitlines()[2:]]
+        [float(line) for line in (out / "samples.csv").read_text().strip().splitlines()[2:]]
     )
     assert samples.size == MC_SAMPLES
     target = 1.0 - 2.0**-MC_LEVEL

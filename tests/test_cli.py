@@ -157,7 +157,7 @@ RETIRED = (
        for c in ("cf", "spectrum", "pvar")]
     + [(["spectrum", "--kernel", "brownian", "--grid", 64], None),
        (["spectrum", "--kernel", "brownian"], "--config run.cfg")]
-    + [([c, "--kernel", f"kind={kind} hurst=0.3", "--level", 3], None)
+    + [([c, "--kernel", f"{kind} hurst=0.3", "--level", 3], None)
        for kind in ("fractional", "fractionalbrownian") for c in ("cf", "spectrum", "pvar")]
     + [([c, *TABLE_RUNS[c]], option)
        for option in ("--config run.cfg", "--format csv", "--format json", "--prefix p")
@@ -193,7 +193,7 @@ def test_cf_brownian_matches_sech_within_tail_bound(tmp_path):
 
 def test_cf_weighted_kernel(tmp_path):
     assert run_cli([
-        "cf", "--kernel", "kind=weighted weight=poly degree=1", "--t", "3", "--out", tmp_path,
+        "cf", "--kernel", "weighted degree=1", "--t", "3", "--out", tmp_path,
     ]) == 0
     _, _, rows = read_csv(tmp_path / "cf.csv")
     assert float(rows[0][1]) == pytest.approx(1.0 / np.cosh(1.0), abs=1e-12)
@@ -209,7 +209,7 @@ def test_cf_weighted_kernel(tmp_path):
 def test_cf_rejects_flags_its_route_does_not_read(tmp_path):
     cases = [
         ["--kernel", "brownian", "--level", 3],
-        ["--kernel", "kind=weighted,degree=1", "--level", 4],
+        ["--kernel", "weighted degree=1", "--level", 4],
         ["--kernel", "weighted degree=0 coeff=2", "--level", 3],
     ]
     for i, argv in enumerate(cases):
@@ -237,7 +237,7 @@ def test_cf_fbm_spectrum_route(tmp_path):
 def test_cf_weighted_kernel_with_a_large_norm(tmp_path):
     # ||f||^2 = 1e4, so t ||f||^2 reaches 3e4 on the default grid, far past cosh's overflow
     out = tmp_path / "out"
-    assert run_cli(["cf", "--kernel", "kind=weighted degree=0 coeff=100", "--out", out]) == 0
+    assert run_cli(["cf", "--kernel", "weighted degree=0 coeff=100", "--out", out]) == 0
     _, _, rows = read_csv(out / "cf.csv")
     values = np.array([float(row[1]) for row in rows])
     assert len(values) == 31 and values[0] == 1.0
@@ -320,7 +320,7 @@ def test_repeated_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sim, "run_mc", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
     base = ["simulate", "--level", 3, "--samples", 5]
-    cases = [("kind=fbm kind=brownian", "'kind'"), ("fbm hurst=0.3 hurst=0.4", "'hurst'")]
+    cases = [("weighted degree=1 degree=2", "'degree'"), ("fbm hurst=0.3 hurst=0.4", "'hurst'")]
     for i, (spec, key) in enumerate(cases):
         out = tmp_path / f"out{i}"
         capsys.readouterr()
@@ -328,6 +328,28 @@ def test_repeated_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "repeated" in err and key in err, err
         assert not (out / "cf.csv").exists(), i
+
+
+def test_retired_kernel_spellings_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    # a spec is its bare kind, then whitespace-separated key=value fields:
+    # a kind= or weight= key, a comma, a repeated key and a bare token after
+    # the kind are usage errors before any Gram is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started on a retired kernel spelling")
+
+    monkeypatch.setattr(sim, "run_mc", forbidden)
+    monkeypatch.setattr(cov, "level_gram", forbidden)
+    specs = ["kind=fbm hurst=0.35", "weighted weight=poly degree=1", "fbm,hurst=0.35",
+             "fbm hurst=0.35 hurst=0.35", "fbm hurst=0.35 extra"]
+    commands = [["simulate", "--level", 3, "--samples", 5], ["cf", "--level", 3],
+                ["spectrum", "--level", 3], ["pvar", "--level", 3], ["cauchy", "--levels", "1:3"]]
+    for i, spec in enumerate(specs):
+        for command in commands:
+            out = tmp_path / f"out{i}-{command[0]}"
+            capsys.readouterr()
+            assert run_cli([*command, "--kernel", spec, "--out", out]) == 2, (spec, command)
+            assert capsys.readouterr().err.startswith("usage error:"), (spec, command)
+            assert not out.exists(), (spec, command)
 
 
 def test_oversized_sample_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
@@ -351,7 +373,7 @@ def test_simulate_memory_grows_by_the_areas_alone(tmp_path):
     # grows by at most 10 bytes per added sample, on the chain (Brownian) and
     # on the conditional route (weighted, a diagonal Gram)
     small, large = 2**18, 2**20
-    for kernel, level in (("brownian", 10), ("kind=weighted degree=1", 3)):
+    for kernel, level in (("brownian", 10), ("weighted degree=1", 3)):
         peaks = []
         for samples in (small, large):
             out = tmp_path / f"{level}-{samples}"
@@ -413,7 +435,7 @@ def test_pvar_csv_format(tmp_path):
 
 def test_pvar_growing_at_p1(tmp_path):
     assert run_cli([
-        "pvar", "--kernel", "kind=fbm hurst=0.35", "--p", "1", "--out", tmp_path,
+        "pvar", "--kernel", "fbm hurst=0.35", "--p", "1", "--out", tmp_path,
     ]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["verdict"] == "Growing"
@@ -530,13 +552,13 @@ def test_spectrum_and_cf_write_no_jitter_rung(tmp_path):
     nodes = np.linspace(0.0, 1.0, 33).tolist()
     table.write_text("s,t,value\n" + "".join(
         f"{s!r},{t!r},{s * t!r}\n" for s in nodes for t in nodes))
-    for spec, level in ((f"kind=tabulated path={table}", 6), ("kind=fbm hurst=0.35", 10)):
+    for spec, level in ((f"tabulated path={table}", 6), ("fbm hurst=0.35", 10)):
         for command, extra in (("spectrum", []), ("cf", ["--t", "0,1"])):
             out = tmp_path / f"{command}-{level}"
             argv = [command, "--kernel", spec, "--level", level, "--out", out, *extra]
             assert run_cli(argv) == 0
             summary = json.loads((out / "summary.json").read_text())
-            assert "jitter_rung" not in summary and summary["schema_version"] == 20
+            assert "jitter_rung" not in summary and summary["schema_version"] == 21
     assert read_csv(tmp_path / "spectrum-6" / "spectrum.csv")[2] == []
     assert run_cli(["cf", "--kernel", "brownian", "--t", "0,1", "--out", tmp_path / "b"]) == 0
     assert "jitter_rung" not in json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -617,7 +639,7 @@ def test_brownian_spectrum_takes_no_dense_solve(tmp_path, monkeypatch):
         out = tmp_path / str(i)
         assert run_cli(["spectrum", "--kernel", "brownian", *flags, "--out", out]) == 0, flags
         echo, rest = (out / "spectrum.csv").read_text().split("\n", 1)
-        assert echo.endswith(f"kind=brownian level={level}"), echo
+        assert echo.endswith(f" kernel=brownian level={level}"), echo
         assert rest == csv_body("alpha,multiplicity", sp.brownian_spectrum(2**level).entries)
         assert json.loads((out / "summary.json").read_text())["symmetry_ok"] is True
 
@@ -639,7 +661,7 @@ def test_spectrum_numerical_error_exit_code(tmp_path):
     lines = ["s,t,value"] + [f"{s},{t},{-s * t}" for s in nodes for t in nodes]
     table.write_text("\n".join(lines) + "\n")
     code = run_cli([
-        "spectrum", "--kernel", f"kind=tabulated path={table}", "--level", 3, "--out", tmp_path,
+        "spectrum", "--kernel", f"tabulated path={table}", "--level", 3, "--out", tmp_path,
     ])
     assert code == 3
 
@@ -683,7 +705,7 @@ def test_overflowing_results_exit_3(tmp_path, capsys):
     # 5e76 (near 1e160 and 1e153) while their variance, or the sum of squares
     # it is taken from, does not. At coeff 1e70 every value is finite and the
     # tables are the library's
-    kernel = cov.parse_kernel_spec("kind=weighted degree=0 coeff=1e70")
+    kernel = cov.parse_kernel_spec("weighted degree=0 coeff=1e70")
 
     def cf_body(seed, samples, level):
         config = sim.MCConfig(seed=seed, n_samples=samples, level=level, kernel1=kernel,
@@ -709,11 +731,11 @@ def test_overflowing_results_exit_3(tmp_path, capsys):
     ]
     for i, (command, coeff, name, body) in enumerate(cases):
         out = tmp_path / str(i)
-        spec = f"kind=weighted degree=0 coeff={coeff}"
+        spec = f"weighted degree=0 coeff={coeff}"
         assert run_cli([*command, "--kernel", spec, "--out", out]) == 3, command
         assert "numerical error" in capsys.readouterr().err
         assert not (out / name).exists() and not (out / "summary.json").exists(), command
-        spec = "kind=weighted degree=0 coeff=1e70"
+        spec = "weighted degree=0 coeff=1e70"
         assert run_cli([*command, "--kernel", spec, "--out", out]) == 0, command
         assert (out / name).read_text().split("\n", 1)[1] == body, command
 
@@ -722,7 +744,7 @@ def test_table_off_the_mesh_exits_2(tmp_path, capsys):
     path = tmp_path / "off.csv"
     path.write_text("\n".join(off_mesh_table_lines()) + "\n")
     out = tmp_path / "out"
-    assert run_cli(["pvar", "--kernel", f"kind=tabulated path={path}", "--p", 1, "--level", 2,
+    assert run_cli(["pvar", "--kernel", f"tabulated path={path}", "--p", 1, "--level", 2,
                     "--out", out]) == 2
     assert "(0.0, 0.3) is off the uniform 4-step mesh" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
@@ -734,7 +756,7 @@ def _kernel_table(path, values):
         f"{s},{t},{float(values[i, j])!r}" for i, s in enumerate(nodes) for j, t in enumerate(nodes)
     ]
     path.write_text("\n".join(lines) + "\n")
-    return f"kind=tabulated path={path}"
+    return f"tabulated path={path}"
 
 
 def test_non_finite_kernel_inputs_exit_2(tmp_path, monkeypatch, capsys):
@@ -744,7 +766,7 @@ def test_non_finite_kernel_inputs_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(checks, "gram_matrix", forbidden)
     monkeypatch.setattr(cov, "level_gram", forbidden)
     nodes = np.linspace(0, 1, 5)
-    specs = [f"kind=weighted degree=1 coeff={c}" for c in ("nan", "inf", "1e200")]
+    specs = [f"weighted degree=1 coeff={c}" for c in ("nan", "inf", "1e200")]
     for k, bad in enumerate((float("nan"), float("inf"))):
         values = np.minimum.outer(nodes, nodes)
         values[3, 1] = bad
@@ -794,8 +816,8 @@ def test_simulate_artifacts_and_echo(tmp_path):
     ]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 21
-    assert summary["kernel1"] == "kind=brownian"
-    assert summary["schema_version"] == 20
+    assert summary["kernel1"] == "brownian"
+    assert summary["schema_version"] == 21
     assert 0.5 < summary["variance"] < 1.5
     comment, header, rows = read_csv(tmp_path / "cf.csv")
     assert "seed=21" in comment
@@ -816,25 +838,29 @@ def test_simulate_threads_bit_identical(tmp_path):
     assert run_cli(base + ["--threads", 4, "--out", b_dir]) == 0
     for name in ("cf.csv", "samples.csv", "summary.json"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
-    # samples.csv, written in blocks of BATCH rows, is the one joined table
+    # samples.csv, written in blocks of BATCH rows, holds the areas alone:
+    # body row i is sample i, and parses back to it bit for bit
     config = sim.MCConfig(seed=5, n_samples=9000, level=4, kernel1=cov.brownian(),
                           kernel2=cov.brownian())
-    rows = [f"{i},{cli._fmt(a)}" for i, a in enumerate(sim.run_mc(config).samples)]
-    body = (a_dir / "samples.csv").read_text().split("\n", 1)[1]
-    assert body == "\n".join(["sample,area", *rows]) + "\n"
+    samples = sim.run_mc(config).samples
+    header, *rows = (a_dir / "samples.csv").read_text().splitlines()[1:]
+    assert header == "area"
+    assert rows == [cli._fmt(a) for a in samples]
+    assert np.array_equal(np.array([float(r) for r in rows]).view(np.int64),
+                          samples.view(np.int64))
 
 
 def test_sample_blocks_match_the_per_row_text():
-    # one % per block renders each row as "%d,%.17g\n" does alone, over a
-    # full block and a partial one and at the edges of the float range
+    # one % per block renders each row as "%.17g\n" does alone, over a full
+    # block and a partial one and at the edges of the float range
     edges = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
              1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
     rng = np.random.default_rng(0)
     samples = np.concatenate([edges, rng.normal(size=5000 - len(edges))])
     assert len(samples) - sim.BATCH == 904
-    rows = ["%d,%.17g\n" % (i, a) for i, a in enumerate(samples.tolist())]
-    assert "".join(cli._sample_blocks(samples)) == "".join(["sample,area\n", *rows])
-    assert "".join(cli._sample_blocks(samples[:0])) == "sample,area\n"
+    rows = ["%.17g\n" % a for a in samples.tolist()]
+    assert "".join(cli._sample_blocks(samples)) == "".join(["area\n", *rows])
+    assert "".join(cli._sample_blocks(samples[:0])) == "area\n"
 
 
 def test_tables_are_the_library_csv(tmp_path):
@@ -929,7 +955,7 @@ def test_readme_table_matches_the_writer(tmp_path):
 
 
 def test_usage_error_exit_code(tmp_path):
-    assert run_cli(["cf", "--kernel", "kind=sinusoid", "--out", tmp_path]) == 2
+    assert run_cli(["cf", "--kernel", "sinusoid", "--out", tmp_path]) == 2
     assert run_cli(["pvar", "--kernel", "brownian", "--p", "0.5", "--out", tmp_path]) == 2
 
 
@@ -947,7 +973,7 @@ def test_summary_json_is_strict_json(tmp_path):
         "a": ["nan", "-inf", ["inf", 1.0]], "b": 2}
 
 
-def test_threads_below_one_are_a_usage_error(tmp_path, monkeypatch):
+def test_threads_below_one_are_a_usage_error(tmp_path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("sampling started with a thread count below 1")
 
@@ -955,28 +981,35 @@ def test_threads_below_one_are_a_usage_error(tmp_path, monkeypatch):
     base = ["simulate", "--kernel", "brownian", "--level", 3, "--samples", 50]
     for i, threads in enumerate((0, -5)):
         out = tmp_path / f"flag{i}"
+        capsys.readouterr()
         assert run_cli(base + ["--threads", threads, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --threads must be >= 1")
         assert not (out / "cf.csv").exists()
+
+
+def test_threads_come_from_the_flag_alone(tmp_path, monkeypatch):
+    # the environment is not a second source of the worker count: a value
+    # the flag would refuse changes nothing, and the run takes --threads
+    # (default 1)
+    calls = []
+    run_mc = sim.run_mc
+
+    def recording(config, threads=1, **kwargs):
+        calls.append(threads)
+        return run_mc(config, threads=threads, **kwargs)
+
+    monkeypatch.setattr(sim, "run_mc", recording)
+    base = ["simulate", "--kernel", "brownian", "--level", 4, "--samples", 5000,
+            "--seed", 5, "--t", "0,1", "--emit-samples"]
+    assert run_cli(base + ["--out", tmp_path / "plain"]) == 0
     monkeypatch.setenv("LEVY_LAB_THREADS", "0")
-    out = tmp_path / "env"
-    assert run_cli(base + ["--out", out]) == 2
-    assert not (out / "cf.csv").exists()
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("LEVY_LAB_THREADS", "3")
-    a_dir = tmp_path / "env"
-    assert run_cli([
-        "simulate", "--kernel", "brownian", "--level", 4, "--samples", 5000,
-        "--seed", 5, "--t", "0,1", "--emit-samples", "--out", a_dir,
-    ]) == 0
-    monkeypatch.delenv("LEVY_LAB_THREADS")
-    b_dir = tmp_path / "noenv"
-    assert run_cli([
-        "simulate", "--kernel", "brownian", "--level", 4, "--samples", 5000,
-        "--seed", 5, "--t", "0,1", "--emit-samples", "--out", b_dir,
-    ]) == 0
-    assert (a_dir / "samples.csv").read_bytes() == (b_dir / "samples.csv").read_bytes()
+    assert run_cli(base + ["--out", tmp_path / "env"]) == 0
+    assert run_cli(base + ["--threads", 2, "--out", tmp_path / "flag"]) == 0
+    assert calls == [1, 1, 2]
+    for name in ("cf.csv", "samples.csv", "summary.json"):
+        plain = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "env" / name).read_bytes() == plain, name
+        assert (tmp_path / "flag" / name).read_bytes() == plain, name
 
 
 # ---------------------------------------------------------------------------

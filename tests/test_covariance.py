@@ -604,7 +604,7 @@ def test_weight_coefficient_must_have_a_finite_square(monkeypatch):
         with pytest.raises(ParameterError, match="finite square"):
             cov.weighted_poly(1, coeff)
         with pytest.raises(ParameterError, match="finite square"):
-            cov.parse_kernel_spec(f"kind=weighted degree=1 coeff={coeff!r}")
+            cov.parse_kernel_spec(f"weighted degree=1 coeff={coeff!r}")
     assert cov.weighted_poly(1, 1e150).weight.norm_sq == pytest.approx(1e300 / 3)
 
 
@@ -654,36 +654,48 @@ def test_asymmetric_tables_are_rejected(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_parse_kernel_spec_forms():
-    for text in ("brownian", "kind=brownian", "weighted degree=0", "kind=weighted degree=0 coeff=1"):
+    for text in ("brownian", " brownian ", "weighted degree=0", "weighted  degree=0\tcoeff=1"):
         k = cov.parse_kernel_spec(text)
         assert k.kind == cov.WEIGHTED and (k.weight.degree, k.weight.coeff) == (0, 1.0), text
-    k = cov.parse_kernel_spec("kind=fbm hurst=0.35")
+    k = cov.parse_kernel_spec("fbm hurst=0.35")
     assert k.kind == cov.FBM and k.hurst == 0.35
     k = cov.parse_kernel_spec("fbm hurst=0.2")
     assert k.hurst == 0.2
-    k = cov.parse_kernel_spec("kind=weighted weight=poly degree=1")
+    k = cov.parse_kernel_spec("weighted degree=1")
     assert k.weight.degree == 1 and k.weight.coeff == 1.0
 
 
 def test_parse_kernel_spec_errors():
-    with pytest.raises(ParameterError):
-        cov.parse_kernel_spec("")
-    with pytest.raises(ParameterError):
-        cov.parse_kernel_spec("kind=fbm")
-    with pytest.raises(ParameterError):
-        cov.parse_kernel_spec("kind=brownian bogus=1")
-    with pytest.raises(ParameterError):
-        cov.parse_kernel_spec("kind=sinusoid")
+    # one grammar: the kind comes first and bare, then whitespace-separated
+    # key=value fields; no kind= or weight= key, no comma, no bare field
+    cases = {
+        "": "unknown kernel kind ''",
+        "sinusoid": "unknown kernel kind 'sinusoid'",
+        "kind=fbm hurst=0.35": "unknown kernel kind 'kind=fbm'",
+        "kind=brownian": "unknown kernel kind 'kind=brownian'",
+        "hurst=0.35 fbm": "unknown kernel kind 'hurst=0.35'",
+        "fbm,hurst=0.35": "unknown kernel kind 'fbm,hurst=0.35'",
+        "weighted weight=poly degree=1": "unknown key 'weight'",
+        "fbm kind=fbm hurst=0.35": "unknown key 'kind'",
+        "brownian bogus=1": "unknown key 'bogus'",
+        "tabulated mesh=16": "unknown key 'mesh'",
+        "fbm hurst=0.35 extra": "stray token 'extra'",
+        "weighted 1": "stray token '1'",
+        "fbm": "requires hurst=",
+        "tabulated": "requires path=",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParameterError, match=message):
+            cov.parse_kernel_spec(text)
 
 
 def test_parse_kernel_spec_rejects_a_repeated_key():
-    # no key is read last-wins: a bare kind counts as kind=
+    # no key is read last-wins, not even one repeated with its own value
     cases = {
-        "kind=fbm kind=brownian": "kind",
-        "fbm kind=brownian": "kind",
         "fbm hurst=0.3 hurst=0.4": "hurst",
-        "fbm,hurst=0.3,hurst=0.3": "hurst",
-        "kind=weighted degree=1 coeff=2 degree=2": "degree",
+        "fbm hurst=0.3 hurst=0.3": "hurst",
+        "weighted degree=1 coeff=2 degree=2": "degree",
+        "tabulated path=a.csv path=b.csv": "path",
     }
     for text, key in cases.items():
         with pytest.raises(ParameterError, match=f"repeated key '{key}'"):
@@ -691,9 +703,17 @@ def test_parse_kernel_spec_rejects_a_repeated_key():
 
 
 def test_kernel_spec_string_roundtrip():
-    for kernel in (cov.brownian(), cov.fractional_brownian(0.35), cov.weighted_poly(2, 1.5)):
-        spec = cov.kernel_spec_string(kernel)
+    cases = {
+        "brownian": cov.brownian(),
+        "fbm hurst=0.3512345": cov.fractional_brownian(0.3512345),
+        "weighted degree=2 coeff=2.5": cov.weighted_poly(2, 2.5),
+        "weighted degree=0 coeff=3": cov.weighted_poly(0, 3.0),
+    }
+    for spec, kernel in cases.items():
+        assert cov.kernel_spec_string(kernel) == spec
         again = cov.parse_kernel_spec(spec)
+        assert (again.kind, again.hurst, again.weight) == (kernel.kind, kernel.hurst,
+                                                          kernel.weight), spec
         assert cov.kernel_spec_string(again) == spec
 
 
@@ -713,18 +733,18 @@ def test_kernel_spec_string_rebuilds_every_parameter_exactly(hurst, degree, coef
 
 
 def test_brownian_is_the_unit_constant_weight():
-    # not a kind: brownian() is weighted_poly(0), echoed as kind=brownian
+    # not a kind: brownian() is weighted_poly(0), echoed as brownian
     with pytest.raises(ParameterError, match="unknown kernel kind 'brownian'"):
         cov.CovKernel("brownian")
     brownian = cov.brownian()
     assert brownian.kind == cov.WEIGHTED and brownian.weight == cov.PolyWeight(0, 1.0)
     for kernel in (brownian, cov.weighted_poly(0), cov.weighted_poly(0, 1.0)):
-        assert cov.kernel_spec_string(kernel) == "kind=brownian"
+        assert cov.kernel_spec_string(kernel) == "brownian"
         again = cov.parse_kernel_spec(cov.kernel_spec_string(kernel))
         assert again.kind == cov.WEIGHTED and again.weight == kernel.weight
     # other constant weights, -1 among them, keep their weighted echo
     for coeff in (-1.0, 2.0, 0.0):
-        assert cov.kernel_spec_string(cov.weighted_poly(0, coeff)).startswith("kind=weighted")
+        assert cov.kernel_spec_string(cov.weighted_poly(0, coeff)).startswith("weighted")
     # the unit weight's values are min(s, t) and 2^-level to the bit
     x = np.linspace(0.0, 1.0, 33)
     assert np.array_equal(checks.eval_grid(brownian, x, x), np.minimum.outer(x, x))
@@ -742,8 +762,8 @@ def test_constant_weight_is_read_off_the_spec():
 
 
 def test_kernel_spec_string_keeps_short_numbers_short():
-    assert cov.kernel_spec_string(cov.fractional_brownian(0.35)) == "kind=fbm hurst=0.35"
-    assert cov.kernel_spec_string(cov.weighted_poly(1)) == "kind=weighted weight=poly degree=1 coeff=1"
+    assert cov.kernel_spec_string(cov.fractional_brownian(0.35)) == "fbm hurst=0.35"
+    assert cov.kernel_spec_string(cov.weighted_poly(1)) == "weighted degree=1 coeff=1"
     assert cov.kernel_spec_string(cov.weighted_poly(2, 100.0)).endswith(" coeff=100")
     assert cov.kernel_spec_string(cov.fractional_brownian(0.3512345)).endswith("hurst=0.3512345")
 

@@ -705,7 +705,7 @@ def test_overflowing_run_fails_after_one_batch(monkeypatch):
     monkeypatch.setattr(sim, "_streams", counting)
     # one kernel per route whose areas overflow: on the conditional route
     # h^T G2 h overflows, on the chain c1 c2 = 1e308 times the Brownian area
-    for spec in ("kind=weighted degree=1 coeff=1e80", "kind=weighted degree=0 coeff=1e154"):
+    for spec in ("weighted degree=1 coeff=1e80", "weighted degree=0 coeff=1e154"):
         kernel = cov.parse_kernel_spec(spec)
         config = sim.MCConfig(seed=0, n_samples=16 * sim.BATCH, level=10, kernel1=kernel,
                               kernel2=kernel)
